@@ -350,38 +350,6 @@ def _upset_witness(generators: Sequence[int], d_lo: Dist, d_hi: Dist) -> UpSetWi
     return UpSetWitness(minimal, mass_lo, mass_hi)
 
 
-def domination_bruteforce(d_lo: Dist, d_hi: Dist, cap: int = 16) -> DominationReport:
-    """Oracle: test every up-set generated by a subset of the low support.
-
-    For a fixed trace on the low support, the upward closure of that trace
-    minimizes the high mass among up-sets with the same low mass, so these
-    candidates suffice.  Exponential in |support(d_lo)|; made for tests.
-    """
-    lo_masks = sorted(d_lo.weights)
-    if len(lo_masks) > cap:
-        raise LoopCurrentsError(f"brute-force oracle limited to {cap} support points")
-    # generator-membership bitsets: bit i of above[m] says lo_masks[i] <= m
-    def above(masks, dist):
-        out = []
-        for m in masks:
-            bits = 0
-            for i, gen in enumerate(lo_masks):
-                if m & gen == gen:
-                    bits |= 1 << i
-            out.append((bits, dist.weights[m]))
-        return out
-
-    lo_entries = above(lo_masks, d_lo)
-    hi_entries = above(sorted(d_hi.weights), d_hi)
-    for choice in range(1, 1 << len(lo_masks)):
-        mass_lo = sum((w for bits, w in lo_entries if bits & choice), ZERO) / d_lo.z
-        mass_hi = sum((w for bits, w in hi_entries if bits & choice), ZERO) / d_hi.z
-        if mass_lo > mass_hi:
-            gens = [lo_masks[i] for i in range(len(lo_masks)) if choice >> i & 1]
-            return DominationReport(False, witness=_upset_witness(gens, d_lo, d_hi))
-    return DominationReport(True, coupling=())
-
-
 # ---------------------------------------------------------------------------
 # Scans
 
@@ -417,15 +385,17 @@ def union_preservation_test(
     """Evidence that unions preserve monotonicity (and pairwise FKG gaps).
 
     If either input family already fails its own scan the hypothesis is not
-    met and the result is "inconclusive" rather than a theorem violation.
-    FKG is only probed through gaps on the supplied event battery.
+    met and the result is "inconclusive" rather than a theorem violation; a
+    family passed as both inputs is scanned once.  FKG is only probed
+    through gaps on the supplied event battery.
     """
     if union_family is None:
 
         def union_family(x):
             return _union(fam1(x), fam2(x))
 
-    for name, fam in (("first", fam1), ("second", fam2)):
+    inputs = (("first", fam1),) if fam2 is fam1 else (("first", fam1), ("second", fam2))
+    for name, fam in inputs:
         fails = monotonicity_scan(fam, grid)
         if fails:
             return {

@@ -49,7 +49,7 @@ from .rationals import (
     format_rational,
     parse_rational,
 )
-from .sampler import SamplerConfig, loop_chain, sample_stream, write_sample_dump
+from .sampler import COUPLED_MODELS, SamplerConfig, loop_chain, sample_stream, write_sample_dump
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -113,7 +113,7 @@ def graph_from_args(args) -> Graph:
 def _interval_decimal(fn, x: Fraction, digits: int, start_bits: int = 128, max_bits: int = 4096):
     """Decimal string of an interval-valued function, refined until the
     rounding of both endpoints agrees (then it is the correctly rounded
-    value)."""
+    value).  Raises if they still disagree at ``max_bits``."""
     bits = start_bits
     while True:
         iv = fn(x, bits)
@@ -122,7 +122,10 @@ def _interval_decimal(fn, x: Fraction, digits: int, start_bits: int = 128, max_b
         if lo_s == hi_s:
             return lo_s, iv
         if bits >= max_bits:
-            return decimal_string(iv.midpoint, digits), iv
+            raise LoopCurrentsError(
+                f"value at x={x} not certified to {digits} digits at {max_bits} bits: "
+                f"the enclosure rounds to {lo_s} and {hi_s}"
+            )
         bits *= 2
 
 
@@ -389,6 +392,8 @@ def cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 # sample
 
+SAMPLER_SETTINGS = ("sweeps", "burn_in", "thin")
+
 
 def cmd_sample(args) -> int:
     started = time.time()
@@ -404,11 +409,17 @@ def cmd_sample(args) -> int:
 
     if args.model == "loop_mcmc":
         masks = list(loop_chain(g, x, cfg, samples=args.samples, thin=args.thin))
+        settings = {"burn_in": args.burn_in, "thin": args.thin}
     else:
         masks = sample_stream(args.model, g, x, cfg, args.samples, params)
+        settings = {}
     out = Path(args.out)
-    write_sample_dump(out, args.model, g, x, cfg, masks)
-    write_manifest(out, "sample", _params(args), [out], started)
+    write_sample_dump(out, args.model, g, x, cfg, masks, settings)
+    # record only the sampler settings the draws read
+    recorded = {
+        k: v for k, v in _params(args).items() if k not in SAMPLER_SETTINGS or k in settings
+    }
+    write_manifest(out, "sample", recorded, [out], started)
     return EXIT_OK
 
 
@@ -465,16 +476,7 @@ def build_parser() -> argparse.ArgumentParser:
     smp.add_argument(
         "--model",
         required=True,
-        choices=[
-            "loop",
-            "loop_mcmc",
-            "double_loop",
-            "random_cluster",
-            "single_current",
-            "double_current",
-            "double_cluster",
-            "uniform_even_of_double_current",
-        ],
+        choices=["loop_mcmc", *COUPLED_MODELS],
     )
     smp.add_argument("--x", help="x as num/den")
     smp.add_argument("--t", help="Pythagorean t as num/den (sets x = 2t/(1+t^2))")

@@ -123,8 +123,8 @@ def check_increasing(ev: Event, cap: int = EDGE_ENUMERATION_CAP):
 
     Returns (True, None) or (False, (mask, mask | bit)).  The covering-pair
     criterion is equivalent to monotonicity over all comparable pairs on the
-    subset lattice; the equivalence is cross-checked in tests against
-    :func:`check_increasing_all_pairs`.
+    subset lattice; the equivalence is cross-checked in tests against an
+    all-pairs oracle.
     """
     n = ev.graph.edge_count
     if n > cap:
@@ -138,27 +138,6 @@ def check_increasing(ev: Event, cap: int = EDGE_ENUMERATION_CAP):
             free ^= bit
             if not ev.holds(mask | bit):
                 return False, (mask, mask | bit)
-    return True, None
-
-
-def check_increasing_all_pairs(ev: Event, cap: int = 16):
-    """Quadratic oracle over all ordered pairs w subset of w'; for cross-checks."""
-    n = ev.graph.edge_count
-    if n > cap:
-        raise CapExceededError("all-pairs monotonicity scan", n, cap)
-    full = ev.graph.full_mask
-    for mask in range(1 << n):
-        if not ev.holds(mask):
-            continue
-        # enumerate supersets by iterating over subsets of the complement
-        comp = full & ~mask
-        extra = comp
-        while True:
-            if extra and not ev.holds(mask | extra):
-                return False, (mask, mask | extra)
-            if extra == 0:
-                break
-            extra = (extra - 1) & comp
     return True, None
 
 

@@ -97,14 +97,6 @@ def edges_of_mask(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def mask_to_hex(mask: int) -> str:
-    return hex(mask)
-
-
-def mask_from_hex(text: str) -> int:
-    return int(text, 16)
-
-
 # ---------------------------------------------------------------------------
 # Construction helpers
 

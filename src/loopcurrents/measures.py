@@ -5,7 +5,8 @@ so quantities like "Z times the probability of an event" stay representable
 as single exact rationals.  All constructors and combinators are exact; no
 floating point enters this module.
 
-The model constructors follow the union-coupling definitions:
+The models follow the union-coupling definitions, each one row of the
+registry :data:`MODELS` that :func:`build` assembles:
 
 * loop model: weight x^|g| on every even subgraph g;
 * random cluster (q=2): loop union Bernoulli(x);
@@ -226,12 +227,20 @@ def loop_o1(graph: Graph, x: Fraction, cap: int = CYCLE_DIMENSION_CAP) -> Dist:
 # Union couplings
 
 
+# Most support pairs union() iterates.  The CLI's largest union is 256 x 256
+# pairs (verify sumthm); a double loop model at CYCLE_DIMENSION_CAP is 2^40.
+UNION_PAIR_CAP = 1 << 24
+
+
 def union(d1: Dist, d2: Dist, renormalize: bool = False) -> Dist:
     """Distribution of the union of independent samples from d1 and d2.
 
     Iterates support pairs; the result has Z = Z1*Z2 unless ``renormalize``.
     """
     _require_same_graph(d1, d2)
+    pairs = len(d1.weights) * len(d2.weights)
+    if pairs > UNION_PAIR_CAP:
+        raise CapExceededError("union support pairs", pairs, UNION_PAIR_CAP)
     acc: dict[int, Fraction] = {}
     for m1, w1 in d1.weights.items():
         for m2, w2 in d2.weights.items():
@@ -284,33 +293,54 @@ def union_bernoulli(d: Dist, p: Fraction, cap: int = EDGE_ENUMERATION_CAP) -> Di
     return Dist.from_weights(d.graph, weights, d.z)
 
 
+# Every model is k independent loop-model copies, unioned with Bernoulli(p)
+# when p is given: name -> (loop copies, p as a function of the parameters
+# or None).  The order is the row order of the overview table.
+MODELS: dict[str, tuple[int, Callable[[CurrentParams], Fraction] | None]] = {
+    "loop": (1, None),
+    "single_current": (1, lambda params: params.single_current_p),
+    "random_cluster": (1, lambda params: params.x),
+    "double_loop": (2, None),
+    "double_current": (2, lambda params: params.x * params.x),
+    "double_cluster": (2, lambda params: params.x * (2 - params.x)),
+}
+
+
+def build(name: str, graph: Graph, params: CurrentParams, cap: int = EDGE_ENUMERATION_CAP) -> Dist:
+    """Exact law of the registered model ``name`` at ``params``."""
+    if name not in MODELS:
+        raise LoopCurrentsError(f"unknown model {name!r}; choose from {tuple(MODELS)}")
+    copies, p = MODELS[name]
+    loop = loop_o1(graph, params.x)
+    d = loop
+    for _ in range(copies - 1):
+        d = union(d, loop)
+    return d if p is None else union_bernoulli(d, p(params), cap=cap)
+
+
 def random_cluster(graph: Graph, x: Fraction, cap: int = EDGE_ENUMERATION_CAP) -> Dist:
     """FK-Ising (q=2) random cluster model: loop union Bernoulli(x)."""
-    x = Fraction(x)
-    return union_bernoulli(loop_o1(graph, x), x, cap=cap)
+    return build("random_cluster", graph, CurrentParams.from_x(x), cap)
 
 
 def single_current(graph: Graph, params: CurrentParams, cap: int = EDGE_ENUMERATION_CAP) -> Dist:
     """Traced sourceless single random current: loop union Bernoulli(p(x))."""
-    return union_bernoulli(loop_o1(graph, params.x), params.single_current_p, cap=cap)
+    return build("single_current", graph, params, cap)
 
 
 def double_loop(graph: Graph, x: Fraction) -> Dist:
     """Union of two independent loop-model samples."""
-    d = loop_o1(graph, Fraction(x))
-    return union(d, d)
+    return build("double_loop", graph, CurrentParams.from_x(x))
 
 
 def double_current(graph: Graph, x: Fraction, cap: int = EDGE_ENUMERATION_CAP) -> Dist:
     """Traced sourceless double random current: double loop union Bernoulli(x^2)."""
-    x = Fraction(x)
-    return union_bernoulli(double_loop(graph, x), x * x, cap=cap)
+    return build("double_current", graph, CurrentParams.from_x(x), cap)
 
 
 def double_cluster(graph: Graph, x: Fraction, cap: int = EDGE_ENUMERATION_CAP) -> Dist:
     """Union of two independent random cluster samples: double loop union Bernoulli(x(2-x))."""
-    x = Fraction(x)
-    return union_bernoulli(double_loop(graph, x), x * (2 - x), cap=cap)
+    return build("double_cluster", graph, CurrentParams.from_x(x), cap)
 
 
 def double_current_lis(graph: Graph, x: Fraction, cap: int = EDGE_ENUMERATION_CAP) -> Dist:
@@ -383,13 +413,6 @@ def prob(d: Dist, event) -> Fraction:
     for mask, w in d.weights.items():
         if event.holds(mask):
             total += w
-    return total / d.z
-
-
-def expectation(d: Dist, value: Callable[[int], Fraction]) -> Fraction:
-    total = ZERO
-    for mask, w in d.weights.items():
-        total += w * value(mask)
     return total / d.z
 
 

@@ -20,26 +20,18 @@ refuses to upgrade an open cell to a claim and treats a failed scan on a
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
 from math import lcm
-from typing import Callable, Sequence
+from typing import Sequence
 
 from . import theta
 from .battery import scan_battery
-from .checkers import stochastic_domination
+from .checkers import monotonicity_scan, stochastic_domination
 from .errors import LoopCurrentsError
 from .events import Event, all_open, connect, edge_open
 from .graphs import Graph, component_labels, counter_family
 from .intervals import certify_decreasing_pair
-from .measures import (
-    CurrentParams,
-    Dist,
-    double_cluster,
-    double_current,
-    double_loop,
-    loop_o1,
-    random_cluster,
-    single_current,
-)
+from .measures import MODELS, CurrentParams, Dist, build
 from .rationals import (
     decimal_string,
     dyadic_grid,
@@ -53,15 +45,6 @@ HOLDS = "holds"
 OPEN = "open"
 
 PROPERTIES = ("FKG", "MON", "CON", "SING")
-
-MODELS = (
-    "loop",
-    "single_current",
-    "random_cluster",
-    "double_loop",
-    "double_current",
-    "double_cluster",
-)
 
 KNOWN_VERDICTS: dict[str, dict[str, str]] = {
     "loop": {p: REFUTED for p in PROPERTIES},
@@ -89,26 +72,16 @@ SING_DOUBLE_LOOP_PARAMS = (38, 2)
 SING_SINGLE_CURRENT_PARAMS = (2000, 300)
 
 
-def _pair_dict(x1, x2, v1, v2, exact: bool) -> dict:
-    fmt = format_rational if exact else str
-    return {
-        "x1": format_rational(x1),
-        "x2": format_rational(x2),
-        "value1": fmt(v1),
-        "value2": fmt(v2),
-        "exact": exact,
-    }
-
-
 # ---------------------------------------------------------------------------
 # Refutation witnesses
 
 
-def certify_fkg_loop() -> dict:
-    n, m, x = FKG_LOOP_PARAMS
-    gap = theta.loop_fkg_gap(n, m, x)
+def certify_fkg(gap_fn, params: tuple[int, int, Fraction]) -> dict:
+    """Negative FKG gap of the closed form ``gap_fn`` on theta(n, m, n) at x."""
+    n, m, x = params
+    gap = gap_fn(n, m, x)
     if gap >= 0:
-        raise LoopCurrentsError("expected a negative loop FKG gap")
+        raise LoopCurrentsError(f"expected a negative gap from {gap_fn.__name__}{params}")
     return {
         "family": f"theta({n},{m},{n})",
         "x": format_rational(x),
@@ -132,51 +105,30 @@ def certify_fkg_single_current() -> dict:
     }
 
 
-def certify_fkg_double_loop() -> dict:
-    n, m, x = FKG_DOUBLE_LOOP_PARAMS
-    gap = theta.double_loop_fkg_gap(n, m, x)
-    if gap >= 0:
-        raise LoopCurrentsError("expected a negative double-loop FKG gap")
-    return {
-        "family": f"theta({n},{m},{n})",
-        "x": format_rational(x),
-        "gap": format_rational(gap),
-        "events": "both n+m loops fully open",
+def certify_sing(
+    model: str, conn, family: tuple[int, int], grid: Sequence[Fraction]
+) -> tuple[dict, dict]:
+    """Decreasing pair of the closed-form connection probability ``conn``
+    on counter(n, m), plus the domination failure between the model's two
+    laws at that pair (min-cut up-set witness)."""
+    n, m = family
+    pair = find_decreasing_pair(conn(n, m), grid)
+    if pair is None:
+        raise LoopCurrentsError(f"no decreasing pair for {conn.__name__}{(n, m)} on the grid")
+    x1, x2, v1, v2 = pair
+    g = counter_family(n, m)
+    report = stochastic_domination(_law(model, g, x1), _law(model, g, x2))
+    if report.dominates:
+        raise LoopCurrentsError("domination unexpectedly holds at a decreasing pair")
+    pair = {
+        "x1": format_rational(x1),
+        "x2": format_rational(x2),
+        "value1": format_rational(v1),
+        "value2": format_rational(v2),
+        "exact": True,
     }
-
-
-def certify_sing_loop(grid: Sequence[Fraction]) -> tuple[dict, dict]:
-    """Decreasing connection pair for the loop model, plus the domination
-    failure between the two loop distributions (min-cut up-set witness)."""
-    n, m = SING_LOOP_PARAMS
-    pair = find_decreasing_pair(theta.loop_conn(n, m), grid)
-    if pair is None:
-        raise LoopCurrentsError(f"no decreasing pair for loop_conn{(n, m)} on the grid")
-    x1, x2, v1, v2 = pair
-    g = counter_family(n, m)
-    report = stochastic_domination(loop_o1(g, x1), loop_o1(g, x2))
-    if report.dominates:
-        raise LoopCurrentsError("domination unexpectedly holds at a decreasing pair")
-    sing = {"family": f"counter({n},{m})", "pair": _pair_dict(x1, x2, v1, v2, True)}
-    mon = dict(sing)
-    mon["upset_witness"] = report.witness.to_json_dict()
-    return sing, mon
-
-
-def certify_sing_double_loop(grid: Sequence[Fraction]) -> tuple[dict, dict]:
-    n, m = SING_DOUBLE_LOOP_PARAMS
-    pair = find_decreasing_pair(theta.double_loop_conn(n, m), grid)
-    if pair is None:
-        raise LoopCurrentsError(f"no decreasing pair for double_loop_conn{(n, m)} on the grid")
-    x1, x2, v1, v2 = pair
-    g = counter_family(n, m)
-    report = stochastic_domination(double_loop(g, x1), double_loop(g, x2))
-    if report.dominates:
-        raise LoopCurrentsError("domination unexpectedly holds at a decreasing pair")
-    sing = {"family": f"counter({n},{m})", "pair": _pair_dict(x1, x2, v1, v2, True)}
-    mon = dict(sing)
-    mon["upset_witness"] = report.witness.to_json_dict()
-    return sing, mon
+    sing = {"family": f"counter({n},{m})", "pair": pair}
+    return sing, dict(sing, upset_witness=report.witness.to_json_dict())
 
 
 def certify_sing_single_current(resolution: int = 14, count: int = 256) -> dict:
@@ -212,13 +164,8 @@ def certify_sing_single_current(resolution: int = 14, count: int = 256) -> dict:
 # Scan evidence for holds / open cells
 
 
-MODEL_BUILDERS: dict[str, Callable[[Graph, Fraction], Dist]] = {
-    "random_cluster": lambda g, x: random_cluster(g, x),
-    "double_loop": lambda g, x: double_loop(g, x),
-    "double_current": lambda g, x: double_current(g, x),
-    "double_cluster": lambda g, x: double_cluster(g, x),
-    "loop": lambda g, x: loop_o1(g, x),
-}
+def _law(model: str, g: Graph, x: Fraction) -> Dist:
+    return build(model, g, CurrentParams.from_x(x))
 
 
 def _scaled_probability_vector(d: Dist) -> tuple[dict[int, int], int]:
@@ -263,11 +210,9 @@ def _vertex_pairs(g: Graph) -> list[tuple[int, int]]:
     return [(u, v) for u in range(g.vertex_count) for v in range(u + 1, g.vertex_count)]
 
 
-def _subset_pairs(g: Graph, max_size: int = 2) -> list[tuple[tuple, tuple]]:
-    from itertools import combinations
-
+def _subset_pairs(g: Graph) -> list[tuple[tuple, tuple]]:
     verts = range(g.vertex_count)
-    subsets = [tuple(c) for k in (1, 2) if k <= max_size for c in combinations(verts, k)]
+    subsets = [c for k in (1, 2) for c in combinations(verts, k)]
     pairs = []
     for a in subsets:
         for b in subsets:
@@ -285,45 +230,34 @@ def _fkg_events(g: Graph) -> list[Event]:
     return events
 
 
-def scan_sing(model: str, graphs, grid) -> list[dict]:
-    """Point-evaluation scan: is P(a <-> b) non-decreasing along the grid?"""
+def scan_connection(model: str, graphs, grid, prop: str) -> list[dict]:
+    """Point-evaluation scan: is P(A <-> B) non-decreasing along the grid?
+
+    SING takes single vertices A, B (the marks, if the graph has them) and
+    reports each drop; CON takes disjoint vertex sets of size at most 2.
+    """
+    sing = prop == "SING"
     violations = []
     for name, g in graphs:
-        dists = [MODEL_BUILDERS[model](g, x) for x in grid]
-        pairs = [((u,), (v,)) for u, v in _vertex_pairs(g)]
+        dists = [_law(model, g, x) for x in grid]
+        pairs = [((u,), (v,)) for u, v in _vertex_pairs(g)] if sing else _subset_pairs(g)
         masses = _connection_masses(dists, g, pairs)
         for (side_a, side_b), row in zip(pairs, masses):
+            if sing:
+                event = f"connect:{side_a[0]},{side_b[0]}"
+            else:
+                event = f"connect-sets:{side_a},{side_b}"
             for j in range(1, len(grid)):
                 if row[j] < row[j - 1]:
-                    violations.append(
-                        {
-                            "graph": name,
-                            "event": f"connect:{side_a[0]},{side_b[0]}",
-                            "x1": format_rational(grid[j - 1]),
-                            "x2": format_rational(grid[j]),
-                            "drop": format_rational(row[j - 1] - row[j]),
-                        }
-                    )
-    return violations
-
-
-def scan_con(model: str, graphs, grid, max_size: int = 2) -> list[dict]:
-    violations = []
-    for name, g in graphs:
-        dists = [MODEL_BUILDERS[model](g, x) for x in grid]
-        pairs = _subset_pairs(g, max_size)
-        masses = _connection_masses(dists, g, pairs)
-        for (side_a, side_b), row in zip(pairs, masses):
-            for j in range(1, len(grid)):
-                if row[j] < row[j - 1]:
-                    violations.append(
-                        {
-                            "graph": name,
-                            "event": f"connect-sets:{side_a},{side_b}",
-                            "x1": format_rational(grid[j - 1]),
-                            "x2": format_rational(grid[j]),
-                        }
-                    )
+                    record = {
+                        "graph": name,
+                        "event": event,
+                        "x1": format_rational(grid[j - 1]),
+                        "x2": format_rational(grid[j]),
+                    }
+                    if sing:
+                        record["drop"] = format_rational(row[j - 1] - row[j])
+                    violations.append(record)
     return violations
 
 
@@ -331,7 +265,7 @@ def scan_fkg(model: str, graphs, grid) -> list[dict]:
     """Pairwise gap scan over a small increasing-event battery."""
     violations = []
     for name, g in graphs:
-        dists = [MODEL_BUILDERS[model](g, x) for x in grid]
+        dists = [_law(model, g, x) for x in grid]
         support_union = set()
         for d in dists:
             support_union |= set(d.weights)
@@ -364,24 +298,16 @@ def scan_fkg(model: str, graphs, grid) -> list[dict]:
 
 def scan_mon(model: str, graphs, grid) -> list[dict]:
     """Consecutive-pair stochastic domination scan (exact max-flow)."""
-    failures = []
-    for name, g in graphs:
-        prev_x = prev_d = None
-        for x in grid:
-            d = MODEL_BUILDERS[model](g, x)
-            if prev_d is not None:
-                report = stochastic_domination(prev_d, d)
-                if not report.dominates:
-                    failures.append(
-                        {
-                            "graph": name,
-                            "x1": format_rational(prev_x),
-                            "x2": format_rational(x),
-                            "witness": report.witness.to_json_dict(),
-                        }
-                    )
-            prev_x, prev_d = x, d
-    return failures
+    return [
+        {
+            "graph": name,
+            "x1": format_rational(x1),
+            "x2": format_rational(x2),
+            "witness": report.witness.to_json_dict(),
+        }
+        for name, g in graphs
+        for x1, x2, report in monotonicity_scan(lambda x: _law(model, g, x), grid)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -418,46 +344,28 @@ def build_overview(
             **payload,
         }
 
-    # --- refuted cells -----------------------------------------------------
-    put("loop", "FKG", CERTIFIED_FALSE, {"witness": certify_fkg_loop()})
-    put("single_current", "FKG", CERTIFIED_FALSE, {"witness": certify_fkg_single_current()})
-    put("double_loop", "FKG", CERTIFIED_FALSE, {"witness": certify_fkg_double_loop()})
-
-    sing, mon = certify_sing_loop(grid)
-    put("loop", "SING", CERTIFIED_FALSE, {"witness": sing})
-    put("loop", "MON", CERTIFIED_FALSE, {"witness": mon})
-    put(
-        "loop",
-        "CON",
-        CERTIFIED_FALSE,
-        {"witness": dict(sing, note="singleton sets; follows from the SING witness")},
-    )
-
-    sing, mon = certify_sing_double_loop(grid)
-    put("double_loop", "SING", CERTIFIED_FALSE, {"witness": sing})
-    put("double_loop", "MON", CERTIFIED_FALSE, {"witness": mon})
-    put(
-        "double_loop",
-        "CON",
-        CERTIFIED_FALSE,
-        {"witness": dict(sing, note="singleton sets; follows from the SING witness")},
-    )
-
+    # --- refuted cells: FKG, SING and MON witnesses; CON follows from SING --
     sc_sing = certify_sing_single_current()
-    put("single_current", "SING", CERTIFIED_FALSE, {"witness": sc_sing})
-    note = (
-        "the connection event is increasing and its probability certifiably drops, "
-        "so no monotone coupling exists across the pair"
-    )
-    put("single_current", "MON", CERTIFIED_FALSE, {"witness": dict(sc_sing, note=note)})
-    put(
-        "single_current",
-        "CON",
-        CERTIFIED_FALSE,
-        {"witness": dict(sc_sing, note="singleton sets; follows from the SING witness")},
-    )
+    refutations = {
+        "loop": (
+            certify_fkg(theta.loop_fkg_gap, FKG_LOOP_PARAMS),
+            *certify_sing("loop", theta.loop_conn, SING_LOOP_PARAMS, grid),
+        ),
+        "single_current": (
+            certify_fkg_single_current(),
+            sc_sing,
+            dict(
+                sc_sing,
+                note="the connection event is increasing and its probability certifiably "
+                "drops, so no monotone coupling exists across the pair",
+            ),
+        ),
+        "double_loop": (
+            certify_fkg(theta.double_loop_fkg_gap, FKG_DOUBLE_LOOP_PARAMS),
+            *certify_sing("double_loop", theta.double_loop_conn, SING_DOUBLE_LOOP_PARAMS, grid),
+        ),
+    }
 
-    # --- holds / open cells ------------------------------------------------
     def scan_cell(model, prop, scan_fn, *args):
         expected = KNOWN_VERDICTS[model][prop]
         violations = scan_fn(model, graphs, *args)
@@ -472,16 +380,17 @@ def build_overview(
             {"scan": dict(scan_meta, violations=violations)},
         )
 
-    for model in ("random_cluster", "double_cluster"):
-        scan_cell(model, "FKG", scan_fkg, grid)
-        scan_cell(model, "MON", scan_mon, mon_grid)
-        scan_cell(model, "CON", scan_con, grid)
-        scan_cell(model, "SING", scan_sing, grid)
-
-    scan_cell("double_current", "FKG", scan_fkg, grid)
-    scan_cell("double_current", "MON", scan_mon, mon_grid)
-    scan_cell("double_current", "CON", scan_con, grid)
-    scan_cell("double_current", "SING", scan_sing, grid)
+    for model in MODELS:
+        if model in refutations:
+            fkg, sing, mon = refutations[model]
+            con = dict(sing, note="singleton sets; follows from the SING witness")
+            for prop, witness in (("FKG", fkg), ("SING", sing), ("MON", mon), ("CON", con)):
+                put(model, prop, CERTIFIED_FALSE, {"witness": witness})
+        else:
+            scan_cell(model, "FKG", scan_fkg, grid)
+            scan_cell(model, "MON", scan_mon, mon_grid)
+            scan_cell(model, "CON", scan_connection, grid, "CON")
+            scan_cell(model, "SING", scan_connection, grid, "SING")
 
     ok = all(
         cell["status"] in (CERTIFIED_FALSE, SCAN_CLEAN, OPEN_STATUS)

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import CapExceededError, LoopCurrentsError
 from .graphs import CYCLE_DIMENSION_CAP, Graph, cycle_space_basis, span_masks
-from .measures import CurrentParams, Dist, loop_o1
+from .measures import MODELS, CurrentParams, Dist, loop_o1
 
 RNG_ALGORITHM = "philox4x64"
 
@@ -44,13 +44,23 @@ def make_rng(seed: int, worker: int = 0) -> np.random.Generator:
 # Loop model
 
 
-def sample_loop_exact(g: Graph, x: Fraction, rng: np.random.Generator) -> int:
-    """Draw one even subgraph by inverse CDF over the full span (dim <= cap)."""
+def loop_law(g: Graph, x: Fraction) -> tuple[list[int], np.ndarray]:
+    """The loop model's support in mask order and its double-precision law."""
     d = loop_o1(g, x)
     masks = sorted(d.weights)
     probs = np.array([float(d.weights[m] / d.z) for m in masks])
-    idx = int(rng.choice(len(masks), p=probs / probs.sum()))
-    return masks[idx]
+    return masks, probs / probs.sum()
+
+
+def sample_loop_exact(
+    g: Graph, x: Fraction, rng: np.random.Generator, law: tuple | None = None
+) -> int:
+    """Draw one even subgraph by inverse CDF over the full span (dim <= cap).
+
+    ``law`` is :func:`loop_law` of (g, x), built here when not given.
+    """
+    masks, probs = law or loop_law(g, x)
+    return masks[int(rng.choice(len(masks), p=probs))]
 
 
 def loop_chain(
@@ -131,15 +141,11 @@ def loop_chain_transition_matrix(g: Graph, x: Fraction):
 # ---------------------------------------------------------------------------
 # Coupled models
 
-COUPLED_MODELS = (
-    "loop",
-    "double_loop",
-    "random_cluster",
-    "single_current",
-    "double_current",
-    "double_cluster",
-    "uniform_even_of_double_current",
-)
+# The one model drawn through a pushforward: a uniform even subgraph of a
+# double-current draw.
+PUSHFORWARD = "uniform_even_of_double_current"
+PUSHFORWARD_BASE = PUSHFORWARD.removeprefix("uniform_even_of_")
+COUPLED_MODELS = (*MODELS, PUSHFORWARD)
 
 
 def _bernoulli_mask(g: Graph, p: float, rng: np.random.Generator) -> int:
@@ -169,35 +175,30 @@ def sample_coupled(
     x: Fraction,
     rng: np.random.Generator,
     params: CurrentParams | None = None,
+    law: tuple | None = None,
 ) -> int:
     """One draw from a union-coupled model via its definition.
 
-    Loop layers are drawn exactly (inverse CDF over the span); Bernoulli
-    layers use the double-precision parameter.  The pushforward model draws
-    a double current and then a uniform even subgraph of it.
+    Loop layers are drawn exactly (inverse CDF over the span, from ``law``
+    when given); the Bernoulli layer uses the double-precision parameter.
+    The pushforward model draws a double current and then a uniform even
+    subgraph of it.
     """
     x = Fraction(x)
-    if model == "loop":
-        return sample_loop_exact(g, x, rng)
-    if model == "double_loop":
-        return sample_loop_exact(g, x, rng) | sample_loop_exact(g, x, rng)
-    if model == "random_cluster":
-        return sample_loop_exact(g, x, rng) | _bernoulli_mask(g, float(x), rng)
-    if model == "single_current":
-        if params is None or params.t is None:
-            raise LoopCurrentsError("single_current sampling needs Pythagorean params")
-        p = float(params.single_current_p)
-        return sample_loop_exact(g, x, rng) | _bernoulli_mask(g, p, rng)
-    if model == "double_current":
-        double = sample_loop_exact(g, x, rng) | sample_loop_exact(g, x, rng)
-        return double | _bernoulli_mask(g, float(x) ** 2, rng)
-    if model == "double_cluster":
-        double = sample_loop_exact(g, x, rng) | sample_loop_exact(g, x, rng)
-        return double | _bernoulli_mask(g, float(x * (2 - x)), rng)
-    if model == "uniform_even_of_double_current":
-        omega = sample_coupled("double_current", g, x, rng)
+    if model == PUSHFORWARD:
+        omega = sample_coupled(PUSHFORWARD_BASE, g, x, rng, params, law)
         return _uniform_even_of(g, omega, rng)
-    raise LoopCurrentsError(f"unknown model tag {model!r}; choose from {COUPLED_MODELS}")
+    if model not in MODELS:
+        raise LoopCurrentsError(f"unknown model tag {model!r}; choose from {COUPLED_MODELS}")
+    copies, p = MODELS[model]
+    p_float = None if p is None else float(p(params or CurrentParams.from_x(x)))
+    law = law or loop_law(g, x)
+    mask = 0
+    for _ in range(copies):
+        mask |= sample_loop_exact(g, x, rng, law)
+    if p_float is not None:
+        mask |= _bernoulli_mask(g, p_float, rng)
+    return mask
 
 
 def sample_stream(
@@ -209,7 +210,8 @@ def sample_stream(
     params: CurrentParams | None = None,
 ) -> list[int]:
     rng = make_rng(cfg.seed)
-    return [sample_coupled(model, g, x, rng, params) for _ in range(count)]
+    law = loop_law(g, Fraction(x))
+    return [sample_coupled(model, g, x, rng, params, law) for _ in range(count)]
 
 
 # ---------------------------------------------------------------------------
@@ -243,10 +245,15 @@ def chi_square_statistic(counts: dict[int, int], dist: Dist) -> tuple[float, int
     return stat, len(dist.weights) - 1
 
 
-def write_sample_dump(path, model: str, g: Graph, x: Fraction, cfg: SamplerConfig, masks):
-    """One hex bitmask per line with a header recording seed and config."""
+def write_sample_dump(
+    path, model: str, g: Graph, x: Fraction, cfg: SamplerConfig, masks, settings: dict | None = None
+):
+    """One hex bitmask per line after a two-line header: the model, RNG and
+    seed, then the sampler ``settings`` the draws read (none for the exact
+    samplers), x and the edge count."""
+    read = "".join(f"{k}={v} " for k, v in (settings or {}).items())
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"# model={model} rng={RNG_ALGORITHM} seed={cfg.seed}\n")
-        fh.write(f"# sweeps={cfg.sweeps} burn_in={cfg.burn_in} x={x} edges={g.edge_count}\n")
+        fh.write(f"# {read}x={x} edges={g.edge_count}\n")
         for m in masks:
             fh.write(hex(m) + "\n")

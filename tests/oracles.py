@@ -8,6 +8,9 @@ agreement is meaningful.
 
 from fractions import Fraction
 
+from loopcurrents.checkers import DominationReport, UpSetWitness
+from loopcurrents.errors import CapExceededError, LoopCurrentsError
+from loopcurrents.events import Event
 from loopcurrents.graphs import Graph, edges_of_mask
 from loopcurrents.measures import Dist
 
@@ -100,3 +103,57 @@ def brute_union(d1: Dist, d2: Dist) -> dict[int, Fraction]:
         if total:
             result[w] = total
     return result
+
+
+def domination_bruteforce(d_lo: Dist, d_hi: Dist, cap: int = 16) -> DominationReport:
+    """Test every up-set generated by a subset of the low support.
+
+    For a fixed trace on the low support, the upward closure of that trace
+    minimizes the high mass among up-sets with the same low mass, so these
+    candidates suffice.  Exponential in |support(d_lo)|.
+    """
+    lo_masks = sorted(d_lo.weights)
+    if len(lo_masks) > cap:
+        raise LoopCurrentsError(f"brute-force oracle limited to {cap} support points")
+
+    # generator-membership bitsets: bit i of above[m] says lo_masks[i] <= m
+    def above(masks, dist):
+        out = []
+        for m in masks:
+            bits = 0
+            for i, gen in enumerate(lo_masks):
+                if m & gen == gen:
+                    bits |= 1 << i
+            out.append((bits, dist.weights[m]))
+        return out
+
+    lo_entries = above(lo_masks, d_lo)
+    hi_entries = above(sorted(d_hi.weights), d_hi)
+    for choice in range(1, 1 << len(lo_masks)):
+        mass_lo = sum((w for bits, w in lo_entries if bits & choice), Fraction(0)) / d_lo.z
+        mass_hi = sum((w for bits, w in hi_entries if bits & choice), Fraction(0)) / d_hi.z
+        if mass_lo > mass_hi:
+            gens = tuple(lo_masks[i] for i in range(len(lo_masks)) if choice >> i & 1)
+            return DominationReport(False, witness=UpSetWitness(gens, mass_lo, mass_hi))
+    return DominationReport(True, coupling=())
+
+
+def check_increasing_all_pairs(ev: Event, cap: int = 16):
+    """Quadratic scan over all ordered pairs w subset of w'."""
+    n = ev.graph.edge_count
+    if n > cap:
+        raise CapExceededError("all-pairs monotonicity scan", n, cap)
+    full = ev.graph.full_mask
+    for mask in range(1 << n):
+        if not ev.holds(mask):
+            continue
+        # enumerate supersets by iterating over subsets of the complement
+        comp = full & ~mask
+        extra = comp
+        while True:
+            if extra and not ev.holds(mask | extra):
+                return False, (mask, mask | extra)
+            if extra == 0:
+                break
+            extra = (extra - 1) & comp
+    return True, None

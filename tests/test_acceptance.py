@@ -13,7 +13,6 @@ import pytest
 
 from loopcurrents.battery import STANDARD_X, verification_battery
 from loopcurrents.checkers import (
-    domination_bruteforce,
     fkg_pair_gap,
     stochastic_domination,
 )
@@ -66,6 +65,7 @@ from expected_tables import (
     FIRST_LOOP_TABLE,
     as_bools,
 )
+from oracles import domination_bruteforce
 
 F = Fraction
 

@@ -5,7 +5,6 @@ import pytest
 
 from loopcurrents.checkers import (
     DominationReport,
-    domination_bruteforce,
     fkg_pair_gap,
     lattice_condition,
     monotonicity_scan,
@@ -33,6 +32,8 @@ from loopcurrents.theta import (
     single_current_fkg_gap,
     theta_loop_events,
 )
+
+from oracles import domination_bruteforce
 
 F = Fraction
 THETA111 = generalized_theta([1, 1, 1])
@@ -258,6 +259,26 @@ class TestScans:
             event_pairs=[(edge_open(THETA111, 0), edge_open(THETA111, 1))],
         )
         assert result["status"] == "verified"
+
+    def test_union_preservation_scans_a_repeated_family_once(self):
+        calls = []
+
+        def fam(x):
+            calls.append(x)
+            return bernoulli(THETA111, x)
+
+        def union_fam(x):
+            return bernoulli(THETA111, x * (2 - x))
+
+        grid = dyadic_grid(3)
+        result = union_preservation_test(fam, fam, grid, union_family=union_fam)
+        assert result["status"] == "verified"
+        assert len(calls) == len(grid)
+        calls.clear()
+        # an equal but distinct family is still scanned on its own
+        result = union_preservation_test(fam, lambda x: fam(x), grid, union_family=union_fam)
+        assert result["status"] == "verified"
+        assert len(calls) == 2 * len(grid)
 
     def test_union_preservation_inconclusive_when_hypothesis_fails(self):
         g = counter_family(8, 2)

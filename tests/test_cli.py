@@ -3,8 +3,12 @@ import hashlib
 import json
 from fractions import Fraction
 
-from loopcurrents.cli import main
+import pytest
+
+from loopcurrents.cli import _interval_decimal, main
+from loopcurrents.errors import LoopCurrentsError
 from loopcurrents.graphs import complete_graph, graph_to_json
+from loopcurrents.intervals import Interval
 
 F = Fraction
 
@@ -70,6 +74,22 @@ class TestFigure:
         assert pair["method"] == "certified-interval"
         # disjoint enclosures: the lower bound at x1 beats the upper at x2
         assert F(pair["value1_enclosure"][0]) > F(pair["value2_enclosure"][1])
+
+    def test_uncertified_decimal_is_an_error(self):
+        bits_seen = []
+
+        def straddling(x, bits):
+            # 0.1449 and 0.1451 round apart at 2 digits, at every precision
+            bits_seen.append(bits)
+            return Interval(F(1449, 10000), F(1451, 10000))
+
+        with pytest.raises(LoopCurrentsError):
+            _interval_decimal(straddling, F(1, 2), 2)
+        assert bits_seen == [128, 256, 512, 1024, 2048, 4096]
+
+    def test_certified_decimal_is_returned(self):
+        value, _ = _interval_decimal(lambda x, bits: Interval(F(1451, 10000), F(1452, 10000)), F(1, 2), 2)
+        assert value == "0.15"
 
     def test_odd_m_rejected(self, tmp_path):
         code = run(
@@ -138,6 +158,21 @@ class TestSample:
             "--sweeps", "5", "--burn-in", "5", "--out", str(out),
         )
         assert code == 0
+
+    def test_records_only_settings_the_sampler_reads(self, tmp_path):
+        settings = ("sweeps", "burn_in", "thin")
+        for model, read in (("double_current", ()), ("loop_mcmc", ("burn_in", "thin"))):
+            out = tmp_path / f"{model}.txt"
+            code = run(
+                "sample", "--model", model, "--family", "theta", "--segments", "1,1,1",
+                "--x", "1/2", "--samples", "5", "--burn-in", "3", "--out", str(out),
+            )
+            assert code == 0
+            header = out.read_text().splitlines()[1]
+            manifest = json.loads((tmp_path / f"{model}.txt.manifest.json").read_text())
+            for key in settings:
+                assert (f"{key}=" in header) == (key in read), (model, key)
+                assert (key in manifest["parameters"]) == (key in read), (model, key)
 
     def test_pythagorean_flag(self, tmp_path):
         out = tmp_path / "sc.txt"

@@ -8,7 +8,6 @@ from loopcurrents.errors import GraphStructureError
 from loopcurrents.events import (
     all_open,
     check_increasing,
-    check_increasing_all_pairs,
     connect,
     connect_sets,
     custom,
@@ -29,6 +28,8 @@ from loopcurrents.graphs import (
     segment_edge_ranges,
 )
 from loopcurrents.measures import bernoulli, loop_o1, point_mass
+
+from oracles import check_increasing_all_pairs
 
 F = Fraction
 COUNTER22 = counter_family(2, 2)

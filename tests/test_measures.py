@@ -11,9 +11,12 @@ from loopcurrents.errors import (
 from loopcurrents.events import connect, custom, edge_open
 from loopcurrents.graphs import Graph, complete_graph, counter_family, generalized_theta
 from loopcurrents.measures import (
+    MODELS,
+    UNION_PAIR_CAP,
     CurrentParams,
     Dist,
     bernoulli,
+    build,
     double_cluster,
     double_current,
     double_current_lis,
@@ -27,6 +30,7 @@ from loopcurrents.measures import (
     union,
     union_bernoulli,
 )
+from loopcurrents.overview import KNOWN_VERDICTS
 
 from oracles import brute_union
 
@@ -140,6 +144,15 @@ class TestUnion:
                 assert union_bernoulli(d, p).same_law(union(d, bernoulli(g, p)))
 
 
+    def test_support_pair_cap_refuses_before_iterating(self):
+        # cycle dimension 13: 2^13 even subgraphs, so 2^26 support pairs
+        g = Graph(2, ((0, 1),) * 14)
+        with pytest.raises(CapExceededError) as info:
+            double_loop(g, F(1, 2))
+        assert info.value.what == "union support pairs"
+        assert info.value.size == 1 << 26 > UNION_PAIR_CAP
+
+
 class TestCurrentParams:
     def test_pythagorean_half(self):
         params = CurrentParams.from_t(F(1, 2))
@@ -204,6 +217,57 @@ class TestNamedConstructors:
             assert union_bernoulli(double_loop(g, x), x * (2 - x)).same_law(
                 double_cluster(g, x)
             )
+
+
+def _union_chain(name: str, g: Graph, params: CurrentParams) -> Dist:
+    """Each model's union coupling, written out with the Moebius oracle."""
+    x = params.x
+
+    def u(d1, d2):
+        return Dist.from_weights(g, brute_union(d1, d2))
+
+    loop = loop_o1(g, x)
+    chains = {
+        "loop": lambda: loop,
+        "single_current": lambda: u(loop, bernoulli(g, params.single_current_p)),
+        "random_cluster": lambda: u(loop, bernoulli(g, x)),
+        "double_loop": lambda: u(loop, loop),
+        "double_current": lambda: u(u(loop, loop), bernoulli(g, x * x)),
+        "double_cluster": lambda: u(u(loop, loop), bernoulli(g, x * (2 - x))),
+    }
+    assert set(chains) == set(MODELS)
+    return chains[name]()
+
+
+class TestRegistry:
+    def test_build_matches_hand_written_union_chains(self):
+        for t in (F(0), F(1, 4), F(1, 3), F(1, 2)):
+            params = CurrentParams.from_t(t)
+            for g in (THETA232, K4, LOOPY):
+                for name in MODELS:
+                    assert build(name, g, params).same_law(_union_chain(name, g, params)), (
+                        name,
+                        t,
+                    )
+
+    def test_named_constructors_are_registry_rows(self):
+        params = CurrentParams.from_t(F(1, 2))
+        x = params.x
+        assert single_current(K4, params).same_law(build("single_current", K4, params))
+        for name, constructor in (
+            ("random_cluster", random_cluster),
+            ("double_loop", double_loop),
+            ("double_current", double_current),
+            ("double_cluster", double_cluster),
+        ):
+            assert constructor(K4, x).same_law(build(name, K4, params)), name
+
+    def test_order_is_the_table_row_order(self):
+        assert list(MODELS) == list(KNOWN_VERDICTS)
+
+    def test_unknown_name_rejected(self):
+        with pytest.raises(LoopCurrentsError):
+            build("wolff", K4, CurrentParams.from_x(F(1, 2)))
 
 
 class TestCountingCharacterization:

@@ -6,13 +6,16 @@ import pytest
 from loopcurrents.errors import LoopCurrentsError
 from loopcurrents.graphs import Graph, generalized_theta
 from loopcurrents.measures import (
+    MODELS,
     CurrentParams,
     bernoulli,
+    build,
     double_current,
     loop_o1,
     push_uniform_even,
 )
 from loopcurrents.sampler import (
+    COUPLED_MODELS,
     SamplerConfig,
     chi_square_statistic,
     empirical_counts,
@@ -54,6 +57,20 @@ class TestReproducibility:
         a = sample_stream("double_current", THETA111, F(1, 2), cfg, 50)
         b = sample_stream("double_current", THETA111, F(1, 2), cfg, 50)
         assert a == b
+
+    def test_streams_are_pinned(self):
+        # the rng is consumed in a fixed order: loop copies, then the
+        # Bernoulli layer, then the pushforward's basis bits
+        g = generalized_theta([2, 3, 2])
+        params = CurrentParams.from_t(F(1, 2))
+        cfg = SamplerConfig(seed=123456, sweeps=0)
+        pinned = {
+            "single_current": [0xB, 0x3F, 0x5F, 0x7C, 0x6B, 0xB, 0x73, 0x17],
+            "double_current": [0x67, 0x6E, 0x2A, 0x27, 0x7F, 0x6F, 0x7F, 0x7F],
+            "uniform_even_of_double_current": [0x0, 0x0, 0x0, 0x0, 0x1F, 0x0, 0x1F, 0x1F],
+        }
+        for model, draws in pinned.items():
+            assert sample_stream(model, g, params.x, cfg, len(draws), params) == draws, model
 
     def test_config_validation(self):
         with pytest.raises(LoopCurrentsError):
@@ -160,6 +177,20 @@ class TestCoupledSamplers:
         with pytest.raises(LoopCurrentsError):
             sample_coupled("wolff", THETA111, F(1, 2), rng)
 
+    def test_every_model_draws_in_exact_support(self):
+        g = generalized_theta([2, 3, 2])
+        params = CurrentParams.from_t(F(1, 2))
+        assert set(COUPLED_MODELS) == {*MODELS, "uniform_even_of_double_current"}
+        for model in COUPLED_MODELS:
+            if model in MODELS:
+                exact = build(model, g, params)
+            else:
+                exact = push_uniform_even(double_current(g, params.x))
+            cfg = SamplerConfig(seed=17, sweeps=0)
+            draws = sample_stream(model, g, params.x, cfg, 200, params)
+            assert len(draws) == 200
+            assert set(draws) <= set(exact.weights), model
+
     def test_off_support_sample_is_an_error(self):
         exact = loop_o1(THETA111, F(1, 2))
         with pytest.raises(LoopCurrentsError):
@@ -177,3 +208,11 @@ class TestDumps:
         assert "seed=9" in lines[0]
         parsed = [int(s, 16) for s in lines[2:]]
         assert parsed == masks
+
+    def test_header_records_only_the_settings_given(self, tmp_path):
+        cfg = SamplerConfig(seed=9, sweeps=40, burn_in=30)
+        path = tmp_path / "dump.txt"
+        write_sample_dump(path, "random_cluster", THETA111, F(1, 2), cfg, [0])
+        assert path.read_text().splitlines()[1] == "# x=1/2 edges=3"
+        write_sample_dump(path, "loop_mcmc", THETA111, F(1, 2), cfg, [0], {"burn_in": 30, "thin": 2})
+        assert path.read_text().splitlines()[1] == "# burn_in=30 thin=2 x=1/2 edges=3"
