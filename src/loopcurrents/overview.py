@@ -204,10 +204,12 @@ def _connection_masses(
     return out
 
 
-def _vertex_pairs(g: Graph) -> list[tuple[int, int]]:
+def _singleton_pairs(g: Graph) -> list[tuple[tuple, tuple]]:
+    """Single vertices: the marks if the graph has them, else every pair."""
     if g.marks is not None:
-        return [(g.marks.a, g.marks.b)]
-    return [(u, v) for u in range(g.vertex_count) for v in range(u + 1, g.vertex_count)]
+        return [((g.marks.a,), (g.marks.b,))]
+    n = g.vertex_count
+    return [((u,), (v,)) for u in range(n) for v in range(u + 1, n)]
 
 
 def _subset_pairs(g: Graph) -> list[tuple[tuple, tuple]]:
@@ -230,35 +232,43 @@ def _fkg_events(g: Graph) -> list[Event]:
     return events
 
 
-def scan_connection(model: str, graphs, grid, prop: str) -> list[dict]:
+def scan_connection(model: str, graphs, grid, pairs_of, record) -> list[dict]:
     """Point-evaluation scan: is P(A <-> B) non-decreasing along the grid?
 
-    SING takes single vertices A, B (the marks, if the graph has them) and
-    reports each drop; CON takes disjoint vertex sets of size at most 2.
+    ``pairs_of(g)`` lists the vertex-set pairs (A, B) to watch on g, and
+    ``record(graph, A, B, x1, x2, drop)`` formats one decrease.
     """
-    sing = prop == "SING"
     violations = []
     for name, g in graphs:
         dists = [_law(model, g, x) for x in grid]
-        pairs = [((u,), (v,)) for u, v in _vertex_pairs(g)] if sing else _subset_pairs(g)
+        pairs = pairs_of(g)
         masses = _connection_masses(dists, g, pairs)
         for (side_a, side_b), row in zip(pairs, masses):
-            if sing:
-                event = f"connect:{side_a[0]},{side_b[0]}"
-            else:
-                event = f"connect-sets:{side_a},{side_b}"
             for j in range(1, len(grid)):
                 if row[j] < row[j - 1]:
-                    record = {
-                        "graph": name,
-                        "event": event,
-                        "x1": format_rational(grid[j - 1]),
-                        "x2": format_rational(grid[j]),
-                    }
-                    if sing:
-                        record["drop"] = format_rational(row[j - 1] - row[j])
-                    violations.append(record)
+                    violations.append(
+                        record(name, side_a, side_b, grid[j - 1], grid[j], row[j - 1] - row[j])
+                    )
     return violations
+
+
+def _sing_record(graph, side_a, side_b, x1, x2, drop) -> dict:
+    return {
+        "graph": graph,
+        "event": f"connect:{side_a[0]},{side_b[0]}",
+        "x1": format_rational(x1),
+        "x2": format_rational(x2),
+        "drop": format_rational(drop),
+    }
+
+
+def _con_record(graph, side_a, side_b, x1, x2, drop) -> dict:
+    return {
+        "graph": graph,
+        "event": f"connect-sets:{side_a},{side_b}",
+        "x1": format_rational(x1),
+        "x2": format_rational(x2),
+    }
 
 
 def scan_fkg(model: str, graphs, grid) -> list[dict]:
@@ -389,8 +399,8 @@ def build_overview(
         else:
             scan_cell(model, "FKG", scan_fkg, grid)
             scan_cell(model, "MON", scan_mon, mon_grid)
-            scan_cell(model, "CON", scan_connection, grid, "CON")
-            scan_cell(model, "SING", scan_connection, grid, "SING")
+            scan_cell(model, "CON", scan_connection, grid, _subset_pairs, _con_record)
+            scan_cell(model, "SING", scan_connection, grid, _singleton_pairs, _sing_record)
 
     ok = all(
         cell["status"] in (CERTIFIED_FALSE, SCAN_CLEAN, OPEN_STATUS)

@@ -52,14 +52,9 @@ def loop_law(g: Graph, x: Fraction) -> tuple[list[int], np.ndarray]:
     return masks, probs / probs.sum()
 
 
-def sample_loop_exact(
-    g: Graph, x: Fraction, rng: np.random.Generator, law: tuple | None = None
-) -> int:
-    """Draw one even subgraph by inverse CDF over the full span (dim <= cap).
-
-    ``law`` is :func:`loop_law` of (g, x), built here when not given.
-    """
-    masks, probs = law or loop_law(g, x)
+def sample_loop_exact(law: tuple[list[int], np.ndarray], rng: np.random.Generator) -> int:
+    """Draw one even subgraph from a :func:`loop_law` by inverse CDF."""
+    masks, probs = law
     return masks[int(rng.choice(len(masks), p=probs))]
 
 
@@ -144,7 +139,7 @@ def loop_chain_transition_matrix(g: Graph, x: Fraction):
 # The one model drawn through a pushforward: a uniform even subgraph of a
 # double-current draw.
 PUSHFORWARD = "uniform_even_of_double_current"
-PUSHFORWARD_BASE = PUSHFORWARD.removeprefix("uniform_even_of_")
+PUSHFORWARD_BASE = "double_current"
 COUPLED_MODELS = (*MODELS, PUSHFORWARD)
 
 
@@ -195,7 +190,7 @@ def sample_coupled(
     law = law or loop_law(g, x)
     mask = 0
     for _ in range(copies):
-        mask |= sample_loop_exact(g, x, rng, law)
+        mask |= sample_loop_exact(law, rng)
     if p_float is not None:
         mask |= _bernoulli_mask(g, p_float, rng)
     return mask

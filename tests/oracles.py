@@ -133,6 +133,8 @@ def domination_bruteforce(d_lo: Dist, d_hi: Dist, cap: int = 16) -> DominationRe
         mass_lo = sum((w for bits, w in lo_entries if bits & choice), Fraction(0)) / d_lo.z
         mass_hi = sum((w for bits, w in hi_entries if bits & choice), Fraction(0)) / d_hi.z
         if mass_lo > mass_hi:
+            # an antichain: dropping a non-minimal generator keeps the up-set
+            # and gives a smaller choice, which would have failed first
             gens = tuple(lo_masks[i] for i in range(len(lo_masks)) if choice >> i & 1)
             return DominationReport(False, witness=UpSetWitness(gens, mass_lo, mass_hi))
     return DominationReport(True, coupling=())

@@ -231,6 +231,25 @@ class TestStochasticDomination:
             agreements += 1
         assert agreements == 60
 
+    def test_bruteforce_witness_is_an_antichain_with_its_masses(self):
+        rng = random.Random(99)
+        g = complete_graph(4)
+        witnesses = 0
+        for _ in range(60):
+            lo = random_dist(g, rng, 10)
+            hi = random_dist(g, rng, 10)
+            report = domination_bruteforce(lo, hi)
+            if report.dominates:
+                continue
+            w = report.witness
+            for a in w.minimal_elements:
+                for b in w.minimal_elements:
+                    assert a == b or a & b != a, (hex(a), hex(b))
+            for d, mass in ((lo, w.mass_lo), (hi, w.mass_hi)):
+                assert mass == sum(p for m, p in d.probabilities().items() if w.contains(m))
+            witnesses += 1
+        assert witnesses > 0
+
 
 class TestScans:
     def test_bernoulli_family_scans_clean(self):
