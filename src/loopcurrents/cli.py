@@ -392,13 +392,13 @@ def cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 # sample
 
-SAMPLER_SETTINGS = ("sweeps", "burn_in", "thin")
+SAMPLER_SETTINGS = ("burn_in", "thin")
 
 
 def cmd_sample(args) -> int:
     started = time.time()
     g = graph_from_args(args)
-    cfg = SamplerConfig(seed=args.seed, sweeps=args.sweeps, burn_in=args.burn_in)
+    cfg = SamplerConfig(seed=args.seed, burn_in=args.burn_in)
     x = parse_rational(args.x) if args.x else None
     params = None
     if args.t:
@@ -481,7 +481,6 @@ def build_parser() -> argparse.ArgumentParser:
     smp.add_argument("--x", help="x as num/den")
     smp.add_argument("--t", help="Pythagorean t as num/den (sets x = 2t/(1+t^2))")
     smp.add_argument("--samples", type=int, default=1000)
-    smp.add_argument("--sweeps", type=int, default=100)
     smp.add_argument("--burn-in", type=int, default=100)
     smp.add_argument("--thin", type=int, default=1)
     smp.add_argument("--seed", type=int, default=1)

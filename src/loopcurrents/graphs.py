@@ -343,13 +343,46 @@ def even_subgraphs(
 def cyclic_edges(g: Graph, mask: int) -> int:
     """Edges of ``mask`` that lie on some cycle of (V, mask).
 
-    These are exactly the non-bridges: e is cyclic iff its endpoints stay
-    connected after removing it (self-loops and doubled parallel edges are
-    always cyclic).
+    These are exactly the non-bridges, found in one depth-first low-link
+    pass (Tarjan 1974): the tree edge into v is a bridge iff no edge from
+    v's subtree other than that tree edge reaches above v.  The tree edge
+    is identified by its index, not by v's parent, so self-loops and
+    doubled parallel edges are always cyclic.
     """
-    out = 0
+    adj: dict[int, list[tuple[int, int]]] = {}
     for i in edges_of_mask(mask):
         u, v = g.edges[i]
-        if u == v or is_connected(g, mask ^ (1 << i), u, v):
-            out |= 1 << i
-    return out
+        adj.setdefault(u, []).append((v, i))
+        adj.setdefault(v, []).append((u, i))
+
+    order = [-1] * g.vertex_count  # discovery index
+    low = [0] * g.vertex_count  # least discovery index reachable from the subtree
+    seen = 0
+    bridges = 0
+    for root in adj:
+        if order[root] >= 0:
+            continue
+        order[root] = low[root] = seen
+        seen += 1
+        stack = [(root, -1, iter(adj[root]))]
+        while stack:
+            u, tree_edge, it = stack[-1]
+            for v, i in it:
+                if i == tree_edge:
+                    continue
+                if order[v] < 0:
+                    order[v] = low[v] = seen
+                    seen += 1
+                    stack.append((v, i, iter(adj[v])))
+                    break
+                if order[v] < low[u]:
+                    low[u] = order[v]
+            else:
+                stack.pop()
+                if stack:
+                    parent = stack[-1][0]
+                    if low[u] < low[parent]:
+                        low[parent] = low[u]
+                    if low[u] > order[parent]:
+                        bridges |= 1 << tree_edge
+    return mask & ~bridges

@@ -22,6 +22,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Callable, Iterable
 
 from .errors import (
@@ -235,18 +236,23 @@ UNION_PAIR_CAP = 1 << 24
 def union(d1: Dist, d2: Dist, renormalize: bool = False) -> Dist:
     """Distribution of the union of independent samples from d1 and d2.
 
-    Iterates support pairs; the result has Z = Z1*Z2 unless ``renormalize``.
+    Iterates support pairs on integer numerators over each input's common
+    denominator; the result has Z = Z1*Z2 unless ``renormalize``.
     """
     _require_same_graph(d1, d2)
     pairs = len(d1.weights) * len(d2.weights)
     if pairs > UNION_PAIR_CAP:
         raise CapExceededError("union support pairs", pairs, UNION_PAIR_CAP)
-    acc: dict[int, Fraction] = {}
-    for m1, w1 in d1.weights.items():
-        for m2, w2 in d2.weights.items():
+    nums1, den1 = _integer_weights(d1)
+    nums2, den2 = _integer_weights(d2)
+    items2 = list(nums2.items())
+    acc: dict[int, int] = {}
+    get = acc.get
+    for m1, w1 in nums1.items():
+        for m2, w2 in items2:
             m = m1 | m2
-            acc[m] = acc.get(m, ZERO) + w1 * w2
-    out = Dist.from_weights(d1.graph, acc, d1.z * d2.z)
+            acc[m] = get(m, 0) + w1 * w2
+    out = _from_integer_weights(d1.graph, acc, den1 * den2, d1.z * d2.z)
     return out.normalized() if renormalize else out
 
 
@@ -254,12 +260,15 @@ def union_bernoulli(d: Dist, p: Fraction, cap: int = EDGE_ENUMERATION_CAP) -> Di
     """Union of d with independent Bernoulli(p) percolation.
 
     Same measure as ``union(d, bernoulli(graph, p))`` (asserted by tests) but
-    computed with a subset-sum transform over the 2^|E| lattice, which keeps
-    the doubled models usable inside exhaustive verification batteries:
+    computed edge by edge over the 2^|E| lattice, which keeps the doubled
+    models usable inside exhaustive verification batteries.  With p = c/e
+    and the weights of d as integers over a common denominator, opening
+    each edge independently maps the pair (lo, hi) of masks without and
+    with that edge to
 
-        P(w) = (1-p)^(|E|-|w|) * sum_{A subset of w} d(A) p^(|w|-|A|)
+        (lo, hi) -> ((e - c) * lo, e * hi + c * lo),
 
-    obtained by summing the Bernoulli layer over each residual w \\ A.
+    so the whole pass stays in integers, over the denominator den * e^|E|.
     """
     p = Fraction(p)
     if not 0 <= p <= 1:
@@ -273,24 +282,43 @@ def union_bernoulli(d: Dist, p: Fraction, cap: int = EDGE_ENUMERATION_CAP) -> Di
         raise CapExceededError("Bernoulli union lattice", n, cap)
 
     size = 1 << n
-    table: list[Fraction] = [ZERO] * size
-    inv_p = 1 / p
-    for mask, w in d.weights.items():
-        table[mask] += w * inv_p ** mask.bit_count()
-    # in-place subset-sum (zeta) transform
+    nums, den = _integer_weights(d)
+    table = [0] * size
+    for mask, w in nums.items():
+        table[mask] = w
+    c, e = p.numerator, p.denominator
+    q = e - c
     for bit in range(n):
         step = 1 << bit
-        for mask in range(size):
-            if mask & step:
-                low = table[mask ^ step]
-                if low:
-                    table[mask] += low
-    q = 1 - p
-    scale = [p**k * q ** (n - k) for k in range(n + 1)]
-    weights = {
-        mask: table[mask] * scale[mask.bit_count()] for mask in range(size) if table[mask]
-    }
-    return Dist.from_weights(d.graph, weights, d.z)
+        for block in range(0, size, step << 1):
+            for lo in range(block, block + step):
+                low = table[lo]
+                table[lo + step] = e * table[lo + step] + c * low
+                table[lo] = q * low
+    return _from_integer_weights(d.graph, dict(enumerate(table)), den * e**n, d.z)
+
+
+def _integer_weights(d: Dist) -> tuple[dict[int, int], int]:
+    """The weights of d as integer numerators over their least common denominator."""
+    den = lcm(*(w.denominator for w in d.weights.values()))
+    return {m: w.numerator * (den // w.denominator) for m, w in d.weights.items()}, den
+
+
+def _from_integer_weights(graph: Graph, nums: dict[int, int], den: int, z: Fraction) -> Dist:
+    """The Dist with weights nums/den, dropping zeros after the checks of
+    :meth:`Dist.from_weights`: masks inside the graph, no negative weight, and
+    numerators summing to exactly z * den."""
+    full = graph.full_mask
+    total = 0
+    for mask, w in nums.items():
+        if mask & ~full:
+            raise LoopCurrentsError(f"mask {hex(mask)} has bits outside the graph's edges")
+        if w < 0:
+            raise LoopCurrentsError(f"negative weight {Fraction(w, den)} at {hex(mask)}")
+        total += w
+    if total != z * den:
+        raise LoopCurrentsError(f"weights sum to {Fraction(total, den)}, expected Z={z}")
+    return Dist(graph, {m: Fraction(w, den) for m, w in nums.items() if w}, z)
 
 
 # Every model is k independent loop-model copies, unioned with Bernoulli(p)
@@ -385,16 +413,26 @@ def double_current_lis(graph: Graph, x: Fraction, cap: int = EDGE_ENUMERATION_CA
     return Dist.from_weights(graph, weights, z * z)
 
 
+# Most even subgraphs push_uniform_even() enumerates over the whole support.
+PUSH_SPAN_CAP = 1 << 24
+
+
 def push_uniform_even(d: Dist, cap: int = CYCLE_DIMENSION_CAP) -> Dist:
     """Pick a configuration from d, then a uniform even subgraph of it.
 
     P_out(h) = sum over w containing h of P(w) / |even(w)|.
     """
-    acc: dict[int, Fraction] = {}
+    bases = []
     for mask, w in d.weights.items():
         basis = cycle_space_basis(d.graph, mask)
         if basis.dimension > cap:
             raise CapExceededError("even subgraphs of a support element", basis.dimension, cap)
+        bases.append((w, basis))
+    total = sum(1 << basis.dimension for _, basis in bases)
+    if total > PUSH_SPAN_CAP:
+        raise CapExceededError("push_uniform_even span", total, PUSH_SPAN_CAP)
+    acc: dict[int, Fraction] = {}
+    for w, basis in bases:
         share = w / (1 << basis.dimension)
         for h in span_masks(basis.elements):
             acc[h] = acc.get(h, ZERO) + share

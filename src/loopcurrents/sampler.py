@@ -26,7 +26,7 @@ RNG_ALGORITHM = "philox4x64"
 @dataclass(frozen=True)
 class SamplerConfig:
     seed: int
-    sweeps: int
+    sweeps: int = 100
     burn_in: int = 0
 
     def __post_init__(self):

@@ -155,9 +155,20 @@ class TestSample:
         code = run(
             "sample", "--model", "loop_mcmc", "--family", "counter",
             "--n", "2", "--m", "2", "--x", "1/2", "--samples", "20",
-            "--sweeps", "5", "--burn-in", "5", "--out", str(out),
+            "--burn-in", "5", "--out", str(out),
         )
         assert code == 0
+
+    def test_sweeps_flag_is_rejected(self, tmp_path, capsys):
+        # no sampling route reads a sweep count, so the parser offers none
+        with pytest.raises(SystemExit) as info:
+            run(
+                "sample", "--model", "loop_mcmc", "--family", "theta", "--segments", "1,1,1",
+                "--x", "1/2", "--sweeps", "5", "--out", str(tmp_path / "chain.txt"),
+            )
+        assert info.value.code == 2
+        assert "--sweeps" in capsys.readouterr().err
+        assert not (tmp_path / "chain.txt").exists()
 
     def test_records_only_settings_the_sampler_reads(self, tmp_path):
         settings = ("sweeps", "burn_in", "thin")

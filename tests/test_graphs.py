@@ -227,6 +227,17 @@ def _submasks(omega):
         sub = (sub - 1) & omega
 
 
+@st.composite
+def multigraphs(draw, max_edges: int = 9) -> Graph:
+    """Multigraphs with self-loops, parallel pairs and triples, isolated
+    vertices and several components, in shuffled edge order."""
+    n = draw(st.integers(1, 7))
+    vertex = st.integers(0, n - 1)
+    groups = draw(st.lists(st.tuples(vertex, vertex, st.integers(1, 3)), max_size=6))
+    edges = [(u, v) for u, v, copies in groups for _ in range(copies)][:max_edges]
+    return Graph(n, tuple(draw(st.permutations(edges))))
+
+
 class TestCyclicEdges:
     def test_path_has_no_cyclic_edges(self):
         g = Graph(4, ((0, 1), (1, 2), (2, 3)))
@@ -253,3 +264,9 @@ class TestCyclicEdges:
             for _ in range(20):
                 omega = rng.randrange(1 << g.edge_count)
                 assert cyclic_edges(g, omega) == brute_cyclic_edges(g, omega)
+
+    @settings(max_examples=60, deadline=None)
+    @given(g=multigraphs())
+    def test_every_mask_against_even_subgraph_oracle(self, g):
+        for omega in range(1 << g.edge_count):
+            assert cyclic_edges(g, omega) == brute_cyclic_edges(g, omega), (g, omega)

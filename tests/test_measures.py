@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from loopcurrents.errors import (
     CapExceededError,
@@ -12,9 +14,11 @@ from loopcurrents.events import connect, custom, edge_open
 from loopcurrents.graphs import Graph, complete_graph, counter_family, generalized_theta
 from loopcurrents.measures import (
     MODELS,
+    PUSH_SPAN_CAP,
     UNION_PAIR_CAP,
     CurrentParams,
     Dist,
+    _from_integer_weights,
     bernoulli,
     build,
     double_cluster,
@@ -97,6 +101,28 @@ class TestLoopModel:
             loop_o1(THETA111, F(1))
 
 
+ORACLE_GRAPHS = [THETA111, THETA232, K4, TREE, LOOPY, Graph(3, ((0, 1), (1, 1), (1, 2), (1, 2)))]
+
+
+@st.composite
+def mixed_dists(draw, g: Graph) -> Dist:
+    """A random law on g with weights over unrelated denominators."""
+    masks = draw(st.lists(st.integers(0, g.full_mask), min_size=1, max_size=12, unique=True))
+    weights = {
+        m: F(draw(st.integers(1, 10**6)), draw(st.integers(1, 10**6))) for m in masks
+    }
+    return Dist.from_weights(g, weights)
+
+
+# p = c/e with large denominators (1000003 is prime) unrelated to the weights',
+# so the integer pass carries e^|E| beside them; plus the two trivial values
+coprime_p = st.one_of(
+    st.sampled_from([F(7, 1000003), F(999_999, 1000003), F(1, 2), F(0), F(1)]),
+    st.builds(F, st.integers(1, 10**6), st.just(1000003)),
+    st.integers(2, 10**7).flatmap(lambda e: st.builds(F, st.integers(1, e - 1), st.just(e))),
+)
+
+
 class TestUnion:
     def test_point_masses(self):
         g = K4
@@ -143,6 +169,38 @@ class TestUnion:
             for p in (F(0), F(1, 3), F(1, 2), F(1)):
                 assert union_bernoulli(d, p).same_law(union(d, bernoulli(g, p)))
 
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_integer_kernels_match_moebius_oracle(self, data):
+        g = data.draw(st.sampled_from(ORACLE_GRAPHS))
+        d1 = data.draw(mixed_dists(g))
+        d2 = data.draw(mixed_dists(g))
+        p = data.draw(coprime_p)
+        u = union(d1, d2)
+        assert u.probabilities() == brute_union(d1, d2)
+        assert u.z == d1.z * d2.z
+        ub = union_bernoulli(d1, p)
+        assert ub.probabilities() == brute_union(d1, bernoulli(g, p))
+        assert ub.z == d1.z
+        for d in (u, ub):
+            assert all(type(w) is Fraction and w > 0 for w in d.weights.values())
+        assert union(d1, d2, renormalize=True).z == 1
+
+    def test_integer_kernel_refuses_a_table_off_its_mass(self):
+        # the numerators must sum to exactly z * den, as Dist.from_weights checks
+        g = THETA111
+        assert _from_integer_weights(g, {0: 2, 0b111: 1}, 3, F(1)).probabilities() == {
+            0: F(2, 3),
+            0b111: F(1, 3),
+        }
+        for nums, den, z in (
+            ({0: 2, 0b111: 2}, 3, F(1)),  # one numerator off by one
+            ({0: 2, 0b111: 1}, 3, F(2)),  # wrong normalizer
+            ({0: 4, 0b111: -1}, 3, F(1)),  # right mass through a negative weight
+            ({0: 2, 0b1000: 1}, 3, F(1)),  # a mask outside the graph
+        ):
+            with pytest.raises(LoopCurrentsError):
+                _from_integer_weights(g, nums, den, z)
 
     def test_support_pair_cap_refuses_before_iterating(self):
         # cycle dimension 13: 2^13 even subgraphs, so 2^26 support pairs
@@ -297,6 +355,16 @@ class TestPushUniformEven:
     def test_recovers_loop_model_from_double_current(self):
         d = push_uniform_even(double_current(THETA111, F(1, 2)))
         assert d.same_law(loop_o1(THETA111, F(1, 2)))
+
+    def test_span_cap_refuses_before_iterating(self):
+        # 22 parallel edges: each support element leaves out one edge and has
+        # cycle dimension 20, within the per-element cap, but 22 * 2^20 in all
+        g = Graph(2, ((0, 1),) * 22)
+        d = Dist.from_weights(g, {g.full_mask ^ (1 << i): F(1) for i in range(22)})
+        with pytest.raises(CapExceededError) as info:
+            push_uniform_even(d)
+        assert info.value.what == "push_uniform_even span"
+        assert info.value.size == 22 << 20 > PUSH_SPAN_CAP
 
 
 class TestProb:
