@@ -2,9 +2,9 @@
 
 Stochastic domination is decided by Strassen's criterion: mu_hi dominates
 mu_lo iff a coupling supported on comparable pairs exists, iff the max flow
-through the bipartite comparability network carries all the mass.  The flow
-runs on integers (probabilities scaled by a common denominator), so the
-verdict and both kinds of certificate are exact:
+through the covering graph of the subset lattice carries all the mass.  The
+flow runs on integers (the laws' integer weights scaled to a common total),
+so the verdict and both kinds of certificate are exact:
 
 * success returns the coupling (joint weights with exact marginals);
 * failure returns an up-set U, as its minimal elements, whose masses
@@ -18,8 +18,9 @@ from fractions import Fraction
 from math import lcm
 from typing import Callable, Sequence
 
-from .errors import GraphMismatchError, LoopCurrentsError
+from .errors import CapExceededError, GraphMismatchError, LoopCurrentsError
 from .events import Event
+from .graphs import EDGE_ENUMERATION_CAP
 from .measures import Dist, union as _union
 from .rationals import format_rational
 
@@ -185,7 +186,7 @@ def lattice_condition(d: Dist) -> FkgReport:
 
 
 # ---------------------------------------------------------------------------
-# Exact max-flow (Dinic) on the bipartite comparability network
+# Exact max-flow (Dinic) on the covering graph of the subset lattice
 
 
 class _Dinic:
@@ -287,53 +288,93 @@ def _minimal_masks(masks: Sequence[int]) -> tuple[int, ...]:
     return tuple(sorted(out))
 
 
+def _lattice_coordinates(full: int, masks: Sequence[int]) -> list[int]:
+    """Classes of edges that every mask contains all or none of, leaving out
+    the edges in every mask or in none: mask A is inside mask B iff the
+    classes A meets are among those B meets, so the subset lattice of the
+    classes keeps every containment between the masks."""
+    some, every = 0, full
+    for m in masks:
+        some |= m
+        every &= m
+    varying = some & ~every
+    classes = [varying] if varying else []
+    for m in masks:
+        if len(classes) == varying.bit_count():
+            break
+        classes = [part for c in classes for part in (c & m, c & ~m) if part]
+    return classes
+
+
 def stochastic_domination(d_lo: Dist, d_hi: Dist) -> DominationReport:
     """Decide whether d_hi stochastically dominates d_lo, with certificate.
 
-    Network: source -> each low-support mask A (capacity P_lo(A)),
-    A -> B whenever A is a subset of B, each high-support mask B -> sink
-    (capacity P_hi(B)).  Full flow carries the coupling; a deficit yields a
-    violating up-set from the residual cut.
+    Network on the covering graph of the subset lattice of the edge classes
+    (:func:`_lattice_coordinates`): source -> the point of each low-support
+    mask A (capacity P_lo(A)), uncapacitated covering arcs c -> c | bit,
+    the point of each high-support mask B -> sink (capacity P_hi(B)).
+    Containment is the transitive closure of covering, so full flow exists
+    iff a coupling on comparable pairs does (Strassen 1965); the flow's path
+    decomposition is that coupling.  On a deficit the residual source side
+    is the minimal min cut, closed upward, and its low-support masks
+    generate a violating up-set.
     """
     if d_lo.graph.edges != d_hi.graph.edges:
         raise GraphMismatchError("distributions live on different graphs")
-    lo_masks = sorted(d_lo.weights)
-    hi_masks = sorted(d_hi.weights)
-    p_lo = d_lo.probabilities()
-    p_hi = d_hi.probabilities()
+    nums_lo, _ = d_lo.integer_weights()
+    nums_hi, _ = d_hi.integer_weights()
+    classes = _lattice_coordinates(d_lo.graph.full_mask, [*nums_lo, *nums_hi])
+    k = len(classes)
+    if k > EDGE_ENUMERATION_CAP:
+        raise CapExceededError("domination lattice coordinates", k, EDGE_ENUMERATION_CAP)
+    node = {
+        m: 2 + sum(1 << i for i, c in enumerate(classes) if m & c)
+        for m in (*nums_lo, *nums_hi)
+    }
 
-    denom = lcm(
-        *(f.denominator for f in p_lo.values()),
-        *(f.denominator for f in p_hi.values()),
-    )
-    total = denom  # both measures scale to the same integer total
+    # P(m) = nums[m] / (z * den), and the numerators sum to z * den: scale
+    # both laws to the same integer total
+    mass_lo, mass_hi = sum(nums_lo.values()), sum(nums_hi.values())
+    total = lcm(mass_lo, mass_hi)
+    net = _Dinic(2 + (1 << k))
+    source_arcs = {m: net.add_edge(0, node[m], w * (total // mass_lo)) for m, w in nums_lo.items()}
+    for m, w in nums_hi.items():
+        net.add_edge(node[m], 1, w * (total // mass_hi))
+    for c in range(1 << k):
+        for i in range(k):
+            if not c >> i & 1:
+                net.add_edge(2 + c, 2 + (c | 1 << i), total)
 
-    a_index = {m: 2 + i for i, m in enumerate(lo_masks)}
-    b_index = {m: 2 + len(lo_masks) + i for i, m in enumerate(hi_masks)}
-    net = _Dinic(2 + len(lo_masks) + len(hi_masks))
-    for m in lo_masks:
-        net.add_edge(0, a_index[m], int(p_lo[m] * denom))
-    for m in hi_masks:
-        net.add_edge(b_index[m], 1, int(p_hi[m] * denom))
-    arc_ids: dict[tuple[int, int], int] = {}
-    for a in lo_masks:
-        for b in hi_masks:
-            if a & ~b == 0:
-                arc_ids[(a, b)] = net.add_edge(a_index[a], b_index[b], total)
-
-    flow = net.max_flow(0, 1)
-    if flow == total:
-        # flow on an arc = original capacity - residual capacity
-        coupling = tuple(
-            (a, b, Fraction(total - net.cap[idx], denom))
-            for (a, b), idx in sorted(arc_ids.items())
-            if total - net.cap[idx] > 0
-        )
+    if net.max_flow(0, 1) == total:
+        # split the flow into source-to-sink paths: the lattice points, in
+        # topological order, pass the parcels of low mass they hold on along
+        # their outgoing arcs (the flow on arc idx is the residual capacity
+        # of its reverse arc idx ^ 1)
+        held: list[list[list[int]]] = [[] for _ in range(net.n)]
+        for a, arc in source_arcs.items():
+            held[node[a]].append([a, net.cap[arc ^ 1]])
+        hi_at = {node[m]: m for m in nums_hi}
+        pairs: dict[tuple[int, int], int] = {}
+        for u in range(2, net.n):
+            parcels = held[u]
+            for idx in net.head[u]:
+                flow = 0 if idx & 1 else net.cap[idx ^ 1]
+                while flow:
+                    parcel = parcels[-1]
+                    a, moved = parcel[0], min(parcel[1], flow)
+                    if net.to[idx] == 1:
+                        pairs[a, hi_at[u]] = pairs.get((a, hi_at[u]), 0) + moved
+                    else:
+                        held[net.to[idx]].append([a, moved])
+                    flow -= moved
+                    parcel[1] -= moved
+                    if not parcel[1]:
+                        parcels.pop()
+        coupling = tuple((a, b, Fraction(f, total)) for (a, b), f in sorted(pairs.items()))
         return DominationReport(True, coupling=coupling)
 
     source_side = net.min_cut_side(0)
-    cut_lo = [m for m in lo_masks if a_index[m] in source_side]
-    witness = _upset_witness(cut_lo, d_lo, d_hi)
+    witness = _upset_witness([m for m in nums_lo if node[m] in source_side], d_lo, d_hi)
     if witness.gap <= 0:
         raise LoopCurrentsError("internal error: min cut produced a non-violating up-set")
     return DominationReport(False, witness=witness)
@@ -407,7 +448,7 @@ def union_preservation_test(
     union_fails = monotonicity_scan(union_family, grid)
     gap_records = []
     negative_gap = False
-    for x in grid:
+    for x in grid if event_pairs else ():
         d = union_family(x)
         for ev_a, ev_b in event_pairs:
             gap = fkg_pair_gap(d, ev_a, ev_b)

@@ -95,6 +95,12 @@ class Dist:
     def prob_of_mask(self, mask: int) -> Fraction:
         return self.weights.get(mask, ZERO) / self.z
 
+    def integer_weights(self) -> tuple[dict[int, int], int]:
+        """The weights as integer numerators nums over their least common
+        denominator den, so that P(mask) = nums[mask] / (z * den)."""
+        den = lcm(*(w.denominator for w in self.weights.values()))
+        return {m: w.numerator * (den // w.denominator) for m, w in self.weights.items()}, den
+
     def probabilities(self) -> dict[int, Fraction]:
         return {mask: w / self.z for mask, w in self.weights.items()}
 
@@ -243,8 +249,8 @@ def union(d1: Dist, d2: Dist, renormalize: bool = False) -> Dist:
     pairs = len(d1.weights) * len(d2.weights)
     if pairs > UNION_PAIR_CAP:
         raise CapExceededError("union support pairs", pairs, UNION_PAIR_CAP)
-    nums1, den1 = _integer_weights(d1)
-    nums2, den2 = _integer_weights(d2)
+    nums1, den1 = d1.integer_weights()
+    nums2, den2 = d2.integer_weights()
     items2 = list(nums2.items())
     acc: dict[int, int] = {}
     get = acc.get
@@ -282,7 +288,7 @@ def union_bernoulli(d: Dist, p: Fraction, cap: int = EDGE_ENUMERATION_CAP) -> Di
         raise CapExceededError("Bernoulli union lattice", n, cap)
 
     size = 1 << n
-    nums, den = _integer_weights(d)
+    nums, den = d.integer_weights()
     table = [0] * size
     for mask, w in nums.items():
         table[mask] = w
@@ -296,12 +302,6 @@ def union_bernoulli(d: Dist, p: Fraction, cap: int = EDGE_ENUMERATION_CAP) -> Di
                 table[lo + step] = e * table[lo + step] + c * low
                 table[lo] = q * low
     return _from_integer_weights(d.graph, dict(enumerate(table)), den * e**n, d.z)
-
-
-def _integer_weights(d: Dist) -> tuple[dict[int, int], int]:
-    """The weights of d as integer numerators over their least common denominator."""
-    den = lcm(*(w.denominator for w in d.weights.values()))
-    return {m: w.numerator * (den // w.denominator) for m, w in d.weights.items()}, den
 
 
 def _from_integer_weights(graph: Graph, nums: dict[int, int], den: int, z: Fraction) -> Dist:

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
-from math import lcm
 from typing import Sequence
 
 from . import theta
@@ -168,12 +167,6 @@ def _law(model: str, g: Graph, x: Fraction) -> Dist:
     return build(model, g, CurrentParams.from_x(x))
 
 
-def _scaled_probability_vector(d: Dist) -> tuple[dict[int, int], int]:
-    probs = d.probabilities()
-    denom = lcm(*(f.denominator for f in probs.values()))
-    return {m: int(p * denom) for m, p in probs.items()}, denom
-
-
 def _connection_masses(
     dists: list[Dist], g: Graph, side_pairs: Sequence[tuple[tuple, tuple]]
 ) -> list[list[Fraction]]:
@@ -197,10 +190,10 @@ def _connection_masses(
         )
     out: list[list[Fraction]] = [[Fraction(0)] * len(dists) for _ in side_pairs]
     for j, d in enumerate(dists):
-        vec, denom = _scaled_probability_vector(d)
+        nums, den = d.integer_weights()
         for i, tset in enumerate(truth):
-            total = sum(w for m, w in vec.items() if m in tset)
-            out[i][j] = Fraction(total, denom)
+            total = sum(w for m, w in nums.items() if m in tset)
+            out[i][j] = Fraction(total, d.z * den)
     return out
 
 
@@ -232,23 +225,22 @@ def _fkg_events(g: Graph) -> list[Event]:
     return events
 
 
-def scan_connection(model: str, graphs, grid, pairs_of, record) -> list[dict]:
-    """Point-evaluation scan: is P(A <-> B) non-decreasing along the grid?
+def scan_connection(name: str, g: Graph, laws, grid, pairs_of, record) -> list[dict]:
+    """Point-evaluation scan of graph ``name``: is P(A <-> B) under the
+    laws ``laws[x]`` non-decreasing along the grid?
 
     ``pairs_of(g)`` lists the vertex-set pairs (A, B) to watch on g, and
     ``record(graph, A, B, x1, x2, drop)`` formats one decrease.
     """
     violations = []
-    for name, g in graphs:
-        dists = [_law(model, g, x) for x in grid]
-        pairs = pairs_of(g)
-        masses = _connection_masses(dists, g, pairs)
-        for (side_a, side_b), row in zip(pairs, masses):
-            for j in range(1, len(grid)):
-                if row[j] < row[j - 1]:
-                    violations.append(
-                        record(name, side_a, side_b, grid[j - 1], grid[j], row[j - 1] - row[j])
-                    )
+    pairs = pairs_of(g)
+    masses = _connection_masses([laws[x] for x in grid], g, pairs)
+    for (side_a, side_b), row in zip(pairs, masses):
+        for j in range(1, len(grid)):
+            if row[j] < row[j - 1]:
+                violations.append(
+                    record(name, side_a, side_b, grid[j - 1], grid[j], row[j - 1] - row[j])
+                )
     return violations
 
 
@@ -271,43 +263,39 @@ def _con_record(graph, side_a, side_b, x1, x2, drop) -> dict:
     }
 
 
-def scan_fkg(model: str, graphs, grid) -> list[dict]:
-    """Pairwise gap scan over a small increasing-event battery."""
+def scan_fkg(name: str, g: Graph, laws, grid) -> list[dict]:
+    """Pairwise gap scan of graph ``name`` over a small increasing-event
+    battery, under the laws ``laws[x]`` at the grid points."""
     violations = []
-    for name, g in graphs:
-        dists = [_law(model, g, x) for x in grid]
-        support_union = set()
-        for d in dists:
-            support_union |= set(d.weights)
-        events = _fkg_events(g)
-        truth = [{m for m in support_union if ev.holds(m)} for ev in events]
-        index_pairs = [
-            (i, j) for i in range(len(events)) for j in range(i, len(events))
-        ]
-        for k, d in enumerate(dists):
-            vec, denom = _scaled_probability_vector(d)
-            masses = [sum(w for m, w in vec.items() if m in t) for t in truth]
-            for i, j in index_pairs:
-                joint = sum(
-                    w for m, w in vec.items() if m in truth[i] and m in truth[j]
+    dists = [laws[x] for x in grid]
+    support_union = set()
+    for d in dists:
+        support_union |= set(d.weights)
+    events = _fkg_events(g)
+    truth = [{m for m in support_union if ev.holds(m)} for ev in events]
+    index_pairs = [(i, j) for i in range(len(events)) for j in range(i, len(events))]
+    for k, d in enumerate(dists):
+        nums, den = d.integer_weights()
+        mass = d.z * den
+        masses = [sum(w for m, w in nums.items() if m in t) for t in truth]
+        for i, j in index_pairs:
+            joint = sum(w for m, w in nums.items() if m in truth[i] and m in truth[j])
+            gap = Fraction(joint, mass) - Fraction(masses[i], mass) * Fraction(masses[j], mass)
+            if gap < 0:
+                violations.append(
+                    {
+                        "graph": name,
+                        "events": [events[i].describe(), events[j].describe()],
+                        "x": format_rational(grid[k]),
+                        "gap": format_rational(gap),
+                    }
                 )
-                gap = Fraction(joint, denom) - Fraction(masses[i], denom) * Fraction(
-                    masses[j], denom
-                )
-                if gap < 0:
-                    violations.append(
-                        {
-                            "graph": name,
-                            "events": [events[i].describe(), events[j].describe()],
-                            "x": format_rational(grid[k]),
-                            "gap": format_rational(gap),
-                        }
-                    )
     return violations
 
 
-def scan_mon(model: str, graphs, grid) -> list[dict]:
-    """Consecutive-pair stochastic domination scan (exact max-flow)."""
+def scan_mon(name: str, laws, grid) -> list[dict]:
+    """Consecutive-pair stochastic domination scan (exact max-flow) of graph
+    ``name`` under the laws ``laws[x]``."""
     return [
         {
             "graph": name,
@@ -315,9 +303,20 @@ def scan_mon(model: str, graphs, grid) -> list[dict]:
             "x2": format_rational(x2),
             "witness": report.witness.to_json_dict(),
         }
-        for name, g in graphs
-        for x1, x2, report in monotonicity_scan(lambda x: _law(model, g, x), grid)
+        for x1, x2, report in monotonicity_scan(laws.__getitem__, grid)
     ]
+
+
+def _scan_graph(model: str, name: str, g: Graph, grid, mon_grid) -> dict[str, list[dict]]:
+    """Violations of each scanned property on one graph, from one law per
+    grid point shared by the four scans."""
+    laws = {x: _law(model, g, x) for x in sorted({*grid, *mon_grid})}
+    return {
+        "FKG": scan_fkg(name, g, laws, grid),
+        "MON": scan_mon(name, laws, mon_grid),
+        "CON": scan_connection(name, g, laws, grid, _subset_pairs, _con_record),
+        "SING": scan_connection(name, g, laws, grid, _singleton_pairs, _sing_record),
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -376,31 +375,23 @@ def build_overview(
         ),
     }
 
-    def scan_cell(model, prop, scan_fn, *args):
-        expected = KNOWN_VERDICTS[model][prop]
-        violations = scan_fn(model, graphs, *args)
-        if expected == HOLDS:
-            status = SCAN_CLEAN if not violations else SCAN_FAILED
-        else:
-            status = OPEN_STATUS
-        put(
-            model,
-            prop,
-            status,
-            {"scan": dict(scan_meta, violations=violations)},
-        )
-
     for model in MODELS:
         if model in refutations:
             fkg, sing, mon = refutations[model]
             con = dict(sing, note="singleton sets; follows from the SING witness")
             for prop, witness in (("FKG", fkg), ("SING", sing), ("MON", mon), ("CON", con)):
                 put(model, prop, CERTIFIED_FALSE, {"witness": witness})
-        else:
-            scan_cell(model, "FKG", scan_fkg, grid)
-            scan_cell(model, "MON", scan_mon, mon_grid)
-            scan_cell(model, "CON", scan_connection, grid, _subset_pairs, _con_record)
-            scan_cell(model, "SING", scan_connection, grid, _singleton_pairs, _sing_record)
+            continue
+        violations: dict[str, list[dict]] = {prop: [] for prop in PROPERTIES}
+        for name, g in graphs:
+            for prop, found in _scan_graph(model, name, g, grid, mon_grid).items():
+                violations[prop] += found
+        for prop, found in violations.items():
+            if KNOWN_VERDICTS[model][prop] == HOLDS:
+                status = SCAN_CLEAN if not found else SCAN_FAILED
+            else:
+                status = OPEN_STATUS
+            put(model, prop, status, {"scan": dict(scan_meta, violations=found)})
 
     ok = all(
         cell["status"] in (CERTIFIED_FALSE, SCAN_CLEAN, OPEN_STATUS)

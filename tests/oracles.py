@@ -7,8 +7,9 @@ agreement is meaningful.
 """
 
 from fractions import Fraction
+from math import lcm
 
-from loopcurrents.checkers import DominationReport, UpSetWitness
+from loopcurrents.checkers import DominationReport, UpSetWitness, _Dinic, _upset_witness
 from loopcurrents.errors import CapExceededError, LoopCurrentsError
 from loopcurrents.events import Event
 from loopcurrents.graphs import Graph, edges_of_mask
@@ -138,6 +139,45 @@ def domination_bruteforce(d_lo: Dist, d_hi: Dist, cap: int = 16) -> DominationRe
             gens = tuple(lo_masks[i] for i in range(len(lo_masks)) if choice >> i & 1)
             return DominationReport(False, witness=UpSetWitness(gens, mass_lo, mass_hi))
     return DominationReport(True, coupling=())
+
+
+def domination_bipartite(d_lo: Dist, d_hi: Dist) -> DominationReport:
+    """Strassen domination on the bipartite comparability network.
+
+    Source -> each low-support mask A (capacity P_lo(A)), A -> B whenever A
+    is a subset of B, each high-support mask B -> sink (capacity P_hi(B)),
+    on probabilities scaled by the lcm of their denominators.  Up to
+    |supp lo| * |supp hi| arcs, against the covering network of the
+    library; the up-set witness comes from the same minimal min cut.
+    """
+    lo_masks = sorted(d_lo.weights)
+    hi_masks = sorted(d_hi.weights)
+    p_lo = d_lo.probabilities()
+    p_hi = d_hi.probabilities()
+    total = lcm(*(f.denominator for f in p_lo.values()), *(f.denominator for f in p_hi.values()))
+    a_index = {m: 2 + i for i, m in enumerate(lo_masks)}
+    b_index = {m: 2 + len(lo_masks) + i for i, m in enumerate(hi_masks)}
+    net = _Dinic(2 + len(lo_masks) + len(hi_masks))
+    for m in lo_masks:
+        net.add_edge(0, a_index[m], int(p_lo[m] * total))
+    for m in hi_masks:
+        net.add_edge(b_index[m], 1, int(p_hi[m] * total))
+    arc_ids = {
+        (a, b): net.add_edge(a_index[a], b_index[b], total)
+        for a in lo_masks
+        for b in hi_masks
+        if a & ~b == 0
+    }
+    if net.max_flow(0, 1) == total:
+        coupling = tuple(
+            (a, b, Fraction(total - net.cap[idx], total))
+            for (a, b), idx in sorted(arc_ids.items())
+            if total - net.cap[idx] > 0
+        )
+        return DominationReport(True, coupling=coupling)
+    source_side = net.min_cut_side(0)
+    cut_lo = [m for m in lo_masks if a_index[m] in source_side]
+    return DominationReport(False, witness=_upset_witness(cut_lo, d_lo, d_hi))
 
 
 def check_increasing_all_pairs(ev: Event, cap: int = 16):

@@ -2,7 +2,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from loopcurrents import checkers
 from loopcurrents.checkers import (
     DominationReport,
     fkg_pair_gap,
@@ -11,7 +14,7 @@ from loopcurrents.checkers import (
     stochastic_domination,
     union_preservation_test,
 )
-from loopcurrents.errors import LoopCurrentsError
+from loopcurrents.errors import CapExceededError, LoopCurrentsError
 from loopcurrents.events import all_open, connect, edge_open
 from loopcurrents.graphs import Graph, complete_graph, counter_family, generalized_theta
 from loopcurrents.measures import (
@@ -19,10 +22,12 @@ from loopcurrents.measures import (
     Dist,
     bernoulli,
     double_current,
+    double_loop,
     loop_o1,
     point_mass,
     random_cluster,
     single_current,
+    union,
 )
 from loopcurrents.rationals import dyadic_grid
 from loopcurrents.theta import (
@@ -33,7 +38,7 @@ from loopcurrents.theta import (
     theta_loop_events,
 )
 
-from oracles import domination_bruteforce
+from oracles import domination_bipartite, domination_bruteforce
 
 F = Fraction
 THETA111 = generalized_theta([1, 1, 1])
@@ -159,6 +164,55 @@ def random_dist(g: Graph, rng: random.Random, max_support: int) -> Dist:
     return Dist.from_weights(g, weights)
 
 
+unit_fractions = st.builds(
+    lambda a, b: F(min(a, b), max(a, b) + 1), st.integers(1, 15), st.integers(1, 15)
+)
+
+
+@st.composite
+def sparse_dists(draw, g: Graph, max_support: int = 10) -> Dist:
+    masks = draw(
+        st.lists(st.integers(0, g.full_mask), min_size=1, max_size=max_support, unique=True)
+    )
+    weights = {m: F(draw(st.integers(1, 12)), draw(st.integers(1, 12))) for m in masks}
+    return Dist.from_weights(g, weights)
+
+
+def series_parallel_graph(lengths: list[int], doubled: int | None) -> Graph:
+    """Theta graph with paths of the given lengths (series edges), plus a
+    parallel copy of edge ``doubled`` if given."""
+    g = generalized_theta(lengths)
+    if doubled is None:
+        return g
+    return Graph(g.vertex_count, g.edges + (g.edges[doubled % g.edge_count],))
+
+
+def domination_against_oracles(lo: Dist, hi: Dist) -> None:
+    """The covering-network report, checked against the brute-force verdict,
+    the bipartite network's witness and the coupling's marginals."""
+    report = stochastic_domination(lo, hi)
+    assert report.dominates == domination_bruteforce(lo, hi).dominates
+    bipartite = domination_bipartite(lo, hi)
+    assert report.dominates == bipartite.dominates
+    if not report.dominates:
+        w, o = report.witness, bipartite.witness
+        assert (w.minimal_elements, w.mass_lo, w.mass_hi) == (
+            o.minimal_elements,
+            o.mass_lo,
+            o.mass_hi,
+        )
+        assert w.gap > 0
+        return
+    lo_marg: dict[int, Fraction] = {}
+    hi_marg: dict[int, Fraction] = {}
+    for a, b, w in report.coupling:
+        assert a & ~b == 0 and w > 0  # comparable pairs only
+        lo_marg[a] = lo_marg.get(a, F(0)) + w
+        hi_marg[b] = hi_marg.get(b, F(0)) + w
+    assert lo_marg == lo.probabilities()
+    assert hi_marg == hi.probabilities()
+
+
 class TestStochasticDomination:
     def test_bernoulli_pair_dominates_with_coupling(self):
         lo, hi = bernoulli(THETA111, F(1, 4)), bernoulli(THETA111, F(1, 2))
@@ -231,6 +285,69 @@ class TestStochasticDomination:
             agreements += 1
         assert agreements == 60
 
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_sparse_supports_on_k4(self, data):
+        lo = data.draw(sparse_dists(K4))
+        hi = data.draw(st.one_of(sparse_dists(K4), st.just(None)))
+        if hi is None:  # a union dominates its input
+            hi = union(lo, data.draw(sparse_dists(K4, 3)))
+        domination_against_oracles(lo, hi)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        g=st.sampled_from(
+            [THETA111, Graph(3, ((0, 1), (1, 2), (2, 0))), Graph(4, ((0, 1), (1, 2), (2, 3)))]
+        ),
+        families=st.lists(st.sampled_from([bernoulli, random_cluster]), min_size=2, max_size=2),
+        params=st.lists(unit_fractions, min_size=2, max_size=2),
+    )
+    def test_full_support_laws(self, g, families, params):
+        lo, hi = (fam(g, x) for fam, x in zip(families, params))
+        assert len(checkers._lattice_coordinates(g.full_mask, [*lo.weights, *hi.weights])) == 3
+        domination_against_oracles(lo, hi)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        lengths=st.lists(st.integers(1, 4), min_size=2, max_size=3),
+        doubled=st.one_of(st.none(), st.integers(0, 11)),
+        families=st.lists(st.sampled_from([loop_o1, double_loop]), min_size=2, max_size=2),
+        params=st.lists(unit_fractions, min_size=2, max_size=2),
+    )
+    def test_loop_laws_collapse_series_edges(self, lengths, doubled, families, params):
+        g = series_parallel_graph(lengths, doubled)
+        lo, hi = (fam(g, x) for fam, x in zip(families, params))
+        # one coordinate per path; a parallel copy splits its path into
+        # the copied edge, the copy and the rest of the path
+        coordinates = checkers._lattice_coordinates(g.full_mask, [*lo.weights, *hi.weights])
+        assert len(coordinates) <= len(lengths) + 2 * (doubled is not None)
+        domination_against_oracles(lo, hi)
+
+    def test_lattice_coordinates_are_the_classes_some_mask_separates(self):
+        # edge 0 is in every mask and edge 3 in none; edges 1 and 2 always
+        # go together, edge 4 apart from them
+        masks = [0b10111, 0b00001, 0b10001]
+        assert sorted(checkers._lattice_coordinates(0b11111, masks)) == [0b00110, 0b10000]
+
+    def test_lattice_cap_refuses_before_building_a_network(self, monkeypatch):
+        # 30 edges; the singletons among the masks separate every edge
+        g = generalized_theta([10, 10, 10])
+        rng = random.Random(30)
+
+        def sparse_law():
+            masks = {1 << i for i in range(g.edge_count)}
+            masks |= {rng.getrandbits(g.edge_count) for _ in range(10)}
+            return Dist.from_weights(g, {m: F(rng.randint(1, 9), rng.randint(1, 9)) for m in masks})
+
+        def no_network(n):
+            raise AssertionError(f"flow network of {n} nodes built")
+
+        monkeypatch.setattr(checkers, "_Dinic", no_network)
+        with pytest.raises(CapExceededError) as info:
+            stochastic_domination(sparse_law(), sparse_law())
+        assert info.value.what == "domination lattice coordinates"
+        assert info.value.size == g.edge_count
+
     def test_bruteforce_witness_is_an_antichain_with_its_masses(self):
         rng = random.Random(99)
         g = complete_graph(4)
@@ -297,6 +414,24 @@ class TestScans:
         # an equal but distinct family is still scanned on its own
         result = union_preservation_test(fam, lambda x: fam(x), grid, union_family=union_fam)
         assert result["status"] == "verified"
+        assert len(calls) == 2 * len(grid)
+
+    def test_union_preservation_builds_union_laws_only_for_its_reads(self):
+        calls = []
+
+        def union_fam(x):
+            calls.append(x)
+            return bernoulli(THETA111, x * (2 - x))
+
+        def fam(x):
+            return bernoulli(THETA111, x)
+
+        grid = dyadic_grid(3)
+        union_preservation_test(fam, fam, grid, union_family=union_fam)
+        assert len(calls) == len(grid)  # the union's own scan; no gap reads
+        calls.clear()
+        pairs = [(edge_open(THETA111, 0), edge_open(THETA111, 1))]
+        union_preservation_test(fam, fam, grid, union_family=union_fam, event_pairs=pairs)
         assert len(calls) == 2 * len(grid)
 
     def test_union_preservation_inconclusive_when_hypothesis_fails(self):

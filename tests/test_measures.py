@@ -184,6 +184,10 @@ class TestUnion:
         assert ub.z == d1.z
         for d in (u, ub):
             assert all(type(w) is Fraction and w > 0 for w in d.weights.values())
+        for d in (d1, u, ub):
+            nums, den = d.integer_weights()
+            assert all(type(w) is int for w in nums.values())
+            assert {m: Fraction(w, d.z * den) for m, w in nums.items()} == d.probabilities()
         assert union(d1, d2, renormalize=True).z == 1
 
     def test_integer_kernel_refuses_a_table_off_its_mass(self):

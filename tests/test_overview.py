@@ -1,0 +1,33 @@
+from collections import Counter
+
+from loopcurrents import overview
+from loopcurrents.events import connect
+from loopcurrents.graphs import counter_family, generalized_theta
+from loopcurrents.measures import MODELS, CurrentParams, build, prob
+from loopcurrents.rationals import dyadic_grid
+
+
+def test_each_law_is_built_once_and_shared_by_the_scans(monkeypatch):
+    built = Counter()
+    def counting_build(name, graph, params, *args):
+        built[name, graph.edges, params.x] += 1
+        return build(name, graph, params, *args)
+
+    monkeypatch.setattr(overview, "build", counting_build)
+    theta111 = generalized_theta([1, 1, 1])
+    report = overview.build_overview(6, 3, graphs=[("theta[1,1,1]", theta111)])
+    assert report["consistent_with_expected"]
+    assert set(built.values()) == {1}
+    rows = report["models"]
+    scanned = [m for m in MODELS if rows[m]["MON"]["status"] != overview.CERTIFIED_FALSE]
+    # the MON grid is inside the scan grid, so each scanned model needs one
+    # law per scan grid point; the two certified SING rows need two each
+    assert len(built) == len(scanned) * len(dyadic_grid(6)) + 4
+
+
+def test_connection_masses_are_exact_connection_probabilities():
+    g = counter_family(2, 2)
+    grid = dyadic_grid(3)
+    laws = [build("double_current", g, CurrentParams.from_x(x)) for x in grid]
+    masses = overview._connection_masses(laws, g, overview._singleton_pairs(g))
+    assert masses == [[prob(d, connect(g)) for d in laws]]
