@@ -21,7 +21,7 @@ from typing import Callable, Sequence
 from .errors import CapExceededError, GraphMismatchError, LoopCurrentsError
 from .events import Event
 from .graphs import EDGE_ENUMERATION_CAP
-from .measures import Dist, union as _union
+from .measures import Dist, bit_masses, union as _union
 from .rationals import format_rational
 
 ZERO = Fraction(0)
@@ -127,17 +127,13 @@ def fkg_pair_gap(d: Dist, a: Event, b: Event, require_increasing: bool = True) -
             "fkg_pair_gap needs events verified increasing; "
             "use events.verified_increasing or pass require_increasing=False"
         )
-    w_a = w_b = w_ab = ZERO
-    for mask, w in d.weights.items():
-        in_a = a.holds(mask)
-        in_b = b.holds(mask)
-        if in_a:
-            w_a += w
-        if in_b:
-            w_b += w
-        if in_a and in_b:
-            w_ab += w
-    return w_ab / d.z - (w_a / d.z) * (w_b / d.z)
+
+    def stat(mask):  # bits A, B, A and B
+        s = a.holds(mask) | b.holds(mask) << 1
+        return s | (s == 3) << 2
+
+    p_a, p_b, p_ab = bit_masses(d, stat, 3)
+    return p_ab - p_a * p_b
 
 
 def fkg_report(
@@ -382,12 +378,12 @@ def stochastic_domination(d_lo: Dist, d_hi: Dist) -> DominationReport:
 
 def _upset_witness(generators: Sequence[int], d_lo: Dist, d_hi: Dist) -> UpSetWitness:
     minimal = _minimal_masks(generators)
-    mass_lo = sum(
-        (w for m, w in d_lo.weights.items() if any(m & g == g for g in minimal)), ZERO
-    ) / d_lo.z
-    mass_hi = sum(
-        (w for m, w in d_hi.weights.items() if any(m & g == g for g in minimal)), ZERO
-    ) / d_hi.z
+
+    def inside(mask):
+        return any(mask & g == g for g in minimal)
+
+    (mass_lo,) = bit_masses(d_lo, inside, 1)
+    (mass_hi,) = bit_masses(d_hi, inside, 1)
     return UpSetWitness(minimal, mass_lo, mass_hi)
 
 

@@ -24,18 +24,17 @@ from . import __version__, theta
 from .battery import scan_battery, verification_battery
 from .checkers import union_preservation_test
 from .errors import LoopCurrentsError
-from .events import edge_open, edge_open_cyclic
-from .graphs import Graph, generalized_theta, graph_from_json
+from .graphs import Graph, cyclic_edges, generalized_theta, graph_from_json
 from .intervals import certify_decreasing_pair
 from .measures import (
     CurrentParams,
     bernoulli,
+    bit_masses,
     double_cluster,
     double_current,
     double_current_lis,
     double_loop,
     loop_o1,
-    prob,
     push_uniform_even,
     random_cluster,
     union_bernoulli,
@@ -268,19 +267,24 @@ def verify_lis_equivalence(args) -> list[str]:
     return failures
 
 
+def _edge_masses(d, stat=None) -> list[Fraction]:
+    """P(edge e is in stat(mask)) for every edge e; stat defaults to the mask."""
+    return bit_masses(d, stat or (lambda m: m), d.graph.edge_count)
+
+
 def verify_cor1(args) -> list[str]:
     failures = []
     for name, g in _battery(args):
+
+        def open_cyclic(m):
+            return m & cyclic_edges(g, m)
+
         for x in _verify_xs(args):
-            lo = loop_o1(g, x)
-            dc = double_current(g, x)
-            rc = random_cluster(g, x)
+            left = _edge_masses(double_current(g, x), open_cyclic)
+            mid = _edge_masses(loop_o1(g, x))
+            right = _edge_masses(random_cluster(g, x), open_cyclic)
             for e in range(g.edge_count):
-                cyc = edge_open_cyclic(g, e)
-                left = prob(dc, cyc) / 2
-                mid = prob(lo, edge_open(g, e))
-                right = prob(rc, cyc) / 2
-                if not left == mid == right:
+                if not left[e] / 2 == mid[e] == right[e] / 2:
                     failures.append(f"cor1: {name} x={x} edge={e}")
     return failures
 
@@ -290,14 +294,15 @@ def verify_edge_identities(args) -> list[str]:
     for name, g in _battery(args):
         for x in _verify_xs(args):
             lo = loop_o1(g, x)
-            dl = double_loop(g, x)
+            base = _edge_masses(lo)
+            doubled = _edge_masses(double_loop(g, x))
+            ps = (Fraction(1, 3), x)
+            unioned = {p: _edge_masses(union_bernoulli(lo, p)) for p in ps}
             for e in range(g.edge_count):
-                ev = edge_open(g, e)
-                base = prob(lo, ev)
-                for p in (Fraction(1, 3), x):
-                    if prob(union_bernoulli(lo, p), ev) != base + p * (1 - base):
+                for p in ps:
+                    if unioned[p][e] != base[e] + p * (1 - base[e]):
                         failures.append(f"edge-identities: {name} x={x} e={e} p={p}")
-                if prob(dl, ev) != base * (2 - base):
+                if doubled[e] != base[e] * (2 - base[e]):
                     failures.append(f"edge-identities double: {name} x={x} e={e}")
     return failures
 

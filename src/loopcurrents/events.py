@@ -4,6 +4,8 @@ An :class:`Event` is a predicate on masks together with a monotonicity flag.
 The flag is only trusted for kinds that are increasing by construction
 (connection, edge-open, all-open); anything else must earn it through
 :func:`check_increasing`.
+
+Masses of events and statistics take one ``measures.bit_masses`` pass per law.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from typing import Callable
 
 from .errors import CapExceededError, GraphMismatchError, GraphStructureError
 from .graphs import EDGE_ENUMERATION_CAP, Graph, cyclic_edges, is_connected
-from .measures import Dist
+from .measures import Dist, bit_masses
 
 CONNECT = "connect"
 CONNECT_SETS = "connect-sets"
@@ -196,11 +198,8 @@ def cyclic_count(g: Graph) -> Statistic:
 
 
 def statistic_dist(d: Dist, s: Statistic) -> dict[int, Fraction]:
-    """Exact pushforward of the statistic under d; values sum to 1."""
+    """Exact pushforward of the statistic under d, without values of mass 0."""
     if s.graph.edges != d.graph.edges:
         raise GraphMismatchError("statistic and distribution live on different graphs")
-    acc: dict[int, Fraction] = {}
-    for mask, w in d.weights.items():
-        k = s.value(mask)
-        acc[k] = acc.get(k, Fraction(0)) + w
-    return {k: w / d.z for k, w in sorted(acc.items())}
+    masses = bit_masses(d, lambda m: 1 << s.value(m), d.graph.edge_count + 1)
+    return {k: p for k, p in enumerate(masses) if p}

@@ -15,6 +15,8 @@ registry :data:`MODELS` that :func:`build` assembles:
 * doubles: two independent copies of the base model, unioned, or
   equivalently the double loop model union Bernoulli at the doubled
   parameter (x^2 for currents, x(2-x) for clusters).
+
+Event, edge and histogram masses all come from one pass of :func:`bit_masses`.
 """
 
 from __future__ import annotations
@@ -443,15 +445,32 @@ def push_uniform_even(d: Dist, cap: int = CYCLE_DIMENSION_CAP) -> Dist:
 # Probabilities
 
 
+def bit_masses(d: Dist, stat: Callable[[int], int], width: int) -> list[Fraction]:
+    """P(bit i of stat(mask) is set) under d for each i < width, in one pass:
+    integer numerators are added per distinct stat value, each total goes to
+    its value's set bits, and one ``Fraction`` is built per bit.  An event is
+    the one-bit stat ``holds``; a histogram of s is the stat ``1 << s(mask)``."""
+    nums, den = d.integer_weights()
+    by_value: dict[int, int] = {}
+    for mask, w in nums.items():
+        s = stat(mask)
+        by_value[s] = by_value.get(s, 0) + w
+    totals = [0] * width
+    for s, w in by_value.items():
+        s &= (1 << width) - 1
+        while s:
+            low = s & -s
+            totals[low.bit_length() - 1] += w
+            s ^= low
+    mass = d.z * den
+    return [Fraction(t * mass.denominator, mass.numerator) for t in totals]
+
+
 def prob(d: Dist, event) -> Fraction:
     """Exact probability of an event (see events module) under d."""
     if event.graph.edges != d.graph.edges:
         raise GraphMismatchError("event and distribution live on different graphs")
-    total = ZERO
-    for mask, w in d.weights.items():
-        if event.holds(mask):
-            total += w
-    return total / d.z
+    return bit_masses(d, event.holds, 1)[0]
 
 
 def _require_same_graph(d1: Dist, d2: Dist):

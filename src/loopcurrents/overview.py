@@ -15,6 +15,9 @@ one cell:
 The expected verdict per cell is fixed (KNOWN_VERDICTS); the builder
 refuses to upgrade an open cell to a claim and treats a failed scan on a
 "holds" cell as an error worth surfacing loudly.
+
+Each graph's scans share one law per grid point; FKG reads each law in one
+``measures.bit_masses`` pass, and CON and SING share another.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from .errors import LoopCurrentsError
 from .events import Event, all_open, connect, edge_open
 from .graphs import Graph, component_labels, counter_family
 from .intervals import certify_decreasing_pair
-from .measures import MODELS, CurrentParams, Dist, build
+from .measures import MODELS, CurrentParams, Dist, bit_masses, build
 from .rationals import (
     decimal_string,
     dyadic_grid,
@@ -172,29 +175,22 @@ def _connection_masses(
 ) -> list[list[Fraction]]:
     """pairs x grid matrix of P(some vertex of A connects to some of B).
 
-    Component labels are computed once per support configuration, so the
-    cost does not multiply with the number of vertex-set pairs.
+    Component labels and pair bits are computed once per support
+    configuration; each law then takes one
+    :func:`~loopcurrents.measures.bit_masses` pass with one bit per pair.
     """
-    support_union = set()
+    stats: dict[int, int] = {}
     for d in dists:
-        support_union |= set(d.weights)
-    labels = {m: component_labels(g, m) for m in support_union}
-    truth: list[set[int]] = []
-    for side_a, side_b in side_pairs:
-        truth.append(
-            {
-                m
-                for m, lab in labels.items()
-                if any(lab[u] == lab[v] for u in side_a for v in side_b)
-            }
-        )
-    out: list[list[Fraction]] = [[Fraction(0)] * len(dists) for _ in side_pairs]
-    for j, d in enumerate(dists):
-        nums, den = d.integer_weights()
-        for i, tset in enumerate(truth):
-            total = sum(w for m, w in nums.items() if m in tset)
-            out[i][j] = Fraction(total, d.z * den)
-    return out
+        for m in d.weights:
+            if m not in stats:
+                lab = component_labels(g, m)
+                stats[m] = sum(
+                    1 << i
+                    for i, (side_a, side_b) in enumerate(side_pairs)
+                    if {lab[u] for u in side_a} & {lab[v] for v in side_b}
+                )
+    columns = [bit_masses(d, stats.__getitem__, len(side_pairs)) for d in dists]
+    return [list(row) for row in zip(*columns)]
 
 
 def _singleton_pairs(g: Graph) -> list[tuple[tuple, tuple]]:
@@ -225,20 +221,22 @@ def _fkg_events(g: Graph) -> list[Event]:
     return events
 
 
-def scan_connection(name: str, g: Graph, laws, grid, pairs_of, record) -> list[dict]:
-    """Point-evaluation scan of graph ``name``: is P(A <-> B) under the
-    laws ``laws[x]`` non-decreasing along the grid?
-
-    ``pairs_of(g)`` lists the vertex-set pairs (A, B) to watch on g, and
-    ``record(graph, A, B, x1, x2, drop)`` formats one decrease.
-    """
-    violations = []
-    pairs = pairs_of(g)
-    masses = _connection_masses([laws[x] for x in grid], g, pairs)
-    for (side_a, side_b), row in zip(pairs, masses):
+def scan_connection(name: str, g: Graph, laws, grid) -> dict[str, list[dict]]:
+    """Point-evaluation scans of graph ``name`` for CON and SING: is
+    P(A <-> B) under the laws ``laws[x]`` non-decreasing along the grid,
+    for each vertex-set pair (A, B) that :data:`CONNECTION_SCANS` watches?
+    Both properties read one mass pass per law."""
+    watched = [
+        (prop, pair, record)
+        for prop, (pairs_of, record) in CONNECTION_SCANS.items()
+        for pair in pairs_of(g)
+    ]
+    masses = _connection_masses([laws[x] for x in grid], g, [pair for _, pair, _ in watched])
+    violations: dict[str, list[dict]] = {prop: [] for prop in CONNECTION_SCANS}
+    for (prop, (side_a, side_b), record), row in zip(watched, masses):
         for j in range(1, len(grid)):
             if row[j] < row[j - 1]:
-                violations.append(
+                violations[prop].append(
                     record(name, side_a, side_b, grid[j - 1], grid[j], row[j - 1] - row[j])
                 )
     return violations
@@ -263,30 +261,39 @@ def _con_record(graph, side_a, side_b, x1, x2, drop) -> dict:
     }
 
 
+# The vertex-set pairs each connection property watches, and the record
+# builder of one decrease.
+CONNECTION_SCANS = {"CON": (_subset_pairs, _con_record), "SING": (_singleton_pairs, _sing_record)}
+
+
 def scan_fkg(name: str, g: Graph, laws, grid) -> list[dict]:
     """Pairwise gap scan of graph ``name`` over a small increasing-event
-    battery, under the laws ``laws[x]`` at the grid points."""
+    battery, under the laws ``laws[x]`` at the grid points: one
+    :func:`~loopcurrents.measures.bit_masses` pass per law, with one bit
+    per event pair (i, j), i <= j, set when both events hold."""
     violations = []
     dists = [laws[x] for x in grid]
-    support_union = set()
-    for d in dists:
-        support_union |= set(d.weights)
     events = _fkg_events(g)
-    truth = [{m for m in support_union if ev.holds(m)} for ev in events]
     index_pairs = [(i, j) for i in range(len(events)) for j in range(i, len(events))]
-    for k, d in enumerate(dists):
-        nums, den = d.integer_weights()
-        mass = d.z * den
-        masses = [sum(w for m, w in nums.items() if m in t) for t in truth]
-        for i, j in index_pairs:
-            joint = sum(w for m, w in nums.items() if m in truth[i] and m in truth[j])
-            gap = Fraction(joint, mass) - Fraction(masses[i], mass) * Fraction(masses[j], mass)
+    single = {i: k for k, (i, j) in enumerate(index_pairs) if i == j}
+    stats: dict[int, int] = {}
+    for d in dists:
+        for m in d.weights:
+            if m not in stats:
+                holds = [ev.holds(m) for ev in events]
+                stats[m] = sum(
+                    1 << k for k, (i, j) in enumerate(index_pairs) if holds[i] and holds[j]
+                )
+    for x, d in zip(grid, dists):
+        masses = bit_masses(d, stats.__getitem__, len(index_pairs))
+        for k, (i, j) in enumerate(index_pairs):
+            gap = masses[k] - masses[single[i]] * masses[single[j]]
             if gap < 0:
                 violations.append(
                     {
                         "graph": name,
                         "events": [events[i].describe(), events[j].describe()],
-                        "x": format_rational(grid[k]),
+                        "x": format_rational(x),
                         "gap": format_rational(gap),
                     }
                 )
@@ -314,8 +321,7 @@ def _scan_graph(model: str, name: str, g: Graph, grid, mon_grid) -> dict[str, li
     return {
         "FKG": scan_fkg(name, g, laws, grid),
         "MON": scan_mon(name, laws, mon_grid),
-        "CON": scan_connection(name, g, laws, grid, _subset_pairs, _con_record),
-        "SING": scan_connection(name, g, laws, grid, _singleton_pairs, _sing_record),
+        **scan_connection(name, g, laws, grid),
     }
 
 

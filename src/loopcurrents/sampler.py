@@ -12,13 +12,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator
+from typing import Iterator
 
 import numpy as np
 
 from .errors import CapExceededError, LoopCurrentsError
 from .graphs import CYCLE_DIMENSION_CAP, Graph, cycle_space_basis, span_masks
-from .measures import MODELS, CurrentParams, Dist, loop_o1
+from .measures import MODELS, CurrentParams, loop_o1
 
 RNG_ALGORITHM = "philox4x64"
 
@@ -211,33 +211,6 @@ def sample_stream(
 
 # ---------------------------------------------------------------------------
 # Goodness of fit and dump format
-
-
-def empirical_counts(masks: Iterable[int]) -> dict[int, int]:
-    counts: dict[int, int] = {}
-    for m in masks:
-        counts[m] = counts.get(m, 0) + 1
-    return counts
-
-
-def chi_square_statistic(counts: dict[int, int], dist: Dist) -> tuple[float, int]:
-    """Pearson chi-square of observed counts against the exact distribution.
-
-    Outcomes outside the exact support are a hard failure (probability 0).
-    Returns (statistic, degrees of freedom).
-    """
-    n = sum(counts.values())
-    for mask in counts:
-        if mask not in dist.weights:
-            raise LoopCurrentsError(
-                f"sampled configuration {hex(mask)} has probability zero under the exact law"
-            )
-    stat = 0.0
-    for mask, w in dist.weights.items():
-        expected = float(w / dist.z) * n
-        observed = counts.get(mask, 0)
-        stat += (observed - expected) ** 2 / expected
-    return stat, len(dist.weights) - 1
 
 
 def write_sample_dump(

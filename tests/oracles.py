@@ -2,15 +2,18 @@
 
 Everything here is deliberately written along different algorithmic paths
 than the package (degree filtering instead of cycle-basis spans, BFS
-instead of union-find, Moebius inversion instead of pair iteration), so an
-agreement is meaningful.
+instead of union-find, Moebius inversion instead of pair iteration, one
+``Fraction`` addition per configuration instead of integer mass passes), so
+an agreement is meaningful.  The float goodness-of-fit statistics for the
+samplers live here too: no certifying route reads them.
 """
 
 from fractions import Fraction
 from math import lcm
+from typing import Iterable
 
 from loopcurrents.checkers import DominationReport, UpSetWitness, _Dinic, _upset_witness
-from loopcurrents.errors import CapExceededError, LoopCurrentsError
+from loopcurrents.errors import CapExceededError, GraphMismatchError, LoopCurrentsError
 from loopcurrents.events import Event
 from loopcurrents.graphs import Graph, edges_of_mask
 from loopcurrents.measures import Dist
@@ -199,3 +202,42 @@ def check_increasing_all_pairs(ev: Event, cap: int = 16):
                 break
             extra = (extra - 1) & comp
     return True, None
+
+
+def prob_bruteforce(d: Dist, event: Event) -> Fraction:
+    """P(event) by ``Event.holds`` on each configuration and one ``Fraction``
+    addition per configuration where it holds."""
+    if event.graph.edges != d.graph.edges:
+        raise GraphMismatchError("event and distribution live on different graphs")
+    total = Fraction(0)
+    for mask, w in d.weights.items():
+        if event.holds(mask):
+            total += w
+    return total / d.z
+
+
+def empirical_counts(masks: Iterable[int]) -> dict[int, int]:
+    counts: dict[int, int] = {}
+    for m in masks:
+        counts[m] = counts.get(m, 0) + 1
+    return counts
+
+
+def chi_square_statistic(counts: dict[int, int], dist: Dist) -> tuple[float, int]:
+    """Pearson chi-square of observed counts against the exact distribution.
+
+    Outcomes outside the exact support are a hard failure (probability 0).
+    Returns (statistic, degrees of freedom).
+    """
+    n = sum(counts.values())
+    for mask in counts:
+        if mask not in dist.weights:
+            raise LoopCurrentsError(
+                f"sampled configuration {hex(mask)} has probability zero under the exact law"
+            )
+    stat = 0.0
+    for mask, w in dist.weights.items():
+        expected = float(w / dist.z) * n
+        observed = counts.get(mask, 0)
+        stat += (observed - expected) ** 2 / expected
+    return stat, len(dist.weights) - 1

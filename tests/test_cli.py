@@ -1,3 +1,4 @@
+import argparse
 import csv
 import hashlib
 import json
@@ -5,10 +6,18 @@ from fractions import Fraction
 
 import pytest
 
+from loopcurrents import cli
 from loopcurrents.cli import _interval_decimal, main
 from loopcurrents.errors import LoopCurrentsError
-from loopcurrents.graphs import complete_graph, graph_to_json
+from loopcurrents.graphs import complete_graph, cyclic_edges, graph_to_json
 from loopcurrents.intervals import Interval
+from loopcurrents.measures import (
+    double_cluster,
+    double_current,
+    loop_o1,
+    random_cluster,
+    union_bernoulli,
+)
 
 F = Fraction
 
@@ -133,6 +142,73 @@ class TestVerify:
         ) == 0
         report = json.loads(out.read_text())
         assert report["edge-identities"]["pass"] is True
+
+
+ONE_X = argparse.Namespace(graph=None, x="1/2")
+
+
+def cyclic_edge_lines(fmt: str) -> list[str]:
+    """``fmt`` for every (battery graph, edge on a cycle of that graph) at x = 1/2,
+    in the suites' order: the edges whose loop-model marginal lies in (0, 1)."""
+    return [
+        fmt.format(name=name, e=e)
+        for name, g in cli._battery(ONE_X)
+        for e in range(g.edge_count)
+        if cyclic_edges(g, g.full_mask) >> e & 1
+    ]
+
+
+class TestBatchedSuites:
+    """The per-edge mass vectors still catch a wrong law, in the suites'
+    exact failure formats, and read each configuration's bridges once."""
+
+    def test_cor1_catches_a_wrong_double_current(self, monkeypatch):
+        assert cli.verify_cor1(ONE_X) == []
+        monkeypatch.setattr(cli, "double_current", double_cluster)
+        assert cli.verify_cor1(ONE_X) == cyclic_edge_lines("cor1: {name} x=1/2 edge={e}")
+
+    def test_cor1_catches_a_wrong_random_cluster(self, monkeypatch):
+        monkeypatch.setattr(cli, "random_cluster", loop_o1)
+        assert cli.verify_cor1(ONE_X) == cyclic_edge_lines("cor1: {name} x=1/2 edge={e}")
+
+    def test_edge_identities_catch_a_wrong_double_loop(self, monkeypatch):
+        assert cli.verify_edge_identities(ONE_X) == []
+        monkeypatch.setattr(cli, "double_loop", loop_o1)
+        assert cli.verify_edge_identities(ONE_X) == cyclic_edge_lines(
+            "edge-identities double: {name} x=1/2 e={e}"
+        )
+
+    def test_edge_identities_catch_a_wrong_bernoulli_union(self, monkeypatch):
+        monkeypatch.setattr(cli, "union_bernoulli", lambda d, p: union_bernoulli(d, p / 2))
+        # p = 1/3, then p = x = 1/2, for every edge
+        assert cli.verify_edge_identities(ONE_X) == [
+            f"edge-identities: {name} x=1/2 e={e} p={p}"
+            for name, g in cli._battery(ONE_X)
+            for e in range(g.edge_count)
+            for p in ("1/3", "1/2")
+        ]
+
+    def test_cor1_reads_each_configurations_bridges_once(self, monkeypatch):
+        calls = []
+        read = []
+
+        def counting_cyclic_edges(g, mask):
+            calls.append(mask)
+            return cyclic_edges(g, mask)
+
+        def reading(build):
+            def wrapped(g, x):
+                read.append(build(g, x))
+                return read[-1]
+
+            return wrapped
+
+        monkeypatch.setattr(cli, "cyclic_edges", counting_cyclic_edges)
+        monkeypatch.setattr(cli, "double_current", reading(double_current))
+        monkeypatch.setattr(cli, "random_cluster", reading(random_cluster))
+        assert cli.verify_cor1(ONE_X) == []
+        assert len(read) == 2 * len(cli._battery(ONE_X))
+        assert 0 < len(calls) <= sum(len(d.weights) for d in read)
 
 
 class TestSample:

@@ -10,7 +10,19 @@ from loopcurrents.errors import (
     LoopCurrentsError,
     ParametrizationError,
 )
-from loopcurrents.events import connect, custom, edge_open
+from loopcurrents import overview
+from loopcurrents.checkers import fkg_pair_gap
+from loopcurrents.events import (
+    all_open,
+    connect,
+    connect_sets,
+    custom,
+    cyclic_count,
+    edge_count,
+    edge_open,
+    edge_open_cyclic,
+    statistic_dist,
+)
 from loopcurrents.graphs import Graph, complete_graph, counter_family, generalized_theta
 from loopcurrents.measures import (
     MODELS,
@@ -20,6 +32,7 @@ from loopcurrents.measures import (
     Dist,
     _from_integer_weights,
     bernoulli,
+    bit_masses,
     build,
     double_cluster,
     double_current,
@@ -36,7 +49,7 @@ from loopcurrents.measures import (
 )
 from loopcurrents.overview import KNOWN_VERDICTS
 
-from oracles import brute_union
+from oracles import brute_union, prob_bruteforce
 
 F = Fraction
 
@@ -386,6 +399,87 @@ class TestProb:
     def test_graph_mismatch(self):
         with pytest.raises(GraphMismatchError):
             prob(loop_o1(THETA111, F(1, 2)), edge_open(K4, 0))
+
+
+# statistic values: zero often, else up to eight bits, so some bits lie at or
+# above the widths asked for
+stat_values = st.one_of(st.just(0), st.integers(1, 255))
+
+
+def events_on(g: Graph) -> list:
+    """One event of each built-in kind on g."""
+    out = [edge_open(g, 0), edge_open_cyclic(g, g.edge_count - 1), all_open(g, [0])]
+    out += [connect(g, 0, g.vertex_count - 1), connect_sets(g, [0], range(1, g.vertex_count))]
+    return out
+
+
+class TestBitMasses:
+    """bit_masses and its thin callers against the per-configuration
+    ``Fraction`` oracle, on random laws with mixed denominators."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_every_bit_matches_the_oracle(self, data):
+        g = data.draw(st.sampled_from(ORACLE_GRAPHS))
+        d = data.draw(mixed_dists(g))
+        width = data.draw(st.integers(0, 6))
+        table = {m: data.draw(stat_values) for m in d.weights}
+        masses = bit_masses(d, table.__getitem__, width)
+        assert len(masses) == width
+        for i, mass in enumerate(masses):
+            assert type(mass) is Fraction
+            assert mass == prob_bruteforce(d, custom(g, lambda m, i=i: table[m] >> i & 1))
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_prob_matches_the_oracle(self, data):
+        g = data.draw(st.sampled_from(ORACLE_GRAPHS))
+        d = data.draw(mixed_dists(g))
+        chosen = data.draw(st.sets(st.integers(0, g.full_mask)))
+        for ev in [custom(g, chosen.__contains__), custom(g, lambda m: False), *events_on(g)]:
+            assert prob(d, ev) == prob_bruteforce(d, ev)
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_statistic_dist_matches_the_oracle(self, data):
+        g = data.draw(st.sampled_from(ORACLE_GRAPHS))
+        d = data.draw(mixed_dists(g))
+        for s in (edge_count(g), cyclic_count(g)):
+            expected = {
+                k: prob_bruteforce(d, custom(g, lambda m, k=k: s.value(m) == k))
+                for k in range(g.edge_count + 1)
+            }
+            got = statistic_dist(d, s)
+            assert got == {k: p for k, p in expected.items() if p}
+            assert list(got) == sorted(got) and sum(got.values()) == 1
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_fkg_pair_gap_matches_the_oracle(self, data):
+        g = data.draw(st.sampled_from(ORACLE_GRAPHS))
+        d = data.draw(mixed_dists(g))
+        chosen = data.draw(st.sets(st.integers(0, g.full_mask)))
+        battery = [custom(g, chosen.__contains__), *events_on(g)]
+        for a in battery:
+            for b in battery:
+                both = custom(g, lambda m: a.holds(m) and b.holds(m))
+                expected = prob_bruteforce(d, both) - prob_bruteforce(d, a) * prob_bruteforce(d, b)
+                assert fkg_pair_gap(d, a, b, require_increasing=False) == expected
+
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_connection_masses_match_the_oracle(self, data):
+        g = data.draw(st.sampled_from(ORACLE_GRAPHS))
+        dists = data.draw(st.lists(mixed_dists(g), min_size=1, max_size=3))
+        pairs = overview._subset_pairs(g) + overview._singleton_pairs(g)
+        expected = [[prob_bruteforce(d, connect_sets(g, a, b)) for d in dists] for a, b in pairs]
+        assert overview._connection_masses(dists, g, pairs) == expected
+
+    def test_graph_mismatch_is_refused_as_by_the_oracle(self):
+        d = loop_o1(THETA111, F(1, 2))
+        for fn in (prob, prob_bruteforce):
+            with pytest.raises(GraphMismatchError):
+                fn(d, custom(K4, lambda m: True))
 
 
 class TestDistInvariants:

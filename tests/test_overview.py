@@ -2,7 +2,7 @@ from collections import Counter
 
 from loopcurrents import overview
 from loopcurrents.events import connect
-from loopcurrents.graphs import counter_family, generalized_theta
+from loopcurrents.graphs import component_labels, counter_family, generalized_theta
 from loopcurrents.measures import MODELS, CurrentParams, build, prob
 from loopcurrents.rationals import dyadic_grid
 
@@ -31,3 +31,19 @@ def test_connection_masses_are_exact_connection_probabilities():
     laws = [build("double_current", g, CurrentParams.from_x(x)) for x in grid]
     masses = overview._connection_masses(laws, g, overview._singleton_pairs(g))
     assert masses == [[prob(d, connect(g)) for d in laws]]
+
+
+def test_one_labels_pass_serves_both_connection_scans(monkeypatch):
+    labelled = Counter()
+
+    def counting_labels(g, mask):
+        labelled[mask] += 1
+        return component_labels(g, mask)
+
+    monkeypatch.setattr(overview, "component_labels", counting_labels)
+    g = counter_family(2, 2)
+    grid = dyadic_grid(3)
+    found = overview._scan_graph("double_current", "counter(2,2)", g, grid, grid)
+    assert set(found) == set(overview.PROPERTIES)
+    support = {m for x in grid for m in build("double_current", g, CurrentParams.from_x(x)).weights}
+    assert labelled == Counter(support)

@@ -17,8 +17,6 @@ from loopcurrents.measures import (
 from loopcurrents.sampler import (
     COUPLED_MODELS,
     SamplerConfig,
-    chi_square_statistic,
-    empirical_counts,
     loop_chain,
     loop_chain_transition_matrix,
     make_rng,
@@ -27,6 +25,8 @@ from loopcurrents.sampler import (
     sample_stream,
     write_sample_dump,
 )
+
+from oracles import chi_square_statistic, empirical_counts
 
 F = Fraction
 THETA111 = generalized_theta([1, 1, 1])
