@@ -25,7 +25,7 @@ from .battery import scan_battery, verification_battery
 from .checkers import union_preservation_test
 from .errors import LoopCurrentsError
 from .graphs import Graph, cyclic_edges, generalized_theta, graph_from_json
-from .intervals import certify_decreasing_pair
+from .intervals import MAX_BITS, START_BITS, certify_decreasing_pair
 from .measures import (
     CurrentParams,
     bernoulli,
@@ -109,20 +109,20 @@ def graph_from_args(args) -> Graph:
 # figure
 
 
-def _interval_decimal(fn, x: Fraction, digits: int, start_bits: int = 128, max_bits: int = 4096):
+def _interval_decimal(fn, x: Fraction, digits: int):
     """Decimal string of an interval-valued function, refined until the
     rounding of both endpoints agrees (then it is the correctly rounded
-    value).  Raises if they still disagree at ``max_bits``."""
-    bits = start_bits
+    value).  Raises if they still disagree at ``MAX_BITS``."""
+    bits = START_BITS
     while True:
         iv = fn(x, bits)
         lo_s = decimal_string(iv.lo, digits)
         hi_s = decimal_string(iv.hi, digits)
         if lo_s == hi_s:
             return lo_s, iv
-        if bits >= max_bits:
+        if bits >= MAX_BITS:
             raise LoopCurrentsError(
-                f"value at x={x} not certified to {digits} digits at {max_bits} bits: "
+                f"value at x={x} not certified to {digits} digits at {MAX_BITS} bits: "
                 f"the enclosure rounds to {lo_s} and {hi_s}"
             )
         bits *= 2
@@ -172,8 +172,14 @@ def cmd_figure(args) -> int:
             }
     elif args.model == "P":
 
+        # the decimal refinement and the pair search ask for the same
+        # enclosures; compute each (x, bits) once per command
+        enclosures = {}
+
         def enclosure(x, bits):
-            return theta.single_current_conn_interval(n, m, x, bits)
+            if (x, bits) not in enclosures:
+                enclosures[x, bits] = theta.single_current_conn_interval(n, m, x, bits)
+            return enclosures[x, bits]
 
         for x in grid:
             v_str, _ = _interval_decimal(enclosure, x, digits)

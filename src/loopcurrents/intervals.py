@@ -1,9 +1,13 @@
 """Certified rational interval arithmetic.
 
-Endpoints are exact Fractions and every operation except square root is
-performed exactly on them, so an :class:`Interval` always encloses the true
-value.  Square roots are the single source of width: they are enclosed by
-dyadic bounds obtained from ``math.isqrt`` with directed rounding.
+One class, :class:`Interval`, with Fraction endpoints, in two modes.  In
+exact mode (``bits=None``) every operation is performed exactly on the
+endpoints.  In rounded mode every result is rounded outward to about
+``bits`` significant bits, so endpoint sizes stay bounded through long
+chains of products and high powers.  Square roots are enclosed by dyadic
+bounds obtained from ``math.isqrt``.  Either way the interval always
+encloses the true value; width comes from the square roots and, in rounded
+mode, from the outward rounding of every step.
 
 Intended use: evaluating closed forms that involve sqrt(1-x^2) at rational
 x, and certifying strict inequalities (two enclosures that do not overlap
@@ -18,72 +22,111 @@ from math import isqrt
 from typing import Callable, Sequence
 
 
+# Precision policy of every enclosure loop: start at START_BITS and double
+# until the enclosure is sharp enough, giving up after MAX_BITS.
+START_BITS = 128
+MAX_BITS = 4096
+
+
 @dataclass(frozen=True)
 class Interval:
+    """Closed interval [lo, hi] with Fraction endpoints.
+
+    With ``bits=None`` every operation is exact on the endpoints.  With
+    ``bits`` set, every result is rounded outward to about ``bits``
+    significant bits, which keeps high powers (x^4600, p^4000) cheap: the
+    lower endpoint only ever moves down, the upper only up, so the result
+    still encloses the exact one.  An operation on two intervals rounds at
+    the coarser of their precisions, exact counting as unbounded.
+    """
+
     lo: Fraction
     hi: Fraction
+    bits: int | None = None
 
     def __post_init__(self):
         if self.lo > self.hi:
             raise ValueError(f"inverted interval [{self.lo}, {self.hi}]")
 
     @classmethod
-    def point(cls, value) -> "Interval":
+    def point(cls, value, bits: int | None = None) -> "Interval":
         v = Fraction(value)
-        return cls(v, v)
+        return cls(v, v, bits)
+
+    def _coerce(self, other) -> "Interval":
+        if isinstance(other, Interval):
+            return other
+        return Interval.point(other, self.bits)
+
+    def _result(self, lo: Fraction, hi: Fraction, other: "Interval") -> "Interval":
+        bits = self.bits
+        if other.bits is not None and (bits is None or other.bits < bits):
+            bits = other.bits
+        if bits is None:
+            return Interval(lo, hi)
+        return Interval(_round_down(lo, bits), _round_up(hi, bits), bits)
 
     # arithmetic -------------------------------------------------------------
     def __add__(self, other) -> "Interval":
-        other = _as_interval(other)
-        return Interval(self.lo + other.lo, self.hi + other.hi)
+        other = self._coerce(other)
+        return self._result(self.lo + other.lo, self.hi + other.hi, other)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Interval":
-        return Interval(-self.hi, -self.lo)
+        return Interval(-self.hi, -self.lo, self.bits)
 
     def __sub__(self, other) -> "Interval":
-        other = _as_interval(other)
-        return Interval(self.lo - other.hi, self.hi - other.lo)
+        other = self._coerce(other)
+        return self._result(self.lo - other.hi, self.hi - other.lo, other)
 
     def __rsub__(self, other) -> "Interval":
-        return _as_interval(other) - self
+        return self._coerce(other) - self
 
     def __mul__(self, other) -> "Interval":
-        other = _as_interval(other)
+        other = self._coerce(other)
         if self.lo >= 0 and other.lo >= 0:
-            return Interval(self.lo * other.lo, self.hi * other.hi)
+            return self._result(self.lo * other.lo, self.hi * other.hi, other)
         products = (
             self.lo * other.lo,
             self.lo * other.hi,
             self.hi * other.lo,
             self.hi * other.hi,
         )
-        return Interval(min(products), max(products))
+        return self._result(min(products), max(products), other)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other) -> "Interval":
-        other = _as_interval(other)
+        other = self._coerce(other)
         if other.lo <= 0 <= other.hi:
             raise ZeroDivisionError("division by an interval containing 0")
-        return self * Interval(1 / other.hi, 1 / other.lo)
+        return self * other._result(1 / other.hi, 1 / other.lo, self)
 
     def __rtruediv__(self, other) -> "Interval":
-        return _as_interval(other) / self
+        return self._coerce(other) / self
 
     def __pow__(self, n: int) -> "Interval":
         if n < 0:
             raise ValueError("negative interval power")
+        if self.bits is not None and self.lo >= 0:
+            # square-and-multiply with per-step rounding; inclusion-monotone,
+            # so the result still encloses the true power
+            result = Interval.point(1, self.bits)
+            base = self
+            while n:
+                if n & 1:
+                    result = result * base
+                base = base * base
+                n >>= 1
+            return result
         if n == 0:
-            return Interval.point(1)
-        if self.lo >= 0:
-            return Interval(self.lo ** n, self.hi ** n)
-        if n % 2 == 1:
-            return Interval(self.lo ** n, self.hi ** n)
+            return Interval.point(1, self.bits)
+        if self.lo >= 0 or n % 2 == 1:
+            return self._result(self.lo**n, self.hi**n, self)
         mags = (abs(self.lo), abs(self.hi))
         low = Fraction(0) if self.lo <= 0 <= self.hi else min(mags) ** n
-        return Interval(low, max(mags) ** n)
+        return self._result(low, max(mags) ** n, self)
 
     # queries ----------------------------------------------------------------
     @property
@@ -103,137 +146,36 @@ class Interval:
         return self.lo <= v <= self.hi
 
 
-def _as_interval(value) -> Interval:
-    if isinstance(value, Interval):
-        return value
-    return Interval.point(value)
-
-
-def sqrt_interval(value: Fraction | Interval, bits: int = 128) -> Interval:
-    """Enclosure of the square root with dyadic endpoints, width <= 2^-bits."""
-    iv = _as_interval(value)
-    if iv.lo < 0:
+def sqrt_interval(value: Fraction | Interval, bits: int = START_BITS) -> Interval:
+    """Enclosure of the square root with dyadic endpoints, width <= 2^-bits,
+    carrying ``bits`` so that arithmetic on it rounds at that precision."""
+    if not isinstance(value, Interval):
+        value = Interval.point(value)
+    if value.lo < 0:
         raise ValueError("square root of a negative interval")
-    return Interval(_sqrt_lower(iv.lo, bits), _sqrt_upper(iv.hi, bits))
+    return Interval(_sqrt_lower(value.lo, bits), _sqrt_upper(value.hi, bits), bits)
 
 
 def _round_down(v: Fraction, bits: int) -> Fraction:
     """Largest dyadic with ~bits significant bits that is <= v."""
-    if v == 0:
-        return v
-    n, d = v.numerator, v.denominator
-    shift = bits - (n.bit_length() - d.bit_length())
-    if shift >= 0:
-        return Fraction((n << shift) // d, 1 << shift)
-    m = n // (d << -shift)
-    return Fraction(m << -shift)
+    return _round_toward(v.numerator, v.denominator, bits, 1)
 
 
 def _round_up(v: Fraction, bits: int) -> Fraction:
-    return -_round_down(-v, bits)
+    """Smallest dyadic with ~bits significant bits that is >= v."""
+    return _round_toward(v.numerator, v.denominator, bits, -1)
 
 
-@dataclass(frozen=True)
-class RoundedInterval:
-    """Interval with outward directed rounding after every operation.
-
-    Keeps endpoint sizes near ``bits`` significant bits, so high powers
-    (x^4600, p^4000) stay cheap while the enclosure property is preserved:
-    the lower endpoint only ever moves down, the upper only up.
-    """
-
-    lo: Fraction
-    hi: Fraction
-    bits: int
-
-    @classmethod
-    def point(cls, value, bits: int) -> "RoundedInterval":
-        v = Fraction(value)
-        return cls(v, v, bits)
-
-    @classmethod
-    def from_interval(cls, iv: Interval, bits: int) -> "RoundedInterval":
-        return cls(iv.lo, iv.hi, bits)
-
-    def as_interval(self) -> Interval:
-        return Interval(self.lo, self.hi)
-
-    def _wrap(self, lo: Fraction, hi: Fraction) -> "RoundedInterval":
-        return RoundedInterval(_round_down(lo, self.bits), _round_up(hi, self.bits), self.bits)
-
-    def _coerce(self, other) -> "RoundedInterval":
-        if isinstance(other, RoundedInterval):
-            return other
-        if isinstance(other, Interval):
-            return RoundedInterval(other.lo, other.hi, self.bits)
-        return RoundedInterval.point(other, self.bits)
-
-    def __add__(self, other) -> "RoundedInterval":
-        other = self._coerce(other)
-        return self._wrap(self.lo + other.lo, self.hi + other.hi)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "RoundedInterval":
-        return RoundedInterval(-self.hi, -self.lo, self.bits)
-
-    def __sub__(self, other) -> "RoundedInterval":
-        other = self._coerce(other)
-        return self._wrap(self.lo - other.hi, self.hi - other.lo)
-
-    def __rsub__(self, other) -> "RoundedInterval":
-        return self._coerce(other) - self
-
-    def __mul__(self, other) -> "RoundedInterval":
-        other = self._coerce(other)
-        if self.lo >= 0 and other.lo >= 0:
-            return self._wrap(self.lo * other.lo, self.hi * other.hi)
-        products = (
-            self.lo * other.lo,
-            self.lo * other.hi,
-            self.hi * other.lo,
-            self.hi * other.hi,
-        )
-        return self._wrap(min(products), max(products))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other) -> "RoundedInterval":
-        other = self._coerce(other)
-        if other.lo <= 0 <= other.hi:
-            raise ZeroDivisionError("division by an interval containing 0")
-        inv = RoundedInterval(
-            _round_down(1 / other.hi, self.bits), _round_up(1 / other.lo, self.bits), self.bits
-        )
-        return self * inv
-
-    def __rtruediv__(self, other) -> "RoundedInterval":
-        return self._coerce(other) / self
-
-    def __pow__(self, n: int) -> "RoundedInterval":
-        # square-and-multiply with per-step rounding; inclusion-monotone,
-        # so the result still encloses the true power
-        if n < 0:
-            raise ValueError("negative interval power")
-        result = RoundedInterval.point(1, self.bits)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
-    @property
-    def midpoint(self) -> Fraction:
-        return (self.lo + self.hi) / 2
-
-    @property
-    def width(self) -> Fraction:
-        return self.hi - self.lo
-
-    def strictly_above(self, other) -> bool:
-        return self.lo > other.hi
+def _round_toward(n: int, d: int, bits: int, sign: int) -> Fraction:
+    # sign * floor(sign * n/d) on the dyadic grid of ~bits significant bits;
+    # integer floors only, one Fraction built
+    if n == 0:
+        return Fraction(0)
+    n *= sign
+    shift = bits - (n.bit_length() - d.bit_length())
+    if shift >= 0:
+        return Fraction(sign * ((n << shift) // d), 1 << shift)
+    return Fraction(sign * ((n // (d << -shift)) << -shift))
 
 
 def _sqrt_lower(v: Fraction, bits: int) -> Fraction:
@@ -262,8 +204,8 @@ def _sqrt_upper(v: Fraction, bits: int) -> Fraction:
 def certify_decreasing_pair(
     f: Callable[[Fraction, int], Interval],
     grid: Sequence[Fraction],
-    start_bits: int = 128,
-    max_bits: int = 4096,
+    start_bits: int = START_BITS,
+    max_bits: int = MAX_BITS,
 ) -> tuple[Fraction, Fraction, Interval, Interval] | None:
     """Find x1 < x2 on the grid with f(x1) > f(x2), certified by enclosures.
 

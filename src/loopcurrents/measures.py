@@ -25,7 +25,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Callable, Iterable
+from typing import Callable
 
 from .errors import (
     CapExceededError,
@@ -86,10 +86,6 @@ class Dist:
         elif total != z:
             raise LoopCurrentsError(f"weights sum to {total}, expected Z={z}")
         return cls(graph, clean, z)
-
-    @property
-    def support(self) -> Iterable[int]:
-        return self.weights.keys()
 
     def weight(self, mask: int) -> Fraction:
         return self.weights.get(mask, ZERO)

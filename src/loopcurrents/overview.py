@@ -67,7 +67,7 @@ OPEN_STATUS = "OPEN"
 # leading terms collide and the gap is positive).  Connection-probability
 # dips live on the four-path counter family.
 FKG_LOOP_PARAMS = (2, 2, Fraction(1, 10))
-FKG_SINGLE_CURRENT_T = Fraction(1, 4)
+FKG_SINGLE_CURRENT_PARAMS = (2, 2, Fraction(1, 4))  # t, not x
 FKG_DOUBLE_LOOP_PARAMS = (3, 2, Fraction(1, 10))
 SING_LOOP_PARAMS = (18, 2)
 SING_DOUBLE_LOOP_PARAMS = (38, 2)
@@ -78,30 +78,22 @@ SING_SINGLE_CURRENT_PARAMS = (2000, 300)
 # Refutation witnesses
 
 
-def certify_fkg(gap_fn, params: tuple[int, int, Fraction]) -> dict:
-    """Negative FKG gap of the closed form ``gap_fn`` on theta(n, m, n) at x."""
-    n, m, x = params
-    gap = gap_fn(n, m, x)
+def certify_fkg(gap_fn, params: tuple[int, int, Fraction], param: str = "x") -> dict:
+    """Negative FKG gap of the closed form ``gap_fn`` on theta(n, m, n).
+
+    The third parameter is x, or with ``param="t"`` the Pythagorean t of
+    x = 2t/(1+t^2), which the witness then records beside x.
+    """
+    n, m, s = params
+    gap = gap_fn(n, m, s)
     if gap >= 0:
         raise LoopCurrentsError(f"expected a negative gap from {gap_fn.__name__}{params}")
+    point = {"x": format_rational(s)}
+    if param == "t":
+        point = {"t": format_rational(s), "x": format_rational(CurrentParams.from_t(s).x)}
     return {
         "family": f"theta({n},{m},{n})",
-        "x": format_rational(x),
-        "gap": format_rational(gap),
-        "events": "both n+m loops fully open",
-    }
-
-
-def certify_fkg_single_current() -> dict:
-    t = FKG_SINGLE_CURRENT_T
-    params = CurrentParams.from_t(t)
-    gap = theta.single_current_fkg_gap(2, 2, t)
-    if gap >= 0:
-        raise LoopCurrentsError("expected a negative single-current FKG gap")
-    return {
-        "family": "theta(2,2,2)",
-        "t": format_rational(t),
-        "x": format_rational(params.x),
+        **point,
         "gap": format_rational(gap),
         "events": "both n+m loops fully open",
     }
@@ -367,7 +359,7 @@ def build_overview(
             *certify_sing("loop", theta.loop_conn, SING_LOOP_PARAMS, grid),
         ),
         "single_current": (
-            certify_fkg_single_current(),
+            certify_fkg(theta.single_current_fkg_gap, FKG_SINGLE_CURRENT_PARAMS, param="t"),
             sc_sing,
             dict(
                 sc_sing,

@@ -23,7 +23,8 @@ from itertools import combinations
 from .errors import GraphStructureError, ParametrizationError
 from .events import all_open
 from .graphs import Graph, counter_family, generalized_theta, is_connected, segment_edge_ranges
-from .intervals import Interval, RoundedInterval, sqrt_interval
+from .intervals import START_BITS, Interval, sqrt_interval
+from .measures import CurrentParams
 from .rationals import Polynomial, RationalFunction
 
 
@@ -152,12 +153,11 @@ def single_current_conn_exact(n: int, m: int, t: Fraction) -> Fraction:
     t = Fraction(t)
     if not 0 < t < 1:
         raise ParametrizationError(f"t={t} outside (0,1)")
-    x = 2 * t / (1 + t * t)
-    p = 2 * t * t / (1 + t * t)
-    return single_current_conn_terms(n, m, x, p)
+    params = CurrentParams.from_t(t)
+    return single_current_conn_terms(n, m, params.x, params.single_current_p)
 
 
-def single_current_conn_interval(n: int, m: int, x: Fraction, bits: int = 128) -> Interval:
+def single_current_conn_interval(n: int, m: int, x: Fraction, bits: int = START_BITS) -> Interval:
     """Certified enclosure of the same probability at generic rational x.
 
     Evaluated in directed-rounding interval arithmetic at ``bits`` working
@@ -167,10 +167,8 @@ def single_current_conn_interval(n: int, m: int, x: Fraction, bits: int = 128) -
     x = Fraction(x)
     if not 0 < x < 1:
         raise ParametrizationError(f"x={x} outside (0,1)")
-    root = sqrt_interval(1 - x * x, bits)
-    p = RoundedInterval.point(1, bits) - RoundedInterval.from_interval(root, bits)
-    out = single_current_conn_terms(n, m, RoundedInterval.point(x, bits), p)
-    return out.as_interval()
+    p = 1 - sqrt_interval(1 - x * x, bits)
+    return single_current_conn_terms(n, m, Interval.point(x, bits), p)
 
 
 # ---------------------------------------------------------------------------
@@ -194,9 +192,8 @@ def single_current_loop_event_weights(n: int, m: int, x, p):
 
 def single_current_fkg_gap(n: int, m: int, t: Fraction) -> Fraction:
     """Exact P(X1 and X2) - P(X1)P(X2) for the single current at Pythagorean t."""
-    t = Fraction(t)
-    x = 2 * t / (1 + t * t)
-    p = 2 * t * t / (1 + t * t)
+    params = CurrentParams.from_t(t)
+    x, p = params.x, params.single_current_p
     z = theta_partition(n, m)(x)
     single, both = single_current_loop_event_weights(n, m, x, p)
     return both / z - (single / z) ** 2

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from loopcurrents.intervals import (
     Interval,
-    RoundedInterval,
     certify_decreasing_pair,
     sqrt_interval,
 )
@@ -84,18 +83,45 @@ class TestSqrt:
 
 
 class TestRoundedInterval:
+    def test_inverted_rejected(self):
+        with pytest.raises(ValueError):
+            Interval(Fraction(1), Fraction(0), bits=64)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.lists(frac, min_size=2, max_size=2).map(sorted),
+        st.lists(frac, min_size=2, max_size=2).map(sorted),
+        st.integers(min_value=0, max_value=50),
+        st.integers(min_value=4, max_value=64),
+    )
+    def test_rounded_results_enclose_exact_mode(self, a, b, n, bits):
+        exact_a, exact_b = Interval(*a), Interval(*b)
+        rounded_a, rounded_b = Interval(*a, bits), Interval(*b, bits)
+        results = [
+            (rounded_a + rounded_b, exact_a + exact_b),
+            (rounded_a - rounded_b, exact_a - exact_b),
+            (rounded_a * rounded_b, exact_a * exact_b),
+            (rounded_a**n, exact_a**n),
+            (rounded_b**n, exact_b**n),
+        ]
+        if not b[0] <= 0 <= b[1]:
+            results.append((rounded_a / rounded_b, exact_a / exact_b))
+        for rounded, exact in results:
+            assert rounded.bits == bits and exact.bits is None
+            assert rounded.lo <= exact.lo <= exact.hi <= rounded.hi
+
     def test_point_arithmetic_encloses_exact(self):
         a = Fraction(3, 7)
         b = Fraction(5, 11)
-        ia = RoundedInterval.point(a, 64)
-        ib = RoundedInterval.point(b, 64)
+        ia = Interval.point(a, 64)
+        ib = Interval.point(b, 64)
         exact = a * b + a - b / (a + 2)
         got = ia * ib + ia - ib / (ia + 2)
         assert got.lo <= exact <= got.hi
         assert got.width <= Fraction(1, 2**50)
 
     def test_large_power_stays_small_and_correct(self):
-        p = RoundedInterval.point(Fraction(99, 100), 128)
+        p = Interval.point(Fraction(99, 100), 128)
         big = p**4000
         exact = Fraction(99, 100) ** 4000
         assert big.lo <= exact <= big.hi
@@ -104,12 +130,12 @@ class TestRoundedInterval:
 
     def test_rounding_is_outward(self):
         v = Fraction(1, 3)
-        iv = RoundedInterval.point(v, 16) * RoundedInterval.point(v, 16)
+        iv = Interval.point(v, 16) * Interval.point(v, 16)
         assert iv.lo <= Fraction(1, 9) <= iv.hi
         assert iv.lo != iv.hi  # 1/9 is not dyadic, so rounding must widen
 
     def test_division(self):
-        a = RoundedInterval.point(Fraction(1, 3), 64)
+        a = Interval.point(Fraction(1, 3), 64)
         out = 1 / a
         assert out.lo <= 3 <= out.hi
 

@@ -121,6 +121,39 @@ class TestConnectionForms:
         iv = single_current_conn_interval(5, 2, F(13, 16))
         assert 0 <= iv.lo <= iv.hi <= 1
 
+    # Enclosure endpoints on the figure's (2000, 300) window.  The figure's
+    # pair sidecar prints such endpoints, so they pin the outward rounding of
+    # every step to the bit.
+    PINNED_ENCLOSURES = {
+        (F(255, 256), 128): (
+            "474536804769971762291470889922819851597/5444517870735015415413993718908291383296",
+            "474536804769971762291470889922819851645/5444517870735015415413993718908291383296",
+        ),
+        (F(255, 256), 256): (
+            "161476507118225272867408464983382554092026437594525234293676399585618423558783/"
+            "1852673427797059126777135760139006525652319754650249024631321344126610074238976",
+            "80738253559112636433704232491691277046013218797262617146838199792809211779405/"
+            "926336713898529563388567880069503262826159877325124512315660672063305037119488",
+        ),
+        (F(32705, 32768), 128): (
+            "157369862010309530062256983608169105679/680564733841876926926749214863536422912",
+            "314739724020619060124513967216338211419/1361129467683753853853498429727072845824",
+        ),
+        (F(32705, 32768), 256): (
+            "214200756507558408788602721930467813231078057396440372153479974592029175074117/"
+            "926336713898529563388567880069503262826159877325124512315660672063305037119488",
+            "53550189126889602197150680482616953307769514349110093038369993648007293768545/"
+            "231584178474632390847141970017375815706539969331281128078915168015826259279872",
+        ),
+    }
+
+    @pytest.mark.parametrize("x, bits", sorted(PINNED_ENCLOSURES))
+    def test_interval_endpoints_are_pinned(self, x, bits):
+        iv = single_current_conn_interval(2000, 300, x, bits)
+        lo, hi = self.PINNED_ENCLOSURES[x, bits]
+        assert (iv.lo, iv.hi) == (F(lo), F(hi))
+        assert iv.bits == bits
+
     def test_interval_rejects_bad_x(self):
         with pytest.raises(ParametrizationError):
             single_current_conn_interval(2, 2, F(0))
