@@ -19,10 +19,6 @@ STANDARD_X = (
     Fraction(9, 10),
 )
 
-# Pythagorean generators for exact single-current work: t=1/2 -> x=4/5,
-# t=1/3 -> x=3/5, t=1/4 -> x=8/17, t=1/10 -> x=20/101.
-STANDARD_T = (Fraction(1, 10), Fraction(1, 4), Fraction(1, 3), Fraction(1, 2))
-
 RANDOM_BATTERY_SEED = 20220919
 RANDOM_BATTERY_SIZE = 20
 

@@ -120,20 +120,40 @@ class FkgReport:
 # FKG
 
 
-def fkg_pair_gap(d: Dist, a: Event, b: Event, require_increasing: bool = True) -> Fraction:
-    """P(A and B) - P(A)P(B), exact.  Negative certifies an FKG violation."""
-    if require_increasing and not (a.increasing and b.increasing):
+def fkg_gaps(
+    dists: Sequence[Dist],
+    event_pairs: Sequence[tuple[Event, Event]],
+    require_increasing: bool = True,
+) -> list[list[Fraction]]:
+    """P(A and B) - P(A)P(B), exact, for each law of ``dists`` (rows) and
+    each pair (A, B) of ``event_pairs`` (columns).  Negative certifies an
+    FKG violation.
+
+    One :func:`~loopcurrents.measures.bit_masses` pass over the family: one
+    bit per distinct event, then one bit per pair, set when both hold.
+    """
+    events = list({id(ev): ev for pair in event_pairs for ev in pair}.values())
+    if require_increasing and not all(ev.increasing for ev in events):
         raise LoopCurrentsError(
-            "fkg_pair_gap needs events verified increasing; "
+            "FKG gaps need events verified increasing; "
             "use events.verified_increasing or pass require_increasing=False"
         )
+    if len({ev.graph.edges for ev in events} | {d.graph.edges for d in dists}) > 1:
+        raise GraphMismatchError("events and distributions live on different graphs")
+    pairs = [(events.index(a), events.index(b)) for a, b in event_pairs]
+    k = len(events)
 
-    def stat(mask):  # bits A, B, A and B
-        s = a.holds(mask) | b.holds(mask) << 1
-        return s | (s == 3) << 2
+    def stat(mask):
+        s = sum(1 << i for i, ev in enumerate(events) if ev.holds(mask))
+        return s | sum(1 << k + j for j, (i, i2) in enumerate(pairs) if s >> i & s >> i2 & 1)
 
-    p_a, p_b, p_ab = bit_masses(d, stat, 3)
-    return p_ab - p_a * p_b
+    rows = bit_masses(dists, stat, k + len(pairs))
+    return [[row[k + j] - row[i] * row[i2] for j, (i, i2) in enumerate(pairs)] for row in rows]
+
+
+def fkg_pair_gap(d: Dist, a: Event, b: Event, require_increasing: bool = True) -> Fraction:
+    """P(A and B) - P(A)P(B), exact.  Negative certifies an FKG violation."""
+    return fkg_gaps([d], [(a, b)], require_increasing)[0][0]
 
 
 def fkg_report(
@@ -145,9 +165,8 @@ def fkg_report(
     lattice-condition verdict.  Negative gaps certify FKG violations; the
     lattice condition is only sufficient, so its failure alone proves
     nothing about FKG."""
-    gaps = tuple(
-        (a.describe(), b.describe(), fkg_pair_gap(d, a, b)) for a, b in event_pairs
-    )
+    (row,) = fkg_gaps([d], event_pairs)
+    gaps = tuple((a.describe(), b.describe(), gap) for (a, b), gap in zip(event_pairs, row))
     if not check_lattice:
         return FkgReport(pair_gaps=gaps)
     lattice = lattice_condition(d)
@@ -382,8 +401,7 @@ def _upset_witness(generators: Sequence[int], d_lo: Dist, d_hi: Dist) -> UpSetWi
     def inside(mask):
         return any(mask & g == g for g in minimal)
 
-    (mass_lo,) = bit_masses(d_lo, inside, 1)
-    (mass_hi,) = bit_masses(d_hi, inside, 1)
+    (mass_lo,), (mass_hi,) = bit_masses([d_lo, d_hi], inside, 1)
     return UpSetWitness(minimal, mass_lo, mass_hi)
 
 
@@ -441,16 +459,15 @@ def union_preservation_test(
                 "input_failures": [(str(a), str(b)) for a, b, _ in fails],
             }
 
-    union_fails = monotonicity_scan(union_family, grid)
-    gap_records = []
-    negative_gap = False
-    for x in grid if event_pairs else ():
-        d = union_family(x)
-        for ev_a, ev_b in event_pairs:
-            gap = fkg_pair_gap(d, ev_a, ev_b)
-            gap_records.append((str(x), ev_a.describe(), ev_b.describe(), format_rational(gap)))
-            if gap < 0:
-                negative_gap = True
+    laws = {x: union_family(x) for x in grid}
+    union_fails = monotonicity_scan(laws.__getitem__, grid)
+    gaps = fkg_gaps([laws[x] for x in grid], event_pairs) if event_pairs else []
+    gap_records = [
+        (str(x), a.describe(), b.describe(), format_rational(gap))
+        for x, row in zip(grid, gaps)
+        for (a, b), gap in zip(event_pairs, row)
+    ]
+    negative_gap = any(gap < 0 for row in gaps for gap in row)
 
     status = "verified" if not union_fails and not negative_gap else "violated"
     return {

@@ -273,11 +273,6 @@ def verify_lis_equivalence(args) -> list[str]:
     return failures
 
 
-def _edge_masses(d, stat=None) -> list[Fraction]:
-    """P(edge e is in stat(mask)) for every edge e; stat defaults to the mask."""
-    return bit_masses(d, stat or (lambda m: m), d.graph.edge_count)
-
-
 def verify_cor1(args) -> list[str]:
     failures = []
     for name, g in _battery(args):
@@ -286,9 +281,11 @@ def verify_cor1(args) -> list[str]:
             return m & cyclic_edges(g, m)
 
         for x in _verify_xs(args):
-            left = _edge_masses(double_current(g, x), open_cyclic)
-            mid = _edge_masses(loop_o1(g, x))
-            right = _edge_masses(random_cluster(g, x), open_cyclic)
+            # one bridge search per configuration the two laws share
+            left, right = bit_masses(
+                [double_current(g, x), random_cluster(g, x)], open_cyclic, g.edge_count
+            )
+            (mid,) = bit_masses([loop_o1(g, x)], lambda m: m, g.edge_count)
             for e in range(g.edge_count):
                 if not left[e] / 2 == mid[e] == right[e] / 2:
                     failures.append(f"cor1: {name} x={x} edge={e}")
@@ -300,13 +297,12 @@ def verify_edge_identities(args) -> list[str]:
     for name, g in _battery(args):
         for x in _verify_xs(args):
             lo = loop_o1(g, x)
-            base = _edge_masses(lo)
-            doubled = _edge_masses(double_loop(g, x))
             ps = (Fraction(1, 3), x)
-            unioned = {p: _edge_masses(union_bernoulli(lo, p)) for p in ps}
+            laws = [lo, double_loop(g, x), *(union_bernoulli(lo, p) for p in ps)]
+            base, doubled, *unioned = bit_masses(laws, lambda m: m, g.edge_count)
             for e in range(g.edge_count):
-                for p in ps:
-                    if unioned[p][e] != base[e] + p * (1 - base[e]):
+                for p, masses in zip(ps, unioned):
+                    if masses[e] != base[e] + p * (1 - base[e]):
                         failures.append(f"edge-identities: {name} x={x} e={e} p={p}")
                 if doubled[e] != base[e] * (2 - base[e]):
                     failures.append(f"edge-identities double: {name} x={x} e={e}")

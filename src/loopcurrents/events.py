@@ -5,7 +5,7 @@ The flag is only trusted for kinds that are increasing by construction
 (connection, edge-open, all-open); anything else must earn it through
 :func:`check_increasing`.
 
-Masses of events and statistics take one ``measures.bit_masses`` pass per law.
+Masses of events and statistics come from ``measures.bit_masses``.
 """
 
 from __future__ import annotations
@@ -201,5 +201,5 @@ def statistic_dist(d: Dist, s: Statistic) -> dict[int, Fraction]:
     """Exact pushforward of the statistic under d, without values of mass 0."""
     if s.graph.edges != d.graph.edges:
         raise GraphMismatchError("statistic and distribution live on different graphs")
-    masses = bit_masses(d, lambda m: 1 << s.value(m), d.graph.edge_count + 1)
+    (masses,) = bit_masses([d], lambda m: 1 << s.value(m), d.graph.edge_count + 1)
     return {k: p for k, p in enumerate(masses) if p}

@@ -21,6 +21,8 @@ from fractions import Fraction
 from math import isqrt
 from typing import Callable, Sequence
 
+from .rationals import _validate_grid
+
 
 # Precision policy of every enclosure loop: start at START_BITS and double
 # until the enclosure is sharp enough, giving up after MAX_BITS.
@@ -215,6 +217,7 @@ def certify_decreasing_pair(
     two enclosures are disjoint, which proves the strict inequality.  A
     ``None`` result is not a monotonicity proof.
     """
+    _validate_grid(grid)
     enclosures = [f(x, start_bits) for x in grid]
     mids = [iv.midpoint for iv in enclosures]
     best_idx = 0

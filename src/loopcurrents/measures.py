@@ -16,7 +16,8 @@ registry :data:`MODELS` that :func:`build` assembles:
   equivalently the double loop model union Bernoulli at the doubled
   parameter (x^2 for currents, x(2-x) for clusters).
 
-Event, edge and histogram masses all come from one pass of :func:`bit_masses`.
+Event, edge and histogram masses over a family of laws all come from
+:func:`bit_masses`.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Callable
+from typing import Callable, Sequence
 
 from .errors import (
     CapExceededError,
@@ -441,32 +442,36 @@ def push_uniform_even(d: Dist, cap: int = CYCLE_DIMENSION_CAP) -> Dist:
 # Probabilities
 
 
-def bit_masses(d: Dist, stat: Callable[[int], int], width: int) -> list[Fraction]:
-    """P(bit i of stat(mask) is set) under d for each i < width, in one pass:
-    integer numerators are added per distinct stat value, each total goes to
-    its value's set bits, and one ``Fraction`` is built per bit.  An event is
+def bit_masses(dists: Sequence[Dist], stat: Callable[[int], int], width: int) -> list[list[Fraction]]:
+    """P(bit i of stat(mask) is set) for each i < width, one row per law of
+    ``dists``.  stat runs once per distinct configuration across the family;
+    each law adds its integer numerators per stat value, sends each total to
+    its value's set bits and builds one ``Fraction`` per bit.  An event is
     the one-bit stat ``holds``; a histogram of s is the stat ``1 << s(mask)``."""
-    nums, den = d.integer_weights()
-    by_value: dict[int, int] = {}
-    for mask, w in nums.items():
-        s = stat(mask)
-        by_value[s] = by_value.get(s, 0) + w
-    totals = [0] * width
-    for s, w in by_value.items():
-        s &= (1 << width) - 1
-        while s:
-            low = s & -s
-            totals[low.bit_length() - 1] += w
-            s ^= low
-    mass = d.z * den
-    return [Fraction(t * mass.denominator, mass.numerator) for t in totals]
+    keep = (1 << width) - 1
+    stats = {m: stat(m) & keep for m in dict.fromkeys(m for d in dists for m in d.weights)}
+    rows = []
+    for d in dists:
+        nums, den = d.integer_weights()
+        by_value: dict[int, int] = {}
+        for mask, w in nums.items():
+            by_value[stats[mask]] = by_value.get(stats[mask], 0) + w
+        totals = [0] * width
+        for s, w in by_value.items():
+            while s:
+                low = s & -s
+                totals[low.bit_length() - 1] += w
+                s ^= low
+        mass = d.z * den
+        rows.append([Fraction(t * mass.denominator, mass.numerator) for t in totals])
+    return rows
 
 
 def prob(d: Dist, event) -> Fraction:
     """Exact probability of an event (see events module) under d."""
     if event.graph.edges != d.graph.edges:
         raise GraphMismatchError("event and distribution live on different graphs")
-    return bit_masses(d, event.holds, 1)[0]
+    return bit_masses([d], event.holds, 1)[0][0]
 
 
 def _require_same_graph(d1: Dist, d2: Dist):

@@ -16,8 +16,9 @@ The expected verdict per cell is fixed (KNOWN_VERDICTS); the builder
 refuses to upgrade an open cell to a claim and treats a failed scan on a
 "holds" cell as an error worth surfacing loudly.
 
-Each graph's scans share one law per grid point; FKG reads each law in one
-``measures.bit_masses`` pass, and CON and SING share another.
+Each graph's scans share one law per grid point; FKG reads the laws in one
+``checkers.fkg_gaps`` call, and CON and SING share one
+``measures.bit_masses`` pass over them.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from typing import Sequence
 
 from . import theta
 from .battery import scan_battery
-from .checkers import monotonicity_scan, stochastic_domination
+from .checkers import fkg_gaps, monotonicity_scan, stochastic_domination
 from .errors import LoopCurrentsError
 from .events import Event, all_open, connect, edge_open
 from .graphs import Graph, component_labels, counter_family
@@ -165,24 +166,20 @@ def _law(model: str, g: Graph, x: Fraction) -> Dist:
 def _connection_masses(
     dists: list[Dist], g: Graph, side_pairs: Sequence[tuple[tuple, tuple]]
 ) -> list[list[Fraction]]:
-    """pairs x grid matrix of P(some vertex of A connects to some of B).
+    """pairs x grid matrix of P(some vertex of A connects to some of B),
+    from one :func:`~loopcurrents.measures.bit_masses` pass over the laws
+    with one bit per pair: component labels are computed once per distinct
+    configuration."""
 
-    Component labels and pair bits are computed once per support
-    configuration; each law then takes one
-    :func:`~loopcurrents.measures.bit_masses` pass with one bit per pair.
-    """
-    stats: dict[int, int] = {}
-    for d in dists:
-        for m in d.weights:
-            if m not in stats:
-                lab = component_labels(g, m)
-                stats[m] = sum(
-                    1 << i
-                    for i, (side_a, side_b) in enumerate(side_pairs)
-                    if {lab[u] for u in side_a} & {lab[v] for v in side_b}
-                )
-    columns = [bit_masses(d, stats.__getitem__, len(side_pairs)) for d in dists]
-    return [list(row) for row in zip(*columns)]
+    def stat(m):
+        lab = component_labels(g, m)
+        return sum(
+            1 << i
+            for i, (side_a, side_b) in enumerate(side_pairs)
+            if {lab[u] for u in side_a} & {lab[v] for v in side_b}
+        )
+
+    return [list(row) for row in zip(*bit_masses(dists, stat, len(side_pairs)))]
 
 
 def _singleton_pairs(g: Graph) -> list[tuple[tuple, tuple]]:
@@ -260,36 +257,20 @@ CONNECTION_SCANS = {"CON": (_subset_pairs, _con_record), "SING": (_singleton_pai
 
 def scan_fkg(name: str, g: Graph, laws, grid) -> list[dict]:
     """Pairwise gap scan of graph ``name`` over a small increasing-event
-    battery, under the laws ``laws[x]`` at the grid points: one
-    :func:`~loopcurrents.measures.bit_masses` pass per law, with one bit
-    per event pair (i, j), i <= j, set when both events hold."""
-    violations = []
-    dists = [laws[x] for x in grid]
-    events = _fkg_events(g)
-    index_pairs = [(i, j) for i in range(len(events)) for j in range(i, len(events))]
-    single = {i: k for k, (i, j) in enumerate(index_pairs) if i == j}
-    stats: dict[int, int] = {}
-    for d in dists:
-        for m in d.weights:
-            if m not in stats:
-                holds = [ev.holds(m) for ev in events]
-                stats[m] = sum(
-                    1 << k for k, (i, j) in enumerate(index_pairs) if holds[i] and holds[j]
-                )
-    for x, d in zip(grid, dists):
-        masses = bit_masses(d, stats.__getitem__, len(index_pairs))
-        for k, (i, j) in enumerate(index_pairs):
-            gap = masses[k] - masses[single[i]] * masses[single[j]]
-            if gap < 0:
-                violations.append(
-                    {
-                        "graph": name,
-                        "events": [events[i].describe(), events[j].describe()],
-                        "x": format_rational(x),
-                        "gap": format_rational(gap),
-                    }
-                )
-    return violations
+    battery, under the laws ``laws[x]`` at the grid points, by one
+    :func:`~loopcurrents.checkers.fkg_gaps` call."""
+    pairs = list(combinations(_fkg_events(g), 2))
+    return [
+        {
+            "graph": name,
+            "events": [a.describe(), b.describe()],
+            "x": format_rational(x),
+            "gap": format_rational(gap),
+        }
+        for x, row in zip(grid, fkg_gaps([laws[x] for x in grid], pairs))
+        for (a, b), gap in zip(pairs, row)
+        if gap < 0
+    ]
 
 
 def scan_mon(name: str, laws, grid) -> list[dict]:

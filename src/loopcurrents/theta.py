@@ -21,10 +21,18 @@ from fractions import Fraction
 from itertools import combinations
 
 from .errors import GraphStructureError, ParametrizationError
-from .events import all_open
+from .events import all_open, connect, cyclic_count, statistic_dist
 from .graphs import Graph, counter_family, generalized_theta, is_connected, segment_edge_ranges
 from .intervals import START_BITS, Interval, sqrt_interval
-from .measures import CurrentParams
+from .measures import (
+    CurrentParams,
+    double_current,
+    double_loop,
+    loop_o1,
+    prob,
+    random_cluster,
+    single_current,
+)
 from .rationals import Polynomial, RationalFunction
 
 
@@ -323,7 +331,6 @@ _COUNTER_PATH_SUBSETS = (
     (0, 1, 2, 3),
 )
 
-THETA_CONFIG_LABELS = ("empty", "loop(n+m) first", "loop(m+l) second", "loop(n+l) outer")
 COUNTER_CONFIG_LABELS = (
     "empty",
     "2m",
@@ -416,17 +423,6 @@ def closed_form_discrepancies(n: int, m: int, t: Fraction, x: Fraction) -> list[
     Runs at enumeration scale (small n, m).  Returns one record per
     mismatch; an empty list certifies agreement at the sampled parameters.
     """
-    from .events import connect, cyclic_count, statistic_dist
-    from .measures import (
-        CurrentParams,
-        double_current,
-        double_loop,
-        loop_o1,
-        prob,
-        random_cluster,
-        single_current,
-    )
-
     out = []
     t = Fraction(t)
     x = Fraction(x)

@@ -8,13 +8,14 @@ from hypothesis import strategies as st
 from loopcurrents import checkers
 from loopcurrents.checkers import (
     DominationReport,
+    fkg_gaps,
     fkg_pair_gap,
     lattice_condition,
     monotonicity_scan,
     stochastic_domination,
     union_preservation_test,
 )
-from loopcurrents.errors import CapExceededError, LoopCurrentsError
+from loopcurrents.errors import CapExceededError, GraphMismatchError, LoopCurrentsError
 from loopcurrents.events import all_open, connect, edge_open
 from loopcurrents.graphs import Graph, complete_graph, counter_family, generalized_theta
 from loopcurrents.measures import (
@@ -117,6 +118,35 @@ class TestFkgPairGap:
     def test_double_loop_gap_negative_needs_unequal_lengths(self):
         assert double_loop_fkg_gap(3, 2, F(1, 10)) < 0
         assert double_loop_fkg_gap(2, 2, F(1, 10)) > 0
+
+
+class TestGraphMismatch:
+    """Every FKG gap refuses events of another graph, as ``prob`` does."""
+
+    def test_pair_gap_and_report_refuse_events_of_another_graph(self):
+        d = bernoulli(THETA111, F(1, 2))
+        foreign = (edge_open(K4, 5), connect(K4, 0, 3))
+        with pytest.raises(GraphMismatchError):
+            fkg_pair_gap(d, *foreign)
+        with pytest.raises(GraphMismatchError):
+            fkg_pair_gap(d, edge_open(THETA111, 0), foreign[1])
+        with pytest.raises(GraphMismatchError):
+            checkers.fkg_report(d, [foreign])
+
+    def test_gaps_refuse_laws_of_different_graphs(self):
+        pair = (edge_open(THETA111, 0), edge_open(THETA111, 1))
+        laws = [bernoulli(THETA111, F(1, 2)), bernoulli(generalized_theta([1, 1, 2]), F(1, 2))]
+        with pytest.raises(GraphMismatchError):
+            fkg_gaps(laws, [pair])
+
+    def test_union_preservation_refuses_events_of_another_graph(self):
+        def fam(x):
+            return bernoulli(THETA111, x)
+
+        with pytest.raises(GraphMismatchError):
+            union_preservation_test(
+                fam, fam, dyadic_grid(2), event_pairs=[(edge_open(K4, 5), connect(K4, 0, 3))]
+            )
 
 
 class TestFkgReport:
@@ -432,7 +462,7 @@ class TestScans:
         calls.clear()
         pairs = [(edge_open(THETA111, 0), edge_open(THETA111, 1))]
         union_preservation_test(fam, fam, grid, union_family=union_fam, event_pairs=pairs)
-        assert len(calls) == 2 * len(grid)
+        assert len(calls) == len(grid)  # the gap pass reads the scan's laws
 
     def test_union_preservation_inconclusive_when_hypothesis_fails(self):
         g = counter_family(8, 2)

@@ -2,6 +2,7 @@ import argparse
 import csv
 import hashlib
 import json
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -209,6 +210,33 @@ class TestBatchedSuites:
         assert cli.verify_cor1(ONE_X) == []
         assert len(read) == 2 * len(cli._battery(ONE_X))
         assert 0 < len(calls) <= sum(len(d.weights) for d in read)
+
+    def test_cor1_searches_bridges_once_per_configuration_of_both_laws(self, monkeypatch):
+        searched = Counter()
+        read = []
+
+        def counting_cyclic_edges(g, mask):
+            searched[id(g), mask] += 1
+            return cyclic_edges(g, mask)
+
+        def reading(build):
+            def wrapped(g, x):
+                read.append((id(g), build(g, x)))
+                return read[-1][1]
+
+            return wrapped
+
+        monkeypatch.setattr(cli, "cyclic_edges", counting_cyclic_edges)
+        monkeypatch.setattr(cli, "double_current", reading(double_current))
+        monkeypatch.setattr(cli, "random_cluster", reading(random_cluster))
+        assert cli.verify_cor1(ONE_X) == []
+        # one x per graph: the double current and random cluster of each graph
+        # are read together, and each configuration of either is searched once
+        expected = Counter()
+        for (graph, dc), (same, rc) in zip(read[::2], read[1::2]):
+            assert graph == same
+            expected.update((graph, m) for m in {*dc.weights, *rc.weights})
+        assert searched == expected
 
 
 class TestSample:

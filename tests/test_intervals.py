@@ -9,6 +9,7 @@ from loopcurrents.intervals import (
     certify_decreasing_pair,
     sqrt_interval,
 )
+from loopcurrents.rationals import find_decreasing_pair
 
 frac = st.fractions(min_value=-3, max_value=3, max_denominator=16)
 
@@ -158,6 +159,25 @@ class TestCertifiedPairs:
             return Interval.point(x)
 
         assert certify_decreasing_pair(f, [Fraction(1, 4), Fraction(1, 2)]) is None
+
+    @pytest.mark.parametrize(
+        "grid",
+        [
+            [Fraction(1, 2), Fraction(1, 4)],
+            [Fraction(1, 4), Fraction(1, 4)],
+            [Fraction(0), Fraction(1, 2)],
+            [Fraction(1, 2), Fraction(1)],
+            [Fraction(-1, 2), Fraction(1, 2)],
+        ],
+    )
+    def test_grid_is_validated_as_for_exact_pairs(self, grid):
+        def f(x, bits):
+            return Interval.point(x)
+
+        with pytest.raises(ValueError):
+            certify_decreasing_pair(f, grid)
+        with pytest.raises(ValueError):
+            find_decreasing_pair(lambda x: x, grid)
 
     def test_refinement_loop_is_used(self):
         calls = []

@@ -11,7 +11,7 @@ from loopcurrents.errors import (
     ParametrizationError,
 )
 from loopcurrents import overview
-from loopcurrents.checkers import fkg_pair_gap
+from loopcurrents.checkers import fkg_gaps, fkg_pair_gap
 from loopcurrents.events import (
     all_open,
     connect,
@@ -424,11 +424,28 @@ class TestBitMasses:
         d = data.draw(mixed_dists(g))
         width = data.draw(st.integers(0, 6))
         table = {m: data.draw(stat_values) for m in d.weights}
-        masses = bit_masses(d, table.__getitem__, width)
+        (masses,) = bit_masses([d], table.__getitem__, width)
         assert len(masses) == width
         for i, mass in enumerate(masses):
             assert type(mass) is Fraction
             assert mass == prob_bruteforce(d, custom(g, lambda m, i=i: table[m] >> i & 1))
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_a_family_evaluates_the_stat_once_per_configuration(self, data):
+        g = data.draw(st.sampled_from(ORACLE_GRAPHS))
+        dists = data.draw(st.lists(mixed_dists(g), min_size=1, max_size=4))
+        width = data.draw(st.integers(0, 6))
+        table = {m: data.draw(stat_values) for d in dists for m in d.weights}
+        seen = []
+
+        def stat(m):
+            seen.append(m)
+            return table[m]
+
+        rows = bit_masses(dists, stat, width)
+        assert sorted(seen) == sorted(table)
+        assert rows == [bit_masses([d], table.__getitem__, width)[0] for d in dists]
 
     @settings(max_examples=40, deadline=None)
     @given(data=st.data())
@@ -465,6 +482,24 @@ class TestBitMasses:
                 both = custom(g, lambda m: a.holds(m) and b.holds(m))
                 expected = prob_bruteforce(d, both) - prob_bruteforce(d, a) * prob_bruteforce(d, b)
                 assert fkg_pair_gap(d, a, b, require_increasing=False) == expected
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_fkg_gaps_over_a_family_match_the_oracle(self, data):
+        g = data.draw(st.sampled_from(ORACLE_GRAPHS))
+        dists = data.draw(st.lists(mixed_dists(g), min_size=1, max_size=3))
+        chosen = data.draw(st.sets(st.integers(0, g.full_mask)))
+        battery = [custom(g, chosen.__contains__), *events_on(g)]
+        pairs = data.draw(st.lists(st.tuples(*[st.sampled_from(battery)] * 2), max_size=6))
+        expected = [
+            [
+                prob_bruteforce(d, custom(g, lambda m: a.holds(m) and b.holds(m)))
+                - prob_bruteforce(d, a) * prob_bruteforce(d, b)
+                for a, b in pairs
+            ]
+            for d in dists
+        ]
+        assert fkg_gaps(dists, pairs, require_increasing=False) == expected
 
     @settings(max_examples=25, deadline=None)
     @given(data=st.data())

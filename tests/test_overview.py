@@ -1,10 +1,13 @@
 from collections import Counter
+from itertools import combinations
 
 from loopcurrents import overview
-from loopcurrents.events import connect
-from loopcurrents.graphs import component_labels, counter_family, generalized_theta
+from loopcurrents.events import connect, custom
+from loopcurrents.graphs import component_labels, complete_graph, counter_family, generalized_theta
 from loopcurrents.measures import MODELS, CurrentParams, build, prob
-from loopcurrents.rationals import dyadic_grid
+from loopcurrents.rationals import dyadic_grid, format_rational
+
+from oracles import prob_bruteforce
 
 
 def test_each_law_is_built_once_and_shared_by_the_scans(monkeypatch):
@@ -47,3 +50,26 @@ def test_one_labels_pass_serves_both_connection_scans(monkeypatch):
     assert set(found) == set(overview.PROPERTIES)
     support = {m for x in grid for m in build("double_current", g, CurrentParams.from_x(x)).weights}
     assert labelled == Counter(support)
+
+
+def test_fkg_scan_returns_exactly_the_oracles_negative_gaps():
+    grid = dyadic_grid(3)
+    for name, g in (("counter(2,2)", counter_family(2, 2)), ("K4", complete_graph(4))):
+        laws = {x: build("loop", g, CurrentParams.from_x(x)) for x in grid}
+        expected = []
+        for x in grid:
+            for a, b in combinations(overview._fkg_events(g), 2):
+                both = custom(g, lambda m: a.holds(m) and b.holds(m))
+                d = laws[x]
+                gap = prob_bruteforce(d, both) - prob_bruteforce(d, a) * prob_bruteforce(d, b)
+                if gap < 0:
+                    expected.append(
+                        {
+                            "graph": name,
+                            "events": [a.describe(), b.describe()],
+                            "x": format_rational(x),
+                            "gap": format_rational(gap),
+                        }
+                    )
+        assert expected  # the loop model breaks FKG on both graphs
+        assert overview.scan_fkg(name, g, laws, grid) == expected
