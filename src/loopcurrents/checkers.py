@@ -9,6 +9,15 @@ so the verdict and both kinds of certificate are exact:
 * success returns the coupling (joint weights with exact marginals);
 * failure returns an up-set U, as its minimal elements, whose masses
   violate mu_lo(U) <= mu_hi(U), extracted from the min cut.
+
+Monotonicity scans need only the verdict, and try a flow-free route first:
+when both laws give every configuration positive weight, Holley's
+criterion in its local form (:func:`_holley_local`) is checked with exact
+integer products.  If mu_hi is a lattice law, its single-edge conditional
+probabilities increase with the rest of the configuration, so the
+heat-bath coupling of the two laws is monotone and mu_lo <= mu_hi.  The
+criterion is only sufficient: when it fails, the scan runs the flow, and
+every refutation and witness still comes from the min cut.
 """
 
 from __future__ import annotations
@@ -321,54 +330,70 @@ def _lattice_coordinates(full: int, masks: Sequence[int]) -> list[int]:
     return classes
 
 
-def stochastic_domination(d_lo: Dist, d_hi: Dist) -> DominationReport:
-    """Decide whether d_hi stochastically dominates d_lo, with certificate.
+class _CoveringFlow:
+    """Strassen's network for d_lo <=st d_hi, saturated by a max-flow.
 
     Network on the covering graph of the subset lattice of the edge classes
     (:func:`_lattice_coordinates`): source -> the point of each low-support
     mask A (capacity P_lo(A)), uncapacitated covering arcs c -> c | bit,
     the point of each high-support mask B -> sink (capacity P_hi(B)).
     Containment is the transitive closure of covering, so full flow exists
-    iff a coupling on comparable pairs does (Strassen 1965); the flow's path
-    decomposition is that coupling.  On a deficit the residual source side
-    is the minimal min cut, closed upward, and its low-support masks
-    generate a violating up-set.
+    iff a coupling on comparable pairs does (Strassen 1965), and
+    :meth:`coupling` reads it off the flow's path decomposition.  On a
+    deficit the residual source side is the minimal min cut, closed upward,
+    and its low-support masks generate the violating up-set ``witness``;
+    ``witness`` is None when the flow carries all the mass.
     """
-    if d_lo.graph.edges != d_hi.graph.edges:
-        raise GraphMismatchError("distributions live on different graphs")
-    nums_lo, _ = d_lo.integer_weights()
-    nums_hi, _ = d_hi.integer_weights()
-    classes = _lattice_coordinates(d_lo.graph.full_mask, [*nums_lo, *nums_hi])
-    k = len(classes)
-    if k > EDGE_ENUMERATION_CAP:
-        raise CapExceededError("domination lattice coordinates", k, EDGE_ENUMERATION_CAP)
-    node = {
-        m: 2 + sum(1 << i for i, c in enumerate(classes) if m & c)
-        for m in (*nums_lo, *nums_hi)
-    }
 
-    # P(m) = nums[m] / (z * den), and the numerators sum to z * den: scale
-    # both laws to the same integer total
-    mass_lo, mass_hi = sum(nums_lo.values()), sum(nums_hi.values())
-    total = lcm(mass_lo, mass_hi)
-    net = _Dinic(2 + (1 << k))
-    source_arcs = {m: net.add_edge(0, node[m], w * (total // mass_lo)) for m, w in nums_lo.items()}
-    for m, w in nums_hi.items():
-        net.add_edge(node[m], 1, w * (total // mass_hi))
-    for c in range(1 << k):
-        for i in range(k):
-            if not c >> i & 1:
-                net.add_edge(2 + c, 2 + (c | 1 << i), total)
+    def __init__(self, d_lo: Dist, d_hi: Dist):
+        _require_same_edges(d_lo, d_hi)
+        nums_lo, _ = d_lo.integer_weights()
+        nums_hi, _ = d_hi.integer_weights()
+        classes = _lattice_coordinates(d_lo.graph.full_mask, [*nums_lo, *nums_hi])
+        k = len(classes)
+        if k > EDGE_ENUMERATION_CAP:
+            raise CapExceededError("domination lattice coordinates", k, EDGE_ENUMERATION_CAP)
+        node = {
+            m: 2 + sum(1 << i for i, c in enumerate(classes) if m & c)
+            for m in (*nums_lo, *nums_hi)
+        }
 
-    if net.max_flow(0, 1) == total:
-        # split the flow into source-to-sink paths: the lattice points, in
-        # topological order, pass the parcels of low mass they hold on along
-        # their outgoing arcs (the flow on arc idx is the residual capacity
-        # of its reverse arc idx ^ 1)
+        # P(m) = nums[m] / (z * den), and the numerators sum to z * den:
+        # scale both laws to the same integer total
+        mass_lo, mass_hi = sum(nums_lo.values()), sum(nums_hi.values())
+        total = lcm(mass_lo, mass_hi)
+        net = _Dinic(2 + (1 << k))
+        source_arcs = {
+            m: net.add_edge(0, node[m], w * (total // mass_lo)) for m, w in nums_lo.items()
+        }
+        for m, w in nums_hi.items():
+            net.add_edge(node[m], 1, w * (total // mass_hi))
+        for c in range(1 << k):
+            for i in range(k):
+                if not c >> i & 1:
+                    net.add_edge(2 + c, 2 + (c | 1 << i), total)
+        self.net, self.node, self.total = net, node, total
+        self.source_arcs, self.hi_masks = source_arcs, list(nums_hi)
+
+        self.witness = None
+        if net.max_flow(0, 1) < total:
+            source_side = net.min_cut_side(0)
+            self.witness = _upset_witness(
+                [m for m in nums_lo if node[m] in source_side], d_lo, d_hi
+            )
+            if self.witness.gap <= 0:
+                raise LoopCurrentsError("internal error: min cut produced a non-violating up-set")
+
+    def coupling(self) -> tuple[tuple[int, int, Fraction], ...]:
+        """Split the full flow into source-to-sink paths: the lattice points,
+        in topological order, pass the parcels of low mass they hold on
+        along their outgoing arcs (the flow on arc idx is the residual
+        capacity of its reverse arc idx ^ 1)."""
+        net, node = self.net, self.node
         held: list[list[list[int]]] = [[] for _ in range(net.n)]
-        for a, arc in source_arcs.items():
+        for a, arc in self.source_arcs.items():
             held[node[a]].append([a, net.cap[arc ^ 1]])
-        hi_at = {node[m]: m for m in nums_hi}
+        hi_at = {node[m]: m for m in self.hi_masks}
         pairs: dict[tuple[int, int], int] = {}
         for u in range(2, net.n):
             parcels = held[u]
@@ -385,14 +410,63 @@ def stochastic_domination(d_lo: Dist, d_hi: Dist) -> DominationReport:
                     parcel[1] -= moved
                     if not parcel[1]:
                         parcels.pop()
-        coupling = tuple((a, b, Fraction(f, total)) for (a, b), f in sorted(pairs.items()))
-        return DominationReport(True, coupling=coupling)
+        return tuple((a, b, Fraction(f, self.total)) for (a, b), f in sorted(pairs.items()))
 
-    source_side = net.min_cut_side(0)
-    witness = _upset_witness([m for m in nums_lo if node[m] in source_side], d_lo, d_hi)
-    if witness.gap <= 0:
-        raise LoopCurrentsError("internal error: min cut produced a non-violating up-set")
-    return DominationReport(False, witness=witness)
+
+def _require_same_edges(d_lo: Dist, d_hi: Dist) -> None:
+    if d_lo.graph.edges != d_hi.graph.edges:
+        raise GraphMismatchError("distributions live on different graphs")
+
+
+def stochastic_domination(d_lo: Dist, d_hi: Dist) -> DominationReport:
+    """Decide whether d_hi stochastically dominates d_lo, with certificate:
+    the coupling of the covering network's full flow, or the up-set of its
+    min cut (:class:`_CoveringFlow`)."""
+    flow = _CoveringFlow(d_lo, d_hi)
+    if flow.witness is not None:
+        return DominationReport(False, witness=flow.witness)
+    return DominationReport(True, coupling=flow.coupling())
+
+
+def _holley_local(d_lo: Dist, d_hi: Dist) -> bool:
+    """Holley's criterion in its local form, on strictly positive laws.
+
+    True when both laws give every mask positive weight and, for every
+    mask m and edges e != f outside it, with lo and hi the laws' integer
+    weights,
+
+    * d_hi meets the lattice condition on two-edge differences,
+      hi(m|e|f) hi(m) >= hi(m|e) hi(m|f);
+    * hi(m|e) lo(m) >= lo(m|e) hi(m): given the other edges, e is at least
+      as likely open under d_hi as under d_lo.
+
+    For strictly positive laws the first implies the full lattice condition,
+    so the conditional probability that d_hi opens e increases with the
+    rest of the configuration; with the second, for xi <= omega it is at
+    least the probability that d_lo opens e given xi.  The heat-bath chain
+    that resamples one edge of both configurations with the same uniform
+    then keeps xi <= omega; each marginal chain is irreducible with
+    stationary law d_lo or d_hi, so its limit couples d_lo below d_hi
+    (Holley 1974).  The condition is only sufficient: False proves nothing.
+    """
+    _require_same_edges(d_lo, d_hi)
+    n = d_lo.graph.edge_count
+    size = 1 << n
+    if len(d_lo.weights) < size or len(d_hi.weights) < size:
+        return False
+    nums_lo, _ = d_lo.integer_weights()
+    nums_hi, _ = d_hi.integer_weights()
+    lo = [nums_lo[m] for m in range(size)]
+    hi = [nums_hi[m] for m in range(size)]
+    bits = [1 << i for i in range(n)]
+    for i, e in enumerate(bits):
+        for f in bits[i + 1 :]:
+            ef = e | f
+            if any(hi[m | ef] * hi[m] < hi[m | e] * hi[m | f] for m in range(size) if not m & ef):
+                return False
+    return all(
+        hi[m | e] * lo[m] >= lo[m | e] * hi[m] for e in bits for m in range(size) if not m & e
+    )
 
 
 def _upset_witness(generators: Sequence[int], d_lo: Dist, d_hi: Dist) -> UpSetWitness:
@@ -414,8 +488,12 @@ def monotonicity_scan(
 ) -> list[tuple[Fraction, Fraction, DominationReport]]:
     """Check stochastic domination between consecutive grid points.
 
-    Returns all failures with witnesses.  An empty list is scan evidence,
-    never a monotonicity proof.
+    Returns all failures with the min cut's witnesses.  A pair whose laws
+    meet the local Holley criterion (:func:`_holley_local`: both laws
+    strictly positive, the higher one a lattice law) dominates without a
+    flow; every other pair runs the covering network's max-flow, and no
+    coupling is built.  An empty list is scan evidence, never a
+    monotonicity proof.
     """
     failures = []
     prev_x = None
@@ -423,9 +501,9 @@ def monotonicity_scan(
     for x in grid:
         d = family(x)
         if prev_d is not None:
-            report = stochastic_domination(prev_d, d)
-            if not report.dominates:
-                failures.append((prev_x, x, report))
+            witness = None if _holley_local(prev_d, d) else _CoveringFlow(prev_d, d).witness
+            if witness is not None:
+                failures.append((prev_x, x, DominationReport(False, witness=witness)))
         prev_x, prev_d = x, d
     return failures
 

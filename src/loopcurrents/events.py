@@ -52,7 +52,7 @@ class Event:
         if self.kind == ALL_OPEN:
             required = self.data[0]
             return mask & required == required
-        return self.predicate(mask)  # type: ignore[misc]
+        return bool(self.predicate(mask))  # type: ignore[misc]
 
     def describe(self) -> str:
         return self.label or f"{self.kind}:{','.join(map(str, self.data))}"

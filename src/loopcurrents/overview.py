@@ -274,8 +274,9 @@ def scan_fkg(name: str, g: Graph, laws, grid) -> list[dict]:
 
 
 def scan_mon(name: str, laws, grid) -> list[dict]:
-    """Consecutive-pair stochastic domination scan (exact max-flow) of graph
-    ``name`` under the laws ``laws[x]``."""
+    """Consecutive-pair stochastic domination scan of graph ``name`` under
+    the laws ``laws[x]``: Holley's local criterion where it holds, else an
+    exact max-flow (:func:`~loopcurrents.checkers.monotonicity_scan`)."""
     return [
         {
             "graph": name,
@@ -311,8 +312,8 @@ def build_overview(
 
     ``grid_resolution`` controls the dyadic grid (2^r - 1 points) used both
     for counterexample localization and for scans.  Domination scans may use
-    a coarser grid via ``mon_grid_resolution`` since each step runs an exact
-    max flow.
+    a coarser grid via ``mon_grid_resolution``, since a step that fails
+    Holley's local criterion runs an exact max flow.
     """
     grid = dyadic_grid(grid_resolution)
     mon_grid = dyadic_grid(mon_grid_resolution or grid_resolution)

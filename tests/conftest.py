@@ -1,4 +1,9 @@
-"""Shared pytest wiring: re-emit the acceptance PASS/FAIL lines at the end."""
+"""Shared pytest wiring: re-emit the acceptance PASS/FAIL lines at the end,
+and count the flow networks the checkers build."""
+
+import pytest
+
+from loopcurrents import checkers
 
 ACCEPTANCE_LINES: list[str] = []
 
@@ -8,3 +13,17 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.section("acceptance criteria")
         for line in ACCEPTANCE_LINES:
             terminalreporter.write_line(line)
+
+
+@pytest.fixture
+def flow_networks(monkeypatch) -> list[int]:
+    """The node count of every flow network ``checkers`` builds in the test."""
+    built: list[int] = []
+
+    class CountingDinic(checkers._Dinic):
+        def __init__(self, n):
+            built.append(n)
+            super().__init__(n)
+
+    monkeypatch.setattr(checkers, "_Dinic", CountingDinic)
+    return built

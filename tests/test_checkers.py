@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import prod
 
 import pytest
 from hypothesis import given, settings
@@ -396,6 +397,157 @@ class TestStochasticDomination:
                 assert mass == sum(p for m, p in d.probabilities().items() if w.contains(m))
             witnesses += 1
         assert witnesses > 0
+
+
+def law_of(g: Graph, weight) -> Dist:
+    """The law with weight(m) on every mask m of g."""
+    return Dist.from_weights(g, {m: F(weight(m)) for m in range(1 << g.edge_count)})
+
+
+def product_law(g: Graph, ps: list[Fraction]) -> Dist:
+    """Independent edges, edge i open with probability ps[i]."""
+
+    def weight(m):
+        return prod(p if m >> i & 1 else 1 - p for i, p in enumerate(ps))
+
+    return law_of(g, weight)
+
+
+def pair_law(g: Graph, e: int, f: int, table: tuple[int, int, int, int]) -> Dist:
+    """Edges e and f with joint weights table[[e open] + 2 [f open]],
+    every other edge an independent fair coin."""
+    return law_of(g, lambda m: table[(m >> e & 1) + 2 * (m >> f & 1)])
+
+
+def scan_pair(lo: Dist, hi: Dist):
+    return monotonicity_scan([lo, hi].__getitem__, [0, 1])
+
+
+FOUR_EDGES = generalized_theta([1, 1, 2])
+FULL_SUPPORT_GRAPHS = [FOUR_EDGES, THETA111, Graph(3, ((0, 1), (1, 2))), Graph(2, ((0, 1),))]
+# on 2-edge laws: the local Holley condition holds, hi fails the lattice
+# condition, and edge f open is an up-set with more mass under lo (5/13)
+# than under hi (2/7)
+NOT_LATTICE_LO = (4, 4, 4, 1)
+NOT_LATTICE_HI = (1, 4, 1, 1)
+# negatively correlated pair: the lattice condition fails at that pair only
+REPELLING = (2, 2, 2, 1)
+
+small_weights = st.integers(1, 12)
+
+
+@st.composite
+def lattice_weights(draw, n: int) -> list[Fraction]:
+    """Edge activities times ferromagnetic pair couplings: a lattice law."""
+    activity = [F(draw(small_weights), draw(small_weights)) for _ in range(n)]
+    coupling = {(i, j): draw(st.integers(1, 3)) for i in range(n) for j in range(i + 1, n)}
+    return [
+        prod(a for i, a in enumerate(activity) if m >> i & 1)
+        * prod(c for (i, j), c in coupling.items() if m >> i & 1 and m >> j & 1)
+        for m in range(1 << n)
+    ]
+
+
+def positive_weights(n: int):
+    return st.lists(small_weights.map(F), min_size=1 << n, max_size=1 << n)
+
+
+@st.composite
+def tilted(draw, weights: list[Fraction], n: int) -> list[Fraction]:
+    """weights times a factor per open edge: below weights in the local
+    Holley order when every factor is at most 1, as it is half the time."""
+    top = draw(st.sampled_from([1, 4]))
+    factor = [min(F(draw(st.integers(1, 4)), draw(st.integers(1, 4))), top) for _ in range(n)]
+    return [w * prod(r for i, r in enumerate(factor) if m >> i & 1) for m, w in enumerate(weights)]
+
+
+class TestHolleyLocalRoute:
+    """The MON scan's flow-free route: sound whenever it answers, and the
+    flow's verdict and witness whenever it does not."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_local_route_is_sound(self, data):
+        g = data.draw(st.sampled_from(FULL_SUPPORT_GRAPHS))
+        n = g.edge_count
+        hi_weights = data.draw(st.one_of(lattice_weights(n), positive_weights(n)))
+        lo_weights = data.draw(
+            st.one_of(tilted(hi_weights, n), lattice_weights(n), positive_weights(n))
+        )
+        lo, hi = (law_of(g, w.__getitem__) for w in (lo_weights, hi_weights))
+        report = stochastic_domination(lo, hi)
+        expected = [] if report.dominates else [(0, 1, report)]
+        assert scan_pair(lo, hi) == expected
+        if checkers._holley_local(lo, hi):
+            assert report.dominates
+            # the brute force takes seconds on 16 masks
+            oracle = domination_bruteforce if n <= 3 else domination_bipartite
+            assert oracle(lo, hi).dominates
+
+    @pytest.mark.parametrize("reversed_edges", [(0,), (1,), (2,), (3,), (0, 1, 2, 3)])
+    def test_each_reversed_edge_is_refuted_by_the_flow(self, reversed_edges, flow_networks):
+        # hi is a product law, so only the local Holley condition can fail,
+        # and it fails at the reversed edges alone
+        ps = [F(1, 2) if i in reversed_edges else F(1, 4) for i in range(4)]
+        lo = product_law(FOUR_EDGES, ps)
+        hi = product_law(FOUR_EDGES, [F(3, 4) - p for p in ps])
+        assert not checkers._holley_local(lo, hi)
+        expected = stochastic_domination(lo, hi)
+        assert not expected.dominates and not domination_bruteforce(lo, hi).dominates
+        flow_networks.clear()
+        assert scan_pair(lo, hi) == [(0, 1, expected)]
+        assert len(flow_networks) == 1
+
+    @pytest.mark.parametrize("e,f", [(e, f) for e in range(4) for f in range(e + 1, 4)])
+    def test_each_non_lattice_pair_is_refuted_by_the_flow(self, e, f, flow_networks):
+        lo = pair_law(FOUR_EDGES, e, f, NOT_LATTICE_LO)
+        hi = pair_law(FOUR_EDGES, e, f, NOT_LATTICE_HI)
+        assert not checkers._holley_local(lo, hi)
+        expected = stochastic_domination(lo, hi)
+        assert expected.witness.gap == F(5, 13) - F(2, 7)
+        flow_networks.clear()
+        assert scan_pair(lo, hi) == [(0, 1, expected)]
+        assert len(flow_networks) == 1
+
+    @pytest.mark.parametrize("e,f", [(e, f) for e in range(4) for f in range(e + 1, 4)])
+    def test_dominating_non_lattice_laws_take_the_flow(self, e, f, flow_networks):
+        hi = pair_law(FOUR_EDGES, e, f, REPELLING)
+        lo = product_law(FOUR_EDGES, [F(1, 4)] * 4)
+        for d_lo in (hi, lo):
+            assert not checkers._holley_local(d_lo, hi)
+            flow_networks.clear()
+            assert scan_pair(d_lo, hi) == []
+            assert len(flow_networks) == 1
+            assert stochastic_domination(d_lo, hi).dominates
+
+    def test_only_hi_needs_the_lattice_condition(self, flow_networks):
+        lo = pair_law(FOUR_EDGES, 0, 3, REPELLING)
+        hi = product_law(FOUR_EDGES, [F(3, 4)] * 4)
+        assert checkers._holley_local(lo, hi)
+        assert scan_pair(lo, hi) == []
+        assert flow_networks == []
+
+    def test_a_zero_weight_mask_takes_the_flow(self, flow_networks):
+        g = THETA111
+        lo, hi = random_cluster(g, F(1, 4)), random_cluster(g, F(1, 2))
+        assert checkers._holley_local(lo, hi)
+        for lo_cut, hi_cut in ((g.full_mask, None), (None, 0)):
+            d_lo = Dist.from_weights(g, {m: w for m, w in lo.weights.items() if m != lo_cut})
+            d_hi = Dist.from_weights(g, {m: w for m, w in hi.weights.items() if m != hi_cut})
+            assert not checkers._holley_local(d_lo, d_hi)
+            flow_networks.clear()
+            assert scan_pair(d_lo, d_hi) == []
+            assert len(flow_networks) == 1
+            assert domination_bruteforce(d_lo, d_hi).dominates
+
+    def test_graph_mismatch_rejected(self):
+        with pytest.raises(GraphMismatchError):
+            scan_pair(random_cluster(THETA111, F(1, 4)), random_cluster(K4, F(1, 2)))
+
+    def test_twelve_edge_random_cluster_scan_builds_no_network(self, flow_networks):
+        g = generalized_theta([3, 3, 3, 3])
+        assert monotonicity_scan(lambda x: random_cluster(g, x), dyadic_grid(2)) == []
+        assert flow_networks == []
 
 
 class TestScans:

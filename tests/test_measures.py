@@ -14,6 +14,7 @@ from loopcurrents import overview
 from loopcurrents.checkers import fkg_gaps, fkg_pair_gap
 from loopcurrents.events import (
     all_open,
+    check_increasing,
     connect,
     connect_sets,
     custom,
@@ -399,6 +400,16 @@ class TestProb:
     def test_graph_mismatch(self):
         with pytest.raises(GraphMismatchError):
             prob(loop_o1(THETA111, F(1, 2)), edge_open(K4, 0))
+
+    def test_truthy_custom_predicates_hold(self):
+        # m & 2 is 2, not True, when edge 1 is open; its bit 0 is clear
+        d = bernoulli(THETA111, F(1, 2))
+        opened = custom(THETA111, lambda m: m & 2, "edge 1 open")
+        closed = custom(THETA111, lambda m: ~m & 2, "edge 1 closed")
+        assert prob(d, opened) == prob(d, edge_open(THETA111, 1)) == F(1, 2)
+        assert prob(d, closed) == F(1, 2)
+        assert check_increasing(opened) == (True, None)
+        assert check_increasing(closed) == (False, (0, 2))
 
 
 # statistic values: zero often, else up to eight bits, so some bits lie at or

@@ -73,3 +73,15 @@ def test_fkg_scan_returns_exactly_the_oracles_negative_gaps():
                     )
         assert expected  # the loop model breaks FKG on both graphs
         assert overview.scan_fkg(name, g, laws, grid) == expected
+
+
+def test_mon_scans_run_a_flow_only_where_the_local_route_declines(flow_networks):
+    # random-cluster and double-cluster laws have full support and are
+    # lattice laws; double-current laws fail the lattice condition
+    grid = dyadic_grid(4)
+    for name, g in (("theta[1,1,1]", generalized_theta([1, 1, 1])), ("K4", complete_graph(4))):
+        for model, flows in (("random_cluster", 0), ("double_cluster", 0), ("double_current", 1)):
+            laws = {x: build(model, g, CurrentParams.from_x(x)) for x in grid}
+            flow_networks.clear()
+            assert overview.scan_mon(name, laws, grid) == []
+            assert len(flow_networks) == flows * (len(grid) - 1)
