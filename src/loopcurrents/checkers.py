@@ -33,8 +33,6 @@ from .graphs import EDGE_ENUMERATION_CAP
 from .measures import Dist, bit_masses, union as _union
 from .rationals import format_rational
 
-ZERO = Fraction(0)
-
 
 # ---------------------------------------------------------------------------
 # Reports
@@ -194,18 +192,19 @@ def lattice_condition(d: Dist) -> FkgReport:
     for FKG but not necessary, so a failure here is not an FKG violation by
     itself.
     """
-    masks = sorted(d.weights)
+    nums, den = d.nums, d.den
+    masks = sorted(nums)
     for i, m1 in enumerate(masks):
-        w1 = d.weights[m1]
+        w1 = nums[m1]
         for m2 in masks[i + 1 :]:
-            w2 = d.weights[m2]
-            join = d.weights.get(m1 | m2, ZERO)
-            meet = d.weights.get(m1 & m2, ZERO)
+            w2 = nums[m2]
+            join = nums.get(m1 | m2, 0)
+            meet = nums.get(m1 & m2, 0)
             if join * meet < w1 * w2:
-                return FkgReport(
-                    lattice_holds=False,
-                    lattice_violation=LatticeViolation(m1, m2, join, meet, w1 * w2),
+                violation = LatticeViolation(
+                    m1, m2, Fraction(join, den), Fraction(meet, den), Fraction(w1 * w2, den * den)
                 )
+                return FkgReport(lattice_holds=False, lattice_violation=violation)
     return FkgReport(lattice_holds=True)
 
 
@@ -347,8 +346,7 @@ class _CoveringFlow:
 
     def __init__(self, d_lo: Dist, d_hi: Dist):
         _require_same_edges(d_lo, d_hi)
-        nums_lo, _ = d_lo.integer_weights()
-        nums_hi, _ = d_hi.integer_weights()
+        nums_lo, nums_hi = d_lo.nums, d_hi.nums
         classes = _lattice_coordinates(d_lo.graph.full_mask, [*nums_lo, *nums_hi])
         k = len(classes)
         if k > EDGE_ENUMERATION_CAP:
@@ -452,12 +450,10 @@ def _holley_local(d_lo: Dist, d_hi: Dist) -> bool:
     _require_same_edges(d_lo, d_hi)
     n = d_lo.graph.edge_count
     size = 1 << n
-    if len(d_lo.weights) < size or len(d_hi.weights) < size:
+    if len(d_lo.nums) < size or len(d_hi.nums) < size:
         return False
-    nums_lo, _ = d_lo.integer_weights()
-    nums_hi, _ = d_hi.integer_weights()
-    lo = [nums_lo[m] for m in range(size)]
-    hi = [nums_hi[m] for m in range(size)]
+    lo = [d_lo.nums[m] for m in range(size)]
+    hi = [d_hi.nums[m] for m in range(size)]
     bits = [1 << i for i in range(n)]
     for i, e in enumerate(bits):
         for f in bits[i + 1 :]:

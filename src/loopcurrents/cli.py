@@ -23,7 +23,7 @@ from pathlib import Path
 from . import __version__, theta
 from .battery import scan_battery, verification_battery
 from .checkers import union_preservation_test
-from .errors import LoopCurrentsError
+from .errors import LoopCurrentsError, ParametrizationError
 from .graphs import Graph, cyclic_edges, generalized_theta, graph_from_json
 from .intervals import MAX_BITS, START_BITS, certify_decreasing_pair
 from .measures import (
@@ -137,8 +137,10 @@ def cmd_figure(args) -> int:
         raise LoopCurrentsError(f"m={m} must be even for the counter family")
 
     if args.window:
-        lo, hi = (parse_rational(part) for part in args.window.split(":"))
-        grid = dyadic_window_grid(lo, hi, 1 << args.grid_steps)
+        lo, colon, hi = args.window.partition(":")
+        if not colon or args.grid_steps < 0:
+            raise ParametrizationError("--window needs the form lo:hi and --grid-steps >= 0")
+        grid = dyadic_window_grid(parse_rational(lo), parse_rational(hi), 1 << args.grid_steps)
     else:
         grid = dyadic_grid(args.grid_steps)
 

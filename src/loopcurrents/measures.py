@@ -1,9 +1,10 @@
 """Exact finitely-supported distributions over edge configurations.
 
-A :class:`Dist` stores unnormalized weights together with the normalizer Z,
-so quantities like "Z times the probability of an event" stay representable
-as single exact rationals.  All constructors and combinators are exact; no
-floating point enters this module.
+A :class:`Dist` stores unnormalized weights, as integer numerators over one
+common denominator, together with the normalizer Z, so quantities like "Z
+times the probability of an event" stay representable as single exact
+rationals.  All constructors and combinators are exact; no floating point
+enters this module.
 
 The models follow the union-coupling definitions, each one row of the
 registry :data:`MODELS` that :func:`build` assembles:
@@ -25,7 +26,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Callable, Sequence
 
 from .errors import (
@@ -51,72 +52,75 @@ ONE = Fraction(1)
 
 @dataclass(frozen=True)
 class Dist:
-    """Exact distribution over edge masks: P(mask) = weights[mask] / z."""
+    """Exact distribution over edge masks: P(mask) = nums[mask] / (z * den),
+    with positive integer numerators in lowest terms, gcd(den, *nums) == 1.
+    Build it through :meth:`from_integers`, which checks this."""
 
     graph: Graph
-    weights: dict[int, Fraction]
+    nums: dict[int, int]
+    den: int
     z: Fraction
 
-    def __post_init__(self):
-        if self.z <= 0:
-            raise LoopCurrentsError(f"normalizer Z={self.z} must be positive")
+    @classmethod
+    def from_integers(
+        cls, graph: Graph, nums: dict[int, int], den: int, z: Fraction | None = None
+    ) -> "Dist":
+        """The law with weights nums/den: checks the masks against the graph,
+        rejects negative numerators, drops zeros and reduces by the gcd.  If
+        ``z`` is given, the numerators must sum to exactly z * den, which
+        verifies identities like "these weights add up to Z^2" on construction."""
+        if den <= 0:
+            raise LoopCurrentsError(f"denominator {den} must be positive")
+        full = graph.full_mask
+        clean: dict[int, int] = {}
+        for mask, w in nums.items():
+            if mask & ~full:
+                raise LoopCurrentsError(f"mask {hex(mask)} has bits outside the graph's edges")
+            if w < 0:
+                raise LoopCurrentsError(f"negative weight {Fraction(w, den)} at {hex(mask)}")
+            if w:
+                clean[mask] = w
+        total = sum(clean.values())
+        if z is None:
+            z = Fraction(total, den)
+        elif total != z * den:
+            raise LoopCurrentsError(f"weights sum to {Fraction(total, den)}, expected Z={z}")
+        if z <= 0:
+            raise LoopCurrentsError(f"normalizer Z={z} must be positive")
+        common = gcd(den, *clean.values())
+        if common > 1:
+            clean = {m: w // common for m, w in clean.items()}
+        return cls(graph, clean, den // common, Fraction(z))
 
     @classmethod
     def from_weights(
         cls, graph: Graph, weights: dict[int, Fraction], z: Fraction | None = None
     ) -> "Dist":
-        """Build a distribution, dropping zero weights and checking the mass.
+        """:meth:`from_integers` on the weights over their least common denominator."""
+        den = lcm(*(w.denominator for w in weights.values()))
+        nums = {m: w.numerator * (den // w.denominator) for m, w in weights.items()}
+        return cls.from_integers(graph, nums, den, z)
 
-        If ``z`` is given, the sum of weights must equal it exactly; this is
-        how identities like "the weights of this construction add up to Z^2"
-        get verified at construction time.
-        """
-        clean: dict[int, Fraction] = {}
-        full = graph.full_mask
-        total = ZERO
-        for mask, w in weights.items():
-            if mask & ~full:
-                raise LoopCurrentsError(f"mask {hex(mask)} has bits outside the graph's edges")
-            if w < 0:
-                raise LoopCurrentsError(f"negative weight {w} at {hex(mask)}")
-            if w:
-                clean[mask] = w
-                total += w
-        if z is None:
-            z = total
-        elif total != z:
-            raise LoopCurrentsError(f"weights sum to {total}, expected Z={z}")
-        return cls(graph, clean, z)
-
-    def weight(self, mask: int) -> Fraction:
-        return self.weights.get(mask, ZERO)
-
-    def prob_of_mask(self, mask: int) -> Fraction:
-        return self.weights.get(mask, ZERO) / self.z
-
-    def integer_weights(self) -> tuple[dict[int, int], int]:
-        """The weights as integer numerators nums over their least common
-        denominator den, so that P(mask) = nums[mask] / (z * den)."""
-        den = lcm(*(w.denominator for w in self.weights.values()))
-        return {m: w.numerator * (den // w.denominator) for m, w in self.weights.items()}, den
+    @property
+    def weights(self) -> dict[int, Fraction]:
+        """The weights nums/den as ``Fraction``s, P(mask) = weights[mask] / z."""
+        return {m: Fraction(w, self.den) for m, w in self.nums.items()}
 
     def probabilities(self) -> dict[int, Fraction]:
-        return {mask: w / self.z for mask, w in self.weights.items()}
-
-    def normalized(self) -> "Dist":
-        return Dist(self.graph, {m: w / self.z for m, w in self.weights.items()}, ONE)
+        mass = self.z * self.den
+        return {mask: w / mass for mask, w in self.nums.items()}
 
     def same_law(self, other: "Dist") -> bool:
         """Exact equality as probability measures (Z conventions may differ)."""
         if self.graph.edges != other.graph.edges:
             return False
-        if set(self.weights) != set(other.weights):
+        if self.nums.keys() != other.nums.keys():
             return False
-        return all(w / self.z == other.weights[m] / other.z for m, w in self.weights.items())
-
-    def total_variation(self, other: "Dist") -> Fraction:
-        masks = set(self.weights) | set(other.weights)
-        return sum((abs(self.prob_of_mask(m) - other.prob_of_mask(m)) for m in masks), ZERO) / 2
+        # nums / mass == other.nums / other_mass, cross-multiplied in integers
+        mass, other_mass = self.z * self.den, other.z * other.den
+        scale = other_mass.numerator * mass.denominator
+        other_scale = mass.numerator * other_mass.denominator
+        return all(w * scale == other.nums[m] * other_scale for m, w in self.nums.items())
 
     # serialization -----------------------------------------------------------
     def to_json_dict(self) -> dict:
@@ -141,7 +145,7 @@ class Dist:
 
 
 def point_mass(graph: Graph, mask: int) -> Dist:
-    return Dist.from_weights(graph, {mask: ONE})
+    return Dist.from_integers(graph, {mask: 1}, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -196,7 +200,8 @@ class CurrentParams:
 
 
 def bernoulli(graph: Graph, p: Fraction, cap: int = EDGE_ENUMERATION_CAP) -> Dist:
-    """Independent edge percolation: weight p^|w| (1-p)^(|E|-|w|), Z = 1."""
+    """Independent edge percolation: with p = c/e, weight c^|w| (e-c)^(|E|-|w|)
+    over e^|E|, Z = 1."""
     p = Fraction(p)
     if not 0 <= p <= 1:
         raise LoopCurrentsError(f"p={p} outside [0,1]")
@@ -207,26 +212,29 @@ def bernoulli(graph: Graph, p: Fraction, cap: int = EDGE_ENUMERATION_CAP) -> Dis
         return point_mass(graph, graph.full_mask)
     if n > cap:
         raise CapExceededError("Bernoulli support", n, cap)
-    by_count = [p**k * (1 - p) ** (n - k) for k in range(n + 1)]
-    weights = {mask: by_count[mask.bit_count()] for mask in range(1 << n)}
-    return Dist(graph, weights, ONE)
+    c, e = p.numerator, p.denominator
+    by_count = [c**k * (e - c) ** (n - k) for k in range(n + 1)]
+    nums = {mask: by_count[mask.bit_count()] for mask in range(1 << n)}
+    return Dist.from_integers(graph, nums, e**n, ONE)
 
 
 def loop_o1(graph: Graph, x: Fraction, cap: int = CYCLE_DIMENSION_CAP) -> Dist:
-    """Loop model: weight x^|g| on every even subgraph g, Z = sum of weights."""
+    """Loop model: weight x^|g| on every even subgraph g, Z = sum of weights.
+    With x = a/b the weights are a^|g| b^(|E|-|g|) over b^|E|."""
     x = Fraction(x)
     if not 0 <= x < 1:
         raise LoopCurrentsError(f"x={x} outside [0,1)")
     if x == 0:
         return point_mass(graph, 0)
-    weights: dict[int, Fraction] = {}
-    powers: dict[int, Fraction] = {}
+    a, b, n = x.numerator, x.denominator, graph.edge_count
+    nums: dict[int, int] = {}
+    powers: dict[int, int] = {}
     for g in even_subgraphs(graph, cap=cap):
         k = g.bit_count()
         if k not in powers:
-            powers[k] = x**k
-        weights[g] = powers[k]
-    return Dist.from_weights(graph, weights)
+            powers[k] = a**k * b ** (n - k)
+        nums[g] = powers[k]
+    return Dist.from_integers(graph, nums, b**n)
 
 
 # ---------------------------------------------------------------------------
@@ -238,27 +246,24 @@ def loop_o1(graph: Graph, x: Fraction, cap: int = CYCLE_DIMENSION_CAP) -> Dist:
 UNION_PAIR_CAP = 1 << 24
 
 
-def union(d1: Dist, d2: Dist, renormalize: bool = False) -> Dist:
+def union(d1: Dist, d2: Dist) -> Dist:
     """Distribution of the union of independent samples from d1 and d2.
 
-    Iterates support pairs on integer numerators over each input's common
-    denominator; the result has Z = Z1*Z2 unless ``renormalize``.
+    Iterates support pairs on integer numerators; the result has
+    Z = Z1*Z2 over the denominator den1*den2.
     """
     _require_same_graph(d1, d2)
-    pairs = len(d1.weights) * len(d2.weights)
+    pairs = len(d1.nums) * len(d2.nums)
     if pairs > UNION_PAIR_CAP:
         raise CapExceededError("union support pairs", pairs, UNION_PAIR_CAP)
-    nums1, den1 = d1.integer_weights()
-    nums2, den2 = d2.integer_weights()
-    items2 = list(nums2.items())
+    items2 = list(d2.nums.items())
     acc: dict[int, int] = {}
     get = acc.get
-    for m1, w1 in nums1.items():
+    for m1, w1 in d1.nums.items():
         for m2, w2 in items2:
             m = m1 | m2
             acc[m] = get(m, 0) + w1 * w2
-    out = _from_integer_weights(d1.graph, acc, den1 * den2, d1.z * d2.z)
-    return out.normalized() if renormalize else out
+    return Dist.from_integers(d1.graph, acc, d1.den * d2.den, d1.z * d2.z)
 
 
 def union_bernoulli(d: Dist, p: Fraction, cap: int = EDGE_ENUMERATION_CAP) -> Dist:
@@ -267,7 +272,7 @@ def union_bernoulli(d: Dist, p: Fraction, cap: int = EDGE_ENUMERATION_CAP) -> Di
     Same measure as ``union(d, bernoulli(graph, p))`` (asserted by tests) but
     computed edge by edge over the 2^|E| lattice, which keeps the doubled
     models usable inside exhaustive verification batteries.  With p = c/e
-    and the weights of d as integers over a common denominator, opening
+    and the weights of d as integers over their denominator, opening
     each edge independently maps the pair (lo, hi) of masks without and
     with that edge to
 
@@ -279,17 +284,16 @@ def union_bernoulli(d: Dist, p: Fraction, cap: int = EDGE_ENUMERATION_CAP) -> Di
     if not 0 <= p <= 1:
         raise LoopCurrentsError(f"p={p} outside [0,1]")
     if p == 0:
-        return Dist(d.graph, dict(d.weights), d.z)
+        return d
     if p == 1:
-        return Dist(d.graph, {d.graph.full_mask: d.z}, d.z)
+        return Dist.from_integers(d.graph, {d.graph.full_mask: d.z.numerator}, d.z.denominator, d.z)
     n = d.graph.edge_count
     if n > cap:
         raise CapExceededError("Bernoulli union lattice", n, cap)
 
     size = 1 << n
-    nums, den = d.integer_weights()
     table = [0] * size
-    for mask, w in nums.items():
+    for mask, w in d.nums.items():
         table[mask] = w
     c, e = p.numerator, p.denominator
     q = e - c
@@ -300,24 +304,7 @@ def union_bernoulli(d: Dist, p: Fraction, cap: int = EDGE_ENUMERATION_CAP) -> Di
                 low = table[lo]
                 table[lo + step] = e * table[lo + step] + c * low
                 table[lo] = q * low
-    return _from_integer_weights(d.graph, dict(enumerate(table)), den * e**n, d.z)
-
-
-def _from_integer_weights(graph: Graph, nums: dict[int, int], den: int, z: Fraction) -> Dist:
-    """The Dist with weights nums/den, dropping zeros after the checks of
-    :meth:`Dist.from_weights`: masks inside the graph, no negative weight, and
-    numerators summing to exactly z * den."""
-    full = graph.full_mask
-    total = 0
-    for mask, w in nums.items():
-        if mask & ~full:
-            raise LoopCurrentsError(f"mask {hex(mask)} has bits outside the graph's edges")
-        if w < 0:
-            raise LoopCurrentsError(f"negative weight {Fraction(w, den)} at {hex(mask)}")
-        total += w
-    if total != z * den:
-        raise LoopCurrentsError(f"weights sum to {Fraction(total, den)}, expected Z={z}")
-    return Dist(graph, {m: Fraction(w, den) for m, w in nums.items() if w}, z)
+    return Dist.from_integers(d.graph, dict(enumerate(table)), d.den * e**n, d.z)
 
 
 # Every model is k independent loop-model copies, unioned with Bernoulli(p)
@@ -419,10 +406,11 @@ PUSH_SPAN_CAP = 1 << 24
 def push_uniform_even(d: Dist, cap: int = CYCLE_DIMENSION_CAP) -> Dist:
     """Pick a configuration from d, then a uniform even subgraph of it.
 
-    P_out(h) = sum over w containing h of P(w) / |even(w)|.
+    P_out(h) = sum over w containing h of P(w) / |even(w)|, on numerators
+    over den * 2^top, with top the largest cycle-space dimension in the support.
     """
     bases = []
-    for mask, w in d.weights.items():
+    for mask, w in d.nums.items():
         basis = cycle_space_basis(d.graph, mask)
         if basis.dimension > cap:
             raise CapExceededError("even subgraphs of a support element", basis.dimension, cap)
@@ -430,12 +418,13 @@ def push_uniform_even(d: Dist, cap: int = CYCLE_DIMENSION_CAP) -> Dist:
     total = sum(1 << basis.dimension for _, basis in bases)
     if total > PUSH_SPAN_CAP:
         raise CapExceededError("push_uniform_even span", total, PUSH_SPAN_CAP)
-    acc: dict[int, Fraction] = {}
+    top = max(basis.dimension for _, basis in bases)
+    acc: dict[int, int] = {}
     for w, basis in bases:
-        share = w / (1 << basis.dimension)
+        share = w << (top - basis.dimension)
         for h in span_masks(basis.elements):
-            acc[h] = acc.get(h, ZERO) + share
-    return Dist.from_weights(d.graph, acc, d.z)
+            acc[h] = acc.get(h, 0) + share
+    return Dist.from_integers(d.graph, acc, d.den << top, d.z)
 
 
 # ---------------------------------------------------------------------------
@@ -449,12 +438,11 @@ def bit_masses(dists: Sequence[Dist], stat: Callable[[int], int], width: int) ->
     its value's set bits and builds one ``Fraction`` per bit.  An event is
     the one-bit stat ``holds``; a histogram of s is the stat ``1 << s(mask)``."""
     keep = (1 << width) - 1
-    stats = {m: stat(m) & keep for m in dict.fromkeys(m for d in dists for m in d.weights)}
+    stats = {m: stat(m) & keep for m in dict.fromkeys(m for d in dists for m in d.nums)}
     rows = []
     for d in dists:
-        nums, den = d.integer_weights()
         by_value: dict[int, int] = {}
-        for mask, w in nums.items():
+        for mask, w in d.nums.items():
             by_value[stats[mask]] = by_value.get(stats[mask], 0) + w
         totals = [0] * width
         for s, w in by_value.items():
@@ -462,7 +450,7 @@ def bit_masses(dists: Sequence[Dist], stat: Callable[[int], int], width: int) ->
                 low = s & -s
                 totals[low.bit_length() - 1] += w
                 s ^= low
-        mass = d.z * den
+        mass = d.z * d.den
         rows.append([Fraction(t * mass.denominator, mass.numerator) for t in totals])
     return rows
 

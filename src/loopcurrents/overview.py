@@ -316,7 +316,7 @@ def build_overview(
     Holley's local criterion runs an exact max flow.
     """
     grid = dyadic_grid(grid_resolution)
-    mon_grid = dyadic_grid(mon_grid_resolution or grid_resolution)
+    mon_grid = dyadic_grid(grid_resolution if mon_grid_resolution is None else mon_grid_resolution)
     graphs = scan_battery() if graphs is None else graphs
     scan_meta = {
         "battery": [name for name, _ in graphs],

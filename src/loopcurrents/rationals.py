@@ -13,14 +13,17 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
-from .errors import PoleError
+from .errors import ParametrizationError, PoleError
 
 Rational = Fraction
 
 
 def parse_rational(text: str) -> Fraction:
     """Parse 'num/den' or a plain integer/decimal string."""
-    return Fraction(text.strip())
+    try:
+        return Fraction(text.strip())
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ParametrizationError(f"not a rational number: {text!r}") from exc
 
 
 def format_rational(value: Fraction) -> str:
@@ -248,7 +251,7 @@ def _coerce_rf(value) -> RationalFunction:
 def dyadic_grid(resolution: int) -> list[Fraction]:
     """All points k/2^resolution strictly inside (0, 1), ascending."""
     if resolution < 1:
-        raise ValueError("resolution must be >= 1")
+        raise ParametrizationError(f"resolution {resolution} must be >= 1")
     den = 1 << resolution
     return [Fraction(k, den) for k in range(1, den)]
 
@@ -256,7 +259,9 @@ def dyadic_grid(resolution: int) -> list[Fraction]:
 def dyadic_window_grid(lo: Fraction, hi: Fraction, steps: int) -> list[Fraction]:
     """``steps`` evenly spaced points in (lo, hi], endpoints rational."""
     if not 0 <= lo < hi <= 1:
-        raise ValueError("window must satisfy 0 <= lo < hi <= 1")
+        raise ParametrizationError(f"window {lo}:{hi} must satisfy 0 <= lo < hi <= 1")
+    if steps < 1:
+        raise ParametrizationError(f"steps={steps} must be >= 1")
     step = (hi - lo) / steps
     return [lo + k * step for k in range(1, steps + 1) if lo + k * step < 1]
 
@@ -264,17 +269,17 @@ def near_one_grid(resolution: int, count: int) -> list[Fraction]:
     """Points 1 - k/2^resolution for k = count..1, ascending toward 1."""
     den = 1 << resolution
     if count >= den:
-        raise ValueError("count must be below 2^resolution")
+        raise ParametrizationError("count must be below 2^resolution")
     return [Fraction(den - k, den) for k in range(count, 0, -1)]
 
 
 def _validate_grid(grid: Sequence[Fraction]):
     for x in grid:
         if not 0 < x < 1:
-            raise ValueError(f"grid point {x} outside (0,1)")
+            raise ParametrizationError(f"grid point {x} outside (0,1)")
     for a, b in zip(grid, grid[1:]):
         if not a < b:
-            raise ValueError("grid must be strictly increasing")
+            raise ParametrizationError("grid must be strictly increasing")
 
 
 def find_decreasing_pair(

@@ -47,8 +47,9 @@ def make_rng(seed: int, worker: int = 0) -> np.random.Generator:
 def loop_law(g: Graph, x: Fraction) -> tuple[list[int], np.ndarray]:
     """The loop model's support in mask order and its double-precision law."""
     d = loop_o1(g, x)
-    masks = sorted(d.weights)
-    probs = np.array([float(d.weights[m] / d.z) for m in masks])
+    masks = sorted(d.nums)
+    mass = d.z * d.den
+    probs = np.array([float(d.nums[m] / mass) for m in masks])
     return masks, probs / probs.sum()
 
 

@@ -122,13 +122,14 @@ def domination_bruteforce(d_lo: Dist, d_hi: Dist, cap: int = 16) -> DominationRe
 
     # generator-membership bitsets: bit i of above[m] says lo_masks[i] <= m
     def above(masks, dist):
+        weights = dist.weights
         out = []
         for m in masks:
             bits = 0
             for i, gen in enumerate(lo_masks):
                 if m & gen == gen:
                     bits |= 1 << i
-            out.append((bits, dist.weights[m]))
+            out.append((bits, weights[m]))
         return out
 
     lo_entries = above(lo_masks, d_lo)
@@ -231,7 +232,7 @@ def chi_square_statistic(counts: dict[int, int], dist: Dist) -> tuple[float, int
     """
     n = sum(counts.values())
     for mask in counts:
-        if mask not in dist.weights:
+        if mask not in dist.nums:
             raise LoopCurrentsError(
                 f"sampled configuration {hex(mask)} has probability zero under the exact law"
             )

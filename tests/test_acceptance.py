@@ -5,6 +5,8 @@ equality) unless a criterion is about certified inequalities, where the
 certificate is interval disjointness or an exact comparison.
 """
 
+import hashlib
+import json
 import random
 import time
 from fractions import Fraction
@@ -292,6 +294,16 @@ def test_criterion_08_overview_table(overview_report):
         "every refuted cell carries a witness; holds cells scan clean on the "
         "64-point grid; open cells stay open with scan evidence",
     )
+
+
+# sha256 of the `table --grid-steps 6` JSON.  A change that alters the table
+# on purpose updates this digest and says so in CHANGES.md.
+TABLE_DIGEST = "0210168c0210086e1295f7885adcc48235f7286997951444353db3ae4fa37621"
+
+
+def test_overview_table_json_is_pinned(overview_report):
+    text = json.dumps(overview_report, indent=2)
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == TABLE_DIGEST
 
 
 def test_criterion_09_mechanical_tables_regenerate():

@@ -182,10 +182,10 @@ class TestLatticeCondition:
         report = lattice_condition(double_current(g, F(1, 2)))
         assert report.lattice_holds is False
         v = report.lattice_violation
-        d = double_current(g, F(1, 2))
-        join = d.weight(v.first | v.second)
-        meet = d.weight(v.first & v.second)
-        assert join * meet < d.weight(v.first) * d.weight(v.second)
+        weights = double_current(g, F(1, 2)).weights
+        join = weights.get(v.first | v.second, 0)
+        meet = weights.get(v.first & v.second, 0)
+        assert join * meet < weights[v.first] * weights[v.second]
 
 
 def random_dist(g: Graph, rng: random.Random, max_support: int) -> Dist:

@@ -121,6 +121,28 @@ class TestFigure:
         assert manifest["parameters"]["n"] == 8
 
 
+FIGURE_L = ("figure", "--model", "l", "--n", "18", "--m", "2")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        (*FIGURE_L, "--grid-steps", "0"),
+        (*FIGURE_L, "--window", "1:0"),
+        (*FIGURE_L, "--window", "1/2:1", "--grid-steps", "-1"),
+        (*FIGURE_L, "--window", "1/2"),
+        ("table", "--grid-steps", "0"),
+        ("table", "--grid-steps", "6", "--mon-grid-steps", "0"),
+        ("verify", "--x", "abc"),
+        ("verify", "--x", "1/0"),
+    ],
+)
+def test_malformed_numbers_are_typed_errors(argv, tmp_path, capsys):
+    assert run(*argv, "--out", str(tmp_path / "out")) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 class TestVerify:
     def test_single_theorem_at_one_x(self, capsys):
         assert run("verify", "--theorem", "newcoupling", "--x", "1/2") == 0

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -31,7 +32,6 @@ from loopcurrents.measures import (
     UNION_PAIR_CAP,
     CurrentParams,
     Dist,
-    _from_integer_weights,
     bernoulli,
     bit_masses,
     build,
@@ -98,10 +98,11 @@ class TestLoopModel:
     def test_theta111_weights(self):
         d = loop_o1(THETA111, F(1, 2))
         assert d.z == F(7, 4)
-        assert d.prob_of_mask(0) == F(4, 7)
-        two_edge = [m for m in d.weights if m.bit_count() == 2]
+        probs = d.probabilities()
+        assert probs[0] == F(4, 7)
+        two_edge = [m for m in probs if m.bit_count() == 2]
         assert len(two_edge) == 3
-        assert all(d.prob_of_mask(m) == F(1, 7) for m in two_edge)
+        assert all(probs[m] == F(1, 7) for m in two_edge)
 
     def test_generalized_theta_normalizer(self):
         n, m, l = 2, 3, 4
@@ -165,7 +166,6 @@ class TestUnion:
         d2 = bernoulli(THETA111, F(1, 3))
         u = union(d1, d2)
         assert u.z == d1.z * d2.z
-        assert union(d1, d2, renormalize=True).z == 1
 
     def test_graph_mismatch(self):
         with pytest.raises(GraphMismatchError):
@@ -199,15 +199,13 @@ class TestUnion:
         for d in (u, ub):
             assert all(type(w) is Fraction and w > 0 for w in d.weights.values())
         for d in (d1, u, ub):
-            nums, den = d.integer_weights()
-            assert all(type(w) is int for w in nums.values())
-            assert {m: Fraction(w, d.z * den) for m, w in nums.items()} == d.probabilities()
-        assert union(d1, d2, renormalize=True).z == 1
+            assert all(type(w) is int for w in d.nums.values())
+            assert {m: Fraction(w, d.z * d.den) for m, w in d.nums.items()} == d.probabilities()
 
     def test_integer_kernel_refuses_a_table_off_its_mass(self):
-        # the numerators must sum to exactly z * den, as Dist.from_weights checks
+        # the numerators must sum to exactly z * den
         g = THETA111
-        assert _from_integer_weights(g, {0: 2, 0b111: 1}, 3, F(1)).probabilities() == {
+        assert Dist.from_integers(g, {0: 2, 0b111: 1}, 3, F(1)).probabilities() == {
             0: F(2, 3),
             0b111: F(1, 3),
         }
@@ -218,7 +216,7 @@ class TestUnion:
             ({0: 2, 0b1000: 1}, 3, F(1)),  # a mask outside the graph
         ):
             with pytest.raises(LoopCurrentsError):
-                _from_integer_weights(g, nums, den, z)
+                Dist.from_integers(g, nums, den, z)
 
     def test_support_pair_cap_refuses_before_iterating(self):
         # cycle dimension 13: 2^13 even subgraphs, so 2^26 support pairs
@@ -350,8 +348,7 @@ class TestCountingCharacterization:
     def test_single_edge_hand_expansion(self):
         x = F(1, 3)
         d = double_current_lis(ONE_EDGE, x)
-        assert d.prob_of_mask(0) == 1 - x * x
-        assert d.prob_of_mask(1) == x * x
+        assert d.probabilities() == {0: 1 - x * x, 1: x * x}
 
     def test_x_zero(self):
         assert double_current_lis(K4, F(0)).same_law(point_mass(K4, 0))
@@ -547,6 +544,31 @@ class TestDistInvariants:
             for d in dists:
                 assert sum(d.probabilities().values()) == 1
 
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_constructors_store_numerators_in_lowest_terms(self, data):
+        g = data.draw(st.sampled_from(ORACLE_GRAPHS))
+        d1 = data.draw(mixed_dists(g))
+        d2 = data.draw(mixed_dists(g))
+        p = data.draw(coprime_p)
+        den = data.draw(st.integers(2, 12))
+        params = CurrentParams.from_t(F(data.draw(st.integers(1, den - 1)), den))
+        laws = [
+            d1,
+            bernoulli(g, p),
+            loop_o1(g, params.x),
+            union(d1, d2),
+            union_bernoulli(d1, p),
+            push_uniform_even(d1),
+            *(build(name, g, params) for name in MODELS),
+        ]
+        scale = data.draw(st.integers(2, 10**6))
+        for d in laws:
+            assert all(type(w) is int and w > 0 for w in d.nums.values())
+            assert gcd(d.den, *d.nums.values()) == 1
+            scaled = {m: scale * w for m, w in d.nums.items()}
+            assert Dist.from_integers(g, scaled, scale * d.den, d.z) == d
+
     def test_weight_sum_checked_against_z(self):
         with pytest.raises(LoopCurrentsError):
             Dist.from_weights(THETA111, {0: F(1, 2)}, F(1))
@@ -563,9 +585,3 @@ class TestDistInvariants:
         d = random_cluster(THETA111, F(1, 3))
         back = Dist.from_json(THETA111, d.to_json())
         assert back.same_law(d) and back.z == d.z
-
-    def test_total_variation(self):
-        a = point_mass(ONE_EDGE, 0)
-        b = point_mass(ONE_EDGE, 1)
-        assert a.total_variation(b) == 1
-        assert a.total_variation(a) == 0
