@@ -27,10 +27,10 @@ from fractions import Fraction
 from math import lcm
 from typing import Callable, Sequence
 
-from .errors import CapExceededError, GraphMismatchError, LoopCurrentsError
+from .errors import CapExceededError, LoopCurrentsError
 from .events import Event
 from .graphs import EDGE_ENUMERATION_CAP
-from .measures import Dist, bit_masses, union as _union
+from .measures import Dist, _require_same_graph, bit_masses, union as _union
 from .rationals import format_rational
 
 
@@ -145,8 +145,9 @@ def fkg_gaps(
             "FKG gaps need events verified increasing; "
             "use events.verified_increasing or pass require_increasing=False"
         )
-    if len({ev.graph.edges for ev in events} | {d.graph.edges for d in dists}) > 1:
-        raise GraphMismatchError("events and distributions live on different graphs")
+    _require_same_graph(
+        *(ev.graph for ev in events), *(d.graph for d in dists), what="events and distributions"
+    )
     pairs = [(events.index(a), events.index(b)) for a, b in event_pairs]
     k = len(events)
 
@@ -345,7 +346,7 @@ class _CoveringFlow:
     """
 
     def __init__(self, d_lo: Dist, d_hi: Dist):
-        _require_same_edges(d_lo, d_hi)
+        _require_same_graph(d_lo.graph, d_hi.graph)
         nums_lo, nums_hi = d_lo.nums, d_hi.nums
         classes = _lattice_coordinates(d_lo.graph.full_mask, [*nums_lo, *nums_hi])
         k = len(classes)
@@ -411,11 +412,6 @@ class _CoveringFlow:
         return tuple((a, b, Fraction(f, self.total)) for (a, b), f in sorted(pairs.items()))
 
 
-def _require_same_edges(d_lo: Dist, d_hi: Dist) -> None:
-    if d_lo.graph.edges != d_hi.graph.edges:
-        raise GraphMismatchError("distributions live on different graphs")
-
-
 def stochastic_domination(d_lo: Dist, d_hi: Dist) -> DominationReport:
     """Decide whether d_hi stochastically dominates d_lo, with certificate:
     the coupling of the covering network's full flow, or the up-set of its
@@ -447,7 +443,7 @@ def _holley_local(d_lo: Dist, d_hi: Dist) -> bool:
     stationary law d_lo or d_hi, so its limit couples d_lo below d_hi
     (Holley 1974).  The condition is only sufficient: False proves nothing.
     """
-    _require_same_edges(d_lo, d_hi)
+    _require_same_graph(d_lo.graph, d_hi.graph)
     n = d_lo.graph.edge_count
     size = 1 << n
     if len(d_lo.nums) < size or len(d_hi.nums) < size:

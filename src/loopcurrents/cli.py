@@ -109,11 +109,21 @@ def graph_from_args(args) -> Graph:
 # figure
 
 
+def _decimal_bits(digits: int) -> int:
+    """First rung of the START_BITS doubling ladder with 2^-bits < 10^-digits:
+    on a coarser rung an inexact enclosure, a unit in its last bit wide, is
+    about as wide as a decimal cell, so its endpoints mostly round apart."""
+    bits = START_BITS
+    while 1 << bits <= 10**digits and bits < MAX_BITS:
+        bits *= 2
+    return bits
+
+
 def _interval_decimal(fn, x: Fraction, digits: int):
     """Decimal string of an interval-valued function, refined until the
     rounding of both endpoints agrees (then it is the correctly rounded
     value).  Raises if they still disagree at ``MAX_BITS``."""
-    bits = START_BITS
+    bits = _decimal_bits(digits)
     while True:
         iv = fn(x, bits)
         lo_s = decimal_string(iv.lo, digits)
@@ -174,8 +184,8 @@ def cmd_figure(args) -> int:
             }
     elif args.model == "P":
 
-        # the decimal refinement and the pair search ask for the same
-        # enclosures; compute each (x, bits) once per command
+        # the decimal refinement and the pair search start on the same rung
+        # and ask for the same enclosures; compute each (x, bits) once
         enclosures = {}
 
         def enclosure(x, bits):
@@ -186,7 +196,7 @@ def cmd_figure(args) -> int:
         for x in grid:
             v_str, _ = _interval_decimal(enclosure, x, digits)
             rows.append((x.numerator, x.denominator, decimal_string(x, digits), v_str, ""))
-        found = certify_decreasing_pair(enclosure, grid)
+        found = certify_decreasing_pair(enclosure, grid, start_bits=_decimal_bits(digits))
         if found is not None:
             x1, x2, iv1, iv2 = found
             pair_record = {

@@ -14,9 +14,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
-from .errors import CapExceededError, GraphMismatchError, GraphStructureError
+from .errors import CapExceededError, GraphStructureError
 from .graphs import EDGE_ENUMERATION_CAP, Graph, cyclic_edges, is_connected
-from .measures import Dist, bit_masses
+from .measures import Dist, _require_same_graph, bit_masses
 
 CONNECT = "connect"
 CONNECT_SETS = "connect-sets"
@@ -199,7 +199,6 @@ def cyclic_count(g: Graph) -> Statistic:
 
 def statistic_dist(d: Dist, s: Statistic) -> dict[int, Fraction]:
     """Exact pushforward of the statistic under d, without values of mass 0."""
-    if s.graph.edges != d.graph.edges:
-        raise GraphMismatchError("statistic and distribution live on different graphs")
+    _require_same_graph(s.graph, d.graph, what="statistic and distribution")
     (masses,) = bit_masses([d], lambda m: 1 << s.value(m), d.graph.edge_count + 1)
     return {k: p for k, p in enumerate(masses) if p}

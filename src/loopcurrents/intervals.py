@@ -1,13 +1,14 @@
 """Certified rational interval arithmetic.
 
-One class, :class:`Interval`, with Fraction endpoints, in two modes.  In
-exact mode (``bits=None``) every operation is performed exactly on the
-endpoints.  In rounded mode every result is rounded outward to about
-``bits`` significant bits, so endpoint sizes stay bounded through long
-chains of products and high powers.  Square roots are enclosed by dyadic
-bounds obtained from ``math.isqrt``.  Either way the interval always
-encloses the true value; width comes from the square roots and, in rounded
-mode, from the outward rounding of every step.
+One class, :class:`Interval`, in two modes.  In exact mode (``bits=None``)
+the endpoints are Fractions and every operation is exact on them.  In
+rounded mode the endpoints are integers ``lo <= hi`` over one shared power
+of two, [lo * 2^exp, hi * 2^exp], and every result is rounded outward to
+``bits`` significant bits by floor and ceiling shifts, as in Arb
+(Johansson, IEEE TC 2017): high powers (x^4600, p^4000) cost a few products
+of ``bits``-bit integers, and (1/128)^600 keeps its significant bits.
+Square roots are enclosed with ``math.isqrt``.  The interval always
+encloses the true value.
 
 Intended use: evaluating closed forms that involve sqrt(1-x^2) at rational
 x, and certifying strict inequalities (two enclosures that do not overlap
@@ -16,7 +17,6 @@ prove the comparison).  Enclosures are never used to assert equalities.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 from typing import Callable, Sequence
@@ -30,107 +30,126 @@ START_BITS = 128
 MAX_BITS = 4096
 
 
-@dataclass(frozen=True)
 class Interval:
-    """Closed interval [lo, hi] with Fraction endpoints.
+    """Closed interval [lo, hi]; ``.lo`` and ``.hi`` are exact Fractions.
 
-    With ``bits=None`` every operation is exact on the endpoints.  With
-    ``bits`` set, every result is rounded outward to about ``bits``
-    significant bits, which keeps high powers (x^4600, p^4000) cheap: the
-    lower endpoint only ever moves down, the upper only up, so the result
+    With ``bits`` set, the constructor and every operation round outward:
+    the lower endpoint only ever moves down, the upper only up, so a result
     still encloses the exact one.  An operation on two intervals rounds at
     the coarser of their precisions, exact counting as unbounded.
     """
 
-    lo: Fraction
-    hi: Fraction
-    bits: int | None = None
+    __slots__ = ("_lo", "_hi", "_exp", "bits")
 
-    def __post_init__(self):
-        if self.lo > self.hi:
-            raise ValueError(f"inverted interval [{self.lo}, {self.hi}]")
+    def __init__(self, lo, hi, bits: int | None = None):
+        lo, hi = Fraction(lo), Fraction(hi)
+        if lo > hi:
+            raise ValueError(f"inverted interval [{lo}, {hi}]")
+        exp = 0
+        if bits is not None:
+            (lo, _, lo_exp), (_, hi, hi_exp) = _scaled(lo, bits), _scaled(hi, bits)
+            lo, hi, exp = _rounded(lo, lo_exp, hi, hi_exp, bits)
+        self._lo, self._hi, self._exp, self.bits = lo, hi, exp, bits
+
+    @classmethod
+    def _make(cls, lo, hi, exp: int, bits: int | None) -> "Interval":
+        # endpoints already in the mode's representation, already ordered
+        iv = object.__new__(cls)
+        iv._lo, iv._hi, iv._exp, iv.bits = lo, hi, exp, bits
+        return iv
 
     @classmethod
     def point(cls, value, bits: int | None = None) -> "Interval":
-        v = Fraction(value)
-        return cls(v, v, bits)
-
-    def _coerce(self, other) -> "Interval":
-        if isinstance(other, Interval):
-            return other
-        return Interval.point(other, self.bits)
-
-    def _result(self, lo: Fraction, hi: Fraction, other: "Interval") -> "Interval":
-        bits = self.bits
-        if other.bits is not None and (bits is None or other.bits < bits):
-            bits = other.bits
         if bits is None:
-            return Interval(lo, hi)
-        return Interval(_round_down(lo, bits), _round_up(hi, bits), bits)
+            v = Fraction(value)
+            return cls._make(v, v, 0, None)
+        return _result(*_scaled(value, bits), bits)
+
+    def _align(self, other) -> tuple["Interval", "Interval", int | None]:
+        """Both operands, an exact one rounded if the other is not, and the
+        coarser precision, exact counting as unbounded."""
+        bits = self.bits
+        if not isinstance(other, Interval):
+            return self, Interval.point(other, bits), bits
+        if other.bits == bits:
+            return self, other, bits
+        if bits is None:
+            return Interval(self._lo, self._hi, other.bits), other, other.bits
+        if other.bits is None:
+            return self, Interval(other._lo, other._hi, bits), bits
+        return self, other, min(bits, other.bits)
 
     # arithmetic -------------------------------------------------------------
     def __add__(self, other) -> "Interval":
-        other = self._coerce(other)
-        return self._result(self.lo + other.lo, self.hi + other.hi, other)
+        a, b, bits = self._align(other)
+        a_lo, a_hi, b_lo, b_hi, exp = _common_exp(a, b)
+        return _result(a_lo + b_lo, a_hi + b_hi, exp, bits)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Interval":
-        return Interval(-self.hi, -self.lo, self.bits)
+        return Interval._make(-self._hi, -self._lo, self._exp, self.bits)
 
     def __sub__(self, other) -> "Interval":
-        other = self._coerce(other)
-        return self._result(self.lo - other.hi, self.hi - other.lo, other)
+        return self + -other
 
     def __rsub__(self, other) -> "Interval":
-        return self._coerce(other) - self
+        return -self + other
 
     def __mul__(self, other) -> "Interval":
-        other = self._coerce(other)
-        if self.lo >= 0 and other.lo >= 0:
-            return self._result(self.lo * other.lo, self.hi * other.hi, other)
-        products = (
-            self.lo * other.lo,
-            self.lo * other.hi,
-            self.hi * other.lo,
-            self.hi * other.hi,
-        )
-        return self._result(min(products), max(products), other)
+        a, b, bits = self._align(other)
+        if a._lo >= 0 and b._lo >= 0:
+            lo, hi = a._lo * b._lo, a._hi * b._hi
+        else:
+            products = (a._lo * b._lo, a._lo * b._hi, a._hi * b._lo, a._hi * b._hi)
+            lo, hi = min(products), max(products)
+        return _result(lo, hi, a._exp + b._exp, bits)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other) -> "Interval":
-        other = self._coerce(other)
-        if other.lo <= 0 <= other.hi:
+        a, b, bits = self._align(other)
+        a_lo, a_hi, b_lo, b_hi = a._lo, a._hi, b._lo, b._hi
+        if b_lo <= 0 <= b_hi:
             raise ZeroDivisionError("division by an interval containing 0")
-        return self * other._result(1 / other.hi, 1 / other.lo, self)
+        if b_lo < 0:  # a/b = (-a)/(-b)
+            a_lo, a_hi, b_lo, b_hi = -a_hi, -a_lo, -b_hi, -b_lo
+        lo_den = b_hi if a_lo >= 0 else b_lo
+        hi_den = b_lo if a_hi >= 0 else b_hi
+        if bits is None:
+            return Interval._make(a_lo / lo_den, a_hi / hi_den, 0, None)
+        # numerators scaled by 2^s, so the larger quotient has > bits bits
+        s = bits + 1 + b_hi.bit_length() - max(a_lo.bit_length(), a_hi.bit_length())
+        lo, hi = _floor_div(a_lo, lo_den, s), -_floor_div(-a_hi, hi_den, s)
+        return _result(lo, hi, a._exp - b._exp - s, bits)
 
     def __rtruediv__(self, other) -> "Interval":
-        return self._coerce(other) / self
+        return Interval.point(other, self.bits) / self
 
     def __pow__(self, n: int) -> "Interval":
         if n < 0:
             raise ValueError("negative interval power")
-        if self.bits is not None and self.lo >= 0:
-            # square-and-multiply with per-step rounding; inclusion-monotone,
-            # so the result still encloses the true power
-            result = Interval.point(1, self.bits)
-            base = self
-            while n:
-                if n & 1:
-                    result = result * base
-                base = base * base
-                n >>= 1
-            return result
-        if n == 0:
-            return Interval.point(1, self.bits)
-        if self.lo >= 0 or n % 2 == 1:
-            return self._result(self.lo**n, self.hi**n, self)
-        mags = (abs(self.lo), abs(self.hi))
-        low = Fraction(0) if self.lo <= 0 <= self.hi else min(mags) ** n
-        return self._result(low, max(mags) ** n, self)
+        bits = self.bits
+        lo, hi = self._lo, self._hi
+        if lo < 0 and n % 2 == 0:
+            # an even power of an interval with lo < 0: the power of |[lo, hi]|
+            mags = (-lo, abs(hi))
+            lo, hi = (0 if hi >= 0 else min(mags)), max(mags)
+        if bits is None:
+            return Interval._make(Fraction(lo) ** n, hi**n, 0, None)
+        lo, lo_exp = _power(lo, self._exp, n, bits, False)
+        hi, hi_exp = _power(hi, self._exp, n, bits, True)
+        return Interval._make(*_rounded(lo, lo_exp, hi, hi_exp, bits), bits)
 
     # queries ----------------------------------------------------------------
+    @property
+    def lo(self) -> Fraction:
+        return self._lo if self.bits is None else self._lo * Fraction(2) ** self._exp
+
+    @property
+    def hi(self) -> Fraction:
+        return self._hi if self.bits is None else self._hi * Fraction(2) ** self._exp
+
     @property
     def width(self) -> Fraction:
         return self.hi - self.lo
@@ -144,59 +163,116 @@ class Interval:
         return self.lo > other.hi
 
     def __contains__(self, value) -> bool:
-        v = Fraction(value)
-        return self.lo <= v <= self.hi
+        return self.lo <= Fraction(value) <= self.hi
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Interval):
+            return NotImplemented
+        return (self.lo, self.hi, self.bits) == (other.lo, other.hi, other.bits)
+
+    def __hash__(self) -> int:
+        return hash((self.lo, self.hi, self.bits))
+
+    def __repr__(self) -> str:
+        return f"Interval({self.lo}, {self.hi}, bits={self.bits})"
+
+
+def _rounded(lo: int, lo_exp: int, hi: int, hi_exp: int, bits: int) -> tuple[int, int, int]:
+    """lo * 2^lo_exp and hi * 2^hi_exp over one exponent, rounded outward to
+    ``bits`` significant bits of the larger, never rounding a positive lower
+    or a negative upper endpoint to 0: the endpoints and the exponent."""
+    exp = min(lo_exp, hi_exp)
+    lo, hi = lo << (lo_exp - exp), hi << (hi_exp - exp)
+    shift = max(lo.bit_length(), hi.bit_length()) - bits
+    if shift > 0:
+        if lo > 0:
+            shift = min(shift, lo.bit_length() - 1)
+        elif hi < 0:
+            shift = min(shift, hi.bit_length() - 1)
+        lo, hi, exp = lo >> shift, -(-hi >> shift), exp + shift
+    return lo, hi, exp
+
+
+def _result(lo, hi, exp: int, bits: int | None) -> Interval:
+    """The result of an operation: exact, or [lo, hi] * 2^exp rounded."""
+    if bits is None:
+        return Interval._make(lo, hi, 0, None)
+    return Interval._make(*_rounded(lo, exp, hi, exp, bits), bits)
+
+
+def _common_exp(a: Interval, b: Interval) -> tuple:
+    """The endpoints of a and b over their smaller exponent, and that one."""
+    d = a._exp - b._exp
+    if d == 0:
+        return a._lo, a._hi, b._lo, b._hi, a._exp
+    if d > 0:
+        return a._lo << d, a._hi << d, b._lo, b._hi, b._exp
+    return a._lo, a._hi, b._lo << -d, b._hi << -d, a._exp
+
+
+def _floor_div(num: int, den: int, s: int) -> int:
+    """floor(num * 2^s / den) for den > 0."""
+    return (num << s) // den if s >= 0 else num // (den << -s)
+
+
+def _scaled(value, bits: int) -> tuple[int, int, int]:
+    """Floor and ceiling of value * 2^-exp, about ``bits`` bits long, and exp."""
+    num, den = Fraction(value).as_integer_ratio()
+    s = bits + den.bit_length() - num.bit_length()
+    q, r = divmod(num << s, den) if s >= 0 else divmod(num, den << -s)
+    return q, q + (r != 0), -s
+
+
+def _power(v: int, exp: int, n: int, bits: int, up: bool) -> tuple[int, int]:
+    """(v * 2^exp)^n rounded to ``bits`` significant bits, down, or up if
+    ``up``: the mantissa and its exponent.
+
+    Square-and-multiply on non-negative ints, every step rounded the same
+    way, so the error never changes sign.  A negative base comes only with
+    an odd n (``__pow__`` passes magnitudes otherwise) and takes the
+    opposite rounding of its magnitude.
+    """
+    if v <= 0:
+        if v == 0:  # 0^n; squaring would double its exponent for nothing
+            return (0, exp) if n else (1, 0)
+        v, exp = _power(-v, exp, n, bits, not up)
+        return -v, exp
+    result, result_exp = 1, 0
+    while True:
+        if n & 1:
+            result, result_exp = result * v, result_exp + exp
+            shift = result.bit_length() - bits
+            if shift > 0:
+                result = -(-result >> shift) if up else result >> shift
+                result_exp += shift
+        n >>= 1
+        if not n:
+            return result, result_exp
+        v, exp = v * v, 2 * exp
+        shift = v.bit_length() - bits
+        if shift > 0:
+            v = -(-v >> shift) if up else v >> shift
+            exp += shift
 
 
 def sqrt_interval(value: Fraction | Interval, bits: int = START_BITS) -> Interval:
-    """Enclosure of the square root with dyadic endpoints, width <= 2^-bits,
-    carrying ``bits`` so that arithmetic on it rounds at that precision."""
+    """Enclosure of the square root to ``bits`` significant bits, carrying
+    ``bits`` so that arithmetic on it rounds at that precision.  Each
+    endpoint is one floor or ceiling of v * 4^s and one isqrt, with s making
+    sqrt(v) * 2^s about ``bits`` bits long."""
     if not isinstance(value, Interval):
         value = Interval.point(value)
-    if value.lo < 0:
+    lo, hi = value.lo, value.hi
+    if lo < 0:
         raise ValueError("square root of a negative interval")
-    return Interval(_sqrt_lower(value.lo, bits), _sqrt_upper(value.hi, bits), bits)
-
-
-def _round_down(v: Fraction, bits: int) -> Fraction:
-    """Largest dyadic with ~bits significant bits that is <= v."""
-    return _round_toward(v.numerator, v.denominator, bits, 1)
-
-
-def _round_up(v: Fraction, bits: int) -> Fraction:
-    """Smallest dyadic with ~bits significant bits that is >= v."""
-    return _round_toward(v.numerator, v.denominator, bits, -1)
-
-
-def _round_toward(n: int, d: int, bits: int, sign: int) -> Fraction:
-    # sign * floor(sign * n/d) on the dyadic grid of ~bits significant bits;
-    # integer floors only, one Fraction built
-    if n == 0:
-        return Fraction(0)
-    n *= sign
-    shift = bits - (n.bit_length() - d.bit_length())
-    if shift >= 0:
-        return Fraction(sign * ((n << shift) // d), 1 << shift)
-    return Fraction(sign * ((n // (d << -shift)) << -shift))
-
-
-def _sqrt_lower(v: Fraction, bits: int) -> Fraction:
-    if v == 0:
-        return Fraction(0)
-    n, d = v.numerator, v.denominator
-    # sqrt(n/d) = sqrt(n*d)/d; floor(2^bits * sqrt(n*d)) / (2^bits * d)
-    root = isqrt((n * d) << (2 * bits))
-    return Fraction(root, d << bits)
-
-def _sqrt_upper(v: Fraction, bits: int) -> Fraction:
-    if v == 0:
-        return Fraction(0)
-    n, d = v.numerator, v.denominator
-    scaled = (n * d) << (2 * bits)
-    root = isqrt(scaled)
-    if root * root < scaled:
-        root += 1
-    return Fraction(root, d << bits)
+    s_lo, s_hi = (
+        bits - (v.numerator.bit_length() - v.denominator.bit_length() + 1) // 2 for v in (lo, hi)
+    )
+    bottom = isqrt(_floor_div(lo.numerator, lo.denominator, 2 * s_lo))
+    top = -_floor_div(-hi.numerator, hi.denominator, 2 * s_hi)
+    root = isqrt(top)
+    ends = _rounded(bottom, -s_lo, root + (root * root < top), -s_hi, bits)
+    return Interval._make(*ends, bits)
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,6 @@ Event, edge and histogram masses over a family of laws all come from
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -44,53 +43,56 @@ from .graphs import (
     even_subgraphs,
     span_masks,
 )
-from .rationals import format_rational, parse_rational
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
-
 @dataclass(frozen=True)
 class Dist:
     """Exact distribution over edge masks: P(mask) = nums[mask] / (z * den),
-    with positive integer numerators in lowest terms, gcd(den, *nums) == 1.
-    Build it through :meth:`from_integers`, which checks this."""
+    with positive integer numerators in lowest terms, gcd(den, *nums) == 1,
+    summing to z * den.  The constructor checks this, so ``==`` can compare
+    the fields; :meth:`from_integers` brings any weights to that form."""
 
     graph: Graph
     nums: dict[int, int]
     den: int
     z: Fraction
 
+    def __post_init__(self):
+        den, nums, z = self.den, self.nums, self.z
+        if den <= 0:
+            raise LoopCurrentsError(f"denominator {den} must be positive")
+        full = self.graph.full_mask
+        for mask, w in nums.items():
+            if mask & ~full:
+                raise LoopCurrentsError(f"mask {hex(mask)} has bits outside the graph's edges")
+            if w <= 0:
+                raise LoopCurrentsError(f"non-positive weight {Fraction(w, den)} at {hex(mask)}")
+        if z <= 0:
+            raise LoopCurrentsError(f"normalizer Z={z} must be positive")
+        total = sum(nums.values())
+        if total != z * den:
+            raise LoopCurrentsError(f"weights sum to {Fraction(total, den)}, expected Z={z}")
+        if gcd(den, *nums.values()) != 1:
+            raise LoopCurrentsError(f"weights over {den} are not in lowest terms")
+
     @classmethod
     def from_integers(
         cls, graph: Graph, nums: dict[int, int], den: int, z: Fraction | None = None
     ) -> "Dist":
-        """The law with weights nums/den: checks the masks against the graph,
-        rejects negative numerators, drops zeros and reduces by the gcd.  If
-        ``z`` is given, the numerators must sum to exactly z * den, which
-        verifies identities like "these weights add up to Z^2" on construction."""
-        if den <= 0:
-            raise LoopCurrentsError(f"denominator {den} must be positive")
-        full = graph.full_mask
-        clean: dict[int, int] = {}
-        for mask, w in nums.items():
-            if mask & ~full:
-                raise LoopCurrentsError(f"mask {hex(mask)} has bits outside the graph's edges")
-            if w < 0:
-                raise LoopCurrentsError(f"negative weight {Fraction(w, den)} at {hex(mask)}")
-            if w:
-                clean[mask] = w
-        total = sum(clean.values())
+        """The law with weights nums/den: drops zero weights and reduces by
+        the gcd; the constructor checks the rest.  If ``z`` is given, the
+        numerators must sum to exactly z * den, which verifies identities like
+        "these weights add up to Z^2" on construction."""
+        clean = {mask: w for mask, w in nums.items() if w}
         if z is None:
-            z = Fraction(total, den)
-        elif total != z * den:
-            raise LoopCurrentsError(f"weights sum to {Fraction(total, den)}, expected Z={z}")
-        if z <= 0:
-            raise LoopCurrentsError(f"normalizer Z={z} must be positive")
+            z = Fraction(sum(clean.values()), den) if den else ZERO
         common = gcd(den, *clean.values())
         if common > 1:
             clean = {m: w // common for m, w in clean.items()}
-        return cls(graph, clean, den // common, Fraction(z))
+            den //= common
+        return cls(graph, clean, den, Fraction(z))
 
     @classmethod
     def from_weights(
@@ -112,7 +114,7 @@ class Dist:
 
     def same_law(self, other: "Dist") -> bool:
         """Exact equality as probability measures (Z conventions may differ)."""
-        if self.graph.edges != other.graph.edges:
+        if not _same_graph(self.graph, other.graph):
             return False
         if self.nums.keys() != other.nums.keys():
             return False
@@ -121,27 +123,6 @@ class Dist:
         scale = other_mass.numerator * mass.denominator
         other_scale = mass.numerator * other_mass.denominator
         return all(w * scale == other.nums[m] * other_scale for m, w in self.nums.items())
-
-    # serialization -----------------------------------------------------------
-    def to_json_dict(self) -> dict:
-        return {
-            "z": format_rational(self.z),
-            "weights": [
-                [hex(mask), format_rational(w)] for mask, w in sorted(self.weights.items())
-            ],
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict())
-
-    @classmethod
-    def from_json_dict(cls, graph: Graph, data: dict) -> "Dist":
-        weights = {int(mask, 16): parse_rational(w) for mask, w in data["weights"]}
-        return cls.from_weights(graph, weights, parse_rational(data["z"]))
-
-    @classmethod
-    def from_json(cls, graph: Graph, text: str) -> "Dist":
-        return cls.from_json_dict(graph, json.loads(text))
 
 
 def point_mass(graph: Graph, mask: int) -> Dist:
@@ -252,7 +233,7 @@ def union(d1: Dist, d2: Dist) -> Dist:
     Iterates support pairs on integer numerators; the result has
     Z = Z1*Z2 over the denominator den1*den2.
     """
-    _require_same_graph(d1, d2)
+    _require_same_graph(d1.graph, d2.graph)
     pairs = len(d1.nums) * len(d2.nums)
     if pairs > UNION_PAIR_CAP:
         raise CapExceededError("union support pairs", pairs, UNION_PAIR_CAP)
@@ -457,11 +438,17 @@ def bit_masses(dists: Sequence[Dist], stat: Callable[[int], int], width: int) ->
 
 def prob(d: Dist, event) -> Fraction:
     """Exact probability of an event (see events module) under d."""
-    if event.graph.edges != d.graph.edges:
-        raise GraphMismatchError("event and distribution live on different graphs")
+    _require_same_graph(event.graph, d.graph, what="event and distribution")
     return bit_masses([d], event.holds, 1)[0][0]
 
 
-def _require_same_graph(d1: Dist, d2: Dist):
-    if d1.graph.edges != d2.graph.edges or d1.graph.vertex_count != d2.graph.vertex_count:
-        raise GraphMismatchError("distributions live on different graphs")
+def _same_graph(*graphs: Graph) -> bool:
+    """The one "same graph" test of the package: equal edge lists and equal
+    vertex counts."""
+    first = graphs[0]
+    return all(g.edges == first.edges and g.vertex_count == first.vertex_count for g in graphs[1:])
+
+
+def _require_same_graph(*graphs: Graph, what: str = "distributions") -> None:
+    if not _same_graph(*graphs):
+        raise GraphMismatchError(f"{what} live on different graphs")

@@ -142,12 +142,6 @@ class Polynomial:
         """Degree; -1 for the zero polynomial."""
         return self.terms[-1][0] if self.terms else -1
 
-    def trailing_term(self) -> tuple[int, Fraction]:
-        """Lowest-order term (exponent, coefficient); the zero poly has none."""
-        if not self.terms:
-            raise ValueError("zero polynomial has no trailing term")
-        return self.terms[0]
-
     def coefficient(self, exponent: int) -> Fraction:
         for e, c in self.terms:
             if e == exponent:
@@ -232,10 +226,6 @@ class RationalFunction:
         if other.num.is_zero:
             raise ZeroDivisionError("division by the zero rational function")
         return RationalFunction(self.num * other.den, self.den * other.num)
-
-    def same_function(self, other: "RationalFunction") -> bool:
-        """Equality as functions: cross-multiplied polynomial identity."""
-        return self.num * other.den == other.num * self.den
 
 
 def _coerce_rf(value) -> RationalFunction:

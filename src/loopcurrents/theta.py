@@ -168,9 +168,10 @@ def single_current_conn_exact(n: int, m: int, t: Fraction) -> Fraction:
 def single_current_conn_interval(n: int, m: int, x: Fraction, bits: int = START_BITS) -> Interval:
     """Certified enclosure of the same probability at generic rational x.
 
-    Evaluated in directed-rounding interval arithmetic at ``bits`` working
-    precision (the sqrt is the only inexact input; rounding keeps the huge
-    powers cheap).  The returned enclosure always contains the true value.
+    Evaluated in interval arithmetic rounded to ``bits`` significant bits
+    (the sqrt is the only inexact input; the rounding keeps the huge powers
+    cheap).
+    The returned enclosure always contains the true value.
     """
     x = Fraction(x)
     if not 0 < x < 1:
@@ -221,19 +222,6 @@ def double_loop_event_polynomials(n: int, m: int) -> tuple[Polynomial, Polynomia
     return one_loop, both
 
 
-def double_loop_fkg_difference(n: int, m: int) -> Polynomial:
-    """The polynomial (Z^2 P(X1))^2 - (Z^2 P(X1 and X2)) Z^2.
-
-    Positive values certify an FKG violation for the double loop model
-    (divide by Z^4 to recover P(X1)P(X2) - P(X1 and X2) Z^2, and Z >= 1).
-    For n > m the trailing term is 2 x^(2n+2m); at n = m the x^(3n+m) and
-    x^(2n+2m) terms collide and the difference is negative instead.
-    """
-    one_loop, both = double_loop_event_polynomials(n, m)
-    z = theta_partition(n, m)
-    return one_loop * one_loop - both * z * z
-
-
 def double_loop_fkg_gap(n: int, m: int, x: Fraction) -> Fraction:
     """Exact P(X1 and X2) - P(X1)P(X2) for the double loop model."""
     x = Fraction(x)
@@ -282,22 +270,6 @@ def cyclic_count_double_current_form(l: int, m: int, n: int) -> RationalFunction
     return RationalFunction(num, z * z)
 
 
-def cyclic_count_ratio(l: int, m: int, n: int) -> RationalFunction:
-    """Ratio of the two cyclic-count probabilities: Z / ((1+x^n)(1+x^(l+m))).
-
-    Differs from 1 on (0,1), which separates the loop structure of the
-    random cluster model from the double current even though single-edge
-    cyclic probabilities agree.
-    """
-    mono = Polynomial.monomial
-    z = partition_polynomial([l, m, n])
-    num = z * 2 * mono(l + m)
-    den = (Polynomial.constant(1) + mono(n)) * (2 * mono(l + m)) * (
-        Polynomial.constant(1) + mono(l + m)
-    )
-    return RationalFunction(num, den)
-
-
 # ---------------------------------------------------------------------------
 # Event helpers and mechanical tables
 
@@ -331,17 +303,6 @@ _COUNTER_PATH_SUBSETS = (
     (0, 1, 2, 3),
 )
 
-COUNTER_CONFIG_LABELS = (
-    "empty",
-    "2m",
-    "n-up + m-up",
-    "n-up + m-down",
-    "n-down + m-up",
-    "n-down + m-down",
-    "2n",
-    "2n + 2m",
-)
-
 
 def _path_subset_masks(lengths, subsets) -> list[int]:
     ranges = segment_edge_ranges(lengths)
@@ -363,28 +324,6 @@ def theta_even_masks(n: int, m: int, l: int | None = None) -> list[int]:
 def counter_even_masks(n: int, m: int) -> list[int]:
     """The eight even subgraphs of the counter family, in canonical table order."""
     return _path_subset_masks([n, n, m, m], _COUNTER_PATH_SUBSETS)
-
-
-def counter_even_table(n: int, m: int) -> list[dict]:
-    """The eight even subgraphs with edge counts, weights and connectivity.
-
-    Regenerates the counterexample bookkeeping mechanically: each row holds
-    the canonical label, the number of edges, the weight exponent (weight is
-    x^edges) and whether the marks a, b are connected in the subgraph.
-    """
-    g = counter_family(n, m)
-    rows = []
-    for label, mask in zip(COUNTER_CONFIG_LABELS, counter_even_masks(n, m)):
-        rows.append(
-            {
-                "label": label,
-                "mask": mask,
-                "edges": mask.bit_count(),
-                "weight_exponent": mask.bit_count(),
-                "connects_marks": is_connected(g, mask, g.marks.a, g.marks.b),
-            }
-        )
-    return rows
 
 
 def theta_pair_event_table(n: int, m: int, which: str) -> list[list[bool]]:

@@ -5,9 +5,11 @@ than the package (degree filtering instead of cycle-basis spans, BFS
 instead of union-find, Moebius inversion instead of pair iteration, one
 ``Fraction`` addition per configuration instead of integer mass passes), so
 an agreement is meaningful.  The float goodness-of-fit statistics for the
-samplers live here too: no certifying route reads them.
+samplers live here too: no certifying route reads them.  So do the closed
+forms, tables and serializations that only tests read.
 """
 
+import json
 from fractions import Fraction
 from math import lcm
 from typing import Iterable
@@ -15,8 +17,15 @@ from typing import Iterable
 from loopcurrents.checkers import DominationReport, UpSetWitness, _Dinic, _upset_witness
 from loopcurrents.errors import CapExceededError, GraphMismatchError, LoopCurrentsError
 from loopcurrents.events import Event
-from loopcurrents.graphs import Graph, edges_of_mask
+from loopcurrents.graphs import Graph, counter_family, edges_of_mask, is_connected
 from loopcurrents.measures import Dist
+from loopcurrents.rationals import Polynomial, RationalFunction, format_rational, parse_rational
+from loopcurrents.theta import (
+    counter_even_masks,
+    double_loop_event_polynomials,
+    partition_polynomial,
+    theta_partition,
+)
 
 
 def degrees(g: Graph, mask: int) -> list[int]:
@@ -242,3 +251,93 @@ def chi_square_statistic(counts: dict[int, int], dist: Dist) -> tuple[float, int
         observed = counts.get(mask, 0)
         stat += (observed - expected) ** 2 / expected
     return stat, len(dist.weights) - 1
+
+
+# ---------------------------------------------------------------------------
+# Closed forms, tables and serializations that only tests read
+
+
+def trailing_term(p: Polynomial) -> tuple[int, Fraction]:
+    """Lowest-order term (exponent, coefficient); the zero poly has none."""
+    if not p.terms:
+        raise ValueError("zero polynomial has no trailing term")
+    return p.terms[0]
+
+
+def same_function(f: RationalFunction, g: RationalFunction) -> bool:
+    """Equality as functions: cross-multiplied polynomial identity."""
+    return f.num * g.den == g.num * f.den
+
+
+def dist_to_json(d: Dist) -> str:
+    weights = [[hex(mask), format_rational(w)] for mask, w in sorted(d.weights.items())]
+    return json.dumps({"z": format_rational(d.z), "weights": weights})
+
+
+def dist_from_json(graph: Graph, text: str) -> Dist:
+    data = json.loads(text)
+    weights = {int(mask, 16): parse_rational(w) for mask, w in data["weights"]}
+    return Dist.from_weights(graph, weights, parse_rational(data["z"]))
+
+
+def double_loop_fkg_difference(n: int, m: int) -> Polynomial:
+    """The polynomial (Z^2 P(X1))^2 - (Z^2 P(X1 and X2)) Z^2.
+
+    Positive values certify an FKG violation for the double loop model
+    (divide by Z^4 to recover P(X1)P(X2) - P(X1 and X2) Z^2, and Z >= 1).
+    For n > m the trailing term is 2 x^(2n+2m); at n = m the x^(3n+m) and
+    x^(2n+2m) terms collide and the difference is negative instead.
+    """
+    one_loop, both = double_loop_event_polynomials(n, m)
+    z = theta_partition(n, m)
+    return one_loop * one_loop - both * z * z
+
+
+def cyclic_count_ratio(l: int, m: int, n: int) -> RationalFunction:
+    """Ratio of the two cyclic-count probabilities: Z / ((1+x^n)(1+x^(l+m))).
+
+    Differs from 1 on (0,1), which separates the loop structure of the
+    random cluster model from the double current even though single-edge
+    cyclic probabilities agree.
+    """
+    mono = Polynomial.monomial
+    z = partition_polynomial([l, m, n])
+    num = z * 2 * mono(l + m)
+    den = (Polynomial.constant(1) + mono(n)) * (2 * mono(l + m)) * (
+        Polynomial.constant(1) + mono(l + m)
+    )
+    return RationalFunction(num, den)
+
+
+COUNTER_CONFIG_LABELS = (
+    "empty",
+    "2m",
+    "n-up + m-up",
+    "n-up + m-down",
+    "n-down + m-up",
+    "n-down + m-down",
+    "2n",
+    "2n + 2m",
+)
+
+
+def counter_even_table(n: int, m: int) -> list[dict]:
+    """The eight even subgraphs with edge counts, weights and connectivity.
+
+    Regenerates the counterexample bookkeeping mechanically: each row holds
+    the canonical label, the number of edges, the weight exponent (weight is
+    x^edges) and whether the marks a, b are connected in the subgraph.
+    """
+    g = counter_family(n, m)
+    rows = []
+    for label, mask in zip(COUNTER_CONFIG_LABELS, counter_even_masks(n, m)):
+        rows.append(
+            {
+                "label": label,
+                "mask": mask,
+                "edges": mask.bit_count(),
+                "weight_exponent": mask.bit_count(),
+                "connects_marks": is_connected(g, mask, g.marks.a, g.marks.b),
+            }
+        )
+    return rows

@@ -140,6 +140,18 @@ class TestGraphMismatch:
         with pytest.raises(GraphMismatchError):
             fkg_gaps(laws, [pair])
 
+    def test_laws_on_different_vertex_counts_are_refused_by_every_route(self):
+        # the same single edge, on 2 and on 3 vertices: one "same graph" test
+        # (edges and vertex count) for the union, the Holley route and the flow
+        a = bernoulli(Graph(2, ((0, 1),)), F(1, 3))
+        b = bernoulli(Graph(3, ((0, 1),)), F(1, 2))
+        for route in (union, checkers._holley_local, stochastic_domination):
+            with pytest.raises(GraphMismatchError):
+                route(a, b)
+        with pytest.raises(GraphMismatchError):
+            fkg_gaps([a, b], [(edge_open(a.graph, 0), edge_open(a.graph, 0))])
+        assert not bernoulli(a.graph, F(1, 2)).same_law(b)
+
     def test_union_preservation_refuses_events_of_another_graph(self):
         def fam(x):
             return bernoulli(THETA111, x)

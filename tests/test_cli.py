@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from loopcurrents import cli
+from loopcurrents import cli, theta
 from loopcurrents.cli import _interval_decimal, main
 from loopcurrents.errors import LoopCurrentsError
 from loopcurrents.graphs import complete_graph, cyclic_edges, graph_to_json
@@ -21,6 +21,10 @@ from loopcurrents.measures import (
 )
 
 F = Fraction
+
+# sha256 of the CSV of `figure --model P --n 2000 --m 300 --grid-steps 7
+# --window 255/256:1`, the README's single-current figure.
+README_P_FIGURE_DIGEST = "644e2b6bc8496d857de45a91710879750480e6057d939bec0af981fdb096d943"
 
 
 def run(*argv) -> int:
@@ -79,9 +83,13 @@ class TestFigure:
             "--grid-steps", "7", "--window", "255/256:1", "--out", str(out),
         )
         assert code == 2
+        # the README command: its decimals are correctly rounded, so the CSV
+        # does not depend on how the enclosures are computed
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == README_P_FIGURE_DIGEST
         sidecar = json.loads((tmp_path / "big.csv.pair.json").read_text())
         pair = sidecar["decreasing_pair"]
         assert pair["method"] == "certified-interval"
+        assert (pair["x1"], pair["x2"]) == ("32735/32768", "1023/1024")
         # disjoint enclosures: the lower bound at x1 beats the upper at x2
         assert F(pair["value1_enclosure"][0]) > F(pair["value2_enclosure"][1])
 
@@ -100,6 +108,23 @@ class TestFigure:
     def test_certified_decimal_is_returned(self):
         value, _ = _interval_decimal(lambda x, bits: Interval(F(1451, 10000), F(1452, 10000)), F(1, 2), 2)
         assert value == "0.15"
+
+    @pytest.mark.parametrize(
+        "x, expected",
+        [
+            (F(1, 128), "4.720828367073453849137036503378959454522E-1265"),
+            (F(1, 2), "2.409919865102884117740750034712508936431E-181"),
+        ],
+    )
+    def test_tiny_values_keep_their_digits(self, x, expected):
+        # far below 1 (x^600 = 2^-4200 at x = 1/128) the enclosures keep
+        # their significant bits, so 40 digits are fixed on the first rung
+        def enclosure(x, bits):
+            return theta.single_current_conn_interval(2000, 300, x, bits)
+
+        value, iv = _interval_decimal(enclosure, x, 40)
+        assert value == expected
+        assert iv.bits == 256
 
     def test_odd_m_rejected(self, tmp_path):
         code = run(

@@ -4,12 +4,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from loopcurrents import intervals
 from loopcurrents.intervals import (
     Interval,
     certify_decreasing_pair,
     sqrt_interval,
 )
 from loopcurrents.rationals import find_decreasing_pair
+from loopcurrents.theta import (
+    single_current_conn_exact,
+    single_current_conn_interval,
+    single_current_conn_terms,
+)
 
 frac = st.fractions(min_value=-3, max_value=3, max_denominator=16)
 
@@ -66,8 +72,13 @@ class TestInterval:
 
 class TestSqrt:
     def test_perfect_square_is_exact(self):
+        # exact when the root lies on the 2^-bits grid ...
+        iv = sqrt_interval(Fraction(9, 64), 64)
+        assert iv.lo == iv.hi == Fraction(3, 8)
+        # ... and one grid step wide when it does not
         iv = sqrt_interval(Fraction(9, 25), 64)
-        assert iv.lo == iv.hi == Fraction(3, 5)
+        assert iv.lo < Fraction(3, 5) < iv.hi
+        assert iv.width == Fraction(1, 2**64)
 
     def test_sqrt_two_enclosure(self):
         iv = sqrt_interval(Fraction(2), 128)
@@ -139,6 +150,118 @@ class TestRoundedInterval:
         a = Interval.point(Fraction(1, 3), 64)
         out = 1 / a
         assert out.lo <= 3 <= out.hi
+
+
+def _encloses(iv: Interval, value: Fraction) -> bool:
+    return iv.lo <= value <= iv.hi
+
+
+class TestRoundedOracle:
+    """Rounded enclosures against exact Fraction evaluation.
+
+    At x = 2t/(1+t^2) the square root sqrt(1-x^2) = (1-t^2)/(1+t^2) is
+    rational, so the single-current connection probability has an exact
+    value to check the rounded enclosure against.
+    """
+
+    @staticmethod
+    def _oracle_holds(n, m, t, bits):
+        """The rounded enclosure contains the exact value, and the exact-mode
+        evaluation on the same square-root enclosure, which rounding only
+        ever widens."""
+        x = 2 * t / (1 + t * t)
+        rounded = single_current_conn_interval(n, m, x, bits)
+        root = sqrt_interval(1 - x * x, bits)
+        p = 1 - Interval(root.lo, root.hi)
+        exact_mode = single_current_conn_terms(n, m, Interval.point(x), p)
+        return (
+            _encloses(rounded, single_current_conn_exact(n, m, t))
+            and rounded.lo <= exact_mode.lo
+            and exact_mode.hi <= rounded.hi
+        )
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.fractions(min_value=Fraction(1, 40), max_value=Fraction(39, 40), max_denominator=40),
+        st.integers(min_value=1, max_value=6),
+        st.integers(min_value=1, max_value=3).map(lambda k: 2 * k),
+        st.sampled_from([128, 256]),
+    )
+    def test_single_current_enclosure_contains_exact(self, t, n, m, bits):
+        assert self._oracle_holds(n, m, t, bits)
+        iv = single_current_conn_interval(n, m, 2 * t / (1 + t * t), bits)
+        assert iv.bits == bits
+        assert iv.width <= iv.lo / 2 ** (bits - 16)
+
+    # Negative controls: the library rounding one upper endpoint inward makes
+    # the oracle fail on a fixed example from its own range.
+
+    def test_inward_rounded_powers_are_caught(self, monkeypatch):
+        assert self._oracle_holds(6, 6, Fraction(1, 5), 128)
+        power = intervals._power
+        monkeypatch.setattr(
+            intervals, "_power", lambda v, exp, n, bits, up: power(v, exp, n, bits, False)
+        )
+        assert not self._oracle_holds(6, 6, Fraction(1, 5), 128)
+
+    def test_inward_rounded_results_are_caught(self, monkeypatch):
+        def floored(lo, lo_exp, hi, hi_exp, bits):
+            # the rounding helper with a floor where its ceiling should be
+            exp = min(lo_exp, hi_exp)
+            lo, hi = lo << (lo_exp - exp), hi << (hi_exp - exp)
+            shift = max(lo.bit_length(), hi.bit_length()) - bits
+            if shift > 0:
+                lo, hi, exp = lo >> shift, hi >> shift, exp + shift
+            return lo, hi, exp
+
+        assert self._oracle_holds(6, 6, Fraction(4, 11), 128)
+        monkeypatch.setattr(intervals, "_rounded", floored)
+        assert not self._oracle_holds(6, 6, Fraction(4, 11), 128)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.lists(frac, min_size=2, max_size=2).map(sorted),
+        st.lists(frac, min_size=2, max_size=2).map(sorted),
+        st.integers(min_value=4, max_value=64),
+        st.integers(min_value=4, max_value=64),
+    )
+    def test_mixed_precisions_round_to_the_coarser(self, a, b, bits_a, bits_b):
+        exact_a, exact_b = Interval(*a), Interval(*b)
+        rounded_a, rounded_b = Interval(*a, bits_a), Interval(*b, bits_b)
+        coarser = min(bits_a, bits_b)
+        results = [
+            (rounded_a + rounded_b, exact_a + exact_b, coarser),
+            (rounded_a * rounded_b, exact_a * exact_b, coarser),
+            (rounded_a - exact_b, exact_a - exact_b, bits_a),
+            (exact_a * rounded_b, exact_a * exact_b, bits_b),
+        ]
+        if not b[0] <= 0 <= b[1]:
+            results.append((rounded_a / rounded_b, exact_a / exact_b, coarser))
+        for got, exact, bits in results:
+            assert got.bits == bits
+            assert got.lo <= exact.lo <= exact.hi <= got.hi
+
+    def test_tiny_power_keeps_its_significant_bits(self):
+        tiny = Interval.point(Fraction(1, 2), 64) ** 4000
+        assert tiny == Interval.point(Fraction(1, 2**4000), 64)
+        iv = Interval.point(Fraction(1, 3), 64) ** 600
+        assert _encloses(iv, Fraction(1, 3**600))
+        assert iv.width <= iv.hi / 2**50
+        # a zero endpoint keeps its exponent instead of doubling it n times
+        assert (Interval(-1, Fraction(1, 3), 64) ** 2**20)._exp > -100
+
+    def test_power_of_two_coefficient_is_exact(self):
+        iv = Interval.point(Fraction(1, 3), 64)
+        assert (iv * -4).lo == -iv.hi * 4 and (iv * -4).hi == -iv.lo * 4
+        assert _encloses(iv * 3, 1) and (iv * 3).width <= Fraction(1, 2**62)
+
+    def test_division_by_an_enclosure_touching_zero(self):
+        with pytest.raises(ZeroDivisionError):
+            Interval.point(1, 64) / Interval(Fraction(0), Fraction(1), 64)
+        # a tiny positive divisor keeps its sign and its significant bits
+        quotient = Interval.point(1, 64) / Interval.point(Fraction(1, 2**80), 64)
+        assert quotient == Interval.point(2**80, 64)
+        assert Interval(Fraction(1, 2**80), 1, 8).lo > 0
 
 
 class TestCertifiedPairs:

@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 from math import gcd
 
@@ -50,7 +51,7 @@ from loopcurrents.measures import (
 )
 from loopcurrents.overview import KNOWN_VERDICTS
 
-from oracles import brute_union, prob_bruteforce
+from oracles import brute_union, dist_from_json, dist_to_json, prob_bruteforce
 
 F = Fraction
 
@@ -573,6 +574,20 @@ class TestDistInvariants:
         with pytest.raises(LoopCurrentsError):
             Dist.from_weights(THETA111, {0: F(1, 2)}, F(1))
 
+    def test_raw_constructor_checks_invariants(self):
+        # the constructor itself checks, so == can rely on lowest terms
+        with pytest.raises(LoopCurrentsError):
+            Dist(THETA111, {0: -1}, 1, F(1))
+        with pytest.raises(LoopCurrentsError):
+            Dist(THETA111, {0: 2}, 2, F(1))
+        with pytest.raises(LoopCurrentsError):
+            Dist(THETA111, {0: 1}, 1, F(2))
+        law = Dist(THETA111, {0: 1, 3: 2}, 1, F(3))
+        assert law == Dist.from_integers(THETA111, {0: 2, 3: 4}, 2)
+        # a copy with new fields is checked as well
+        with pytest.raises(LoopCurrentsError):
+            dataclasses.replace(law, nums={0: 2, 3: 4})
+
     def test_negative_weight_rejected(self):
         with pytest.raises(LoopCurrentsError):
             Dist.from_weights(THETA111, {0: F(-1)})
@@ -583,5 +598,5 @@ class TestDistInvariants:
 
     def test_json_roundtrip(self):
         d = random_cluster(THETA111, F(1, 3))
-        back = Dist.from_json(THETA111, d.to_json())
+        back = dist_from_json(THETA111, dist_to_json(d))
         assert back.same_law(d) and back.z == d.z

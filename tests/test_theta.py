@@ -24,21 +24,26 @@ from loopcurrents.theta import (
     CounterSpec,
     closed_form_discrepancies,
     counter_even_masks,
-    counter_even_table,
     counter_pair_connect_table,
     counter_partition,
     cyclic_count_cluster_form,
     cyclic_count_double_current_form,
-    cyclic_count_ratio,
     double_loop_conn,
     double_loop_event_polynomials,
-    double_loop_fkg_difference,
     loop_conn,
     single_current_conn_exact,
     single_current_conn_interval,
     theta_even_masks,
     theta_pair_event_table,
     theta_partition,
+)
+
+from oracles import (
+    counter_even_table,
+    cyclic_count_ratio,
+    double_loop_fkg_difference,
+    same_function,
+    trailing_term,
 )
 
 F = Fraction
@@ -121,38 +126,42 @@ class TestConnectionForms:
         iv = single_current_conn_interval(5, 2, F(13, 16))
         assert 0 <= iv.lo <= iv.hi <= 1
 
-    # Enclosure endpoints on the figure's (2000, 300) window.  The figure's
-    # pair sidecar prints such endpoints, so they pin the outward rounding of
-    # every step to the bit.
+    # Enclosure endpoints on the figure's (2000, 300) window, as integers of
+    # ``bits`` significant bits over 2^k.  The figure's pair sidecar prints
+    # such endpoints, so they pin the outward rounding of every step to the bit.
     PINNED_ENCLOSURES = {
         (F(255, 256), 128): (
-            "474536804769971762291470889922819851597/5444517870735015415413993718908291383296",
-            "474536804769971762291470889922819851645/5444517870735015415413993718908291383296",
+            131,
+            237268402384985881145735444961409925781,
+            237268402384985881145735444961409925830,
         ),
         (F(255, 256), 256): (
-            "161476507118225272867408464983382554092026437594525234293676399585618423558783/"
-            "1852673427797059126777135760139006525652319754650249024631321344126610074238976",
-            "80738253559112636433704232491691277046013218797262617146838199792809211779405/"
-            "926336713898529563388567880069503262826159877325124512315660672063305037119488",
+            259,
+            80738253559112636433704232491691277046013218797262617146838199792809211779387,
+            80738253559112636433704232491691277046013218797262617146838199792809211779413,
         ),
         (F(32705, 32768), 128): (
-            "157369862010309530062256983608169105679/680564733841876926926749214863536422912",
-            "314739724020619060124513967216338211419/1361129467683753853853498429727072845824",
+            130,
+            314739724020619060124513967216338211333,
+            314739724020619060124513967216338211448,
         ),
         (F(32705, 32768), 256): (
-            "214200756507558408788602721930467813231078057396440372153479974592029175074117/"
-            "926336713898529563388567880069503262826159877325124512315660672063305037119488",
-            "53550189126889602197150680482616953307769514349110093038369993648007293768545/"
-            "231584178474632390847141970017375815706539969331281128078915168015826259279872",
+            258,
+            107100378253779204394301360965233906615539028698220186076739987296014587537040,
+            107100378253779204394301360965233906615539028698220186076739987296014587537108,
         ),
     }
 
     @pytest.mark.parametrize("x, bits", sorted(PINNED_ENCLOSURES))
     def test_interval_endpoints_are_pinned(self, x, bits):
         iv = single_current_conn_interval(2000, 300, x, bits)
-        lo, hi = self.PINNED_ENCLOSURES[x, bits]
-        assert (iv.lo, iv.hi) == (F(lo), F(hi))
+        k, lo, hi = self.PINNED_ENCLOSURES[x, bits]
+        assert hi.bit_length() <= bits
+        assert (iv.lo, iv.hi) == (F(lo, 2**k), F(hi, 2**k))
         assert iv.bits == bits
+        # the pin itself is a valid enclosure: it meets a far sharper one
+        sharp = single_current_conn_interval(2000, 300, x, 4096)
+        assert F(lo, 2**k) <= sharp.hi and sharp.lo <= F(hi, 2**k)
 
     def test_interval_rejects_bad_x(self):
         with pytest.raises(ParametrizationError):
@@ -194,14 +203,14 @@ class TestFkgForms:
 
     def test_difference_trailing_term_is_twice_x_to_2n_plus_2m(self):
         for n, m in ((3, 2), (4, 2), (5, 2), (5, 3)):
-            assert double_loop_fkg_difference(n, m).trailing_term() == (
+            assert trailing_term(double_loop_fkg_difference(n, m)) == (
                 2 * (n + m),
                 F(2),
             )
 
     def test_difference_flips_sign_at_equal_lengths(self):
         # with n = m the x^(3n+m) term lands on x^(2n+2m) and wins
-        assert double_loop_fkg_difference(2, 2).trailing_term() == (8, F(-2))
+        assert trailing_term(double_loop_fkg_difference(2, 2)) == (8, F(-2))
 
     def test_difference_against_sympy_expansion(self):
         sympy = pytest.importorskip("sympy")
@@ -223,7 +232,7 @@ class TestCyclicCountForms:
         reduced = RationalFunction(
             z, (Polynomial.constant(1) + mono(n)) * (Polynomial.constant(1) + mono(l + m))
         )
-        assert cyclic_count_ratio(l, m, n).same_function(reduced)
+        assert same_function(cyclic_count_ratio(l, m, n), reduced)
         assert reduced(F(0)) == 1  # the x -> 0 limit of the ratio
 
     def test_ratio_differs_from_one(self):
