@@ -34,7 +34,6 @@ from .events import (
     edge_count,
     edge_open,
     edge_open_cyclic,
-    parse_event,
     statistic_dist,
     verified_increasing,
 )

@@ -23,7 +23,7 @@ from pathlib import Path
 from . import __version__, theta
 from .battery import scan_battery, verification_battery
 from .checkers import union_preservation_test
-from .errors import LoopCurrentsError, ParametrizationError
+from .errors import GraphStructureError, LoopCurrentsError, ParametrizationError
 from .graphs import Graph, cyclic_edges, generalized_theta, graph_from_json
 from .intervals import MAX_BITS, START_BITS, certify_decreasing_pair
 from .measures import (
@@ -91,9 +91,19 @@ def add_graph_args(parser: argparse.ArgumentParser):
     parser.add_argument("--m", type=int, help="inner path length for the counter family")
 
 
+def read_graph(path: str) -> Graph:
+    """The graph in a JSON file; an unreadable or malformed file is a typed error."""
+    try:
+        return graph_from_json(Path(path).read_text(encoding="utf-8"))
+    except KeyError as exc:
+        raise GraphStructureError(f"graph file {path} has no key {exc}") from exc
+    except (OSError, ValueError, TypeError) as exc:
+        raise GraphStructureError(f"graph file {path}: {exc}") from exc
+
+
 def graph_from_args(args) -> Graph:
     if args.graph:
-        return graph_from_json(Path(args.graph).read_text(encoding="utf-8"))
+        return read_graph(args.graph)
     if args.family == "theta":
         if not args.segments:
             raise LoopCurrentsError("--family theta needs --segments")
@@ -257,7 +267,7 @@ def cmd_table(args) -> int:
 def _battery(args):
     extra = []
     if getattr(args, "graph", None):
-        extra.append(("cli-graph", graph_from_json(Path(args.graph).read_text(encoding="utf-8"))))
+        extra.append(("cli-graph", read_graph(args.graph)))
     return verification_battery(extra)
 
 

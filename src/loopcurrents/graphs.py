@@ -1,5 +1,9 @@
 """Finite multigraphs, connectivity, cycle space and even-subgraph enumeration.
 
+Two routines answer every configuration question: :func:`component_labels`
+(are u and v connected?) and :func:`cycle_space_basis` (which open edges lie
+on a cycle, and which even subgraphs are there?).
+
 Edge subsets ("configurations") are plain integer bitmasks: bit ``i`` of a
 mask refers to ``graph.edges[i]``.  Set algebra is ``& | ^``, cardinality is
 ``int.bit_count()``.  Edge indices are assigned in input order and never
@@ -201,15 +205,8 @@ def is_connected(g: Graph, mask: int, u: int, v: int) -> bool:
     """True iff u and v lie in the same component of the spanning subgraph (V, mask)."""
     if not (0 <= u < g.vertex_count and 0 <= v < g.vertex_count):
         raise GraphStructureError(f"vertex pair ({u},{v}) out of range")
-    if u == v:
-        return True
-    dsu = _DSU(g.vertex_count)
-    for i in edges_of_mask(mask):
-        a, b = g.edges[i]
-        dsu.union(a, b)
-        if dsu.find(u) == dsu.find(v):
-            return True
-    return False
+    labels = component_labels(g, mask)
+    return labels[u] == labels[v]
 
 
 def component_count(g: Graph, mask: int) -> int:
@@ -226,8 +223,8 @@ def component_count(g: Graph, mask: int) -> int:
 def component_labels(g: Graph, mask: int) -> tuple[int, ...]:
     """Per-vertex component representative of (V, mask).
 
-    Two vertices are connected iff their labels agree; handy when many
-    connection queries hit the same configuration.
+    Two vertices are connected iff their labels agree, so one pass answers
+    every connection query on the same configuration.
     """
     dsu = _DSU(g.vertex_count)
     for i in edges_of_mask(mask):
@@ -326,13 +323,11 @@ def span_masks(elements: tuple[int, ...]) -> Iterator[int]:
         yield current
 
 
-def even_subgraphs(
-    g: Graph, mask: int | None = None, cap: int = CYCLE_DIMENSION_CAP
-) -> Iterator[int]:
+def even_subgraphs(g: Graph, mask: int | None = None) -> Iterator[int]:
     """Enumerate the even subgraphs of (V, mask) without duplicates."""
     basis = cycle_space_basis(g, mask)
-    if basis.dimension > cap:
-        raise CapExceededError("even-subgraph span", basis.dimension, cap)
+    if basis.dimension > CYCLE_DIMENSION_CAP:
+        raise CapExceededError("even-subgraph span", basis.dimension, CYCLE_DIMENSION_CAP)
     return span_masks(basis.elements)
 
 
@@ -343,46 +338,12 @@ def even_subgraphs(
 def cyclic_edges(g: Graph, mask: int) -> int:
     """Edges of ``mask`` that lie on some cycle of (V, mask).
 
-    These are exactly the non-bridges, found in one depth-first low-link
-    pass (Tarjan 1974): the tree edge into v is a bridge iff no edge from
-    v's subtree other than that tree edge reaches above v.  The tree edge
-    is identified by its index, not by v's parent, so self-loops and
-    doubled parallel edges are always cyclic.
+    These are the edges of some element of a cycle basis: every element is
+    a cycle, and an edge on a cycle C lies in one of the elements whose XOR
+    is C.  So the union of the fundamental cycles is the answer, and
+    self-loops and doubled parallel edges are always cyclic.
     """
-    adj: dict[int, list[tuple[int, int]]] = {}
-    for i in edges_of_mask(mask):
-        u, v = g.edges[i]
-        adj.setdefault(u, []).append((v, i))
-        adj.setdefault(v, []).append((u, i))
-
-    order = [-1] * g.vertex_count  # discovery index
-    low = [0] * g.vertex_count  # least discovery index reachable from the subtree
-    seen = 0
-    bridges = 0
-    for root in adj:
-        if order[root] >= 0:
-            continue
-        order[root] = low[root] = seen
-        seen += 1
-        stack = [(root, -1, iter(adj[root]))]
-        while stack:
-            u, tree_edge, it = stack[-1]
-            for v, i in it:
-                if i == tree_edge:
-                    continue
-                if order[v] < 0:
-                    order[v] = low[v] = seen
-                    seen += 1
-                    stack.append((v, i, iter(adj[v])))
-                    break
-                if order[v] < low[u]:
-                    low[u] = order[v]
-            else:
-                stack.pop()
-                if stack:
-                    parent = stack[-1][0]
-                    if low[u] < low[parent]:
-                        low[parent] = low[u]
-                    if low[u] > order[parent]:
-                        bridges |= 1 << tree_edge
-    return mask & ~bridges
+    cyclic = 0
+    for cycle in cycle_space_basis(g, mask).elements:
+        cyclic |= cycle
+    return cyclic

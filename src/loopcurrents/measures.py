@@ -45,7 +45,6 @@ from .graphs import (
 )
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 @dataclass(frozen=True)
 class Dist:
@@ -180,26 +179,13 @@ class CurrentParams:
 # Basic constructors
 
 
-def bernoulli(graph: Graph, p: Fraction, cap: int = EDGE_ENUMERATION_CAP) -> Dist:
+def bernoulli(graph: Graph, p: Fraction) -> Dist:
     """Independent edge percolation: with p = c/e, weight c^|w| (e-c)^(|E|-|w|)
     over e^|E|, Z = 1."""
-    p = Fraction(p)
-    if not 0 <= p <= 1:
-        raise LoopCurrentsError(f"p={p} outside [0,1]")
-    n = graph.edge_count
-    if p == 0:
-        return point_mass(graph, 0)
-    if p == 1:
-        return point_mass(graph, graph.full_mask)
-    if n > cap:
-        raise CapExceededError("Bernoulli support", n, cap)
-    c, e = p.numerator, p.denominator
-    by_count = [c**k * (e - c) ** (n - k) for k in range(n + 1)]
-    nums = {mask: by_count[mask.bit_count()] for mask in range(1 << n)}
-    return Dist.from_integers(graph, nums, e**n, ONE)
+    return union_bernoulli(point_mass(graph, 0), p)
 
 
-def loop_o1(graph: Graph, x: Fraction, cap: int = CYCLE_DIMENSION_CAP) -> Dist:
+def loop_o1(graph: Graph, x: Fraction) -> Dist:
     """Loop model: weight x^|g| on every even subgraph g, Z = sum of weights.
     With x = a/b the weights are a^|g| b^(|E|-|g|) over b^|E|."""
     x = Fraction(x)
@@ -210,7 +196,7 @@ def loop_o1(graph: Graph, x: Fraction, cap: int = CYCLE_DIMENSION_CAP) -> Dist:
     a, b, n = x.numerator, x.denominator, graph.edge_count
     nums: dict[int, int] = {}
     powers: dict[int, int] = {}
-    for g in even_subgraphs(graph, cap=cap):
+    for g in even_subgraphs(graph):
         k = g.bit_count()
         if k not in powers:
             powers[k] = a**k * b ** (n - k)
@@ -247,7 +233,7 @@ def union(d1: Dist, d2: Dist) -> Dist:
     return Dist.from_integers(d1.graph, acc, d1.den * d2.den, d1.z * d2.z)
 
 
-def union_bernoulli(d: Dist, p: Fraction, cap: int = EDGE_ENUMERATION_CAP) -> Dist:
+def union_bernoulli(d: Dist, p: Fraction) -> Dist:
     """Union of d with independent Bernoulli(p) percolation.
 
     Same measure as ``union(d, bernoulli(graph, p))`` (asserted by tests) but
@@ -269,8 +255,8 @@ def union_bernoulli(d: Dist, p: Fraction, cap: int = EDGE_ENUMERATION_CAP) -> Di
     if p == 1:
         return Dist.from_integers(d.graph, {d.graph.full_mask: d.z.numerator}, d.z.denominator, d.z)
     n = d.graph.edge_count
-    if n > cap:
-        raise CapExceededError("Bernoulli union lattice", n, cap)
+    if n > EDGE_ENUMERATION_CAP:
+        raise CapExceededError("Bernoulli union lattice", n, EDGE_ENUMERATION_CAP)
 
     size = 1 << n
     table = [0] * size
@@ -301,7 +287,7 @@ MODELS: dict[str, tuple[int, Callable[[CurrentParams], Fraction] | None]] = {
 }
 
 
-def build(name: str, graph: Graph, params: CurrentParams, cap: int = EDGE_ENUMERATION_CAP) -> Dist:
+def build(name: str, graph: Graph, params: CurrentParams) -> Dist:
     """Exact law of the registered model ``name`` at ``params``."""
     if name not in MODELS:
         raise LoopCurrentsError(f"unknown model {name!r}; choose from {tuple(MODELS)}")
@@ -310,17 +296,17 @@ def build(name: str, graph: Graph, params: CurrentParams, cap: int = EDGE_ENUMER
     d = loop
     for _ in range(copies - 1):
         d = union(d, loop)
-    return d if p is None else union_bernoulli(d, p(params), cap=cap)
+    return d if p is None else union_bernoulli(d, p(params))
 
 
-def random_cluster(graph: Graph, x: Fraction, cap: int = EDGE_ENUMERATION_CAP) -> Dist:
+def random_cluster(graph: Graph, x: Fraction) -> Dist:
     """FK-Ising (q=2) random cluster model: loop union Bernoulli(x)."""
-    return build("random_cluster", graph, CurrentParams.from_x(x), cap)
+    return build("random_cluster", graph, CurrentParams.from_x(x))
 
 
-def single_current(graph: Graph, params: CurrentParams, cap: int = EDGE_ENUMERATION_CAP) -> Dist:
+def single_current(graph: Graph, params: CurrentParams) -> Dist:
     """Traced sourceless single random current: loop union Bernoulli(p(x))."""
-    return build("single_current", graph, params, cap)
+    return build("single_current", graph, params)
 
 
 def double_loop(graph: Graph, x: Fraction) -> Dist:
@@ -328,17 +314,17 @@ def double_loop(graph: Graph, x: Fraction) -> Dist:
     return build("double_loop", graph, CurrentParams.from_x(x))
 
 
-def double_current(graph: Graph, x: Fraction, cap: int = EDGE_ENUMERATION_CAP) -> Dist:
+def double_current(graph: Graph, x: Fraction) -> Dist:
     """Traced sourceless double random current: double loop union Bernoulli(x^2)."""
-    return build("double_current", graph, CurrentParams.from_x(x), cap)
+    return build("double_current", graph, CurrentParams.from_x(x))
 
 
-def double_cluster(graph: Graph, x: Fraction, cap: int = EDGE_ENUMERATION_CAP) -> Dist:
+def double_cluster(graph: Graph, x: Fraction) -> Dist:
     """Union of two independent random cluster samples: double loop union Bernoulli(x(2-x))."""
-    return build("double_cluster", graph, CurrentParams.from_x(x), cap)
+    return build("double_cluster", graph, CurrentParams.from_x(x))
 
 
-def double_current_lis(graph: Graph, x: Fraction, cap: int = EDGE_ENUMERATION_CAP) -> Dist:
+def double_current_lis(graph: Graph, x: Fraction) -> Dist:
     """Double random current built from its even-subgraph counting formula.
 
     For each configuration w:
@@ -353,8 +339,8 @@ def double_current_lis(graph: Graph, x: Fraction, cap: int = EDGE_ENUMERATION_CA
     if not 0 <= x < 1:
         raise LoopCurrentsError(f"x={x} outside [0,1)")
     n = graph.edge_count
-    if n > cap:
-        raise CapExceededError("double-current lattice", n, cap)
+    if n > EDGE_ENUMERATION_CAP:
+        raise CapExceededError("double-current lattice", n, EDGE_ENUMERATION_CAP)
     if x == 0:
         return point_mass(graph, 0)
 
@@ -384,7 +370,7 @@ def double_current_lis(graph: Graph, x: Fraction, cap: int = EDGE_ENUMERATION_CA
 PUSH_SPAN_CAP = 1 << 24
 
 
-def push_uniform_even(d: Dist, cap: int = CYCLE_DIMENSION_CAP) -> Dist:
+def push_uniform_even(d: Dist) -> Dist:
     """Pick a configuration from d, then a uniform even subgraph of it.
 
     P_out(h) = sum over w containing h of P(w) / |even(w)|, on numerators
@@ -393,8 +379,10 @@ def push_uniform_even(d: Dist, cap: int = CYCLE_DIMENSION_CAP) -> Dist:
     bases = []
     for mask, w in d.nums.items():
         basis = cycle_space_basis(d.graph, mask)
-        if basis.dimension > cap:
-            raise CapExceededError("even subgraphs of a support element", basis.dimension, cap)
+        if basis.dimension > CYCLE_DIMENSION_CAP:
+            raise CapExceededError(
+                "even subgraphs of a support element", basis.dimension, CYCLE_DIMENSION_CAP
+            )
         bases.append((w, basis))
     total = sum(1 << basis.dimension for _, basis in bases)
     if total > PUSH_SPAN_CAP:

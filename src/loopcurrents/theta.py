@@ -21,7 +21,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from .errors import GraphStructureError, ParametrizationError
-from .events import all_open, connect, cyclic_count, statistic_dist
+from .events import Event, all_open, connect, cyclic_count, statistic_dist
 from .graphs import Graph, counter_family, generalized_theta, is_connected, segment_edge_ranges
 from .intervals import START_BITS, Interval, sqrt_interval
 from .measures import (
@@ -422,6 +422,11 @@ def closed_form_discrepancies(n: int, m: int, t: Fraction, x: Fraction) -> list[
     return out
 
 
-def intersect_all_open(first, second):
-    """Intersection event of two all-open events (union of required masks)."""
-    return all_open(first.graph, first.data[0] | second.data[0])
+def intersect_all_open(first: Event, second: Event) -> Event:
+    """Both events hold: for two all-open events, all-open on the union of their masks."""
+    return Event(
+        first.graph,
+        lambda mask: first.holds(mask) and second.holds(mask),
+        first.increasing and second.increasing,
+        f"{first.describe()}&{second.describe()}",
+    )

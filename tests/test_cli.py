@@ -147,6 +147,12 @@ class TestFigure:
 
 
 FIGURE_L = ("figure", "--model", "l", "--n", "18", "--m", "2")
+# --graph files that are not graphs: invalid JSON, no edge list, an edge of three vertices
+MALFORMED_GRAPHS = {
+    "invalid.json": "{not json",
+    "no_edges.json": '{"vertices": 3}',
+    "triple.json": '{"vertices": 3, "edges": [[0, 1, 2]]}',
+}
 
 
 @pytest.mark.parametrize(
@@ -160,9 +166,17 @@ FIGURE_L = ("figure", "--model", "l", "--n", "18", "--m", "2")
         ("table", "--grid-steps", "6", "--mon-grid-steps", "0"),
         ("verify", "--x", "abc"),
         ("verify", "--x", "1/0"),
+        *(
+            (*command, "--graph", name)
+            for name in ("missing.json", *MALFORMED_GRAPHS)
+            for command in (("verify",), ("sample", "--model", "loop", "--x", "1/2"))
+        ),
     ],
 )
-def test_malformed_numbers_are_typed_errors(argv, tmp_path, capsys):
+def test_malformed_numbers_are_typed_errors(argv, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    for name, text in MALFORMED_GRAPHS.items():
+        (tmp_path / name).write_text(text)
     assert run(*argv, "--out", str(tmp_path / "out")) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err

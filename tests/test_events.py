@@ -15,7 +15,6 @@ from loopcurrents.events import (
     edge_count,
     edge_open,
     edge_open_cyclic,
-    parse_event,
     statistic_dist,
     verified_increasing,
 )
@@ -73,6 +72,12 @@ class TestEvaluate:
     def test_connect_needs_marks_or_vertices(self):
         with pytest.raises(GraphStructureError):
             connect(complete_graph(3))
+
+    def test_connect_refuses_one_vertex(self):
+        # one vertex given must not fall back to the marks
+        for args in ((0,), (None, 0)):
+            with pytest.raises(GraphStructureError):
+                connect(COUNTER22, *args)
 
 
 class TestCheckIncreasing:
@@ -151,21 +156,3 @@ class TestStatistics:
         d = loop_o1(g, F(1, 2))
         assert statistic_dist(d, cyclic_count(g)) == statistic_dist(d, edge_count(g))
 
-
-class TestParsing:
-    def test_parse_connect_marks(self):
-        ev = parse_event(COUNTER22, "connect:a,b")
-        assert ev.data == (COUNTER22.marks.a, COUNTER22.marks.b)
-
-    def test_parse_edge_kinds(self):
-        assert parse_event(THETA111, "edge:1").data == (1,)
-        assert parse_event(THETA111, "edge-cyclic:2").data == (2,)
-        assert parse_event(THETA111, "allopen:0,2").data == (0b101,)
-
-    def test_parse_connect_vertices(self):
-        ev = parse_event(THETA111, "connect:0,1")
-        assert ev.data == (0, 1)
-
-    def test_parse_rejects_unknown(self):
-        with pytest.raises(GraphStructureError):
-            parse_event(THETA111, "frobnicate:1")

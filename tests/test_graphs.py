@@ -193,8 +193,9 @@ class TestCycleSpace:
 
     def test_cap_enforced(self):
         g = Graph(2, tuple((0, 1) for _ in range(23)))  # dimension 22
-        with pytest.raises(CapExceededError):
-            list(even_subgraphs(g, cap=CYCLE_DIMENSION_CAP))
+        with pytest.raises(CapExceededError) as info:
+            list(even_subgraphs(g))
+        assert info.value.cap == CYCLE_DIMENSION_CAP
 
     def test_even_count_formula_on_subconfigurations(self):
         rng = random.Random(11)
