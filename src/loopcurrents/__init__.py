@@ -54,7 +54,6 @@ from .graphs import (
 )
 from .intervals import Interval, certify_decreasing_pair, sqrt_interval
 from .measures import (
-    CurrentParams,
     Dist,
     bernoulli,
     double_cluster,
@@ -65,8 +64,10 @@ from .measures import (
     point_mass,
     prob,
     push_uniform_even,
+    pythagorean_x,
     random_cluster,
     single_current,
+    single_current_p,
     union,
     union_bernoulli,
 )
@@ -77,4 +78,4 @@ from .rationals import (
     dyadic_grid,
     find_decreasing_pair,
 )
-from .sampler import SamplerConfig, sample_coupled, sample_loop_mcmc
+from .sampler import loop_chain, sample_coupled

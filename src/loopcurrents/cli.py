@@ -27,7 +27,6 @@ from .errors import GraphStructureError, LoopCurrentsError, ParametrizationError
 from .graphs import Graph, cyclic_edges, generalized_theta, graph_from_json
 from .intervals import MAX_BITS, START_BITS, certify_decreasing_pair
 from .measures import (
-    CurrentParams,
     bernoulli,
     bit_masses,
     double_cluster,
@@ -36,6 +35,7 @@ from .measures import (
     double_loop,
     loop_o1,
     push_uniform_even,
+    pythagorean_x,
     random_cluster,
     union_bernoulli,
 )
@@ -48,7 +48,7 @@ from .rationals import (
     format_rational,
     parse_rational,
 )
-from .sampler import COUPLED_MODELS, SamplerConfig, loop_chain, sample_stream, write_sample_dump
+from .sampler import COUPLED_MODELS, loop_chain, sample_stream, write_sample_dump
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -165,6 +165,8 @@ def cmd_figure(args) -> int:
         grid = dyadic_grid(args.grid_steps)
 
     digits = args.precision_digits
+    if digits < 1:
+        raise ParametrizationError(f"--precision-digits {digits} must be positive")
     out = Path(args.out)
     rows = []
     pair_record = None
@@ -264,45 +266,36 @@ def cmd_table(args) -> int:
 # verify
 
 
-def _battery(args):
-    extra = []
-    if getattr(args, "graph", None):
-        extra.append(("cli-graph", read_graph(args.graph)))
-    return verification_battery(extra)
+# The x values every suite checks unless --x names one.
+DEFAULT_VERIFY_XS = (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4))
 
 
-def _verify_xs(args):
-    if getattr(args, "x", None):
-        return [parse_rational(args.x)]
-    return [Fraction(1, 4), Fraction(1, 2), Fraction(3, 4)]
-
-
-def verify_newcoupling(args) -> list[str]:
+def verify_newcoupling(battery, xs) -> list[str]:
     failures = []
-    for name, g in _battery(args):
-        for x in _verify_xs(args):
+    for name, g in battery:
+        for x in xs:
             if not push_uniform_even(double_current(g, x)).same_law(loop_o1(g, x)):
                 failures.append(f"newcoupling: {name} x={x}")
     return failures
 
 
-def verify_lis_equivalence(args) -> list[str]:
+def verify_lis_equivalence(battery, xs) -> list[str]:
     failures = []
-    for name, g in _battery(args):
-        for x in _verify_xs(args):
+    for name, g in battery:
+        for x in xs:
             if not double_current_lis(g, x).same_law(double_current(g, x)):
                 failures.append(f"lis-equivalence: {name} x={x}")
     return failures
 
 
-def verify_cor1(args) -> list[str]:
+def verify_cor1(battery, xs) -> list[str]:
     failures = []
-    for name, g in _battery(args):
+    for name, g in battery:
 
         def open_cyclic(m):
             return m & cyclic_edges(g, m)
 
-        for x in _verify_xs(args):
+        for x in xs:
             # one bridge search per configuration the two laws share
             left, right = bit_masses(
                 [double_current(g, x), random_cluster(g, x)], open_cyclic, g.edge_count
@@ -314,10 +307,10 @@ def verify_cor1(args) -> list[str]:
     return failures
 
 
-def verify_edge_identities(args) -> list[str]:
+def verify_edge_identities(battery, xs) -> list[str]:
     failures = []
-    for name, g in _battery(args):
-        for x in _verify_xs(args):
+    for name, g in battery:
+        for x in xs:
             lo = loop_o1(g, x)
             ps = (Fraction(1, 3), x)
             laws = [lo, double_loop(g, x), *(union_bernoulli(lo, p) for p in ps)]
@@ -331,7 +324,7 @@ def verify_edge_identities(args) -> list[str]:
     return failures
 
 
-def verify_sumthm(args) -> list[str]:
+def verify_sumthm(battery, xs) -> list[str]:
     failures = []
     grid = dyadic_grid(4)
     for name, g in scan_battery():
@@ -354,7 +347,7 @@ def verify_sumthm(args) -> list[str]:
     return failures
 
 
-def verify_appendix_tables(args) -> list[str]:
+def verify_appendix_tables(battery, xs) -> list[str]:
     """Regenerate the even-subgraph pair tables and cross-check them against
     the independent containment rules, plus the closed-form oracle checks."""
     failures = []
@@ -389,6 +382,8 @@ def verify_appendix_tables(args) -> list[str]:
     return failures
 
 
+# Each suite takes the battery's (name, graph) pairs and the x values, and
+# returns one line per failure.
 VERIFY_SUITES = {
     "newcoupling": verify_newcoupling,
     "cor1": verify_cor1,
@@ -402,10 +397,12 @@ VERIFY_SUITES = {
 def cmd_verify(args) -> int:
     started = time.time()
     theorems = list(VERIFY_SUITES) if args.theorem == "all" else [args.theorem]
+    battery = verification_battery([("cli-graph", read_graph(args.graph))] if args.graph else [])
+    xs = [parse_rational(args.x)] if args.x else DEFAULT_VERIFY_XS
     failures: list[str] = []
     results = {}
     for name in theorems:
-        fails = VERIFY_SUITES[name](args)
+        fails = VERIFY_SUITES[name](battery, xs)
         results[name] = {"pass": not fails, "failures": fails}
         failures.extend(fails)
         print(f"verify {name}: {'PASS' if not fails else 'FAIL'}")
@@ -427,23 +424,23 @@ SAMPLER_SETTINGS = ("burn_in", "thin")
 def cmd_sample(args) -> int:
     started = time.time()
     g = graph_from_args(args)
-    cfg = SamplerConfig(seed=args.seed, burn_in=args.burn_in)
-    x = parse_rational(args.x) if args.x else None
-    params = None
     if args.t:
-        params = CurrentParams.from_t(parse_rational(args.t))
-        x = params.x
-    if x is None:
+        x = pythagorean_x(parse_rational(args.t))
+    elif args.x:
+        x = parse_rational(args.x)
+    else:
         raise LoopCurrentsError("sample needs --x or --t")
+    if args.samples < 0:
+        raise ParametrizationError(f"--samples {args.samples} must be non-negative")
 
     if args.model == "loop_mcmc":
-        masks = list(loop_chain(g, x, cfg, samples=args.samples, thin=args.thin))
+        masks = list(loop_chain(g, x, args.seed, args.samples, args.thin, args.burn_in))
         settings = {"burn_in": args.burn_in, "thin": args.thin}
     else:
-        masks = sample_stream(args.model, g, x, cfg, args.samples, params)
+        masks = sample_stream(args.model, g, x, args.seed, args.samples)
         settings = {}
     out = Path(args.out)
-    write_sample_dump(out, args.model, g, x, cfg, masks, settings)
+    write_sample_dump(out, args.model, g, x, args.seed, masks, settings)
     # record only the sampler settings the draws read
     recorded = {
         k: v for k, v in _params(args).items() if k not in SAMPLER_SETTINGS or k in settings

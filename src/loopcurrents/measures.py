@@ -12,7 +12,8 @@ registry :data:`MODELS` that :func:`build` assembles:
 * loop model: weight x^|g| on every even subgraph g;
 * random cluster (q=2): loop union Bernoulli(x);
 * single random current: loop union Bernoulli(p), p = 1 - sqrt(1-x^2),
-  which is rational exactly when x = 2t/(1+t^2) for rational t;
+  which is rational exactly when 1 - x^2 is a rational square, that is
+  when x = 2t/(1+t^2) for rational t;
 * doubles: two independent copies of the base model, unioned, or
   equivalently the double loop model union Bernoulli at the doubled
   parameter (x^2 for currents, x(2-x) for clusters).
@@ -25,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 from typing import Callable, Sequence
 
 from .errors import (
@@ -132,47 +133,29 @@ def point_mass(graph: Graph, mask: int) -> Dist:
 # Parameters
 
 
-@dataclass(frozen=True)
-class CurrentParams:
-    """Edge-weight parameter x, optionally with its Pythagorean generator t.
+def pythagorean_x(t) -> Fraction:
+    """x = 2t/(1+t^2) for t in [0,1): then sqrt(1-x^2) = (1-t^2)/(1+t^2)."""
+    t = Fraction(t)
+    if not 0 <= t < 1:
+        raise ParametrizationError(f"t={t} outside [0,1)")
+    return 2 * t / (1 + t * t)
 
-    With x = 2t/(1+t^2) for rational t in (0,1), sqrt(1-x^2) = (1-t^2)/(1+t^2)
-    is rational, so the single-current Bernoulli parameter
-    p = x^2/(1+sqrt(1-x^2)) = 1 - sqrt(1-x^2) is an exact rational.
-    """
 
-    x: Fraction
-    t: Fraction | None = None
-
-    def __post_init__(self):
-        if not 0 <= self.x < 1:
-            raise ParametrizationError(f"x={self.x} outside [0,1)")
-        if self.t is not None:
-            if not 0 <= self.t < 1:
-                raise ParametrizationError(f"t={self.t} outside [0,1)")
-            expected = 2 * self.t / (1 + self.t * self.t)
-            if expected != self.x:
-                raise ParametrizationError(f"t={self.t} generates x={expected}, not {self.x}")
-
-    @classmethod
-    def from_t(cls, t) -> "CurrentParams":
-        t = Fraction(t)
-        return cls(2 * t / (1 + t * t), t)
-
-    @classmethod
-    def from_x(cls, x) -> "CurrentParams":
-        return cls(Fraction(x))
-
-    @property
-    def single_current_p(self) -> Fraction:
-        """p = 1 - sqrt(1-x^2), exact; requires the Pythagorean form."""
-        if self.t is None:
-            raise ParametrizationError(
-                "exact single-current p needs x = 2t/(1+t^2); construct via CurrentParams.from_t "
-                "(certified interval evaluation is available for closed forms at generic x)"
-            )
-        tt = self.t * self.t
-        return 2 * tt / (1 + tt)
+def single_current_p(x) -> Fraction:
+    """p = 1 - sqrt(1-x^2), exact.  For x = a/b in lowest terms this is
+    rational iff b^2 - a^2 is a perfect square s^2, and then p = 1 - s/b."""
+    x = Fraction(x)
+    if not 0 <= x < 1:
+        raise ParametrizationError(f"x={x} outside [0,1)")
+    a, b = x.numerator, x.denominator
+    s = isqrt(b * b - a * a)
+    if s * s != b * b - a * a:
+        raise ParametrizationError(
+            f"exact single-current p needs 1 - x^2 to be a rational square, not at x={x}; "
+            "x = 2t/(1+t^2) gives one (certified interval evaluation is available for "
+            "closed forms at generic x)"
+        )
+    return 1 - Fraction(s, b)
 
 
 # ---------------------------------------------------------------------------
@@ -190,7 +173,7 @@ def loop_o1(graph: Graph, x: Fraction) -> Dist:
     With x = a/b the weights are a^|g| b^(|E|-|g|) over b^|E|."""
     x = Fraction(x)
     if not 0 <= x < 1:
-        raise LoopCurrentsError(f"x={x} outside [0,1)")
+        raise ParametrizationError(f"x={x} outside [0,1)")
     if x == 0:
         return point_mass(graph, 0)
     a, b, n = x.numerator, x.denominator, graph.edge_count
@@ -274,54 +257,57 @@ def union_bernoulli(d: Dist, p: Fraction) -> Dist:
     return Dist.from_integers(d.graph, dict(enumerate(table)), d.den * e**n, d.z)
 
 
-# Every model is k independent loop-model copies, unioned with Bernoulli(p)
-# when p is given: name -> (loop copies, p as a function of the parameters
-# or None).  The order is the row order of the overview table.
-MODELS: dict[str, tuple[int, Callable[[CurrentParams], Fraction] | None]] = {
+# Every model is k independent loop-model copies, unioned with Bernoulli(p(x))
+# when p is given: name -> (loop copies, p or None).  The order is the row
+# order of the overview table.
+MODELS: dict[str, tuple[int, Callable[[Fraction], Fraction] | None]] = {
     "loop": (1, None),
-    "single_current": (1, lambda params: params.single_current_p),
-    "random_cluster": (1, lambda params: params.x),
+    "single_current": (1, single_current_p),
+    "random_cluster": (1, lambda x: x),
     "double_loop": (2, None),
-    "double_current": (2, lambda params: params.x * params.x),
-    "double_cluster": (2, lambda params: params.x * (2 - params.x)),
+    "double_current": (2, lambda x: x * x),
+    "double_cluster": (2, lambda x: x * (2 - x)),
 }
 
 
-def build(name: str, graph: Graph, params: CurrentParams) -> Dist:
-    """Exact law of the registered model ``name`` at ``params``."""
+def build(name: str, graph: Graph, x: Fraction) -> Dist:
+    """Exact law of the registered model ``name`` at edge weight ``x``."""
     if name not in MODELS:
         raise LoopCurrentsError(f"unknown model {name!r}; choose from {tuple(MODELS)}")
     copies, p = MODELS[name]
-    loop = loop_o1(graph, params.x)
+    x = Fraction(x)
+    p_x = None if p is None else p(x)  # may raise: check before enumerating
+    loop = loop_o1(graph, x)
     d = loop
     for _ in range(copies - 1):
         d = union(d, loop)
-    return d if p is None else union_bernoulli(d, p(params))
+    return d if p_x is None else union_bernoulli(d, p_x)
 
 
 def random_cluster(graph: Graph, x: Fraction) -> Dist:
     """FK-Ising (q=2) random cluster model: loop union Bernoulli(x)."""
-    return build("random_cluster", graph, CurrentParams.from_x(x))
+    return build("random_cluster", graph, x)
 
 
-def single_current(graph: Graph, params: CurrentParams) -> Dist:
-    """Traced sourceless single random current: loop union Bernoulli(p(x))."""
-    return build("single_current", graph, params)
+def single_current(graph: Graph, x: Fraction) -> Dist:
+    """Traced sourceless single random current: loop union Bernoulli(p(x)),
+    exact where :func:`single_current_p` is."""
+    return build("single_current", graph, x)
 
 
 def double_loop(graph: Graph, x: Fraction) -> Dist:
     """Union of two independent loop-model samples."""
-    return build("double_loop", graph, CurrentParams.from_x(x))
+    return build("double_loop", graph, x)
 
 
 def double_current(graph: Graph, x: Fraction) -> Dist:
     """Traced sourceless double random current: double loop union Bernoulli(x^2)."""
-    return build("double_current", graph, CurrentParams.from_x(x))
+    return build("double_current", graph, x)
 
 
 def double_cluster(graph: Graph, x: Fraction) -> Dist:
     """Union of two independent random cluster samples: double loop union Bernoulli(x(2-x))."""
-    return build("double_cluster", graph, CurrentParams.from_x(x))
+    return build("double_cluster", graph, x)
 
 
 def double_current_lis(graph: Graph, x: Fraction) -> Dist:

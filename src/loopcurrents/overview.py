@@ -34,7 +34,7 @@ from .errors import LoopCurrentsError
 from .events import Event, all_open, connect, edge_open
 from .graphs import Graph, component_labels, counter_family
 from .intervals import certify_decreasing_pair
-from .measures import MODELS, CurrentParams, Dist, bit_masses, build
+from .measures import MODELS, Dist, bit_masses, build, pythagorean_x
 from .rationals import (
     decimal_string,
     dyadic_grid,
@@ -91,7 +91,7 @@ def certify_fkg(gap_fn, params: tuple[int, int, Fraction], param: str = "x") -> 
         raise LoopCurrentsError(f"expected a negative gap from {gap_fn.__name__}{params}")
     point = {"x": format_rational(s)}
     if param == "t":
-        point = {"t": format_rational(s), "x": format_rational(CurrentParams.from_t(s).x)}
+        point = {"t": format_rational(s), "x": format_rational(pythagorean_x(s))}
     return {
         "family": f"theta({n},{m},{n})",
         **point,
@@ -112,7 +112,7 @@ def certify_sing(
         raise LoopCurrentsError(f"no decreasing pair for {conn.__name__}{(n, m)} on the grid")
     x1, x2, v1, v2 = pair
     g = counter_family(n, m)
-    report = stochastic_domination(_law(model, g, x1), _law(model, g, x2))
+    report = stochastic_domination(build(model, g, x1), build(model, g, x2))
     if report.dominates:
         raise LoopCurrentsError("domination unexpectedly holds at a decreasing pair")
     pair = {
@@ -157,10 +157,6 @@ def certify_sing_single_current(resolution: int = 14, count: int = 256) -> dict:
 
 # ---------------------------------------------------------------------------
 # Scan evidence for holds / open cells
-
-
-def _law(model: str, g: Graph, x: Fraction) -> Dist:
-    return build(model, g, CurrentParams.from_x(x))
 
 
 def _connection_masses(
@@ -291,7 +287,7 @@ def scan_mon(name: str, laws, grid) -> list[dict]:
 def _scan_graph(model: str, name: str, g: Graph, grid, mon_grid) -> dict[str, list[dict]]:
     """Violations of each scanned property on one graph, from one law per
     grid point shared by the four scans."""
-    laws = {x: _law(model, g, x) for x in sorted({*grid, *mon_grid})}
+    laws = {x: build(model, g, x) for x in sorted({*grid, *mon_grid})}
     return {
         "FKG": scan_fkg(name, g, laws, grid),
         "MON": scan_mon(name, laws, mon_grid),

@@ -199,39 +199,11 @@ class RationalFunction:
         if self.den.is_zero:
             raise ZeroDivisionError("denominator is identically zero")
 
-    @classmethod
-    def from_polynomial(cls, p: Polynomial) -> "RationalFunction":
-        return cls(p, Polynomial.constant(1))
-
     def __call__(self, x: Fraction) -> Fraction:
         d = self.den(x)
         if d == 0:
             raise PoleError(f"denominator vanishes at x={x}")
         return self.num(x) / d
-
-    def __add__(self, other) -> "RationalFunction":
-        other = _coerce_rf(other)
-        return RationalFunction(self.num * other.den + other.num * self.den, self.den * other.den)
-
-    def __sub__(self, other) -> "RationalFunction":
-        other = _coerce_rf(other)
-        return RationalFunction(self.num * other.den - other.num * self.den, self.den * other.den)
-
-    def __mul__(self, other) -> "RationalFunction":
-        other = _coerce_rf(other)
-        return RationalFunction(self.num * other.num, self.den * other.den)
-
-    def __truediv__(self, other) -> "RationalFunction":
-        other = _coerce_rf(other)
-        if other.num.is_zero:
-            raise ZeroDivisionError("division by the zero rational function")
-        return RationalFunction(self.num * other.den, self.den * other.num)
-
-
-def _coerce_rf(value) -> RationalFunction:
-    if isinstance(value, RationalFunction):
-        return value
-    return RationalFunction.from_polynomial(_coerce(value))
 
 
 # ---------------------------------------------------------------------------

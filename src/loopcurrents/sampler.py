@@ -1,42 +1,32 @@
 """Monte Carlo samplers for graphs beyond enumeration scale.
 
 Samplers are statistical cross-check tools only: certification always goes
-through the exact modules.  The RNG is Philox (counter-based, splittable),
-so streams are reproducible from (seed, config) and worker seeds can be
-derived without correlation.  Acceptance ratios use double precision; the
-exact stationary law is established separately via the exact transition
-matrix (see :func:`loop_chain_transition_matrix`).
+through the exact modules.  The RNG is Philox (counter-based), so every
+stream is reproducible from its seed.  Acceptance ratios use double
+precision; the tests check the chain's exact one-proposal transition
+matrix for detailed balance against the loop-model weights.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
 
 import numpy as np
 
 from .errors import CapExceededError, LoopCurrentsError
-from .graphs import CYCLE_DIMENSION_CAP, Graph, cycle_space_basis, span_masks
-from .measures import MODELS, CurrentParams, loop_o1
+from .graphs import CYCLE_DIMENSION_CAP, Graph, cycle_space_basis
+from .measures import MODELS, loop_o1
 
 RNG_ALGORITHM = "philox4x64"
 
 
-@dataclass(frozen=True)
-class SamplerConfig:
-    seed: int
-    sweeps: int = 100
-    burn_in: int = 0
-
-    def __post_init__(self):
-        if self.sweeps < 0 or self.burn_in < 0:
-            raise LoopCurrentsError("sweeps and burn_in must be non-negative")
-
-
-def make_rng(seed: int, worker: int = 0) -> np.random.Generator:
-    """Philox generator; distinct workers get independent derived streams."""
-    seq = np.random.SeedSequence(entropy=seed, spawn_key=(worker,))
+def make_rng(seed: int) -> np.random.Generator:
+    """Philox generator of the stream ``seed``.  The spawn key (0,) is part
+    of the stream: every pinned draw was made with it."""
+    if seed < 0:
+        raise LoopCurrentsError(f"seed {seed} must be non-negative")
+    seq = np.random.SeedSequence(entropy=seed, spawn_key=(0,))
     return np.random.Generator(np.random.Philox(seq))
 
 
@@ -60,15 +50,18 @@ def sample_loop_exact(law: tuple[list[int], np.ndarray], rng: np.random.Generato
 
 
 def loop_chain(
-    g: Graph, x: Fraction, cfg: SamplerConfig, samples: int, thin: int = 1
+    g: Graph, x: Fraction, seed: int, samples: int, thin: int = 1, burn_in: int = 0
 ) -> Iterator[int]:
     """Single-cycle-flip Glauber chain over even subgraphs.
 
     One sweep proposes ``dim`` basis-cycle toggles; a toggle from w to
     w ^ c is accepted with min(1, x^(|w^c| - |w|)).  The chain state is
     always even, and the basis spans the cycle space so it is irreducible.
-    Yields ``samples`` states, ``thin`` sweeps apart, after burn-in.
+    Yields ``samples`` states, ``thin`` sweeps apart, after ``burn_in`` sweeps.
     """
+    if burn_in < 0 or thin < 1:
+        raise LoopCurrentsError(f"need burn-in >= 0 and thin >= 1, got {burn_in} and {thin}")
+    rng = make_rng(seed)
     basis = cycle_space_basis(g)
     if basis.dimension > CYCLE_DIMENSION_CAP:
         raise CapExceededError("cycle basis", basis.dimension, CYCLE_DIMENSION_CAP)
@@ -77,7 +70,6 @@ def loop_chain(
             yield 0
         return
     xf = float(x)
-    rng = make_rng(cfg.seed)
     elements = basis.elements
     dim = len(elements)
     state = 0
@@ -94,44 +86,10 @@ def loop_chain(
             if delta <= 0 or coins[i] < xf**delta:
                 state = new
 
-    sweep_batch(cfg.burn_in)
+    sweep_batch(burn_in)
     for _ in range(samples):
         sweep_batch(thin)
         yield state
-
-
-def sample_loop_mcmc(g: Graph, x: Fraction, cfg: SamplerConfig) -> int:
-    """Final state of the cycle-flip chain after burn-in plus sweeps."""
-    last = 0
-    for last in loop_chain(g, x, cfg, samples=1, thin=cfg.sweeps):
-        pass
-    return last
-
-
-def loop_chain_transition_matrix(g: Graph, x: Fraction):
-    """Exact one-proposal transition matrix of the cycle-flip chain.
-
-    Returns (states, T) with T[i][j] a Fraction.  Used to verify detailed
-    balance against the stationary weights x^|state| symbolically.
-    """
-    basis = cycle_space_basis(g)
-    states = sorted(span_masks(basis.elements))
-    index = {s: i for i, s in enumerate(states)}
-    dim = max(len(basis.elements), 1)
-    x = Fraction(x)
-    size = len(states)
-    T = [[Fraction(0)] * size for _ in range(size)]
-    for s in states:
-        i = index[s]
-        stay = Fraction(0)
-        for c in basis.elements:
-            new = s ^ c
-            delta = new.bit_count() - s.bit_count()
-            accept = min(Fraction(1), x**delta) if delta > 0 else Fraction(1)
-            T[i][index[new]] += Fraction(1, dim) * accept
-            stay += Fraction(1, dim) * (1 - accept)
-        T[i][i] += stay
-    return states, T
 
 
 # ---------------------------------------------------------------------------
@@ -170,7 +128,6 @@ def sample_coupled(
     g: Graph,
     x: Fraction,
     rng: np.random.Generator,
-    params: CurrentParams | None = None,
     law: tuple | None = None,
 ) -> int:
     """One draw from a union-coupled model via its definition.
@@ -182,12 +139,12 @@ def sample_coupled(
     """
     x = Fraction(x)
     if model == PUSHFORWARD:
-        omega = sample_coupled(PUSHFORWARD_BASE, g, x, rng, params, law)
+        omega = sample_coupled(PUSHFORWARD_BASE, g, x, rng, law)
         return _uniform_even_of(g, omega, rng)
     if model not in MODELS:
         raise LoopCurrentsError(f"unknown model tag {model!r}; choose from {COUPLED_MODELS}")
     copies, p = MODELS[model]
-    p_float = None if p is None else float(p(params or CurrentParams.from_x(x)))
+    p_float = None if p is None else float(p(x))
     law = law or loop_law(g, x)
     mask = 0
     for _ in range(copies):
@@ -197,32 +154,25 @@ def sample_coupled(
     return mask
 
 
-def sample_stream(
-    model: str,
-    g: Graph,
-    x: Fraction,
-    cfg: SamplerConfig,
-    count: int,
-    params: CurrentParams | None = None,
-) -> list[int]:
-    rng = make_rng(cfg.seed)
+def sample_stream(model: str, g: Graph, x: Fraction, seed: int, count: int) -> list[int]:
+    rng = make_rng(seed)
     law = loop_law(g, Fraction(x))
-    return [sample_coupled(model, g, x, rng, params, law) for _ in range(count)]
+    return [sample_coupled(model, g, x, rng, law) for _ in range(count)]
 
 
 # ---------------------------------------------------------------------------
-# Goodness of fit and dump format
+# Dump format
 
 
 def write_sample_dump(
-    path, model: str, g: Graph, x: Fraction, cfg: SamplerConfig, masks, settings: dict | None = None
+    path, model: str, g: Graph, x: Fraction, seed: int, masks, settings: dict | None = None
 ):
     """One hex bitmask per line after a two-line header: the model, RNG and
     seed, then the sampler ``settings`` the draws read (none for the exact
     samplers), x and the edge count."""
     read = "".join(f"{k}={v} " for k, v in (settings or {}).items())
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"# model={model} rng={RNG_ALGORITHM} seed={cfg.seed}\n")
+        fh.write(f"# model={model} rng={RNG_ALGORITHM} seed={seed}\n")
         fh.write(f"# {read}x={x} edges={g.edge_count}\n")
         for m in masks:
             fh.write(hex(m) + "\n")

@@ -25,13 +25,14 @@ from .events import Event, all_open, connect, cyclic_count, statistic_dist
 from .graphs import Graph, counter_family, generalized_theta, is_connected, segment_edge_ranges
 from .intervals import START_BITS, Interval, sqrt_interval
 from .measures import (
-    CurrentParams,
     double_current,
     double_loop,
     loop_o1,
     prob,
+    pythagorean_x,
     random_cluster,
     single_current,
+    single_current_p,
 )
 from .rationals import Polynomial, RationalFunction
 
@@ -161,8 +162,8 @@ def single_current_conn_exact(n: int, m: int, t: Fraction) -> Fraction:
     t = Fraction(t)
     if not 0 < t < 1:
         raise ParametrizationError(f"t={t} outside (0,1)")
-    params = CurrentParams.from_t(t)
-    return single_current_conn_terms(n, m, params.x, params.single_current_p)
+    x = pythagorean_x(t)
+    return single_current_conn_terms(n, m, x, single_current_p(x))
 
 
 def single_current_conn_interval(n: int, m: int, x: Fraction, bits: int = START_BITS) -> Interval:
@@ -201,10 +202,9 @@ def single_current_loop_event_weights(n: int, m: int, x, p):
 
 def single_current_fkg_gap(n: int, m: int, t: Fraction) -> Fraction:
     """Exact P(X1 and X2) - P(X1)P(X2) for the single current at Pythagorean t."""
-    params = CurrentParams.from_t(t)
-    x, p = params.x, params.single_current_p
+    x = pythagorean_x(t)
     z = theta_partition(n, m)(x)
-    single, both = single_current_loop_event_weights(n, m, x, p)
+    single, both = single_current_loop_event_weights(n, m, x, single_current_p(x))
     return both / z - (single / z) ** 2
 
 
@@ -377,20 +377,17 @@ def closed_form_discrepancies(n: int, m: int, t: Fraction, x: Fraction) -> list[
     record("loop_conn", loop_conn(n, m)(x), prob(loop_o1(cg, x), ab))
     record("double_loop_conn", double_loop_conn(n, m)(x), prob(double_loop(cg, x), ab))
 
-    params = CurrentParams.from_t(t)
+    xp = pythagorean_x(t)
     record(
         "single_current_conn",
         single_current_conn_exact(n, m, t),
-        prob(single_current(cg, params), ab),
+        prob(single_current(cg, xp), ab),
     )
 
     tg, first, second = theta_loop_events(n, m)
-    xp = params.x
     z = theta_partition(n, m)(xp)
-    single_w, both_w = single_current_loop_event_weights(
-        n, m, xp, params.single_current_p
-    )
-    sc = single_current(tg, params)
+    single_w, both_w = single_current_loop_event_weights(n, m, xp, single_current_p(xp))
+    sc = single_current(tg, xp)
     record("single_current_loop_event", single_w / z, prob(sc, first))
     record("single_current_both_loops", both_w / z, prob(sc, intersect_all_open(first, second)))
 

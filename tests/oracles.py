@@ -5,8 +5,9 @@ than the package (degree filtering instead of cycle-basis spans, BFS
 instead of union-find, Moebius inversion instead of pair iteration, one
 ``Fraction`` addition per configuration instead of integer mass passes), so
 an agreement is meaningful.  The float goodness-of-fit statistics for the
-samplers live here too: no certifying route reads them.  So do the closed
-forms, tables and serializations that only tests read.
+samplers and the chain's exact transition matrix live here too: no
+certifying route reads them.  So do the closed forms, tables and
+serializations that only tests read.
 """
 
 import json
@@ -17,7 +18,14 @@ from typing import Iterable
 from loopcurrents.checkers import DominationReport, UpSetWitness, _Dinic, _upset_witness
 from loopcurrents.errors import CapExceededError, GraphMismatchError, LoopCurrentsError
 from loopcurrents.events import Event
-from loopcurrents.graphs import Graph, counter_family, edges_of_mask, is_connected
+from loopcurrents.graphs import (
+    Graph,
+    counter_family,
+    cycle_space_basis,
+    edges_of_mask,
+    is_connected,
+    span_masks,
+)
 from loopcurrents.measures import Dist
 from loopcurrents.rationals import Polynomial, RationalFunction, format_rational, parse_rational
 from loopcurrents.theta import (
@@ -251,6 +259,32 @@ def chi_square_statistic(counts: dict[int, int], dist: Dist) -> tuple[float, int
         observed = counts.get(mask, 0)
         stat += (observed - expected) ** 2 / expected
     return stat, len(dist.weights) - 1
+
+
+def loop_chain_transition_matrix(g: Graph, x: Fraction):
+    """Exact one-proposal transition matrix of ``sampler.loop_chain``.
+
+    Returns (states, T) with T[i][j] a Fraction, for checking detailed
+    balance against the stationary weights x^|state| exactly.
+    """
+    basis = cycle_space_basis(g)
+    states = sorted(span_masks(basis.elements))
+    index = {s: i for i, s in enumerate(states)}
+    dim = max(len(basis.elements), 1)
+    x = Fraction(x)
+    size = len(states)
+    T = [[Fraction(0)] * size for _ in range(size)]
+    for s in states:
+        i = index[s]
+        stay = Fraction(0)
+        for c in basis.elements:
+            new = s ^ c
+            delta = new.bit_count() - s.bit_count()
+            accept = min(Fraction(1), x**delta) if delta > 0 else Fraction(1)
+            T[i][index[new]] += Fraction(1, dim) * accept
+            stay += Fraction(1, dim) * (1 - accept)
+        T[i][i] += stay
+    return states, T
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,6 @@ from loopcurrents.checkers import (
 from loopcurrents.events import connect, cyclic_count, statistic_dist
 from loopcurrents.graphs import complete_graph, counter_family, cyclic_edges, generalized_theta
 from loopcurrents.measures import (
-    CurrentParams,
     Dist,
     bernoulli,
     double_current,
@@ -29,6 +28,7 @@ from loopcurrents.measures import (
     double_loop,
     loop_o1,
     prob,
+    pythagorean_x,
     push_uniform_even,
     random_cluster,
     single_current,
@@ -216,13 +216,13 @@ class TestCriterion07FkgCounterexamples:
         member of the family that violates FKG at x = 4/5.
         """
         t = F(1, 2)
-        params = CurrentParams.from_t(t)  # x = 2t/(1+t^2) = 4/5 exactly
+        x = pythagorean_x(t)  # x = 2t/(1+t^2) = 4/5 exactly
         g, first, second = theta_loop_events(2, 2)
-        refuted = fkg_pair_gap(single_current(g, params), first, second)
+        refuted = fkg_pair_gap(single_current(g, x), first, second)
         assert refuted == single_current_fkg_gap(2, 2, t) == F(631104, 24750625)
         assert refuted > 0
         g, first, second = theta_loop_events(4, 2)
-        gap = fkg_pair_gap(single_current(g, params), first, second)
+        gap = fkg_pair_gap(single_current(g, x), first, second)
         assert gap == single_current_fkg_gap(4, 2, t)
         check(
             "C07b",
@@ -234,8 +234,7 @@ class TestCriterion07FkgCounterexamples:
     def test_criterion_07c_single_current_gap_negative_at_small_t(self):
         g, first, second = theta_loop_events(2, 2)
         for t in (F(1, 10), F(1, 4)):
-            params = CurrentParams.from_t(t)
-            gap = fkg_pair_gap(single_current(g, params), first, second)
+            gap = fkg_pair_gap(single_current(g, pythagorean_x(t)), first, second)
             assert gap < 0, (t, gap)
         check("C07c", True, "single-current gap negative at t=1/10 and t=1/4, exact")
 

@@ -20,13 +20,13 @@ from loopcurrents.errors import CapExceededError, GraphMismatchError, LoopCurren
 from loopcurrents.events import all_open, connect, edge_open
 from loopcurrents.graphs import Graph, complete_graph, counter_family, generalized_theta
 from loopcurrents.measures import (
-    CurrentParams,
     Dist,
     bernoulli,
     double_current,
     double_loop,
     loop_o1,
     point_mass,
+    pythagorean_x,
     random_cluster,
     single_current,
     union,
@@ -78,8 +78,7 @@ class TestFkgPairGap:
         g, first, second = theta_loop_events(2, 2)
         # negative at small t, positive at t = 1/2 (x = 4/5)
         for t, expected_negative in ((F(1, 10), True), (F(1, 4), True), (F(1, 2), False)):
-            params = CurrentParams.from_t(t)
-            gap = fkg_pair_gap(single_current(g, params), first, second)
+            gap = fkg_pair_gap(single_current(g, pythagorean_x(t)), first, second)
             assert gap == single_current_fkg_gap(2, 2, t)
             assert (gap < 0) == expected_negative
         assert single_current_fkg_gap(2, 2, F(1, 2)) == F(631104, 24750625)

@@ -1,4 +1,3 @@
-import argparse
 import csv
 import hashlib
 import json
@@ -8,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from loopcurrents import cli, theta
+from loopcurrents.battery import verification_battery
 from loopcurrents.cli import _interval_decimal, main
 from loopcurrents.errors import LoopCurrentsError
 from loopcurrents.graphs import complete_graph, cyclic_edges, graph_to_json
@@ -147,6 +147,7 @@ class TestFigure:
 
 
 FIGURE_L = ("figure", "--model", "l", "--n", "18", "--m", "2")
+SAMPLE_THETA = ("sample", "--family", "theta", "--segments", "1,1,1", "--x", "1/2")
 # --graph files that are not graphs: invalid JSON, no edge list, an edge of three vertices
 MALFORMED_GRAPHS = {
     "invalid.json": "{not json",
@@ -171,6 +172,12 @@ MALFORMED_GRAPHS = {
             for name in ("missing.json", *MALFORMED_GRAPHS)
             for command in (("verify",), ("sample", "--model", "loop", "--x", "1/2"))
         ),
+        (*FIGURE_L, "--precision-digits", "0"),
+        (*FIGURE_L, "--precision-digits", "-5"),
+        (*SAMPLE_THETA, "--model", "loop", "--seed", "-1"),
+        (*SAMPLE_THETA, "--model", "loop_mcmc", "--thin", "0"),
+        (*SAMPLE_THETA, "--model", "loop", "--samples", "-3"),
+        (*SAMPLE_THETA, "--model", "loop_mcmc", "--burn-in", "-2"),
     ],
 )
 def test_malformed_numbers_are_typed_errors(argv, tmp_path, capsys, monkeypatch):
@@ -205,8 +212,24 @@ class TestVerify:
         report = json.loads(out.read_text())
         assert report["edge-identities"]["pass"] is True
 
+    def test_graph_file_is_read_once(self, tmp_path, monkeypatch):
+        path = tmp_path / "k4.json"
+        path.write_text(graph_to_json(complete_graph(4)))
+        read = []
+        real_read_graph = cli.read_graph
 
-ONE_X = argparse.Namespace(graph=None, x="1/2")
+        def counting_read_graph(name):
+            read.append(name)
+            return real_read_graph(name)
+
+        monkeypatch.setattr(cli, "read_graph", counting_read_graph)
+        assert run("verify", "--graph", str(path), "--x", "1/2") == 0
+        assert read == [str(path)]
+
+
+BATTERY = verification_battery()
+# the suites' arguments at one x: the battery and the x list
+ONE_X = (BATTERY, [F(1, 2)])
 
 
 def cyclic_edge_lines(fmt: str) -> list[str]:
@@ -214,7 +237,7 @@ def cyclic_edge_lines(fmt: str) -> list[str]:
     in the suites' order: the edges whose loop-model marginal lies in (0, 1)."""
     return [
         fmt.format(name=name, e=e)
-        for name, g in cli._battery(ONE_X)
+        for name, g in BATTERY
         for e in range(g.edge_count)
         if cyclic_edges(g, g.full_mask) >> e & 1
     ]
@@ -225,27 +248,27 @@ class TestBatchedSuites:
     exact failure formats, and read each configuration's bridges once."""
 
     def test_cor1_catches_a_wrong_double_current(self, monkeypatch):
-        assert cli.verify_cor1(ONE_X) == []
+        assert cli.verify_cor1(*ONE_X) == []
         monkeypatch.setattr(cli, "double_current", double_cluster)
-        assert cli.verify_cor1(ONE_X) == cyclic_edge_lines("cor1: {name} x=1/2 edge={e}")
+        assert cli.verify_cor1(*ONE_X) == cyclic_edge_lines("cor1: {name} x=1/2 edge={e}")
 
     def test_cor1_catches_a_wrong_random_cluster(self, monkeypatch):
         monkeypatch.setattr(cli, "random_cluster", loop_o1)
-        assert cli.verify_cor1(ONE_X) == cyclic_edge_lines("cor1: {name} x=1/2 edge={e}")
+        assert cli.verify_cor1(*ONE_X) == cyclic_edge_lines("cor1: {name} x=1/2 edge={e}")
 
     def test_edge_identities_catch_a_wrong_double_loop(self, monkeypatch):
-        assert cli.verify_edge_identities(ONE_X) == []
+        assert cli.verify_edge_identities(*ONE_X) == []
         monkeypatch.setattr(cli, "double_loop", loop_o1)
-        assert cli.verify_edge_identities(ONE_X) == cyclic_edge_lines(
+        assert cli.verify_edge_identities(*ONE_X) == cyclic_edge_lines(
             "edge-identities double: {name} x=1/2 e={e}"
         )
 
     def test_edge_identities_catch_a_wrong_bernoulli_union(self, monkeypatch):
         monkeypatch.setattr(cli, "union_bernoulli", lambda d, p: union_bernoulli(d, p / 2))
         # p = 1/3, then p = x = 1/2, for every edge
-        assert cli.verify_edge_identities(ONE_X) == [
+        assert cli.verify_edge_identities(*ONE_X) == [
             f"edge-identities: {name} x=1/2 e={e} p={p}"
-            for name, g in cli._battery(ONE_X)
+            for name, g in BATTERY
             for e in range(g.edge_count)
             for p in ("1/3", "1/2")
         ]
@@ -268,8 +291,8 @@ class TestBatchedSuites:
         monkeypatch.setattr(cli, "cyclic_edges", counting_cyclic_edges)
         monkeypatch.setattr(cli, "double_current", reading(double_current))
         monkeypatch.setattr(cli, "random_cluster", reading(random_cluster))
-        assert cli.verify_cor1(ONE_X) == []
-        assert len(read) == 2 * len(cli._battery(ONE_X))
+        assert cli.verify_cor1(*ONE_X) == []
+        assert len(read) == 2 * len(BATTERY)
         assert 0 < len(calls) <= sum(len(d.weights) for d in read)
 
     def test_cor1_searches_bridges_once_per_configuration_of_both_laws(self, monkeypatch):
@@ -290,7 +313,7 @@ class TestBatchedSuites:
         monkeypatch.setattr(cli, "cyclic_edges", counting_cyclic_edges)
         monkeypatch.setattr(cli, "double_current", reading(double_current))
         monkeypatch.setattr(cli, "random_cluster", reading(random_cluster))
-        assert cli.verify_cor1(ONE_X) == []
+        assert cli.verify_cor1(*ONE_X) == []
         # one x per graph: the double current and random cluster of each graph
         # are read together, and each configuration of either is searched once
         expected = Counter()
@@ -359,6 +382,21 @@ class TestSample:
         )
         assert code == 0
         assert "x=4/5" in out.read_text().splitlines()[1]
+
+    def test_single_current_at_an_exact_x(self, tmp_path):
+        # x = 4/5 has sqrt(1 - x^2) = 3/5, so no t is needed; the draws are
+        # the ones --t 1/2 gives
+        dumps = []
+        for flag, value in (("--x", "4/5"), ("--t", "1/2")):
+            out = tmp_path / f"sc{len(dumps)}.txt"
+            code = run(
+                "sample", "--model", "single_current", "--family", "theta",
+                "--segments", "2,3,2", flag, value, "--samples", "50",
+                "--seed", "3", "--out", str(out),
+            )
+            assert code == 0
+            dumps.append(out.read_text())
+        assert dumps[0] == dumps[1]
 
     def test_missing_graph_is_an_error(self, tmp_path):
         code = run(

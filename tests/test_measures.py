@@ -31,7 +31,6 @@ from loopcurrents.measures import (
     MODELS,
     PUSH_SPAN_CAP,
     UNION_PAIR_CAP,
-    CurrentParams,
     Dist,
     bernoulli,
     bit_masses,
@@ -44,8 +43,10 @@ from loopcurrents.measures import (
     point_mass,
     prob,
     push_uniform_even,
+    pythagorean_x,
     random_cluster,
     single_current,
+    single_current_p,
     union,
     union_bernoulli,
 )
@@ -229,38 +230,50 @@ class TestUnion:
 
 
 class TestCurrentParams:
-    def test_pythagorean_half(self):
-        params = CurrentParams.from_t(F(1, 2))
-        assert params.x == F(4, 5)
-        assert params.single_current_p == F(2, 5)
+    """The single current's Bernoulli parameter is a function of x alone,
+    exact where 1 - x^2 is a rational square; ``pythagorean_x`` turns a t
+    into such an x."""
 
-    def test_p_identity(self):
-        # p = x^2 / (1 + sqrt(1-x^2)) with sqrt(1-x^2) = (1-t^2)/(1+t^2)
-        for t in (F(1, 2), F(1, 3), F(2, 5)):
-            params = CurrentParams.from_t(t)
-            x, p = params.x, params.single_current_p
-            root = (1 - t * t) / (1 + t * t)
-            assert root * root == 1 - x * x
-            assert p == x * x / (1 + root)
-            assert p == 1 - root
+    def test_pythagorean_half(self):
+        assert pythagorean_x(F(1, 2)) == F(4, 5)
+        assert single_current_p(F(4, 5)) == F(2, 5)
+        assert single_current(THETA232, F(4, 5)) == union_bernoulli(loop_o1(THETA232, F(4, 5)), F(2, 5))
+
+    @settings(max_examples=200, deadline=None)
+    @given(t=st.fractions(min_value=0, max_value=1).filter(lambda t: t < 1), x=st.fractions(0, 1))
+    def test_p_identity(self, t, x):
+        # sqrt(1-x^2) = (1-t^2)/(1+t^2) at x = 2t/(1+t^2), so p = 2t^2/(1+t^2)
+        assert single_current_p(pythagorean_x(t)) == 2 * t * t / (1 + t * t)
+        # at any x, an exact p is 1 - sqrt(1-x^2)
+        try:
+            p = single_current_p(x)
+        except ParametrizationError:
+            return
+        assert (1 - p) ** 2 == 1 - x * x and 0 <= p < 1
 
     def test_generic_x_has_no_exact_p(self):
-        with pytest.raises(ParametrizationError):
-            CurrentParams.from_x(F(1, 2)).single_current_p
+        for x in (F(1, 2), F(1, 3), F(3, 4)):
+            with pytest.raises(ParametrizationError):
+                single_current_p(x)
+            with pytest.raises(ParametrizationError):
+                single_current(THETA111, x)
 
-    def test_inconsistent_pair_rejected(self):
-        with pytest.raises(ParametrizationError):
-            CurrentParams(F(1, 2), F(1, 2))
+    def test_parameters_outside_the_unit_interval_rejected(self):
+        for t in (F(-1, 2), F(1), F(2)):
+            with pytest.raises(ParametrizationError):
+                pythagorean_x(t)
+        for x in (F(-3, 5), F(1)):
+            with pytest.raises(ParametrizationError):
+                single_current_p(x)
 
 
 class TestNamedConstructors:
     def test_all_collapse_at_x_zero(self):
         g = THETA232
         zero = point_mass(g, 0)
-        params = CurrentParams(F(0), F(0))
         assert loop_o1(g, F(0)).same_law(zero)
         assert random_cluster(g, F(0)).same_law(zero)
-        assert single_current(g, params).same_law(zero)
+        assert single_current(g, F(0)).same_law(zero)
         assert double_loop(g, F(0)).same_law(zero)
         assert double_current(g, F(0)).same_law(zero)
         assert double_cluster(g, F(0)).same_law(zero)
@@ -275,10 +288,9 @@ class TestNamedConstructors:
 
     def test_double_current_couplings_agree(self):
         for t in (F(1, 2), F(1, 3)):
-            params = CurrentParams.from_t(t)
-            x = params.x
+            x = pythagorean_x(t)
             for g in (THETA111, THETA232, K4):
-                sc = single_current(g, params)
+                sc = single_current(g, x)
                 via_singles = union(sc, sc)
                 via_double_loop = union_bernoulli(double_loop(g, x), x * x)
                 assert via_singles.same_law(via_double_loop)
@@ -294,9 +306,8 @@ class TestNamedConstructors:
             )
 
 
-def _union_chain(name: str, g: Graph, params: CurrentParams) -> Dist:
+def _union_chain(name: str, g: Graph, x: Fraction) -> Dist:
     """Each model's union coupling, written out with the Moebius oracle."""
-    x = params.x
 
     def u(d1, d2):
         return Dist.from_weights(g, brute_union(d1, d2))
@@ -304,7 +315,7 @@ def _union_chain(name: str, g: Graph, params: CurrentParams) -> Dist:
     loop = loop_o1(g, x)
     chains = {
         "loop": lambda: loop,
-        "single_current": lambda: u(loop, bernoulli(g, params.single_current_p)),
+        "single_current": lambda: u(loop, bernoulli(g, single_current_p(x))),
         "random_cluster": lambda: u(loop, bernoulli(g, x)),
         "double_loop": lambda: u(loop, loop),
         "double_current": lambda: u(u(loop, loop), bernoulli(g, x * x)),
@@ -317,32 +328,31 @@ def _union_chain(name: str, g: Graph, params: CurrentParams) -> Dist:
 class TestRegistry:
     def test_build_matches_hand_written_union_chains(self):
         for t in (F(0), F(1, 4), F(1, 3), F(1, 2)):
-            params = CurrentParams.from_t(t)
+            x = pythagorean_x(t)
             for g in (THETA232, K4, LOOPY):
                 for name in MODELS:
-                    assert build(name, g, params).same_law(_union_chain(name, g, params)), (
+                    assert build(name, g, x).same_law(_union_chain(name, g, x)), (
                         name,
                         t,
                     )
 
     def test_named_constructors_are_registry_rows(self):
-        params = CurrentParams.from_t(F(1, 2))
-        x = params.x
-        assert single_current(K4, params).same_law(build("single_current", K4, params))
+        x = F(4, 5)
         for name, constructor in (
+            ("single_current", single_current),
             ("random_cluster", random_cluster),
             ("double_loop", double_loop),
             ("double_current", double_current),
             ("double_cluster", double_cluster),
         ):
-            assert constructor(K4, x).same_law(build(name, K4, params)), name
+            assert constructor(K4, x).same_law(build(name, K4, x)), name
 
     def test_order_is_the_table_row_order(self):
         assert list(MODELS) == list(KNOWN_VERDICTS)
 
     def test_unknown_name_rejected(self):
         with pytest.raises(LoopCurrentsError):
-            build("wolff", K4, CurrentParams.from_x(F(1, 2)))
+            build("wolff", K4, F(1, 2))
 
 
 class TestCountingCharacterization:
@@ -528,14 +538,13 @@ class TestBitMasses:
 
 class TestDistInvariants:
     def test_probabilities_sum_to_one_for_every_constructor(self):
-        params = CurrentParams.from_t(F(1, 3))
-        x = params.x
+        x = F(3, 5)
         for g in SMALL:
             dists = [
                 bernoulli(g, F(2, 7)),
                 loop_o1(g, x),
                 random_cluster(g, x),
-                single_current(g, params),
+                single_current(g, x),
                 double_loop(g, x),
                 double_current(g, x),
                 double_cluster(g, x),
@@ -553,15 +562,15 @@ class TestDistInvariants:
         d2 = data.draw(mixed_dists(g))
         p = data.draw(coprime_p)
         den = data.draw(st.integers(2, 12))
-        params = CurrentParams.from_t(F(data.draw(st.integers(1, den - 1)), den))
+        x = pythagorean_x(F(data.draw(st.integers(1, den - 1)), den))
         laws = [
             d1,
             bernoulli(g, p),
-            loop_o1(g, params.x),
+            loop_o1(g, x),
             union(d1, d2),
             union_bernoulli(d1, p),
             push_uniform_even(d1),
-            *(build(name, g, params) for name in MODELS),
+            *(build(name, g, x) for name in MODELS),
         ]
         scale = data.draw(st.integers(2, 10**6))
         for d in laws:

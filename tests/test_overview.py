@@ -4,7 +4,7 @@ from itertools import combinations
 from loopcurrents import overview
 from loopcurrents.events import connect, custom
 from loopcurrents.graphs import component_labels, complete_graph, counter_family, generalized_theta
-from loopcurrents.measures import MODELS, CurrentParams, build, prob
+from loopcurrents.measures import MODELS, build, prob
 from loopcurrents.rationals import dyadic_grid, format_rational
 
 from oracles import prob_bruteforce
@@ -12,9 +12,9 @@ from oracles import prob_bruteforce
 
 def test_each_law_is_built_once_and_shared_by_the_scans(monkeypatch):
     built = Counter()
-    def counting_build(name, graph, params, *args):
-        built[name, graph.edges, params.x] += 1
-        return build(name, graph, params, *args)
+    def counting_build(name, graph, x):
+        built[name, graph.edges, x] += 1
+        return build(name, graph, x)
 
     monkeypatch.setattr(overview, "build", counting_build)
     theta111 = generalized_theta([1, 1, 1])
@@ -31,7 +31,7 @@ def test_each_law_is_built_once_and_shared_by_the_scans(monkeypatch):
 def test_connection_masses_are_exact_connection_probabilities():
     g = counter_family(2, 2)
     grid = dyadic_grid(3)
-    laws = [build("double_current", g, CurrentParams.from_x(x)) for x in grid]
+    laws = [build("double_current", g, x) for x in grid]
     masses = overview._connection_masses(laws, g, overview._singleton_pairs(g))
     assert masses == [[prob(d, connect(g)) for d in laws]]
 
@@ -48,14 +48,14 @@ def test_one_labels_pass_serves_both_connection_scans(monkeypatch):
     grid = dyadic_grid(3)
     found = overview._scan_graph("double_current", "counter(2,2)", g, grid, grid)
     assert set(found) == set(overview.PROPERTIES)
-    support = {m for x in grid for m in build("double_current", g, CurrentParams.from_x(x)).weights}
+    support = {m for x in grid for m in build("double_current", g, x).weights}
     assert labelled == Counter(support)
 
 
 def test_fkg_scan_returns_exactly_the_oracles_negative_gaps():
     grid = dyadic_grid(3)
     for name, g in (("counter(2,2)", counter_family(2, 2)), ("K4", complete_graph(4))):
-        laws = {x: build("loop", g, CurrentParams.from_x(x)) for x in grid}
+        laws = {x: build("loop", g, x) for x in grid}
         expected = []
         for x in grid:
             for a, b in combinations(overview._fkg_events(g), 2):
@@ -81,7 +81,7 @@ def test_mon_scans_run_a_flow_only_where_the_local_route_declines(flow_networks)
     grid = dyadic_grid(4)
     for name, g in (("theta[1,1,1]", generalized_theta([1, 1, 1])), ("K4", complete_graph(4))):
         for model, flows in (("random_cluster", 0), ("double_cluster", 0), ("double_current", 1)):
-            laws = {x: build(model, g, CurrentParams.from_x(x)) for x in grid}
+            laws = {x: build(model, g, x) for x in grid}
             flow_networks.clear()
             assert overview.scan_mon(name, laws, grid) == []
             assert len(flow_networks) == flows * (len(grid) - 1)

@@ -118,15 +118,6 @@ class TestRationalFunction:
         g = RationalFunction(X * (1 + X), (Polynomial.constant(1) + X) ** 2)
         assert same_function(f, g)
 
-    def test_arithmetic(self):
-        f = RationalFunction(X, Polynomial.constant(1) + X)
-        g = RationalFunction(Polynomial.constant(1), Polynomial.constant(1) + X)
-        x = Fraction(1, 3)
-        assert (f + g)(x) == f(x) + g(x)
-        assert (f * g)(x) == f(x) * g(x)
-        assert (f - g)(x) == f(x) - g(x)
-        assert (f / g)(x) == f(x) / g(x)
-
 
 class TestGridsAndPairs:
     def test_dyadic_grid(self):

@@ -7,26 +7,23 @@ from loopcurrents.errors import LoopCurrentsError
 from loopcurrents.graphs import Graph, generalized_theta
 from loopcurrents.measures import (
     MODELS,
-    CurrentParams,
     bernoulli,
     build,
     double_current,
     loop_o1,
     push_uniform_even,
+    single_current,
 )
 from loopcurrents.sampler import (
     COUPLED_MODELS,
-    SamplerConfig,
     loop_chain,
-    loop_chain_transition_matrix,
     make_rng,
     sample_coupled,
-    sample_loop_mcmc,
     sample_stream,
     write_sample_dump,
 )
 
-from oracles import chi_square_statistic, empirical_counts
+from oracles import chi_square_statistic, degrees, empirical_counts, loop_chain_transition_matrix
 
 F = Fraction
 THETA111 = generalized_theta([1, 1, 1])
@@ -40,41 +37,34 @@ def chi2_critical(dof: int, alpha: float) -> float:
 
 class TestReproducibility:
     def test_same_seed_same_stream(self):
-        cfg = SamplerConfig(seed=42, sweeps=50, burn_in=20)
-        a = list(loop_chain(THETA111, F(1, 2), cfg, samples=200))
-        b = list(loop_chain(THETA111, F(1, 2), cfg, samples=200))
+        a = list(loop_chain(THETA111, F(1, 2), 42, samples=200, burn_in=20))
+        b = list(loop_chain(THETA111, F(1, 2), 42, samples=200, burn_in=20))
         assert a == b
 
-    def test_different_workers_differ(self):
-        r0 = make_rng(7, worker=0)
-        r1 = make_rng(7, worker=1)
-        assert [r0.integers(0, 100) for _ in range(5)] != [
-            r1.integers(0, 100) for _ in range(5)
-        ]
-
     def test_coupled_stream_reproducible(self):
-        cfg = SamplerConfig(seed=5, sweeps=0)
-        a = sample_stream("double_current", THETA111, F(1, 2), cfg, 50)
-        b = sample_stream("double_current", THETA111, F(1, 2), cfg, 50)
+        a = sample_stream("double_current", THETA111, F(1, 2), 5, 50)
+        b = sample_stream("double_current", THETA111, F(1, 2), 5, 50)
         assert a == b
 
     def test_streams_are_pinned(self):
         # the rng is consumed in a fixed order: loop copies, then the
-        # Bernoulli layer, then the pushforward's basis bits
+        # Bernoulli layer, then the pushforward's basis bits; make_rng's
+        # spawn key (0,) is part of every pinned stream
         g = generalized_theta([2, 3, 2])
-        params = CurrentParams.from_t(F(1, 2))
-        cfg = SamplerConfig(seed=123456, sweeps=0)
         pinned = {
             "single_current": [0xB, 0x3F, 0x5F, 0x7C, 0x6B, 0xB, 0x73, 0x17],
             "double_current": [0x67, 0x6E, 0x2A, 0x27, 0x7F, 0x6F, 0x7F, 0x7F],
             "uniform_even_of_double_current": [0x0, 0x0, 0x0, 0x0, 0x1F, 0x0, 0x1F, 0x1F],
         }
         for model, draws in pinned.items():
-            assert sample_stream(model, g, params.x, cfg, len(draws), params) == draws, model
+            assert sample_stream(model, g, F(4, 5), 123456, len(draws)) == draws, model
 
     def test_config_validation(self):
-        with pytest.raises(LoopCurrentsError):
-            SamplerConfig(seed=1, sweeps=-1)
+        # a negative burn-in or seed, or a thin of 0, on a cycle and on a tree
+        for g in (THETA111, TREE):
+            for seed, thin, burn_in in ((1, 1, -1), (1, 0, 0), (-1, 1, 0)):
+                with pytest.raises(LoopCurrentsError):
+                    next(loop_chain(g, F(1, 2), seed, samples=1, thin=thin, burn_in=burn_in))
 
 
 class TestChainExactness:
@@ -98,20 +88,15 @@ class TestChainExactness:
         assert z == loop_o1(THETA111, x).z
 
     def test_tree_chain_is_stuck_at_empty(self):
-        cfg = SamplerConfig(seed=3, sweeps=25)
-        assert sample_loop_mcmc(TREE, F(1, 2), cfg) == 0
+        assert list(loop_chain(TREE, F(1, 2), 3, samples=1, thin=25)) == [0]
 
     def test_chain_state_always_even(self):
-        cfg = SamplerConfig(seed=11, sweeps=0, burn_in=5)
         g = generalized_theta([2, 3, 2])
-        from oracles import degrees
-
-        for state in loop_chain(g, F(2, 3), cfg, samples=100):
+        for state in loop_chain(g, F(2, 3), 11, samples=100, burn_in=5):
             assert all(d % 2 == 0 for d in degrees(g, state))
 
     def test_chain_matches_exact_law(self):
-        cfg = SamplerConfig(seed=2024, sweeps=0, burn_in=50)
-        samples = list(loop_chain(THETA111, F(1, 2), cfg, samples=20000, thin=3))
+        samples = list(loop_chain(THETA111, F(1, 2), 2024, samples=20000, thin=3, burn_in=50))
         counts = empirical_counts(samples)
         exact = loop_o1(THETA111, F(1, 2))
         # mean occupancy of the empty state within 3 sigma of 4/7
@@ -128,9 +113,8 @@ class TestCoupledSamplers:
     ALPHA = 0.001
     N = 20000
 
-    def _gof(self, model, graph, x, exact, params=None, seed=1):
-        cfg = SamplerConfig(seed=seed, sweeps=0)
-        samples = sample_stream(model, graph, x, cfg, self.N, params)
+    def _gof(self, model, graph, x, exact, seed=1):
+        samples = sample_stream(model, graph, x, seed, self.N)
         stat, dof = chi_square_statistic(empirical_counts(samples), exact)
         assert stat < chi2_critical(dof, self.ALPHA), (model, stat, dof)
 
@@ -161,16 +145,7 @@ class TestCoupledSamplers:
             sample_coupled("single_current", THETA111, F(1, 2), rng)
 
     def test_single_current_sampling(self):
-        params = CurrentParams.from_t(F(1, 2))
-        from loopcurrents.measures import single_current
-
-        self._gof(
-            "single_current",
-            THETA111,
-            params.x,
-            single_current(THETA111, params),
-            params=params,
-        )
+        self._gof("single_current", THETA111, F(4, 5), single_current(THETA111, F(4, 5)))
 
     def test_unknown_model_rejected(self):
         rng = make_rng(1)
@@ -179,15 +154,14 @@ class TestCoupledSamplers:
 
     def test_every_model_draws_in_exact_support(self):
         g = generalized_theta([2, 3, 2])
-        params = CurrentParams.from_t(F(1, 2))
+        x = F(4, 5)
         assert set(COUPLED_MODELS) == {*MODELS, "uniform_even_of_double_current"}
         for model in COUPLED_MODELS:
             if model in MODELS:
-                exact = build(model, g, params)
+                exact = build(model, g, x)
             else:
-                exact = push_uniform_even(double_current(g, params.x))
-            cfg = SamplerConfig(seed=17, sweeps=0)
-            draws = sample_stream(model, g, params.x, cfg, 200, params)
+                exact = push_uniform_even(double_current(g, x))
+            draws = sample_stream(model, g, x, 17, 200)
             assert len(draws) == 200
             assert set(draws) <= set(exact.weights), model
 
@@ -199,10 +173,9 @@ class TestCoupledSamplers:
 
 class TestDumps:
     def test_dump_format(self, tmp_path):
-        cfg = SamplerConfig(seed=9, sweeps=0)
-        masks = sample_stream("random_cluster", THETA111, F(1, 2), cfg, 25)
+        masks = sample_stream("random_cluster", THETA111, F(1, 2), 9, 25)
         path = tmp_path / "dump.txt"
-        write_sample_dump(path, "random_cluster", THETA111, F(1, 2), cfg, masks)
+        write_sample_dump(path, "random_cluster", THETA111, F(1, 2), 9, masks)
         lines = path.read_text().splitlines()
         assert lines[0].startswith("# model=random_cluster rng=philox")
         assert "seed=9" in lines[0]
@@ -210,9 +183,8 @@ class TestDumps:
         assert parsed == masks
 
     def test_header_records_only_the_settings_given(self, tmp_path):
-        cfg = SamplerConfig(seed=9, sweeps=40, burn_in=30)
         path = tmp_path / "dump.txt"
-        write_sample_dump(path, "random_cluster", THETA111, F(1, 2), cfg, [0])
+        write_sample_dump(path, "random_cluster", THETA111, F(1, 2), 9, [0])
         assert path.read_text().splitlines()[1] == "# x=1/2 edges=3"
-        write_sample_dump(path, "loop_mcmc", THETA111, F(1, 2), cfg, [0], {"burn_in": 30, "thin": 2})
+        write_sample_dump(path, "loop_mcmc", THETA111, F(1, 2), 9, [0], {"burn_in": 30, "thin": 2})
         assert path.read_text().splitlines()[1] == "# burn_in=30 thin=2 x=1/2 edges=3"

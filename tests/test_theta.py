@@ -6,11 +6,11 @@ from loopcurrents.errors import GraphStructureError, ParametrizationError
 from loopcurrents.events import connect, cyclic_count, statistic_dist
 from loopcurrents.graphs import counter_family, generalized_theta
 from loopcurrents.measures import (
-    CurrentParams,
     double_current,
     double_loop,
     loop_o1,
     prob,
+    pythagorean_x,
     random_cluster,
     single_current,
 )
@@ -102,10 +102,9 @@ class TestConnectionForms:
 
     def test_single_current_conn_matches_enumeration(self):
         for t in (F(1, 2), F(1, 3)):
-            params = CurrentParams.from_t(t)
             g = counter_family(2, 2)
             assert single_current_conn_exact(2, 2, t) == prob(
-                single_current(g, params), connect(g)
+                single_current(g, pythagorean_x(t)), connect(g)
             )
 
     def test_single_current_conn_small_t_is_small(self):
