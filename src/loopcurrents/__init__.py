@@ -20,7 +20,6 @@ from .errors import (
     GraphStructureError,
     LoopCurrentsError,
     ParametrizationError,
-    PoleError,
 )
 from .events import (
     Event,
@@ -72,9 +71,7 @@ from .measures import (
     union_bernoulli,
 )
 from .rationals import (
-    Polynomial,
     Rational,
-    RationalFunction,
     dyadic_grid,
     find_decreasing_pair,
 )

@@ -28,7 +28,3 @@ class CapExceededError(LoopCurrentsError, ValueError):
 
 class ParametrizationError(LoopCurrentsError, ValueError):
     """Exact mode requested at a parameter where it is not available."""
-
-
-class PoleError(LoopCurrentsError, ZeroDivisionError):
-    """A rational function was evaluated at a zero of its denominator."""

@@ -283,7 +283,6 @@ def certify_decreasing_pair(
     f: Callable[[Fraction, int], Interval],
     grid: Sequence[Fraction],
     start_bits: int = START_BITS,
-    max_bits: int = MAX_BITS,
 ) -> tuple[Fraction, Fraction, Interval, Interval] | None:
     """Find x1 < x2 on the grid with f(x1) > f(x2), certified by enclosures.
 
@@ -292,6 +291,11 @@ def certify_decreasing_pair(
     midpoints of coarse enclosures; each candidate is then refined until the
     two enclosures are disjoint, which proves the strict inequality.  A
     ``None`` result is not a monotonicity proof.
+
+    x1 is the running maximum of the midpoints, not the earliest point above
+    x2 as in the exact :func:`~loopcurrents.rationals.find_decreasing_pair`,
+    and the printed pairs depend on each rule: in the README's (2000, 300)
+    window x1 is index 94 here, where the earliest point above is index 93.
     """
     _validate_grid(grid)
     enclosures = [f(x, start_bits) for x in grid]
@@ -303,18 +307,18 @@ def certify_decreasing_pair(
             continue
         if mids[j] < mids[best_idx]:
             certified = _refine_until_disjoint(
-                f, grid[best_idx], grid[j], enclosures[best_idx], enclosures[j], start_bits, max_bits
+                f, grid[best_idx], grid[j], enclosures[best_idx], enclosures[j], start_bits
             )
             if certified is not None:
                 return grid[best_idx], grid[j], certified[0], certified[1]
     return None
 
 
-def _refine_until_disjoint(f, x1, x2, iv1, iv2, bits, max_bits):
+def _refine_until_disjoint(f, x1, x2, iv1, iv2, bits):
     while True:
         if iv1.strictly_above(iv2):
             return iv1, iv2
-        if bits >= max_bits:
+        if bits >= MAX_BITS:
             return None
         bits *= 2
         iv1 = f(x1, bits)

@@ -73,6 +73,10 @@ FKG_DOUBLE_LOOP_PARAMS = (3, 2, Fraction(1, 10))
 SING_LOOP_PARAMS = (18, 2)
 SING_DOUBLE_LOOP_PARAMS = (38, 2)
 SING_SINGLE_CURRENT_PARAMS = (2000, 300)
+# The single current's dip sits in a narrow window near x = 1: its grid is
+# the 256 points 1 - k/2^14 below 1 (``rationals.near_one_grid``).
+SING_SINGLE_CURRENT_RESOLUTION = 14
+SING_SINGLE_CURRENT_COUNT = 256
 
 
 # ---------------------------------------------------------------------------
@@ -126,19 +130,19 @@ def certify_sing(
     return sing, dict(sing, upset_witness=report.witness.to_json_dict())
 
 
-def certify_sing_single_current(resolution: int = 14, count: int = 256) -> dict:
+def certify_sing_single_current() -> dict:
     """Interval-certified decreasing pair for the single current at (2000, 300).
 
-    The violation sits in a narrow window near x = 1, so the grid is the
-    dyadic mesh 1 - k/2^resolution.  Certification means the two value
-    enclosures are disjoint.
+    The grid is the dyadic mesh near x = 1 fixed above.  Certification means
+    the two value enclosures are disjoint.
     """
     n, m = SING_SINGLE_CURRENT_PARAMS
 
     def enclosure(x, bits):
         return theta.single_current_conn_interval(n, m, x, bits)
 
-    found = certify_decreasing_pair(enclosure, near_one_grid(resolution, count))
+    grid = near_one_grid(SING_SINGLE_CURRENT_RESOLUTION, SING_SINGLE_CURRENT_COUNT)
+    found = certify_decreasing_pair(enclosure, grid)
     if found is None:
         raise LoopCurrentsError(f"no certified pair for the single current at {(n, m)}")
     x1, x2, iv1, iv2 = found

@@ -1,19 +1,17 @@
-"""Exact scalar and univariate polynomial/rational-function arithmetic.
+"""Exact scalars, dyadic grids and the exact decreasing-pair search.
 
 Scalars are ``fractions.Fraction`` (arbitrary precision, canonical reduced
-form, exact comparisons).  Polynomials are sparse in one variable x, which
-keeps exponents in the thousands cheap: only the terms that exist are
-stored.
+form, exact comparisons).  The closed forms evaluated on them are plain
+functions of x in :mod:`loopcurrents.theta`.
 """
 
 from __future__ import annotations
 
 import decimal
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
-from .errors import ParametrizationError, PoleError
+from .errors import ParametrizationError
 
 Rational = Fraction
 
@@ -39,171 +37,6 @@ def decimal_string(value: Fraction, digits: int = 40) -> str:
         ctx.rounding = decimal.ROUND_HALF_EVEN
         d = decimal.Decimal(value.numerator) / decimal.Decimal(value.denominator)
     return str(d)
-
-
-class Polynomial:
-    """Sparse polynomial in x over the rationals.
-
-    ``terms`` is a tuple of (exponent, coefficient) sorted by exponent with
-    no zero coefficients, so equality and hashing are structural.
-    """
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: Iterable[tuple[int, Fraction]] = ()):
-        acc: dict[int, Fraction] = {}
-        for exp, coeff in terms:
-            if exp < 0:
-                raise ValueError("negative exponent")
-            c = acc.get(exp, Fraction(0)) + coeff
-            if c:
-                acc[exp] = c
-            elif exp in acc:
-                del acc[exp]
-        object.__setattr__(self, "terms", tuple(sorted(acc.items())))
-
-    # construction ----------------------------------------------------------
-    @classmethod
-    def zero(cls) -> "Polynomial":
-        return cls()
-
-    @classmethod
-    def constant(cls, c) -> "Polynomial":
-        return cls([(0, Fraction(c))])
-
-    @classmethod
-    def monomial(cls, exponent: int, coeff=1) -> "Polynomial":
-        return cls([(exponent, Fraction(coeff))])
-
-    @classmethod
-    def x(cls) -> "Polynomial":
-        return cls.monomial(1)
-
-    # ring operations -------------------------------------------------------
-    def __add__(self, other) -> "Polynomial":
-        other = _coerce(other)
-        return Polynomial(list(self.terms) + list(other.terms))
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "Polynomial":
-        return Polynomial((e, -c) for e, c in self.terms)
-
-    def __sub__(self, other) -> "Polynomial":
-        return self + (-_coerce(other))
-
-    def __rsub__(self, other) -> "Polynomial":
-        return _coerce(other) + (-self)
-
-    def __mul__(self, other) -> "Polynomial":
-        other = _coerce(other)
-        acc: dict[int, Fraction] = {}
-        for e1, c1 in self.terms:
-            for e2, c2 in other.terms:
-                e = e1 + e2
-                c = acc.get(e, Fraction(0)) + c1 * c2
-                if c:
-                    acc[e] = c
-                elif e in acc:
-                    del acc[e]
-        return Polynomial(acc.items())
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n: int) -> "Polynomial":
-        if n < 0:
-            raise ValueError("negative power of a polynomial")
-        result = Polynomial.constant(1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction)):
-            other = Polynomial.constant(other)
-        if not isinstance(other, Polynomial):
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __hash__(self) -> int:
-        return hash(self.terms)
-
-    # queries ----------------------------------------------------------------
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    @property
-    def degree(self) -> int:
-        """Degree; -1 for the zero polynomial."""
-        return self.terms[-1][0] if self.terms else -1
-
-    def coefficient(self, exponent: int) -> Fraction:
-        for e, c in self.terms:
-            if e == exponent:
-                return c
-        return Fraction(0)
-
-    def __call__(self, x):
-        """Evaluate exactly.  Works for Fraction and any ring-like scalar.
-
-        Powers are built incrementally along the sorted exponents, so sparse
-        high-degree polynomials cost one fast exponentiation per gap.
-        """
-        result = Fraction(0)
-        power = None
-        prev_exp = 0
-        for e, c in self.terms:
-            if e == 0:
-                result = result + c
-                continue
-            power = x ** e if power is None else power * x ** (e - prev_exp)
-            prev_exp = e
-            result = result + c * power
-        return result
-
-    def __repr__(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for e, c in self.terms:
-            if e == 0:
-                parts.append(str(c))
-            elif e == 1:
-                parts.append(f"{c}*x" if c != 1 else "x")
-            else:
-                parts.append(f"{c}*x^{e}" if c != 1 else f"x^{e}")
-        return " + ".join(parts)
-
-
-def _coerce(value) -> Polynomial:
-    if isinstance(value, Polynomial):
-        return value
-    if isinstance(value, (int, Fraction)):
-        return Polynomial.constant(value)
-    raise TypeError(f"cannot coerce {type(value)!r} to Polynomial")
-
-
-@dataclass(frozen=True)
-class RationalFunction:
-    """Quotient of two sparse polynomials; evaluation is exact off the poles."""
-
-    num: Polynomial
-    den: Polynomial
-
-    def __post_init__(self):
-        if self.den.is_zero:
-            raise ZeroDivisionError("denominator is identically zero")
-
-    def __call__(self, x: Fraction) -> Fraction:
-        d = self.den(x)
-        if d == 0:
-            raise PoleError(f"denominator vanishes at x={x}")
-        return self.num(x) / d
 
 
 # ---------------------------------------------------------------------------
@@ -254,6 +87,12 @@ def find_decreasing_pair(
     grid point with f(x1) > f(x2).  Comparisons are exact, so a returned
     pair is a certificate of non-monotonicity.  ``None`` only means the grid
     scan found no violation; it is not a proof of monotonicity.
+
+    The enclosure search :func:`~loopcurrents.intervals.certify_decreasing_pair`
+    takes the running maximum as x1 instead, and the printed pairs depend on
+    each rule: on the loop model's (18, 2) figure grid x1 is index 54 here,
+    where the running maximum is index 55, so merging the searches would
+    move a pinned pair.
     """
     _validate_grid(grid)
     values: list[Fraction] = []

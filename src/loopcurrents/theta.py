@@ -8,14 +8,17 @@ Two graph families drive every counterexample in this package:
   a and b at the midpoints of the two m-paths, used for the monotonicity
   counterexamples through the connection event {a <-> b}.
 
-Every closed form here is also validated against an exhaustive-enumeration
-oracle from the measures module on small instances; a disagreement would be
-reported as a formula discrepancy rather than silently trusting either
-side (see :func:`closed_form_discrepancies`).
+Every closed form here is a plain function of x, generic over the scalar
+type: Fractions, rounded intervals and sympy symbols take the same code.
+Each is also validated against an exhaustive-enumeration oracle from the
+measures module on small instances; a disagreement would be reported as a
+formula discrepancy rather than silently trusting either side (see
+:func:`closed_form_discrepancies`).
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -34,7 +37,6 @@ from .measures import (
     single_current,
     single_current_p,
 )
-from .rationals import Polynomial, RationalFunction
 
 
 @dataclass(frozen=True)
@@ -62,46 +64,64 @@ class CounterSpec:
 # Partition functions
 
 
-def partition_polynomial(lengths) -> Polynomial:
-    """Loop-model normalizer of a generalized theta graph.
+def _power_sum(terms, x):
+    """Sum of c * x^e over (exponent, coefficient) ``terms``, exponents
+    distinct and ascending.  Each power is the previous one times x^gap, so
+    a sparse high degree costs one fast power per gap; on rounded intervals
+    every step rounds, so this order fixes the enclosure endpoints."""
+    result = Fraction(0)
+    power = None
+    prev_exp = 0
+    for e, c in terms:
+        if e == 0:
+            result = result + c
+            continue
+        power = x ** e if power is None else power * x ** (e - prev_exp)
+        prev_exp = e
+        result = result + c * power
+    return result
+
+
+def partition_function(lengths):
+    """Loop-model normalizer of a generalized theta graph, as a function of x.
 
     Even subgraphs are exactly the unions of an even number of full paths,
     so Z = sum over even-size path subsets S of x^(total length of S).
     """
     lengths = list(lengths)
-    terms = []
+    counts = Counter()
     for k in range(0, len(lengths) + 1, 2):
-        for subset in combinations(lengths, k):
-            terms.append((sum(subset), Fraction(1)))
-    return Polynomial(terms)
+        counts.update(map(sum, combinations(lengths, k)))
+    terms = [(e, Fraction(c)) for e, c in sorted(counts.items())]
+    return lambda x: _power_sum(terms, x)
 
 
-def theta_partition(n: int, m: int, l: int | None = None) -> Polynomial:
+def theta_partition(n: int, m: int, l: int | None = None):
     """Z for the three-path theta graph; l defaults to n."""
-    return partition_polynomial([n, m, n if l is None else l])
+    return partition_function([n, m, n if l is None else l])
 
 
-def counter_partition(n: int, m: int) -> Polynomial:
+def counter_partition(n: int, m: int):
     """Z for the four-path family: 1 + x^2n + x^2m + 4x^(n+m) + x^(2n+2m)."""
-    return partition_polynomial([n, n, m, m])
+    return partition_function([n, n, m, m])
 
 
 # ---------------------------------------------------------------------------
 # Connection probabilities on the counter family
 
 
-def loop_conn(n: int, m: int) -> RationalFunction:
+def loop_conn(n: int, m: int):
     """Loop-model probability of {a <-> b}: (x^2m + x^(2m+2n)) / Z.
 
     Only the both-m-paths subgraph and the full subgraph connect the two
     midpoints.
     """
     CounterSpec(n, m)
-    num = Polynomial.monomial(2 * m) + Polynomial.monomial(2 * m + 2 * n)
-    return RationalFunction(num, counter_partition(n, m))
+    z = counter_partition(n, m)
+    return lambda x: (x ** (2 * m) + x ** (2 * m + 2 * n)) / z(x)
 
 
-def double_loop_conn(n: int, m: int) -> RationalFunction:
+def double_loop_conn(n: int, m: int):
     """Double-loop probability of {a <-> b} on the counter family.
 
     Numerator: 2x^2m Z - x^4m + 2x^(2n+2m) Z - x^(4n+4m) - 2x^(2n+4m)
@@ -109,16 +129,20 @@ def double_loop_conn(n: int, m: int) -> RationalFunction:
     """
     CounterSpec(n, m)
     z = counter_partition(n, m)
-    mono = Polynomial.monomial
-    num = (
-        2 * mono(2 * m) * z
-        - mono(4 * m)
-        + 2 * mono(2 * n + 2 * m) * z
-        - mono(4 * n + 4 * m)
-        - 2 * mono(2 * n + 4 * m)
-        + 8 * mono(2 * n + 2 * m)
-    )
-    return RationalFunction(num, z * z)
+
+    def conn(x):
+        zx = z(x)
+        num = (
+            2 * x ** (2 * m) * zx
+            - x ** (4 * m)
+            + 2 * x ** (2 * n + 2 * m) * zx
+            - x ** (4 * n + 4 * m)
+            - 2 * x ** (2 * n + 4 * m)
+            + 8 * x ** (2 * n + 2 * m)
+        )
+        return num / (zx * zx)
+
+    return conn
 
 
 def single_current_conn_terms(n: int, m: int, x, p):
@@ -208,26 +232,26 @@ def single_current_fkg_gap(n: int, m: int, t: Fraction) -> Fraction:
     return both / z - (single / z) ** 2
 
 
-def double_loop_event_polynomials(n: int, m: int) -> tuple[Polynomial, Polynomial]:
+def double_loop_event_weights(n: int, m: int, x):
     """Z^2-scaled double-loop weights of the one-loop and both-loops events.
 
+    Returns (Z^2 P(X1), Z^2 P(X1 and X2)), generic over the scalar type.
     Summing the pair table over the four even subgraphs of the theta graph:
 
         Z^2 P(X1) = 2x^(n+m) + 3x^(2(n+m)) + 4x^(3n+m)
         Z^2 P(X1 and X2) = 2x^(2(n+m)) + 4x^(3n+m)
     """
-    mono = Polynomial.monomial
-    one_loop = 2 * mono(n + m) + 3 * mono(2 * (n + m)) + 4 * mono(3 * n + m)
-    both = 2 * mono(2 * (n + m)) + 4 * mono(3 * n + m)
+    one_loop = 2 * x ** (n + m) + 3 * x ** (2 * (n + m)) + 4 * x ** (3 * n + m)
+    both = 2 * x ** (2 * (n + m)) + 4 * x ** (3 * n + m)
     return one_loop, both
 
 
 def double_loop_fkg_gap(n: int, m: int, x: Fraction) -> Fraction:
     """Exact P(X1 and X2) - P(X1)P(X2) for the double loop model."""
     x = Fraction(x)
-    one_loop, both = double_loop_event_polynomials(n, m)
+    one_loop, both = double_loop_event_weights(n, m, x)
     z = theta_partition(n, m)(x)
-    return both(x) / z**2 - (one_loop(x) / z**2) ** 2
+    return both / z**2 - (one_loop / z**2) ** 2
 
 
 def loop_fkg_gap(n: int, m: int, x: Fraction) -> Fraction:
@@ -247,27 +271,27 @@ def loop_fkg_gap(n: int, m: int, x: Fraction) -> Fraction:
 # Cyclic-edge count formulas on the three-path theta graph (l, m, n)
 
 
-def cyclic_count_cluster_form(l: int, m: int, n: int) -> RationalFunction:
+def cyclic_count_cluster_form(l: int, m: int, n: int):
     """Random-cluster probability that the cyclic part is the (l+m)-cycle.
 
     2 x^(l+m) (1 - x^n) / Z with Z = 1 + x^(n+l) + x^(n+m) + x^(l+m).
     """
-    mono = Polynomial.monomial
-    num = 2 * mono(l + m) * (Polynomial.constant(1) - mono(n))
-    return RationalFunction(num, partition_polynomial([l, m, n]))
+    z = partition_function([l, m, n])
+    return lambda x: 2 * x ** (l + m) * (1 - x**n) / z(x)
 
 
-def cyclic_count_double_current_form(l: int, m: int, n: int) -> RationalFunction:
+def cyclic_count_double_current_form(l: int, m: int, n: int):
     """Double-current probability that the cyclic part is the (l+m)-cycle.
 
     (x^(2(l+m)) + 2x^(l+m) + x^(2(l+m))) (1 - x^2n) / Z^2.
     """
-    mono = Polynomial.monomial
-    z = partition_polynomial([l, m, n])
-    num = (mono(2 * (l + m)) + 2 * mono(l + m) + mono(2 * (l + m))) * (
-        Polynomial.constant(1) - mono(2 * n)
-    )
-    return RationalFunction(num, z * z)
+    z = partition_function([l, m, n])
+
+    def form(x):
+        num = (x ** (2 * (l + m)) + 2 * x ** (l + m) + x ** (2 * (l + m))) * (1 - x ** (2 * n))
+        return num / z(x) ** 2
+
+    return form
 
 
 # ---------------------------------------------------------------------------
@@ -391,11 +415,11 @@ def closed_form_discrepancies(n: int, m: int, t: Fraction, x: Fraction) -> list[
     record("single_current_loop_event", single_w / z, prob(sc, first))
     record("single_current_both_loops", both_w / z, prob(sc, intersect_all_open(first, second)))
 
-    one_loop, both = double_loop_event_polynomials(n, m)
+    one_loop, both = double_loop_event_weights(n, m, x)
     dl = double_loop(tg, x)
     z2 = theta_partition(n, m)(x) ** 2
-    record("double_loop_loop_event", one_loop(x) / z2, prob(dl, first))
-    record("double_loop_both_loops", both(x) / z2, prob(dl, intersect_all_open(first, second)))
+    record("double_loop_loop_event", one_loop / z2, prob(dl, first))
+    record("double_loop_both_loops", both / z2, prob(dl, intersect_all_open(first, second)))
 
     # cyclic-count forms: the third segment length must differ from the
     # first two, otherwise several cycles share the size l+m and the

@@ -27,11 +27,11 @@ from loopcurrents.graphs import (
     span_masks,
 )
 from loopcurrents.measures import Dist
-from loopcurrents.rationals import Polynomial, RationalFunction, format_rational, parse_rational
+from loopcurrents.rationals import format_rational, parse_rational
 from loopcurrents.theta import (
     counter_even_masks,
-    double_loop_event_polynomials,
-    partition_polynomial,
+    double_loop_event_weights,
+    partition_function,
     theta_partition,
 )
 
@@ -291,16 +291,30 @@ def loop_chain_transition_matrix(g: Graph, x: Fraction):
 # Closed forms, tables and serializations that only tests read
 
 
-def trailing_term(p: Polynomial) -> tuple[int, Fraction]:
-    """Lowest-order term (exponent, coefficient); the zero poly has none."""
-    if not p.terms:
+def _symbol_x():
+    # sympy is a test dependency; it is imported on use so that the test
+    # modules importing this one still collect where it is missing
+    import sympy
+
+    return sympy, sympy.Symbol("x")
+
+
+def trailing_term(f) -> tuple[int, Fraction]:
+    """Lowest-order term (exponent, coefficient) of the polynomial function
+    ``f``, expanded symbolically; the zero polynomial has none."""
+    sympy, x = _symbol_x()
+    poly = sympy.Poly(f(x), x)
+    if poly.is_zero:
         raise ValueError("zero polynomial has no trailing term")
-    return p.terms[0]
+    (exponent,), coeff = min(poly.terms())
+    return exponent, Fraction(int(coeff.p), int(coeff.q))
 
 
-def same_function(f: RationalFunction, g: RationalFunction) -> bool:
-    """Equality as functions: cross-multiplied polynomial identity."""
-    return f.num * g.den == g.num * f.den
+def same_function(f, g) -> bool:
+    """Equality of two rational functions of x: their symbolic difference
+    cancels to zero."""
+    sympy, x = _symbol_x()
+    return sympy.cancel(f(x) - g(x)) == 0
 
 
 def dist_to_json(d: Dist) -> str:
@@ -314,33 +328,36 @@ def dist_from_json(graph: Graph, text: str) -> Dist:
     return Dist.from_weights(graph, weights, parse_rational(data["z"]))
 
 
-def double_loop_fkg_difference(n: int, m: int) -> Polynomial:
-    """The polynomial (Z^2 P(X1))^2 - (Z^2 P(X1 and X2)) Z^2.
+def double_loop_fkg_difference(n: int, m: int):
+    """The polynomial (Z^2 P(X1))^2 - (Z^2 P(X1 and X2)) Z^2, as a function of x.
 
     Positive values certify an FKG violation for the double loop model
     (divide by Z^4 to recover P(X1)P(X2) - P(X1 and X2) Z^2, and Z >= 1).
     For n > m the trailing term is 2 x^(2n+2m); at n = m the x^(3n+m) and
     x^(2n+2m) terms collide and the difference is negative instead.
     """
-    one_loop, both = double_loop_event_polynomials(n, m)
     z = theta_partition(n, m)
-    return one_loop * one_loop - both * z * z
+
+    def difference(x):
+        one_loop, both = double_loop_event_weights(n, m, x)
+        return one_loop * one_loop - both * z(x) ** 2
+
+    return difference
 
 
-def cyclic_count_ratio(l: int, m: int, n: int) -> RationalFunction:
+def cyclic_count_ratio(l: int, m: int, n: int):
     """Ratio of the two cyclic-count probabilities: Z / ((1+x^n)(1+x^(l+m))).
 
     Differs from 1 on (0,1), which separates the loop structure of the
     random cluster model from the double current even though single-edge
     cyclic probabilities agree.
     """
-    mono = Polynomial.monomial
-    z = partition_polynomial([l, m, n])
-    num = z * 2 * mono(l + m)
-    den = (Polynomial.constant(1) + mono(n)) * (2 * mono(l + m)) * (
-        Polynomial.constant(1) + mono(l + m)
-    )
-    return RationalFunction(num, den)
+    z = partition_function([l, m, n])
+
+    def ratio(x):
+        return z(x) * 2 * x ** (l + m) / ((1 + x**n) * (2 * x ** (l + m)) * (1 + x ** (l + m)))
+
+    return ratio
 
 
 COUNTER_CONFIG_LABELS = (

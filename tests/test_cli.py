@@ -25,10 +25,29 @@ F = Fraction
 # sha256 of the CSV of `figure --model P --n 2000 --m 300 --grid-steps 7
 # --window 255/256:1`, the README's single-current figure.
 README_P_FIGURE_DIGEST = "644e2b6bc8496d857de45a91710879750480e6057d939bec0af981fdb096d943"
+# sha256 of the CSV and the `.pair.json` sidecar of the README's loop and
+# double-loop figures (`--n 18` and `--n 38`, `--m 2 --grid-steps 6`), and of
+# the single-current figure's sidecar.  Their values are exact rationals, so
+# the digests pin every closed form on the figure grids.
+README_FIGURE_DIGESTS = {
+    "l": (
+        "6731769bc58bf1328e89774d690ac6f5a37659801fde973ffc93bb907a631c33",
+        "5ed1801bf3635921c6266d3a38ad37a1ca145ac2e57ce738ef36dd76bae34b59",
+    ),
+    "l2": (
+        "87ec5a9146825d8fa58d34d79d32c7d7966f545bf30c5d02ba1773dd438513e5",
+        "76f4abb2fdde557e2fde9b8f92f37ed0ad6809b04bdec59db3d562b2fd146754",
+    ),
+}
+README_P_PAIR_DIGEST = "e2ceaa4c4aa6e9c9a854a93364eba6f9ec3cc4c8a06f935599a22fb31d16d558"
 
 
 def run(*argv) -> int:
     return main(list(argv))
+
+
+def sha256(path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 class TestFigure:
@@ -53,6 +72,16 @@ class TestFigure:
         assert pair is not None and pair["method"] == "exact-rational"
         assert F(pair["x1"]) < F(pair["x2"])
         assert F(pair["value1"]) > F(pair["value2"])
+        assert (sha256(out), sha256(tmp_path / "fig.csv.pair.json")) == README_FIGURE_DIGESTS["l"]
+
+    def test_double_loop_counterexample_is_pinned(self, tmp_path):
+        out = tmp_path / "l2.csv"
+        code = run(
+            "figure", "--model", "l2", "--n", "38", "--m", "2",
+            "--grid-steps", "6", "--out", str(out),
+        )
+        assert code == 2
+        assert (sha256(out), sha256(tmp_path / "l2.csv.pair.json")) == README_FIGURE_DIGESTS["l2"]
 
     def test_monotone_window_yields_no_pair(self, tmp_path):
         out = tmp_path / "flat.csv"
@@ -85,7 +114,8 @@ class TestFigure:
         assert code == 2
         # the README command: its decimals are correctly rounded, so the CSV
         # does not depend on how the enclosures are computed
-        assert hashlib.sha256(out.read_bytes()).hexdigest() == README_P_FIGURE_DIGEST
+        assert sha256(out) == README_P_FIGURE_DIGEST
+        assert sha256(tmp_path / "big.csv.pair.json") == README_P_PAIR_DIGEST
         sidecar = json.loads((tmp_path / "big.csv.pair.json").read_text())
         pair = sidecar["decreasing_pair"]
         assert pair["method"] == "certified-interval"
@@ -141,8 +171,7 @@ class TestFigure:
         )
         manifest = json.loads((tmp_path / "fig.csv.manifest.json").read_text())
         assert manifest["command"] == "figure"
-        digest = hashlib.sha256(out.read_bytes()).hexdigest()
-        assert manifest["outputs"][str(out)] == digest
+        assert manifest["outputs"][str(out)] == sha256(out)
         assert manifest["parameters"]["n"] == 8
 
 
@@ -178,12 +207,19 @@ MALFORMED_GRAPHS = {
         (*SAMPLE_THETA, "--model", "loop_mcmc", "--thin", "0"),
         (*SAMPLE_THETA, "--model", "loop", "--samples", "-3"),
         (*SAMPLE_THETA, "--model", "loop_mcmc", "--burn-in", "-2"),
+        # the two suites that check fixed instances read neither flag
+        *(
+            ("verify", "--theorem", suite, *flag)
+            for suite in cli.FIXED_SUITES
+            for flag in (("--graph", "k4.json"), ("--x", "1/2"))
+        ),
     ],
 )
 def test_malformed_numbers_are_typed_errors(argv, tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     for name, text in MALFORMED_GRAPHS.items():
         (tmp_path / name).write_text(text)
+    (tmp_path / "k4.json").write_text(graph_to_json(complete_graph(4)))
     assert run(*argv, "--out", str(tmp_path / "out")) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
@@ -212,7 +248,7 @@ class TestVerify:
         report = json.loads(out.read_text())
         assert report["edge-identities"]["pass"] is True
 
-    def test_graph_file_is_read_once(self, tmp_path, monkeypatch):
+    def test_graph_file_is_read_once(self, tmp_path, monkeypatch, capsys):
         path = tmp_path / "k4.json"
         path.write_text(graph_to_json(complete_graph(4)))
         read = []
@@ -225,6 +261,10 @@ class TestVerify:
         monkeypatch.setattr(cli, "read_graph", counting_read_graph)
         assert run("verify", "--graph", str(path), "--x", "1/2") == 0
         assert read == [str(path)]
+        # the suites that skip the user's graph and x say so
+        assert capsys.readouterr().err == (
+            "verify: sumthm, appendix-tables read neither --graph nor --x\n"
+        )
 
 
 BATTERY = verification_battery()

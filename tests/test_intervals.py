@@ -313,6 +313,15 @@ class TestCertifiedPairs:
             return Interval(center - pad, center + pad)
 
         grid = [Fraction(1, 4), Fraction(3, 4)]
-        found = certify_decreasing_pair(f, grid, start_bits=8, max_bits=128)
+        found = certify_decreasing_pair(f, grid, start_bits=8)
         assert found is not None
-        assert max(calls) > 8
+        assert 8 < max(calls) < intervals.MAX_BITS
+
+    def test_pair_rules_differ_from_the_exact_search(self):
+        # the exact search pairs x2 with the earliest point above it, the
+        # enclosure search with the running maximum
+        grid = [Fraction(1, 4), Fraction(1, 2), Fraction(3, 4)]
+        values = dict(zip(grid, map(Fraction, (2, 3, 1))))
+        assert find_decreasing_pair(values.get, grid)[:2] == (Fraction(1, 4), Fraction(3, 4))
+        found = certify_decreasing_pair(lambda x, bits: Interval.point(values[x]), grid)
+        assert found[:2] == (Fraction(1, 2), Fraction(3, 4))

@@ -5,6 +5,7 @@ import pytest
 from loopcurrents.errors import GraphStructureError, ParametrizationError
 from loopcurrents.events import connect, cyclic_count, statistic_dist
 from loopcurrents.graphs import counter_family, generalized_theta
+from loopcurrents.intervals import Interval
 from loopcurrents.measures import (
     double_current,
     double_loop,
@@ -14,12 +15,7 @@ from loopcurrents.measures import (
     random_cluster,
     single_current,
 )
-from loopcurrents.rationals import (
-    Polynomial,
-    RationalFunction,
-    dyadic_grid,
-    find_decreasing_pair,
-)
+from loopcurrents.rationals import dyadic_grid, find_decreasing_pair
 from loopcurrents.theta import (
     CounterSpec,
     closed_form_discrepancies,
@@ -29,10 +25,12 @@ from loopcurrents.theta import (
     cyclic_count_cluster_form,
     cyclic_count_double_current_form,
     double_loop_conn,
-    double_loop_event_polynomials,
+    double_loop_event_weights,
     loop_conn,
     single_current_conn_exact,
     single_current_conn_interval,
+    single_current_conn_terms,
+    single_current_loop_event_weights,
     theta_even_masks,
     theta_pair_event_table,
     theta_partition,
@@ -47,32 +45,63 @@ from oracles import (
 )
 
 F = Fraction
-mono = Polynomial.monomial
+
+# Every closed form at small parameters, as a function of x alone (p = x/2
+# where a form also takes the percolation parameter)
+CLOSED_FORMS = {
+    "theta_partition": theta_partition(3, 2),
+    "counter_partition": counter_partition(3, 2),
+    "loop_conn": loop_conn(4, 2),
+    "double_loop_conn": double_loop_conn(4, 2),
+    "single_current_conn_terms": lambda x: single_current_conn_terms(4, 2, x, x / 2),
+    "single_current_loop_event_weights": lambda x: single_current_loop_event_weights(3, 2, x, x / 2),
+    "double_loop_event_weights": lambda x: double_loop_event_weights(3, 2, x),
+    "cyclic_count_cluster_form": cyclic_count_cluster_form(1, 2, 3),
+    "cyclic_count_double_current_form": cyclic_count_double_current_form(1, 2, 3),
+}
+
+
+def values(result) -> tuple:
+    return result if isinstance(result, tuple) else (result,)
+
+
+class TestGenericScalars:
+    """One code path per closed form for every scalar type: an exact point
+    interval gives the exact value, a rounded one encloses it, and a sympy
+    symbol gives the function itself."""
+
+    @pytest.mark.parametrize("name", sorted(CLOSED_FORMS))
+    def test_every_scalar_type_agrees(self, name):
+        import sympy
+
+        form, x = CLOSED_FORMS[name], F(2, 7)
+        exact = values(form(x))
+        assert values(form(Interval.point(x))) == tuple(map(Interval.point, exact))
+        for iv, v in zip(values(form(Interval.point(x, 64))), exact, strict=True):
+            assert iv.bits == 64 and v in iv
+        symbol = sympy.Symbol("x")
+        assert tuple(e.subs(symbol, sympy.Rational(2, 7)) for e in values(form(symbol))) == exact
 
 
 class TestPartitionPolynomials:
     def test_theta_equal_outer_form(self):
         n, m = 3, 2
-        expected = Polynomial.constant(1) + 2 * mono(n + m) + mono(2 * n)
-        assert theta_partition(n, m) == expected
+        assert same_function(theta_partition(n, m), lambda x: 1 + 2 * x ** (n + m) + x ** (2 * n))
 
     def test_counter_form(self):
         n, m = 3, 2
-        expected = (
-            Polynomial.constant(1)
-            + mono(2 * n)
-            + mono(2 * m)
-            + 4 * mono(n + m)
-            + mono(2 * n + 2 * m)
-        )
-        assert counter_partition(n, m) == expected
+
+        def expected(x):
+            return 1 + x ** (2 * n) + x ** (2 * m) + 4 * x ** (n + m) + x ** (2 * n + 2 * m)
+
+        assert same_function(counter_partition(n, m), expected)
 
     def test_counter_form_collapses_at_equal_lengths(self):
-        assert counter_partition(2, 2) == Polynomial.constant(1) + 6 * mono(4) + mono(8)
+        assert same_function(counter_partition(2, 2), lambda x: 1 + 6 * x**4 + x**8)
 
     def test_constant_term_is_one(self):
         for lengths in ((2, 2), (5, 4), (1, 2)):
-            assert counter_partition(*lengths).coefficient(0) == 1
+            assert counter_partition(*lengths)(F(0)) == 1
 
     def test_matches_loop_normalizer(self):
         for n, m in ((2, 2), (3, 2)):
@@ -193,12 +222,12 @@ class TestFkgForms:
 
         for n, m in ((2, 2), (3, 2)):
             g, first, second = theta_loop_events(n, m)
-            one_loop, both = double_loop_event_polynomials(n, m)
             x = F(1, 3)
+            one_loop, both = double_loop_event_weights(n, m, x)
             z2 = theta_partition(n, m)(x) ** 2
             d = double_loop(g, x)
-            assert one_loop(x) / z2 == prob(d, first)
-            assert both(x) / z2 == prob(d, intersect_all_open(first, second))
+            assert one_loop / z2 == prob(d, first)
+            assert both / z2 == prob(d, intersect_all_open(first, second))
 
     def test_difference_trailing_term_is_twice_x_to_2n_plus_2m(self):
         for n, m in ((3, 2), (4, 2), (5, 2), (5, 3)):
@@ -212,25 +241,25 @@ class TestFkgForms:
         assert trailing_term(double_loop_fkg_difference(2, 2)) == (8, F(-2))
 
     def test_difference_against_sympy_expansion(self):
-        sympy = pytest.importorskip("sympy")
         n, m = 3, 2
-        x = sympy.symbols("x")
-        z = 1 + 2 * x ** (n + m) + x ** (2 * n)
-        a = 2 * x ** (n + m) + 3 * x ** (2 * (n + m)) + 4 * x ** (3 * n + m)
-        c = 2 * x ** (2 * (n + m)) + 4 * x ** (3 * n + m)
-        expected = sympy.expand(a * a - c * z * z)
-        ours = double_loop_fkg_difference(n, m)
-        got = sum(int(coef) * x**e for e, coef in ours.terms)
-        assert sympy.simplify(expected - got) == 0
+
+        def expected(x):
+            z = 1 + 2 * x ** (n + m) + x ** (2 * n)
+            a = 2 * x ** (n + m) + 3 * x ** (2 * (n + m)) + 4 * x ** (3 * n + m)
+            c = 2 * x ** (2 * (n + m)) + 4 * x ** (3 * n + m)
+            return a * a - c * z * z
+
+        assert same_function(double_loop_fkg_difference(n, m), expected)
 
 
 class TestCyclicCountForms:
     def test_ratio_reduces_to_z_over_product(self):
         l, m, n = 2, 2, 3
-        z = Polynomial.constant(1) + mono(n + l) + mono(n + m) + mono(l + m)
-        reduced = RationalFunction(
-            z, (Polynomial.constant(1) + mono(n)) * (Polynomial.constant(1) + mono(l + m))
-        )
+
+        def reduced(x):
+            z = 1 + x ** (n + l) + x ** (n + m) + x ** (l + m)
+            return z / ((1 + x**n) * (1 + x ** (l + m)))
+
         assert same_function(cyclic_count_ratio(l, m, n), reduced)
         assert reduced(F(0)) == 1  # the x -> 0 limit of the ratio
 
@@ -251,15 +280,18 @@ class TestCyclicCountForms:
 
     def test_component_polynomials_at_1_2_3(self):
         l, m, n = 1, 2, 3
-        z = Polynomial.constant(1) + mono(n + l) + mono(n + m) + mono(l + m)
-        expected_cluster_num = 2 * mono(l + m) * (Polynomial.constant(1) - mono(n))
-        expected_double_num = (
-            mono(2 * (l + m)) + 2 * mono(l + m) + mono(2 * (l + m))
-        ) * (Polynomial.constant(1) - mono(2 * n))
-        assert cyclic_count_cluster_form(l, m, n).num == expected_cluster_num
-        assert cyclic_count_cluster_form(l, m, n).den == z
-        assert cyclic_count_double_current_form(l, m, n).num == expected_double_num
-        assert cyclic_count_double_current_form(l, m, n).den == z * z
+
+        def z(x):
+            return 1 + x ** (n + l) + x ** (n + m) + x ** (l + m)
+
+        def cluster(x):
+            return 2 * x ** (l + m) * (1 - x**n) / z(x)
+
+        def double(x):
+            return (2 * x ** (2 * (l + m)) + 2 * x ** (l + m)) * (1 - x ** (2 * n)) / z(x) ** 2
+
+        assert same_function(cyclic_count_cluster_form(l, m, n), cluster)
+        assert same_function(cyclic_count_double_current_form(l, m, n), double)
 
 
 from expected_tables import (
