@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import lcm
 from typing import Callable, Sequence
 
@@ -214,82 +215,69 @@ def lattice_condition(d: Dist) -> FkgReport:
 
 
 class _Dinic:
-    """Max flow with arbitrary-precision integer capacities."""
+    """Max flow with arbitrary-precision integer capacities.  Arc idx runs
+    to ``to[idx]`` with residual capacity ``cap[idx]``, its reverse arc is
+    idx ^ 1, and ``head[u]`` lists the arcs out of u.  The flow writes only
+    ``cap``, so one pair of arc lists can serve many networks."""
 
-    def __init__(self, n: int):
-        self.n = n
-        self.head: list[list[int]] = [[] for _ in range(n)]
-        self.to: list[int] = []
-        self.cap: list[int] = []
-
-    def add_edge(self, u: int, v: int, capacity: int) -> int:
-        idx = len(self.to)
-        self.head[u].append(idx)
-        self.to.append(v)
-        self.cap.append(capacity)
-        self.head[v].append(idx + 1)
-        self.to.append(u)
-        self.cap.append(0)
-        return idx
-
-    def _bfs(self, s: int, t: int) -> list[int] | None:
-        level = [-1] * self.n
-        level[s] = 0
-        queue = [s]
-        for u in queue:
-            for idx in self.head[u]:
-                v = self.to[idx]
-                if self.cap[idx] > 0 and level[v] < 0:
-                    level[v] = level[u] + 1
-                    if v == t:
-                        return level
-                    queue.append(v)
-        return level if level[t] >= 0 else None
-
-    def _blocking_flow(self, s: int, t: int, level: list[int], it: list[int]) -> int:
-        # walk forward along admissible arcs, push on reaching t, retreat when stuck
-        total = 0
-        stack = [s]
-        path: list[int] = []
-        while stack:
-            u = stack[-1]
-            if u == t:
-                pushed = min(self.cap[idx] for idx in path)
-                for idx in path:
-                    self.cap[idx] -= pushed
-                    self.cap[idx ^ 1] += pushed
-                total += pushed
-                for pos, idx in enumerate(path):
-                    if self.cap[idx] == 0:
-                        del stack[pos + 1 :]
-                        del path[pos:]
-                        break
-                continue
-            advanced = False
-            while it[u] < len(self.head[u]):
-                idx = self.head[u][it[u]]
-                v = self.to[idx]
-                if self.cap[idx] > 0 and level[v] == level[u] + 1:
-                    stack.append(v)
-                    path.append(idx)
-                    advanced = True
-                    break
-                it[u] += 1
-            if not advanced:
-                level[u] = -1  # dead end for this phase
-                stack.pop()
-                if path:
-                    path.pop()
-        return total
+    def __init__(self, head: list[list[int]], to: list[int], cap: list[int]):
+        self.n = len(head)
+        self.head, self.to, self.cap = head, to, cap
 
     def max_flow(self, s: int, t: int) -> int:
+        head, to, cap = self.head, self.to, self.cap
         flow = 0
         while True:
-            level = self._bfs(s, t)
-            if level is None:
+            # BFS levels of the residual network, up to t's level
+            level = [-1] * self.n
+            level[s] = 0
+            queue = [s]
+            for u in queue:
+                if level[t] >= 0:
+                    break
+                nxt = level[u] + 1
+                for idx in head[u]:
+                    v = to[idx]
+                    if level[v] < 0 and cap[idx]:
+                        level[v] = nxt
+                        queue.append(v)
+            if level[t] < 0:
                 return flow
+            # blocking flow: walk forward along admissible arcs, push on
+            # reaching t, retreat when stuck
             it = [0] * self.n
-            flow += self._blocking_flow(s, t, level, it)
+            stack = [s]
+            path: list[int] = []
+            while stack:
+                u = stack[-1]
+                if u == t:
+                    pushed = min(cap[idx] for idx in path)
+                    for idx in path:
+                        cap[idx] -= pushed
+                        cap[idx ^ 1] += pushed
+                    flow += pushed
+                    for pos, idx in enumerate(path):
+                        if not cap[idx]:
+                            del stack[pos + 1 :]
+                            del path[pos:]
+                            break
+                    continue
+                arcs, i, want = head[u], it[u], level[u] + 1
+                end = len(arcs)
+                while i < end:
+                    idx = arcs[i]
+                    if cap[idx] and level[to[idx]] == want:
+                        break
+                    i += 1
+                it[u] = i
+                if i < end:
+                    stack.append(to[idx])
+                    path.append(idx)
+                else:
+                    level[u] = -1  # dead end for this phase
+                    stack.pop()
+                    if path:
+                        path.pop()
 
     def min_cut_side(self, s: int) -> set[int]:
         """Vertices reachable from s in the residual network."""
@@ -330,6 +318,27 @@ def _lattice_coordinates(full: int, masks: Sequence[int]) -> list[int]:
     return classes
 
 
+@lru_cache(maxsize=1)
+def _covering_arcs(k: int) -> tuple[list[list[int]], list[int]]:
+    """Arc lists of the covering network of the subset lattice of k
+    coordinates, shared by every flow on it: node 0 is the source, 1 the
+    sink and 2 + c the lattice point c.  Point c has its source arc at 4c
+    and its sink arc at 4c + 2, and the covering arcs c -> c | bit follow
+    from 4 << k on.  A flow with no mass at a point gives those arcs
+    capacity 0."""
+    size = 1 << k
+    head: list[list[int]] = [[] for _ in range(2 + size)]
+    to: list[int] = []
+    arcs = [arc for c in range(size) for arc in ((0, 2 + c), (2 + c, 1))]
+    arcs += [(2 + c, 2 + (c | 1 << i)) for c in range(size) for i in range(k) if not c >> i & 1]
+    for u, v in arcs:
+        head[u].append(len(to))
+        to.append(v)
+        head[v].append(len(to))
+        to.append(u)
+    return head, to
+
+
 class _CoveringFlow:
     """Strassen's network for d_lo <=st d_hi, saturated by a max-flow.
 
@@ -352,30 +361,36 @@ class _CoveringFlow:
         k = len(classes)
         if k > EDGE_ENUMERATION_CAP:
             raise CapExceededError("domination lattice coordinates", k, EDGE_ENUMERATION_CAP)
-        node = {
-            m: 2 + sum(1 << i for i, c in enumerate(classes) if m & c)
-            for m in (*nums_lo, *nums_hi)
-        }
+        node = dict.fromkeys((*nums_lo, *nums_hi), 2)
+        for i, c in enumerate(classes):
+            for m in node:
+                if m & c:
+                    node[m] += 1 << i
 
         # P(m) = nums[m] / (z * den), and the numerators sum to z * den:
         # scale both laws to the same integer total
         mass_lo, mass_hi = sum(nums_lo.values()), sum(nums_hi.values())
         total = lcm(mass_lo, mass_hi)
-        net = _Dinic(2 + (1 << k))
-        source_arcs = {
-            m: net.add_edge(0, node[m], w * (total // mass_lo)) for m, w in nums_lo.items()
-        }
+        scale_lo, scale_hi = total // mass_lo, total // mass_hi
+        head, to = _covering_arcs(k)
+        cap = [0] * (4 << k) + [total, 0] * (k << k >> 1)
+        source_arcs = {m: 4 * (node[m] - 2) for m in nums_lo}
+        for m, w in nums_lo.items():
+            cap[source_arcs[m]] = w * scale_lo
+        # a point with mass in both laws starts by sending the smaller mass
+        # straight from the source to the sink
+        direct = 0
         for m, w in nums_hi.items():
-            net.add_edge(node[m], 1, w * (total // mass_hi))
-        for c in range(1 << k):
-            for i in range(k):
-                if not c >> i & 1:
-                    net.add_edge(2 + c, 2 + (c | 1 << i), total)
+            a = 4 * (node[m] - 2)
+            f = min(cap[a], w * scale_hi)
+            cap[a : a + 4] = cap[a] - f, f, w * scale_hi - f, f
+            direct += f
+        net = _Dinic(head, to, cap)
         self.net, self.node, self.total = net, node, total
         self.source_arcs, self.hi_masks = source_arcs, list(nums_hi)
 
         self.witness = None
-        if net.max_flow(0, 1) < total:
+        if direct + net.max_flow(0, 1) < total:
             source_side = net.min_cut_side(0)
             self.witness = _upset_witness(
                 [m for m in nums_lo if node[m] in source_side], d_lo, d_hi

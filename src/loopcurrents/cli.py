@@ -173,8 +173,9 @@ def cmd_figure(args) -> int:
 
     if args.model in ("l", "l2"):
         fn = theta.loop_conn(n, m) if args.model == "l" else theta.double_loop_conn(n, m)
-        for x in grid:
-            v = fn(x)
+        # one evaluation per grid point, for the rows and the pair search
+        values = {x: fn(x) for x in grid}
+        for x, v in values.items():
             rows.append(
                 (
                     x.numerator,
@@ -184,7 +185,7 @@ def cmd_figure(args) -> int:
                     format_rational(v),
                 )
             )
-        pair = find_decreasing_pair(fn, grid)
+        pair = find_decreasing_pair(values.__getitem__, grid)
         if pair is not None:
             x1, x2, v1, v2 = pair
             pair_record = {

@@ -389,25 +389,33 @@ def push_uniform_even(d: Dist) -> Dist:
 def bit_masses(dists: Sequence[Dist], stat: Callable[[int], int], width: int) -> list[list[Fraction]]:
     """P(bit i of stat(mask) is set) for each i < width, one row per law of
     ``dists``.  stat runs once per distinct configuration across the family;
-    each law adds its integer numerators per stat value, sends each total to
-    its value's set bits and builds one ``Fraction`` per bit.  An event is
-    the one-bit stat ``holds``; a histogram of s is the stat ``1 << s(mask)``."""
+    each law adds its integer numerators per stat value.  The laws' totals
+    per value are packed into one integer, law j in lane j, each packed
+    total goes to its value's set bits once, and each lane is read back by
+    shift and mask: a lane is as wide as the largest numerator sum, and the
+    numerators are positive, so no carry crosses a lane.  An event is the
+    one-bit stat ``holds``; a histogram of s is the stat ``1 << s(mask)``."""
     keep = (1 << width) - 1
     stats = {m: stat(m) & keep for m in dict.fromkeys(m for d in dists for m in d.nums)}
-    rows = []
-    for d in dists:
+    sums = [sum(d.nums.values()) for d in dists]
+    lane = max(sums, default=0).bit_length()
+    packed: dict[int, int] = {}
+    for j, d in enumerate(dists):
         by_value: dict[int, int] = {}
         for mask, w in d.nums.items():
             by_value[stats[mask]] = by_value.get(stats[mask], 0) + w
-        totals = [0] * width
         for s, w in by_value.items():
-            while s:
-                low = s & -s
-                totals[low.bit_length() - 1] += w
-                s ^= low
-        mass = d.z * d.den
-        rows.append([Fraction(t * mass.denominator, mass.numerator) for t in totals])
-    return rows
+            packed[s] = packed.get(s, 0) + (w << j * lane)
+    totals = [0] * width
+    for s, w in packed.items():
+        while s:
+            low = s & -s
+            totals[low.bit_length() - 1] += w
+            s ^= low
+    lane_mask = (1 << lane) - 1
+    return [
+        [Fraction(t >> j * lane & lane_mask, mass) for t in totals] for j, mass in enumerate(sums)
+    ]
 
 
 def prob(d: Dist, event) -> Fraction:

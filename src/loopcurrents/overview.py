@@ -18,7 +18,8 @@ refuses to upgrade an open cell to a claim and treats a failed scan on a
 
 Each graph's scans share one law per grid point; FKG reads the laws in one
 ``checkers.fkg_gaps`` call, and CON and SING share one
-``measures.bit_masses`` pass over them.
+``measures.bit_masses`` pass over them, whose connection bits every scanned
+row computes once per configuration of the graph.
 """
 
 from __future__ import annotations
@@ -164,20 +165,23 @@ def certify_sing_single_current() -> dict:
 
 
 def _connection_masses(
-    dists: list[Dist], g: Graph, side_pairs: Sequence[tuple[tuple, tuple]]
+    dists: list[Dist], g: Graph, side_pairs: Sequence[tuple[tuple, tuple]], memo: dict[int, int]
 ) -> list[list[Fraction]]:
     """pairs x grid matrix of P(some vertex of A connects to some of B),
     from one :func:`~loopcurrents.measures.bit_masses` pass over the laws
-    with one bit per pair: component labels are computed once per distinct
-    configuration."""
+    with one bit per pair.  ``memo`` keeps the pair bits of each
+    configuration seen: a caller that passes one dict to every call on g
+    with the same pairs runs component labels once per configuration."""
 
     def stat(m):
-        lab = component_labels(g, m)
-        return sum(
-            1 << i
-            for i, (side_a, side_b) in enumerate(side_pairs)
-            if {lab[u] for u in side_a} & {lab[v] for v in side_b}
-        )
+        if m not in memo:
+            lab = component_labels(g, m)
+            memo[m] = sum(
+                1 << i
+                for i, (side_a, side_b) in enumerate(side_pairs)
+                if {lab[u] for u in side_a} & {lab[v] for v in side_b}
+            )
+        return memo[m]
 
     return [list(row) for row in zip(*bit_masses(dists, stat, len(side_pairs)))]
 
@@ -210,17 +214,19 @@ def _fkg_events(g: Graph) -> list[Event]:
     return events
 
 
-def scan_connection(name: str, g: Graph, laws, grid) -> dict[str, list[dict]]:
+def scan_connection(name: str, g: Graph, laws, grid, memo: dict[int, int]) -> dict[str, list[dict]]:
     """Point-evaluation scans of graph ``name`` for CON and SING: is
     P(A <-> B) under the laws ``laws[x]`` non-decreasing along the grid,
     for each vertex-set pair (A, B) that :data:`CONNECTION_SCANS` watches?
-    Both properties read one mass pass per law."""
+    Both properties read one mass pass over the laws; ``memo`` is g's
+    connection bits (:func:`_connection_masses`)."""
     watched = [
         (prop, pair, record)
         for prop, (pairs_of, record) in CONNECTION_SCANS.items()
         for pair in pairs_of(g)
     ]
-    masses = _connection_masses([laws[x] for x in grid], g, [pair for _, pair, _ in watched])
+    pairs = [pair for _, pair, _ in watched]
+    masses = _connection_masses([laws[x] for x in grid], g, pairs, memo)
     violations: dict[str, list[dict]] = {prop: [] for prop in CONNECTION_SCANS}
     for (prop, (side_a, side_b), record), row in zip(watched, masses):
         for j in range(1, len(grid)):
@@ -288,14 +294,17 @@ def scan_mon(name: str, laws, grid) -> list[dict]:
     ]
 
 
-def _scan_graph(model: str, name: str, g: Graph, grid, mon_grid) -> dict[str, list[dict]]:
+def _scan_graph(
+    model: str, name: str, g: Graph, grid, mon_grid, memo: dict[int, int]
+) -> dict[str, list[dict]]:
     """Violations of each scanned property on one graph, from one law per
-    grid point shared by the four scans."""
+    grid point shared by the four scans; ``memo`` is the graph's connection
+    bits (:func:`_connection_masses`)."""
     laws = {x: build(model, g, x) for x in sorted({*grid, *mon_grid})}
     return {
         "FKG": scan_fkg(name, g, laws, grid),
         "MON": scan_mon(name, laws, mon_grid),
-        **scan_connection(name, g, laws, grid),
+        **scan_connection(name, g, laws, grid, memo),
     }
 
 
@@ -325,6 +334,8 @@ def build_overview(
     }
 
     cells: dict[str, dict[str, dict]] = {m: {} for m in MODELS}
+    # one connection-bits memo per graph, shared by the scanned rows
+    memos: list[dict[int, int]] = [{} for _ in graphs]
 
     def put(model, prop, status, payload):
         cells[model][prop] = {
@@ -363,8 +374,8 @@ def build_overview(
                 put(model, prop, CERTIFIED_FALSE, {"witness": witness})
             continue
         violations: dict[str, list[dict]] = {prop: [] for prop in PROPERTIES}
-        for name, g in graphs:
-            for prop, found in _scan_graph(model, name, g, grid, mon_grid).items():
+        for (name, g), memo in zip(graphs, memos):
+            for prop, found in _scan_graph(model, name, g, grid, mon_grid, memo).items():
                 violations[prop] += found
         for prop, found in violations.items():
             if KNOWN_VERDICTS[model][prop] == HOLDS:

@@ -4,19 +4,22 @@ Samplers are statistical cross-check tools only: certification always goes
 through the exact modules.  The RNG is Philox (counter-based), so every
 stream is reproducible from its seed.  Acceptance ratios use double
 precision; the tests check the chain's exact one-proposal transition
-matrix for detailed balance against the loop-model weights.
+matrix for detailed balance against the loop-model weights.  numpy loads on
+the first draw (:func:`make_rng`, :func:`loop_law`), so importing this
+module, and every command that draws nothing, runs without it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterator
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterator
 
 from .errors import CapExceededError, LoopCurrentsError
 from .graphs import CYCLE_DIMENSION_CAP, Graph, cycle_space_basis
 from .measures import MODELS, loop_o1
+
+if TYPE_CHECKING:
+    import numpy as np
 
 RNG_ALGORITHM = "philox4x64"
 
@@ -26,6 +29,8 @@ def make_rng(seed: int) -> np.random.Generator:
     of the stream: every pinned draw was made with it."""
     if seed < 0:
         raise LoopCurrentsError(f"seed {seed} must be non-negative")
+    import numpy as np
+
     seq = np.random.SeedSequence(entropy=seed, spawn_key=(0,))
     return np.random.Generator(np.random.Philox(seq))
 
@@ -36,6 +41,8 @@ def make_rng(seed: int) -> np.random.Generator:
 
 def loop_law(g: Graph, x: Fraction) -> tuple[list[int], np.ndarray]:
     """The loop model's support in mask order and its double-precision law."""
+    import numpy as np
+
     d = loop_o1(g, x)
     masks = sorted(d.nums)
     mass = d.z * d.den

@@ -21,9 +21,9 @@ def flow_networks(monkeypatch) -> list[int]:
     built: list[int] = []
 
     class CountingDinic(checkers._Dinic):
-        def __init__(self, n):
-            built.append(n)
-            super().__init__(n)
+        def __init__(self, head, to, cap):
+            built.append(len(head))
+            super().__init__(head, to, cap)
 
     monkeypatch.setattr(checkers, "_Dinic", CountingDinic)
     return built

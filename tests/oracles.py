@@ -178,17 +178,28 @@ def domination_bipartite(d_lo: Dist, d_hi: Dist) -> DominationReport:
     total = lcm(*(f.denominator for f in p_lo.values()), *(f.denominator for f in p_hi.values()))
     a_index = {m: 2 + i for i, m in enumerate(lo_masks)}
     b_index = {m: 2 + len(lo_masks) + i for i, m in enumerate(hi_masks)}
-    net = _Dinic(2 + len(lo_masks) + len(hi_masks))
+    head: list[list[int]] = [[] for _ in range(2 + len(lo_masks) + len(hi_masks))]
+    to: list[int] = []
+    cap: list[int] = []
+
+    def add_arc(u, v, capacity):
+        for a, b, c in ((u, v, capacity), (v, u, 0)):
+            head[a].append(len(to))
+            to.append(b)
+            cap.append(c)
+        return len(to) - 2
+
     for m in lo_masks:
-        net.add_edge(0, a_index[m], int(p_lo[m] * total))
+        add_arc(0, a_index[m], int(p_lo[m] * total))
     for m in hi_masks:
-        net.add_edge(b_index[m], 1, int(p_hi[m] * total))
+        add_arc(b_index[m], 1, int(p_hi[m] * total))
     arc_ids = {
-        (a, b): net.add_edge(a_index[a], b_index[b], total)
+        (a, b): add_arc(a_index[a], b_index[b], total)
         for a in lo_masks
         for b in hi_masks
         if a & ~b == 0
     }
+    net = _Dinic(head, to, cap)
     if net.max_flow(0, 1) == total:
         coupling = tuple(
             (a, b, Fraction(total - net.cap[idx], total))
@@ -232,6 +243,27 @@ def prob_bruteforce(d: Dist, event: Event) -> Fraction:
         if event.holds(mask):
             total += w
     return total / d.z
+
+
+def bit_masses_per_law(dists, stat, width: int) -> list[list[Fraction]]:
+    """``measures.bit_masses`` one law at a time, without packing: each
+    law's integer numerators summed per stat value, each sum added to the
+    total of every set bit below ``width``, one ``Fraction`` per bit."""
+    keep = (1 << width) - 1
+    rows = []
+    for d in dists:
+        by_value: dict[int, int] = {}
+        for mask, w in d.nums.items():
+            s = stat(mask) & keep
+            by_value[s] = by_value.get(s, 0) + w
+        totals = [0] * width
+        for s, w in by_value.items():
+            for i in range(width):
+                if s >> i & 1:
+                    totals[i] += w
+        mass = d.z * d.den
+        rows.append([Fraction(t * mass.denominator, mass.numerator) for t in totals])
+    return rows
 
 
 def empirical_counts(masks: Iterable[int]) -> dict[int, int]:

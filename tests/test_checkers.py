@@ -381,10 +381,14 @@ class TestStochasticDomination:
             masks |= {rng.getrandbits(g.edge_count) for _ in range(10)}
             return Dist.from_weights(g, {m: F(rng.randint(1, 9), rng.randint(1, 9)) for m in masks})
 
-        def no_network(n):
-            raise AssertionError(f"flow network of {n} nodes built")
+        def no_network(head, to, cap):
+            raise AssertionError(f"flow network of {len(head)} nodes built")
+
+        def no_skeleton(k):
+            raise AssertionError(f"covering arcs of dimension {k} built")
 
         monkeypatch.setattr(checkers, "_Dinic", no_network)
+        monkeypatch.setattr(checkers, "_covering_arcs", no_skeleton)
         with pytest.raises(CapExceededError) as info:
             stochastic_domination(sparse_law(), sparse_law())
         assert info.value.what == "domination lattice coordinates"

@@ -19,6 +19,7 @@ from loopcurrents.measures import (
     random_cluster,
     union_bernoulli,
 )
+from loopcurrents.rationals import dyadic_grid
 
 F = Fraction
 
@@ -82,6 +83,27 @@ class TestFigure:
         )
         assert code == 2
         assert (sha256(out), sha256(tmp_path / "l2.csv.pair.json")) == README_FIGURE_DIGESTS["l2"]
+
+    @pytest.mark.parametrize("model,conn", [("l", "loop_conn"), ("l2", "double_loop_conn")])
+    def test_closed_form_runs_once_per_grid_point(self, model, conn, tmp_path, monkeypatch):
+        # the CSV rows and the pair search read the same 63 values
+        closed_form = getattr(theta, conn)
+        calls = []
+
+        def counting(n, m):
+            fn = closed_form(n, m)
+
+            def value(x):
+                calls.append(x)
+                return fn(x)
+
+            return value
+
+        monkeypatch.setattr(theta, conn, counting)
+        out = tmp_path / "f.csv"
+        argv = ["figure", "--model", model, "--n", "18", "--m", "2", "--grid-steps", "6"]
+        run(*argv, "--out", str(out))
+        assert sorted(calls) == dyadic_grid(6)
 
     def test_monotone_window_yields_no_pair(self, tmp_path):
         out = tmp_path / "flat.csv"

@@ -52,7 +52,13 @@ from loopcurrents.measures import (
 )
 from loopcurrents.overview import KNOWN_VERDICTS
 
-from oracles import brute_union, dist_from_json, dist_to_json, prob_bruteforce
+from oracles import (
+    bit_masses_per_law,
+    brute_union,
+    dist_from_json,
+    dist_to_json,
+    prob_bruteforce,
+)
 
 F = Fraction
 
@@ -129,6 +135,19 @@ def mixed_dists(draw, g: Graph) -> Dist:
         m: F(draw(st.integers(1, 10**6)), draw(st.integers(1, 10**6))) for m in masks
     }
     return Dist.from_weights(g, weights)
+
+
+@st.composite
+def law_summing_to(draw, g: Graph, total: int) -> Dist:
+    """A law on g whose integer numerators sum to exactly ``total`` >= 2:
+    one numerator is 1, so the weights are already in lowest terms."""
+    masks = draw(st.lists(st.integers(0, g.full_mask), min_size=2, max_size=8, unique=True))
+    cuts = draw(st.lists(st.integers(2, total - 1), max_size=len(masks) - 2, unique=True))
+    bounds = [0, 1, *sorted(cuts), total]
+    nums = {m: hi - lo for m, lo, hi in zip(masks, bounds, bounds[1:])}
+    d = Dist.from_integers(g, nums, 1)
+    assert sum(d.nums.values()) == total
+    return d
 
 
 # p = c/e with large denominators (1000003 is prime) unrelated to the weights',
@@ -466,6 +485,26 @@ class TestBitMasses:
         assert sorted(seen) == sorted(table)
         assert rows == [bit_masses([d], table.__getitem__, width)[0] for d in dists]
 
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_packed_lanes_match_the_per_law_loop(self, data):
+        # numerator sums 2^k - 1 and 2^k side by side: the lane is exactly
+        # full for one law or one bit wider than it; bit 0 holds everywhere
+        g = data.draw(st.sampled_from(ORACLE_GRAPHS))
+        ks = data.draw(st.lists(st.integers(2, 160), max_size=3))
+        dists = [data.draw(law_summing_to(g, (1 << k) - low)) for k in ks for low in (1, 0)]
+        dists += data.draw(st.lists(mixed_dists(g), max_size=2))
+        dists = data.draw(st.permutations(dists))
+        width = data.draw(st.integers(0, 8))
+        table = {m: data.draw(st.integers(0, 1 << width + 3)) | 1 for d in dists for m in d.nums}
+        stat = table.__getitem__
+        assert bit_masses(dists, stat, width) == bit_masses_per_law(dists, stat, width)
+        for d in dists:
+            assert bit_masses([d], stat, width) == bit_masses_per_law([d], stat, width)
+
+    def test_an_empty_family_has_no_rows(self):
+        assert bit_masses([], lambda m: 1, 3) == [] == bit_masses_per_law([], lambda m: 1, 3)
+
     @settings(max_examples=40, deadline=None)
     @given(data=st.data())
     def test_prob_matches_the_oracle(self, data):
@@ -527,7 +566,7 @@ class TestBitMasses:
         dists = data.draw(st.lists(mixed_dists(g), min_size=1, max_size=3))
         pairs = overview._subset_pairs(g) + overview._singleton_pairs(g)
         expected = [[prob_bruteforce(d, connect_sets(g, a, b)) for d in dists] for a, b in pairs]
-        assert overview._connection_masses(dists, g, pairs) == expected
+        assert overview._connection_masses(dists, g, pairs, {}) == expected
 
     def test_graph_mismatch_is_refused_as_by_the_oracle(self):
         d = loop_o1(THETA111, F(1, 2))

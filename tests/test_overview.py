@@ -1,7 +1,7 @@
 from collections import Counter
 from itertools import combinations
 
-from loopcurrents import overview
+from loopcurrents import checkers, overview
 from loopcurrents.events import connect, custom
 from loopcurrents.graphs import component_labels, complete_graph, counter_family, generalized_theta
 from loopcurrents.measures import MODELS, build, prob
@@ -32,7 +32,7 @@ def test_connection_masses_are_exact_connection_probabilities():
     g = counter_family(2, 2)
     grid = dyadic_grid(3)
     laws = [build("double_current", g, x) for x in grid]
-    masses = overview._connection_masses(laws, g, overview._singleton_pairs(g))
+    masses = overview._connection_masses(laws, g, overview._singleton_pairs(g), {})
     assert masses == [[prob(d, connect(g)) for d in laws]]
 
 
@@ -40,15 +40,24 @@ def test_one_labels_pass_serves_both_connection_scans(monkeypatch):
     labelled = Counter()
 
     def counting_labels(g, mask):
-        labelled[mask] += 1
+        labelled[g.edges, mask] += 1
         return component_labels(g, mask)
 
     monkeypatch.setattr(overview, "component_labels", counting_labels)
-    g = counter_family(2, 2)
-    grid = dyadic_grid(3)
-    found = overview._scan_graph("double_current", "counter(2,2)", g, grid, grid)
-    assert set(found) == set(overview.PROPERTIES)
-    support = {m for x in grid for m in build("double_current", g, x).weights}
+    graphs = [
+        ("counter(2,2)", counter_family(2, 2)),
+        ("theta[1,1,1]", generalized_theta([1, 1, 1])),
+    ]
+    report = overview.build_overview(6, 3, graphs=graphs)
+    rows = report["models"]
+    scanned = [m for m in MODELS if rows[m]["CON"]["status"] != overview.CERTIFIED_FALSE]
+    assert len(scanned) == 3
+    # CON and SING of the three scanned rows share one labels pass per
+    # configuration of each graph
+    support = {
+        (g.edges, m) for _, g in graphs for model in scanned for x in dyadic_grid(6)
+        for m in build(model, g, x).nums
+    }
     assert labelled == Counter(support)
 
 
@@ -85,3 +94,16 @@ def test_mon_scans_run_a_flow_only_where_the_local_route_declines(flow_networks)
             flow_networks.clear()
             assert overview.scan_mon(name, laws, grid) == []
             assert len(flow_networks) == flows * (len(grid) - 1)
+
+
+def test_a_double_current_mon_scan_builds_its_covering_arcs_once(flow_networks):
+    g = counter_family(2, 2)
+    grid = dyadic_grid(4)
+    laws = {x: build("double_current", g, x) for x in grid}
+    checkers._covering_arcs.cache_clear()
+    assert overview.scan_mon("counter(2,2)", laws, grid) == []
+    # every law has full support, so every flow runs on the 8-dimensional
+    # lattice: one network per flow, one set of arc lists for the scan
+    assert flow_networks == [2 + (1 << g.edge_count)] * (len(grid) - 1)
+    info = checkers._covering_arcs.cache_info()
+    assert (info.misses, info.hits) == (1, len(grid) - 2)

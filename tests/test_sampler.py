@@ -1,8 +1,13 @@
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import loopcurrents
 from loopcurrents.errors import LoopCurrentsError
 from loopcurrents.graphs import Graph, generalized_theta
 from loopcurrents.measures import (
@@ -58,6 +63,15 @@ class TestReproducibility:
         }
         for model, draws in pinned.items():
             assert sample_stream(model, g, F(4, 5), 123456, len(draws)) == draws, model
+
+    def test_importing_the_cli_loads_no_numpy(self):
+        src = str(Path(loopcurrents.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        probe = "import sys, loopcurrents.cli; print('numpy' in sys.modules)"
+        out = subprocess.run(
+            [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+        )
+        assert out.stdout.strip() == "False"
 
     def test_config_validation(self):
         # a negative burn-in or seed, or a thin of 0, on a cycle and on a tree
