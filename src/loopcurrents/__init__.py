@@ -44,7 +44,7 @@ from .graphs import (
     counter_family,
     cycle_space_basis,
     cyclic_edges,
-    even_subgraph_count,
+    even_lattice,
     even_subgraphs,
     generalized_theta,
     graph_from_json,

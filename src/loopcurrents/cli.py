@@ -24,7 +24,7 @@ from . import __version__, theta
 from .battery import scan_battery, verification_battery
 from .checkers import union_preservation_test
 from .errors import GraphStructureError, LoopCurrentsError, ParametrizationError
-from .graphs import Graph, cyclic_edges, generalized_theta, graph_from_json
+from .graphs import Graph, even_lattice, generalized_theta, graph_from_json, lattice_size
 from .intervals import MAX_BITS, START_BITS, certify_decreasing_pair
 from .measures import (
     bernoulli,
@@ -292,14 +292,11 @@ def verify_lis_equivalence(battery, xs) -> list[str]:
 def verify_cor1(battery, xs) -> list[str]:
     failures = []
     for name, g in battery:
-
-        def open_cyclic(m):
-            return m & cyclic_edges(g, m)
-
+        # the open cyclic edges of every configuration, for all x at once
+        _, cyclic = even_lattice(g)
         for x in xs:
-            # one bridge search per configuration the two laws share
             left, right = bit_masses(
-                [double_current(g, x), random_cluster(g, x)], open_cyclic, g.edge_count
+                [double_current(g, x), random_cluster(g, x)], cyclic.__getitem__, g.edge_count
             )
             (mid,) = bit_masses([loop_o1(g, x)], lambda m: m, g.edge_count)
             for e in range(g.edge_count):
@@ -405,6 +402,8 @@ def cmd_verify(args) -> int:
     if user_input and args.theorem in FIXED_SUITES:
         raise LoopCurrentsError(f"verify --theorem {args.theorem} reads neither --graph nor --x")
     battery = verification_battery([("cli-graph", read_graph(args.graph))] if args.graph else [])
+    for _, g in battery:  # every battery suite sweeps each graph's subset lattice
+        lattice_size(g, "verify graph lattice")
     xs = [parse_rational(args.x)] if args.x else DEFAULT_VERIFY_XS
     if user_input and args.theorem == "all":
         print(f"verify: {', '.join(FIXED_SUITES)} read neither --graph nor --x", file=sys.stderr)

@@ -2,7 +2,8 @@
 
 Two routines answer every configuration question: :func:`component_labels`
 (are u and v connected?) and :func:`cycle_space_basis` (which open edges lie
-on a cycle, and which even subgraphs are there?).
+on a cycle, and which even subgraphs are there?); :func:`even_lattice`
+answers the second for all configurations at once.
 
 Edge subsets ("configurations") are plain integer bitmasks: bit ``i`` of a
 mask refers to ``graph.edges[i]``.  Set algebra is ``& | ^``, cardinality is
@@ -25,6 +26,9 @@ from .errors import CapExceededError, GraphStructureError
 EDGE_ENUMERATION_CAP = 24
 # Refuse spanning the cycle space above this dimension.
 CYCLE_DIMENSION_CAP = 20
+# Refuse a pass over the 2^|E| subset lattice that costs above this many
+# element operations, |E| * 2^|E|: up to 19 edges.
+LATTICE_PASS_CAP = 1 << 24
 
 
 @dataclass(frozen=True)
@@ -193,12 +197,8 @@ class _DSU:
             parent[v], v = root, parent[v]
         return root
 
-    def union(self, u: int, v: int) -> bool:
-        ru, rv = self.find(u), self.find(v)
-        if ru == rv:
-            return False
-        self.parent[ru] = rv
-        return True
+    def union(self, u: int, v: int) -> None:
+        self.parent[self.find(u)] = self.find(v)
 
 
 def is_connected(g: Graph, mask: int, u: int, v: int) -> bool:
@@ -207,17 +207,6 @@ def is_connected(g: Graph, mask: int, u: int, v: int) -> bool:
         raise GraphStructureError(f"vertex pair ({u},{v}) out of range")
     labels = component_labels(g, mask)
     return labels[u] == labels[v]
-
-
-def component_count(g: Graph, mask: int) -> int:
-    """Number of components of (V, mask), isolated vertices included."""
-    dsu = _DSU(g.vertex_count)
-    merges = 0
-    for i in edges_of_mask(mask):
-        u, v = g.edges[i]
-        if dsu.union(u, v):
-            merges += 1
-    return g.vertex_count - merges
 
 
 def component_labels(g: Graph, mask: int) -> tuple[int, ...]:
@@ -303,17 +292,6 @@ def cycle_space_basis(g: Graph, mask: int | None = None) -> CycleBasis:
     return CycleBasis(tuple(elements))
 
 
-def cycle_dimension(g: Graph, mask: int | None = None) -> int:
-    if mask is None:
-        mask = g.full_mask
-    return mask.bit_count() - g.vertex_count + component_count(g, mask)
-
-
-def even_subgraph_count(g: Graph, mask: int | None = None) -> int:
-    """|even subgraphs of (V, mask)| = 2^(|mask| - |V| + #components)."""
-    return 1 << cycle_dimension(g, mask)
-
-
 def span_masks(elements: tuple[int, ...]) -> Iterator[int]:
     """All XOR-combinations of the given masks, in Gray-code order."""
     current = 0
@@ -329,6 +307,47 @@ def even_subgraphs(g: Graph, mask: int | None = None) -> Iterator[int]:
     if basis.dimension > CYCLE_DIMENSION_CAP:
         raise CapExceededError("even-subgraph span", basis.dimension, CYCLE_DIMENSION_CAP)
     return span_masks(basis.elements)
+
+
+def lattice_size(g: Graph, what: str) -> int:
+    """2^|E|, after refusing a lattice pass above :data:`LATTICE_PASS_CAP`."""
+    n = g.edge_count
+    if n << n > LATTICE_PASS_CAP:
+        raise CapExceededError(what, n << n, LATTICE_PASS_CAP)
+    return 1 << n
+
+
+def subset_sums(table: list[int]) -> None:
+    """Replace table[w] by the sum of table[s] over the subsets s of w, in
+    place: one pass per edge bit adds each mask without the bit to the mask
+    with it, n * 2^(n-1) additions in all."""
+    size = len(table)
+    step = 1
+    while step < size:
+        for block in range(0, size, step << 1):
+            for lo in range(block, block + step):
+                table[lo + step] += table[lo]
+        step <<= 1
+
+
+def even_lattice(g: Graph) -> tuple[list[int], list[int]]:
+    """For every configuration w of g: ``count[w]``, the number of even
+    subgraphs of w, and ``cyclic[w]``, the edges of w on a cycle of (V, w).
+
+    count is the subset-sum of the even subgraphs' indicator and total the
+    subset-sum of the even subgraphs as integers.  The even subgraphs of w
+    form a space of size count[w]; an edge of w is on a cycle iff one of
+    them contains it, and then half of them do: 2 total = count * cyclic.
+    """
+    size = lattice_size(g, "even-subgraph lattice")
+    count = [0] * size
+    total = [0] * size
+    for h in even_subgraphs(g):
+        count[h] = 1
+        total[h] = h
+    subset_sums(count)
+    subset_sums(total)
+    return count, [2 * t // c for t, c in zip(total, count)]
 
 
 # ---------------------------------------------------------------------------

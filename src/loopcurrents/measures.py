@@ -36,13 +36,12 @@ from .errors import (
     ParametrizationError,
 )
 from .graphs import (
-    CYCLE_DIMENSION_CAP,
     EDGE_ENUMERATION_CAP,
     Graph,
-    cycle_space_basis,
-    even_subgraph_count,
+    even_lattice,
     even_subgraphs,
-    span_masks,
+    lattice_size,
+    subset_sums,
 )
 
 ZERO = Fraction(0)
@@ -318,68 +317,51 @@ def double_current_lis(graph: Graph, x: Fraction) -> Dist:
         P(w) = |even(w)| / Z^2 * sum_{g even, g subset of w}
                x^|g| * x^(2|w \\ g|) * (1-x^2)^(|E|-|w|)
 
-    This is an independent route to the same measure as
-    :func:`double_current`; the two are compared exactly in tests.
+    With x = a/b and q = b^2 - a^2, the sum over g is the subset-sum S[w] of
+    a^(|E|-|g|) b^|g| over the even g, so the weight of w is the integer
+    |even(w)| a^(2|w|) S[w] q^(|E|-|w|) over a^|E| b^(2|E|), and the weights
+    must add up to Z^2.  This is an independent route to the same measure
+    as :func:`double_current`; the two are compared exactly in tests.
     """
     x = Fraction(x)
     if not 0 <= x < 1:
         raise LoopCurrentsError(f"x={x} outside [0,1)")
-    n = graph.edge_count
-    if n > EDGE_ENUMERATION_CAP:
-        raise CapExceededError("double-current lattice", n, EDGE_ENUMERATION_CAP)
+    size = lattice_size(graph, "double-current lattice")
     if x == 0:
         return point_mass(graph, 0)
-
-    evens = list(even_subgraphs(graph))
-    z = sum((x ** g.bit_count() for g in evens), ZERO)
-    x2 = x * x
-    one_minus = 1 - x2
-    xpow = [x**k for k in range(n + 1)]
-    x2pow = [x2**k for k in range(n + 1)]
-    qpow = [one_minus**k for k in range(n + 1)]
-
-    weights: dict[int, Fraction] = {}
-    for mask in range(1 << n):
-        inner = ZERO
-        for g in evens:
-            if g & ~mask:
-                continue
-            inner += xpow[g.bit_count()] * x2pow[(mask & ~g).bit_count()]
-        if not inner:
-            continue
-        count = even_subgraph_count(graph, mask)
-        weights[mask] = count * inner * qpow[n - mask.bit_count()]
-    return Dist.from_weights(graph, weights, z * z)
-
-
-# Most even subgraphs push_uniform_even() enumerates over the whole support.
-PUSH_SPAN_CAP = 1 << 24
+    a, b, n = x.numerator, x.denominator, graph.edge_count
+    count, _ = even_lattice(graph)
+    sums = [0] * size
+    z = 0
+    for g in even_subgraphs(graph):
+        k = g.bit_count()
+        sums[g] = a ** (n - k) * b**k
+        z += a**k * b ** (n - k)
+    subset_sums(sums)
+    scale = [a ** (2 * k) * (b * b - a * a) ** (n - k) for k in range(n + 1)]
+    nums = {w: count[w] * scale[w.bit_count()] * sums[w] for w in range(size)}
+    return Dist.from_integers(graph, nums, a**n * b ** (2 * n), Fraction(z, b**n) ** 2)
 
 
 def push_uniform_even(d: Dist) -> Dist:
     """Pick a configuration from d, then a uniform even subgraph of it.
 
-    P_out(h) = sum over w containing h of P(w) / |even(w)|, on numerators
-    over den * 2^top, with top the largest cycle-space dimension in the support.
+    P_out(h) = sum over w containing h of P(w) / |even(w)|, read at the even
+    h, on numerators over den * 2^top, with top the largest cycle-space
+    dimension in the support.  The supersets of h are the complements of
+    the subsets of its complement, so the sum is a subset-sum.
     """
-    bases = []
-    for mask, w in d.nums.items():
-        basis = cycle_space_basis(d.graph, mask)
-        if basis.dimension > CYCLE_DIMENSION_CAP:
-            raise CapExceededError(
-                "even subgraphs of a support element", basis.dimension, CYCLE_DIMENSION_CAP
-            )
-        bases.append((w, basis))
-    total = sum(1 << basis.dimension for _, basis in bases)
-    if total > PUSH_SPAN_CAP:
-        raise CapExceededError("push_uniform_even span", total, PUSH_SPAN_CAP)
-    top = max(basis.dimension for _, basis in bases)
-    acc: dict[int, int] = {}
-    for w, basis in bases:
-        share = w << (top - basis.dimension)
-        for h in span_masks(basis.elements):
-            acc[h] = acc.get(h, 0) + share
-    return Dist.from_integers(d.graph, acc, d.den << top, d.z)
+    size = lattice_size(d.graph, "uniform-even push lattice")
+    count, _ = even_lattice(d.graph)
+    dims = {w: count[w].bit_length() - 1 for w in d.nums}
+    top = max(dims.values())
+    full = d.graph.full_mask
+    acc = [0] * size
+    for w, num in d.nums.items():
+        acc[full ^ w] = num << (top - dims[w])
+    subset_sums(acc)
+    nums = {h: acc[full ^ h] for h in even_subgraphs(d.graph)}
+    return Dist.from_integers(d.graph, nums, d.den << top, d.z)
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,10 @@ Everything here is deliberately written along different algorithmic paths
 than the package (degree filtering instead of cycle-basis spans, BFS
 instead of union-find, Moebius inversion instead of pair iteration, one
 ``Fraction`` addition per configuration instead of integer mass passes), so
-an agreement is meaningful.  The float goodness-of-fit statistics for the
+an agreement is meaningful.  The per-configuration ``Fraction`` routes of
+the double current's counting formula and of the uniform-even push, which
+the package now computes as subset-lattice transforms, live here as their
+references.  The float goodness-of-fit statistics for the
 samplers and the chain's exact transition matrix live here too: no
 certifying route reads them.  So do the closed forms, tables and
 serializations that only tests read.
@@ -26,7 +29,7 @@ from loopcurrents.graphs import (
     is_connected,
     span_masks,
 )
-from loopcurrents.measures import Dist
+from loopcurrents.measures import Dist, point_mass
 from loopcurrents.rationals import format_rational, parse_rational
 from loopcurrents.theta import (
     counter_even_masks,
@@ -91,6 +94,41 @@ def brute_cyclic_edges(g: Graph, omega: int) -> int:
     for sub in brute_even_subsets_of(g, omega):
         out |= sub
     return out
+
+
+def double_current_lis_per_mask(graph: Graph, x: Fraction) -> Dist:
+    """``measures.double_current_lis`` one configuration at a time: for each
+    w, |even(w)| = 2^dim(w) from a cycle basis of w and the inner sum over
+    the even g inside w in ``Fraction``s."""
+    x = Fraction(x)
+    n = graph.edge_count
+    if x == 0:
+        return point_mass(graph, 0)
+    evens = list(span_masks(cycle_space_basis(graph).elements))
+    z = sum((x ** g.bit_count() for g in evens), Fraction(0))
+    weights: dict[int, Fraction] = {}
+    for mask in range(1 << n):
+        inner = Fraction(0)
+        for g in evens:
+            if g & ~mask == 0:
+                inner += x ** g.bit_count() * (x * x) ** (mask & ~g).bit_count()
+        count = 1 << cycle_space_basis(graph, mask).dimension
+        weights[mask] = count * inner * (1 - x * x) ** (n - mask.bit_count())
+    return Dist.from_weights(graph, weights, z * z)
+
+
+def push_uniform_even_per_support(d: Dist) -> Dist:
+    """``measures.push_uniform_even`` one support element at a time: each w
+    spreads its numerator, scaled to the common 2^top, over the span of its
+    own cycle basis."""
+    bases = [(w, cycle_space_basis(d.graph, mask)) for mask, w in d.nums.items()]
+    top = max(basis.dimension for _, basis in bases)
+    acc: dict[int, int] = {}
+    for w, basis in bases:
+        share = w << (top - basis.dimension)
+        for h in span_masks(basis.elements):
+            acc[h] = acc.get(h, 0) + share
+    return Dist.from_integers(d.graph, acc, d.den << top, d.z)
 
 
 def brute_union(d1: Dist, d2: Dist) -> dict[int, Fraction]:

@@ -1,16 +1,21 @@
 import csv
 import hashlib
 import json
-from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from loopcurrents import cli, theta
+from loopcurrents import cli, events, graphs, theta
 from loopcurrents.battery import verification_battery
 from loopcurrents.cli import _interval_decimal, main
 from loopcurrents.errors import LoopCurrentsError
-from loopcurrents.graphs import complete_graph, cyclic_edges, graph_to_json
+from loopcurrents.graphs import (
+    Graph,
+    complete_graph,
+    cyclic_edges,
+    even_lattice,
+    graph_to_json,
+)
 from loopcurrents.intervals import Interval
 from loopcurrents.measures import (
     double_cluster,
@@ -41,6 +46,8 @@ README_FIGURE_DIGESTS = {
     ),
 }
 README_P_PAIR_DIGEST = "e2ceaa4c4aa6e9c9a854a93364eba6f9ec3cc4c8a06f935599a22fb31d16d558"
+# sha256 of the `verify --out` JSON with the default battery, suites and x values.
+VERIFY_DIGEST = "aa62c0a80682c698d690a2e967fb10d7503a2b8db2ce0c218adc749042da3d78"
 
 
 def run(*argv) -> int:
@@ -248,6 +255,24 @@ def test_malformed_numbers_are_typed_errors(argv, tmp_path, capsys, monkeypatch)
 
 
 class TestVerify:
+    def test_default_report_is_pinned(self, tmp_path):
+        out = tmp_path / "verify.json"
+        assert run("verify", "--out", str(out)) == 0
+        assert sha256(out) == VERIFY_DIGEST
+
+    def test_graph_above_the_lattice_cap_is_refused_first(self, tmp_path, monkeypatch, capsys):
+        # a 20-edge path: one lattice pass would cost 20 * 2^20 > 2^24
+        path = tmp_path / "path20.json"
+        path.write_text(graph_to_json(Graph(21, tuple((i, i + 1) for i in range(20)))))
+
+        def refuse(*args):
+            raise AssertionError("built a law past the cap")
+
+        monkeypatch.setattr(cli, "double_current", refuse)
+        assert run("verify", "--graph", str(path)) == 1
+        err = capsys.readouterr().err
+        assert err == "error: verify graph lattice needs size 20971520, above the cap 16777216\n"
+
     def test_single_theorem_at_one_x(self, capsys):
         assert run("verify", "--theorem", "newcoupling", "--x", "1/2") == 0
         assert "verify newcoupling: PASS" in capsys.readouterr().out
@@ -335,54 +360,41 @@ class TestBatchedSuites:
             for p in ("1/3", "1/2")
         ]
 
-    def test_cor1_reads_each_configurations_bridges_once(self, monkeypatch):
-        calls = []
-        read = []
+    def test_newcoupling_catches_a_wrong_double_current(self, monkeypatch):
+        monkeypatch.setattr(cli, "double_current", double_cluster)
+        assert cli.verify_newcoupling(BATTERY, cli.DEFAULT_VERIFY_XS) == [
+            f"newcoupling: {name} x={x}" for name, _ in BATTERY for x in ("1/4", "1/2", "3/4")
+        ]
+
+    def test_lis_equivalence_catches_a_wrong_double_current(self, monkeypatch):
+        monkeypatch.setattr(cli, "double_current", double_cluster)
+        assert cli.verify_lis_equivalence(BATTERY, cli.DEFAULT_VERIFY_XS) == [
+            f"lis-equivalence: {name} x={x}" for name, _ in BATTERY for x in ("1/4", "1/2", "3/4")
+        ]
+
+    def test_cor1_builds_one_even_lattice_per_battery_graph(self, monkeypatch):
+        built = []
+
+        def counting_even_lattice(g):
+            built.append(g)
+            return even_lattice(g)
+
+        monkeypatch.setattr(cli, "even_lattice", counting_even_lattice)
+        # the lattice of each graph serves all of its x values
+        assert cli.verify_cor1(BATTERY, cli.DEFAULT_VERIFY_XS) == []
+        assert built == [g for _, g in BATTERY]
+
+    def test_cor1_runs_no_per_configuration_bridge_search(self, monkeypatch):
+        searched = []
 
         def counting_cyclic_edges(g, mask):
-            calls.append(mask)
+            searched.append(mask)
             return cyclic_edges(g, mask)
 
-        def reading(build):
-            def wrapped(g, x):
-                read.append(build(g, x))
-                return read[-1]
-
-            return wrapped
-
-        monkeypatch.setattr(cli, "cyclic_edges", counting_cyclic_edges)
-        monkeypatch.setattr(cli, "double_current", reading(double_current))
-        monkeypatch.setattr(cli, "random_cluster", reading(random_cluster))
+        for module in (cli, graphs, events):
+            monkeypatch.setattr(module, "cyclic_edges", counting_cyclic_edges, raising=False)
         assert cli.verify_cor1(*ONE_X) == []
-        assert len(read) == 2 * len(BATTERY)
-        assert 0 < len(calls) <= sum(len(d.weights) for d in read)
-
-    def test_cor1_searches_bridges_once_per_configuration_of_both_laws(self, monkeypatch):
-        searched = Counter()
-        read = []
-
-        def counting_cyclic_edges(g, mask):
-            searched[id(g), mask] += 1
-            return cyclic_edges(g, mask)
-
-        def reading(build):
-            def wrapped(g, x):
-                read.append((id(g), build(g, x)))
-                return read[-1][1]
-
-            return wrapped
-
-        monkeypatch.setattr(cli, "cyclic_edges", counting_cyclic_edges)
-        monkeypatch.setattr(cli, "double_current", reading(double_current))
-        monkeypatch.setattr(cli, "random_cluster", reading(random_cluster))
-        assert cli.verify_cor1(*ONE_X) == []
-        # one x per graph: the double current and random cluster of each graph
-        # are read together, and each configuration of either is searched once
-        expected = Counter()
-        for (graph, dc), (same, rc) in zip(read[::2], read[1::2]):
-            assert graph == same
-            expected.update((graph, m) for m in {*dc.weights, *rc.weights})
-        assert searched == expected
+        assert searched == []
 
 
 class TestSample:

@@ -4,19 +4,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from loopcurrents import graphs
 from loopcurrents.errors import CapExceededError, GraphStructureError
 from loopcurrents.graphs import (
     CYCLE_DIMENSION_CAP,
+    LATTICE_PASS_CAP,
     Graph,
     Marks,
     complete_graph,
-    component_count,
     component_labels,
     counter_family,
-    cycle_dimension,
     cycle_space_basis,
     cyclic_edges,
-    even_subgraph_count,
+    even_lattice,
     even_subgraphs,
     generalized_theta,
     graph_from_json,
@@ -145,7 +145,11 @@ class TestConnectivity:
             for u in range(g.vertex_count):
                 for v in range(g.vertex_count):
                     assert (labels[u] == labels[v]) == is_connected(g, mask, u, v)
-            assert len(set(labels)) == component_count(g, mask)
+            components = {
+                frozenset(v for v in range(g.vertex_count) if bfs_connected(g, mask, u, v))
+                for u in range(g.vertex_count)
+            }
+            assert len(set(labels)) == len(components)
 
 
 class TestCycleSpace:
@@ -160,12 +164,12 @@ class TestCycleSpace:
     def test_counter_has_eight_even_subgraphs(self):
         g = counter_family(2, 2)
         assert cycle_space_basis(g).dimension == 3
-        assert even_subgraph_count(g) == 8
+        assert even_lattice(g)[0][g.full_mask] == 8
 
     def test_dimension_formula_with_isolated_vertices(self):
         g = Graph(6, ((0, 1), (1, 2), (2, 0)))
-        assert cycle_dimension(g) == 3 - 6 + 4
-        assert even_subgraph_count(g) == 2
+        assert cycle_space_basis(g).dimension == 3 - 6 + 4
+        assert even_lattice(g)[0][g.full_mask] == 2
 
     def test_basis_elements_are_even_and_independent(self):
         for g in SMALL_GRAPHS:
@@ -200,6 +204,7 @@ class TestCycleSpace:
     def test_even_count_formula_on_subconfigurations(self):
         rng = random.Random(11)
         for g in SMALL_GRAPHS:
+            count, _ = even_lattice(g)
             for _ in range(15):
                 omega = rng.randrange(1 << g.edge_count)
                 expected = sum(
@@ -207,7 +212,7 @@ class TestCycleSpace:
                     for sub in _submasks(omega)
                     if all(d % 2 == 0 for d in degrees(g, sub))
                 )
-                assert even_subgraph_count(g, omega) == expected
+                assert count[omega] == expected
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
@@ -271,3 +276,33 @@ class TestCyclicEdges:
     def test_every_mask_against_even_subgraph_oracle(self, g):
         for omega in range(1 << g.edge_count):
             assert cyclic_edges(g, omega) == brute_cyclic_edges(g, omega), (g, omega)
+
+
+class TestEvenLattice:
+    @settings(max_examples=60, deadline=None)
+    @given(g=multigraphs(max_edges=8))
+    def test_every_mask_against_the_degree_filter(self, g):
+        evens = brute_even_subgraphs(g)
+        count, cyclic = even_lattice(g)
+        assert len(count) == len(cyclic) == 1 << g.edge_count
+        for omega in range(1 << g.edge_count):
+            assert count[omega] == sum(1 for h in evens if h & ~omega == 0), (g, omega)
+            assert cyclic[omega] == brute_cyclic_edges(g, omega), (g, omega)
+
+    def test_agrees_with_the_per_mask_routines(self):
+        for g in SMALL_GRAPHS:
+            count, cyclic = even_lattice(g)
+            for omega in range(1 << g.edge_count):
+                assert count[omega] == 1 << cycle_space_basis(g, omega).dimension
+                assert cyclic[omega] == cyclic_edges(g, omega)
+
+    def test_cap_refuses_before_enumerating(self, monkeypatch):
+        # 20 edges cost 20 * 2^20 > 2^24 element operations; 19 edges do not
+        def refuse(*args):
+            raise AssertionError("enumerated past the cap")
+
+        monkeypatch.setattr(graphs, "even_subgraphs", refuse)
+        with pytest.raises(CapExceededError) as info:
+            even_lattice(Graph(21, tuple((i, i + 1) for i in range(20))))
+        assert (info.value.what, info.value.size) == ("even-subgraph lattice", 20 << 20)
+        assert 19 << 19 <= LATTICE_PASS_CAP < 20 << 20

@@ -12,7 +12,8 @@ from loopcurrents.errors import (
     LoopCurrentsError,
     ParametrizationError,
 )
-from loopcurrents import overview
+from loopcurrents import measures, overview
+from loopcurrents.battery import verification_battery
 from loopcurrents.checkers import fkg_gaps, fkg_pair_gap
 from loopcurrents.events import (
     all_open,
@@ -26,10 +27,15 @@ from loopcurrents.events import (
     edge_open_cyclic,
     statistic_dist,
 )
-from loopcurrents.graphs import Graph, complete_graph, counter_family, generalized_theta
+from loopcurrents.graphs import (
+    LATTICE_PASS_CAP,
+    Graph,
+    complete_graph,
+    counter_family,
+    generalized_theta,
+)
 from loopcurrents.measures import (
     MODELS,
-    PUSH_SPAN_CAP,
     UNION_PAIR_CAP,
     Dist,
     bernoulli,
@@ -57,7 +63,9 @@ from oracles import (
     brute_union,
     dist_from_json,
     dist_to_json,
+    double_current_lis_per_mask,
     prob_bruteforce,
+    push_uniform_even_per_support,
 )
 
 F = Fraction
@@ -401,15 +409,42 @@ class TestPushUniformEven:
         d = push_uniform_even(double_current(THETA111, F(1, 2)))
         assert d.same_law(loop_o1(THETA111, F(1, 2)))
 
-    def test_span_cap_refuses_before_iterating(self):
+    def test_span_cap_refuses_before_iterating(self, monkeypatch):
         # 22 parallel edges: each support element leaves out one edge and has
-        # cycle dimension 20, within the per-element cap, but 22 * 2^20 in all
+        # cycle dimension 20, but one pass over the lattice costs 22 * 2^22
         g = Graph(2, ((0, 1),) * 22)
         d = Dist.from_weights(g, {g.full_mask ^ (1 << i): F(1) for i in range(22)})
+        monkeypatch.setattr(measures, "even_lattice", None)  # never reached
         with pytest.raises(CapExceededError) as info:
             push_uniform_even(d)
-        assert info.value.what == "push_uniform_even span"
-        assert info.value.size == 22 << 20 > PUSH_SPAN_CAP
+        assert info.value.what == "uniform-even push lattice"
+        assert info.value.size == 22 << 22 > LATTICE_PASS_CAP
+
+
+ORACLE_XS = (F(1, 4), F(1, 2), F(3, 4), F(1, 7))
+
+
+class TestLatticeTransformsMatchPerMaskRoutes:
+    """The subset-lattice transforms give the same ``Dist``, field by field,
+    as the per-configuration routes in the oracles."""
+
+    def test_counting_formula_on_the_battery(self):
+        for name, g in verification_battery():
+            for x in ORACLE_XS:
+                assert double_current_lis(g, x) == double_current_lis_per_mask(g, x), (name, x)
+
+    def test_uniform_even_push_on_the_battery(self):
+        for name, g in verification_battery():
+            for x in ORACLE_XS:
+                d = double_current(g, x)
+                assert push_uniform_even(d) == push_uniform_even_per_support(d), (name, x)
+
+    def test_counting_formula_refuses_before_iterating(self, monkeypatch):
+        g = Graph(21, tuple((i, i + 1) for i in range(20)))
+        monkeypatch.setattr(measures, "even_lattice", None)  # never reached
+        with pytest.raises(CapExceededError) as info:
+            double_current_lis(g, F(1, 2))
+        assert (info.value.what, info.value.size) == ("double-current lattice", 20 << 20)
 
 
 class TestProb:
