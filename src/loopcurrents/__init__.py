@@ -75,4 +75,4 @@ from .rationals import (
     dyadic_grid,
     find_decreasing_pair,
 )
-from .sampler import loop_chain, sample_coupled
+from .sampler import loop_chain, sample_stream

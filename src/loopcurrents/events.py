@@ -6,7 +6,7 @@ events read ``component_labels``, and the cyclic-edge event reads
 ``cyclic_edges``.  The flag is only trusted where it holds by construction
 (connection, edge-open, all-open); anything else must earn it through
 :func:`check_increasing`.  A :class:`Statistic` is an integer function on
-masks.
+masks; the cyclic-edge count reads one ``even_lattice``.
 
 Masses of events and statistics come from ``measures.bit_masses``.
 """
@@ -18,7 +18,14 @@ from fractions import Fraction
 from typing import Callable
 
 from .errors import CapExceededError, GraphStructureError
-from .graphs import EDGE_ENUMERATION_CAP, Graph, component_labels, cyclic_edges, is_connected
+from .graphs import (
+    EDGE_ENUMERATION_CAP,
+    Graph,
+    component_labels,
+    cyclic_edges,
+    even_lattice,
+    is_connected,
+)
 from .measures import Dist, _require_same_graph, bit_masses
 
 
@@ -153,8 +160,10 @@ def edge_count(g: Graph) -> Statistic:
 
 
 def cyclic_count(g: Graph) -> Statistic:
-    """Number of open edges lying on a cycle of the open subgraph."""
-    return Statistic(g, lambda mask: cyclic_edges(g, mask).bit_count(), "cyclic edge count")
+    """Number of open edges lying on a cycle of the open subgraph, read from
+    one even-subgraph lattice of g."""
+    cyclic = even_lattice(g)[1]
+    return Statistic(g, lambda mask: cyclic[mask].bit_count(), "cyclic edge count")
 
 
 def statistic_dist(d: Dist, s: Statistic) -> dict[int, Fraction]:

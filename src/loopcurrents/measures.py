@@ -36,7 +36,6 @@ from .errors import (
     ParametrizationError,
 )
 from .graphs import (
-    EDGE_ENUMERATION_CAP,
     Graph,
     even_lattice,
     even_subgraphs,
@@ -237,10 +236,7 @@ def union_bernoulli(d: Dist, p: Fraction) -> Dist:
     if p == 1:
         return Dist.from_integers(d.graph, {d.graph.full_mask: d.z.numerator}, d.z.denominator, d.z)
     n = d.graph.edge_count
-    if n > EDGE_ENUMERATION_CAP:
-        raise CapExceededError("Bernoulli union lattice", n, EDGE_ENUMERATION_CAP)
-
-    size = 1 << n
+    size = lattice_size(d.graph, "Bernoulli union lattice")
     table = [0] * size
     for mask, w in d.nums.items():
         table[mask] = w

@@ -7,11 +7,20 @@ precision; the tests check the chain's exact one-proposal transition
 matrix for detailed balance against the loop-model weights.  numpy loads on
 the first draw (:func:`make_rng`, :func:`loop_law`), so importing this
 module, and every command that draws nothing, runs without it.
+
+Stream contract.  A coupled draw (:func:`sample_stream`) reads one uniform
+per loop copy, then one coin per edge for the Bernoulli layer, then, for
+the pushforward, one bit per element of its cycle basis.  The chain
+(:func:`loop_chain`) reads blocks of :data:`CHAIN_BLOCK` basis picks, each
+followed by as many coins.  Both read their stream in a fixed order, so
+the draws of a shorter request are a prefix of those of a longer one.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
+from itertools import islice
 from typing import TYPE_CHECKING, Iterator
 
 from .errors import CapExceededError, LoopCurrentsError
@@ -40,20 +49,22 @@ def make_rng(seed: int) -> np.random.Generator:
 
 
 def loop_law(g: Graph, x: Fraction) -> tuple[list[int], np.ndarray]:
-    """The loop model's support in mask order and its double-precision law."""
+    """The loop model's support in mask order and its double-precision CDF,
+    the table ``Generator.choice(p=probs)`` builds and searches."""
     import numpy as np
 
     d = loop_o1(g, x)
     masks = sorted(d.nums)
     mass = d.z * d.den
     probs = np.array([float(d.nums[m] / mass) for m in masks])
-    return masks, probs / probs.sum()
+    cdf = (probs / probs.sum()).cumsum()
+    cdf /= cdf[-1]
+    return masks, cdf
 
 
-def sample_loop_exact(law: tuple[list[int], np.ndarray], rng: np.random.Generator) -> int:
-    """Draw one even subgraph from a :func:`loop_law` by inverse CDF."""
-    masks, probs = law
-    return masks[int(rng.choice(len(masks), p=probs))]
+# Proposals the chain draws at a time: a fixed constant, so the stream does
+# not depend on how many samples are asked for.
+CHAIN_BLOCK = 4096
 
 
 def loop_chain(
@@ -79,23 +90,27 @@ def loop_chain(
     xf = float(x)
     elements = basis.elements
     dim = len(elements)
+    accept = [xf**d for d in range(g.edge_count + 1)]
+
+    def proposals():
+        while True:
+            picks = rng.integers(0, dim, size=CHAIN_BLOCK).tolist()
+            yield from zip(picks, rng.random(CHAIN_BLOCK).tolist())
+
+    moves = proposals()
     state = 0
 
-    def sweep_batch(n_sweeps: int):
+    def sweep(n_sweeps: int):
         nonlocal state
-        total = n_sweeps * dim
-        picks = rng.integers(0, dim, size=total)
-        coins = rng.random(total)
-        for i in range(total):
-            cyc = elements[picks[i]]
-            new = state ^ cyc
+        for pick, coin in islice(moves, n_sweeps * dim):
+            new = state ^ elements[pick]
             delta = new.bit_count() - state.bit_count()
-            if delta <= 0 or coins[i] < xf**delta:
+            if delta <= 0 or coin < accept[delta]:
                 state = new
 
-    sweep_batch(burn_in)
+    sweep(burn_in)
     for _ in range(samples):
-        sweep_batch(thin)
+        sweep(thin)
         yield state
 
 
@@ -109,62 +124,39 @@ PUSHFORWARD_BASE = "double_current"
 COUPLED_MODELS = (*MODELS, PUSHFORWARD)
 
 
-def _bernoulli_mask(g: Graph, p: float, rng: np.random.Generator) -> int:
-    mask = 0
-    coins = rng.random(g.edge_count)
-    for i in range(g.edge_count):
-        if coins[i] < p:
-            mask |= 1 << i
-    return mask
-
-
-def _uniform_even_of(g: Graph, mask: int, rng: np.random.Generator) -> int:
-    """Uniform even subgraph of (V, mask): random XOR of its cycle basis."""
-    basis = cycle_space_basis(g, mask)
-    out = 0
-    if basis.dimension:
-        bits = rng.integers(0, 2, size=basis.dimension)
-        for i, c in enumerate(basis.elements):
-            if bits[i]:
-                out ^= c
-    return out
-
-
-def sample_coupled(
-    model: str,
-    g: Graph,
-    x: Fraction,
-    rng: np.random.Generator,
-    law: tuple | None = None,
-) -> int:
-    """One draw from a union-coupled model via its definition.
-
-    Loop layers are drawn exactly (inverse CDF over the span, from ``law``
-    when given); the Bernoulli layer uses the double-precision parameter.
-    The pushforward model draws a double current and then a uniform even
-    subgraph of it.
-    """
-    x = Fraction(x)
-    if model == PUSHFORWARD:
-        omega = sample_coupled(PUSHFORWARD_BASE, g, x, rng, law)
-        return _uniform_even_of(g, omega, rng)
-    if model not in MODELS:
-        raise LoopCurrentsError(f"unknown model tag {model!r}; choose from {COUPLED_MODELS}")
-    copies, p = MODELS[model]
-    p_float = None if p is None else float(p(x))
-    law = law or loop_law(g, x)
-    mask = 0
-    for _ in range(copies):
-        mask |= sample_loop_exact(law, rng)
-    if p_float is not None:
-        mask |= _bernoulli_mask(g, p_float, rng)
-    return mask
-
-
 def sample_stream(model: str, g: Graph, x: Fraction, seed: int, count: int) -> list[int]:
+    """``count`` draws from a union-coupled model via its definition: each
+    loop layer by searching the exact loop law's CDF, the Bernoulli layer
+    with the double-precision parameter, and the pushforward as a random
+    XOR of a cycle basis of the double current drawn (memoised per mask)."""
+    if model not in COUPLED_MODELS:
+        raise LoopCurrentsError(f"unknown model tag {model!r}; choose from {COUPLED_MODELS}")
+    x = Fraction(x)
+    push = model == PUSHFORWARD
+    copies, p = MODELS[PUSHFORWARD_BASE if push else model]
+    p_float = None if p is None else float(p(x))
     rng = make_rng(seed)
-    law = loop_law(g, Fraction(x))
-    return [sample_coupled(model, g, x, rng, law) for _ in range(count)]
+    masks, cdf = loop_law(g, x)
+    bits = [] if p_float is None else [1 << i for i in range(g.edge_count)]
+    basis_of = cache(lambda mask: cycle_space_basis(g, mask).elements)
+    draws = []
+    for _ in range(count):
+        u = rng.random(copies + len(bits))
+        mask = 0
+        for k in cdf.searchsorted(u[:copies], side="right").tolist():
+            mask |= masks[k]
+        for bit, coin in zip(bits, u[copies:].tolist()):
+            if coin < p_float:
+                mask |= bit
+        if push:
+            basis = basis_of(mask)
+            flips = rng.integers(0, 2, size=len(basis)).tolist() if basis else ()
+            mask = 0
+            for c, flip in zip(basis, flips):
+                if flip:
+                    mask ^= c
+        draws.append(mask)
+    return draws
 
 
 # ---------------------------------------------------------------------------

@@ -8,8 +8,9 @@ an agreement is meaningful.  The per-configuration ``Fraction`` routes of
 the double current's counting formula and of the uniform-even push, which
 the package now computes as subset-lattice transforms, live here as their
 references.  The float goodness-of-fit statistics for the
-samplers and the chain's exact transition matrix live here too: no
-certifying route reads them.  So do the closed forms, tables and
+samplers, the coupled sampler's per-draw ``Generator.choice`` route and the
+chain's exact transition matrix live here too: no certifying route reads
+them.  So do the closed forms, tables and
 serializations that only tests read.
 """
 
@@ -29,8 +30,9 @@ from loopcurrents.graphs import (
     is_connected,
     span_masks,
 )
-from loopcurrents.measures import Dist, point_mass
+from loopcurrents.measures import MODELS, Dist, loop_o1, point_mass
 from loopcurrents.rationals import format_rational, parse_rational
+from loopcurrents.sampler import PUSHFORWARD, PUSHFORWARD_BASE, make_rng
 from loopcurrents.theta import (
     counter_even_masks,
     double_loop_event_weights,
@@ -329,6 +331,44 @@ def chi_square_statistic(counts: dict[int, int], dist: Dist) -> tuple[float, int
         observed = counts.get(mask, 0)
         stat += (observed - expected) ** 2 / expected
     return stat, len(dist.weights) - 1
+
+
+def sample_stream_per_draw(model: str, g: Graph, x: Fraction, seed: int, count: int) -> list[int]:
+    """Reference for ``sampler.sample_stream``: one ``Generator.choice`` per
+    loop copy, one ``random(|E|)`` call for the Bernoulli coins, and a fresh
+    cycle basis for every pushforward draw."""
+    import numpy as np
+
+    x = Fraction(x)
+    push = model == PUSHFORWARD
+    copies, p = MODELS[PUSHFORWARD_BASE if push else model]
+    p_float = None if p is None else float(p(x))
+    d = loop_o1(g, x)
+    masks = sorted(d.nums)
+    probs = np.array([float(d.nums[m] / (d.z * d.den)) for m in masks])
+    probs /= probs.sum()
+    rng = make_rng(seed)
+    draws = []
+    for _ in range(count):
+        mask = 0
+        for _ in range(copies):
+            mask |= masks[int(rng.choice(len(masks), p=probs))]
+        if p_float is not None:
+            coins = rng.random(g.edge_count)
+            for i in range(g.edge_count):
+                if coins[i] < p_float:
+                    mask |= 1 << i
+        if push:
+            basis = cycle_space_basis(g, mask)
+            out = 0
+            if basis.dimension:
+                flips = rng.integers(0, 2, size=basis.dimension)
+                for i, c in enumerate(basis.elements):
+                    if flips[i]:
+                        out ^= c
+            mask = out
+        draws.append(mask)
+    return draws
 
 
 def loop_chain_transition_matrix(g: Graph, x: Fraction):

@@ -48,6 +48,17 @@ README_FIGURE_DIGESTS = {
 README_P_PAIR_DIGEST = "e2ceaa4c4aa6e9c9a854a93364eba6f9ec3cc4c8a06f935599a22fb31d16d558"
 # sha256 of the `verify --out` JSON with the default battery, suites and x values.
 VERIFY_DIGEST = "aa62c0a80682c698d690a2e967fb10d7503a2b8db2ce0c218adc749042da3d78"
+# sha256 of `sample --family theta --segments 2,3,2 --samples 1000 --seed 7`
+# dumps: the README's double-current command and three more coupled models.
+# They pin the coupled streams draw by draw.
+SAMPLE_DIGESTS = {
+    ("double_current", "--x", "1/2"): "b1833ad87a44da1cfe79d85d56d4cf0a82105f03cc79a6a4e8ac3e3d6cf31604",
+    ("random_cluster", "--x", "1/2"): "ee617644e724a80ddb0aed894442a8d628b7f6236dd3aee58c1fc56bb05e96ff",
+    ("single_current", "--t", "1/2"): "ebf13ba86859449f3fc636dff5dd8a060084fa449c6c1cf97d4cdf2c9441e690",
+    ("uniform_even_of_double_current", "--x", "1/2"): (
+        "07473d34eecb0e27a10de414ae7ef0edd400fc0f46110231157f419eb0e723f5"
+    ),
+}
 
 
 def run(*argv) -> int:
@@ -398,6 +409,16 @@ class TestBatchedSuites:
 
 
 class TestSample:
+    @pytest.mark.parametrize("model, flag, value", sorted(SAMPLE_DIGESTS))
+    def test_coupled_dumps_are_pinned(self, tmp_path, model, flag, value):
+        out = tmp_path / "dump.txt"
+        code = run(
+            "sample", "--model", model, "--family", "theta", "--segments", "2,3,2",
+            flag, value, "--samples", "1000", "--seed", "7", "--out", str(out),
+        )
+        assert code == 0
+        assert sha256(out) == SAMPLE_DIGESTS[model, flag, value]
+
     def test_dump_and_manifest(self, tmp_path):
         out = tmp_path / "samples.txt"
         code = run(

@@ -4,7 +4,8 @@ from math import comb
 
 import pytest
 
-from loopcurrents.errors import GraphStructureError
+from loopcurrents import graphs
+from loopcurrents.errors import CapExceededError, GraphStructureError
 from loopcurrents.events import (
     all_open,
     check_increasing,
@@ -19,6 +20,7 @@ from loopcurrents.events import (
     verified_increasing,
 )
 from loopcurrents.graphs import (
+    LATTICE_PASS_CAP,
     Graph,
     complete_graph,
     counter_family,
@@ -28,7 +30,7 @@ from loopcurrents.graphs import (
 )
 from loopcurrents.measures import bernoulli, loop_o1, point_mass
 
-from oracles import check_increasing_all_pairs
+from oracles import brute_cyclic_edges, check_increasing_all_pairs
 
 F = Fraction
 COUNTER22 = counter_family(2, 2)
@@ -148,6 +150,22 @@ class TestStatistics:
     def test_cyclic_count_under_point_mass_empty(self):
         g = complete_graph(4)
         assert statistic_dist(point_mass(g, 0), cyclic_count(g)) == {0: F(1)}
+
+    def test_cyclic_count_matches_cyclic_edges_per_mask(self):
+        doubled_triangle = Graph(3, ((0, 1), (1, 2), (2, 0), (0, 1)))
+        for g in (COUNTER22, generalized_theta([2, 3, 2]), doubled_triangle):
+            stat = cyclic_count(g)
+            for mask in range(1 << g.edge_count):
+                assert stat.value(mask) == brute_cyclic_edges(g, mask).bit_count()
+
+    def test_cyclic_count_refuses_above_the_lattice_cap(self, monkeypatch):
+        # a 20-edge path: its lattice pass would cost 20 * 2^20 > 2^24
+        g = Graph(21, tuple((i, i + 1) for i in range(20)))
+        monkeypatch.setattr(graphs, "even_subgraphs", None)  # never reached
+        with pytest.raises(CapExceededError) as info:
+            cyclic_count(g)
+        assert info.value.what == "even-subgraph lattice"
+        assert info.value.size == 20 << 20 > LATTICE_PASS_CAP
 
     def test_cyclic_count_under_loop_model(self):
         # even subgraphs are their own cyclic part, so the pushforward

@@ -255,6 +255,16 @@ class TestUnion:
         assert info.value.what == "union support pairs"
         assert info.value.size == 1 << 26 > UNION_PAIR_CAP
 
+    def test_bernoulli_lattice_cap_refuses_before_building(self):
+        # one pass over 2^|E| masks per edge: 20 edges is the first size
+        # above the cap, and 24 edges would take about a minute to build
+        for n in (20, 24):
+            g = Graph(n + 1, tuple((i, i + 1) for i in range(n)))
+            with pytest.raises(CapExceededError) as info:
+                union_bernoulli(point_mass(g, 0), F(1, 2))
+            assert info.value.what == "Bernoulli union lattice"
+            assert info.value.size == n << n > LATTICE_PASS_CAP
+
 
 class TestCurrentParams:
     """The single current's Bernoulli parameter is a function of x alone,

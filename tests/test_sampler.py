@@ -9,7 +9,7 @@ import pytest
 
 import loopcurrents
 from loopcurrents.errors import LoopCurrentsError
-from loopcurrents.graphs import Graph, generalized_theta
+from loopcurrents.graphs import Graph, counter_family, cycle_space_basis, generalized_theta
 from loopcurrents.measures import (
     MODELS,
     bernoulli,
@@ -20,15 +20,21 @@ from loopcurrents.measures import (
     single_current,
 )
 from loopcurrents.sampler import (
+    CHAIN_BLOCK,
     COUPLED_MODELS,
     loop_chain,
     make_rng,
-    sample_coupled,
     sample_stream,
     write_sample_dump,
 )
 
-from oracles import chi_square_statistic, degrees, empirical_counts, loop_chain_transition_matrix
+from oracles import (
+    chi_square_statistic,
+    degrees,
+    empirical_counts,
+    loop_chain_transition_matrix,
+    sample_stream_per_draw,
+)
 
 F = Fraction
 THETA111 = generalized_theta([1, 1, 1])
@@ -63,6 +69,48 @@ class TestReproducibility:
         }
         for model, draws in pinned.items():
             assert sample_stream(model, g, F(4, 5), 123456, len(draws)) == draws, model
+        # the chain reads blocks of CHAIN_BLOCK basis picks, then as many coins
+        chain = [0x0, 0x0, 0x7C, 0x7C, 0x0, 0x63, 0x0, 0x1F]
+        assert list(loop_chain(g, F(4, 5), 123456, len(chain), thin=3, burn_in=10)) == chain
+
+    def test_coupled_stream_matches_the_per_draw_reference(self):
+        # one uniform per loop copy searched in the CDF reads the same
+        # doubles as one Generator.choice per copy
+        for g in (generalized_theta([2, 3, 2]), counter_family(2, 2), TREE):
+            for model in COUPLED_MODELS:
+                for seed in (0, 7, 123456):
+                    expected = sample_stream_per_draw(model, g, F(4, 5), seed, 60)
+                    assert sample_stream(model, g, F(4, 5), seed, 60) == expected, (model, seed)
+
+    def test_chain_reads_its_proposals_in_blocks(self):
+        g = generalized_theta([2, 3, 2])
+        elements = cycle_space_basis(g).elements
+        rng = make_rng(5)
+        picks = rng.integers(0, len(elements), size=CHAIN_BLOCK)
+        coins = rng.random(CHAIN_BLOCK)
+        state, expected = 0, []
+        for pick, coin in zip(picks, coins):
+            new = state ^ elements[pick]
+            delta = new.bit_count() - state.bit_count()
+            if delta <= 0 or coin < 0.5**delta:
+                state = new
+            expected.append(state)
+        # one sample per sweep of len(elements) proposals
+        per_sweep = expected[len(elements) - 1 :: len(elements)]
+        assert list(loop_chain(g, F(1, 2), 5, 100)) == per_sweep[:100]
+
+    def test_shorter_requests_are_prefixes(self):
+        # 3000 samples of a two-dimensional chain take 6000 proposals, past
+        # the first block of CHAIN_BLOCK
+        g = generalized_theta([2, 3, 2])
+        k, m = 3000, 1500
+        assert k * cycle_space_basis(g).dimension > CHAIN_BLOCK
+        for thin, burn_in in ((1, 0), (2, 7)):
+            long = list(loop_chain(g, F(1, 2), 9, k + m, thin, burn_in))
+            assert list(loop_chain(g, F(1, 2), 9, k, thin, burn_in)) == long[:k]
+        for model in COUPLED_MODELS:
+            long = sample_stream(model, g, F(4, 5), 9, 300)
+            assert sample_stream(model, g, F(4, 5), 9, 200) == long[:200], model
 
     def test_importing_the_cli_loads_no_numpy(self):
         src = str(Path(loopcurrents.__file__).resolve().parents[1])
@@ -154,17 +202,17 @@ class TestCoupledSamplers:
         self._gof("uniform_even_of_double_current", THETA111, F(1, 2), exact)
 
     def test_single_current_needs_pythagorean_params(self):
-        rng = make_rng(1)
         with pytest.raises(LoopCurrentsError):
-            sample_coupled("single_current", THETA111, F(1, 2), rng)
+            sample_stream("single_current", THETA111, F(1, 2), 1, 1)
 
     def test_single_current_sampling(self):
         self._gof("single_current", THETA111, F(4, 5), single_current(THETA111, F(4, 5)))
 
     def test_unknown_model_rejected(self):
-        rng = make_rng(1)
-        with pytest.raises(LoopCurrentsError):
-            sample_coupled("wolff", THETA111, F(1, 2), rng)
+        # the model is checked once per stream, before any draw
+        for count in (0, 1):
+            with pytest.raises(LoopCurrentsError):
+                sample_stream("wolff", THETA111, F(1, 2), 1, count)
 
     def test_every_model_draws_in_exact_support(self):
         g = generalized_theta([2, 3, 2])
