@@ -12,7 +12,6 @@ from .checkers import (
     lattice_condition,
     monotonicity_scan,
     stochastic_domination,
-    union_preservation_test,
 )
 from .errors import (
     CapExceededError,

@@ -26,12 +26,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .errors import CapExceededError, LoopCurrentsError
 from .events import Event
-from .graphs import EDGE_ENUMERATION_CAP
-from .measures import Dist, _require_same_graph, bit_masses, union as _union
+from .graphs import LATTICE_PASS_CAP
+from .measures import Dist, _require_same_graph, bit_masses
 from .rationals import format_rational
 
 
@@ -359,8 +359,9 @@ class _CoveringFlow:
         nums_lo, nums_hi = d_lo.nums, d_hi.nums
         classes = _lattice_coordinates(d_lo.graph.full_mask, [*nums_lo, *nums_hi])
         k = len(classes)
-        if k > EDGE_ENUMERATION_CAP:
-            raise CapExceededError("domination lattice coordinates", k, EDGE_ENUMERATION_CAP)
+        # the network has k * 2^(k-1) covering arcs: refuse it before they are built
+        if k << k > LATTICE_PASS_CAP:
+            raise CapExceededError("domination lattice", k << k, LATTICE_PASS_CAP)
         node = dict.fromkeys((*nums_lo, *nums_hi), 2)
         for i, c in enumerate(classes):
             for m in node:
@@ -490,75 +491,22 @@ def _upset_witness(generators: Sequence[int], d_lo: Dist, d_hi: Dist) -> UpSetWi
 # Scans
 
 
-def monotonicity_scan(
-    family: Callable[[Fraction], Dist], grid: Sequence[Fraction]
-) -> list[tuple[Fraction, Fraction, DominationReport]]:
-    """Check stochastic domination between consecutive grid points.
+def monotonicity_scan(laws: Sequence[Dist]) -> list[tuple[int, UpSetWitness]]:
+    """Check stochastic domination between consecutive laws of a family.
 
-    Returns all failures with the min cut's witnesses.  A pair whose laws
+    Returns ``(j, witness)`` for every step where ``laws[j]`` fails to
+    dominate ``laws[j - 1]``, with the min cut's up-set.  A step whose laws
     meet the local Holley criterion (:func:`_holley_local`: both laws
     strictly positive, the higher one a lattice law) dominates without a
-    flow; every other pair runs the covering network's max-flow, and no
+    flow; every other step runs the covering network's max-flow, and no
     coupling is built.  An empty list is scan evidence, never a
     monotonicity proof.
     """
     failures = []
-    prev_x = None
-    prev_d = None
-    for x in grid:
-        d = family(x)
-        if prev_d is not None:
-            witness = None if _holley_local(prev_d, d) else _CoveringFlow(prev_d, d).witness
+    for j in range(1, len(laws)):
+        lo, hi = laws[j - 1], laws[j]
+        if not _holley_local(lo, hi):
+            witness = _CoveringFlow(lo, hi).witness
             if witness is not None:
-                failures.append((prev_x, x, DominationReport(False, witness=witness)))
-        prev_x, prev_d = x, d
+                failures.append((j, witness))
     return failures
-
-
-def union_preservation_test(
-    fam1: Callable[[Fraction], Dist],
-    fam2: Callable[[Fraction], Dist],
-    grid: Sequence[Fraction],
-    union_family: Callable[[Fraction], Dist] | None = None,
-    event_pairs: Sequence[tuple[Event, Event]] = (),
-) -> dict:
-    """Evidence that unions preserve monotonicity (and pairwise FKG gaps).
-
-    If either input family already fails its own scan the hypothesis is not
-    met and the result is "inconclusive" rather than a theorem violation; a
-    family passed as both inputs is scanned once.  FKG is only probed
-    through gaps on the supplied event battery.
-    """
-    if union_family is None:
-
-        def union_family(x):
-            return _union(fam1(x), fam2(x))
-
-    inputs = (("first", fam1),) if fam2 is fam1 else (("first", fam1), ("second", fam2))
-    for name, fam in inputs:
-        fails = monotonicity_scan(fam, grid)
-        if fails:
-            return {
-                "status": "inconclusive",
-                "reason": f"{name} input family fails its own monotonicity scan",
-                "input_failures": [(str(a), str(b)) for a, b, _ in fails],
-            }
-
-    laws = {x: union_family(x) for x in grid}
-    union_fails = monotonicity_scan(laws.__getitem__, grid)
-    gaps = fkg_gaps([laws[x] for x in grid], event_pairs) if event_pairs else []
-    gap_records = [
-        (str(x), a.describe(), b.describe(), format_rational(gap))
-        for x, row in zip(grid, gaps)
-        for (a, b), gap in zip(event_pairs, row)
-    ]
-    negative_gap = any(gap < 0 for row in gaps for gap in row)
-
-    status = "verified" if not union_fails and not negative_gap else "violated"
-    return {
-        "status": status,
-        "union_scan_failures": [
-            (str(a), str(b), rep.to_json_dict()) for a, b, rep in union_fails
-        ],
-        "event_pair_gaps": gap_records,
-    }

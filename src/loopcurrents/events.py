@@ -17,14 +17,14 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable
 
-from .errors import CapExceededError, GraphStructureError
+from .errors import GraphStructureError
 from .graphs import (
-    EDGE_ENUMERATION_CAP,
     Graph,
     component_labels,
     cyclic_edges,
     even_lattice,
     is_connected,
+    lattice_size,
 )
 from .measures import Dist, _require_same_graph, bit_masses
 
@@ -129,10 +129,7 @@ def check_increasing(ev: Event):
     subset lattice; the equivalence is cross-checked in tests against an
     all-pairs oracle.
     """
-    n = ev.graph.edge_count
-    if n > EDGE_ENUMERATION_CAP:
-        raise CapExceededError("covering-pair scan", n, EDGE_ENUMERATION_CAP)
-    for mask in range(1 << n):
+    for mask in range(lattice_size(ev.graph, "covering-pair scan")):
         if not ev.holds(mask):
             continue
         free = ~mask & ev.graph.full_mask

@@ -22,8 +22,6 @@ from typing import Iterable, Iterator
 
 from .errors import CapExceededError, GraphStructureError
 
-# Refuse full 2^|E| sweeps above this many edges.
-EDGE_ENUMERATION_CAP = 24
 # Refuse spanning the cycle space above this dimension.
 CYCLE_DIMENSION_CAP = 20
 # Refuse a pass over the 2^|E| subset lattice that costs above this many

@@ -286,11 +286,11 @@ def scan_mon(name: str, laws, grid) -> list[dict]:
     return [
         {
             "graph": name,
-            "x1": format_rational(x1),
-            "x2": format_rational(x2),
-            "witness": report.witness.to_json_dict(),
+            "x1": format_rational(grid[j - 1]),
+            "x2": format_rational(grid[j]),
+            "witness": witness.to_json_dict(),
         }
-        for x1, x2, report in monotonicity_scan(laws.__getitem__, grid)
+        for j, witness in monotonicity_scan([laws[x] for x in grid])
     ]
 
 

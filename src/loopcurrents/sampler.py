@@ -23,8 +23,8 @@ from functools import cache
 from itertools import islice
 from typing import TYPE_CHECKING, Iterator
 
-from .errors import CapExceededError, LoopCurrentsError
-from .graphs import CYCLE_DIMENSION_CAP, Graph, cycle_space_basis
+from .errors import LoopCurrentsError
+from .graphs import Graph, cycle_space_basis
 from .measures import MODELS, loop_o1
 
 if TYPE_CHECKING:
@@ -81,8 +81,6 @@ def loop_chain(
         raise LoopCurrentsError(f"need burn-in >= 0 and thin >= 1, got {burn_in} and {thin}")
     rng = make_rng(seed)
     basis = cycle_space_basis(g)
-    if basis.dimension > CYCLE_DIMENSION_CAP:
-        raise CapExceededError("cycle basis", basis.dimension, CYCLE_DIMENSION_CAP)
     if basis.dimension == 0:
         for _ in range(samples):
             yield 0

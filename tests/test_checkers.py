@@ -14,11 +14,16 @@ from loopcurrents.checkers import (
     lattice_condition,
     monotonicity_scan,
     stochastic_domination,
-    union_preservation_test,
 )
 from loopcurrents.errors import CapExceededError, GraphMismatchError, LoopCurrentsError
 from loopcurrents.events import all_open, connect, edge_open
-from loopcurrents.graphs import Graph, complete_graph, counter_family, generalized_theta
+from loopcurrents.graphs import (
+    LATTICE_PASS_CAP,
+    Graph,
+    complete_graph,
+    counter_family,
+    generalized_theta,
+)
 from loopcurrents.measures import (
     Dist,
     bernoulli,
@@ -150,15 +155,6 @@ class TestGraphMismatch:
         with pytest.raises(GraphMismatchError):
             fkg_gaps([a, b], [(edge_open(a.graph, 0), edge_open(a.graph, 0))])
         assert not bernoulli(a.graph, F(1, 2)).same_law(b)
-
-    def test_union_preservation_refuses_events_of_another_graph(self):
-        def fam(x):
-            return bernoulli(THETA111, x)
-
-        with pytest.raises(GraphMismatchError):
-            union_preservation_test(
-                fam, fam, dyadic_grid(2), event_pairs=[(edge_open(K4, 5), connect(K4, 0, 3))]
-            )
 
 
 class TestFkgReport:
@@ -391,8 +387,26 @@ class TestStochasticDomination:
         monkeypatch.setattr(checkers, "_covering_arcs", no_skeleton)
         with pytest.raises(CapExceededError) as info:
             stochastic_domination(sparse_law(), sparse_law())
-        assert info.value.what == "domination lattice coordinates"
-        assert info.value.size == g.edge_count
+        assert info.value.what == "domination lattice"
+        assert info.value.size == 30 << 30
+
+    def test_twenty_coordinates_are_refused_before_the_arcs_are_built(self, monkeypatch):
+        # point masses on 20 single edges: every edge is its own lattice
+        # coordinate, and 20 * 2^20 > 2^24 covering-pass operations
+        g = Graph(21, tuple((i, i + 1) for i in range(20)))
+
+        def no_skeleton(k):
+            raise AssertionError(f"covering arcs of dimension {k} built")
+
+        monkeypatch.setattr(checkers, "_covering_arcs", no_skeleton)
+        lo = Dist.from_weights(g, {1 << i: F(1) for i in range(0, 20, 2)})
+        hi = Dist.from_weights(g, {1 << i: F(1) for i in range(1, 20, 2)})
+        assert len(checkers._lattice_coordinates(g.full_mask, [*lo.nums, *hi.nums])) == 20
+        for route in (stochastic_domination, lambda lo, hi: monotonicity_scan([lo, hi])):
+            with pytest.raises(CapExceededError) as info:
+                route(lo, hi)
+            assert info.value.what == "domination lattice"
+            assert info.value.size == 20 << 20 > LATTICE_PASS_CAP
 
     def test_bruteforce_witness_is_an_antichain_with_its_masses(self):
         rng = random.Random(99)
@@ -435,7 +449,7 @@ def pair_law(g: Graph, e: int, f: int, table: tuple[int, int, int, int]) -> Dist
 
 
 def scan_pair(lo: Dist, hi: Dist):
-    return monotonicity_scan([lo, hi].__getitem__, [0, 1])
+    return monotonicity_scan([lo, hi])
 
 
 FOUR_EDGES = generalized_theta([1, 1, 2])
@@ -491,7 +505,7 @@ class TestHolleyLocalRoute:
         )
         lo, hi = (law_of(g, w.__getitem__) for w in (lo_weights, hi_weights))
         report = stochastic_domination(lo, hi)
-        expected = [] if report.dominates else [(0, 1, report)]
+        expected = [] if report.dominates else [(1, report.witness)]
         assert scan_pair(lo, hi) == expected
         if checkers._holley_local(lo, hi):
             assert report.dominates
@@ -510,7 +524,7 @@ class TestHolleyLocalRoute:
         expected = stochastic_domination(lo, hi)
         assert not expected.dominates and not domination_bruteforce(lo, hi).dominates
         flow_networks.clear()
-        assert scan_pair(lo, hi) == [(0, 1, expected)]
+        assert scan_pair(lo, hi) == [(1, expected.witness)]
         assert len(flow_networks) == 1
 
     @pytest.mark.parametrize("e,f", [(e, f) for e in range(4) for f in range(e + 1, 4)])
@@ -521,7 +535,7 @@ class TestHolleyLocalRoute:
         expected = stochastic_domination(lo, hi)
         assert expected.witness.gap == F(5, 13) - F(2, 7)
         flow_networks.clear()
-        assert scan_pair(lo, hi) == [(0, 1, expected)]
+        assert scan_pair(lo, hi) == [(1, expected.witness)]
         assert len(flow_networks) == 1
 
     @pytest.mark.parametrize("e,f", [(e, f) for e in range(4) for f in range(e + 1, 4)])
@@ -561,82 +575,39 @@ class TestHolleyLocalRoute:
 
     def test_twelve_edge_random_cluster_scan_builds_no_network(self, flow_networks):
         g = generalized_theta([3, 3, 3, 3])
-        assert monotonicity_scan(lambda x: random_cluster(g, x), dyadic_grid(2)) == []
+        assert monotonicity_scan([random_cluster(g, x) for x in dyadic_grid(2)]) == []
         assert flow_networks == []
 
 
 class TestScans:
     def test_bernoulli_family_scans_clean(self):
-        fails = monotonicity_scan(lambda x: bernoulli(THETA111, x), dyadic_grid(4))
+        fails = monotonicity_scan([bernoulli(THETA111, x) for x in dyadic_grid(4)])
         assert fails == []
 
     def test_random_cluster_scans_clean_small(self):
-        fails = monotonicity_scan(
-            lambda x: random_cluster(K4, x), dyadic_grid(4)
-        )
+        fails = monotonicity_scan([random_cluster(K4, x) for x in dyadic_grid(4)])
         assert fails == []
 
     def test_loop_family_fails_on_counter(self):
         g = counter_family(8, 2)
-        fails = monotonicity_scan(lambda x: loop_o1(g, x), dyadic_grid(8))
+        laws = [loop_o1(g, x) for x in dyadic_grid(8)]
+        fails = monotonicity_scan(laws)
         assert fails
-        x1, x2, report = fails[0]
-        assert x1 < x2 and not report.dominates
+        for j, witness in fails:
+            assert j >= 1
+            assert stochastic_domination(laws[j - 1], laws[j]).witness == witness
 
     def test_union_preservation_verified_for_bernoulli(self):
-        result = union_preservation_test(
-            lambda x: bernoulli(THETA111, x),
-            lambda x: bernoulli(THETA111, x),
-            dyadic_grid(3),
-            union_family=lambda x: bernoulli(THETA111, x * (2 - x)),
-            event_pairs=[(edge_open(THETA111, 0), edge_open(THETA111, 1))],
-        )
-        assert result["status"] == "verified"
-
-    def test_union_preservation_scans_a_repeated_family_once(self):
-        calls = []
-
-        def fam(x):
-            calls.append(x)
-            return bernoulli(THETA111, x)
-
-        def union_fam(x):
-            return bernoulli(THETA111, x * (2 - x))
-
-        grid = dyadic_grid(3)
-        result = union_preservation_test(fam, fam, grid, union_family=union_fam)
-        assert result["status"] == "verified"
-        assert len(calls) == len(grid)
-        calls.clear()
-        # an equal but distinct family is still scanned on its own
-        result = union_preservation_test(fam, lambda x: fam(x), grid, union_family=union_fam)
-        assert result["status"] == "verified"
-        assert len(calls) == 2 * len(grid)
-
-    def test_union_preservation_builds_union_laws_only_for_its_reads(self):
-        calls = []
-
-        def union_fam(x):
-            calls.append(x)
-            return bernoulli(THETA111, x * (2 - x))
-
-        def fam(x):
-            return bernoulli(THETA111, x)
-
-        grid = dyadic_grid(3)
-        union_preservation_test(fam, fam, grid, union_family=union_fam)
-        assert len(calls) == len(grid)  # the union's own scan; no gap reads
-        calls.clear()
-        pairs = [(edge_open(THETA111, 0), edge_open(THETA111, 1))]
-        union_preservation_test(fam, fam, grid, union_family=union_fam, event_pairs=pairs)
-        assert len(calls) == len(grid)  # the gap pass reads the scan's laws
+        laws = [bernoulli(THETA111, x) for x in dyadic_grid(3)]
+        unions = [union(d, d) for d in laws]
+        assert monotonicity_scan(laws) == [] and monotonicity_scan(unions) == []
+        for x, u in zip(dyadic_grid(3), unions):
+            assert u.same_law(bernoulli(THETA111, x * (2 - x)))
 
     def test_union_preservation_inconclusive_when_hypothesis_fails(self):
+        # the input family fails its own scan, so the sum theorem's
+        # hypothesis is not met on this grid
         g = counter_family(8, 2)
-        grid = [F(223, 256), F(231, 256)]  # spans the known dip
-        result = union_preservation_test(
-            lambda x: loop_o1(g, x),
-            lambda x: loop_o1(g, x),
-            grid,
-        )
-        assert result["status"] == "inconclusive"
+        lo, hi = (loop_o1(g, x) for x in (F(223, 256), F(231, 256)))  # spans the known dip
+        ((j, witness),) = monotonicity_scan([lo, hi])
+        assert j == 1 and witness.gap > 0

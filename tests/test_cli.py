@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from loopcurrents import cli, events, graphs, theta
-from loopcurrents.battery import verification_battery
+from loopcurrents.battery import scan_battery, verification_battery
 from loopcurrents.cli import _interval_decimal, main
 from loopcurrents.errors import LoopCurrentsError
 from loopcurrents.graphs import (
@@ -382,6 +382,40 @@ class TestBatchedSuites:
         assert cli.verify_lis_equivalence(BATTERY, cli.DEFAULT_VERIFY_XS) == [
             f"lis-equivalence: {name} x={x}" for name, _ in BATTERY for x in ("1/4", "1/2", "3/4")
         ]
+
+    def test_sumthm_catches_a_non_monotone_union(self, monkeypatch):
+        assert cli.verify_sumthm() == []
+        monkeypatch.setattr(cli, "double_cluster", lambda g, x: double_cluster(g, 1 - x))
+        assert cli.verify_sumthm() == [
+            f"sumthm random-cluster: {name}: violated" for name, _ in scan_battery()
+        ]
+
+    def test_sumthm_is_inconclusive_on_a_non_monotone_input(self, monkeypatch):
+        monkeypatch.setattr(cli, "random_cluster", lambda g, x: random_cluster(g, 1 - x))
+        assert cli.verify_sumthm() == [
+            f"sumthm random-cluster: {name}: inconclusive" for name, _ in scan_battery()
+        ]
+
+    def test_sumthm_builds_each_law_once(self, monkeypatch):
+        built = {name: [] for name in ("bernoulli", "random_cluster", "double_cluster", "union")}
+
+        def counting(name):
+            fn = getattr(cli, name)
+
+            def wrapper(*args):
+                built[name].append(args)
+                return fn(*args)
+
+            return wrapper
+
+        for name in built:
+            monkeypatch.setattr(cli, name, counting(name))
+        assert cli.verify_sumthm() == []
+        # one law per grid point and battery graph, and the Bernoulli union
+        # reads the scan's own laws
+        points = len(dyadic_grid(4)) * len(scan_battery())
+        assert {name: len(calls) for name, calls in built.items()} == dict.fromkeys(built, points)
+        assert all(d1 is d2 for d1, d2 in built["union"])
 
     def test_cor1_builds_one_even_lattice_per_battery_graph(self, monkeypatch):
         built = []

@@ -136,6 +136,18 @@ class TestCheckIncreasing:
         with pytest.raises(GraphStructureError):
             verified_increasing(bad)
 
+    def test_covering_pair_scan_refuses_above_the_lattice_cap(self):
+        # a 20-edge path: 2^20 masks times 20 covering pairs > 2^24
+        g = Graph(21, tuple((i, i + 1) for i in range(20)))
+
+        def never(mask):
+            raise AssertionError("predicate called past the cap")
+
+        with pytest.raises(CapExceededError) as info:
+            check_increasing(custom(g, never, "never"))
+        assert info.value.what == "covering-pair scan"
+        assert info.value.size == 20 << 20 > LATTICE_PASS_CAP
+
 
 class TestStatistics:
     def test_edge_count_under_bernoulli_is_binomial(self):

@@ -8,8 +8,14 @@ from pathlib import Path
 import pytest
 
 import loopcurrents
-from loopcurrents.errors import LoopCurrentsError
-from loopcurrents.graphs import Graph, counter_family, cycle_space_basis, generalized_theta
+from loopcurrents.errors import CapExceededError, LoopCurrentsError
+from loopcurrents.graphs import (
+    CYCLE_DIMENSION_CAP,
+    Graph,
+    counter_family,
+    cycle_space_basis,
+    generalized_theta,
+)
 from loopcurrents.measures import (
     MODELS,
     bernoulli,
@@ -156,6 +162,17 @@ class TestChainExactness:
         g = generalized_theta([2, 3, 2])
         for state in loop_chain(g, F(2, 3), 11, samples=100, burn_in=5):
             assert all(d % 2 == 0 for d in degrees(g, state))
+
+    def test_chain_runs_past_the_enumeration_cap(self):
+        # 22 parallel edges: cycle dimension 21, above the even-subgraph span
+        # cap that the exact law and the coupled draws need
+        g = Graph(2, ((0, 1),) * 22)
+        assert cycle_space_basis(g).dimension == 21 > CYCLE_DIMENSION_CAP
+        states = list(loop_chain(g, F(1, 2), 5, samples=50, burn_in=5))
+        assert len(states) == 50 and any(states)
+        assert all(state.bit_count() % 2 == 0 for state in states)
+        with pytest.raises(CapExceededError):
+            sample_stream("loop", g, F(1, 2), 5, 3)
 
     def test_chain_matches_exact_law(self):
         samples = list(loop_chain(THETA111, F(1, 2), 2024, samples=20000, thin=3, burn_in=50))
