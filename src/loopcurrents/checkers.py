@@ -30,9 +30,15 @@ from typing import Sequence
 
 from .errors import CapExceededError, LoopCurrentsError
 from .events import Event
-from .graphs import LATTICE_PASS_CAP
 from .measures import Dist, _require_same_graph, bit_masses
 from .rationals import format_rational
+
+# Most k * 2^k for the k lattice coordinates of a covering network.  Its
+# 2^(k-1) * (k + 4) arcs peak at about 215 bytes each while their lists are
+# built (tracemalloc, CPython 3.11, k = 10 to 15), about 140 bytes per unit
+# of k * 2^k: the cap admits k <= 16, about 150 MB, and refuses k = 17
+# (about 300 MB) and up.
+COVERING_NETWORK_CAP = 1 << 20
 
 
 # ---------------------------------------------------------------------------
@@ -359,9 +365,9 @@ class _CoveringFlow:
         nums_lo, nums_hi = d_lo.nums, d_hi.nums
         classes = _lattice_coordinates(d_lo.graph.full_mask, [*nums_lo, *nums_hi])
         k = len(classes)
-        # the network has k * 2^(k-1) covering arcs: refuse it before they are built
-        if k << k > LATTICE_PASS_CAP:
-            raise CapExceededError("domination lattice", k << k, LATTICE_PASS_CAP)
+        # refuse the network before any of its arcs is built
+        if k << k > COVERING_NETWORK_CAP:
+            raise CapExceededError("domination lattice", k << k, COVERING_NETWORK_CAP)
         node = dict.fromkeys((*nums_lo, *nums_hi), 2)
         for i, c in enumerate(classes):
             for m in node:

@@ -18,6 +18,7 @@ import sys
 import time
 from datetime import datetime, timezone
 from fractions import Fraction
+from functools import cache
 from pathlib import Path
 
 from . import __version__, theta
@@ -37,7 +38,6 @@ from .measures import (
     push_uniform_even,
     pythagorean_x,
     random_cluster,
-    union,
     union_bernoulli,
 )
 from .overview import build_overview
@@ -272,54 +272,59 @@ def cmd_table(args) -> int:
 DEFAULT_VERIFY_XS = (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4))
 
 
-def verify_newcoupling(battery, xs) -> list[str]:
+def verify_newcoupling(name, g, x, law) -> list[str]:
+    if push_uniform_even(law(double_current)).same_law(law(loop_o1)):
+        return []
+    return [f"newcoupling: {name} x={x}"]
+
+
+def verify_lis_equivalence(name, g, x, law) -> list[str]:
+    if double_current_lis(g, x).same_law(law(double_current)):
+        return []
+    return [f"lis-equivalence: {name} x={x}"]
+
+
+def verify_cor1(name, g, x, law) -> list[str]:
+    # the open cyclic edges of every configuration, from the graph's one lattice
+    _, cyclic = even_lattice(g)
+    left, right = bit_masses(
+        [law(double_current), law(random_cluster)], cyclic.__getitem__, g.edge_count
+    )
+    (mid,) = bit_masses([law(loop_o1)], lambda m: m, g.edge_count)
+    return [
+        f"cor1: {name} x={x} edge={e}"
+        for e in range(g.edge_count)
+        if not left[e] / 2 == mid[e] == right[e] / 2
+    ]
+
+
+def verify_edge_identities(name, g, x, law) -> list[str]:
     failures = []
-    for name, g in battery:
-        for x in xs:
-            if not push_uniform_even(double_current(g, x)).same_law(loop_o1(g, x)):
-                failures.append(f"newcoupling: {name} x={x}")
+    lo = law(loop_o1)
+    ps = (Fraction(1, 3), x)
+    # the random cluster is the loop model united with Bernoulli(x)
+    laws = [lo, law(double_loop), union_bernoulli(lo, ps[0]), law(random_cluster)]
+    base, doubled, *unioned = bit_masses(laws, lambda m: m, g.edge_count)
+    for e in range(g.edge_count):
+        for p, masses in zip(ps, unioned):
+            if masses[e] != base[e] + p * (1 - base[e]):
+                failures.append(f"edge-identities: {name} x={x} e={e} p={p}")
+        if doubled[e] != base[e] * (2 - base[e]):
+            failures.append(f"edge-identities double: {name} x={x} e={e}")
     return failures
 
 
-def verify_lis_equivalence(battery, xs) -> list[str]:
-    failures = []
+def verify_battery(theorems, battery, xs) -> dict[str, list[str]]:
+    """The failure lines of the named battery suites, each in its (graph,
+    x, edge) order.  The suites run (graph, x)-major: at each point
+    ``law(build)`` builds ``build(g, x)`` once for every suite that reads
+    it, and the laws are dropped before the next x."""
+    failures: dict[str, list[str]] = {name: [] for name in theorems}
     for name, g in battery:
         for x in xs:
-            if not double_current_lis(g, x).same_law(double_current(g, x)):
-                failures.append(f"lis-equivalence: {name} x={x}")
-    return failures
-
-
-def verify_cor1(battery, xs) -> list[str]:
-    failures = []
-    for name, g in battery:
-        # the open cyclic edges of every configuration, for all x at once
-        _, cyclic = even_lattice(g)
-        for x in xs:
-            left, right = bit_masses(
-                [double_current(g, x), random_cluster(g, x)], cyclic.__getitem__, g.edge_count
-            )
-            (mid,) = bit_masses([loop_o1(g, x)], lambda m: m, g.edge_count)
-            for e in range(g.edge_count):
-                if not left[e] / 2 == mid[e] == right[e] / 2:
-                    failures.append(f"cor1: {name} x={x} edge={e}")
-    return failures
-
-
-def verify_edge_identities(battery, xs) -> list[str]:
-    failures = []
-    for name, g in battery:
-        for x in xs:
-            lo = loop_o1(g, x)
-            ps = (Fraction(1, 3), x)
-            laws = [lo, double_loop(g, x), *(union_bernoulli(lo, p) for p in ps)]
-            base, doubled, *unioned = bit_masses(laws, lambda m: m, g.edge_count)
-            for e in range(g.edge_count):
-                for p, masses in zip(ps, unioned):
-                    if masses[e] != base[e] + p * (1 - base[e]):
-                        failures.append(f"edge-identities: {name} x={x} e={e} p={p}")
-                if doubled[e] != base[e] * (2 - base[e]):
-                    failures.append(f"edge-identities double: {name} x={x} e={e}")
+            law = cache(lambda build, g=g, x=x: build(g, x))
+            for suite in theorems:
+                failures[suite] += VERIFY_SUITES[suite](name, g, x, law)
     return failures
 
 
@@ -338,12 +343,15 @@ def _sum_theorem_status(family, union_of, grid) -> str | None:
 
 def verify_sumthm() -> list[str]:
     """The sum theorem on the scan battery: Bernoulli percolation united
-    with itself, and the random-cluster model's double, stay monotone."""
+    with itself, and the random-cluster model's double, stay monotone.
+    Bernoulli(x) united with an independent Bernoulli(x) is
+    ``union_bernoulli(d, x)``, one pass over the 2^|E| lattice in place of
+    the 4^|E| support pairs of ``union(d, d)``."""
     failures = []
     grid = dyadic_grid(4)
     for name, g in scan_battery():
         cases = (
-            ("bernoulli", lambda x: bernoulli(g, x), lambda d, x: union(d, d)),
+            ("bernoulli", lambda x: bernoulli(g, x), union_bernoulli),
             ("random-cluster", lambda x: random_cluster(g, x), lambda d, x: double_cluster(g, x)),
         )
         for label, family, union_of in cases:
@@ -388,10 +396,10 @@ def verify_appendix_tables() -> list[str]:
     return failures
 
 
-# Each suite returns one line per failure.  All but FIXED_SUITES take the
-# battery's (name, graph) pairs and the x values; those two check fixed
-# instances (the scan battery on a dyadic grid, the theta and counter
-# tables), so they read neither --graph nor --x.
+# Each suite returns one line per failure.  All but FIXED_SUITES check one
+# battery graph at one x, on the laws verify_battery shares between them;
+# those two check fixed instances (the scan battery on a dyadic grid, the
+# theta and counter tables), so they read neither --graph nor --x.
 VERIFY_SUITES = {
     "newcoupling": verify_newcoupling,
     "cor1": verify_cor1,
@@ -415,11 +423,11 @@ def cmd_verify(args) -> int:
     xs = [parse_rational(args.x)] if args.x else DEFAULT_VERIFY_XS
     if user_input and args.theorem == "all":
         print(f"verify: {', '.join(FIXED_SUITES)} read neither --graph nor --x", file=sys.stderr)
+    found = verify_battery([t for t in theorems if t not in FIXED_SUITES], battery, xs)
     failures: list[str] = []
     results = {}
     for name in theorems:
-        suite = VERIFY_SUITES[name]
-        fails = suite() if name in FIXED_SUITES else suite(battery, xs)
+        fails = VERIFY_SUITES[name]() if name in FIXED_SUITES else found[name]
         results[name] = {"pass": not fails, "failures": fails}
         failures.extend(fails)
         print(f"verify {name}: {'PASS' if not fails else 'FAIL'}")

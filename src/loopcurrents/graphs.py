@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Iterator
 
 from .errors import CapExceededError, GraphStructureError
@@ -328,9 +329,12 @@ def subset_sums(table: list[int]) -> None:
         step <<= 1
 
 
-def even_lattice(g: Graph) -> tuple[list[int], list[int]]:
+@lru_cache(maxsize=1)
+def even_lattice(g: Graph) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """For every configuration w of g: ``count[w]``, the number of even
     subgraphs of w, and ``cyclic[w]``, the edges of w on a cycle of (V, w).
+    The last graph's tables are kept, as read-only tuples: the laws and
+    suites that ``verify`` runs on one graph at each x all read them.
 
     count is the subset-sum of the even subgraphs' indicator and total the
     subset-sum of the even subgraphs as integers.  The even subgraphs of w
@@ -345,7 +349,7 @@ def even_lattice(g: Graph) -> tuple[list[int], list[int]]:
         total[h] = h
     subset_sums(count)
     subset_sums(total)
-    return count, [2 * t // c for t, c in zip(total, count)]
+    return tuple(count), tuple(2 * t // c for t, c in zip(total, count))
 
 
 # ---------------------------------------------------------------------------

@@ -189,8 +189,9 @@ def loop_o1(graph: Graph, x: Fraction) -> Dist:
 # Union couplings
 
 
-# Most support pairs union() iterates.  The CLI's largest union is 256 x 256
-# pairs (verify sumthm); a double loop model at CYCLE_DIMENSION_CAP is 2^40.
+# Most support pairs union() iterates.  The CLI's largest union is 64 x 64
+# pairs (the double loop of verify's random-14); a double loop model at
+# CYCLE_DIMENSION_CAP is 2^40.
 UNION_PAIR_CAP = 1 << 24
 
 

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from loopcurrents import checkers
 from loopcurrents.checkers import (
+    COVERING_NETWORK_CAP,
     DominationReport,
     fkg_gaps,
     fkg_pair_gap,
@@ -407,6 +408,22 @@ class TestStochasticDomination:
                 route(lo, hi)
             assert info.value.what == "domination lattice"
             assert info.value.size == 20 << 20 > LATTICE_PASS_CAP
+
+    def test_eighteen_coordinates_are_refused_by_the_memory_cap(self, monkeypatch):
+        # 18 * 2^18 is inside the lattice pass cap, but the network's arc
+        # lists would take about 0.6 GB
+        g = Graph(19, tuple((i, i + 1) for i in range(18)))
+
+        def no_skeleton(k):
+            raise AssertionError(f"covering arcs of dimension {k} built")
+
+        monkeypatch.setattr(checkers, "_covering_arcs", no_skeleton)
+        lo = Dist.from_weights(g, {1 << i: F(1) for i in range(0, 18, 2)})
+        hi = Dist.from_weights(g, {1 << i: F(1) for i in range(1, 18, 2)})
+        with pytest.raises(CapExceededError) as info:
+            stochastic_domination(lo, hi)
+        assert (info.value.what, info.value.size) == ("domination lattice", 18 << 18)
+        assert 18 << 18 <= LATTICE_PASS_CAP and 18 << 18 > COVERING_NETWORK_CAP
 
     def test_bruteforce_witness_is_an_antichain_with_its_masses(self):
         rng = random.Random(99)

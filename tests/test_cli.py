@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import json
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -326,8 +327,16 @@ class TestVerify:
 
 
 BATTERY = verification_battery()
-# the suites' arguments at one x: the battery and the x list
+# the battery suites' arguments at one x: the battery and the x list
 ONE_X = (BATTERY, [F(1, 2)])
+
+
+BATTERY_SUITES = [name for name in cli.VERIFY_SUITES if name not in cli.FIXED_SUITES]
+
+
+def suite(name, battery, xs) -> list[str]:
+    """The failure lines of one battery suite, run alone."""
+    return cli.verify_battery([name], battery, xs)[name]
 
 
 def cyclic_edge_lines(fmt: str) -> list[str]:
@@ -346,25 +355,29 @@ class TestBatchedSuites:
     exact failure formats, and read each configuration's bridges once."""
 
     def test_cor1_catches_a_wrong_double_current(self, monkeypatch):
-        assert cli.verify_cor1(*ONE_X) == []
+        assert suite("cor1", *ONE_X) == []
         monkeypatch.setattr(cli, "double_current", double_cluster)
-        assert cli.verify_cor1(*ONE_X) == cyclic_edge_lines("cor1: {name} x=1/2 edge={e}")
+        assert suite("cor1", *ONE_X) == cyclic_edge_lines("cor1: {name} x=1/2 edge={e}")
 
     def test_cor1_catches_a_wrong_random_cluster(self, monkeypatch):
         monkeypatch.setattr(cli, "random_cluster", loop_o1)
-        assert cli.verify_cor1(*ONE_X) == cyclic_edge_lines("cor1: {name} x=1/2 edge={e}")
+        assert suite("cor1", *ONE_X) == cyclic_edge_lines("cor1: {name} x=1/2 edge={e}")
 
     def test_edge_identities_catch_a_wrong_double_loop(self, monkeypatch):
-        assert cli.verify_edge_identities(*ONE_X) == []
+        assert suite("edge-identities", *ONE_X) == []
         monkeypatch.setattr(cli, "double_loop", loop_o1)
-        assert cli.verify_edge_identities(*ONE_X) == cyclic_edge_lines(
+        assert suite("edge-identities", *ONE_X) == cyclic_edge_lines(
             "edge-identities double: {name} x=1/2 e={e}"
         )
 
     def test_edge_identities_catch_a_wrong_bernoulli_union(self, monkeypatch):
+        # p = 1/3 is a union the suite makes; p = x is the shared random cluster
         monkeypatch.setattr(cli, "union_bernoulli", lambda d, p: union_bernoulli(d, p / 2))
+        monkeypatch.setattr(
+            cli, "random_cluster", lambda g, x: union_bernoulli(loop_o1(g, x), x / 2)
+        )
         # p = 1/3, then p = x = 1/2, for every edge
-        assert cli.verify_edge_identities(*ONE_X) == [
+        assert suite("edge-identities", *ONE_X) == [
             f"edge-identities: {name} x=1/2 e={e} p={p}"
             for name, g in BATTERY
             for e in range(g.edge_count)
@@ -373,13 +386,13 @@ class TestBatchedSuites:
 
     def test_newcoupling_catches_a_wrong_double_current(self, monkeypatch):
         monkeypatch.setattr(cli, "double_current", double_cluster)
-        assert cli.verify_newcoupling(BATTERY, cli.DEFAULT_VERIFY_XS) == [
+        assert suite("newcoupling", BATTERY, cli.DEFAULT_VERIFY_XS) == [
             f"newcoupling: {name} x={x}" for name, _ in BATTERY for x in ("1/4", "1/2", "3/4")
         ]
 
     def test_lis_equivalence_catches_a_wrong_double_current(self, monkeypatch):
         monkeypatch.setattr(cli, "double_current", double_cluster)
-        assert cli.verify_lis_equivalence(BATTERY, cli.DEFAULT_VERIFY_XS) == [
+        assert suite("lis-equivalence", BATTERY, cli.DEFAULT_VERIFY_XS) == [
             f"lis-equivalence: {name} x={x}" for name, _ in BATTERY for x in ("1/4", "1/2", "3/4")
         ]
 
@@ -397,14 +410,19 @@ class TestBatchedSuites:
         ]
 
     def test_sumthm_builds_each_law_once(self, monkeypatch):
-        built = {name: [] for name in ("bernoulli", "random_cluster", "double_cluster", "union")}
+        names = ("bernoulli", "random_cluster", "double_cluster", "union_bernoulli")
+        built = {name: [] for name in names}
+        bernoulli_laws = []
 
         def counting(name):
             fn = getattr(cli, name)
 
             def wrapper(*args):
                 built[name].append(args)
-                return fn(*args)
+                law = fn(*args)
+                if name == "bernoulli":
+                    bernoulli_laws.append(law)
+                return law
 
             return wrapper
 
@@ -412,22 +430,21 @@ class TestBatchedSuites:
             monkeypatch.setattr(cli, name, counting(name))
         assert cli.verify_sumthm() == []
         # one law per grid point and battery graph, and the Bernoulli union
-        # reads the scan's own laws
+        # reads the scan's own laws at their own x
         points = len(dyadic_grid(4)) * len(scan_battery())
         assert {name: len(calls) for name, calls in built.items()} == dict.fromkeys(built, points)
-        assert all(d1 is d2 for d1, d2 in built["union"])
+        unions = built["union_bernoulli"]
+        assert all(d is law for (d, _), law in zip(unions, bernoulli_laws))
+        assert [p for _, p in unions] == [x for _, x in built["bernoulli"]]
 
-    def test_cor1_builds_one_even_lattice_per_battery_graph(self, monkeypatch):
-        built = []
-
-        def counting_even_lattice(g):
-            built.append(g)
-            return even_lattice(g)
-
-        monkeypatch.setattr(cli, "even_lattice", counting_even_lattice)
-        # the lattice of each graph serves all of its x values
-        assert cli.verify_cor1(BATTERY, cli.DEFAULT_VERIFY_XS) == []
-        assert built == [g for _, g in BATTERY]
+    def test_cor1_builds_one_even_lattice_per_battery_graph(self):
+        even_lattice.cache_clear()
+        # the lattice of each graph serves all of its x values, and the
+        # laws of the other battery suites read it too
+        found = cli.verify_battery(BATTERY_SUITES, BATTERY, cli.DEFAULT_VERIFY_XS)
+        assert found == dict.fromkeys(BATTERY_SUITES, [])
+        info = even_lattice.cache_info()
+        assert info.misses == len(BATTERY) and info.hits > 0
 
     def test_cor1_runs_no_per_configuration_bridge_search(self, monkeypatch):
         searched = []
@@ -438,8 +455,65 @@ class TestBatchedSuites:
 
         for module in (cli, graphs, events):
             monkeypatch.setattr(module, "cyclic_edges", counting_cyclic_edges, raising=False)
-        assert cli.verify_cor1(*ONE_X) == []
+        assert suite("cor1", *ONE_X) == []
         assert searched == []
+
+    def test_one_verify_builds_each_law_once(self, monkeypatch):
+        battery_models = (
+            "loop_o1",
+            "double_loop",
+            "double_current",
+            "random_cluster",
+            "double_current_lis",
+        )
+        sumthm_models = ("bernoulli", "random_cluster", "double_cluster")
+        built = Counter()
+
+        def counting(name):
+            fn = getattr(cli, name)
+
+            def wrapper(g, x):
+                built[name, g, x] += 1
+                return fn(g, x)
+
+            return wrapper
+
+        for name in {*battery_models, *sumthm_models}:
+            monkeypatch.setattr(cli, name, counting(name))
+        assert run("verify") == 0
+        expected = Counter()
+        for _, g in BATTERY:
+            for x in cli.DEFAULT_VERIFY_XS:
+                for name in battery_models:
+                    expected[name, g, x] += 1
+        # sumthm scans its own grid, so it builds its random-cluster laws
+        # again where that grid meets the battery's x values
+        for _, g in scan_battery():
+            for x in dyadic_grid(4):
+                for name in sumthm_models:
+                    expected[name, g, x] += 1
+        assert built == expected
+
+    def test_failing_run_prints_suites_and_lines_in_order(self, monkeypatch, capsys):
+        # a wrong pushforward fails newcoupling and a wrong counting formula
+        # fails lis-equivalence; the suites between them pass
+        monkeypatch.setattr(cli, "push_uniform_even", lambda d: d)
+        monkeypatch.setattr(cli, "double_current_lis", double_cluster)
+        assert run("verify") == 1
+        lines = [f"{name} x={x}" for name, _ in BATTERY for x in ("1/4", "1/2", "3/4")]
+        assert capsys.readouterr().out == "\n".join(
+            [
+                "verify newcoupling: FAIL",
+                *(f"  newcoupling: {line}" for line in lines),
+                "verify cor1: PASS",
+                "verify edge-identities: PASS",
+                "verify sumthm: PASS",
+                "verify lis-equivalence: FAIL",
+                *(f"  lis-equivalence: {line}" for line in lines),
+                "verify appendix-tables: PASS",
+                "",
+            ]
+        )
 
 
 class TestSample:

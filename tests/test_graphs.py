@@ -306,3 +306,17 @@ class TestEvenLattice:
             even_lattice(Graph(21, tuple((i, i + 1) for i in range(20))))
         assert (info.value.what, info.value.size) == ("even-subgraph lattice", 20 << 20)
         assert 19 << 19 <= LATTICE_PASS_CAP < 20 << 20
+
+    def test_cached_tables_are_read_only(self):
+        for table in even_lattice(complete_graph(4)):
+            with pytest.raises(TypeError):
+                table[0] = 2
+
+    def test_equal_graphs_share_the_cached_tables(self):
+        edges = ((0, 1), (1, 2), (0, 2), (0, 2))
+        g = Graph(3, edges, Marks(0, 2))
+        tables = even_lattice(g)
+        assert even_lattice(Graph(3, edges, Marks(0, 2))) is tables
+        # the marks are part of the graph: other marks, same tables, not shared
+        unmarked = even_lattice(Graph(3, edges))
+        assert unmarked == tables and unmarked is not tables

@@ -13,7 +13,7 @@ from loopcurrents.errors import (
     ParametrizationError,
 )
 from loopcurrents import measures, overview
-from loopcurrents.battery import verification_battery
+from loopcurrents.battery import scan_battery, verification_battery
 from loopcurrents.checkers import fkg_gaps, fkg_pair_gap
 from loopcurrents.events import (
     all_open,
@@ -57,6 +57,7 @@ from loopcurrents.measures import (
     union_bernoulli,
 )
 from loopcurrents.overview import KNOWN_VERDICTS
+from loopcurrents.rationals import dyadic_grid
 
 from oracles import (
     bit_masses_per_law,
@@ -184,6 +185,13 @@ class TestUnion:
         g = THETA111
         x = F(2, 5)
         assert union(bernoulli(g, x), bernoulli(g, x)).same_law(bernoulli(g, x * (2 - x)))
+
+    def test_bernoulli_self_union_on_the_lattice_kernel(self):
+        # verify sumthm unites each Bernoulli law with itself this way
+        for _, g in scan_battery():
+            for x in dyadic_grid(4):
+                b = bernoulli(g, x)
+                assert union(b, b).same_law(union_bernoulli(b, x)), (g, x)
 
     def test_single_edge_cluster_is_bernoulli(self):
         # the loop model on a tree is the point mass at the empty set
