@@ -11,7 +11,10 @@ references.  The float goodness-of-fit statistics for the
 samplers, the coupled sampler's per-draw ``Generator.choice`` route and the
 chain's exact transition matrix live here too: no certifying route reads
 them.  So do the closed forms, tables and
-serializations that only tests read.
+serializations that only tests read, and Dinic's max-flow: the bipartite
+domination oracle runs it, and so do the flow tests on the package's own
+covering networks, so neither shares flow code with the package's
+push-relabel.
 """
 
 import json
@@ -19,7 +22,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Iterable
 
-from loopcurrents.checkers import DominationReport, UpSetWitness, _Dinic, _upset_witness
+from loopcurrents.checkers import DominationReport, UpSetWitness, _upset_witness
 from loopcurrents.errors import CapExceededError, GraphMismatchError, LoopCurrentsError
 from loopcurrents.events import Event
 from loopcurrents.graphs import (
@@ -202,6 +205,84 @@ def domination_bruteforce(d_lo: Dist, d_hi: Dist, cap: int = 16) -> DominationRe
     return DominationReport(True, coupling=())
 
 
+class Dinic:
+    """Max flow with arbitrary-precision integer capacities.  Arc idx runs
+    to ``to[idx]`` with residual capacity ``cap[idx]``, its reverse arc is
+    idx ^ 1, and ``head[u]`` lists the arcs out of u.  The flow writes only
+    ``cap``, so one pair of arc lists can serve many networks."""
+
+    def __init__(self, head: list[list[int]], to: list[int], cap: list[int]):
+        self.n = len(head)
+        self.head, self.to, self.cap = head, to, cap
+
+    def max_flow(self, s: int, t: int) -> int:
+        head, to, cap = self.head, self.to, self.cap
+        flow = 0
+        while True:
+            # BFS levels of the residual network, up to t's level
+            level = [-1] * self.n
+            level[s] = 0
+            queue = [s]
+            for u in queue:
+                if level[t] >= 0:
+                    break
+                nxt = level[u] + 1
+                for idx in head[u]:
+                    v = to[idx]
+                    if level[v] < 0 and cap[idx]:
+                        level[v] = nxt
+                        queue.append(v)
+            if level[t] < 0:
+                return flow
+            # blocking flow: walk forward along admissible arcs, push on
+            # reaching t, retreat when stuck
+            it = [0] * self.n
+            stack = [s]
+            path: list[int] = []
+            while stack:
+                u = stack[-1]
+                if u == t:
+                    pushed = min(cap[idx] for idx in path)
+                    for idx in path:
+                        cap[idx] -= pushed
+                        cap[idx ^ 1] += pushed
+                    flow += pushed
+                    for pos, idx in enumerate(path):
+                        if not cap[idx]:
+                            del stack[pos + 1 :]
+                            del path[pos:]
+                            break
+                    continue
+                arcs, i, want = head[u], it[u], level[u] + 1
+                end = len(arcs)
+                while i < end:
+                    idx = arcs[i]
+                    if cap[idx] and level[to[idx]] == want:
+                        break
+                    i += 1
+                it[u] = i
+                if i < end:
+                    stack.append(to[idx])
+                    path.append(idx)
+                else:
+                    level[u] = -1  # dead end for this phase
+                    stack.pop()
+                    if path:
+                        path.pop()
+
+    def min_cut_side(self, s: int) -> set[int]:
+        """Vertices reachable from s in the residual network."""
+        seen = {s}
+        queue = [s]
+        for u in queue:
+            for idx in self.head[u]:
+                v = self.to[idx]
+                if self.cap[idx] > 0 and v not in seen:
+                    seen.add(v)
+                    queue.append(v)
+        return seen
+
+
 def domination_bipartite(d_lo: Dist, d_hi: Dist) -> DominationReport:
     """Strassen domination on the bipartite comparability network.
 
@@ -239,7 +320,7 @@ def domination_bipartite(d_lo: Dist, d_hi: Dist) -> DominationReport:
         for b in hi_masks
         if a & ~b == 0
     }
-    net = _Dinic(head, to, cap)
+    net = Dinic(head, to, cap)
     if net.max_flow(0, 1) == total:
         coupling = tuple(
             (a, b, Fraction(total - net.cap[idx], total))
