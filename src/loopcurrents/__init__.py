@@ -5,11 +5,8 @@ __version__ = "0.1.0"
 
 from .checkers import (
     DominationReport,
-    FkgReport,
     fkg_gaps,
     fkg_pair_gap,
-    fkg_report,
-    lattice_condition,
     monotonicity_scan,
     stochastic_domination,
 )

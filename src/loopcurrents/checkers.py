@@ -10,14 +10,20 @@ so the verdict and both kinds of certificate are exact:
 * failure returns an up-set U, as its minimal elements, whose masses
   violate mu_lo(U) <= mu_hi(U), extracted from the min cut.
 
-Monotonicity scans need only the verdict, and try a flow-free route first:
-when both laws give every configuration positive weight, Holley's
-criterion in its local form (:func:`_holley_local`) is checked with exact
-integer products.  If mu_hi is a lattice law, its single-edge conditional
-probabilities increase with the rest of the configuration, so the
-heat-bath coupling of the two laws is monotone and mu_lo <= mu_hi.  The
-criterion is only sufficient: when it fails, the scan runs the flow, and
-every refutation and witness still comes from the min cut.
+Monotonicity scans need only the verdict, and :func:`monotonicity_scan`
+takes each step by the first of three routes that applies:
+
+* ``loop-union``: the caller has proved the step dominates and names it in
+  ``certified``; the scan skips it.  The table certifies a union row's
+  step this way from the loop law's step (``overview.loop_union_steps``).
+* ``holley-local``: when both laws give every configuration positive
+  weight, Holley's criterion in its local form (:func:`_holley_local`) is
+  checked with exact integer products.  If mu_hi is a lattice law, its
+  single-edge conditional probabilities increase with the rest of the
+  configuration, so the heat-bath coupling of the two laws is monotone and
+  mu_lo <= mu_hi.  The criterion is only sufficient.
+* ``flow``: the covering network's max-flow, the only route that can fail
+  a step; every refutation and witness comes from its min cut.
 """
 
 from __future__ import annotations
@@ -26,7 +32,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
-from typing import Sequence
+from typing import Container, Sequence
 
 from .errors import CapExceededError, LoopCurrentsError
 from .events import Event
@@ -96,40 +102,6 @@ class DominationReport:
         return out
 
 
-@dataclass(frozen=True)
-class LatticeViolation:
-    first: int
-    second: int
-    join_weight: Fraction
-    meet_weight: Fraction
-    product: Fraction
-
-    def to_json_dict(self) -> dict:
-        return {
-            "first": hex(self.first),
-            "second": hex(self.second),
-            "join_times_meet": format_rational(self.join_weight * self.meet_weight),
-            "product": format_rational(self.product),
-        }
-
-
-@dataclass(frozen=True)
-class FkgReport:
-    pair_gaps: tuple[tuple[str, str, Fraction], ...] = ()
-    lattice_holds: bool | None = None
-    lattice_violation: LatticeViolation | None = None
-
-    def to_json_dict(self) -> dict:
-        out: dict = {
-            "pair_gaps": [[a, b, format_rational(g)] for a, b, g in self.pair_gaps],
-        }
-        if self.lattice_holds is not None:
-            out["lattice_condition"] = self.lattice_holds
-        if self.lattice_violation is not None:
-            out["lattice_violation"] = self.lattice_violation.to_json_dict()
-        return out
-
-
 # ---------------------------------------------------------------------------
 # FKG
 
@@ -169,51 +141,6 @@ def fkg_gaps(
 def fkg_pair_gap(d: Dist, a: Event, b: Event, require_increasing: bool = True) -> Fraction:
     """P(A and B) - P(A)P(B), exact.  Negative certifies an FKG violation."""
     return fkg_gaps([d], [(a, b)], require_increasing)[0][0]
-
-
-def fkg_report(
-    d: Dist,
-    event_pairs: Sequence[tuple[Event, Event]],
-    check_lattice: bool = False,
-) -> FkgReport:
-    """Bundle pairwise FKG gaps over an event battery, optionally with the
-    lattice-condition verdict.  Negative gaps certify FKG violations; the
-    lattice condition is only sufficient, so its failure alone proves
-    nothing about FKG."""
-    (row,) = fkg_gaps([d], event_pairs)
-    gaps = tuple((a.describe(), b.describe(), gap) for (a, b), gap in zip(event_pairs, row))
-    if not check_lattice:
-        return FkgReport(pair_gaps=gaps)
-    lattice = lattice_condition(d)
-    return FkgReport(
-        pair_gaps=gaps,
-        lattice_holds=lattice.lattice_holds,
-        lattice_violation=lattice.lattice_violation,
-    )
-
-
-def lattice_condition(d: Dist) -> FkgReport:
-    """Check P(join) P(meet) >= P(w) P(w') over all support pairs.
-
-    Off-support configurations count as weight zero.  Returns the first
-    violating pair in lexicographic mask order; the condition is sufficient
-    for FKG but not necessary, so a failure here is not an FKG violation by
-    itself.
-    """
-    nums, den = d.nums, d.den
-    masks = sorted(nums)
-    for i, m1 in enumerate(masks):
-        w1 = nums[m1]
-        for m2 in masks[i + 1 :]:
-            w2 = nums[m2]
-            join = nums.get(m1 | m2, 0)
-            meet = nums.get(m1 & m2, 0)
-            if join * meet < w1 * w2:
-                violation = LatticeViolation(
-                    m1, m2, Fraction(join, den), Fraction(meet, den), Fraction(w1 * w2, den * den)
-                )
-                return FkgReport(lattice_holds=False, lattice_violation=violation)
-    return FkgReport(lattice_holds=True)
 
 
 # ---------------------------------------------------------------------------
@@ -550,21 +477,24 @@ def _upset_witness(generators: Sequence[int], d_lo: Dist, d_hi: Dist) -> UpSetWi
 # Scans
 
 
-def monotonicity_scan(laws: Sequence[Dist]) -> list[tuple[int, UpSetWitness]]:
+def monotonicity_scan(
+    laws: Sequence[Dist], certified: Container[int] = ()
+) -> list[tuple[int, UpSetWitness]]:
     """Check stochastic domination between consecutive laws of a family.
 
     Returns ``(j, witness)`` for every step where ``laws[j]`` fails to
-    dominate ``laws[j - 1]``, with the min cut's up-set.  A step whose laws
-    meet the local Holley criterion (:func:`_holley_local`: both laws
-    strictly positive, the higher one a lattice law) dominates without a
-    flow; every other step runs the covering network's max-flow, and no
-    coupling is built.  An empty list is scan evidence, never a
-    monotonicity proof.
+    dominate ``laws[j - 1]``, with the min cut's up-set.  A step j in
+    ``certified`` is one the caller has proved to dominate by another route
+    and is skipped.  A step whose laws meet the local Holley criterion
+    (:func:`_holley_local`: both laws strictly positive, the higher one a
+    lattice law) dominates without a flow; every other step runs the
+    covering network's max-flow, and no coupling is built.  An empty list
+    is scan evidence, never a monotonicity proof.
     """
     failures = []
     for j in range(1, len(laws)):
         lo, hi = laws[j - 1], laws[j]
-        if not _holley_local(lo, hi):
+        if j not in certified and not _holley_local(lo, hi):
             witness = _CoveringFlow(lo, hi).witness
             if witness is not None:
                 failures.append((j, witness))

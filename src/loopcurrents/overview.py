@@ -20,13 +20,25 @@ Each graph's scans share one law per grid point; FKG reads the laws in one
 ``checkers.fkg_gaps`` call, and CON and SING share one
 ``measures.bit_masses`` pass over them, whose connection bits every scanned
 row computes once per configuration of the graph.
+
+MON takes each step of a scanned row by one of three routes.  The first,
+``loop-union``, rests on the rows being couplings: k independent loop laws
+unioned with Bernoulli(p(x)).  If the loop law at x2 dominates the one at
+x1 and p(x1) <= p(x2), the row at x2 dominates the row at x1
+(:func:`loop_union_steps`), so one loop-law scan per graph, on supports of
+a few masks, serves all three rows.  Every other step goes to
+``holley-local`` and then ``flow`` on the row's own laws
+(``checkers.monotonicity_scan``), so every violation and its up-set still
+comes from a min cut on the model's laws.  ``verify sumthm`` checks this
+very lemma, so it scans the union laws themselves and never uses the
+route.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
-from typing import Sequence
+from typing import Container, Sequence
 
 from . import theta
 from .battery import scan_battery
@@ -35,7 +47,7 @@ from .errors import LoopCurrentsError
 from .events import Event, all_open, connect, edge_open
 from .graphs import Graph, component_labels, counter_family
 from .intervals import certify_decreasing_pair
-from .measures import MODELS, Dist, bit_masses, build, pythagorean_x
+from .measures import MODELS, Dist, bit_masses, build, loop_o1, pythagorean_x
 from .rationals import (
     decimal_string,
     dyadic_grid,
@@ -279,10 +291,36 @@ def scan_fkg(name: str, g: Graph, laws, grid) -> list[dict]:
     ]
 
 
-def scan_mon(name: str, laws, grid) -> list[dict]:
+def loop_dominating_steps(g: Graph, grid) -> set[int]:
+    """Steps j of ``grid`` at which the loop law at grid[j] dominates the one
+    at grid[j - 1].  Loop laws are not strictly positive, so every step runs
+    the flow (:func:`~loopcurrents.checkers.monotonicity_scan`), on the few
+    masks of the loop laws' support."""
+    failing = {j for j, _ in monotonicity_scan([loop_o1(g, x) for x in grid])}
+    return set(range(1, len(grid))) - failing
+
+
+def loop_union_steps(model: str, grid, loop_steps: set[int]) -> set[int]:
+    """The ``loop-union`` route: the steps j of ``grid`` at which the law of
+    ``model`` at grid[j] dominates the one at grid[j - 1] because the loop
+    law does (j in ``loop_steps``) and p(grid[j - 1]) <= p(grid[j]) for the
+    row's Bernoulli parameter p, checked exactly.
+
+    The lemma: the row is k independent loop laws unioned with
+    Bernoulli(p(x)).  Couple each loop copy monotonically from x1 to x2 and
+    each Bernoulli edge monotonically, all independently; union is
+    increasing in each part, so the coupling keeps the row at x1 below the
+    row at x2.  The route only certifies, never refutes."""
+    _, p = MODELS[model]
+    return {j for j in loop_steps if p(grid[j - 1]) <= p(grid[j])}
+
+
+def scan_mon(name: str, laws, grid, certified: Container[int] = ()) -> list[dict]:
     """Consecutive-pair stochastic domination scan of graph ``name`` under
-    the laws ``laws[x]``: Holley's local criterion where it holds, else an
-    exact max-flow (:func:`~loopcurrents.checkers.monotonicity_scan`)."""
+    the laws ``laws[x]`` (:func:`~loopcurrents.checkers.monotonicity_scan`):
+    the steps in ``certified`` hold by the ``loop-union`` route, and every
+    other step takes Holley's local criterion where it holds
+    (``holley-local``), else an exact max-flow (``flow``)."""
     return [
         {
             "graph": name,
@@ -290,20 +328,22 @@ def scan_mon(name: str, laws, grid) -> list[dict]:
             "x2": format_rational(grid[j]),
             "witness": witness.to_json_dict(),
         }
-        for j, witness in monotonicity_scan([laws[x] for x in grid])
+        for j, witness in monotonicity_scan([laws[x] for x in grid], certified)
     ]
 
 
 def _scan_graph(
-    model: str, name: str, g: Graph, grid, mon_grid, memo: dict[int, int]
+    model: str, name: str, g: Graph, grid, mon_grid, memo: dict[int, int], loop_steps: set[int]
 ) -> dict[str, list[dict]]:
     """Violations of each scanned property on one graph, from one law per
     grid point shared by the four scans; ``memo`` is the graph's connection
-    bits (:func:`_connection_masses`)."""
+    bits (:func:`_connection_masses`) and ``loop_steps`` its loop law's
+    dominating MON steps (:func:`loop_dominating_steps`)."""
     laws = {x: build(model, g, x) for x in sorted({*grid, *mon_grid})}
+    certified = loop_union_steps(model, mon_grid, loop_steps)
     return {
         "FKG": scan_fkg(name, g, laws, grid),
-        "MON": scan_mon(name, laws, mon_grid),
+        "MON": scan_mon(name, laws, mon_grid, certified),
         **scan_connection(name, g, laws, grid, memo),
     }
 
@@ -321,8 +361,10 @@ def build_overview(
 
     ``grid_resolution`` controls the dyadic grid (2^r - 1 points) used both
     for counterexample localization and for scans.  Domination scans may use
-    a coarser grid via ``mon_grid_resolution``, since a step that fails
-    Holley's local criterion runs an exact max flow.
+    a coarser grid via ``mon_grid_resolution``.  Each graph's loop laws are
+    scanned once on that grid, and a scanned row's MON step takes the
+    ``loop-union`` route where the loop step dominates, else Holley's local
+    criterion or an exact max flow on the row's laws (:func:`scan_mon`).
     """
     grid = dyadic_grid(grid_resolution)
     mon_grid = dyadic_grid(grid_resolution if mon_grid_resolution is None else mon_grid_resolution)
@@ -334,8 +376,10 @@ def build_overview(
     }
 
     cells: dict[str, dict[str, dict]] = {m: {} for m in MODELS}
-    # one connection-bits memo per graph, shared by the scanned rows
+    # per graph, shared by the scanned rows: the connection bits and the
+    # loop law's dominating MON steps
     memos: list[dict[int, int]] = [{} for _ in graphs]
+    loop_steps = [loop_dominating_steps(g, mon_grid) for _, g in graphs]
 
     def put(model, prop, status, payload):
         cells[model][prop] = {
@@ -374,8 +418,8 @@ def build_overview(
                 put(model, prop, CERTIFIED_FALSE, {"witness": witness})
             continue
         violations: dict[str, list[dict]] = {prop: [] for prop in PROPERTIES}
-        for (name, g), memo in zip(graphs, memos):
-            for prop, found in _scan_graph(model, name, g, grid, mon_grid, memo).items():
+        for (name, g), memo, steps in zip(graphs, memos, loop_steps):
+            for prop, found in _scan_graph(model, name, g, grid, mon_grid, memo, steps).items():
                 violations[prop] += found
         for prop, found in violations.items():
             if KNOWN_VERDICTS[model][prop] == HOLDS:

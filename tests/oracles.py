@@ -11,18 +11,21 @@ references.  The float goodness-of-fit statistics for the
 samplers, the coupled sampler's per-draw ``Generator.choice`` route and the
 chain's exact transition matrix live here too: no certifying route reads
 them.  So do the closed forms, tables and
-serializations that only tests read, and Dinic's max-flow: the bipartite
+serializations that only tests read, the all-pairs lattice condition (the
+oracle of the two-edge form the Holley route checks) with the FKG report
+around it, and Dinic's max-flow: the bipartite
 domination oracle runs it, and so do the flow tests on the package's own
 covering networks, so neither shares flow code with the package's
 push-relabel.
 """
 
 import json
+from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Iterable
+from typing import Iterable, Sequence
 
-from loopcurrents.checkers import DominationReport, UpSetWitness, _upset_witness
+from loopcurrents.checkers import DominationReport, UpSetWitness, _upset_witness, fkg_gaps
 from loopcurrents.errors import CapExceededError, GraphMismatchError, LoopCurrentsError
 from loopcurrents.events import Event
 from loopcurrents.graphs import (
@@ -352,6 +355,91 @@ def check_increasing_all_pairs(ev: Event, cap: int = 16):
                 break
             extra = (extra - 1) & comp
     return True, None
+
+
+# ---------------------------------------------------------------------------
+# The lattice condition over all support pairs, the oracle of the two-edge
+# form that ``checkers._holley_local`` checks, and the FKG report that
+# bundles it with ``checkers.fkg_gaps``
+
+
+@dataclass(frozen=True)
+class LatticeViolation:
+    first: int
+    second: int
+    join_weight: Fraction
+    meet_weight: Fraction
+    product: Fraction
+
+    def to_json_dict(self) -> dict:
+        return {
+            "first": hex(self.first),
+            "second": hex(self.second),
+            "join_times_meet": format_rational(self.join_weight * self.meet_weight),
+            "product": format_rational(self.product),
+        }
+
+
+@dataclass(frozen=True)
+class FkgReport:
+    pair_gaps: tuple[tuple[str, str, Fraction], ...] = ()
+    lattice_holds: bool | None = None
+    lattice_violation: LatticeViolation | None = None
+
+    def to_json_dict(self) -> dict:
+        out: dict = {
+            "pair_gaps": [[a, b, format_rational(g)] for a, b, g in self.pair_gaps],
+        }
+        if self.lattice_holds is not None:
+            out["lattice_condition"] = self.lattice_holds
+        if self.lattice_violation is not None:
+            out["lattice_violation"] = self.lattice_violation.to_json_dict()
+        return out
+
+
+def fkg_report(
+    d: Dist,
+    event_pairs: Sequence[tuple[Event, Event]],
+    check_lattice: bool = False,
+) -> FkgReport:
+    """Bundle pairwise FKG gaps over an event battery, optionally with the
+    lattice-condition verdict.  Negative gaps certify FKG violations; the
+    lattice condition is only sufficient, so its failure alone proves
+    nothing about FKG."""
+    (row,) = fkg_gaps([d], event_pairs)
+    gaps = tuple((a.describe(), b.describe(), gap) for (a, b), gap in zip(event_pairs, row))
+    if not check_lattice:
+        return FkgReport(pair_gaps=gaps)
+    lattice = lattice_condition(d)
+    return FkgReport(
+        pair_gaps=gaps,
+        lattice_holds=lattice.lattice_holds,
+        lattice_violation=lattice.lattice_violation,
+    )
+
+
+def lattice_condition(d: Dist) -> FkgReport:
+    """Check P(join) P(meet) >= P(w) P(w') over all support pairs.
+
+    Off-support configurations count as weight zero.  Returns the first
+    violating pair in lexicographic mask order; the condition is sufficient
+    for FKG but not necessary, so a failure here is not an FKG violation by
+    itself.
+    """
+    nums, den = d.nums, d.den
+    masks = sorted(nums)
+    for i, m1 in enumerate(masks):
+        w1 = nums[m1]
+        for m2 in masks[i + 1 :]:
+            w2 = nums[m2]
+            join = nums.get(m1 | m2, 0)
+            meet = nums.get(m1 & m2, 0)
+            if join * meet < w1 * w2:
+                violation = LatticeViolation(
+                    m1, m2, Fraction(join, den), Fraction(meet, den), Fraction(w1 * w2, den * den)
+                )
+                return FkgReport(lattice_holds=False, lattice_violation=violation)
+    return FkgReport(lattice_holds=True)
 
 
 def prob_bruteforce(d: Dist, event: Event) -> Fraction:

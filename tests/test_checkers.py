@@ -13,7 +13,6 @@ from loopcurrents.checkers import (
     DominationReport,
     fkg_gaps,
     fkg_pair_gap,
-    lattice_condition,
     monotonicity_scan,
     stochastic_domination,
 )
@@ -47,7 +46,13 @@ from loopcurrents.theta import (
     theta_loop_events,
 )
 
-from oracles import Dinic, domination_bipartite, domination_bruteforce
+from oracles import (
+    Dinic,
+    domination_bipartite,
+    domination_bruteforce,
+    fkg_report,
+    lattice_condition,
+)
 
 F = Fraction
 THETA111 = generalized_theta([1, 1, 1])
@@ -138,7 +143,7 @@ class TestGraphMismatch:
         with pytest.raises(GraphMismatchError):
             fkg_pair_gap(d, edge_open(THETA111, 0), foreign[1])
         with pytest.raises(GraphMismatchError):
-            checkers.fkg_report(d, [foreign])
+            fkg_gaps([d], [foreign])
 
     def test_gaps_refuse_laws_of_different_graphs(self):
         pair = (edge_open(THETA111, 0), edge_open(THETA111, 1))
@@ -161,8 +166,6 @@ class TestGraphMismatch:
 
 class TestFkgReport:
     def test_bundles_gaps_and_lattice(self):
-        from loopcurrents.checkers import fkg_report
-
         g, first, second = theta_loop_events(2, 2)
         d = loop_o1(g, F(1, 10))
         report = fkg_report(d, [(first, second)], check_lattice=True)

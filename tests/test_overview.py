@@ -1,9 +1,22 @@
+import hashlib
+import json
 from collections import Counter
+from fractions import Fraction
 from itertools import combinations
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from loopcurrents import checkers, overview
+from loopcurrents.battery import scan_battery
 from loopcurrents.events import connect, custom
-from loopcurrents.graphs import component_labels, complete_graph, counter_family, generalized_theta
+from loopcurrents.graphs import (
+    Graph,
+    component_labels,
+    complete_graph,
+    counter_family,
+    generalized_theta,
+)
 from loopcurrents.measures import MODELS, build, prob
 from loopcurrents.rationals import dyadic_grid, format_rational
 
@@ -107,3 +120,79 @@ def test_a_double_current_mon_scan_builds_its_covering_arcs_once(flow_networks):
     assert flow_networks == [2 + (1 << g.edge_count)] * (len(grid) - 1)
     info = checkers._covering_arcs.cache_info()
     assert (info.misses, info.hits) == (1, len(grid) - 2)
+
+
+# The rows whose MON cells are scanned, each k loop copies union Bernoulli(p).
+UNION_ROWS = ("random_cluster", "double_current", "double_cluster")
+
+# theta[1,1,3] alone: its loop law fails to dominate at steps 54-62 of the
+# 63-point grid, so those steps of every scanned row take the fallback
+# routes.  sha256 of its build_overview(6) JSON as computed with every MON
+# step scanned on the rows' own laws.
+THETA113 = generalized_theta([1, 1, 3])
+THETA113_TABLE_DIGEST = "87f9783637c8e86262a264313414d994838b72ef8db952ddf7940b7cad7b1114"
+
+
+def test_fallback_steps_leave_the_table_unchanged():
+    assert overview.loop_dominating_steps(THETA113, dyadic_grid(6)) == set(range(1, 54))
+    report = overview.build_overview(6, graphs=[("theta[1,1,3]", THETA113)])
+    text = json.dumps(report, indent=2)
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == THETA113_TABLE_DIGEST
+
+
+def test_the_loop_union_route_changes_no_mon_scan():
+    grid = dyadic_grid(6)
+    for name, g in [*scan_battery(), ("theta[1,1,3]", THETA113)]:
+        loop_steps = overview.loop_dominating_steps(g, grid)
+        assert loop_steps == set(range(1, 54 if g is THETA113 else len(grid)))
+        for model in UNION_ROWS:
+            laws = [build(model, g, x) for x in grid]
+            certified = overview.loop_union_steps(model, grid, loop_steps)
+            assert certified == loop_steps
+            assert checkers.monotonicity_scan(laws, certified) == checkers.monotonicity_scan(laws)
+
+
+def test_battery_mon_scans_touch_no_model_law(flow_networks, monkeypatch):
+    # every step of the four battery graphs takes the loop-union route: the
+    # loop scan's flows are the only ones, and no Holley check runs
+    holley = Counter()
+
+    def counting_holley(lo, hi):
+        holley[lo.graph.edges] += 1
+        return checkers._holley_local(lo, hi)
+
+    grid = dyadic_grid(6)
+    battery = [(name, g, overview.loop_dominating_steps(g, grid)) for name, g in scan_battery()]
+    assert len(flow_networks) == 4 * (len(grid) - 1)
+    flow_networks.clear()
+    monkeypatch.setattr(checkers, "_holley_local", counting_holley)
+    for name, g, loop_steps in battery:
+        for model in UNION_ROWS:
+            laws = {x: build(model, g, x) for x in grid}
+            certified = overview.loop_union_steps(model, grid, loop_steps)
+            assert overview.scan_mon(name, laws, grid, certified) == []
+    assert flow_networks == [] and not holley
+
+
+@st.composite
+def loopless_multigraphs(draw) -> Graph:
+    n = draw(st.integers(2, 5))
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda e: e[0] != e[1])
+    return Graph(n, tuple(draw(st.lists(pairs, min_size=1, max_size=8))))
+
+
+open_unit = st.fractions(0, 1, max_denominator=12).filter(lambda x: 0 < x < 1)
+
+
+@settings(max_examples=40, deadline=None)
+@given(g=loopless_multigraphs(), xs=st.lists(open_unit, min_size=2, max_size=2, unique=True))
+def test_the_loop_union_lemma_against_the_flow(g, xs):
+    x1, x2 = sorted(xs)
+    up, down = [x1, x2], [x2, x1]
+    loop_up = overview.loop_dominating_steps(g, up)
+    loop_down = overview.loop_dominating_steps(g, down)
+    for model in UNION_ROWS:
+        if overview.loop_union_steps(model, up, loop_up):
+            assert checkers.stochastic_domination(build(model, g, x1), build(model, g, x2)).dominates
+        # control: p falls along a decreasing grid, so the route certifies nothing
+        assert overview.loop_union_steps(model, down, loop_down) == set()
