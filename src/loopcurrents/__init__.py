@@ -6,7 +6,6 @@ __version__ = "0.1.0"
 from .checkers import (
     DominationReport,
     fkg_gaps,
-    fkg_pair_gap,
     monotonicity_scan,
     stochastic_domination,
 )
@@ -21,16 +20,10 @@ from .events import (
     Event,
     Statistic,
     all_open,
-    check_increasing,
     connect,
-    connect_sets,
-    custom,
     cyclic_count,
-    edge_count,
     edge_open,
-    edge_open_cyclic,
     statistic_dist,
-    verified_increasing,
 )
 from .graphs import (
     CycleBasis,
@@ -66,9 +59,5 @@ from .measures import (
     union,
     union_bernoulli,
 )
-from .rationals import (
-    Rational,
-    dyadic_grid,
-    find_decreasing_pair,
-)
+from .rationals import dyadic_grid, find_decreasing_pair
 from .sampler import loop_chain, sample_stream

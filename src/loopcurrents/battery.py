@@ -1,4 +1,4 @@
-"""Standard graph batteries and parameter sets for verification runs.
+"""Standard graph batteries for verification runs.
 
 The random members are generated from a fixed seed so the battery is the
 same in every run and in every report.
@@ -7,17 +7,8 @@ same in every run and in every report.
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 
 from .graphs import Graph, complete_graph, counter_family, generalized_theta
-
-STANDARD_X = (
-    Fraction(1, 10),
-    Fraction(1, 4),
-    Fraction(1, 2),
-    Fraction(3, 4),
-    Fraction(9, 10),
-)
 
 RANDOM_BATTERY_SEED = 20220919
 RANDOM_BATTERY_SIZE = 20

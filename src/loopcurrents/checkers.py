@@ -121,8 +121,8 @@ def fkg_gaps(
     events = list({id(ev): ev for pair in event_pairs for ev in pair}.values())
     if require_increasing and not all(ev.increasing for ev in events):
         raise LoopCurrentsError(
-            "FKG gaps need events verified increasing; "
-            "use events.verified_increasing or pass require_increasing=False"
+            "FKG gaps need events flagged increasing (connect, edge_open, all_open); "
+            "pass require_increasing=False to compute the gaps of other events"
         )
     _require_same_graph(
         *(ev.graph for ev in events), *(d.graph for d in dists), what="events and distributions"
@@ -136,11 +136,6 @@ def fkg_gaps(
 
     rows = bit_masses(dists, stat, k + len(pairs))
     return [[row[k + j] - row[i] * row[i2] for j, (i, i2) in enumerate(pairs)] for row in rows]
-
-
-def fkg_pair_gap(d: Dist, a: Event, b: Event, require_increasing: bool = True) -> Fraction:
-    """P(A and B) - P(A)P(B), exact.  Negative certifies an FKG violation."""
-    return fkg_gaps([d], [(a, b)], require_increasing)[0][0]
 
 
 # ---------------------------------------------------------------------------

@@ -3,9 +3,10 @@ suites and sample dumps.
 
 Exit codes: 0 all checks pass (or nothing was found where nothing was
 expected), 2 a certified counterexample was found where one was requested
-(success for counterexample commands), 1 internal error or failed
-verification.  Every command writes a JSON run manifest next to its output
-with parameters and SHA-256 digests, so reports are reproducible.
+(success for counterexample commands), 1 internal error, rejected
+arguments or failed verification.  Every command writes a JSON run
+manifest next to its output with parameters and SHA-256 digests, so
+reports are reproducible.
 """
 
 from __future__ import annotations
@@ -252,9 +253,7 @@ def cmd_figure(args) -> int:
 
 def cmd_table(args) -> int:
     started = time.time()
-    report = build_overview(
-        grid_resolution=args.grid_steps, mon_grid_resolution=args.mon_grid_steps
-    )
+    report = build_overview(grid_resolution=args.grid_steps)
     out = Path(args.out)
     out.write_text(json.dumps(report, indent=2), encoding="utf-8")
     write_manifest(out, "table", _params(args), [out], started)
@@ -502,12 +501,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     tab = sub.add_parser("table", help="model-by-property certification table")
     tab.add_argument("--grid-steps", type=int, default=6, help="dyadic resolution (2^s - 1 points)")
-    tab.add_argument(
-        "--mon-grid-steps",
-        type=int,
-        default=None,
-        help="separate resolution for domination scans",
-    )
     tab.add_argument("--out", required=True)
     tab.set_defaults(func=cmd_table)
 
@@ -541,8 +534,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse exits 0 after --help or --version, 2 on bad arguments
+        return EXIT_OK if exc.code == 0 else EXIT_FAILURE
     try:
         return args.func(args)
     except LoopCurrentsError as exc:

@@ -300,9 +300,9 @@ def span_masks(elements: tuple[int, ...]) -> Iterator[int]:
         yield current
 
 
-def even_subgraphs(g: Graph, mask: int | None = None) -> Iterator[int]:
-    """Enumerate the even subgraphs of (V, mask) without duplicates."""
-    basis = cycle_space_basis(g, mask)
+def even_subgraphs(g: Graph) -> Iterator[int]:
+    """Enumerate the even subgraphs of g without duplicates."""
+    basis = cycle_space_basis(g)
     if basis.dimension > CYCLE_DIMENSION_CAP:
         raise CapExceededError("even-subgraph span", basis.dimension, CYCLE_DIMENSION_CAP)
     return span_masks(basis.elements)

@@ -281,7 +281,7 @@ def scan_fkg(name: str, g: Graph, laws, grid) -> list[dict]:
     return [
         {
             "graph": name,
-            "events": [a.describe(), b.describe()],
+            "events": [a.label, b.label],
             "x": format_rational(x),
             "gap": format_rational(gap),
         }
@@ -361,8 +361,9 @@ def build_overview(
 
     ``grid_resolution`` controls the dyadic grid (2^r - 1 points) used both
     for counterexample localization and for scans.  Domination scans may use
-    a coarser grid via ``mon_grid_resolution``.  Each graph's loop laws are
-    scanned once on that grid, and a scanned row's MON step takes the
+    another grid via ``mon_grid_resolution``; the ``table`` command scans on
+    the one grid.  Each graph's loop laws are scanned once on the domination
+    grid, and a scanned row's MON step takes the
     ``loop-union`` route where the loop step dominates, else Holley's local
     criterion or an exact max flow on the row's laws (:func:`scan_mon`).
     """

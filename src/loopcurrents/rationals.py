@@ -13,8 +13,6 @@ from typing import Callable, Sequence
 
 from .errors import ParametrizationError
 
-Rational = Fraction
-
 
 def parse_rational(text: str) -> Fraction:
     """Parse 'num/den' or a plain integer/decimal string."""
@@ -52,7 +50,9 @@ def dyadic_grid(resolution: int) -> list[Fraction]:
 
 
 def dyadic_window_grid(lo: Fraction, hi: Fraction, steps: int) -> list[Fraction]:
-    """``steps`` evenly spaced points in (lo, hi], endpoints rational."""
+    """The points lo + k (hi - lo) / steps, k = 1..steps, of (lo, hi] that lie
+    below 1: with hi = 1 the last point is dropped, so the window 255/256:1
+    with 2^7 steps gives 127 points."""
     if not 0 <= lo < hi <= 1:
         raise ParametrizationError(f"window {lo}:{hi} must satisfy 0 <= lo < hi <= 1")
     if steps < 1:

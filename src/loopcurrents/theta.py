@@ -449,5 +449,5 @@ def intersect_all_open(first: Event, second: Event) -> Event:
         first.graph,
         lambda mask: first.holds(mask) and second.holds(mask),
         first.increasing and second.increasing,
-        f"{first.describe()}&{second.describe()}",
+        f"{first.label}&{second.label}",
     )

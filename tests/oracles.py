@@ -11,7 +11,9 @@ references.  The float goodness-of-fit statistics for the
 samplers, the coupled sampler's per-draw ``Generator.choice`` route and the
 chain's exact transition matrix live here too: no certifying route reads
 them.  So do the closed forms, tables and
-serializations that only tests read, the all-pairs lattice condition (the
+serializations that only tests read, the vertex-set connection event (the
+oracle of the table's connection masses), the covering-pair and all-pairs
+scans of an event's monotonicity, the all-pairs lattice condition (the
 oracle of the two-edge form the Holley route checks) with the FKG report
 around it, and Dinic's max-flow: the bipartite
 domination oracle runs it, and so do the flow tests on the package's own
@@ -26,14 +28,21 @@ from math import lcm
 from typing import Iterable, Sequence
 
 from loopcurrents.checkers import DominationReport, UpSetWitness, _upset_witness, fkg_gaps
-from loopcurrents.errors import CapExceededError, GraphMismatchError, LoopCurrentsError
-from loopcurrents.events import Event
+from loopcurrents.errors import (
+    CapExceededError,
+    GraphMismatchError,
+    GraphStructureError,
+    LoopCurrentsError,
+)
+from loopcurrents.events import Event, _check_vertices
 from loopcurrents.graphs import (
     Graph,
+    component_labels,
     counter_family,
     cycle_space_basis,
     edges_of_mask,
     is_connected,
+    lattice_size,
     span_masks,
 )
 from loopcurrents.measures import MODELS, Dist, loop_o1, point_mass
@@ -336,6 +345,45 @@ def domination_bipartite(d_lo: Dist, d_hi: Dist) -> DominationReport:
     return DominationReport(False, witness=_upset_witness(cut_lo, d_lo, d_hi))
 
 
+# ---------------------------------------------------------------------------
+# Events only tests build, and the two monotonicity scans of an event
+
+
+def connect_sets(g: Graph, side_a, side_b) -> Event:
+    """The event that some vertex of side_a connects to some vertex of side_b."""
+    a = tuple(sorted(set(side_a)))
+    b = tuple(sorted(set(side_b)))
+    if not a or not b:
+        raise GraphStructureError("vertex sets must be non-empty")
+    _check_vertices(g, a + b)
+
+    def connected(mask: int) -> bool:
+        labels = component_labels(g, mask)
+        return not {labels[u] for u in a}.isdisjoint([labels[v] for v in b])
+
+    return Event(g, connected, increasing=True, label=f"connect-sets:{a},{b}")
+
+
+def check_increasing(ev: Event):
+    """Covering-pair scan: is ev closed under adding one edge?
+
+    Returns (True, None) or (False, (mask, mask | bit)).  The covering-pair
+    criterion is equivalent to monotonicity over all comparable pairs on the
+    subset lattice; the equivalence is cross-checked in tests against an
+    all-pairs oracle.
+    """
+    for mask in range(lattice_size(ev.graph, "covering-pair scan")):
+        if not ev.holds(mask):
+            continue
+        free = ~mask & ev.graph.full_mask
+        while free:
+            bit = free & -free
+            free ^= bit
+            if not ev.holds(mask | bit):
+                return False, (mask, mask | bit)
+    return True, None
+
+
 def check_increasing_all_pairs(ev: Event, cap: int = 16):
     """Quadratic scan over all ordered pairs w subset of w'."""
     n = ev.graph.edge_count
@@ -407,7 +455,7 @@ def fkg_report(
     lattice condition is only sufficient, so its failure alone proves
     nothing about FKG."""
     (row,) = fkg_gaps([d], event_pairs)
-    gaps = tuple((a.describe(), b.describe(), gap) for (a, b), gap in zip(event_pairs, row))
+    gaps = tuple((a.label, b.label, gap) for (a, b), gap in zip(event_pairs, row))
     if not check_lattice:
         return FkgReport(pair_gaps=gaps)
     lattice = lattice_condition(d)

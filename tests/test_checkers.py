@@ -12,12 +12,11 @@ from loopcurrents.checkers import (
     COVERING_NETWORK_CAP,
     DominationReport,
     fkg_gaps,
-    fkg_pair_gap,
     monotonicity_scan,
     stochastic_domination,
 )
 from loopcurrents.errors import CapExceededError, GraphMismatchError, LoopCurrentsError
-from loopcurrents.events import all_open, connect, edge_open
+from loopcurrents.events import Event, all_open, connect, edge_open
 from loopcurrents.graphs import (
     LATTICE_PASS_CAP,
     Graph,
@@ -62,11 +61,10 @@ K4 = complete_graph(4)
 class TestFkgPairGap:
     def test_requires_increasing_events(self):
         d = bernoulli(THETA111, F(1, 2))
-        from loopcurrents.events import custom
-
-        shifty = custom(THETA111, lambda m: m.bit_count() == 1, "eq1")
-        with pytest.raises(LoopCurrentsError):
-            fkg_pair_gap(d, shifty, edge_open(THETA111, 0))
+        shifty = Event(THETA111, lambda m: m.bit_count() == 1, label="eq1")
+        with pytest.raises(LoopCurrentsError, match="require_increasing=False"):
+            fkg_gaps([d], [(shifty, edge_open(THETA111, 0))])
+        assert fkg_gaps([d], [(shifty, edge_open(THETA111, 0))], require_increasing=False)
 
     def test_harris_regression_on_product_measures(self):
         for g in (THETA111, K4, counter_family(2, 2)):
@@ -77,12 +75,12 @@ class TestFkgPairGap:
                 d = bernoulli(g, p)
                 for i, a in enumerate(events):
                     for b in events[i:]:
-                        assert fkg_pair_gap(d, a, b) >= 0
+                        assert fkg_gaps([d], [(a, b)])[0][0] >= 0
 
     def test_loop_model_counterexample_matches_closed_form(self):
         g, first, second = theta_loop_events(2, 2)
         x = F(1, 10)
-        gap = fkg_pair_gap(loop_o1(g, x), first, second)
+        gap = fkg_gaps([loop_o1(g, x)], [(first, second)])[0][0]
         assert gap == loop_fkg_gap(2, 2, x)
         assert gap < 0
 
@@ -90,7 +88,7 @@ class TestFkgPairGap:
         g, first, second = theta_loop_events(2, 2)
         # negative at small t, positive at t = 1/2 (x = 4/5)
         for t, expected_negative in ((F(1, 10), True), (F(1, 4), True), (F(1, 2), False)):
-            gap = fkg_pair_gap(single_current(g, pythagorean_x(t)), first, second)
+            gap = fkg_gaps([single_current(g, pythagorean_x(t))], [(first, second)])[0][0]
             assert gap == single_current_fkg_gap(2, 2, t)
             assert (gap < 0) == expected_negative
         assert single_current_fkg_gap(2, 2, F(1, 2)) == F(631104, 24750625)
@@ -139,11 +137,9 @@ class TestGraphMismatch:
         d = bernoulli(THETA111, F(1, 2))
         foreign = (edge_open(K4, 5), connect(K4, 0, 3))
         with pytest.raises(GraphMismatchError):
-            fkg_pair_gap(d, *foreign)
-        with pytest.raises(GraphMismatchError):
-            fkg_pair_gap(d, edge_open(THETA111, 0), foreign[1])
-        with pytest.raises(GraphMismatchError):
             fkg_gaps([d], [foreign])
+        with pytest.raises(GraphMismatchError):
+            fkg_gaps([d], [(edge_open(THETA111, 0), foreign[1])])
 
     def test_gaps_refuse_laws_of_different_graphs(self):
         pair = (edge_open(THETA111, 0), edge_open(THETA111, 1))

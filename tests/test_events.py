@@ -7,17 +7,13 @@ import pytest
 from loopcurrents import graphs
 from loopcurrents.errors import CapExceededError, GraphStructureError
 from loopcurrents.events import (
+    Event,
+    Statistic,
     all_open,
-    check_increasing,
     connect,
-    connect_sets,
-    custom,
     cyclic_count,
-    edge_count,
     edge_open,
-    edge_open_cyclic,
     statistic_dist,
-    verified_increasing,
 )
 from loopcurrents.graphs import (
     LATTICE_PASS_CAP,
@@ -30,7 +26,7 @@ from loopcurrents.graphs import (
 )
 from loopcurrents.measures import bernoulli, loop_o1, point_mass
 
-from oracles import brute_cyclic_edges, check_increasing_all_pairs
+from oracles import brute_cyclic_edges, check_increasing, check_increasing_all_pairs, connect_sets
 
 F = Fraction
 COUNTER22 = counter_family(2, 2)
@@ -49,16 +45,6 @@ class TestEvaluate:
         assert ev.holds(0b1101)
         assert ev.holds(0b111111)
         assert not ev.holds(0b1100)
-
-    def test_edge_cyclic_on_path_is_false(self):
-        g = Graph(4, ((0, 1), (1, 2), (2, 3)))
-        ev = edge_open_cyclic(g, 1)
-        assert not ev.holds(0b111)
-
-    def test_edge_cyclic_on_loop(self):
-        ev = edge_open_cyclic(THETA111, 0)
-        assert ev.holds(0b011)
-        assert not ev.holds(0b001)
 
     def test_counter_upper_paths_do_not_connect_marks(self):
         mask = seg_mask([2, 2, 2, 2], 0, 2)  # one n-path plus one m-path
@@ -99,7 +85,7 @@ class TestCheckIncreasing:
 
     def test_cyclic_count_event_not_increasing_with_parallel_edge(self):
         g = Graph(3, ((0, 1), (1, 2), (2, 0), (0, 1)))
-        ev = custom(g, lambda m: cyclic_edges(g, m).bit_count() == 3, "cyclic=3")
+        ev = Event(g, lambda m: cyclic_edges(g, m).bit_count() == 3, label="cyclic=3")
         ok, witness = check_increasing(ev)
         assert not ok
         low, high = witness
@@ -110,7 +96,8 @@ class TestCheckIncreasing:
 
     def test_edge_cyclic_verdict_matches_all_pairs_oracle(self):
         g = generalized_theta([2, 3, 2])
-        ev = edge_open_cyclic(g, 0)
+        # edge 0 is open and lies on a cycle of the open subgraph
+        ev = Event(g, lambda m: m & cyclic_edges(g, m) & 1, label="edge-cyclic:0")
         ok_scan, _ = check_increasing(ev)
         ok_brute, _ = check_increasing_all_pairs(ev)
         assert ok_scan == ok_brute
@@ -120,21 +107,13 @@ class TestCheckIncreasing:
         g = complete_graph(4)
         for trial in range(8):
             table = {m: rng.random() < 0.5 for m in range(1 << g.edge_count)}
-            ev = custom(g, table.__getitem__, f"random-{trial}")
+            ev = Event(g, table.__getitem__, label=f"random-{trial}")
             ok_scan, w_scan = check_increasing(ev)
             ok_brute, w_brute = check_increasing_all_pairs(ev)
             assert ok_scan == ok_brute
             if not ok_scan:
                 low, high = w_scan
                 assert ev.holds(low) and not ev.holds(high)
-
-    def test_verified_increasing_flags_or_raises(self):
-        g = THETA111
-        ev = custom(g, lambda m: m.bit_count() >= 2, "ge2")
-        assert verified_increasing(ev).increasing
-        bad = custom(g, lambda m: m.bit_count() == 1, "eq1")
-        with pytest.raises(GraphStructureError):
-            verified_increasing(bad)
 
     def test_covering_pair_scan_refuses_above_the_lattice_cap(self):
         # a 20-edge path: 2^20 masks times 20 covering pairs > 2^24
@@ -144,9 +123,13 @@ class TestCheckIncreasing:
             raise AssertionError("predicate called past the cap")
 
         with pytest.raises(CapExceededError) as info:
-            check_increasing(custom(g, never, "never"))
+            check_increasing(Event(g, never, label="never"))
         assert info.value.what == "covering-pair scan"
         assert info.value.size == 20 << 20 > LATTICE_PASS_CAP
+
+
+def edge_count(g: Graph) -> Statistic:
+    return Statistic(g, int.bit_count, "edge count")
 
 
 class TestStatistics:

@@ -14,17 +14,14 @@ from loopcurrents.errors import (
 )
 from loopcurrents import measures, overview
 from loopcurrents.battery import scan_battery, verification_battery
-from loopcurrents.checkers import fkg_gaps, fkg_pair_gap
+from loopcurrents.checkers import fkg_gaps
 from loopcurrents.events import (
+    Event,
+    Statistic,
     all_open,
-    check_increasing,
     connect,
-    connect_sets,
-    custom,
     cyclic_count,
-    edge_count,
     edge_open,
-    edge_open_cyclic,
     statistic_dist,
 )
 from loopcurrents.graphs import (
@@ -32,6 +29,7 @@ from loopcurrents.graphs import (
     Graph,
     complete_graph,
     counter_family,
+    cyclic_edges,
     generalized_theta,
 )
 from loopcurrents.measures import (
@@ -62,6 +60,8 @@ from loopcurrents.rationals import dyadic_grid
 from oracles import (
     bit_masses_per_law,
     brute_union,
+    check_increasing,
+    connect_sets,
     dist_from_json,
     dist_to_json,
     double_current_lis_per_mask,
@@ -468,7 +468,7 @@ class TestLatticeTransformsMatchPerMaskRoutes:
 class TestProb:
     def test_certain_event(self):
         d = loop_o1(THETA232, F(1, 2))
-        assert prob(d, custom(THETA232, lambda m: True, "all")) == 1
+        assert prob(d, Event(THETA232, lambda m: True, label="all")) == 1
 
     def test_counter_connection_closed_form(self):
         n = m = 2
@@ -484,8 +484,8 @@ class TestProb:
     def test_truthy_custom_predicates_hold(self):
         # m & 2 is 2, not True, when edge 1 is open; its bit 0 is clear
         d = bernoulli(THETA111, F(1, 2))
-        opened = custom(THETA111, lambda m: m & 2, "edge 1 open")
-        closed = custom(THETA111, lambda m: ~m & 2, "edge 1 closed")
+        opened = Event(THETA111, lambda m: m & 2, label="edge 1 open")
+        closed = Event(THETA111, lambda m: ~m & 2, label="edge 1 closed")
         assert prob(d, opened) == prob(d, edge_open(THETA111, 1)) == F(1, 2)
         assert prob(d, closed) == F(1, 2)
         assert check_increasing(opened) == (True, None)
@@ -498,8 +498,11 @@ stat_values = st.one_of(st.just(0), st.integers(1, 255))
 
 
 def events_on(g: Graph) -> list:
-    """One event of each built-in kind on g."""
-    out = [edge_open(g, 0), edge_open_cyclic(g, g.edge_count - 1), all_open(g, [0])]
+    """One event of each built-in kind on g, the vertex-set connection event
+    and a non-increasing one: the last edge is open and lies on a cycle."""
+    last = 1 << g.edge_count - 1
+    cyclic_last = Event(g, lambda m: cyclic_edges(g, m) & last, label="edge-cyclic")
+    out = [edge_open(g, 0), cyclic_last, all_open(g, [0])]
     out += [connect(g, 0, g.vertex_count - 1), connect_sets(g, [0], range(1, g.vertex_count))]
     return out
 
@@ -519,7 +522,7 @@ class TestBitMasses:
         assert len(masses) == width
         for i, mass in enumerate(masses):
             assert type(mass) is Fraction
-            assert mass == prob_bruteforce(d, custom(g, lambda m, i=i: table[m] >> i & 1))
+            assert mass == prob_bruteforce(d, Event(g, lambda m, i=i: table[m] >> i & 1))
 
     @settings(max_examples=40, deadline=None)
     @given(data=st.data())
@@ -564,7 +567,7 @@ class TestBitMasses:
         g = data.draw(st.sampled_from(ORACLE_GRAPHS))
         d = data.draw(mixed_dists(g))
         chosen = data.draw(st.sets(st.integers(0, g.full_mask)))
-        for ev in [custom(g, chosen.__contains__), custom(g, lambda m: False), *events_on(g)]:
+        for ev in [Event(g, chosen.__contains__), Event(g, lambda m: False), *events_on(g)]:
             assert prob(d, ev) == prob_bruteforce(d, ev)
 
     @settings(max_examples=40, deadline=None)
@@ -572,9 +575,9 @@ class TestBitMasses:
     def test_statistic_dist_matches_the_oracle(self, data):
         g = data.draw(st.sampled_from(ORACLE_GRAPHS))
         d = data.draw(mixed_dists(g))
-        for s in (edge_count(g), cyclic_count(g)):
+        for s in (Statistic(g, int.bit_count), cyclic_count(g)):
             expected = {
-                k: prob_bruteforce(d, custom(g, lambda m, k=k: s.value(m) == k))
+                k: prob_bruteforce(d, Event(g, lambda m, k=k: s.value(m) == k))
                 for k in range(g.edge_count + 1)
             }
             got = statistic_dist(d, s)
@@ -587,12 +590,12 @@ class TestBitMasses:
         g = data.draw(st.sampled_from(ORACLE_GRAPHS))
         d = data.draw(mixed_dists(g))
         chosen = data.draw(st.sets(st.integers(0, g.full_mask)))
-        battery = [custom(g, chosen.__contains__), *events_on(g)]
+        battery = [Event(g, chosen.__contains__), *events_on(g)]
         for a in battery:
             for b in battery:
-                both = custom(g, lambda m: a.holds(m) and b.holds(m))
+                both = Event(g, lambda m: a.holds(m) and b.holds(m))
                 expected = prob_bruteforce(d, both) - prob_bruteforce(d, a) * prob_bruteforce(d, b)
-                assert fkg_pair_gap(d, a, b, require_increasing=False) == expected
+                assert fkg_gaps([d], [(a, b)], require_increasing=False)[0][0] == expected
 
     @settings(max_examples=40, deadline=None)
     @given(data=st.data())
@@ -600,11 +603,11 @@ class TestBitMasses:
         g = data.draw(st.sampled_from(ORACLE_GRAPHS))
         dists = data.draw(st.lists(mixed_dists(g), min_size=1, max_size=3))
         chosen = data.draw(st.sets(st.integers(0, g.full_mask)))
-        battery = [custom(g, chosen.__contains__), *events_on(g)]
+        battery = [Event(g, chosen.__contains__), *events_on(g)]
         pairs = data.draw(st.lists(st.tuples(*[st.sampled_from(battery)] * 2), max_size=6))
         expected = [
             [
-                prob_bruteforce(d, custom(g, lambda m: a.holds(m) and b.holds(m)))
+                prob_bruteforce(d, Event(g, lambda m: a.holds(m) and b.holds(m)))
                 - prob_bruteforce(d, a) * prob_bruteforce(d, b)
                 for a, b in pairs
             ]
@@ -625,7 +628,7 @@ class TestBitMasses:
         d = loop_o1(THETA111, F(1, 2))
         for fn in (prob, prob_bruteforce):
             with pytest.raises(GraphMismatchError):
-                fn(d, custom(K4, lambda m: True))
+                fn(d, Event(K4, lambda m: True))
 
 
 class TestDistInvariants:

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from loopcurrents import checkers, overview
 from loopcurrents.battery import scan_battery
-from loopcurrents.events import connect, custom
+from loopcurrents.events import Event, connect
 from loopcurrents.graphs import (
     Graph,
     component_labels,
@@ -81,14 +81,14 @@ def test_fkg_scan_returns_exactly_the_oracles_negative_gaps():
         expected = []
         for x in grid:
             for a, b in combinations(overview._fkg_events(g), 2):
-                both = custom(g, lambda m: a.holds(m) and b.holds(m))
+                both = Event(g, lambda m: a.holds(m) and b.holds(m))
                 d = laws[x]
                 gap = prob_bruteforce(d, both) - prob_bruteforce(d, a) * prob_bruteforce(d, b)
                 if gap < 0:
                     expected.append(
                         {
                             "graph": name,
-                            "events": [a.describe(), b.describe()],
+                            "events": [a.label, b.label],
                             "x": format_rational(x),
                             "gap": format_rational(gap),
                         }

@@ -1,0 +1,63 @@
+"""Every public top-level name of the package is reached from the package.
+
+A function, class or constant that only tests read belongs in ``tests/``
+(the oracles), and one that nothing reads is deleted.  A name counts as
+reached when some module of ``src/loopcurrents`` loads it as a name or an
+attribute outside its own definition; the re-exports of ``__init__.py``
+do not count.
+"""
+
+import ast
+from collections import Counter
+from pathlib import Path
+
+import loopcurrents
+
+PACKAGE = Path(loopcurrents.__file__).parent
+
+# Kept though no module reads them:
+# - graph_to_json writes the --graph file format that graph_from_json reads;
+# - cyclic_edges is the per-configuration route that acceptance C03 checks
+#   the even-subgraph lattice against.
+ALLOWED = {"graph_to_json", "cyclic_edges"}
+
+
+def _public_definitions(tree: ast.Module):
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, ast.Assign):
+            names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names = [node.target.id]
+        else:
+            continue
+        for name in names:
+            if not name.startswith("_"):
+                yield name, node
+
+
+def _loads(node: ast.AST) -> Counter:
+    """How often each name or attribute is loaded under ``node``."""
+    return Counter(
+        sub.id if isinstance(sub, ast.Name) else sub.attr
+        for sub in ast.walk(node)
+        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load)
+        or isinstance(sub, ast.Attribute)
+    )
+
+
+def test_every_public_name_is_reached_from_the_package():
+    trees = {
+        path.stem: ast.parse(path.read_text(encoding="utf-8"))
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "__init__.py"
+    }
+    loads = sum((_loads(tree) for tree in trees.values()), Counter())
+    unreached = [
+        f"{module}.{name}"
+        for module, tree in trees.items()
+        for name, definition in _public_definitions(tree)
+        if name not in ALLOWED and loads[name] == _loads(definition)[name]
+    ]
+    assert unreached == []
