@@ -44,17 +44,16 @@ from .intervals import Interval, certify_decreasing_pair, sqrt_interval
 from .measures import (
     Dist,
     bernoulli,
-    double_cluster,
+    build,
     double_current,
     double_current_lis,
     double_loop,
     loop_o1,
+    point_laws,
     point_mass,
     prob,
     push_uniform_even,
     pythagorean_x,
-    random_cluster,
-    single_current,
     single_current_p,
     union,
     union_bernoulli,

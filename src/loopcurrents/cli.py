@@ -19,26 +19,22 @@ import sys
 import time
 from datetime import datetime, timezone
 from fractions import Fraction
-from functools import cache
 from pathlib import Path
 
 from . import __version__, theta
 from .battery import scan_battery, verification_battery
 from .checkers import monotonicity_scan
 from .errors import GraphStructureError, LoopCurrentsError, ParametrizationError
-from .graphs import Graph, even_lattice, generalized_theta, graph_from_json, lattice_size
+from .graphs import Graph, counter_family, even_lattice, generalized_theta, graph_from_json, lattice_size
 from .intervals import MAX_BITS, START_BITS, certify_decreasing_pair
 from .measures import (
     bernoulli,
     bit_masses,
-    double_cluster,
-    double_current,
+    build,
     double_current_lis,
-    double_loop,
-    loop_o1,
+    point_laws,
     push_uniform_even,
     pythagorean_x,
-    random_cluster,
     union_bernoulli,
 )
 from .overview import build_overview
@@ -109,11 +105,15 @@ def graph_from_args(args) -> Graph:
     if args.family == "theta":
         if not args.segments:
             raise LoopCurrentsError("--family theta needs --segments")
-        return generalized_theta([int(s) for s in args.segments.split(",")])
+        try:
+            lengths = [int(s) for s in args.segments.split(",")]
+        except ValueError as exc:
+            raise GraphStructureError(f"--segments {args.segments!r}: {exc}") from exc
+        return generalized_theta(lengths)
     if args.family == "counter":
         if args.n is None or args.m is None:
             raise LoopCurrentsError("--family counter needs --n and --m")
-        return theta.CounterSpec(args.n, args.m).graph()
+        return counter_family(args.n, args.m)
     raise LoopCurrentsError("select a graph with --graph or --family")
 
 
@@ -152,12 +152,7 @@ def _interval_decimal(fn, x: Fraction, digits: int):
 
 def cmd_figure(args) -> int:
     started = time.time()
-    n, m = args.n, args.m
-    if m is None or n is None:
-        raise LoopCurrentsError("figure needs --n and --m")
-    if m % 2:
-        raise LoopCurrentsError(f"m={m} must be even for the counter family")
-
+    n, m = args.n, args.m  # the closed forms check them
     if args.window:
         lo, colon, hi = args.window.partition(":")
         if not colon or args.grid_steps < 0:
@@ -197,8 +192,7 @@ def cmd_figure(args) -> int:
                 "value2": format_rational(v2),
                 "method": "exact-rational",
             }
-    elif args.model == "P":
-
+    else:  # "P"
         # the decimal refinement and the pair search start on the same rung
         # and ask for the same enclosures; compute each (x, bits) once
         enclosures = {}
@@ -221,8 +215,6 @@ def cmd_figure(args) -> int:
                 "value2_enclosure": [str(iv2.lo), str(iv2.hi)],
                 "method": "certified-interval",
             }
-    else:
-        raise LoopCurrentsError(f"unknown model {args.model!r}")
 
     with open(out, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
@@ -272,13 +264,13 @@ DEFAULT_VERIFY_XS = (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4))
 
 
 def verify_newcoupling(name, g, x, law) -> list[str]:
-    if push_uniform_even(law(double_current)).same_law(law(loop_o1)):
+    if push_uniform_even(law("double_current")).same_law(law("loop")):
         return []
     return [f"newcoupling: {name} x={x}"]
 
 
 def verify_lis_equivalence(name, g, x, law) -> list[str]:
-    if double_current_lis(g, x).same_law(law(double_current)):
+    if double_current_lis(g, x).same_law(law("double_current")):
         return []
     return [f"lis-equivalence: {name} x={x}"]
 
@@ -287,9 +279,9 @@ def verify_cor1(name, g, x, law) -> list[str]:
     # the open cyclic edges of every configuration, from the graph's one lattice
     _, cyclic = even_lattice(g)
     left, right = bit_masses(
-        [law(double_current), law(random_cluster)], cyclic.__getitem__, g.edge_count
+        [law("double_current"), law("random_cluster")], cyclic.__getitem__, g.edge_count
     )
-    (mid,) = bit_masses([law(loop_o1)], lambda m: m, g.edge_count)
+    (mid,) = bit_masses([law("loop")], lambda m: m, g.edge_count)
     return [
         f"cor1: {name} x={x} edge={e}"
         for e in range(g.edge_count)
@@ -299,10 +291,10 @@ def verify_cor1(name, g, x, law) -> list[str]:
 
 def verify_edge_identities(name, g, x, law) -> list[str]:
     failures = []
-    lo = law(loop_o1)
+    lo = law("loop")
     ps = (Fraction(1, 3), x)
     # the random cluster is the loop model united with Bernoulli(x)
-    laws = [lo, law(double_loop), union_bernoulli(lo, ps[0]), law(random_cluster)]
+    laws = [lo, law("double_loop"), union_bernoulli(lo, ps[0]), law("random_cluster")]
     base, doubled, *unioned = bit_masses(laws, lambda m: m, g.edge_count)
     for e in range(g.edge_count):
         for p, masses in zip(ps, unioned):
@@ -315,13 +307,14 @@ def verify_edge_identities(name, g, x, law) -> list[str]:
 
 def verify_battery(theorems, battery, xs) -> dict[str, list[str]]:
     """The failure lines of the named battery suites, each in its (graph,
-    x, edge) order.  The suites run (graph, x)-major: at each point
-    ``law(build)`` builds ``build(g, x)`` once for every suite that reads
-    it, and the laws are dropped before the next x."""
+    x, edge) order.  The suites run (graph, x)-major: at each point they
+    read the model rows of one ``point_laws(g, x)``, so the loop law, the
+    double loop and each row are built once, and the laws are dropped
+    before the next x."""
     failures: dict[str, list[str]] = {name: [] for name in theorems}
     for name, g in battery:
         for x in xs:
-            law = cache(lambda build, g=g, x=x: build(g, x))
+            law = point_laws(g, x)
             for suite in theorems:
                 failures[suite] += VERIFY_SUITES[suite](name, g, x, law)
     return failures
@@ -351,7 +344,11 @@ def verify_sumthm() -> list[str]:
     for name, g in scan_battery():
         cases = (
             ("bernoulli", lambda x: bernoulli(g, x), union_bernoulli),
-            ("random-cluster", lambda x: random_cluster(g, x), lambda d, x: double_cluster(g, x)),
+            (
+                "random-cluster",
+                lambda x: build("random_cluster", g, x),
+                lambda d, x: build("double_cluster", g, x),
+            ),
         )
         for label, family, union_of in cases:
             status = _sum_theorem_status(family, union_of, grid)

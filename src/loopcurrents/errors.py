@@ -20,7 +20,9 @@ class CapExceededError(LoopCurrentsError, ValueError):
     """
 
     def __init__(self, what: str, size: int, cap: int):
-        super().__init__(f"{what} needs size {size}, above the cap {cap}")
+        # Python refuses to print an int of more than 4300 digits in decimal
+        shown = size if size.bit_length() < 4096 else f"above 2^{size.bit_length() - 1}"
+        super().__init__(f"{what} needs size {shown}, above the cap {cap}")
         self.what = what
         self.size = size
         self.cap = cap

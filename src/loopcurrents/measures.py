@@ -7,7 +7,10 @@ rationals.  All constructors and combinators are exact; no floating point
 enters this module.
 
 The models follow the union-coupling definitions, each one row of the
-registry :data:`MODELS` that :func:`build` assembles:
+registry :data:`MODELS`: k independent loop-model copies, unioned with
+Bernoulli(p(x)) percolation.  :func:`point_laws` builds the rows at one
+(graph, x) on one shared loop law and its k-fold unions, and :func:`build`
+takes one row of them.  The rows:
 
 * loop model: weight x^|g| on every even subgraph g;
 * random cluster (q=2): loop union Bernoulli(x);
@@ -26,6 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from math import gcd, isqrt, lcm
 from typing import Callable, Sequence
 
@@ -266,29 +270,31 @@ MODELS: dict[str, tuple[int, Callable[[Fraction], Fraction] | None]] = {
 }
 
 
+def point_laws(graph: Graph, x: Fraction) -> Callable[[str], Dist]:
+    """``law(name)``: the exact law of the registered model ``name`` at edge
+    weight ``x``.  The rows share one loop law and its k-fold unions, and
+    each is built on first use, once; the name and p(x) are checked before
+    anything is enumerated."""
+    x = Fraction(x)
+
+    @cache
+    def loops(copies: int) -> Dist:
+        return loop_o1(graph, x) if copies == 1 else union(loops(copies - 1), loops(1))
+
+    @cache
+    def law(name: str) -> Dist:
+        if name not in MODELS:
+            raise LoopCurrentsError(f"unknown model {name!r}; choose from {tuple(MODELS)}")
+        copies, p = MODELS[name]
+        p_x = None if p is None else p(x)  # may raise: check before enumerating
+        return loops(copies) if p_x is None else union_bernoulli(loops(copies), p_x)
+
+    return law
+
+
 def build(name: str, graph: Graph, x: Fraction) -> Dist:
     """Exact law of the registered model ``name`` at edge weight ``x``."""
-    if name not in MODELS:
-        raise LoopCurrentsError(f"unknown model {name!r}; choose from {tuple(MODELS)}")
-    copies, p = MODELS[name]
-    x = Fraction(x)
-    p_x = None if p is None else p(x)  # may raise: check before enumerating
-    loop = loop_o1(graph, x)
-    d = loop
-    for _ in range(copies - 1):
-        d = union(d, loop)
-    return d if p_x is None else union_bernoulli(d, p_x)
-
-
-def random_cluster(graph: Graph, x: Fraction) -> Dist:
-    """FK-Ising (q=2) random cluster model: loop union Bernoulli(x)."""
-    return build("random_cluster", graph, x)
-
-
-def single_current(graph: Graph, x: Fraction) -> Dist:
-    """Traced sourceless single random current: loop union Bernoulli(p(x)),
-    exact where :func:`single_current_p` is."""
-    return build("single_current", graph, x)
+    return point_laws(graph, x)(name)
 
 
 def double_loop(graph: Graph, x: Fraction) -> Dist:
@@ -299,11 +305,6 @@ def double_loop(graph: Graph, x: Fraction) -> Dist:
 def double_current(graph: Graph, x: Fraction) -> Dist:
     """Traced sourceless double random current: double loop union Bernoulli(x^2)."""
     return build("double_current", graph, x)
-
-
-def double_cluster(graph: Graph, x: Fraction) -> Dist:
-    """Union of two independent random cluster samples: double loop union Bernoulli(x(2-x))."""
-    return build("double_cluster", graph, x)
 
 
 def double_current_lis(graph: Graph, x: Fraction) -> Dist:
@@ -318,7 +319,7 @@ def double_current_lis(graph: Graph, x: Fraction) -> Dist:
     a^(|E|-|g|) b^|g| over the even g, so the weight of w is the integer
     |even(w)| a^(2|w|) S[w] q^(|E|-|w|) over a^|E| b^(2|E|), and the weights
     must add up to Z^2.  This is an independent route to the same measure
-    as :func:`double_current`; the two are compared exactly in tests.
+    as the ``double_current`` row; the two are compared exactly in tests.
     """
     x = Fraction(x)
     if not 0 <= x < 1:

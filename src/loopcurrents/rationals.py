@@ -11,7 +11,7 @@ import decimal
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from .errors import ParametrizationError
+from .errors import CapExceededError, ParametrizationError
 
 
 def parse_rational(text: str) -> Fraction:
@@ -41,22 +41,33 @@ def decimal_string(value: Fraction, digits: int = 40) -> str:
 # Grids and decreasing-pair certificates
 
 
+# Most points a grid may have.  The grids the commands are run with have at
+# most 255; one of 2^20 points alone takes seconds to build.
+GRID_CAP = 1 << 16
+
+
 def dyadic_grid(resolution: int) -> list[Fraction]:
     """All points k/2^resolution strictly inside (0, 1), ascending."""
     if resolution < 1:
         raise ParametrizationError(f"resolution {resolution} must be >= 1")
     den = 1 << resolution
+    if den - 1 > GRID_CAP:
+        raise CapExceededError("grid points", den - 1, GRID_CAP)
     return [Fraction(k, den) for k in range(1, den)]
 
 
 def dyadic_window_grid(lo: Fraction, hi: Fraction, steps: int) -> list[Fraction]:
     """The points lo + k (hi - lo) / steps, k = 1..steps, of (lo, hi] that lie
     below 1: with hi = 1 the last point is dropped, so the window 255/256:1
-    with 2^7 steps gives 127 points."""
+    with 2^7 steps gives 127 points, and with one step none, which is
+    refused."""
     if not 0 <= lo < hi <= 1:
         raise ParametrizationError(f"window {lo}:{hi} must satisfy 0 <= lo < hi <= 1")
-    if steps < 1:
-        raise ParametrizationError(f"steps={steps} must be >= 1")
+    points = steps - (hi == 1)
+    if points < 1:
+        raise ParametrizationError(f"window {lo}:{hi} has no grid point below 1 at {steps} steps")
+    if points > GRID_CAP:
+        raise CapExceededError("grid points", points, GRID_CAP)
     step = (hi - lo) / steps
     return [lo + k * step for k in range(1, steps + 1) if lo + k * step < 1]
 

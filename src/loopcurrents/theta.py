@@ -19,7 +19,6 @@ formula discrepancy rather than silently trusting either side (see
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
@@ -27,37 +26,15 @@ from .errors import GraphStructureError, ParametrizationError
 from .events import Event, all_open, connect, cyclic_count, statistic_dist
 from .graphs import Graph, counter_family, generalized_theta, is_connected, segment_edge_ranges
 from .intervals import START_BITS, Interval, sqrt_interval
-from .measures import (
-    double_current,
-    double_loop,
-    loop_o1,
-    prob,
-    pythagorean_x,
-    random_cluster,
-    single_current,
-    single_current_p,
-)
+from .measures import build, loop_o1, prob, pythagorean_x, single_current_p
 
 
-@dataclass(frozen=True)
-class CounterSpec:
+def check_counter(n: int, m: int) -> None:
     """Parameters (n, m) of the four-path family; m even so midpoints exist."""
-
-    n: int
-    m: int
-
-    def __post_init__(self):
-        if self.n < 1 or self.m < 1:
-            raise GraphStructureError("segment lengths must be positive")
-        if self.m % 2:
-            raise GraphStructureError(f"m={self.m} must be even to place midpoint marks")
-
-    @property
-    def half_m(self) -> int:
-        return self.m // 2
-
-    def graph(self) -> Graph:
-        return counter_family(self.n, self.m)
+    if n < 1 or m < 1:
+        raise GraphStructureError("segment lengths must be positive")
+    if m % 2:
+        raise GraphStructureError(f"m={m} must be even to place midpoint marks")
 
 
 # ---------------------------------------------------------------------------
@@ -116,7 +93,7 @@ def loop_conn(n: int, m: int):
     Only the both-m-paths subgraph and the full subgraph connect the two
     midpoints.
     """
-    CounterSpec(n, m)
+    check_counter(n, m)
     z = counter_partition(n, m)
     return lambda x: (x ** (2 * m) + x ** (2 * m + 2 * n)) / z(x)
 
@@ -127,7 +104,7 @@ def double_loop_conn(n: int, m: int):
     Numerator: 2x^2m Z - x^4m + 2x^(2n+2m) Z - x^(4n+4m) - 2x^(2n+4m)
     + 8x^(2n+2m), all over Z^2.
     """
-    CounterSpec(n, m)
+    check_counter(n, m)
     z = counter_partition(n, m)
 
     def conn(x):
@@ -161,8 +138,8 @@ def single_current_conn_terms(n: int, m: int, x, p):
       closed m-path needs one of its half-segments;
     * both m-paths open, or everything open: connected outright.
     """
-    spec = CounterSpec(n, m)
-    h = spec.half_m
+    check_counter(n, m)
+    h = m // 2
     reach = 2 * p**h - p ** (2 * h)  # one midpoint reaches a hub
     outer = 2 * p**n - p ** (2 * n)  # hubs joined by some outer path
     empty_case = (
@@ -399,24 +376,24 @@ def closed_form_discrepancies(n: int, m: int, t: Fraction, x: Fraction) -> list[
     cg = counter_family(n, m)
     ab = connect(cg)
     record("loop_conn", loop_conn(n, m)(x), prob(loop_o1(cg, x), ab))
-    record("double_loop_conn", double_loop_conn(n, m)(x), prob(double_loop(cg, x), ab))
+    record("double_loop_conn", double_loop_conn(n, m)(x), prob(build("double_loop", cg, x), ab))
 
     xp = pythagorean_x(t)
     record(
         "single_current_conn",
         single_current_conn_exact(n, m, t),
-        prob(single_current(cg, xp), ab),
+        prob(build("single_current", cg, xp), ab),
     )
 
     tg, first, second = theta_loop_events(n, m)
     z = theta_partition(n, m)(xp)
     single_w, both_w = single_current_loop_event_weights(n, m, xp, single_current_p(xp))
-    sc = single_current(tg, xp)
+    sc = build("single_current", tg, xp)
     record("single_current_loop_event", single_w / z, prob(sc, first))
     record("single_current_both_loops", both_w / z, prob(sc, intersect_all_open(first, second)))
 
     one_loop, both = double_loop_event_weights(n, m, x)
-    dl = double_loop(tg, x)
+    dl = build("double_loop", tg, x)
     z2 = theta_partition(n, m)(x) ** 2
     record("double_loop_loop_event", one_loop / z2, prob(dl, first))
     record("double_loop_both_loops", both / z2, prob(dl, intersect_all_open(first, second)))
@@ -428,8 +405,8 @@ def closed_form_discrepancies(n: int, m: int, t: Fraction, x: Fraction) -> list[
     tg2 = generalized_theta([n, m, third])
     stat = cyclic_count(tg2)
     target = n + m
-    dist_cluster = statistic_dist(random_cluster(tg2, x), stat)
-    dist_double = statistic_dist(double_current(tg2, x), stat)
+    dist_cluster = statistic_dist(build("random_cluster", tg2, x), stat)
+    dist_double = statistic_dist(build("double_current", tg2, x), stat)
     record(
         "cyclic_count_cluster",
         cyclic_count_cluster_form(n, m, third)(x),

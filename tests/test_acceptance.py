@@ -20,6 +20,7 @@ from loopcurrents.graphs import complete_graph, counter_family, cyclic_edges, ge
 from loopcurrents.measures import (
     Dist,
     bernoulli,
+    build,
     double_current,
     double_current_lis,
     double_loop,
@@ -27,8 +28,6 @@ from loopcurrents.measures import (
     prob,
     pythagorean_x,
     push_uniform_even,
-    random_cluster,
-    single_current,
     union,
     point_mass,
 )
@@ -127,7 +126,7 @@ def test_criterion_03_half_cyclic_edge_identities(battery):
         for x in STANDARD_X:
             lo = loop_o1(g, x)
             dc = double_current(g, x)
-            rc = random_cluster(g, x)
+            rc = build("random_cluster", g, x)
             for e in range(g.edge_count):
                 bit = 1 << e
                 loop_mass = sum(
@@ -216,11 +215,11 @@ class TestCriterion07FkgCounterexamples:
         t = F(1, 2)
         x = pythagorean_x(t)  # x = 2t/(1+t^2) = 4/5 exactly
         g, first, second = theta_loop_events(2, 2)
-        refuted = fkg_gaps([single_current(g, x)], [(first, second)])[0][0]
+        refuted = fkg_gaps([build("single_current", g, x)], [(first, second)])[0][0]
         assert refuted == single_current_fkg_gap(2, 2, t) == F(631104, 24750625)
         assert refuted > 0
         g, first, second = theta_loop_events(4, 2)
-        gap = fkg_gaps([single_current(g, x)], [(first, second)])[0][0]
+        gap = fkg_gaps([build("single_current", g, x)], [(first, second)])[0][0]
         assert gap == single_current_fkg_gap(4, 2, t)
         check(
             "C07b",
@@ -232,7 +231,7 @@ class TestCriterion07FkgCounterexamples:
     def test_criterion_07c_single_current_gap_negative_at_small_t(self):
         g, first, second = theta_loop_events(2, 2)
         for t in (F(1, 10), F(1, 4)):
-            gap = fkg_gaps([single_current(g, pythagorean_x(t))], [(first, second)])[0][0]
+            gap = fkg_gaps([build("single_current", g, pythagorean_x(t))], [(first, second)])[0][0]
             assert gap < 0, (t, gap)
         check("C07c", True, "single-current gap negative at t=1/10 and t=1/4, exact")
 
@@ -376,7 +375,7 @@ def test_criterion_11_cyclic_count_ratio():
     g = generalized_theta([l, m, n])
     x = F(1, 2)
     stat = cyclic_count(g)
-    cluster_mass = statistic_dist(random_cluster(g, x), stat)[l + m]
+    cluster_mass = statistic_dist(build("random_cluster", g, x), stat)[l + m]
     double_mass = statistic_dist(double_current(g, x), stat)[l + m]
     ratio = cyclic_count_ratio(l, m, n)(x)
     assert ratio == cluster_mass / double_mass

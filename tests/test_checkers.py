@@ -1,6 +1,7 @@
 import random
 import time
 from fractions import Fraction
+from functools import partial
 from math import prod
 
 import pytest
@@ -27,13 +28,12 @@ from loopcurrents.graphs import (
 from loopcurrents.measures import (
     Dist,
     bernoulli,
+    build,
     double_current,
     double_loop,
     loop_o1,
     point_mass,
     pythagorean_x,
-    random_cluster,
-    single_current,
     union,
 )
 from loopcurrents.rationals import dyadic_grid
@@ -88,7 +88,8 @@ class TestFkgPairGap:
         g, first, second = theta_loop_events(2, 2)
         # negative at small t, positive at t = 1/2 (x = 4/5)
         for t, expected_negative in ((F(1, 10), True), (F(1, 4), True), (F(1, 2), False)):
-            gap = fkg_gaps([single_current(g, pythagorean_x(t))], [(first, second)])[0][0]
+            law = build("single_current", g, pythagorean_x(t))
+            gap = fkg_gaps([law], [(first, second)])[0][0]
             assert gap == single_current_fkg_gap(2, 2, t)
             assert (gap < 0) == expected_negative
         assert single_current_fkg_gap(2, 2, F(1, 2)) == F(631104, 24750625)
@@ -392,7 +393,9 @@ class TestStochasticDomination:
         g=st.sampled_from(
             [THETA111, Graph(3, ((0, 1), (1, 2), (2, 0))), Graph(4, ((0, 1), (1, 2), (2, 3)))]
         ),
-        families=st.lists(st.sampled_from([bernoulli, random_cluster]), min_size=2, max_size=2),
+        families=st.lists(
+            st.sampled_from([bernoulli, partial(build, "random_cluster")]), min_size=2, max_size=2
+        ),
         params=st.lists(unit_fractions, min_size=2, max_size=2),
     )
     def test_full_support_laws(self, g, families, params):
@@ -664,7 +667,7 @@ class TestHolleyLocalRoute:
 
     def test_a_zero_weight_mask_takes_the_flow(self, flow_networks):
         g = THETA111
-        lo, hi = random_cluster(g, F(1, 4)), random_cluster(g, F(1, 2))
+        lo, hi = build("random_cluster", g, F(1, 4)), build("random_cluster", g, F(1, 2))
         assert checkers._holley_local(lo, hi)
         for lo_cut, hi_cut in ((g.full_mask, None), (None, 0)):
             d_lo = Dist.from_weights(g, {m: w for m, w in lo.weights.items() if m != lo_cut})
@@ -677,11 +680,13 @@ class TestHolleyLocalRoute:
 
     def test_graph_mismatch_rejected(self):
         with pytest.raises(GraphMismatchError):
-            scan_pair(random_cluster(THETA111, F(1, 4)), random_cluster(K4, F(1, 2)))
+            scan_pair(
+                build("random_cluster", THETA111, F(1, 4)), build("random_cluster", K4, F(1, 2))
+            )
 
     def test_twelve_edge_random_cluster_scan_builds_no_network(self, flow_networks):
         g = generalized_theta([3, 3, 3, 3])
-        assert monotonicity_scan([random_cluster(g, x) for x in dyadic_grid(2)]) == []
+        assert monotonicity_scan([build("random_cluster", g, x) for x in dyadic_grid(2)]) == []
         assert flow_networks == []
 
 
@@ -691,7 +696,7 @@ class TestScans:
         assert fails == []
 
     def test_random_cluster_scans_clean_small(self):
-        fails = monotonicity_scan([random_cluster(K4, x) for x in dyadic_grid(4)])
+        fails = monotonicity_scan([build("random_cluster", K4, x) for x in dyadic_grid(4)])
         assert fails == []
 
     def test_loop_family_fails_on_counter(self, monkeypatch):

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from loopcurrents import cli, events, graphs, theta
+from loopcurrents import cli, events, graphs, measures, theta
 from loopcurrents.battery import scan_battery, verification_battery
 from loopcurrents.cli import _interval_decimal, main
 from loopcurrents.errors import LoopCurrentsError
@@ -18,13 +18,7 @@ from loopcurrents.graphs import (
     graph_to_json,
 )
 from loopcurrents.intervals import Interval
-from loopcurrents.measures import (
-    double_cluster,
-    double_current,
-    loop_o1,
-    random_cluster,
-    union_bernoulli,
-)
+from loopcurrents.measures import MODELS, build, union_bernoulli
 from loopcurrents.rationals import dyadic_grid
 
 F = Fraction
@@ -253,6 +247,14 @@ MALFORMED_GRAPHS = {
             for suite in cli.FIXED_SUITES
             for flag in (("--graph", "k4.json"), ("--x", "1/2"))
         ),
+        *(
+            (*SAMPLE_THETA[:4], segments, *SAMPLE_THETA[5:], "--model", "loop")
+            for segments in ("a,2", "2,,3")
+        ),
+        # the counter family's inner paths carry midpoint marks
+        *((*FIGURE_L[:2], model, *FIGURE_L[3:], "--m", "3") for model in ("l", "P", "l2")),
+        # one step of the window 255/256:1 lands on 1, which the grids leave out
+        (*FIGURE_L, "--window", "255/256:1", "--grid-steps", "0"),
     ],
 )
 def test_malformed_numbers_are_typed_errors(argv, tmp_path, capsys, monkeypatch):
@@ -263,6 +265,24 @@ def test_malformed_numbers_are_typed_errors(argv, tmp_path, capsys, monkeypatch)
     assert run(*argv, "--out", str(tmp_path / "out")) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        (*FIGURE_L, "--grid-steps", "40"),
+        (*FIGURE_L, "--window", "1/2:1", "--grid-steps", "40"),
+        ("table", "--grid-steps", "30"),
+        # a size too long to print in decimal is named by its bit length
+        (*FIGURE_L, "--grid-steps", "20000"),
+    ],
+)
+def test_grids_above_the_cap_are_refused_before_they_are_built(argv, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert run(*argv, "--out", str(out)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: grid points needs size") and err.endswith("above the cap 65536\n")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(
@@ -301,7 +321,7 @@ class TestVerify:
         def refuse(*args):
             raise AssertionError("built a law past the cap")
 
-        monkeypatch.setattr(cli, "double_current", refuse)
+        monkeypatch.setattr(cli, "point_laws", refuse)
         assert run("verify", "--graph", str(path)) == 1
         err = capsys.readouterr().err
         assert err == "error: verify graph lattice needs size 20971520, above the cap 16777216\n"
@@ -371,22 +391,45 @@ def cyclic_edge_lines(fmt: str) -> list[str]:
     ]
 
 
+def record_calls(monkeypatch, *names) -> dict[str, list]:
+    """Wrap each ``cli.<name>`` so that its calls are logged as (args,
+    result), one list per name."""
+    calls = {name: [] for name in names}
+
+    def logging(name, fn):
+        def wrapper(*args):
+            result = fn(*args)
+            calls[name].append((args, result))
+            return result
+
+        return wrapper
+
+    for name in names:
+        monkeypatch.setattr(cli, name, logging(name, getattr(cli, name)))
+    return calls
+
+
+def at_one_minus_x(model):
+    """``build`` with the row ``model`` read at 1 - x and the others at x."""
+    return lambda name, g, x: build(name, g, 1 - x if name == model else x)
+
+
 class TestBatchedSuites:
     """The per-edge mass vectors still catch a wrong law, in the suites'
     exact failure formats, and read each configuration's bridges once."""
 
     def test_cor1_catches_a_wrong_double_current(self, monkeypatch):
         assert suite("cor1", *ONE_X) == []
-        monkeypatch.setattr(cli, "double_current", double_cluster)
+        monkeypatch.setitem(MODELS, "double_current", MODELS["double_cluster"])
         assert suite("cor1", *ONE_X) == cyclic_edge_lines("cor1: {name} x=1/2 edge={e}")
 
     def test_cor1_catches_a_wrong_random_cluster(self, monkeypatch):
-        monkeypatch.setattr(cli, "random_cluster", loop_o1)
+        monkeypatch.setitem(MODELS, "random_cluster", MODELS["loop"])
         assert suite("cor1", *ONE_X) == cyclic_edge_lines("cor1: {name} x=1/2 edge={e}")
 
     def test_edge_identities_catch_a_wrong_double_loop(self, monkeypatch):
         assert suite("edge-identities", *ONE_X) == []
-        monkeypatch.setattr(cli, "double_loop", loop_o1)
+        monkeypatch.setitem(MODELS, "double_loop", MODELS["loop"])
         assert suite("edge-identities", *ONE_X) == cyclic_edge_lines(
             "edge-identities double: {name} x=1/2 e={e}"
         )
@@ -394,9 +437,7 @@ class TestBatchedSuites:
     def test_edge_identities_catch_a_wrong_bernoulli_union(self, monkeypatch):
         # p = 1/3 is a union the suite makes; p = x is the shared random cluster
         monkeypatch.setattr(cli, "union_bernoulli", lambda d, p: union_bernoulli(d, p / 2))
-        monkeypatch.setattr(
-            cli, "random_cluster", lambda g, x: union_bernoulli(loop_o1(g, x), x / 2)
-        )
+        monkeypatch.setitem(MODELS, "random_cluster", (1, lambda x: x / 2))
         # p = 1/3, then p = x = 1/2, for every edge
         assert suite("edge-identities", *ONE_X) == [
             f"edge-identities: {name} x=1/2 e={e} p={p}"
@@ -406,57 +447,41 @@ class TestBatchedSuites:
         ]
 
     def test_newcoupling_catches_a_wrong_double_current(self, monkeypatch):
-        monkeypatch.setattr(cli, "double_current", double_cluster)
+        monkeypatch.setitem(MODELS, "double_current", MODELS["double_cluster"])
         assert suite("newcoupling", BATTERY, cli.DEFAULT_VERIFY_XS) == [
             f"newcoupling: {name} x={x}" for name, _ in BATTERY for x in ("1/4", "1/2", "3/4")
         ]
 
     def test_lis_equivalence_catches_a_wrong_double_current(self, monkeypatch):
-        monkeypatch.setattr(cli, "double_current", double_cluster)
+        monkeypatch.setitem(MODELS, "double_current", MODELS["double_cluster"])
         assert suite("lis-equivalence", BATTERY, cli.DEFAULT_VERIFY_XS) == [
             f"lis-equivalence: {name} x={x}" for name, _ in BATTERY for x in ("1/4", "1/2", "3/4")
         ]
 
     def test_sumthm_catches_a_non_monotone_union(self, monkeypatch):
         assert cli.verify_sumthm() == []
-        monkeypatch.setattr(cli, "double_cluster", lambda g, x: double_cluster(g, 1 - x))
+        monkeypatch.setattr(cli, "build", at_one_minus_x("double_cluster"))
         assert cli.verify_sumthm() == [
             f"sumthm random-cluster: {name}: violated" for name, _ in scan_battery()
         ]
 
     def test_sumthm_is_inconclusive_on_a_non_monotone_input(self, monkeypatch):
-        monkeypatch.setattr(cli, "random_cluster", lambda g, x: random_cluster(g, 1 - x))
+        monkeypatch.setattr(cli, "build", at_one_minus_x("random_cluster"))
         assert cli.verify_sumthm() == [
             f"sumthm random-cluster: {name}: inconclusive" for name, _ in scan_battery()
         ]
 
     def test_sumthm_builds_each_law_once(self, monkeypatch):
-        names = ("bernoulli", "random_cluster", "double_cluster", "union_bernoulli")
-        built = {name: [] for name in names}
-        bernoulli_laws = []
-
-        def counting(name):
-            fn = getattr(cli, name)
-
-            def wrapper(*args):
-                built[name].append(args)
-                law = fn(*args)
-                if name == "bernoulli":
-                    bernoulli_laws.append(law)
-                return law
-
-            return wrapper
-
-        for name in built:
-            monkeypatch.setattr(cli, name, counting(name))
+        calls = record_calls(monkeypatch, "bernoulli", "build", "union_bernoulli")
         assert cli.verify_sumthm() == []
         # one law per grid point and battery graph, and the Bernoulli union
         # reads the scan's own laws at their own x
         points = len(dyadic_grid(4)) * len(scan_battery())
-        assert {name: len(calls) for name, calls in built.items()} == dict.fromkeys(built, points)
-        unions = built["union_bernoulli"]
-        assert all(d is law for (d, _), law in zip(unions, bernoulli_laws))
-        assert [p for _, p in unions] == [x for _, x in built["bernoulli"]]
+        rows = Counter(row for (row, _, _), _ in calls["build"])
+        assert rows == dict.fromkeys(("random_cluster", "double_cluster"), points)
+        assert len(calls["bernoulli"]) == len(calls["union_bernoulli"]) == points
+        for ((d, p), _), ((_, x), law) in zip(calls["union_bernoulli"], calls["bernoulli"]):
+            assert d is law and p == x
 
     def test_cor1_builds_one_even_lattice_per_battery_graph(self):
         even_lattice.cache_clear()
@@ -480,46 +505,50 @@ class TestBatchedSuites:
         assert searched == []
 
     def test_one_verify_builds_each_law_once(self, monkeypatch):
-        battery_models = (
-            "loop_o1",
-            "double_loop",
-            "double_current",
-            "random_cluster",
-            "double_current_lis",
-        )
-        sumthm_models = ("bernoulli", "random_cluster", "double_cluster")
-        built = Counter()
-
-        def counting(name):
-            fn = getattr(cli, name)
-
-            def wrapper(g, x):
-                built[name, g, x] += 1
-                return fn(g, x)
-
-            return wrapper
-
-        for name in {*battery_models, *sumthm_models}:
-            monkeypatch.setattr(cli, name, counting(name))
+        calls = record_calls(monkeypatch, "point_laws", "double_current_lis", "bernoulli", "build")
         assert run("verify") == 0
+        built = Counter((name, *args) for name, log in calls.items() for args, _ in log)
         expected = Counter()
+        # the battery suites read their rows from one point_laws per (graph,
+        # x), which builds each row once
         for _, g in BATTERY:
             for x in cli.DEFAULT_VERIFY_XS:
-                for name in battery_models:
-                    expected[name, g, x] += 1
+                expected["point_laws", g, x] += 1
+                expected["double_current_lis", g, x] += 1
         # sumthm scans its own grid, so it builds its random-cluster laws
         # again where that grid meets the battery's x values
         for _, g in scan_battery():
             for x in dyadic_grid(4):
-                for name in sumthm_models:
-                    expected[name, g, x] += 1
+                expected["bernoulli", g, x] += 1
+                for row in ("random_cluster", "double_cluster"):
+                    expected["build", row, g, x] += 1
         assert built == expected
+
+    def test_battery_builds_one_loop_law_and_one_double_per_point(self, monkeypatch):
+        battery = [("theta[1,2,2]", graphs.generalized_theta([1, 2, 2])), ("K4", complete_graph(4))]
+        xs = cli.DEFAULT_VERIFY_XS
+        loops, doubles = Counter(), Counter()
+        real_loop_o1, real_union = measures.loop_o1, measures.union
+
+        def loop_o1(g, x):
+            loops[g, x] += 1
+            return real_loop_o1(g, x)
+
+        def union(d1, d2):
+            doubles[d1.graph] += 1
+            return real_union(d1, d2)
+
+        monkeypatch.setattr(measures, "loop_o1", loop_o1)
+        monkeypatch.setattr(measures, "union", union)
+        assert cli.verify_battery(BATTERY_SUITES, battery, xs) == dict.fromkeys(BATTERY_SUITES, [])
+        assert loops == {(g, x): 1 for _, g in battery for x in xs}
+        assert doubles == {g: len(xs) for _, g in battery}
 
     def test_failing_run_prints_suites_and_lines_in_order(self, monkeypatch, capsys):
         # a wrong pushforward fails newcoupling and a wrong counting formula
         # fails lis-equivalence; the suites between them pass
         monkeypatch.setattr(cli, "push_uniform_even", lambda d: d)
-        monkeypatch.setattr(cli, "double_current_lis", double_cluster)
+        monkeypatch.setattr(cli, "double_current_lis", lambda g, x: build("double_cluster", g, x))
         assert run("verify") == 1
         lines = [f"{name} x={x}" for name, _ in BATTERY for x in ("1/4", "1/2", "3/4")]
         assert capsys.readouterr().out == "\n".join(

@@ -1,4 +1,5 @@
 import dataclasses
+from collections import Counter
 from fractions import Fraction
 from math import gcd
 
@@ -39,17 +40,15 @@ from loopcurrents.measures import (
     bernoulli,
     bit_masses,
     build,
-    double_cluster,
     double_current,
     double_current_lis,
     double_loop,
     loop_o1,
+    point_laws,
     point_mass,
     prob,
     push_uniform_even,
     pythagorean_x,
-    random_cluster,
-    single_current,
     single_current_p,
     union,
     union_bernoulli,
@@ -282,7 +281,8 @@ class TestCurrentParams:
     def test_pythagorean_half(self):
         assert pythagorean_x(F(1, 2)) == F(4, 5)
         assert single_current_p(F(4, 5)) == F(2, 5)
-        assert single_current(THETA232, F(4, 5)) == union_bernoulli(loop_o1(THETA232, F(4, 5)), F(2, 5))
+        loop = loop_o1(THETA232, F(4, 5))
+        assert build("single_current", THETA232, F(4, 5)) == union_bernoulli(loop, F(2, 5))
 
     @settings(max_examples=200, deadline=None)
     @given(t=st.fractions(min_value=0, max_value=1).filter(lambda t: t < 1), x=st.fractions(0, 1))
@@ -301,7 +301,7 @@ class TestCurrentParams:
             with pytest.raises(ParametrizationError):
                 single_current_p(x)
             with pytest.raises(ParametrizationError):
-                single_current(THETA111, x)
+                build("single_current", THETA111, x)
 
     def test_parameters_outside_the_unit_interval_rejected(self):
         for t in (F(-1, 2), F(1), F(2)):
@@ -317,11 +317,11 @@ class TestNamedConstructors:
         g = THETA232
         zero = point_mass(g, 0)
         assert loop_o1(g, F(0)).same_law(zero)
-        assert random_cluster(g, F(0)).same_law(zero)
-        assert single_current(g, F(0)).same_law(zero)
+        assert build("random_cluster", g, F(0)).same_law(zero)
+        assert build("single_current", g, F(0)).same_law(zero)
         assert double_loop(g, F(0)).same_law(zero)
         assert double_current(g, F(0)).same_law(zero)
-        assert double_cluster(g, F(0)).same_law(zero)
+        assert build("double_cluster", g, F(0)).same_law(zero)
 
     def test_double_current_on_tree_is_bernoulli_x_squared(self):
         x = F(1, 2)
@@ -329,13 +329,13 @@ class TestNamedConstructors:
 
     def test_cluster_on_tree_is_bernoullietc(self):
         x = F(2, 5)
-        assert random_cluster(TREE, x).same_law(bernoulli(TREE, x))
+        assert build("random_cluster", TREE, x).same_law(bernoulli(TREE, x))
 
     def test_double_current_couplings_agree(self):
         for t in (F(1, 2), F(1, 3)):
             x = pythagorean_x(t)
             for g in (THETA111, THETA232, K4):
-                sc = single_current(g, x)
+                sc = build("single_current", g, x)
                 via_singles = union(sc, sc)
                 via_double_loop = union_bernoulli(double_loop(g, x), x * x)
                 assert via_singles.same_law(via_double_loop)
@@ -344,10 +344,10 @@ class TestNamedConstructors:
     def test_double_cluster_couplings_agree(self):
         x = F(1, 3)
         for g in (THETA111, K4):
-            rc = random_cluster(g, x)
-            assert union(rc, rc).same_law(double_cluster(g, x))
+            rc = build("random_cluster", g, x)
+            assert union(rc, rc).same_law(build("double_cluster", g, x))
             assert union_bernoulli(double_loop(g, x), x * (2 - x)).same_law(
-                double_cluster(g, x)
+                build("double_cluster", g, x)
             )
 
 
@@ -375,21 +375,27 @@ class TestRegistry:
         for t in (F(0), F(1, 4), F(1, 3), F(1, 2)):
             x = pythagorean_x(t)
             for g in (THETA232, K4, LOOPY):
+                law = point_laws(g, x)
                 for name in MODELS:
-                    assert build(name, g, x).same_law(_union_chain(name, g, x)), (
-                        name,
-                        t,
-                    )
+                    chain = _union_chain(name, g, x)
+                    assert build(name, g, x).same_law(chain), (name, t)
+                    assert law(name).same_law(chain), (name, t)
+
+    def test_point_laws_build_each_row_once(self, monkeypatch):
+        calls = Counter()
+        for kernel in ("loop_o1", "union"):
+            real = getattr(measures, kernel)
+            counted = lambda *a, real=real, kernel=kernel: calls.update([kernel]) or real(*a)
+            monkeypatch.setattr(measures, kernel, counted)
+        law = point_laws(K4, F(4, 5))
+        for name in MODELS:
+            assert law(name) is law(name), name
+        # every row stands on the one loop law and its one double
+        assert calls == {"loop_o1": 1, "union": 1}
 
     def test_named_constructors_are_registry_rows(self):
         x = F(4, 5)
-        for name, constructor in (
-            ("single_current", single_current),
-            ("random_cluster", random_cluster),
-            ("double_loop", double_loop),
-            ("double_current", double_current),
-            ("double_cluster", double_cluster),
-        ):
+        for name, constructor in (("double_loop", double_loop), ("double_current", double_current)):
             assert constructor(K4, x).same_law(build(name, K4, x)), name
 
     def test_order_is_the_table_row_order(self):
@@ -638,11 +644,11 @@ class TestDistInvariants:
             dists = [
                 bernoulli(g, F(2, 7)),
                 loop_o1(g, x),
-                random_cluster(g, x),
-                single_current(g, x),
+                build("random_cluster", g, x),
+                build("single_current", g, x),
                 double_loop(g, x),
                 double_current(g, x),
-                double_cluster(g, x),
+                build("double_cluster", g, x),
                 double_current_lis(g, x),
                 push_uniform_even(double_current(g, x)),
             ]
@@ -701,6 +707,6 @@ class TestDistInvariants:
             Dist.from_weights(THETA111, {1 << 5: F(1)})
 
     def test_json_roundtrip(self):
-        d = random_cluster(THETA111, F(1, 3))
+        d = build("random_cluster", THETA111, F(1, 3))
         back = dist_from_json(THETA111, dist_to_json(d))
         assert back.same_law(d) and back.z == d.z

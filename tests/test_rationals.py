@@ -2,6 +2,8 @@ from fractions import Fraction
 
 import pytest
 
+from loopcurrents import rationals
+from loopcurrents.errors import CapExceededError
 from loopcurrents.rationals import (
     decimal_string,
     dyadic_grid,
@@ -63,6 +65,14 @@ class TestGridsAndPairs:
     def test_window_grid_endpoints(self):
         grid = dyadic_window_grid(Fraction(1, 2), Fraction(3, 4), 4)
         assert grid[0] > Fraction(1, 2) and grid[-1] == Fraction(3, 4)
+
+    def test_grids_are_capped_before_they_are_built(self, monkeypatch):
+        monkeypatch.setattr(rationals, "GRID_CAP", 7)
+        assert len(dyadic_grid(3)) == len(dyadic_window_grid(Fraction(1, 2), Fraction(1), 8)) == 7
+        with pytest.raises(CapExceededError, match="grid points needs size 15"):
+            dyadic_grid(4)
+        with pytest.raises(CapExceededError, match="grid points needs size 8"):
+            dyadic_window_grid(Fraction(1, 2), Fraction(3, 4), 8)
 
     def test_near_one_grid_increasing(self):
         grid = near_one_grid(6, 10)

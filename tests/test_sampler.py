@@ -23,7 +23,6 @@ from loopcurrents.measures import (
     double_current,
     loop_o1,
     push_uniform_even,
-    single_current,
 )
 from loopcurrents.sampler import (
     CHAIN_BLOCK,
@@ -223,7 +222,7 @@ class TestCoupledSamplers:
             sample_stream("single_current", THETA111, F(1, 2), 1, 1)
 
     def test_single_current_sampling(self):
-        self._gof("single_current", THETA111, F(4, 5), single_current(THETA111, F(4, 5)))
+        self._gof("single_current", THETA111, F(4, 5), build("single_current", THETA111, F(4, 5)))
 
     def test_unknown_model_rejected(self):
         # the model is checked once per stream, before any draw

@@ -7,17 +7,16 @@ from loopcurrents.events import connect, cyclic_count, statistic_dist
 from loopcurrents.graphs import counter_family, generalized_theta
 from loopcurrents.intervals import Interval
 from loopcurrents.measures import (
+    build,
     double_current,
     double_loop,
     loop_o1,
     prob,
     pythagorean_x,
-    random_cluster,
-    single_current,
 )
 from loopcurrents.rationals import dyadic_grid, find_decreasing_pair
 from loopcurrents.theta import (
-    CounterSpec,
+    check_counter,
     closed_form_discrepancies,
     counter_even_masks,
     counter_pair_connect_table,
@@ -133,7 +132,7 @@ class TestConnectionForms:
         for t in (F(1, 2), F(1, 3)):
             g = counter_family(2, 2)
             assert single_current_conn_exact(2, 2, t) == prob(
-                single_current(g, pythagorean_x(t)), connect(g)
+                build("single_current", g, pythagorean_x(t)), connect(g)
             )
 
     def test_single_current_conn_small_t_is_small(self):
@@ -196,8 +195,10 @@ class TestConnectionForms:
             single_current_conn_interval(2, 2, F(0))
 
     def test_spec_rejects_odd_m(self):
-        with pytest.raises(GraphStructureError):
-            CounterSpec(2, 3)
+        with pytest.raises(GraphStructureError, match="m=3 must be even"):
+            check_counter(2, 3)
+        with pytest.raises(GraphStructureError, match="segment lengths must be positive"):
+            check_counter(0, 2)
         with pytest.raises(GraphStructureError):
             loop_conn(2, 3)
 
@@ -272,7 +273,7 @@ class TestCyclicCountForms:
         g = generalized_theta([l, m, n])
         x = F(1, 2)
         stat = cyclic_count(g)
-        cluster_mass = statistic_dist(random_cluster(g, x), stat)[l + m]
+        cluster_mass = statistic_dist(build("random_cluster", g, x), stat)[l + m]
         double_mass = statistic_dist(double_current(g, x), stat)[l + m]
         assert cyclic_count_cluster_form(l, m, n)(x) == cluster_mass
         assert cyclic_count_double_current_form(l, m, n)(x) == double_mass
