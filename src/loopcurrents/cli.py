@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import hashlib
 import json
 import sys
@@ -30,7 +31,6 @@ from .intervals import MAX_BITS, START_BITS, certify_decreasing_pair
 from .measures import (
     bernoulli,
     bit_masses,
-    build,
     double_current_lis,
     point_laws,
     push_uniform_even,
@@ -41,6 +41,7 @@ from .overview import build_overview
 from .rationals import (
     decimal_string,
     dyadic_grid,
+    dyadic_steps,
     dyadic_window_grid,
     find_decreasing_pair,
     format_rational,
@@ -157,7 +158,7 @@ def cmd_figure(args) -> int:
         lo, colon, hi = args.window.partition(":")
         if not colon or args.grid_steps < 0:
             raise ParametrizationError("--window needs the form lo:hi and --grid-steps >= 0")
-        grid = dyadic_window_grid(parse_rational(lo), parse_rational(hi), 1 << args.grid_steps)
+        grid = dyadic_window_grid(parse_rational(lo), parse_rational(hi), dyadic_steps(args.grid_steps))
     else:
         grid = dyadic_grid(args.grid_steps)
 
@@ -308,52 +309,43 @@ def verify_edge_identities(name, g, x, law) -> list[str]:
 def verify_battery(theorems, battery, xs) -> dict[str, list[str]]:
     """The failure lines of the named battery suites, each in its (graph,
     x, edge) order.  The suites run (graph, x)-major: at each point they
-    read the model rows of one ``point_laws(g, x)``, so the loop law, the
-    double loop and each row are built once, and the laws are dropped
-    before the next x."""
+    read the model rows of one ``point_laws(g, x)``, cached since several
+    suites read a row, so the loop law, the double loop and each row are
+    built once, and the laws are dropped before the next x."""
     failures: dict[str, list[str]] = {name: [] for name in theorems}
     for name, g in battery:
         for x in xs:
-            law = point_laws(g, x)
+            law = functools.cache(point_laws(g, x))
             for suite in theorems:
                 failures[suite] += VERIFY_SUITES[suite](name, g, x, law)
     return failures
 
 
-def _sum_theorem_status(family, union_of, grid) -> str | None:
-    """"inconclusive" when the laws ``family(x)`` fail their own
-    monotonicity scan on ``grid`` (the theorem's hypothesis is not met),
-    "violated" when the laws ``union_of(family(x), x)`` fail theirs, else
-    None.  Each law of the family is built once."""
-    laws = [family(x) for x in grid]
-    if monotonicity_scan(laws):
-        return "inconclusive"
-    if monotonicity_scan([union_of(d, x) for d, x in zip(laws, grid)]):
-        return "violated"
-    return None
-
-
 def verify_sumthm() -> list[str]:
     """The sum theorem on the scan battery: Bernoulli percolation united
-    with itself, and the random-cluster model's double, stay monotone.
-    Bernoulli(x) united with an independent Bernoulli(x) is
-    ``union_bernoulli(d, x)``, one pass over the 2^|E| lattice in place of
-    the 4^|E| support pairs of ``union(d, d)``."""
+    with itself, and the random cluster's double, stay monotone; a case is
+    "inconclusive" when its laws fail their own scan.  Bernoulli(x) united
+    with an independent Bernoulli(x) is ``union_bernoulli(d, x)``, one pass
+    over the 2^|E| lattice in place of the 4^|E| support pairs of
+    ``union(d, d)``."""
     failures = []
     grid = dyadic_grid(4)
     for name, g in scan_battery():
+        percolation = [bernoulli(g, x) for x in grid]
+        point = [point_laws(g, x) for x in grid]
         cases = (
-            ("bernoulli", lambda x: bernoulli(g, x), union_bernoulli),
+            ("bernoulli", percolation, [union_bernoulli(d, x) for d, x in zip(percolation, grid)]),
             (
                 "random-cluster",
-                lambda x: build("random_cluster", g, x),
-                lambda d, x: build("double_cluster", g, x),
+                [law("random_cluster") for law in point],
+                [law("double_cluster") for law in point],
             ),
         )
-        for label, family, union_of in cases:
-            status = _sum_theorem_status(family, union_of, grid)
-            if status is not None:
-                failures.append(f"sumthm {label}: {name}: {status}")
+        for label, laws, unions in cases:
+            if monotonicity_scan(laws):
+                failures.append(f"sumthm {label}: {name}: inconclusive")
+            elif monotonicity_scan(unions):
+                failures.append(f"sumthm {label}: {name}: violated")
     return failures
 
 

@@ -16,12 +16,13 @@ class GraphMismatchError(LoopCurrentsError, ValueError):
 class CapExceededError(LoopCurrentsError, ValueError):
     """An enumeration would exceed the configured size cap.
 
-    Raised instead of silently truncating; carries the offending size.
+    Raised instead of silently truncating; carries the size (text if too big to build).
     """
 
-    def __init__(self, what: str, size: int, cap: int):
-        # Python refuses to print an int of more than 4300 digits in decimal
-        shown = size if size.bit_length() < 4096 else f"above 2^{size.bit_length() - 1}"
+    def __init__(self, what: str, size: int | str, cap: int):
+        shown = size  # Python refuses to print an int of more than 4300 digits in decimal
+        if not isinstance(size, str) and size.bit_length() >= 4096:
+            shown = f"above 2^{size.bit_length() - 1}"
         super().__init__(f"{what} needs size {shown}, above the cap {cap}")
         self.what = what
         self.size = size

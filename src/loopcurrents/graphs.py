@@ -83,9 +83,15 @@ class Graph:
     def from_json_dict(cls, data: dict) -> "Graph":
         marks = None
         if "marks" in data and data["marks"] is not None:
-            marks = Marks(int(data["marks"]["a"]), int(data["marks"]["b"]))
-        edges = tuple((int(u), int(v)) for u, v in data["edges"])
-        return cls(int(data["vertices"]), edges, marks)
+            marks = Marks(_json_int(data["marks"]["a"], "marks"), _json_int(data["marks"]["b"], "marks"))
+        edges = tuple((_json_int(u, "edges"), _json_int(v, "edges")) for u, v in data["edges"])
+        return cls(_json_int(data["vertices"], "vertices"), edges, marks)
+
+
+def _json_int(value, field: str) -> int:
+    if type(value) is not int:  # a JSON float, string or bool (an int subclass)
+        raise GraphStructureError(f"{field}: {value!r} is not an integer")
+    return value
 
 
 def graph_to_json(g: Graph) -> str:

@@ -9,8 +9,8 @@ enters this module.
 The models follow the union-coupling definitions, each one row of the
 registry :data:`MODELS`: k independent loop-model copies, unioned with
 Bernoulli(p(x)) percolation.  :func:`point_laws` builds the rows at one
-(graph, x) on one shared loop law and its k-fold unions, and :func:`build`
-takes one row of them.  The rows:
+(graph, x) on one shared loop law and its k-fold unions, and keeps no row;
+:func:`build` takes one row of them.  The rows:
 
 * loop model: weight x^|g| on every even subgraph g;
 * random cluster (q=2): loop union Bernoulli(x);
@@ -272,16 +272,15 @@ MODELS: dict[str, tuple[int, Callable[[Fraction], Fraction] | None]] = {
 
 def point_laws(graph: Graph, x: Fraction) -> Callable[[str], Dist]:
     """``law(name)``: the exact law of the registered model ``name`` at edge
-    weight ``x``.  The rows share one loop law and its k-fold unions, and
-    each is built on first use, once; the name and p(x) are checked before
-    anything is enumerated."""
+    weight ``x``, built on each call (a caller that rereads rows caches it)
+    on one loop law and its k-fold unions, each built once on first use.
+    The name and p(x) are checked before anything is enumerated."""
     x = Fraction(x)
 
     @cache
     def loops(copies: int) -> Dist:
         return loop_o1(graph, x) if copies == 1 else union(loops(copies - 1), loops(1))
 
-    @cache
     def law(name: str) -> Dist:
         if name not in MODELS:
             raise LoopCurrentsError(f"unknown model {name!r}; choose from {tuple(MODELS)}")

@@ -16,17 +16,17 @@ The expected verdict per cell is fixed (KNOWN_VERDICTS); the builder
 refuses to upgrade an open cell to a claim and treats a failed scan on a
 "holds" cell as an error worth surfacing loudly.
 
-Each graph's scans share one law per grid point; FKG reads the laws in one
-``checkers.fkg_gaps`` call, and CON and SING share one
-``measures.bit_masses`` pass over them, whose connection bits every scanned
-row computes once per configuration of the graph.
+The scans run graph by graph on one ``measures.point_laws`` per grid point
+and hold one row's laws at a time.  FKG reads them in one
+``checkers.fkg_gaps`` call, and CON and SING share one ``bit_masses`` pass,
+whose connection bits every scanned row computes once per configuration.
 
 MON takes each step of a scanned row by one of three routes.  The first,
 ``loop-union``, rests on the rows being couplings: k independent loop laws
 unioned with Bernoulli(p(x)).  If the loop law at x2 dominates the one at
 x1 and p(x1) <= p(x2), the row at x2 dominates the row at x1
-(:func:`loop_union_steps`), so one loop-law scan per graph, on supports of
-a few masks, serves all three rows.  Every other step goes to
+(:func:`loop_union_steps`), so one scan of a graph's loop laws, on supports
+of a few masks, serves all three rows.  Every other step goes to
 ``holley-local`` and then ``flow`` on the row's own laws
 (``checkers.monotonicity_scan``), so every violation and its up-set still
 comes from a min cut on the model's laws.  ``verify sumthm`` checks this
@@ -47,7 +47,7 @@ from .errors import LoopCurrentsError
 from .events import Event, all_open, connect, edge_open
 from .graphs import Graph, component_labels, counter_family
 from .intervals import certify_decreasing_pair
-from .measures import MODELS, Dist, bit_masses, build, loop_o1, pythagorean_x
+from .measures import MODELS, Dist, bit_masses, build, point_laws, pythagorean_x
 from .rationals import (
     decimal_string,
     dyadic_grid,
@@ -291,13 +291,13 @@ def scan_fkg(name: str, g: Graph, laws, grid) -> list[dict]:
     ]
 
 
-def loop_dominating_steps(g: Graph, grid) -> set[int]:
-    """Steps j of ``grid`` at which the loop law at grid[j] dominates the one
-    at grid[j - 1].  Loop laws are not strictly positive, so every step runs
-    the flow (:func:`~loopcurrents.checkers.monotonicity_scan`), on the few
-    masks of the loop laws' support."""
-    failing = {j for j, _ in monotonicity_scan([loop_o1(g, x) for x in grid])}
-    return set(range(1, len(grid))) - failing
+def loop_dominating_steps(loop_laws: Sequence[Dist]) -> set[int]:
+    """Steps j at which the loop law ``loop_laws[j]`` dominates
+    ``loop_laws[j - 1]``.  Loop laws are not strictly positive, so every
+    step runs the flow (:func:`~loopcurrents.checkers.monotonicity_scan`),
+    on the few masks of the loop laws' support."""
+    failing = {j for j, _ in monotonicity_scan(loop_laws)}
+    return set(range(1, len(loop_laws))) - failing
 
 
 def loop_union_steps(model: str, grid, loop_steps: set[int]) -> set[int]:
@@ -332,22 +332,6 @@ def scan_mon(name: str, laws, grid, certified: Container[int] = ()) -> list[dict
     ]
 
 
-def _scan_graph(
-    model: str, name: str, g: Graph, grid, mon_grid, memo: dict[int, int], loop_steps: set[int]
-) -> dict[str, list[dict]]:
-    """Violations of each scanned property on one graph, from one law per
-    grid point shared by the four scans; ``memo`` is the graph's connection
-    bits (:func:`_connection_masses`) and ``loop_steps`` its loop law's
-    dominating MON steps (:func:`loop_dominating_steps`)."""
-    laws = {x: build(model, g, x) for x in sorted({*grid, *mon_grid})}
-    certified = loop_union_steps(model, mon_grid, loop_steps)
-    return {
-        "FKG": scan_fkg(name, g, laws, grid),
-        "MON": scan_mon(name, laws, mon_grid, certified),
-        **scan_connection(name, g, laws, grid, memo),
-    }
-
-
 # ---------------------------------------------------------------------------
 # Table assembly
 
@@ -377,10 +361,6 @@ def build_overview(
     }
 
     cells: dict[str, dict[str, dict]] = {m: {} for m in MODELS}
-    # per graph, shared by the scanned rows: the connection bits and the
-    # loop law's dominating MON steps
-    memos: list[dict[int, int]] = [{} for _ in graphs]
-    loop_steps = [loop_dominating_steps(g, mon_grid) for _, g in graphs]
 
     def put(model, prop, status, payload):
         cells[model][prop] = {
@@ -411,22 +391,32 @@ def build_overview(
         ),
     }
 
-    for model in MODELS:
-        if model in refutations:
-            fkg, sing, mon = refutations[model]
-            con = dict(sing, note="singleton sets; follows from the SING witness")
-            for prop, witness in (("FKG", fkg), ("SING", sing), ("MON", mon), ("CON", con)):
-                put(model, prop, CERTIFIED_FALSE, {"witness": witness})
-            continue
-        violations: dict[str, list[dict]] = {prop: [] for prop in PROPERTIES}
-        for (name, g), memo, steps in zip(graphs, memos, loop_steps):
-            for prop, found in _scan_graph(model, name, g, grid, mon_grid, memo, steps).items():
-                violations[prop] += found
-        for prop, found in violations.items():
+    for model, (fkg, sing, mon) in refutations.items():
+        con = dict(sing, note="singleton sets; follows from the SING witness")
+        for prop, witness in (("FKG", fkg), ("SING", sing), ("MON", mon), ("CON", con)):
+            put(model, prop, CERTIFIED_FALSE, {"witness": witness})
+
+    violations = {m: {prop: [] for prop in PROPERTIES} for m in MODELS if m not in refutations}
+    for name, g in graphs:
+        point = {x: point_laws(g, x) for x in sorted({*grid, *mon_grid})}
+        loop_steps = loop_dominating_steps([point[x]("loop") for x in mon_grid])
+        memo: dict[int, int] = {}  # g's connection bits, shared by its scanned rows
+        for model, row in violations.items():
+            laws = {x: law(model) for x, law in point.items()}
+            certified = loop_union_steps(model, mon_grid, loop_steps)
+            found = {
+                "FKG": scan_fkg(name, g, laws, grid),
+                "MON": scan_mon(name, laws, mon_grid, certified),
+                **scan_connection(name, g, laws, grid, memo),
+            }
+            del laws  # the next row's laws are built without these
+            for prop, more in found.items():
+                row[prop] += more
+    for model, row in violations.items():
+        for prop, found in row.items():
+            status = OPEN_STATUS
             if KNOWN_VERDICTS[model][prop] == HOLDS:
                 status = SCAN_CLEAN if not found else SCAN_FAILED
-            else:
-                status = OPEN_STATUS
             put(model, prop, status, {"scan": dict(scan_meta, violations=found)})
 
     ok = all(

@@ -46,11 +46,19 @@ def decimal_string(value: Fraction, digits: int = 40) -> str:
 GRID_CAP = 1 << 16
 
 
+def dyadic_steps(resolution: int) -> int:
+    """2^resolution steps (resolution >= 0), refused by exponent when the
+    grid would be far above the cap, before a shift builds a huge integer."""
+    if resolution > GRID_CAP.bit_length() + 1:
+        raise CapExceededError("grid points", f"above 2^{resolution - 1}", GRID_CAP)
+    return 1 << resolution
+
+
 def dyadic_grid(resolution: int) -> list[Fraction]:
     """All points k/2^resolution strictly inside (0, 1), ascending."""
     if resolution < 1:
         raise ParametrizationError(f"resolution {resolution} must be >= 1")
-    den = 1 << resolution
+    den = dyadic_steps(resolution)
     if den - 1 > GRID_CAP:
         raise CapExceededError("grid points", den - 1, GRID_CAP)
     return [Fraction(k, den) for k in range(1, den)]

@@ -23,7 +23,7 @@ from functools import cache
 from itertools import islice
 from typing import TYPE_CHECKING, Iterator
 
-from .errors import LoopCurrentsError
+from .errors import LoopCurrentsError, ParametrizationError
 from .graphs import Graph, cycle_space_basis
 from .measures import MODELS, loop_o1
 
@@ -79,6 +79,8 @@ def loop_chain(
     """
     if burn_in < 0 or thin < 1:
         raise LoopCurrentsError(f"need burn-in >= 0 and thin >= 1, got {burn_in} and {thin}")
+    if not 0 <= x < 1:
+        raise ParametrizationError(f"x={x} outside [0,1)")
     rng = make_rng(seed)
     basis = cycle_space_basis(g)
     if basis.dimension == 0:

@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import json
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -9,7 +10,7 @@ import pytest
 from loopcurrents import cli, events, graphs, measures, theta
 from loopcurrents.battery import scan_battery, verification_battery
 from loopcurrents.cli import _interval_decimal, main
-from loopcurrents.errors import LoopCurrentsError
+from loopcurrents.errors import CapExceededError, LoopCurrentsError
 from loopcurrents.graphs import (
     Graph,
     complete_graph,
@@ -18,7 +19,7 @@ from loopcurrents.graphs import (
     graph_to_json,
 )
 from loopcurrents.intervals import Interval
-from loopcurrents.measures import MODELS, build, union_bernoulli
+from loopcurrents.measures import MODELS, build, point_laws, union_bernoulli
 from loopcurrents.rationals import dyadic_grid
 
 F = Fraction
@@ -212,11 +213,16 @@ class TestFigure:
 
 FIGURE_L = ("figure", "--model", "l", "--n", "18", "--m", "2")
 SAMPLE_THETA = ("sample", "--family", "theta", "--segments", "1,1,1", "--x", "1/2")
-# --graph files that are not graphs: invalid JSON, no edge list, an edge of three vertices
+# --graph files that are not graphs: invalid JSON, no edge list, an edge of
+# three vertices, and a vertex count, endpoints and a mark that are not JSON
+# integers
 MALFORMED_GRAPHS = {
     "invalid.json": "{not json",
     "no_edges.json": '{"vertices": 3}',
     "triple.json": '{"vertices": 3, "edges": [[0, 1, 2]]}',
+    "float_vertices.json": '{"vertices": 2.9, "edges": [[0, 1.9]]}',
+    "bool_endpoints.json": '{"vertices": 2, "edges": [[true, false]]}',
+    "float_mark.json": '{"vertices": 3, "edges": [[0, 1], [1, 2]], "marks": {"a": 0.5, "b": 2}}',
 }
 
 
@@ -255,6 +261,11 @@ MALFORMED_GRAPHS = {
         *((*FIGURE_L[:2], model, *FIGURE_L[3:], "--m", "3") for model in ("l", "P", "l2")),
         # one step of the window 255/256:1 lands on 1, which the grids leave out
         (*FIGURE_L, "--window", "255/256:1", "--grid-steps", "0"),
+        # the chain refuses an x outside [0, 1) as the exact models do
+        *(
+            ("sample", "--model", "loop_mcmc", "--family", "theta", "--segments", "2,3,2", x)
+            for x in ("--x=3/2", "--x=-1/2")
+        ),
     ],
 )
 def test_malformed_numbers_are_typed_errors(argv, tmp_path, capsys, monkeypatch):
@@ -283,6 +294,30 @@ def test_grids_above_the_cap_are_refused_before_they_are_built(argv, tmp_path, c
     err = capsys.readouterr().err
     assert err.startswith("error: grid points needs size") and err.endswith("above the cap 65536\n")
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "refuse",
+    [
+        lambda tmp_path: dyadic_grid(10**8),
+        lambda tmp_path: cli.cmd_figure(
+            cli.build_parser().parse_args(
+                [*FIGURE_L, "--window", "1/2:1", "--grid-steps", str(10**8), "--out", str(tmp_path / "out")]
+            )
+        ),
+    ],
+    ids=["dyadic_grid", "figure_window"],
+)
+def test_an_absurd_resolution_is_refused_by_its_exponent(refuse, tmp_path):
+    # 2^(10^8) alone takes 12.5 MB: the exponent meets the cap before any shift
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapExceededError, match=r"^grid points needs size above 2\^99999999,"):
+            refuse(tmp_path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 @pytest.mark.parametrize(
@@ -410,8 +445,25 @@ def record_calls(monkeypatch, *names) -> dict[str, list]:
 
 
 def at_one_minus_x(model):
-    """``build`` with the row ``model`` read at 1 - x and the others at x."""
-    return lambda name, g, x: build(name, g, 1 - x if name == model else x)
+    """``point_laws`` with the row ``model`` read at 1 - x and the others at x."""
+
+    def laws(g, x):
+        return lambda name: point_laws(g, 1 - x if name == model else x)(name)
+
+    return laws
+
+
+def counting_rows(monkeypatch) -> Counter:
+    """Count, per (graph, x, row), the rows that ``cli.point_laws`` builds."""
+    rows = Counter()
+    real = cli.point_laws
+
+    def counting_point_laws(g, x):
+        law = real(g, x)
+        return lambda name: rows.update([(g, x, name)]) or law(name)
+
+    monkeypatch.setattr(cli, "point_laws", counting_point_laws)
+    return rows
 
 
 class TestBatchedSuites:
@@ -460,24 +512,27 @@ class TestBatchedSuites:
 
     def test_sumthm_catches_a_non_monotone_union(self, monkeypatch):
         assert cli.verify_sumthm() == []
-        monkeypatch.setattr(cli, "build", at_one_minus_x("double_cluster"))
+        monkeypatch.setattr(cli, "point_laws", at_one_minus_x("double_cluster"))
         assert cli.verify_sumthm() == [
             f"sumthm random-cluster: {name}: violated" for name, _ in scan_battery()
         ]
 
     def test_sumthm_is_inconclusive_on_a_non_monotone_input(self, monkeypatch):
-        monkeypatch.setattr(cli, "build", at_one_minus_x("random_cluster"))
+        monkeypatch.setattr(cli, "point_laws", at_one_minus_x("random_cluster"))
         assert cli.verify_sumthm() == [
             f"sumthm random-cluster: {name}: inconclusive" for name, _ in scan_battery()
         ]
 
     def test_sumthm_builds_each_law_once(self, monkeypatch):
-        calls = record_calls(monkeypatch, "bernoulli", "build", "union_bernoulli")
+        built = counting_rows(monkeypatch)
+        calls = record_calls(monkeypatch, "bernoulli", "point_laws", "union_bernoulli")
         assert cli.verify_sumthm() == []
-        # one law per grid point and battery graph, and the Bernoulli union
-        # reads the scan's own laws at their own x
+        # one law per grid point and battery graph, the random cluster and
+        # its double from one point_laws, and the Bernoulli union reads the
+        # scan's own laws at their own x
         points = len(dyadic_grid(4)) * len(scan_battery())
-        rows = Counter(row for (row, _, _), _ in calls["build"])
+        assert len(calls["point_laws"]) == points
+        rows = Counter(row for (_, _, row) in built.elements())
         assert rows == dict.fromkeys(("random_cluster", "double_cluster"), points)
         assert len(calls["bernoulli"]) == len(calls["union_bernoulli"]) == points
         for ((d, p), _), ((_, x), law) in zip(calls["union_bernoulli"], calls["bernoulli"]):
@@ -505,23 +560,28 @@ class TestBatchedSuites:
         assert searched == []
 
     def test_one_verify_builds_each_law_once(self, monkeypatch):
-        calls = record_calls(monkeypatch, "point_laws", "double_current_lis", "bernoulli", "build")
+        rows = counting_rows(monkeypatch)
+        calls = record_calls(monkeypatch, "point_laws", "double_current_lis", "bernoulli")
         assert run("verify") == 0
         built = Counter((name, *args) for name, log in calls.items() for args, _ in log)
+        built.update(("row", *key) for key in rows.elements())
         expected = Counter()
-        # the battery suites read their rows from one point_laws per (graph,
-        # x), which builds each row once
+        # the battery suites read their rows from one cached point_laws per
+        # (graph, x), so each row they read is built once
         for _, g in BATTERY:
             for x in cli.DEFAULT_VERIFY_XS:
                 expected["point_laws", g, x] += 1
                 expected["double_current_lis", g, x] += 1
+                for row in ("double_current", "loop", "random_cluster", "double_loop"):
+                    expected["row", g, x, row] += 1
         # sumthm scans its own grid, so it builds its random-cluster laws
         # again where that grid meets the battery's x values
         for _, g in scan_battery():
             for x in dyadic_grid(4):
+                expected["point_laws", g, x] += 1
                 expected["bernoulli", g, x] += 1
                 for row in ("random_cluster", "double_cluster"):
-                    expected["build", row, g, x] += 1
+                    expected["row", g, x, row] += 1
         assert built == expected
 
     def test_battery_builds_one_loop_law_and_one_double_per_point(self, monkeypatch):

@@ -381,17 +381,19 @@ class TestRegistry:
                     assert build(name, g, x).same_law(chain), (name, t)
                     assert law(name).same_law(chain), (name, t)
 
-    def test_point_laws_build_each_row_once(self, monkeypatch):
+    def test_point_laws_build_the_loop_law_and_its_union_once(self, monkeypatch):
         calls = Counter()
-        for kernel in ("loop_o1", "union"):
+        for kernel in ("loop_o1", "union", "union_bernoulli"):
             real = getattr(measures, kernel)
             counted = lambda *a, real=real, kernel=kernel: calls.update([kernel]) or real(*a)
             monkeypatch.setattr(measures, kernel, counted)
         law = point_laws(K4, F(4, 5))
         for name in MODELS:
-            assert law(name) is law(name), name
-        # every row stands on the one loop law and its one double
-        assert calls == {"loop_o1": 1, "union": 1}
+            assert law(name).same_law(law(name)), name
+        # every row stands on the one loop law and its one double, which are
+        # kept; the four Bernoulli rows are built again on each call
+        assert calls == {"loop_o1": 1, "union": 1, "union_bernoulli": 4 * 2}
+        assert law("loop") is law("loop") and law("double_loop") is law("double_loop")
 
     def test_named_constructors_are_registry_rows(self):
         x = F(4, 5)

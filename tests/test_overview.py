@@ -1,5 +1,6 @@
 import hashlib
 import json
+import weakref
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations
@@ -7,7 +8,7 @@ from itertools import combinations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from loopcurrents import checkers, overview
+from loopcurrents import checkers, measures, overview
 from loopcurrents.battery import scan_battery
 from loopcurrents.events import Event, connect
 from loopcurrents.graphs import (
@@ -17,7 +18,7 @@ from loopcurrents.graphs import (
     counter_family,
     generalized_theta,
 )
-from loopcurrents.measures import MODELS, build, prob
+from loopcurrents.measures import MODELS, build, point_laws, prob
 from loopcurrents.rationals import dyadic_grid, format_rational
 
 from oracles import prob_bruteforce
@@ -25,11 +26,17 @@ from oracles import prob_bruteforce
 
 def test_each_law_is_built_once_and_shared_by_the_scans(monkeypatch):
     built = Counter()
+
     def counting_build(name, graph, x):
         built[name, graph.edges, x] += 1
         return build(name, graph, x)
 
+    def counting_point_laws(graph, x):
+        law = point_laws(graph, x)
+        return lambda name: built.update([(name, graph.edges, x)]) or law(name)
+
     monkeypatch.setattr(overview, "build", counting_build)
+    monkeypatch.setattr(overview, "point_laws", counting_point_laws)
     theta111 = generalized_theta([1, 1, 1])
     report = overview.build_overview(6, 3, graphs=[("theta[1,1,1]", theta111)])
     assert report["consistent_with_expected"]
@@ -37,8 +44,48 @@ def test_each_law_is_built_once_and_shared_by_the_scans(monkeypatch):
     rows = report["models"]
     scanned = [m for m in MODELS if rows[m]["MON"]["status"] != overview.CERTIFIED_FALSE]
     # the MON grid is inside the scan grid, so each scanned model needs one
-    # law per scan grid point; the two certified SING rows need two each
-    assert len(built) == len(scanned) * len(dyadic_grid(6)) + 4
+    # law per scan grid point and the loop-union route one loop law per MON
+    # grid point; the two certified SING rows need two each
+    assert len(built) == len(scanned) * len(dyadic_grid(6)) + len(dyadic_grid(3)) + 4
+
+
+def test_the_scans_hold_one_rows_laws_at_a_time(monkeypatch):
+    # when a row's law is built, no law of another scanned row is alive; the
+    # loop laws, which point_laws keeps for every row, are not rows
+    built = []
+
+    def watching_point_laws(graph, x):
+        law = point_laws(graph, x)
+
+        def watched(name):
+            alive = {row for row, ref in built if row != name and ref() is not None}
+            assert not alive, (name, alive)
+            d = law(name)
+            if name != "loop":
+                built.append((name, weakref.ref(d)))
+            return d
+
+        return watched
+
+    monkeypatch.setattr(overview, "point_laws", watching_point_laws)
+    graphs = [("counter(2,2)", counter_family(2, 2)), ("theta[1,1,1]", generalized_theta([1, 1, 1]))]
+    assert overview.build_overview(6, 3, graphs=graphs)["consistent_with_expected"]
+    assert {row for row, _ in built} == set(UNION_ROWS)
+
+
+def test_the_table_builds_one_loop_law_and_one_double_per_point(monkeypatch):
+    calls = Counter()
+    for kernel in ("loop_o1", "union"):
+        real = getattr(measures, kernel)
+        counted = lambda *a, real=real, kernel=kernel: calls.update([kernel]) or real(*a)
+        monkeypatch.setattr(measures, kernel, counted)
+    graphs = [("counter(2,2)", counter_family(2, 2)), ("theta[1,1,1]", generalized_theta([1, 1, 1]))]
+    overview.build_overview(6, graphs=graphs)
+    # per graph and grid point, the three scanned rows share one loop law
+    # and its double; the loop and double-loop SING witnesses build two more
+    # loop laws each, and the double loop's two doubles
+    points = len(graphs) * len(dyadic_grid(6))
+    assert calls == {"loop_o1": points + 4, "union": points + 2}
 
 
 def test_connection_masses_are_exact_connection_probabilities():
@@ -133,8 +180,13 @@ THETA113 = generalized_theta([1, 1, 3])
 THETA113_TABLE_DIGEST = "87f9783637c8e86262a264313414d994838b72ef8db952ddf7940b7cad7b1114"
 
 
+def loop_steps(g, grid) -> set[int]:
+    """The dominating steps of g's loop laws on ``grid``."""
+    return overview.loop_dominating_steps([build("loop", g, x) for x in grid])
+
+
 def test_fallback_steps_leave_the_table_unchanged():
-    assert overview.loop_dominating_steps(THETA113, dyadic_grid(6)) == set(range(1, 54))
+    assert loop_steps(THETA113, dyadic_grid(6)) == set(range(1, 54))
     report = overview.build_overview(6, graphs=[("theta[1,1,3]", THETA113)])
     text = json.dumps(report, indent=2)
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == THETA113_TABLE_DIGEST
@@ -143,12 +195,12 @@ def test_fallback_steps_leave_the_table_unchanged():
 def test_the_loop_union_route_changes_no_mon_scan():
     grid = dyadic_grid(6)
     for name, g in [*scan_battery(), ("theta[1,1,3]", THETA113)]:
-        loop_steps = overview.loop_dominating_steps(g, grid)
-        assert loop_steps == set(range(1, 54 if g is THETA113 else len(grid)))
+        steps = loop_steps(g, grid)
+        assert steps == set(range(1, 54 if g is THETA113 else len(grid)))
         for model in UNION_ROWS:
             laws = [build(model, g, x) for x in grid]
-            certified = overview.loop_union_steps(model, grid, loop_steps)
-            assert certified == loop_steps
+            certified = overview.loop_union_steps(model, grid, steps)
+            assert certified == steps
             assert checkers.monotonicity_scan(laws, certified) == checkers.monotonicity_scan(laws)
 
 
@@ -162,14 +214,14 @@ def test_battery_mon_scans_touch_no_model_law(flow_networks, monkeypatch):
         return checkers._holley_local(lo, hi)
 
     grid = dyadic_grid(6)
-    battery = [(name, g, overview.loop_dominating_steps(g, grid)) for name, g in scan_battery()]
+    battery = [(name, g, loop_steps(g, grid)) for name, g in scan_battery()]
     assert len(flow_networks) == 4 * (len(grid) - 1)
     flow_networks.clear()
     monkeypatch.setattr(checkers, "_holley_local", counting_holley)
-    for name, g, loop_steps in battery:
+    for name, g, steps in battery:
         for model in UNION_ROWS:
             laws = {x: build(model, g, x) for x in grid}
-            certified = overview.loop_union_steps(model, grid, loop_steps)
+            certified = overview.loop_union_steps(model, grid, steps)
             assert overview.scan_mon(name, laws, grid, certified) == []
     assert flow_networks == [] and not holley
 
@@ -189,8 +241,8 @@ open_unit = st.fractions(0, 1, max_denominator=12).filter(lambda x: 0 < x < 1)
 def test_the_loop_union_lemma_against_the_flow(g, xs):
     x1, x2 = sorted(xs)
     up, down = [x1, x2], [x2, x1]
-    loop_up = overview.loop_dominating_steps(g, up)
-    loop_down = overview.loop_dominating_steps(g, down)
+    loop_up = loop_steps(g, up)
+    loop_down = loop_steps(g, down)
     for model in UNION_ROWS:
         if overview.loop_union_steps(model, up, loop_up):
             assert checkers.stochastic_domination(build(model, g, x1), build(model, g, x2)).dominates
