@@ -529,7 +529,7 @@ def main(argv=None) -> int:
         return EXIT_OK if exc.code == 0 else EXIT_FAILURE
     try:
         return args.func(args)
-    except LoopCurrentsError as exc:
+    except (LoopCurrentsError, OSError) as exc:  # OSError: an output that cannot be written
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAILURE
 

@@ -10,6 +10,10 @@ mask refers to ``graph.edges[i]``.  Set algebra is ``& | ^``, cardinality is
 ``int.bit_count()``.  Edge indices are assigned in input order and never
 reordered, so masks are stable identifiers for a given graph.
 
+A *core* graph (``Graph.lengths``) stands for a subdivided one: its edge i
+is a path of ``lengths[i]`` edges (series reduction).  The lengths take
+part in equality, hashing and every "same graph" test.
+
 All types here are immutable values; they can be shared freely between
 threads and used as dict keys.
 """
@@ -40,13 +44,24 @@ class Marks:
 
 @dataclass(frozen=True)
 class Graph:
-    """A finite multigraph. Parallel edges and self-loops are allowed."""
+    """A finite multigraph. Parallel edges and self-loops are allowed.
+
+    With ``lengths`` set, the graph is a *core*: edge i stands for a path of
+    ``lengths[i]`` edges, whose inner vertices are left out.  ``None`` means
+    every length is 1.  The law-building kernels ``measures.loop_o1`` and
+    ``measures.union_bernoulli``, and so every registered model, read the
+    lengths; statistics, the samplers and ``double_current_lis`` count each
+    core edge as one edge.
+    """
 
     vertex_count: int
     edges: tuple[tuple[int, int], ...]
     marks: Marks | None = None
+    lengths: tuple[int, ...] | None = None
 
     def __post_init__(self):
+        if self.vertex_count < 0:
+            raise GraphStructureError(f"vertex count {self.vertex_count} is negative")
         for idx, (u, v) in enumerate(self.edges):
             if not (0 <= u < self.vertex_count and 0 <= v < self.vertex_count):
                 raise GraphStructureError(
@@ -56,6 +71,14 @@ class Graph:
             for name, vtx in (("a", self.marks.a), ("b", self.marks.b)):
                 if not 0 <= vtx < self.vertex_count:
                     raise GraphStructureError(f"mark {name}={vtx} is not a vertex")
+        if self.lengths is not None and (
+            not isinstance(self.lengths, tuple)
+            or len(self.lengths) != len(self.edges)
+            or not all(type(L) is int and L > 0 for L in self.lengths)
+        ):
+            raise GraphStructureError(
+                f"lengths {self.lengths!r} do not give one positive integer per edge"
+            )
 
     @property
     def edge_count(self) -> int:

@@ -21,6 +21,10 @@ Bernoulli(p(x)) percolation.  :func:`point_laws` builds the rows at one
   equivalently the double loop model union Bernoulli at the doubled
   parameter (x^2 for currents, x(2-x) for clusters).
 
+On a core graph (``Graph.lengths``) an edge of length L carries x^L in the
+loop layer and opens with p^L in the Bernoulli layer, so every row is the
+law of the whole-path events of the subdivided graph.
+
 Event, edge and histogram masses over a family of laws all come from
 :func:`bit_masses`.
 """
@@ -41,6 +45,7 @@ from .errors import (
 )
 from .graphs import (
     Graph,
+    edges_of_mask,
     even_lattice,
     even_subgraphs,
     lattice_size,
@@ -171,18 +176,22 @@ def bernoulli(graph: Graph, p: Fraction) -> Dist:
 
 
 def loop_o1(graph: Graph, x: Fraction) -> Dist:
-    """Loop model: weight x^|g| on every even subgraph g, Z = sum of weights.
-    With x = a/b the weights are a^|g| b^(|E|-|g|) over b^|E|."""
+    """Loop model: weight x^|g| on every even subgraph g, Z = sum of weights,
+    where |g| is the total length of g's edges (its edge count unless the
+    graph is a core).  With x = a/b and total length n of the graph, the
+    weights are a^|g| b^(n-|g|) over b^n."""
     x = Fraction(x)
     if not 0 <= x < 1:
         raise ParametrizationError(f"x={x} outside [0,1)")
     if x == 0:
         return point_mass(graph, 0)
-    a, b, n = x.numerator, x.denominator, graph.edge_count
+    lengths = graph.lengths
+    a, b = x.numerator, x.denominator
+    n = graph.edge_count if lengths is None else sum(lengths)
     nums: dict[int, int] = {}
     powers: dict[int, int] = {}
     for g in even_subgraphs(graph):
-        k = g.bit_count()
+        k = g.bit_count() if lengths is None else sum(lengths[i] for i in edges_of_mask(g))
         if k not in powers:
             powers[k] = a**k * b ** (n - k)
         nums[g] = powers[k]
@@ -224,14 +233,16 @@ def union_bernoulli(d: Dist, p: Fraction) -> Dist:
 
     Same measure as ``union(d, bernoulli(graph, p))`` (asserted by tests) but
     computed edge by edge over the 2^|E| lattice, which keeps the doubled
-    models usable inside exhaustive verification batteries.  With p = c/e
-    and the weights of d as integers over their denominator, opening
-    each edge independently maps the pair (lo, hi) of masks without and
-    with that edge to
+    models usable inside exhaustive verification batteries.  An edge of
+    length L opens with p^L: on a core, its path is open when all its
+    edges are.  With p^L = c^L/e^L and the weights of d as integers over
+    their denominator, opening each edge independently maps the pair
+    (lo, hi) of masks without and with that edge to
 
-        (lo, hi) -> ((e - c) * lo, e * hi + c * lo),
+        (lo, hi) -> ((e^L - c^L) * lo, e^L * hi + c^L * lo),
 
-    so the whole pass stays in integers, over the denominator den * e^|E|.
+    so the whole pass stays in integers, over the denominator den * e^n,
+    n the total length of the graph.
     """
     p = Fraction(p)
     if not 0 <= p <= 1:
@@ -240,21 +251,22 @@ def union_bernoulli(d: Dist, p: Fraction) -> Dist:
         return d
     if p == 1:
         return Dist.from_integers(d.graph, {d.graph.full_mask: d.z.numerator}, d.z.denominator, d.z)
-    n = d.graph.edge_count
+    lengths = d.graph.lengths or (1,) * d.graph.edge_count
     size = lattice_size(d.graph, "Bernoulli union lattice")
     table = [0] * size
     for mask, w in d.nums.items():
         table[mask] = w
-    c, e = p.numerator, p.denominator
-    q = e - c
-    for bit in range(n):
+    for bit, length in enumerate(lengths):
+        c, e = p.numerator**length, p.denominator**length
+        q = e - c
         step = 1 << bit
         for block in range(0, size, step << 1):
             for lo in range(block, block + step):
                 low = table[lo]
                 table[lo + step] = e * table[lo + step] + c * low
                 table[lo] = q * low
-    return Dist.from_integers(d.graph, dict(enumerate(table)), d.den * e**n, d.z)
+    den = d.den * p.denominator ** sum(lengths)
+    return Dist.from_integers(d.graph, dict(enumerate(table)), den, d.z)
 
 
 # Every model is k independent loop-model copies, unioned with Bernoulli(p(x))
@@ -404,10 +416,13 @@ def prob(d: Dist, event) -> Fraction:
 
 
 def _same_graph(*graphs: Graph) -> bool:
-    """The one "same graph" test of the package: equal edge lists and equal
-    vertex counts."""
+    """The one "same graph" test of the package: equal edge lists, vertex
+    counts and edge lengths."""
     first = graphs[0]
-    return all(g.edges == first.edges and g.vertex_count == first.vertex_count for g in graphs[1:])
+    return all(
+        (g.edges, g.vertex_count, g.lengths) == (first.edges, first.vertex_count, first.lengths)
+        for g in graphs[1:]
+    )
 
 
 def _require_same_graph(*graphs: Graph, what: str = "distributions") -> None:

@@ -23,7 +23,9 @@ def parse_rational(text: str) -> Fraction:
 
 
 def format_rational(value: Fraction) -> str:
-    return f"{value.numerator}/{value.denominator}"
+    """'num/den' at any size.  ``Decimal`` writes the integers, so Python's
+    int-to-str digit limit, which stays in place for parsing, does not apply."""
+    return f"{decimal.Decimal(value.numerator)}/{decimal.Decimal(value.denominator)}"
 
 
 def decimal_string(value: Fraction, digits: int = 40) -> str:

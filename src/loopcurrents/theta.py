@@ -1,4 +1,4 @@
-"""Closed-form evaluators for the two generalized-theta families.
+"""Connection probabilities and FKG gaps on the two generalized-theta families.
 
 Two graph families drive every counterexample in this package:
 
@@ -8,12 +8,18 @@ Two graph families drive every counterexample in this package:
   a and b at the midpoints of the two m-paths, used for the monotonicity
   counterexamples through the connection event {a <-> b}.
 
-Every closed form here is a plain function of x, generic over the scalar
-type: Fractions, rounded intervals and sympy symbols take the same code.
-Each is also validated against an exhaustive-enumeration oracle from the
-measures module on small instances; a disagreement would be reported as a
-formula discrepancy rather than silently trusting either side (see
-:func:`closed_form_discrepancies`).
+Their values are kernel computations (:mod:`loopcurrents.measures`) on
+*core* graphs, by series reduction (Sokal 2005, "The multivariate Tutte
+polynomial (alias Potts model) for graphs and matroids"): each path of
+length L is one core edge of length L, so :func:`counter_core` has 6 edges
+and :func:`theta_core` 3, at any n and m.
+
+The single current's connection probability keeps its hand-derived form,
+:func:`single_current_conn_terms`, which takes any scalar: the commands
+evaluate it on rounded intervals at (2000, 300), where p is irrational and
+the integer kernels do not apply.  :func:`closed_form_discrepancies`
+compares the core route and that form with enumeration on the subdivided
+graphs.
 """
 
 from __future__ import annotations
@@ -22,9 +28,18 @@ from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 
+from .checkers import fkg_gaps
 from .errors import GraphStructureError, ParametrizationError
 from .events import Event, all_open, connect, cyclic_count, statistic_dist
-from .graphs import Graph, counter_family, generalized_theta, is_connected, segment_edge_ranges
+from .graphs import (
+    Graph,
+    Marks,
+    counter_family,
+    even_lattice,
+    generalized_theta,
+    is_connected,
+    segment_edge_ranges,
+)
 from .intervals import START_BITS, Interval, sqrt_interval
 from .measures import build, loop_o1, prob, pythagorean_x, single_current_p
 
@@ -73,53 +88,45 @@ def partition_function(lengths):
     return lambda x: _power_sum(terms, x)
 
 
-def theta_partition(n: int, m: int, l: int | None = None):
-    """Z for the three-path theta graph; l defaults to n."""
-    return partition_function([n, m, n if l is None else l])
-
-
 def counter_partition(n: int, m: int):
     """Z for the four-path family: 1 + x^2n + x^2m + 4x^(n+m) + x^(2n+2m)."""
     return partition_function([n, n, m, m])
 
 
 # ---------------------------------------------------------------------------
-# Connection probabilities on the counter family
+# Core graphs and connection probabilities on the counter family
+
+
+def counter_core(n: int, m: int) -> Graph:
+    """Core of counter(n, m): hubs 0 and 1, marks a = 2 and b = 3.  The two
+    n-paths are edges 0 and 1, and each m-path is two halves of length m/2
+    through its mark: edges 2, 3 and edges 4, 5."""
+    check_counter(n, m)
+    h = m // 2
+    edges = ((0, 1), (0, 1), (0, 2), (2, 1), (0, 3), (3, 1))
+    return Graph(4, edges, Marks(2, 3), (n, n, h, h, h, h))
+
+
+def theta_core(n: int, m: int, l: int) -> Graph:
+    """Core of theta(n, m, l): three parallel edges of lengths n, m, l
+    between the hubs 0 and 1."""
+    return Graph(2, ((0, 1),) * 3, lengths=(n, m, l))
+
+
+def _core_conn(model: str, n: int, m: int):
+    core = counter_core(n, m)
+    ab = connect(core)
+    return lambda x: prob(build(model, core, x), ab)
 
 
 def loop_conn(n: int, m: int):
-    """Loop-model probability of {a <-> b}: (x^2m + x^(2m+2n)) / Z.
-
-    Only the both-m-paths subgraph and the full subgraph connect the two
-    midpoints.
-    """
-    check_counter(n, m)
-    z = counter_partition(n, m)
-    return lambda x: (x ** (2 * m) + x ** (2 * m + 2 * n)) / z(x)
+    """Loop-model probability of {a <-> b} on counter(n, m), as a function of x."""
+    return _core_conn("loop", n, m)
 
 
 def double_loop_conn(n: int, m: int):
-    """Double-loop probability of {a <-> b} on the counter family.
-
-    Numerator: 2x^2m Z - x^4m + 2x^(2n+2m) Z - x^(4n+4m) - 2x^(2n+4m)
-    + 8x^(2n+2m), all over Z^2.
-    """
-    check_counter(n, m)
-    z = counter_partition(n, m)
-
-    def conn(x):
-        zx = z(x)
-        num = (
-            2 * x ** (2 * m) * zx
-            - x ** (4 * m)
-            + 2 * x ** (2 * n + 2 * m) * zx
-            - x ** (4 * n + 4 * m)
-            - 2 * x ** (2 * n + 4 * m)
-            + 8 * x ** (2 * n + 2 * m)
-        )
-        return num / (zx * zx)
-
-    return conn
+    """Double-loop probability of {a <-> b} on counter(n, m), as a function of x."""
+    return _core_conn("double_loop", n, m)
 
 
 def single_current_conn_terms(n: int, m: int, x, p):
@@ -183,113 +190,35 @@ def single_current_conn_interval(n: int, m: int, x: Fraction, bits: int = START_
 
 
 # ---------------------------------------------------------------------------
-# FKG gap closed forms on the three-path theta graph (n = l)
+# FKG gaps on the three-path theta graph (n = l)
 
 
-def single_current_loop_event_weights(n: int, m: int, x, p):
-    """Z-scaled single-current weights of the one-loop and both-loops events.
-
-    Returns (Z*P(one n+m loop fully open), Z*P(both loops fully open)),
-    generic over the scalar type.  Conditioning on the four loop-model
-    configurations of the theta graph with segments (n, m, n):
-
-        Z P(X) = p^(n+m) + x^(n+m) + x^(n+m) p^n + x^2n p^m
-        Z P(both) = p^(2n+m) + 2 x^(n+m) p^n + x^2n p^m
-    """
-    single = p ** (n + m) + x ** (n + m) + x ** (n + m) * p**n + x ** (2 * n) * p**m
-    both = p ** (2 * n + m) + 2 * x ** (n + m) * p**n + x ** (2 * n) * p**m
-    return single, both
-
-
-def single_current_fkg_gap(n: int, m: int, t: Fraction) -> Fraction:
-    """Exact P(X1 and X2) - P(X1)P(X2) for the single current at Pythagorean t."""
-    x = pythagorean_x(t)
-    z = theta_partition(n, m)(x)
-    single, both = single_current_loop_event_weights(n, m, x, single_current_p(x))
-    return both / z - (single / z) ** 2
-
-
-def double_loop_event_weights(n: int, m: int, x):
-    """Z^2-scaled double-loop weights of the one-loop and both-loops events.
-
-    Returns (Z^2 P(X1), Z^2 P(X1 and X2)), generic over the scalar type.
-    Summing the pair table over the four even subgraphs of the theta graph:
-
-        Z^2 P(X1) = 2x^(n+m) + 3x^(2(n+m)) + 4x^(3n+m)
-        Z^2 P(X1 and X2) = 2x^(2(n+m)) + 4x^(3n+m)
-    """
-    one_loop = 2 * x ** (n + m) + 3 * x ** (2 * (n + m)) + 4 * x ** (3 * n + m)
-    both = 2 * x ** (2 * (n + m)) + 4 * x ** (3 * n + m)
-    return one_loop, both
-
-
-def double_loop_fkg_gap(n: int, m: int, x: Fraction) -> Fraction:
-    """Exact P(X1 and X2) - P(X1)P(X2) for the double loop model."""
-    x = Fraction(x)
-    one_loop, both = double_loop_event_weights(n, m, x)
-    z = theta_partition(n, m)(x)
-    return both / z**2 - (one_loop / z**2) ** 2
+def _theta_fkg_gap(model: str, n: int, m: int, x: Fraction) -> Fraction:
+    """P(X1 and X2) - P(X1)P(X2) under ``model`` on theta(n, m, n) at x,
+    where X1 and X2 say that one n+m loop is fully open: core edges {0, 1}
+    and {1, 2}."""
+    core = theta_core(n, m, n)
+    loops = (all_open(core, [0, 1]), all_open(core, [1, 2]))
+    return fkg_gaps([build(model, core, x)], [loops])[0][0]
 
 
 def loop_fkg_gap(n: int, m: int, x: Fraction) -> Fraction:
-    """Exact loop-model FKG gap for the two loop events: -(x^(n+m)/Z)^2.
-
-    The two events are disjoint on even subgraphs (all three segments open
-    has odd hub degree), so the gap is minus the product of the single-loop
-    probabilities.
-    """
-    x = Fraction(x)
-    z = theta_partition(n, m)(x)
-    p1 = x ** (n + m) / z
-    return -(p1 * p1)
+    """Exact loop-model FKG gap of the two loop events."""
+    return _theta_fkg_gap("loop", n, m, x)
 
 
-# ---------------------------------------------------------------------------
-# Cyclic-edge count formulas on the three-path theta graph (l, m, n)
+def double_loop_fkg_gap(n: int, m: int, x: Fraction) -> Fraction:
+    """Exact double-loop FKG gap of the two loop events."""
+    return _theta_fkg_gap("double_loop", n, m, x)
 
 
-def cyclic_count_cluster_form(l: int, m: int, n: int):
-    """Random-cluster probability that the cyclic part is the (l+m)-cycle.
-
-    2 x^(l+m) (1 - x^n) / Z with Z = 1 + x^(n+l) + x^(n+m) + x^(l+m).
-    """
-    z = partition_function([l, m, n])
-    return lambda x: 2 * x ** (l + m) * (1 - x**n) / z(x)
-
-
-def cyclic_count_double_current_form(l: int, m: int, n: int):
-    """Double-current probability that the cyclic part is the (l+m)-cycle.
-
-    (x^(2(l+m)) + 2x^(l+m) + x^(2(l+m))) (1 - x^2n) / Z^2.
-    """
-    z = partition_function([l, m, n])
-
-    def form(x):
-        num = (x ** (2 * (l + m)) + 2 * x ** (l + m) + x ** (2 * (l + m))) * (1 - x ** (2 * n))
-        return num / z(x) ** 2
-
-    return form
+def single_current_fkg_gap(n: int, m: int, t: Fraction) -> Fraction:
+    """Exact single-current FKG gap of the two loop events at Pythagorean t."""
+    return _theta_fkg_gap("single_current", n, m, pythagorean_x(t))
 
 
 # ---------------------------------------------------------------------------
 # Event helpers and mechanical tables
-
-
-def theta_graph(n: int, m: int, l: int | None = None) -> Graph:
-    return generalized_theta([n, m, n if l is None else l])
-
-
-def theta_loop_events(n: int, m: int, l: int | None = None):
-    """The two all-open loop events on the theta graph (segments n, m, l).
-
-    The first loop uses segments 0 and 1 (lengths n, m), the second
-    segments 1 and 2 (lengths m, l); they share the middle segment.
-    """
-    g = theta_graph(n, m, l)
-    ranges = segment_edge_ranges([n, m, n if l is None else l])
-    first = all_open(g, list(ranges[0]) + list(ranges[1]))
-    second = all_open(g, list(ranges[1]) + list(ranges[2]))
-    return g, first, second
 
 
 _THETA_PATH_SUBSETS = ((), (0, 1), (1, 2), (0, 2))  # empty, first loop, second loop, outer
@@ -306,20 +235,24 @@ _COUNTER_PATH_SUBSETS = (
 
 
 def _path_subset_masks(lengths, subsets) -> list[int]:
-    ranges = segment_edge_ranges(lengths)
-    masks = []
-    for subset in subsets:
-        mask = 0
-        for seg in subset:
-            for e in ranges[seg]:
-                mask |= 1 << e
-        masks.append(mask)
-    return masks
+    paths = [sum(1 << e for e in r) for r in segment_edge_ranges(lengths)]
+    return [sum(paths[seg] for seg in subset) for subset in subsets]
 
 
-def theta_even_masks(n: int, m: int, l: int | None = None) -> list[int]:
-    """The four even subgraphs of the theta graph, in canonical table order."""
-    return _path_subset_masks([n, m, n if l is None else l], _THETA_PATH_SUBSETS)
+def theta_loop_events(n: int, m: int):
+    """The two all-open loop events on the theta graph (segments n, m, n).
+
+    The first loop uses segments 0 and 1, the second segments 1 and 2;
+    they share the middle segment.
+    """
+    g = generalized_theta([n, m, n])
+    first, second = _path_subset_masks([n, m, n], _THETA_PATH_SUBSETS[1:3])
+    return g, all_open(g, first), all_open(g, second)
+
+
+def theta_even_masks(n: int, m: int) -> list[int]:
+    """The four even subgraphs of theta(n, m, n), in canonical table order."""
+    return _path_subset_masks([n, m, n], _THETA_PATH_SUBSETS)
 
 
 def counter_even_masks(n: int, m: int) -> list[int]:
@@ -348,9 +281,7 @@ def counter_pair_connect_table(n: int, m: int) -> list[list[bool]]:
     """8x8 grid: is {a <-> b} satisfied in the union of each even-subgraph pair."""
     g = counter_family(n, m)
     masks = counter_even_masks(n, m)
-    return [
-        [is_connected(g, a | b, g.marks.a, g.marks.b) for b in masks] for a in masks
-    ]
+    return [[is_connected(g, a | b, g.marks.a, g.marks.b) for b in masks] for a in masks]
 
 
 # ---------------------------------------------------------------------------
@@ -358,73 +289,51 @@ def counter_pair_connect_table(n: int, m: int) -> list[list[bool]]:
 
 
 def closed_form_discrepancies(n: int, m: int, t: Fraction, x: Fraction) -> list[dict]:
-    """Compare every closed form against the exhaustive-enumeration oracle.
+    """Compare the core route, and the single current's closed form, with
+    exhaustive enumeration on the subdivided graphs.
 
     Runs at enumeration scale (small n, m).  Returns one record per
     mismatch; an empty list certifies agreement at the sampled parameters.
     """
     out = []
-    t = Fraction(t)
-    x = Fraction(x)
+    x, xp = Fraction(x), pythagorean_x(t)
 
     def record(name, formula, enumerated):
         if formula != enumerated:
-            out.append(
-                {"form": name, "formula": str(formula), "enumeration": str(enumerated)}
-            )
+            out.append({"form": name, "formula": str(formula), "enumeration": str(enumerated)})
 
     cg = counter_family(n, m)
     ab = connect(cg)
     record("loop_conn", loop_conn(n, m)(x), prob(loop_o1(cg, x), ab))
     record("double_loop_conn", double_loop_conn(n, m)(x), prob(build("double_loop", cg, x), ab))
+    single = prob(build("single_current", cg, xp), ab)
+    record("single_current_conn", _core_conn("single_current", n, m)(xp), single)
+    record("single_current_conn", single_current_conn_exact(n, m, t), single)
 
-    xp = pythagorean_x(t)
-    record(
-        "single_current_conn",
-        single_current_conn_exact(n, m, t),
-        prob(build("single_current", cg, xp), ab),
-    )
+    # one n+m loop fully open, and both loops: every path
+    tg, first, _ = theta_loop_events(n, m)
+    core = theta_core(n, m, n)
+    events = [(all_open(core, [0, 1]), first), (all_open(core, 0b111), all_open(tg, tg.full_mask))]
+    for model, point, names in (
+        ("single_current", xp, ("single_current_loop_event", "single_current_both_loops")),
+        ("double_loop", x, ("double_loop_loop_event", "double_loop_both_loops")),
+    ):
+        core_law, law = build(model, core, point), build(model, tg, point)
+        for name, (core_event, event) in zip(names, events):
+            record(name, prob(core_law, core_event), prob(law, event))
 
-    tg, first, second = theta_loop_events(n, m)
-    z = theta_partition(n, m)(xp)
-    single_w, both_w = single_current_loop_event_weights(n, m, xp, single_current_p(xp))
-    sc = build("single_current", tg, xp)
-    record("single_current_loop_event", single_w / z, prob(sc, first))
-    record("single_current_both_loops", both_w / z, prob(sc, intersect_all_open(first, second)))
-
-    one_loop, both = double_loop_event_weights(n, m, x)
-    dl = build("double_loop", tg, x)
-    z2 = theta_partition(n, m)(x) ** 2
-    record("double_loop_loop_event", one_loop / z2, prob(dl, first))
-    record("double_loop_both_loops", both / z2, prob(dl, intersect_all_open(first, second)))
-
-    # cyclic-count forms: the third segment length must differ from the
-    # first two, otherwise several cycles share the size l+m and the
-    # closed form (which counts only the (l,m)-cycle) undercounts.
+    # the probability that the cyclic part is the (n+m)-cycle: with the
+    # third length n+m+1 no other cyclic part has n+m edges, and on the core
+    # the cyclic edges are exactly {0, 1}
     third = n + m + 1
-    tg2 = generalized_theta([n, m, third])
+    tg2, core2 = generalized_theta([n, m, third]), theta_core(n, m, third)
     stat = cyclic_count(tg2)
-    target = n + m
-    dist_cluster = statistic_dist(build("random_cluster", tg2, x), stat)
-    dist_double = statistic_dist(build("double_current", tg2, x), stat)
-    record(
-        "cyclic_count_cluster",
-        cyclic_count_cluster_form(n, m, third)(x),
-        dist_cluster.get(target, Fraction(0)),
-    )
-    record(
-        "cyclic_count_double_current",
-        cyclic_count_double_current_form(n, m, third)(x),
-        dist_double.get(target, Fraction(0)),
-    )
+    cyclic = even_lattice(core2)[1]
+    cycle = Event(core2, lambda mask: cyclic[mask] == 0b11)
+    for model, name in (
+        ("random_cluster", "cyclic_count_cluster"),
+        ("double_current", "cyclic_count_double_current"),
+    ):
+        enumerated = statistic_dist(build(model, tg2, x), stat).get(n + m, Fraction(0))
+        record(name, prob(build(model, core2, x), cycle), enumerated)
     return out
-
-
-def intersect_all_open(first: Event, second: Event) -> Event:
-    """Both events hold: for two all-open events, all-open on the union of their masks."""
-    return Event(
-        first.graph,
-        lambda mask: first.holds(mask) and second.holds(mask),
-        first.increasing and second.increasing,
-        f"{first.label}&{second.label}",
-    )

@@ -45,14 +45,14 @@ from loopcurrents.graphs import (
     lattice_size,
     span_masks,
 )
-from loopcurrents.measures import MODELS, Dist, loop_o1, point_mass
+from loopcurrents.measures import MODELS, Dist, loop_o1, point_mass, pythagorean_x, single_current_p
 from loopcurrents.rationals import format_rational, parse_rational
 from loopcurrents.sampler import PUSHFORWARD, PUSHFORWARD_BASE, make_rng
 from loopcurrents.theta import (
+    check_counter,
     counter_even_masks,
-    double_loop_event_weights,
+    counter_partition,
     partition_function,
-    theta_partition,
 )
 
 
@@ -653,6 +653,132 @@ def dist_from_json(graph: Graph, text: str) -> Dist:
     data = json.loads(text)
     weights = {int(mask, 16): parse_rational(w) for mask, w in data["weights"]}
     return Dist.from_weights(graph, weights, parse_rational(data["z"]))
+
+
+# Hand-derived closed forms on the theta and counter families, each a plain
+# function of x over any scalar type (``Fraction``, ``Interval``, a sympy
+# symbol): the references the core route of ``theta`` is compared with.
+
+
+def theta_partition(n: int, m: int, l: int | None = None):
+    """Z for the three-path theta graph; l defaults to n."""
+    return partition_function([n, m, n if l is None else l])
+
+
+def loop_conn(n: int, m: int):
+    """Loop-model probability of {a <-> b}: (x^2m + x^(2m+2n)) / Z.
+
+    Only the both-m-paths subgraph and the full subgraph connect the two
+    midpoints.
+    """
+    check_counter(n, m)
+    z = counter_partition(n, m)
+    return lambda x: (x ** (2 * m) + x ** (2 * m + 2 * n)) / z(x)
+
+
+def double_loop_conn(n: int, m: int):
+    """Double-loop probability of {a <-> b} on the counter family.
+
+    Numerator: 2x^2m Z - x^4m + 2x^(2n+2m) Z - x^(4n+4m) - 2x^(2n+4m)
+    + 8x^(2n+2m), all over Z^2.
+    """
+    check_counter(n, m)
+    z = counter_partition(n, m)
+
+    def conn(x):
+        zx = z(x)
+        num = (
+            2 * x ** (2 * m) * zx
+            - x ** (4 * m)
+            + 2 * x ** (2 * n + 2 * m) * zx
+            - x ** (4 * n + 4 * m)
+            - 2 * x ** (2 * n + 4 * m)
+            + 8 * x ** (2 * n + 2 * m)
+        )
+        return num / (zx * zx)
+
+    return conn
+
+
+def single_current_loop_event_weights(n: int, m: int, x, p):
+    """Z-scaled single-current weights of the one-loop and both-loops events.
+
+    Returns (Z*P(one n+m loop fully open), Z*P(both loops fully open)),
+    generic over the scalar type.  Conditioning on the four loop-model
+    configurations of the theta graph with segments (n, m, n):
+
+        Z P(X) = p^(n+m) + x^(n+m) + x^(n+m) p^n + x^2n p^m
+        Z P(both) = p^(2n+m) + 2 x^(n+m) p^n + x^2n p^m
+    """
+    single = p ** (n + m) + x ** (n + m) + x ** (n + m) * p**n + x ** (2 * n) * p**m
+    both = p ** (2 * n + m) + 2 * x ** (n + m) * p**n + x ** (2 * n) * p**m
+    return single, both
+
+
+def single_current_fkg_gap(n: int, m: int, t: Fraction) -> Fraction:
+    """Exact P(X1 and X2) - P(X1)P(X2) for the single current at Pythagorean t."""
+    x = pythagorean_x(t)
+    z = theta_partition(n, m)(x)
+    single, both = single_current_loop_event_weights(n, m, x, single_current_p(x))
+    return both / z - (single / z) ** 2
+
+
+def double_loop_event_weights(n: int, m: int, x):
+    """Z^2-scaled double-loop weights of the one-loop and both-loops events.
+
+    Returns (Z^2 P(X1), Z^2 P(X1 and X2)), generic over the scalar type.
+    Summing the pair table over the four even subgraphs of the theta graph:
+
+        Z^2 P(X1) = 2x^(n+m) + 3x^(2(n+m)) + 4x^(3n+m)
+        Z^2 P(X1 and X2) = 2x^(2(n+m)) + 4x^(3n+m)
+    """
+    one_loop = 2 * x ** (n + m) + 3 * x ** (2 * (n + m)) + 4 * x ** (3 * n + m)
+    both = 2 * x ** (2 * (n + m)) + 4 * x ** (3 * n + m)
+    return one_loop, both
+
+
+def double_loop_fkg_gap(n: int, m: int, x: Fraction) -> Fraction:
+    """Exact P(X1 and X2) - P(X1)P(X2) for the double loop model."""
+    x = Fraction(x)
+    one_loop, both = double_loop_event_weights(n, m, x)
+    z = theta_partition(n, m)(x)
+    return both / z**2 - (one_loop / z**2) ** 2
+
+
+def loop_fkg_gap(n: int, m: int, x: Fraction) -> Fraction:
+    """Exact loop-model FKG gap for the two loop events: -(x^(n+m)/Z)^2.
+
+    The two events are disjoint on even subgraphs (all three segments open
+    has odd hub degree), so the gap is minus the product of the single-loop
+    probabilities.
+    """
+    x = Fraction(x)
+    z = theta_partition(n, m)(x)
+    p1 = x ** (n + m) / z
+    return -(p1 * p1)
+
+
+def cyclic_count_cluster_form(l: int, m: int, n: int):
+    """Random-cluster probability that the cyclic part is the (l+m)-cycle.
+
+    2 x^(l+m) (1 - x^n) / Z with Z = 1 + x^(n+l) + x^(n+m) + x^(l+m).
+    """
+    z = partition_function([l, m, n])
+    return lambda x: 2 * x ** (l + m) * (1 - x**n) / z(x)
+
+
+def cyclic_count_double_current_form(l: int, m: int, n: int):
+    """Double-current probability that the cyclic part is the (l+m)-cycle.
+
+    (x^(2(l+m)) + 2x^(l+m) + x^(2(l+m))) (1 - x^2n) / Z^2.
+    """
+    z = partition_function([l, m, n])
+
+    def form(x):
+        num = (x ** (2 * (l + m)) + 2 * x ** (l + m) + x ** (2 * (l + m))) * (1 - x ** (2 * n))
+        return num / z(x) ** 2
+
+    return form
 
 
 def double_loop_fkg_difference(n: int, m: int):

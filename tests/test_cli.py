@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import json
+import sys
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
@@ -119,6 +120,24 @@ class TestFigure:
         run(*argv, "--out", str(out))
         assert sorted(calls) == dyadic_grid(6)
 
+    @pytest.mark.parametrize("model, conn", [("l", "loop_conn"), ("l2", "double_loop_conn")])
+    def test_exact_values_past_the_digit_limit_are_written(self, model, conn, tmp_path):
+        # at (2000, 300) the exact values have more digits than Python's
+        # int-to-str limit, which applies while the command runs
+        out = tmp_path / "big.csv"
+        argv = ["figure", "--model", model, "--n", "2000", "--m", "300", "--grid-steps", "4"]
+        run(*argv, "--out", str(out))
+        with open(out, newline="") as fh:
+            rows = list(csv.reader(fh))[1:]
+        fn = getattr(theta, conn)(2000, 300)
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            assert max(len(r[4]) for r in rows) > limit
+            assert [F(r[4]) for r in rows] == [fn(x) for x in dyadic_grid(4)]
+        finally:
+            sys.set_int_max_str_digits(limit)
+
     def test_monotone_window_yields_no_pair(self, tmp_path):
         out = tmp_path / "flat.csv"
         code = run(
@@ -214,8 +233,8 @@ class TestFigure:
 FIGURE_L = ("figure", "--model", "l", "--n", "18", "--m", "2")
 SAMPLE_THETA = ("sample", "--family", "theta", "--segments", "1,1,1", "--x", "1/2")
 # --graph files that are not graphs: invalid JSON, no edge list, an edge of
-# three vertices, and a vertex count, endpoints and a mark that are not JSON
-# integers
+# three vertices, a vertex count, endpoints and a mark that are not JSON
+# integers, and a negative vertex count
 MALFORMED_GRAPHS = {
     "invalid.json": "{not json",
     "no_edges.json": '{"vertices": 3}',
@@ -223,6 +242,7 @@ MALFORMED_GRAPHS = {
     "float_vertices.json": '{"vertices": 2.9, "edges": [[0, 1.9]]}',
     "bool_endpoints.json": '{"vertices": 2, "edges": [[true, false]]}',
     "float_mark.json": '{"vertices": 3, "edges": [[0, 1], [1, 2]], "marks": {"a": 0.5, "b": 2}}',
+    "negative_vertices.json": '{"vertices": -3, "edges": []}',
 }
 
 
@@ -276,6 +296,24 @@ def test_malformed_numbers_are_typed_errors(argv, tmp_path, capsys, monkeypatch)
     assert run(*argv, "--out", str(tmp_path / "out")) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        (*FIGURE_L, "--grid-steps", "2"),
+        ("table",),
+        ("verify", "--theorem", "appendix-tables"),
+        (*SAMPLE_THETA, "--model", "loop", "--samples", "3"),
+    ],
+)
+def test_an_unwritable_out_is_one_error_line(argv, tmp_path, capsys, monkeypatch):
+    # the table's scans are not what this checks: an empty report stands in
+    report = {"consistent_with_expected": True}
+    monkeypatch.setattr(cli, "build_overview", lambda grid_resolution: report)
+    assert run(*argv, "--out", str(tmp_path / "missing" / "out")) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
 
 
 @pytest.mark.parametrize(

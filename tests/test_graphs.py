@@ -93,6 +93,23 @@ class TestConstruction:
         with pytest.raises(GraphStructureError):
             Graph(2, ((0, 2),))
 
+    def test_negative_vertex_count(self):
+        with pytest.raises(GraphStructureError, match="vertex count -3 is negative"):
+            Graph(-3, ())
+
+    @pytest.mark.parametrize(
+        "lengths", [(2,), (2, 3, 1), (2, 0), (2, -1), (2, 1.0), (2, True), [2, 3]]
+    )
+    def test_lengths_give_one_positive_integer_per_edge(self, lengths):
+        with pytest.raises(GraphStructureError, match="one positive integer per edge"):
+            Graph(2, ((0, 1), (0, 1)), lengths=lengths)
+
+    def test_a_core_is_its_own_graph(self):
+        core = Graph(2, ((0, 1), (0, 1)), lengths=(2, 3))
+        assert core != Graph(2, ((0, 1), (0, 1)))
+        assert core != Graph(2, ((0, 1), (0, 1)), lengths=(3, 2))
+        assert core == Graph(2, ((0, 1), (0, 1)), lengths=(2, 3))
+
     def test_json_roundtrip_preserves_edge_order(self):
         g = Graph(4, ((3, 1), (0, 1), (1, 2), (0, 1)), Marks(0, 2))
         back = graph_from_json(graph_to_json(g))

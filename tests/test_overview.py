@@ -77,13 +77,19 @@ def test_the_table_builds_one_loop_law_and_one_double_per_point(monkeypatch):
     calls = Counter()
     for kernel in ("loop_o1", "union"):
         real = getattr(measures, kernel)
-        counted = lambda *a, real=real, kernel=kernel: calls.update([kernel]) or real(*a)
+
+        def counted(*a, real=real, kernel=kernel):
+            graph = a[0] if kernel == "loop_o1" else a[0].graph
+            if graph.lengths is None:  # not the core graphs of the refuted values
+                calls.update([kernel])
+            return real(*a)
+
         monkeypatch.setattr(measures, kernel, counted)
     graphs = [("counter(2,2)", counter_family(2, 2)), ("theta[1,1,1]", generalized_theta([1, 1, 1]))]
     overview.build_overview(6, graphs=graphs)
     # per graph and grid point, the three scanned rows share one loop law
     # and its double; the loop and double-loop SING witnesses build two more
-    # loop laws each, and the double loop's two doubles
+    # loop laws each on the counter graph, and the double loop's two doubles
     points = len(graphs) * len(dyadic_grid(6))
     assert calls == {"loop_o1": points + 4, "union": points + 2}
 

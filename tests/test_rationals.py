@@ -1,9 +1,10 @@
+import sys
 from fractions import Fraction
 
 import pytest
 
 from loopcurrents import rationals
-from loopcurrents.errors import CapExceededError
+from loopcurrents.errors import CapExceededError, ParametrizationError
 from loopcurrents.rationals import (
     decimal_string,
     dyadic_grid,
@@ -110,6 +111,20 @@ class TestFormatting:
         assert parse_rational("3/7") == Fraction(3, 7)
         assert format_rational(Fraction(3, 7)) == "3/7"
         assert parse_rational(" 2 ") == 2
+
+    def test_any_size_is_written_and_the_parse_limit_stays(self):
+        # past sys.get_int_max_str_digits() digits, Python refuses int <-> str
+        value = Fraction(-(3**20000), 2**30001)
+        text = format_rational(value)
+        with pytest.raises(ParametrizationError, match="not a rational number"):
+            parse_rational(text)
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            assert Fraction(text) == value
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert format_rational(Fraction(0)) == "0/1"
 
     def test_decimal_rounding(self):
         assert decimal_string(Fraction(1, 3), 10) == "0.3333333333"

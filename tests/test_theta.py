@@ -1,40 +1,57 @@
+import dataclasses
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from loopcurrents.errors import GraphStructureError, ParametrizationError
-from loopcurrents.events import connect, cyclic_count, statistic_dist
-from loopcurrents.graphs import counter_family, generalized_theta
+from loopcurrents import theta
+from loopcurrents.errors import GraphMismatchError, GraphStructureError, ParametrizationError
+from loopcurrents.events import all_open, connect, cyclic_count, statistic_dist
+from loopcurrents.graphs import (
+    counter_family,
+    even_lattice,
+    generalized_theta,
+    segment_edge_ranges,
+)
 from loopcurrents.intervals import Interval
 from loopcurrents.measures import (
+    MODELS,
+    bit_masses,
     build,
     double_current,
     double_loop,
     loop_o1,
+    point_laws,
     prob,
     pythagorean_x,
+    union,
+)
+from loopcurrents.overview import (
+    FKG_DOUBLE_LOOP_PARAMS,
+    FKG_LOOP_PARAMS,
+    FKG_SINGLE_CURRENT_PARAMS,
 )
 from loopcurrents.rationals import dyadic_grid, find_decreasing_pair
 from loopcurrents.theta import (
     check_counter,
     closed_form_discrepancies,
+    counter_core,
     counter_even_masks,
     counter_pair_connect_table,
     counter_partition,
-    cyclic_count_cluster_form,
-    cyclic_count_double_current_form,
     double_loop_conn,
-    double_loop_event_weights,
     loop_conn,
     single_current_conn_exact,
     single_current_conn_interval,
     single_current_conn_terms,
-    single_current_loop_event_weights,
+    theta_core,
     theta_even_masks,
+    theta_loop_events,
     theta_pair_event_table,
-    theta_partition,
 )
 
+import oracles
 from oracles import (
     counter_even_table,
     cyclic_count_ratio,
@@ -46,17 +63,20 @@ from oracles import (
 F = Fraction
 
 # Every closed form at small parameters, as a function of x alone (p = x/2
-# where a form also takes the percolation parameter)
+# where a form also takes the percolation parameter): the forms ``theta``
+# keeps, and the hand-derived ones the tests keep as oracles
 CLOSED_FORMS = {
-    "theta_partition": theta_partition(3, 2),
+    "theta_partition": oracles.theta_partition(3, 2),
     "counter_partition": counter_partition(3, 2),
-    "loop_conn": loop_conn(4, 2),
-    "double_loop_conn": double_loop_conn(4, 2),
+    "loop_conn": oracles.loop_conn(4, 2),
+    "double_loop_conn": oracles.double_loop_conn(4, 2),
     "single_current_conn_terms": lambda x: single_current_conn_terms(4, 2, x, x / 2),
-    "single_current_loop_event_weights": lambda x: single_current_loop_event_weights(3, 2, x, x / 2),
-    "double_loop_event_weights": lambda x: double_loop_event_weights(3, 2, x),
-    "cyclic_count_cluster_form": cyclic_count_cluster_form(1, 2, 3),
-    "cyclic_count_double_current_form": cyclic_count_double_current_form(1, 2, 3),
+    "single_current_loop_event_weights": lambda x: oracles.single_current_loop_event_weights(
+        3, 2, x, x / 2
+    ),
+    "double_loop_event_weights": lambda x: oracles.double_loop_event_weights(3, 2, x),
+    "cyclic_count_cluster_form": oracles.cyclic_count_cluster_form(1, 2, 3),
+    "cyclic_count_double_current_form": oracles.cyclic_count_double_current_form(1, 2, 3),
 }
 
 
@@ -85,7 +105,9 @@ class TestGenericScalars:
 class TestPartitionPolynomials:
     def test_theta_equal_outer_form(self):
         n, m = 3, 2
-        assert same_function(theta_partition(n, m), lambda x: 1 + 2 * x ** (n + m) + x ** (2 * n))
+        assert same_function(
+            oracles.theta_partition(n, m), lambda x: 1 + 2 * x ** (n + m) + x ** (2 * n)
+        )
 
     def test_counter_form(self):
         n, m = 3, 2
@@ -219,16 +241,14 @@ class TestMonotonicityCounterexamples:
 
 class TestFkgForms:
     def test_double_loop_event_polynomials_match_enumeration(self):
-        from loopcurrents.theta import intersect_all_open, theta_loop_events
-
         for n, m in ((2, 2), (3, 2)):
-            g, first, second = theta_loop_events(n, m)
+            g, first, _ = theta_loop_events(n, m)
             x = F(1, 3)
-            one_loop, both = double_loop_event_weights(n, m, x)
-            z2 = theta_partition(n, m)(x) ** 2
+            one_loop, both = oracles.double_loop_event_weights(n, m, x)
+            z2 = oracles.theta_partition(n, m)(x) ** 2
             d = double_loop(g, x)
             assert one_loop / z2 == prob(d, first)
-            assert both / z2 == prob(d, intersect_all_open(first, second))
+            assert both / z2 == prob(d, all_open(g, g.full_mask))
 
     def test_difference_trailing_term_is_twice_x_to_2n_plus_2m(self):
         for n, m in ((3, 2), (4, 2), (5, 2), (5, 3)):
@@ -275,8 +295,8 @@ class TestCyclicCountForms:
         stat = cyclic_count(g)
         cluster_mass = statistic_dist(build("random_cluster", g, x), stat)[l + m]
         double_mass = statistic_dist(double_current(g, x), stat)[l + m]
-        assert cyclic_count_cluster_form(l, m, n)(x) == cluster_mass
-        assert cyclic_count_double_current_form(l, m, n)(x) == double_mass
+        assert oracles.cyclic_count_cluster_form(l, m, n)(x) == cluster_mass
+        assert oracles.cyclic_count_double_current_form(l, m, n)(x) == double_mass
         assert cyclic_count_ratio(l, m, n)(x) == cluster_mass / double_mass
 
     def test_component_polynomials_at_1_2_3(self):
@@ -291,8 +311,8 @@ class TestCyclicCountForms:
         def double(x):
             return (2 * x ** (2 * (l + m)) + 2 * x ** (l + m)) * (1 - x ** (2 * n)) / z(x) ** 2
 
-        assert same_function(cyclic_count_cluster_form(l, m, n), cluster)
-        assert same_function(cyclic_count_double_current_form(l, m, n), double)
+        assert same_function(oracles.cyclic_count_cluster_form(l, m, n), cluster)
+        assert same_function(oracles.cyclic_count_double_current_form(l, m, n), double)
 
 
 from expected_tables import (
@@ -346,3 +366,121 @@ class TestDiscrepancyReporting:
     def test_no_discrepancies_at_enumeration_scale(self):
         assert closed_form_discrepancies(2, 2, F(1, 2), F(1, 2)) == []
         assert closed_form_discrepancies(3, 2, F(1, 3), F(2, 5)) == []
+
+    def test_a_wrong_core_length_is_reported(self, monkeypatch):
+        # negative control: the counter core with one n-path a step too long
+        real = theta.counter_core
+
+        def wrong(n, m):
+            core = real(n, m)
+            return dataclasses.replace(core, lengths=(n + 1, *core.lengths[1:]))
+
+        monkeypatch.setattr(theta, "counter_core", wrong)
+        forms = {rec["form"] for rec in closed_form_discrepancies(3, 2, F(1, 3), F(2, 5))}
+        assert forms == {"loop_conn", "double_loop_conn", "single_current_conn"}
+
+
+# Small counter and theta graphs, and the Pythagorean t of the single current
+SMALL_COUNTERS = [(n, m) for m in (2, 4) for n in range(1, 6) if 2 * (n + m) <= 14]
+SMALL_THETAS = [(n, m, l) for m in (2, 4) for n in range(1, 6) for l in range(1, 6)]
+UNIT_FRACTIONS = st.fractions(min_value=F(1, 16), max_value=F(15, 16), max_denominator=16)
+
+
+def _laws(graph, x, t):
+    """The six model rows on ``graph``: the single current at the
+    Pythagorean x of t, every other row at x."""
+    at_x, at_t = point_laws(graph, x), point_laws(graph, pythagorean_x(t))
+    return [(at_t if name == "single_current" else at_x)(name) for name in MODELS]
+
+
+class TestCoreGraphs:
+    """Series reduction: each model on a core graph gives the law of the
+    subdivided graph's whole-path events, exactly."""
+
+    @settings(max_examples=12, deadline=None)
+    @given(nm=st.sampled_from(SMALL_COUNTERS), x=UNIT_FRACTIONS, t=UNIT_FRACTIONS)
+    def test_counter_connection_matches_the_subdivided_graph(self, nm, x, t):
+        g, core = counter_family(*nm), counter_core(*nm)
+        ab, core_ab = connect(g), connect(core)
+        for name, law, core_law in zip(MODELS, _laws(g, x, t), _laws(core, x, t)):
+            assert prob(core_law, core_ab) == prob(law, ab), name
+
+    @settings(max_examples=12, deadline=None)
+    @given(nml=st.sampled_from(SMALL_THETAS), x=UNIT_FRACTIONS, t=UNIT_FRACTIONS)
+    def test_theta_loop_events_and_cyclic_parts_match_the_subdivided_graph(self, nml, x, t):
+        g, core = generalized_theta(nml), theta_core(*nml)
+        paths = [sum(1 << e for e in r) for r in segment_edge_ranges(nml)]
+        for name, law, core_law in zip(MODELS, _laws(g, x, t), _laws(core, x, t)):
+            # all paths in S fully open, for every set S of core edges
+            for s in range(1, 8):
+                whole = sum(p for i, p in enumerate(paths) if s >> i & 1)
+                assert prob(core_law, all_open(core, s)) == prob(law, all_open(g, whole)), name
+            # the cyclic part is a union of whole paths, those of the core's
+            # cyclic edges (a partly cyclic path would lose its mass here)
+            cyclic, core_cyclic = even_lattice(g)[1], even_lattice(core)[1]
+
+            def cyclic_paths(mask):
+                c = cyclic[mask]
+                s = sum(1 << i for i, p in enumerate(paths) if c & p == p)
+                return 1 << s if c == sum(p for i, p in enumerate(paths) if s >> i & 1) else 0
+
+            (enumerated,) = bit_masses([law], cyclic_paths, 8)
+            (reduced,) = bit_masses([core_law], lambda m: 1 << core_cyclic[m], 8)
+            assert reduced == enumerated, name
+
+    def test_lengths_of_one_give_the_plain_laws(self):
+        g = generalized_theta([2, 3, 1])
+        ones = dataclasses.replace(g, lengths=(1,) * g.edge_count)
+        laws, same = _laws(g, F(1, 3), F(1, 2)), _laws(ones, F(1, 3), F(1, 2))
+        for name, law, one in zip(MODELS, laws, same):
+            assert (one.nums, one.den, one.z) == (law.nums, law.den, law.z), name
+
+    def test_cores_of_other_lengths_are_other_graphs(self):
+        a, b = theta_core(2, 2, 2), theta_core(2, 2, 3)
+        assert a.edges == b.edges and a.vertex_count == b.vertex_count
+        with pytest.raises(GraphMismatchError):
+            union(loop_o1(a, F(1, 2)), loop_o1(b, F(1, 2)))
+        with pytest.raises(GraphMismatchError):
+            prob(loop_o1(a, F(1, 2)), all_open(b, [0, 1]))
+
+    def test_counter_core_checks_its_parameters(self):
+        with pytest.raises(GraphStructureError, match="m=3 must be even"):
+            counter_core(2, 3)
+        with pytest.raises(GraphStructureError):
+            theta_core(2, 0, 2)
+
+
+class TestCoreRouteAtCommandSizes:
+    """The core route against the hand-derived oracles at the parameters the
+    commands use, where no enumeration reaches."""
+
+    @pytest.mark.parametrize("conn, n, m", [("loop_conn", 18, 2), ("double_loop_conn", 38, 2)])
+    def test_figure_grids(self, conn, n, m):
+        core, form = getattr(theta, conn)(n, m), getattr(oracles, conn)(n, m)
+        for x in dyadic_grid(6):
+            assert core(x) == form(x), x
+
+    @pytest.mark.parametrize(
+        "gap, n, m, s",
+        [
+            ("loop_fkg_gap", *FKG_LOOP_PARAMS),
+            ("single_current_fkg_gap", *FKG_SINGLE_CURRENT_PARAMS),
+            ("double_loop_fkg_gap", *FKG_DOUBLE_LOOP_PARAMS),
+            # acceptance C07b and C07d
+            ("single_current_fkg_gap", 2, 2, F(1, 2)),
+            ("single_current_fkg_gap", 4, 2, F(1, 2)),
+            *(
+                ("double_loop_fkg_gap", n, 2, x)
+                for n in (2, 3)
+                for x in (F(1, 10), F(1, 4), F(1, 2), F(3, 4), F(9, 10))
+            ),
+        ],
+    )
+    def test_fkg_gaps(self, gap, n, m, s):
+        assert getattr(theta, gap)(n, m, s) == getattr(oracles, gap)(n, m, s)
+
+    @pytest.mark.parametrize("n, m, t", [(18, 2, F(1, 2)), (2000, 300, F(22, 23))])
+    def test_single_current_connection(self, n, m, t):
+        core = counter_core(n, m)
+        law = build("single_current", core, pythagorean_x(t))
+        assert prob(law, connect(core)) == single_current_conn_exact(n, m, t)
