@@ -18,21 +18,16 @@ from .errors import (
 )
 from .events import (
     Event,
-    Statistic,
     all_open,
     connect,
-    cyclic_count,
     edge_open,
-    statistic_dist,
 )
 from .graphs import (
-    CycleBasis,
     Graph,
     Marks,
     complete_graph,
     counter_family,
     cycle_space_basis,
-    cyclic_edges,
     even_lattice,
     even_subgraphs,
     generalized_theta,

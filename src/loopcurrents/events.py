@@ -1,25 +1,22 @@
-"""Events and statistics over edge configurations.
+"""Events over edge configurations.
 
 An :class:`Event` is a predicate on masks together with a monotonicity flag.
 The constructors set the flag where it holds by construction: connection
 (read from ``is_connected``), edge-open and all-open.  An event built
 directly as ``Event(g, fn)`` is not flagged, and ``checkers.fkg_gaps``
-refuses it unless the caller passes ``require_increasing=False``.  A
-:class:`Statistic` is an integer function on masks; the cyclic-edge count
-reads one ``even_lattice``.
+refuses it unless the caller passes ``require_increasing=False``.
 
-Masses of events and statistics come from ``measures.bit_masses``.
+Masses of events come from ``measures.bit_masses`` (``measures.prob`` for
+one event under one law).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable
 
 from .errors import GraphStructureError
-from .graphs import Graph, even_lattice, is_connected
-from .measures import Dist, _require_same_graph, bit_masses
+from .graphs import Graph, is_connected
 
 
 @dataclass(frozen=True)
@@ -65,28 +62,3 @@ def all_open(g: Graph, edges) -> Event:
     if mask & ~g.full_mask:
         raise GraphStructureError("all-open mask has bits outside the graph")
     return Event(g, lambda m: m & mask == mask, increasing=True, label=f"allopen:{hex(mask)}")
-
-
-# ---------------------------------------------------------------------------
-# Statistics
-
-
-@dataclass(frozen=True)
-class Statistic:
-    graph: Graph
-    value: Callable[[int], int]
-    label: str = ""
-
-
-def cyclic_count(g: Graph) -> Statistic:
-    """Number of open edges lying on a cycle of the open subgraph, read from
-    one even-subgraph lattice of g."""
-    cyclic = even_lattice(g)[1]
-    return Statistic(g, lambda mask: cyclic[mask].bit_count(), "cyclic edge count")
-
-
-def statistic_dist(d: Dist, s: Statistic) -> dict[int, Fraction]:
-    """Exact pushforward of the statistic under d, without values of mass 0."""
-    _require_same_graph(s.graph, d.graph, what="statistic and distribution")
-    (masses,) = bit_masses([d], lambda m: 1 << s.value(m), d.graph.edge_count + 1)
-    return {k: p for k, p in enumerate(masses) if p}

@@ -1,9 +1,9 @@
 """Finite multigraphs, connectivity, cycle space and even-subgraph enumeration.
 
 Two routines answer every configuration question: :func:`component_labels`
-(are u and v connected?) and :func:`cycle_space_basis` (which open edges lie
-on a cycle, and which even subgraphs are there?); :func:`even_lattice`
-answers the second for all configurations at once.
+(are u and v connected?) and :func:`even_lattice` (how many even subgraphs
+does each configuration have, and which of its open edges lie on a cycle?),
+which reads the even subgraphs off one :func:`cycle_space_basis`.
 
 Edge subsets ("configurations") are plain integer bitmasks: bit ``i`` of a
 mask refers to ``graph.edges[i]``.  Set algebra is ``& | ^``, cardinality is
@@ -50,8 +50,9 @@ class Graph:
     ``lengths[i]`` edges, whose inner vertices are left out.  ``None`` means
     every length is 1.  The law-building kernels ``measures.loop_o1`` and
     ``measures.union_bernoulli``, and so every registered model, read the
-    lengths; statistics, the samplers and ``double_current_lis`` count each
-    core edge as one edge.
+    lengths; the events, the samplers and ``double_current_lis`` count each
+    core edge as one edge.  The graph JSON format has no lengths, so a core
+    is neither written nor read.
     """
 
     vertex_count: int
@@ -97,6 +98,8 @@ class Graph:
         return mask
 
     def to_json_dict(self) -> dict:
+        if self.lengths is not None:
+            raise GraphStructureError("a core graph (with edge lengths) has no JSON form")
         out: dict = {"vertices": self.vertex_count, "edges": [list(e) for e in self.edges]}
         if self.marks is not None:
             out["marks"] = {"a": self.marks.a, "b": self.marks.b}
@@ -104,6 +107,8 @@ class Graph:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "Graph":
+        if "lengths" in data:
+            raise GraphStructureError("graph JSON takes no edge lengths")
         marks = None
         if "marks" in data and data["marks"] is not None:
             marks = Marks(_json_int(data["marks"]["a"], "marks"), _json_int(data["marks"]["b"], "marks"))
@@ -254,27 +259,14 @@ def component_labels(g: Graph, mask: int) -> tuple[int, ...]:
 # Cycle space
 
 
-@dataclass(frozen=True)
-class CycleBasis:
-    """Fundamental cycles of a spanning forest, one per non-forest edge.
-
-    The elements are independent under symmetric difference and span the
-    cycle space, so XOR-combinations enumerate every even subgraph exactly
-    once.
-    """
-
-    elements: tuple[int, ...]
-
-    @property
-    def dimension(self) -> int:
-        return len(self.elements)
-
-
-def cycle_space_basis(g: Graph, mask: int | None = None) -> CycleBasis:
+def cycle_space_basis(g: Graph, mask: int | None = None) -> tuple[int, ...]:
     """Cycle basis of the spanning subgraph (V, mask); the whole graph by default.
 
-    Dimension is |mask| - |V| + #components.  Each element is an even mask:
-    a non-forest edge plus the forest path between its endpoints.
+    The fundamental cycles of a BFS forest, one per non-forest edge: each is
+    an even mask, that edge plus the forest path between its endpoints.
+    They are independent under symmetric difference and span the cycle
+    space, so XOR-combinations enumerate every even subgraph exactly once.
+    Their number, the dimension, is |mask| - |V| + #components.
     """
     if mask is None:
         mask = g.full_mask
@@ -317,7 +309,7 @@ def cycle_space_basis(g: Graph, mask: int | None = None) -> CycleBasis:
             a, b = g.edges[e]
             u = b if a == u else a
         elements.append(cycle)
-    return CycleBasis(tuple(elements))
+    return tuple(elements)
 
 
 def span_masks(elements: tuple[int, ...]) -> Iterator[int]:
@@ -332,9 +324,9 @@ def span_masks(elements: tuple[int, ...]) -> Iterator[int]:
 def even_subgraphs(g: Graph) -> Iterator[int]:
     """Enumerate the even subgraphs of g without duplicates."""
     basis = cycle_space_basis(g)
-    if basis.dimension > CYCLE_DIMENSION_CAP:
-        raise CapExceededError("even-subgraph span", basis.dimension, CYCLE_DIMENSION_CAP)
-    return span_masks(basis.elements)
+    if len(basis) > CYCLE_DIMENSION_CAP:
+        raise CapExceededError("even-subgraph span", len(basis), CYCLE_DIMENSION_CAP)
+    return span_masks(basis)
 
 
 def lattice_size(g: Graph, what: str) -> int:
@@ -380,20 +372,3 @@ def even_lattice(g: Graph) -> tuple[tuple[int, ...], tuple[int, ...]]:
     subset_sums(total)
     return tuple(count), tuple(2 * t // c for t, c in zip(total, count))
 
-
-# ---------------------------------------------------------------------------
-# Cyclic (non-bridge) edges
-
-
-def cyclic_edges(g: Graph, mask: int) -> int:
-    """Edges of ``mask`` that lie on some cycle of (V, mask).
-
-    These are the edges of some element of a cycle basis: every element is
-    a cycle, and an edge on a cycle C lies in one of the elements whose XOR
-    is C.  So the union of the fundamental cycles is the answer, and
-    self-loops and doubled parallel edges are always cyclic.
-    """
-    cyclic = 0
-    for cycle in cycle_space_basis(g, mask).elements:
-        cyclic |= cycle
-    return cyclic

@@ -25,7 +25,7 @@ On a core graph (``Graph.lengths``) an edge of length L carries x^L in the
 loop layer and opens with p^L in the Bernoulli layer, so every row is the
 law of the whole-path events of the subdivided graph.
 
-Event, edge and histogram masses over a family of laws all come from
+Event and edge masses over a family of laws all come from
 :func:`bit_masses`.
 """
 
@@ -385,7 +385,8 @@ def bit_masses(dists: Sequence[Dist], stat: Callable[[int], int], width: int) ->
     total goes to its value's set bits once, and each lane is read back by
     shift and mask: a lane is as wide as the largest numerator sum, and the
     numerators are positive, so no carry crosses a lane.  An event is the
-    one-bit stat ``holds``; a histogram of s is the stat ``1 << s(mask)``."""
+    one-bit stat ``holds``, the edge masses are the stat ``mask`` at width
+    |E|; bits of stat at or above ``width`` are not counted."""
     keep = (1 << width) - 1
     stats = {m: stat(m) & keep for m in dict.fromkeys(m for d in dists for m in d.nums)}
     sums = [sum(d.nums.values()) for d in dists]

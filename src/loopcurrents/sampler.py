@@ -82,14 +82,13 @@ def loop_chain(
     if not 0 <= x < 1:
         raise ParametrizationError(f"x={x} outside [0,1)")
     rng = make_rng(seed)
-    basis = cycle_space_basis(g)
-    if basis.dimension == 0:
+    elements = cycle_space_basis(g)
+    dim = len(elements)
+    if dim == 0:
         for _ in range(samples):
             yield 0
         return
     xf = float(x)
-    elements = basis.elements
-    dim = len(elements)
     accept = [xf**d for d in range(g.edge_count + 1)]
 
     def proposals():
@@ -138,7 +137,7 @@ def sample_stream(model: str, g: Graph, x: Fraction, seed: int, count: int) -> l
     rng = make_rng(seed)
     masks, cdf = loop_law(g, x)
     bits = [] if p_float is None else [1 << i for i in range(g.edge_count)]
-    basis_of = cache(lambda mask: cycle_space_basis(g, mask).elements)
+    basis_of = cache(lambda mask: cycle_space_basis(g, mask))
     draws = []
     for _ in range(count):
         u = rng.random(copies + len(bits))

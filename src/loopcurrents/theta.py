@@ -30,7 +30,7 @@ from itertools import combinations
 
 from .checkers import fkg_gaps
 from .errors import GraphStructureError, ParametrizationError
-from .events import Event, all_open, connect, cyclic_count, statistic_dist
+from .events import Event, all_open, connect
 from .graphs import (
     Graph,
     Marks,
@@ -322,18 +322,19 @@ def closed_form_discrepancies(n: int, m: int, t: Fraction, x: Fraction) -> list[
         for name, (core_event, event) in zip(names, events):
             record(name, prob(core_law, core_event), prob(law, event))
 
-    # the probability that the cyclic part is the (n+m)-cycle: with the
-    # third length n+m+1 no other cyclic part has n+m edges, and on the core
-    # the cyclic edges are exactly {0, 1}
+    # the probability that the cyclic part is the (n+m)-cycle of segments 0
+    # and 1, on the core "the cyclic edges are exactly {0, 1}"; with the
+    # third length n+m+1 no other cyclic part has n+m edges, so it is also
+    # the probability of n+m cyclic edges
     third = n + m + 1
     tg2, core2 = generalized_theta([n, m, third]), theta_core(n, m, third)
-    stat = cyclic_count(tg2)
-    cyclic = even_lattice(core2)[1]
-    cycle = Event(core2, lambda mask: cyclic[mask] == 0b11)
+    (loop,) = _path_subset_masks([n, m, third], [(0, 1)])
+    cyclic, core_cyclic = even_lattice(tg2)[1], even_lattice(core2)[1]
+    cycle = Event(tg2, lambda mask: cyclic[mask] == loop)
+    core_cycle = Event(core2, lambda mask: core_cyclic[mask] == 0b11)
     for model, name in (
         ("random_cluster", "cyclic_count_cluster"),
         ("double_current", "cyclic_count_double_current"),
     ):
-        enumerated = statistic_dist(build(model, tg2, x), stat).get(n + m, Fraction(0))
-        record(name, prob(build(model, core2, x), cycle), enumerated)
+        record(name, prob(build(model, core2, x), core_cycle), prob(build(model, tg2, x), cycle))
     return out

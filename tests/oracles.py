@@ -6,19 +6,20 @@ instead of union-find, Moebius inversion instead of pair iteration, one
 ``Fraction`` addition per configuration instead of integer mass passes), so
 an agreement is meaningful.  The per-configuration ``Fraction`` routes of
 the double current's counting formula and of the uniform-even push, which
-the package now computes as subset-lattice transforms, live here as their
-references.  The float goodness-of-fit statistics for the
-samplers, the coupled sampler's per-draw ``Generator.choice`` route and the
-chain's exact transition matrix live here too: no certifying route reads
-them.  So do the closed forms, tables and
-serializations that only tests read, the vertex-set connection event (the
-oracle of the table's connection masses), the covering-pair and all-pairs
-scans of an event's monotonicity, the all-pairs lattice condition (the
-oracle of the two-edge form the Holley route checks) with the FKG report
-around it, and Dinic's max-flow: the bipartite
-domination oracle runs it, and so do the flow tests on the package's own
-covering networks, so neither shares flow code with the package's
-push-relabel.
+the package now computes as subset-lattice transforms, and the
+per-configuration cyclic-edge route (the union of one cycle basis), which
+the package reads off the even-subgraph lattice, live here as their
+references, and so does the histogram of a statistic.  The float
+goodness-of-fit statistics for the samplers, the coupled sampler's per-draw
+``Generator.choice`` route and the chain's exact transition matrix live
+here too: no certifying route reads them.  So do the closed forms, tables
+and serializations that only tests read, the vertex-set connection event
+(the oracle of the table's connection masses), the covering-pair and
+all-pairs scans of an event's monotonicity, the all-pairs lattice condition
+(the oracle of the two-edge form the Holley route checks) with the FKG
+report around it, and Dinic's max-flow: the bipartite domination oracle
+runs it, and so do the flow tests on the package's own covering networks,
+so neither shares flow code with the package's push-relabel.
 """
 
 import json
@@ -41,6 +42,7 @@ from loopcurrents.graphs import (
     counter_family,
     cycle_space_basis,
     edges_of_mask,
+    even_lattice,
     is_connected,
     lattice_size,
     span_masks,
@@ -113,6 +115,20 @@ def brute_cyclic_edges(g: Graph, omega: int) -> int:
     return out
 
 
+def cyclic_edges(g: Graph, mask: int) -> int:
+    """Edges of ``mask`` that lie on some cycle of (V, mask).
+
+    These are the edges of some element of a cycle basis: every element is
+    a cycle, and an edge on a cycle C lies in one of the elements whose XOR
+    is C.  So the union of the fundamental cycles is the answer, and
+    self-loops and doubled parallel edges are always cyclic.
+    """
+    cyclic = 0
+    for cycle in cycle_space_basis(g, mask):
+        cyclic |= cycle
+    return cyclic
+
+
 def double_current_lis_per_mask(graph: Graph, x: Fraction) -> Dist:
     """``measures.double_current_lis`` one configuration at a time: for each
     w, |even(w)| = 2^dim(w) from a cycle basis of w and the inner sum over
@@ -121,7 +137,7 @@ def double_current_lis_per_mask(graph: Graph, x: Fraction) -> Dist:
     n = graph.edge_count
     if x == 0:
         return point_mass(graph, 0)
-    evens = list(span_masks(cycle_space_basis(graph).elements))
+    evens = list(span_masks(cycle_space_basis(graph)))
     z = sum((x ** g.bit_count() for g in evens), Fraction(0))
     weights: dict[int, Fraction] = {}
     for mask in range(1 << n):
@@ -129,7 +145,7 @@ def double_current_lis_per_mask(graph: Graph, x: Fraction) -> Dist:
         for g in evens:
             if g & ~mask == 0:
                 inner += x ** g.bit_count() * (x * x) ** (mask & ~g).bit_count()
-        count = 1 << cycle_space_basis(graph, mask).dimension
+        count = 1 << len(cycle_space_basis(graph, mask))
         weights[mask] = count * inner * (1 - x * x) ** (n - mask.bit_count())
     return Dist.from_weights(graph, weights, z * z)
 
@@ -139,11 +155,11 @@ def push_uniform_even_per_support(d: Dist) -> Dist:
     spreads its numerator, scaled to the common 2^top, over the span of its
     own cycle basis."""
     bases = [(w, cycle_space_basis(d.graph, mask)) for mask, w in d.nums.items()]
-    top = max(basis.dimension for _, basis in bases)
+    top = max(len(basis) for _, basis in bases)
     acc: dict[int, int] = {}
     for w, basis in bases:
-        share = w << (top - basis.dimension)
-        for h in span_masks(basis.elements):
+        share = w << (top - len(basis))
+        for h in span_masks(basis):
             acc[h] = acc.get(h, 0) + share
     return Dist.from_integers(d.graph, acc, d.den << top, d.z)
 
@@ -502,6 +518,23 @@ def prob_bruteforce(d: Dist, event: Event) -> Fraction:
     return total / d.z
 
 
+def cyclic_count(g: Graph):
+    """The number of open edges on a cycle of the open subgraph, per mask,
+    read from the package's even-subgraph lattice."""
+    cyclic = even_lattice(g)[1]
+    return lambda mask: cyclic[mask].bit_count()
+
+
+def histogram(d: Dist, value) -> dict[int, Fraction]:
+    """The law of ``value(mask)`` under d, one ``Fraction`` addition per
+    configuration, without values of mass 0."""
+    out: dict[int, Fraction] = {}
+    for mask, p in d.probabilities().items():
+        k = value(mask)
+        out[k] = out.get(k, Fraction(0)) + p
+    return {k: p for k, p in sorted(out.items()) if p}
+
+
 def bit_masses_per_law(dists, stat, width: int) -> list[list[Fraction]]:
     """``measures.bit_masses`` one law at a time, without packing: each
     law's integer numerators summed per stat value, each sum added to the
@@ -578,9 +611,9 @@ def sample_stream_per_draw(model: str, g: Graph, x: Fraction, seed: int, count: 
         if push:
             basis = cycle_space_basis(g, mask)
             out = 0
-            if basis.dimension:
-                flips = rng.integers(0, 2, size=basis.dimension)
-                for i, c in enumerate(basis.elements):
+            if basis:
+                flips = rng.integers(0, 2, size=len(basis))
+                for i, c in enumerate(basis):
                     if flips[i]:
                         out ^= c
             mask = out
@@ -595,16 +628,16 @@ def loop_chain_transition_matrix(g: Graph, x: Fraction):
     balance against the stationary weights x^|state| exactly.
     """
     basis = cycle_space_basis(g)
-    states = sorted(span_masks(basis.elements))
+    states = sorted(span_masks(basis))
     index = {s: i for i, s in enumerate(states)}
-    dim = max(len(basis.elements), 1)
+    dim = max(len(basis), 1)
     x = Fraction(x)
     size = len(states)
     T = [[Fraction(0)] * size for _ in range(size)]
     for s in states:
         i = index[s]
         stay = Fraction(0)
-        for c in basis.elements:
+        for c in basis:
             new = s ^ c
             delta = new.bit_count() - s.bit_count()
             accept = min(Fraction(1), x**delta) if delta > 0 else Fraction(1)

@@ -15,8 +15,8 @@ import pytest
 
 from loopcurrents.battery import verification_battery
 from loopcurrents.checkers import fkg_gaps, stochastic_domination
-from loopcurrents.events import connect, cyclic_count, statistic_dist
-from loopcurrents.graphs import complete_graph, counter_family, cyclic_edges, generalized_theta
+from loopcurrents.events import connect
+from loopcurrents.graphs import complete_graph, counter_family, generalized_theta
 from loopcurrents.measures import (
     Dist,
     bernoulli,
@@ -63,9 +63,12 @@ from expected_tables import (
 )
 from oracles import (
     counter_even_table,
+    cyclic_count,
     cyclic_count_ratio,
+    cyclic_edges,
     domination_bruteforce,
     double_loop_fkg_difference,
+    histogram,
     trailing_term,
 )
 
@@ -374,9 +377,9 @@ def test_criterion_11_cyclic_count_ratio():
     l, m, n = 2, 2, 3
     g = generalized_theta([l, m, n])
     x = F(1, 2)
-    stat = cyclic_count(g)
-    cluster_mass = statistic_dist(build("random_cluster", g, x), stat)[l + m]
-    double_mass = statistic_dist(double_current(g, x), stat)[l + m]
+    count = cyclic_count(g)
+    cluster_mass = histogram(build("random_cluster", g, x), count)[l + m]
+    double_mass = histogram(double_current(g, x), count)[l + m]
     ratio = cyclic_count_ratio(l, m, n)(x)
     assert ratio == cluster_mass / double_mass
     check("C11", ratio != 1, f"cyclic-size mass ratio at (2,2,3), x=1/2 is {ratio} != 1")

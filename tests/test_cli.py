@@ -8,20 +8,21 @@ from fractions import Fraction
 
 import pytest
 
-from loopcurrents import cli, events, graphs, measures, theta
+from loopcurrents import cli, graphs, measures, theta
 from loopcurrents.battery import scan_battery, verification_battery
 from loopcurrents.cli import _interval_decimal, main
 from loopcurrents.errors import CapExceededError, LoopCurrentsError
 from loopcurrents.graphs import (
     Graph,
     complete_graph,
-    cyclic_edges,
     even_lattice,
     graph_to_json,
 )
 from loopcurrents.intervals import Interval
 from loopcurrents.measures import MODELS, build, point_laws, union_bernoulli
 from loopcurrents.rationals import dyadic_grid
+
+from oracles import cyclic_edges
 
 F = Fraction
 
@@ -234,7 +235,7 @@ FIGURE_L = ("figure", "--model", "l", "--n", "18", "--m", "2")
 SAMPLE_THETA = ("sample", "--family", "theta", "--segments", "1,1,1", "--x", "1/2")
 # --graph files that are not graphs: invalid JSON, no edge list, an edge of
 # three vertices, a vertex count, endpoints and a mark that are not JSON
-# integers, and a negative vertex count
+# integers, a negative vertex count, and edge lengths (the format has none)
 MALFORMED_GRAPHS = {
     "invalid.json": "{not json",
     "no_edges.json": '{"vertices": 3}',
@@ -243,6 +244,7 @@ MALFORMED_GRAPHS = {
     "bool_endpoints.json": '{"vertices": 2, "edges": [[true, false]]}',
     "float_mark.json": '{"vertices": 3, "edges": [[0, 1], [1, 2]], "marks": {"a": 0.5, "b": 2}}',
     "negative_vertices.json": '{"vertices": -3, "edges": []}',
+    "lengths.json": '{"vertices": 2, "edges": [[0, 1], [0, 1]], "lengths": [2, 3]}',
 }
 
 
@@ -586,16 +588,19 @@ class TestBatchedSuites:
         assert info.misses == len(BATTERY) and info.hits > 0
 
     def test_cor1_runs_no_per_configuration_bridge_search(self, monkeypatch):
-        searched = []
+        # a cycle basis of one configuration is the per-mask bridge search;
+        # the lattice and the loop law span bases of the whole graph
+        masks = []
+        basis = graphs.cycle_space_basis
 
-        def counting_cyclic_edges(g, mask):
-            searched.append(mask)
-            return cyclic_edges(g, mask)
+        def counting_basis(g, mask=None):
+            masks.append(mask)
+            return basis(g, mask)
 
-        for module in (cli, graphs, events):
-            monkeypatch.setattr(module, "cyclic_edges", counting_cyclic_edges, raising=False)
+        monkeypatch.setattr(graphs, "cycle_space_basis", counting_basis)
+        even_lattice.cache_clear()
         assert suite("cor1", *ONE_X) == []
-        assert searched == []
+        assert masks and [mask for mask in masks if mask is not None] == []
 
     def test_one_verify_builds_each_law_once(self, monkeypatch):
         rows = counting_rows(monkeypatch)

@@ -6,27 +6,26 @@ import pytest
 
 from loopcurrents import graphs
 from loopcurrents.errors import CapExceededError, GraphStructureError
-from loopcurrents.events import (
-    Event,
-    Statistic,
-    all_open,
-    connect,
-    cyclic_count,
-    edge_open,
-    statistic_dist,
-)
+from loopcurrents.events import Event, all_open, connect, edge_open
 from loopcurrents.graphs import (
     LATTICE_PASS_CAP,
     Graph,
     complete_graph,
     counter_family,
-    cyclic_edges,
     generalized_theta,
     segment_edge_ranges,
 )
 from loopcurrents.measures import bernoulli, loop_o1, point_mass
 
-from oracles import brute_cyclic_edges, check_increasing, check_increasing_all_pairs, connect_sets
+from oracles import (
+    brute_cyclic_edges,
+    check_increasing,
+    check_increasing_all_pairs,
+    connect_sets,
+    cyclic_count,
+    cyclic_edges,
+    histogram,
+)
 
 F = Fraction
 COUNTER22 = counter_family(2, 2)
@@ -128,30 +127,30 @@ class TestCheckIncreasing:
         assert info.value.size == 20 << 20 > LATTICE_PASS_CAP
 
 
-def edge_count(g: Graph) -> Statistic:
-    return Statistic(g, int.bit_count, "edge count")
-
-
 class TestStatistics:
+    """Laws of statistics, by the oracle histogram over the package's laws
+    and the lattice's cyclic edges."""
+
     def test_edge_count_under_bernoulli_is_binomial(self):
         g = complete_graph(4)
         p = F(1, 3)
-        dist = statistic_dist(bernoulli(g, p), edge_count(g))
+        dist = histogram(bernoulli(g, p), int.bit_count)
         n = g.edge_count
+        assert list(dist) == list(range(n + 1))
         for k, mass in dist.items():
             assert mass == comb(n, k) * p**k * (1 - p) ** (n - k)
         assert sum(dist.values()) == 1
 
     def test_cyclic_count_under_point_mass_empty(self):
         g = complete_graph(4)
-        assert statistic_dist(point_mass(g, 0), cyclic_count(g)) == {0: F(1)}
+        assert histogram(point_mass(g, 0), cyclic_count(g)) == {0: F(1)}
 
     def test_cyclic_count_matches_cyclic_edges_per_mask(self):
         doubled_triangle = Graph(3, ((0, 1), (1, 2), (2, 0), (0, 1)))
         for g in (COUNTER22, generalized_theta([2, 3, 2]), doubled_triangle):
-            stat = cyclic_count(g)
+            count = cyclic_count(g)
             for mask in range(1 << g.edge_count):
-                assert stat.value(mask) == brute_cyclic_edges(g, mask).bit_count()
+                assert count(mask) == brute_cyclic_edges(g, mask).bit_count()
 
     def test_cyclic_count_refuses_above_the_lattice_cap(self, monkeypatch):
         # a 20-edge path: its lattice pass would cost 20 * 2^20 > 2^24
@@ -167,5 +166,5 @@ class TestStatistics:
         # matches the edge-count pushforward
         g = generalized_theta([2, 3, 2])
         d = loop_o1(g, F(1, 2))
-        assert statistic_dist(d, cyclic_count(g)) == statistic_dist(d, edge_count(g))
+        assert histogram(d, cyclic_count(g)) == histogram(d, int.bit_count)
 

@@ -16,21 +16,12 @@ from loopcurrents.errors import (
 from loopcurrents import measures, overview
 from loopcurrents.battery import scan_battery, verification_battery
 from loopcurrents.checkers import fkg_gaps
-from loopcurrents.events import (
-    Event,
-    Statistic,
-    all_open,
-    connect,
-    cyclic_count,
-    edge_open,
-    statistic_dist,
-)
+from loopcurrents.events import Event, all_open, connect, edge_open
 from loopcurrents.graphs import (
     LATTICE_PASS_CAP,
     Graph,
     complete_graph,
     counter_family,
-    cyclic_edges,
     generalized_theta,
 )
 from loopcurrents.measures import (
@@ -61,6 +52,7 @@ from oracles import (
     brute_union,
     check_increasing,
     connect_sets,
+    cyclic_edges,
     dist_from_json,
     dist_to_json,
     double_current_lis_per_mask,
@@ -577,20 +569,6 @@ class TestBitMasses:
         chosen = data.draw(st.sets(st.integers(0, g.full_mask)))
         for ev in [Event(g, chosen.__contains__), Event(g, lambda m: False), *events_on(g)]:
             assert prob(d, ev) == prob_bruteforce(d, ev)
-
-    @settings(max_examples=40, deadline=None)
-    @given(data=st.data())
-    def test_statistic_dist_matches_the_oracle(self, data):
-        g = data.draw(st.sampled_from(ORACLE_GRAPHS))
-        d = data.draw(mixed_dists(g))
-        for s in (Statistic(g, int.bit_count), cyclic_count(g)):
-            expected = {
-                k: prob_bruteforce(d, Event(g, lambda m, k=k: s.value(m) == k))
-                for k in range(g.edge_count + 1)
-            }
-            got = statistic_dist(d, s)
-            assert got == {k: p for k, p in expected.items() if p}
-            assert list(got) == sorted(got) and sum(got.values()) == 1
 
     @settings(max_examples=40, deadline=None)
     @given(data=st.data())

@@ -17,11 +17,9 @@ PACKAGE = Path(loopcurrents.__file__).parent
 
 # Kept though no module reads them:
 # - graph_to_json writes the --graph file format that graph_from_json reads;
-# - cyclic_edges is the per-configuration route that acceptance C03 checks
-#   the even-subgraph lattice against;
 # - double_loop and double_current are read by the benchmark's output
 #   checks (bench/checks.py).
-ALLOWED = {"graph_to_json", "cyclic_edges", "double_loop", "double_current"}
+ALLOWED = {"graph_to_json", "double_loop", "double_current"}
 
 
 def _public_definitions(tree: ast.Module):

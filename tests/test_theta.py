@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from loopcurrents import theta
 from loopcurrents.errors import GraphMismatchError, GraphStructureError, ParametrizationError
-from loopcurrents.events import all_open, connect, cyclic_count, statistic_dist
+from loopcurrents.events import all_open, connect
 from loopcurrents.graphs import (
     counter_family,
     even_lattice,
@@ -292,9 +292,9 @@ class TestCyclicCountForms:
         l, m, n = 2, 2, 3
         g = generalized_theta([l, m, n])
         x = F(1, 2)
-        stat = cyclic_count(g)
-        cluster_mass = statistic_dist(build("random_cluster", g, x), stat)[l + m]
-        double_mass = statistic_dist(double_current(g, x), stat)[l + m]
+        count = oracles.cyclic_count(g)
+        cluster_mass = oracles.histogram(build("random_cluster", g, x), count)[l + m]
+        double_mass = oracles.histogram(double_current(g, x), count)[l + m]
         assert oracles.cyclic_count_cluster_form(l, m, n)(x) == cluster_mass
         assert oracles.cyclic_count_double_current_form(l, m, n)(x) == double_mass
         assert cyclic_count_ratio(l, m, n)(x) == cluster_mass / double_mass
@@ -427,6 +427,19 @@ class TestCoreGraphs:
             (enumerated,) = bit_masses([law], cyclic_paths, 8)
             (reduced,) = bit_masses([core_law], lambda m: 1 << core_cyclic[m], 8)
             assert reduced == enumerated, name
+
+    def test_the_length_weighted_size_law_matches_the_subdivided_graph(self):
+        # the core's sizes reach 7 on its 3 edges: a histogram sized from the
+        # edge count would lose every mass but that of the empty configuration
+        core, g = theta_core(2, 2, 3), generalized_theta([2, 2, 3])
+
+        def size(mask):
+            return sum(L for i, L in enumerate(core.lengths) if mask >> i & 1)
+
+        law = oracles.histogram(loop_o1(core, F(1, 2)), size)
+        assert sum(law.values()) == 1
+        assert law == oracles.histogram(loop_o1(g, F(1, 2)), int.bit_count)
+        assert law == {0: F(8, 9), 4: F(1, 18), 5: F(1, 18)}
 
     def test_lengths_of_one_give_the_plain_laws(self):
         g = generalized_theta([2, 3, 1])
