@@ -2,13 +2,16 @@
 
 Stochastic domination is decided by Strassen's criterion: mu_hi dominates
 mu_lo iff a coupling supported on comparable pairs exists, iff the max flow
-through the covering graph of the subset lattice carries all the mass.  The
-flow runs on integers (the laws' integer weights scaled to a common total),
-so the verdict and both kinds of certificate are exact:
+through the covering graph of the subset lattice carries all the mass.
+Dinic's flow runs on integers (the laws' integer weights scaled to a common
+total), so the verdict and both kinds of certificate are exact:
 
 * success returns the coupling (joint weights with exact marginals);
 * failure returns an up-set U, as its minimal elements, whose masses
   violate mu_lo(U) <= mu_hi(U), extracted from the min cut.
+
+Every maximum flow has the same value and the same minimal min cut, so
+the verdict and the up-set do not depend on the flow algorithm.
 
 Monotonicity scans need only the verdict, and :func:`monotonicity_scan`
 takes each step by the first of three routes that applies:
@@ -139,23 +142,16 @@ def fkg_gaps(
 
 
 # ---------------------------------------------------------------------------
-# Exact max-flow (two-phase push-relabel) on the covering graph of the
-# subset lattice
+# Exact max-flow (Dinic) on the covering graph of the subset lattice
 
 
-class _PushRelabel:
+class _Dinic:
     """Max flow with arbitrary-precision integer capacities.  Arc idx runs
     to ``to[idx]`` with residual capacity ``cap[idx]``, its reverse arc is
     idx ^ 1, and ``head[u]`` lists the arcs out of u.  The flow writes only
-    ``cap``, so one pair of arc lists can serve many networks.
-
-    FIFO push-relabel (Goldberg & Tarjan 1988) in two phases.  The first
-    saturates the source's arcs and pushes their excess toward the sink,
-    which leaves a maximum preflow.  Only when some excess can no longer
-    reach the sink, on a network without full flow, does the second phase
-    push that stranded excess back to the source, which leaves a maximum
-    flow.
-    """
+    ``cap``, so one pair of arc lists can serve many networks.  Dinic
+    (1970): residual BFS levels, then an iterative blocking flow, until t
+    is out of reach."""
 
     def __init__(self, head: list[list[int]], to: list[int], cap: list[int]):
         self.n = len(head)
@@ -163,102 +159,58 @@ class _PushRelabel:
 
     def max_flow(self, s: int, t: int) -> int:
         head, to, cap = self.head, self.to, self.cap
-        excess = [0] * self.n
-        for idx in head[s]:
-            c = cap[idx]
-            if c:
-                cap[idx] = 0
-                cap[idx ^ 1] += c
-                excess[to[idx]] += c
-        self._push_to(t, s, excess)
-        if any(e for v, e in enumerate(excess) if v != s and v != t):
-            self._push_to(s, t, excess)
-        return excess[t]
-
-    def _distances(self, target: int) -> list[int]:
-        """Residual distance of every node to ``target`` by one reverse BFS,
-        n where ``target`` is out of reach."""
-        head, to, cap, n = self.head, self.to, self.cap, self.n
-        dist = [n] * n
-        dist[target] = 0
-        order = [target]
-        for u in order:
-            d = dist[u] + 1
-            for idx in head[u]:
-                v = to[idx]
-                if dist[v] == n and cap[idx ^ 1]:
-                    dist[v] = d
-                    order.append(v)
-        return dist
-
-    def _push_to(self, target: int, other: int, excess: list[int]) -> None:
-        """Push into ``target`` all the excess that can reach it.
-
-        Heights start as exact distances to ``target``.  Nodes with excess
-        are discharged in FIFO order: a node pushes along residual arcs to
-        nodes one level lower, and when none is left it is relabelled one
-        above its lowest residual neighbour.  When a relabel empties a
-        level, no node above it can reach ``target``, so all of them go to
-        height n, where a node keeps its excess.  After 2n relabels the
-        heights are measured again, which strands every node that has lost
-        its way to ``target`` at once instead of one relabel at a time.
-        """
-        head, to, cap, n = self.head, self.to, self.cap, self.n
+        flow = 0
         while True:
-            height = self._distances(target)
-            count = [0] * (n + 1)
-            for h in height:
-                count[h] += 1
-            current = [0] * n
-            queue = [
-                v for v in range(n) if excess[v] and height[v] < n and v != target and v != other
-            ]
-            relabels = 2 * n
+            # BFS levels of the residual network, up to t's level
+            level = [-1] * self.n
+            level[s] = 0
+            queue = [s]
             for u in queue:
-                hu = height[u]
-                if hu == n:
-                    continue  # stranded by a gap while queued
-                e, arcs, i = excess[u], head[u], current[u]
-                end, down = len(arcs), hu - 1
-                while True:
-                    while i < end:
-                        idx = arcs[i]
-                        c = cap[idx]
-                        if c and height[to[idx]] == down:
-                            v = to[idx]
-                            if not excess[v] and v != target:
-                                queue.append(v)
-                            d = c if c < e else e
-                            cap[idx] = c - d
-                            cap[idx ^ 1] += d
-                            excess[v] += d
-                            e -= d
-                            if not e:
-                                break
-                        i += 1
-                    if not e:
-                        break
-                    # relabel: no admissible arc is left
-                    relabels -= 1
-                    count[hu] -= 1
-                    if count[hu]:
-                        hu = min(min([height[to[idx]] for idx in arcs if cap[idx]]) + 1, n)
-                    else:
-                        for v in range(n):
-                            if hu < height[v] < n:
-                                count[height[v]] -= 1
-                                height[v] = n
-                        hu = n
-                    height[u] = hu
-                    count[hu] += 1
-                    if hu == n or not relabels:
-                        break
-                    i, down = 0, hu - 1
-                excess[u], current[u] = e, i
-                if not relabels:
+                if level[t] >= 0:
                     break
-            else:
-                return
+                nxt = level[u] + 1
+                for idx in head[u]:
+                    v = to[idx]
+                    if level[v] < 0 and cap[idx]:
+                        level[v] = nxt
+                        queue.append(v)
+            if level[t] < 0:
+                return flow
+            # blocking flow: walk forward along admissible arcs, push on
+            # reaching t, retreat when stuck
+            it = [0] * self.n
+            stack = [s]
+            path: list[int] = []
+            while stack:
+                u = stack[-1]
+                if u == t:
+                    pushed = min(cap[idx] for idx in path)
+                    for idx in path:
+                        cap[idx] -= pushed
+                        cap[idx ^ 1] += pushed
+                    flow += pushed
+                    for pos, idx in enumerate(path):
+                        if not cap[idx]:
+                            del stack[pos + 1 :]
+                            del path[pos:]
+                            break
+                    continue
+                arcs, i, want = head[u], it[u], level[u] + 1
+                end = len(arcs)
+                while i < end:
+                    idx = arcs[i]
+                    if cap[idx] and level[to[idx]] == want:
+                        break
+                    i += 1
+                it[u] = i
+                if i < end:
+                    stack.append(to[idx])
+                    path.append(idx)
+                else:
+                    level[u] = -1  # dead end for this phase
+                    stack.pop()
+                    if path:
+                        path.pop()
 
     def min_cut_side(self, s: int) -> set[int]:
         """Vertices reachable from s in the residual network."""
@@ -367,7 +319,7 @@ class _CoveringFlow:
             f = min(cap[a], w * scale_hi)
             cap[a : a + 4] = cap[a] - f, f, w * scale_hi - f, f
             direct += f
-        net = _PushRelabel(head, to, cap)
+        net = _Dinic(head, to, cap)
         self.net, self.node, self.total = net, node, total
         self.source_arcs, self.hi_masks = source_arcs, list(nums_hi)
 

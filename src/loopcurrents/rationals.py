@@ -15,8 +15,11 @@ from .errors import CapExceededError, ParametrizationError
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse 'num/den' or a plain integer/decimal string."""
+    """Parse 'num/den' or a plain integer/decimal string.  Exponent notation
+    is refused: ``Fraction`` would build 10^N for '1e-N' with no bound."""
     try:
+        if "e" in text or "E" in text:
+            raise ValueError("exponent notation")
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:
         raise ParametrizationError(f"not a rational number: {text!r}") from exc

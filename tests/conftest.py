@@ -20,10 +20,10 @@ def flow_networks(monkeypatch) -> list[int]:
     """The node count of every flow network ``checkers`` builds in the test."""
     built: list[int] = []
 
-    class CountingFlow(checkers._PushRelabel):
+    class CountingFlow(checkers._Dinic):
         def __init__(self, head, to, cap):
             built.append(len(head))
             super().__init__(head, to, cap)
 
-    monkeypatch.setattr(checkers, "_PushRelabel", CountingFlow)
+    monkeypatch.setattr(checkers, "_Dinic", CountingFlow)
     return built

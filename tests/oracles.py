@@ -17,9 +17,10 @@ and serializations that only tests read, the vertex-set connection event
 (the oracle of the table's connection masses), the covering-pair and
 all-pairs scans of an event's monotonicity, the all-pairs lattice condition
 (the oracle of the two-edge form the Holley route checks) with the FKG
-report around it, and Dinic's max-flow: the bipartite domination oracle
-runs it, and so do the flow tests on the package's own covering networks,
-so neither shares flow code with the package's push-relabel.
+report around it, and a shortest-augmenting-path max-flow (Edmonds &
+Karp): the bipartite domination oracle runs it, and so do the flow tests on
+the package's own covering networks, so neither shares flow code with the
+package's Dinic.
 """
 
 import json
@@ -233,82 +234,53 @@ def domination_bruteforce(d_lo: Dist, d_hi: Dist, cap: int = 16) -> DominationRe
     return DominationReport(True, coupling=())
 
 
-class Dinic:
-    """Max flow with arbitrary-precision integer capacities.  Arc idx runs
-    to ``to[idx]`` with residual capacity ``cap[idx]``, its reverse arc is
-    idx ^ 1, and ``head[u]`` lists the arcs out of u.  The flow writes only
-    ``cap``, so one pair of arc lists can serve many networks."""
+class EdmondsKarp:
+    """Max flow by shortest augmenting paths (Edmonds & Karp 1972), one BFS
+    per path, with arbitrary-precision integer capacities.  Arc idx runs to
+    ``to[idx]`` with residual capacity ``cap[idx]``, its reverse arc is
+    idx ^ 1, and ``head[u]`` lists the arcs out of u: the package's arc
+    lists, so the flow tests run it on the package's own networks."""
 
     def __init__(self, head: list[list[int]], to: list[int], cap: list[int]):
         self.n = len(head)
         self.head, self.to, self.cap = head, to, cap
 
-    def max_flow(self, s: int, t: int) -> int:
+    def _tree(self, s: int, t: int = -1) -> list[int]:
+        """The arc into each vertex reachable from s on a shortest residual
+        path, s at s and -1 where s does not reach; the search stops once
+        it reaches t."""
         head, to, cap = self.head, self.to, self.cap
-        flow = 0
-        while True:
-            # BFS levels of the residual network, up to t's level
-            level = [-1] * self.n
-            level[s] = 0
-            queue = [s]
-            for u in queue:
-                if level[t] >= 0:
-                    break
-                nxt = level[u] + 1
-                for idx in head[u]:
+        into = [-1] * self.n
+        into[s] = s
+        queue = [s]
+        for u in queue:
+            for idx in head[u]:
+                if cap[idx]:
                     v = to[idx]
-                    if level[v] < 0 and cap[idx]:
-                        level[v] = nxt
+                    if into[v] < 0:
+                        into[v] = idx
+                        if v == t:
+                            return into
                         queue.append(v)
-            if level[t] < 0:
-                return flow
-            # blocking flow: walk forward along admissible arcs, push on
-            # reaching t, retreat when stuck
-            it = [0] * self.n
-            stack = [s]
-            path: list[int] = []
-            while stack:
-                u = stack[-1]
-                if u == t:
-                    pushed = min(cap[idx] for idx in path)
-                    for idx in path:
-                        cap[idx] -= pushed
-                        cap[idx ^ 1] += pushed
-                    flow += pushed
-                    for pos, idx in enumerate(path):
-                        if not cap[idx]:
-                            del stack[pos + 1 :]
-                            del path[pos:]
-                            break
-                    continue
-                arcs, i, want = head[u], it[u], level[u] + 1
-                end = len(arcs)
-                while i < end:
-                    idx = arcs[i]
-                    if cap[idx] and level[to[idx]] == want:
-                        break
-                    i += 1
-                it[u] = i
-                if i < end:
-                    stack.append(to[idx])
-                    path.append(idx)
-                else:
-                    level[u] = -1  # dead end for this phase
-                    stack.pop()
-                    if path:
-                        path.pop()
+        return into
+
+    def max_flow(self, s: int, t: int) -> int:
+        to, cap, flow = self.to, self.cap, 0
+        while (into := self._tree(s, t))[t] >= 0:
+            path, v = [], t
+            while v != s:
+                path.append(into[v])
+                v = to[into[v] ^ 1]
+            pushed = min(cap[idx] for idx in path)
+            for idx in path:
+                cap[idx] -= pushed
+                cap[idx ^ 1] += pushed
+            flow += pushed
+        return flow
 
     def min_cut_side(self, s: int) -> set[int]:
         """Vertices reachable from s in the residual network."""
-        seen = {s}
-        queue = [s]
-        for u in queue:
-            for idx in self.head[u]:
-                v = self.to[idx]
-                if self.cap[idx] > 0 and v not in seen:
-                    seen.add(v)
-                    queue.append(v)
-        return seen
+        return {v for v, idx in enumerate(self._tree(s)) if idx >= 0}
 
 
 def domination_bipartite(d_lo: Dist, d_hi: Dist) -> DominationReport:
@@ -348,7 +320,7 @@ def domination_bipartite(d_lo: Dist, d_hi: Dist) -> DominationReport:
         for b in hi_masks
         if a & ~b == 0
     }
-    net = Dinic(head, to, cap)
+    net = EdmondsKarp(head, to, cap)
     if net.max_flow(0, 1) == total:
         coupling = tuple(
             (a, b, Fraction(total - net.cap[idx], total))

@@ -258,6 +258,11 @@ MALFORMED_GRAPHS = {
         ("table", "--grid-steps", "0"),
         ("verify", "--x", "abc"),
         ("verify", "--x", "1/0"),
+        # exponent notation is refused before a power of ten is built
+        ("verify", "--x", "1e-9999999999"),
+        (*SAMPLE_THETA[:5], "--x", "1e-9999999999", "--model", "loop"),
+        (*SAMPLE_THETA[:5], "--t", "1e-9999999999", "--model", "loop"),
+        (*FIGURE_L, "--window", "1e-9999999999:1"),
         *(
             (*command, "--graph", name)
             for name in ("missing.json", *MALFORMED_GRAPHS)

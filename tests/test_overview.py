@@ -221,7 +221,9 @@ def test_battery_mon_scans_touch_no_model_law(flow_networks, monkeypatch):
 
     grid = dyadic_grid(6)
     battery = [(name, g, loop_steps(g, grid)) for name, g in scan_battery()]
+    # the table's only flows run on at most 6 lattice coordinates
     assert len(flow_networks) == 4 * (len(grid) - 1)
+    assert max(flow_networks) <= 2 + (1 << 6)
     flow_networks.clear()
     monkeypatch.setattr(checkers, "_holley_local", counting_holley)
     for name, g, steps in battery:

@@ -1,4 +1,5 @@
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -125,6 +126,18 @@ class TestFormatting:
         finally:
             sys.set_int_max_str_digits(limit)
         assert format_rational(Fraction(0)) == "0/1"
+
+    def test_exponent_notation_is_refused_before_a_power_is_built(self):
+        # Fraction("1e-10000000") alone builds a 33-Mbit denominator
+        tracemalloc.start()
+        try:
+            for text in ("1e-9999999999", "1E9999999999", "2.5e-1", "1e3"):
+                with pytest.raises(ParametrizationError, match="not a rational number"):
+                    parse_rational(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     def test_decimal_rounding(self):
         assert decimal_string(Fraction(1, 3), 10) == "0.3333333333"
