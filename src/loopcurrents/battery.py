@@ -19,10 +19,10 @@ def k5_minus_edge() -> Graph:
     return Graph(5, k5.edges[:-1])
 
 
-def random_multigraph(rng: random.Random, max_edges: int = 10) -> Graph:
-    """A random loopless multigraph with at most ``max_edges`` edges."""
+def random_multigraph(rng: random.Random) -> Graph:
+    """A random loopless multigraph with 4 to 7 vertices and 5 to 10 edges."""
     vertices = rng.randint(4, 7)
-    edge_count = rng.randint(5, max_edges)
+    edge_count = rng.randint(5, 10)
     edges = []
     for _ in range(edge_count):
         u = rng.randrange(vertices)

@@ -70,9 +70,6 @@ class UpSetWitness:
     def gap(self) -> Fraction:
         return self.mass_lo - self.mass_hi
 
-    def contains(self, mask: int) -> bool:
-        return any(mask & m == m for m in self.minimal_elements)
-
     def to_json_dict(self) -> dict:
         return {
             "minimal_elements": [hex(m) for m in self.minimal_elements],
@@ -112,21 +109,18 @@ class DominationReport:
 def fkg_gaps(
     dists: Sequence[Dist],
     event_pairs: Sequence[tuple[Event, Event]],
-    require_increasing: bool = True,
 ) -> list[list[Fraction]]:
     """P(A and B) - P(A)P(B), exact, for each law of ``dists`` (rows) and
     each pair (A, B) of ``event_pairs`` (columns).  Negative certifies an
-    FKG violation.
+    FKG violation.  Every event must be flagged increasing (the FKG
+    inequality says nothing about other events); any other is refused.
 
     One :func:`~loopcurrents.measures.bit_masses` pass over the family: one
     bit per distinct event, then one bit per pair, set when both hold.
     """
     events = list({id(ev): ev for pair in event_pairs for ev in pair}.values())
-    if require_increasing and not all(ev.increasing for ev in events):
-        raise LoopCurrentsError(
-            "FKG gaps need events flagged increasing (connect, edge_open, all_open); "
-            "pass require_increasing=False to compute the gaps of other events"
-        )
+    if not all(ev.increasing for ev in events):
+        raise LoopCurrentsError("FKG gaps need events flagged increasing (connect, edge_open, all_open)")
     _require_same_graph(
         *(ev.graph for ev in events), *(d.graph for d in dists), what="events and distributions"
     )

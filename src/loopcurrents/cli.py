@@ -25,7 +25,7 @@ from pathlib import Path
 from . import __version__, theta
 from .battery import scan_battery, verification_battery
 from .checkers import monotonicity_scan
-from .errors import GraphStructureError, LoopCurrentsError, ParametrizationError
+from .errors import CapExceededError, GraphStructureError, LoopCurrentsError, ParametrizationError
 from .graphs import Graph, counter_family, even_lattice, generalized_theta, graph_from_json, lattice_size
 from .intervals import MAX_BITS, START_BITS, certify_decreasing_pair
 from .measures import (
@@ -122,12 +122,19 @@ def graph_from_args(args) -> Graph:
 # figure
 
 
+# Most --precision-digits, for every model: an inexact MAX_BITS enclosure
+# is about 2^-MAX_BITS wide relative to its value, so it certifies at most
+# floor(MAX_BITS * log10(2)) = 1233 significant digits; --model P would
+# fail a larger request only after evaluating every rung.
+PRECISION_DIGITS_CAP = 1233
+
+
 def _decimal_bits(digits: int) -> int:
     """First rung of the START_BITS doubling ladder with 2^-bits < 10^-digits:
     on a coarser rung an inexact enclosure, a unit in its last bit wide, is
     about as wide as a decimal cell, so its endpoints mostly round apart."""
-    bits = START_BITS
-    while 1 << bits <= 10**digits and bits < MAX_BITS:
+    bits, cell = START_BITS, 10**digits
+    while 1 << bits <= cell and bits < MAX_BITS:
         bits *= 2
     return bits
 
@@ -165,6 +172,8 @@ def cmd_figure(args) -> int:
     digits = args.precision_digits
     if digits < 1:
         raise ParametrizationError(f"--precision-digits {digits} must be positive")
+    if digits > PRECISION_DIGITS_CAP:
+        raise CapExceededError("--precision-digits", digits, PRECISION_DIGITS_CAP)
     out = Path(args.out)
     rows = []
     pair_record = None

@@ -4,7 +4,7 @@ An :class:`Event` is a predicate on masks together with a monotonicity flag.
 The constructors set the flag where it holds by construction: connection
 (read from ``is_connected``), edge-open and all-open.  An event built
 directly as ``Event(g, fn)`` is not flagged, and ``checkers.fkg_gaps``
-refuses it unless the caller passes ``require_increasing=False``.
+refuses it.
 
 Masses of events come from ``measures.bit_masses`` (``measures.prob`` for
 one event under one law).

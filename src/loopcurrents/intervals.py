@@ -1,14 +1,12 @@
 """Certified rational interval arithmetic.
 
-One class, :class:`Interval`, in two modes.  In exact mode (``bits=None``)
-the endpoints are Fractions and every operation is exact on them.  In
-rounded mode the endpoints are integers ``lo <= hi`` over one shared power
-of two, [lo * 2^exp, hi * 2^exp], and every result is rounded outward to
-``bits`` significant bits by floor and ceiling shifts, as in Arb
+One class, :class:`Interval`, with one representation: integers ``lo <= hi``
+over one shared power of two, [lo * 2^exp, hi * 2^exp], every result rounded
+outward to ``bits`` significant bits by floor and ceiling shifts, as in Arb
 (Johansson, IEEE TC 2017): high powers (x^4600, p^4000) cost a few products
 of ``bits``-bit integers, and (1/128)^600 keeps its significant bits.
-Square roots are enclosed with ``math.isqrt``.  The interval always
-encloses the true value.
+Square roots of rationals are enclosed with ``math.isqrt``.  The interval
+always encloses the true value.
 
 Intended use: evaluating closed forms that involve sqrt(1-x^2) at rational
 x, and certifying strict inequalities (two enclosures that do not overlap
@@ -33,56 +31,44 @@ MAX_BITS = 4096
 class Interval:
     """Closed interval [lo, hi]; ``.lo`` and ``.hi`` are exact Fractions.
 
-    With ``bits`` set, the constructor and every operation round outward:
-    the lower endpoint only ever moves down, the upper only up, so a result
-    still encloses the exact one.  An operation on two intervals rounds at
-    the coarser of their precisions, exact counting as unbounded.
+    The constructor and every operation round outward to ``bits``
+    significant bits: the lower endpoint only ever moves down, the upper
+    only up, so a result still encloses the exact one.  An operation on two
+    intervals rounds at the coarser of their precisions.
     """
 
     __slots__ = ("_lo", "_hi", "_exp", "bits")
 
-    def __init__(self, lo, hi, bits: int | None = None):
+    def __init__(self, lo, hi, bits: int):
         lo, hi = Fraction(lo), Fraction(hi)
         if lo > hi:
             raise ValueError(f"inverted interval [{lo}, {hi}]")
-        exp = 0
-        if bits is not None:
-            (lo, _, lo_exp), (_, hi, hi_exp) = _scaled(lo, bits), _scaled(hi, bits)
-            lo, hi, exp = _rounded(lo, lo_exp, hi, hi_exp, bits)
-        self._lo, self._hi, self._exp, self.bits = lo, hi, exp, bits
+        (lo, _, lo_exp), (_, hi, hi_exp) = _scaled(lo, bits), _scaled(hi, bits)
+        self._lo, self._hi, self._exp = _rounded(lo, lo_exp, hi, hi_exp, bits)
+        self.bits = bits
 
     @classmethod
-    def _make(cls, lo, hi, exp: int, bits: int | None) -> "Interval":
-        # endpoints already in the mode's representation, already ordered
+    def _make(cls, lo: int, hi: int, exp: int, bits: int) -> "Interval":
+        # endpoints already rounded, already ordered
         iv = object.__new__(cls)
         iv._lo, iv._hi, iv._exp, iv.bits = lo, hi, exp, bits
         return iv
 
     @classmethod
-    def point(cls, value, bits: int | None = None) -> "Interval":
-        if bits is None:
-            v = Fraction(value)
-            return cls._make(v, v, 0, None)
+    def point(cls, value, bits: int) -> "Interval":
         return _result(*_scaled(value, bits), bits)
 
-    def _align(self, other) -> tuple["Interval", "Interval", int | None]:
-        """Both operands, an exact one rounded if the other is not, and the
-        coarser precision, exact counting as unbounded."""
-        bits = self.bits
+    def _align(self, other) -> tuple["Interval", int]:
+        """The other operand, a scalar promoted at this precision, and the
+        coarser precision, at which the result rounds."""
         if not isinstance(other, Interval):
-            return self, Interval.point(other, bits), bits
-        if other.bits == bits:
-            return self, other, bits
-        if bits is None:
-            return Interval(self._lo, self._hi, other.bits), other, other.bits
-        if other.bits is None:
-            return self, Interval(other._lo, other._hi, bits), bits
-        return self, other, min(bits, other.bits)
+            return Interval.point(other, self.bits), self.bits
+        return other, min(self.bits, other.bits)
 
     # arithmetic -------------------------------------------------------------
     def __add__(self, other) -> "Interval":
-        a, b, bits = self._align(other)
-        a_lo, a_hi, b_lo, b_hi, exp = _common_exp(a, b)
+        b, bits = self._align(other)
+        a_lo, a_hi, b_lo, b_hi, exp = _common_exp(self, b)
         return _result(a_lo + b_lo, a_hi + b_hi, exp, bits)
 
     __radd__ = __add__
@@ -97,7 +83,7 @@ class Interval:
         return -self + other
 
     def __mul__(self, other) -> "Interval":
-        a, b, bits = self._align(other)
+        a, (b, bits) = self, self._align(other)
         if a._lo >= 0 and b._lo >= 0:
             lo, hi = a._lo * b._lo, a._hi * b._hi
         else:
@@ -108,7 +94,7 @@ class Interval:
     __rmul__ = __mul__
 
     def __truediv__(self, other) -> "Interval":
-        a, b, bits = self._align(other)
+        a, (b, bits) = self, self._align(other)
         a_lo, a_hi, b_lo, b_hi = a._lo, a._hi, b._lo, b._hi
         if b_lo <= 0 <= b_hi:
             raise ZeroDivisionError("division by an interval containing 0")
@@ -116,8 +102,6 @@ class Interval:
             a_lo, a_hi, b_lo, b_hi = -a_hi, -a_lo, -b_hi, -b_lo
         lo_den = b_hi if a_lo >= 0 else b_lo
         hi_den = b_lo if a_hi >= 0 else b_hi
-        if bits is None:
-            return Interval._make(a_lo / lo_den, a_hi / hi_den, 0, None)
         # numerators scaled by 2^s, so the larger quotient has > bits bits
         s = bits + 1 + b_hi.bit_length() - max(a_lo.bit_length(), a_hi.bit_length())
         lo, hi = _floor_div(a_lo, lo_den, s), -_floor_div(-a_hi, hi_den, s)
@@ -135,8 +119,6 @@ class Interval:
             # an even power of an interval with lo < 0: the power of |[lo, hi]|
             mags = (-lo, abs(hi))
             lo, hi = (0 if hi >= 0 else min(mags)), max(mags)
-        if bits is None:
-            return Interval._make(Fraction(lo) ** n, hi**n, 0, None)
         lo, lo_exp = _power(lo, self._exp, n, bits, False)
         hi, hi_exp = _power(hi, self._exp, n, bits, True)
         return Interval._make(*_rounded(lo, lo_exp, hi, hi_exp, bits), bits)
@@ -144,11 +126,11 @@ class Interval:
     # queries ----------------------------------------------------------------
     @property
     def lo(self) -> Fraction:
-        return self._lo if self.bits is None else self._lo * Fraction(2) ** self._exp
+        return self._lo * Fraction(2) ** self._exp
 
     @property
     def hi(self) -> Fraction:
-        return self._hi if self.bits is None else self._hi * Fraction(2) ** self._exp
+        return self._hi * Fraction(2) ** self._exp
 
     @property
     def width(self) -> Fraction:
@@ -193,10 +175,8 @@ def _rounded(lo: int, lo_exp: int, hi: int, hi_exp: int, bits: int) -> tuple[int
     return lo, hi, exp
 
 
-def _result(lo, hi, exp: int, bits: int | None) -> Interval:
-    """The result of an operation: exact, or [lo, hi] * 2^exp rounded."""
-    if bits is None:
-        return Interval._make(lo, hi, 0, None)
+def _result(lo: int, hi: int, exp: int, bits: int) -> Interval:
+    """The result of an operation: [lo, hi] * 2^exp rounded."""
     return Interval._make(*_rounded(lo, exp, hi, exp, bits), bits)
 
 
@@ -255,24 +235,19 @@ def _power(v: int, exp: int, n: int, bits: int, up: bool) -> tuple[int, int]:
             exp += shift
 
 
-def sqrt_interval(value: Fraction | Interval, bits: int = START_BITS) -> Interval:
-    """Enclosure of the square root to ``bits`` significant bits, carrying
-    ``bits`` so that arithmetic on it rounds at that precision.  Each
-    endpoint is one floor or ceiling of v * 4^s and one isqrt, with s making
-    sqrt(v) * 2^s about ``bits`` bits long."""
-    if not isinstance(value, Interval):
-        value = Interval.point(value)
-    lo, hi = value.lo, value.hi
-    if lo < 0:
-        raise ValueError("square root of a negative interval")
-    s_lo, s_hi = (
-        bits - (v.numerator.bit_length() - v.denominator.bit_length() + 1) // 2 for v in (lo, hi)
-    )
-    bottom = isqrt(_floor_div(lo.numerator, lo.denominator, 2 * s_lo))
-    top = -_floor_div(-hi.numerator, hi.denominator, 2 * s_hi)
-    root = isqrt(top)
-    ends = _rounded(bottom, -s_lo, root + (root * root < top), -s_hi, bits)
-    return Interval._make(*ends, bits)
+def sqrt_interval(value: Fraction, bits: int = START_BITS) -> Interval:
+    """Enclosure of the square root of a rational to ``bits`` significant
+    bits, carrying ``bits`` so that arithmetic on it rounds at that
+    precision: the isqrt of the floor and of the ceiling of v * 4^s, with s
+    making sqrt(v) * 2^s about ``bits`` bits long."""
+    num, den = Fraction(value).as_integer_ratio()
+    if num < 0:
+        raise ValueError("square root of a negative number")
+    s = bits - (num.bit_length() - den.bit_length() + 1) // 2
+    floor = _floor_div(num, den, 2 * s)
+    ceiling = -_floor_div(-num, den, 2 * s)
+    root = isqrt(ceiling)
+    return _result(isqrt(floor), root + (root * root < ceiling), -s, bits)
 
 
 # ---------------------------------------------------------------------------

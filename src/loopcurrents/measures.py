@@ -34,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from math import gcd, isqrt, lcm
+from math import gcd, isqrt
 from typing import Callable, Sequence
 
 from .errors import (
@@ -101,23 +101,10 @@ class Dist:
             den //= common
         return cls(graph, clean, den, Fraction(z))
 
-    @classmethod
-    def from_weights(
-        cls, graph: Graph, weights: dict[int, Fraction], z: Fraction | None = None
-    ) -> "Dist":
-        """:meth:`from_integers` on the weights over their least common denominator."""
-        den = lcm(*(w.denominator for w in weights.values()))
-        nums = {m: w.numerator * (den // w.denominator) for m, w in weights.items()}
-        return cls.from_integers(graph, nums, den, z)
-
     @property
     def weights(self) -> dict[int, Fraction]:
         """The weights nums/den as ``Fraction``s, P(mask) = weights[mask] / z."""
         return {m: Fraction(w, self.den) for m, w in self.nums.items()}
-
-    def probabilities(self) -> dict[int, Fraction]:
-        mass = self.z * self.den
-        return {mask: w / mass for mask, w in self.nums.items()}
 
     def same_law(self, other: "Dist") -> bool:
         """Exact equality as probability measures (Z conventions may differ)."""
@@ -169,6 +156,16 @@ def single_current_p(x) -> Fraction:
 # Basic constructors
 
 
+# Most bits of the loop law's denominator b^n (x = a/b, n the total edge
+# length), bounded above by n * bit_length(b) before any power is built.
+# At the cap, figure --model l --n 43000 --m 2 --grid-steps 2 (three laws
+# of about 2^18 bits) takes 0.9 s and --model l2 3.4 s; at 2^20 bits
+# (--n 174000) they took 11 s and 50 s (CPython 3.11, 2-vCPU Xeon).  The
+# README's figures need at most 560 bits, and the exact single current at
+# (2000, 300) and x = 1012/1013 needs 46,000.
+LOOP_WEIGHT_BITS_CAP = 1 << 18
+
+
 def bernoulli(graph: Graph, p: Fraction) -> Dist:
     """Independent edge percolation: with p = c/e, weight c^|w| (e-c)^(|E|-|w|)
     over e^|E|, Z = 1."""
@@ -188,6 +185,8 @@ def loop_o1(graph: Graph, x: Fraction) -> Dist:
     lengths = graph.lengths
     a, b = x.numerator, x.denominator
     n = graph.edge_count if lengths is None else sum(lengths)
+    if n * b.bit_length() > LOOP_WEIGHT_BITS_CAP:
+        raise CapExceededError("loop-model weight bits", n * b.bit_length(), LOOP_WEIGHT_BITS_CAP)
     nums: dict[int, int] = {}
     powers: dict[int, int] = {}
     for g in even_subgraphs(graph):
@@ -247,10 +246,6 @@ def union_bernoulli(d: Dist, p: Fraction) -> Dist:
     p = Fraction(p)
     if not 0 <= p <= 1:
         raise LoopCurrentsError(f"p={p} outside [0,1]")
-    if p == 0:
-        return d
-    if p == 1:
-        return Dist.from_integers(d.graph, {d.graph.full_mask: d.z.numerator}, d.z.denominator, d.z)
     lengths = d.graph.lengths or (1,) * d.graph.edge_count
     size = lattice_size(d.graph, "Bernoulli union lattice")
     table = [0] * size

@@ -20,7 +20,11 @@ all-pairs scans of an event's monotonicity, the all-pairs lattice condition
 report around it, and a shortest-augmenting-path max-flow (Edmonds &
 Karp): the bipartite domination oracle runs it, and so do the flow tests on
 the package's own covering networks, so neither shares flow code with the
-package's Dinic.
+package's Dinic.  The exact interval (``ExactInterval``, Fraction endpoints)
+is the reference the package's rounded intervals must enclose, and shares
+no code with them; the ``Dist`` helpers that only tests call (a law from
+``Fraction`` weights, its probabilities, membership in a witness's up-set)
+live here too.
 """
 
 import json
@@ -57,6 +61,25 @@ from loopcurrents.theta import (
     counter_partition,
     partition_function,
 )
+
+
+def dist_from_weights(graph: Graph, weights: dict[int, Fraction], z: Fraction | None = None) -> Dist:
+    """``Dist.from_integers`` on ``Fraction`` weights over their least common
+    denominator."""
+    den = lcm(*(w.denominator for w in weights.values()))
+    nums = {m: w.numerator * (den // w.denominator) for m, w in weights.items()}
+    return Dist.from_integers(graph, nums, den, z)
+
+
+def probabilities(d: Dist) -> dict[int, Fraction]:
+    """P(mask) for every mask of the support."""
+    mass = d.z * d.den
+    return {mask: w / mass for mask, w in d.nums.items()}
+
+
+def upset_contains(witness: UpSetWitness, mask: int) -> bool:
+    """Is ``mask`` in the up-set generated by the witness's minimal elements?"""
+    return any(mask & m == m for m in witness.minimal_elements)
 
 
 def degrees(g: Graph, mask: int) -> list[int]:
@@ -148,7 +171,7 @@ def double_current_lis_per_mask(graph: Graph, x: Fraction) -> Dist:
                 inner += x ** g.bit_count() * (x * x) ** (mask & ~g).bit_count()
         count = 1 << len(cycle_space_basis(graph, mask))
         weights[mask] = count * inner * (1 - x * x) ** (n - mask.bit_count())
-    return Dist.from_weights(graph, weights, z * z)
+    return dist_from_weights(graph, weights, z * z)
 
 
 def push_uniform_even_per_support(d: Dist) -> Dist:
@@ -172,8 +195,8 @@ def brute_union(d1: Dist, d2: Dist) -> dict[int, Fraction]:
     where Fi(S) = P_i(sample subset of S).
     """
     n = d1.graph.edge_count
-    p1 = d1.probabilities()
-    p2 = d2.probabilities()
+    p1 = probabilities(d1)
+    p2 = probabilities(d2)
 
     def cumulative(p):
         out = {}
@@ -294,8 +317,8 @@ def domination_bipartite(d_lo: Dist, d_hi: Dist) -> DominationReport:
     """
     lo_masks = sorted(d_lo.weights)
     hi_masks = sorted(d_hi.weights)
-    p_lo = d_lo.probabilities()
-    p_hi = d_hi.probabilities()
+    p_lo = probabilities(d_lo)
+    p_hi = probabilities(d_hi)
     total = lcm(*(f.denominator for f in p_lo.values()), *(f.denominator for f in p_hi.values()))
     a_index = {m: 2 + i for i, m in enumerate(lo_masks)}
     b_index = {m: 2 + len(lo_masks) + i for i, m in enumerate(hi_masks)}
@@ -501,7 +524,7 @@ def histogram(d: Dist, value) -> dict[int, Fraction]:
     """The law of ``value(mask)`` under d, one ``Fraction`` addition per
     configuration, without values of mass 0."""
     out: dict[int, Fraction] = {}
-    for mask, p in d.probabilities().items():
+    for mask, p in probabilities(d).items():
         k = value(mask)
         out[k] = out.get(k, Fraction(0)) + p
     return {k: p for k, p in sorted(out.items()) if p}
@@ -620,6 +643,74 @@ def loop_chain_transition_matrix(g: Graph, x: Fraction):
 
 
 # ---------------------------------------------------------------------------
+# Exact interval arithmetic
+
+
+@dataclass(frozen=True)
+class ExactInterval:
+    """A closed interval with ``Fraction`` endpoints and exact arithmetic on
+    them, by the textbook endpoint rules (Moore 1966): the reference that
+    the package's rounded ``intervals.Interval`` must enclose.  Nothing here
+    comes from ``loopcurrents.intervals``; a scalar operand is a point."""
+
+    lo: Fraction
+    hi: Fraction
+
+    def __post_init__(self):
+        object.__setattr__(self, "lo", Fraction(self.lo))
+        object.__setattr__(self, "hi", Fraction(self.hi))
+        if self.lo > self.hi:
+            raise ValueError(f"inverted interval [{self.lo}, {self.hi}]")
+
+    @classmethod
+    def point(cls, value) -> "ExactInterval":
+        return cls(value, value)
+
+    @staticmethod
+    def _of(value) -> "ExactInterval":
+        return value if isinstance(value, ExactInterval) else ExactInterval.point(value)
+
+    def __add__(self, other) -> "ExactInterval":
+        other = self._of(other)
+        return ExactInterval(self.lo + other.lo, self.hi + other.hi)
+
+    __radd__ = __add__
+
+    def __neg__(self) -> "ExactInterval":
+        return ExactInterval(-self.hi, -self.lo)
+
+    def __sub__(self, other) -> "ExactInterval":
+        return self + -self._of(other)
+
+    def __rsub__(self, other) -> "ExactInterval":
+        return -self + other
+
+    def __mul__(self, other) -> "ExactInterval":
+        other = self._of(other)
+        products = [a * b for a in (self.lo, self.hi) for b in (other.lo, other.hi)]
+        return ExactInterval(min(products), max(products))
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other) -> "ExactInterval":
+        other = self._of(other)
+        if other.lo <= 0 <= other.hi:
+            raise ZeroDivisionError("division by an interval containing 0")
+        return self * ExactInterval(1 / other.hi, 1 / other.lo)
+
+    def __rtruediv__(self, other) -> "ExactInterval":
+        return self._of(other) / self
+
+    def __pow__(self, n: int) -> "ExactInterval":
+        if n < 0:
+            raise ValueError("negative interval power")
+        lo, hi = sorted((self.lo**n, self.hi**n))
+        if n > 0 and n % 2 == 0 and self.lo < 0 < self.hi:
+            lo = Fraction(0)
+        return ExactInterval(lo, hi)
+
+
+# ---------------------------------------------------------------------------
 # Closed forms, tables and serializations that only tests read
 
 
@@ -657,11 +748,11 @@ def dist_to_json(d: Dist) -> str:
 def dist_from_json(graph: Graph, text: str) -> Dist:
     data = json.loads(text)
     weights = {int(mask, 16): parse_rational(w) for mask, w in data["weights"]}
-    return Dist.from_weights(graph, weights, parse_rational(data["z"]))
+    return dist_from_weights(graph, weights, parse_rational(data["z"]))
 
 
 # Hand-derived closed forms on the theta and counter families, each a plain
-# function of x over any scalar type (``Fraction``, ``Interval``, a sympy
+# function of x over any scalar type (``Fraction``, an interval, a sympy
 # symbol): the references the core route of ``theta`` is compared with.
 
 

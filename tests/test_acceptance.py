@@ -18,7 +18,6 @@ from loopcurrents.checkers import fkg_gaps, stochastic_domination
 from loopcurrents.events import connect
 from loopcurrents.graphs import complete_graph, counter_family, generalized_theta
 from loopcurrents.measures import (
-    Dist,
     bernoulli,
     build,
     double_current,
@@ -66,6 +65,7 @@ from oracles import (
     cyclic_count,
     cyclic_count_ratio,
     cyclic_edges,
+    dist_from_weights,
     domination_bruteforce,
     double_loop_fkg_difference,
     histogram,
@@ -330,7 +330,7 @@ def test_criterion_10_checker_soundness():
     def random_dist(max_support=12):
         size = rng.randint(1, max_support)
         masks = rng.sample(range(1 << g.edge_count), size)
-        return Dist.from_weights(
+        return dist_from_weights(
             g, {m: F(rng.randint(1, 9), rng.randint(1, 9)) for m in masks}
         )
 

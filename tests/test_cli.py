@@ -2,6 +2,7 @@ import csv
 import hashlib
 import json
 import sys
+import time
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
@@ -185,14 +186,17 @@ class TestFigure:
         def straddling(x, bits):
             # 0.1449 and 0.1451 round apart at 2 digits, at every precision
             bits_seen.append(bits)
-            return Interval(F(1449, 10000), F(1451, 10000))
+            return Interval(F(1449, 10000), F(1451, 10000), bits)
 
         with pytest.raises(LoopCurrentsError):
             _interval_decimal(straddling, F(1, 2), 2)
         assert bits_seen == [128, 256, 512, 1024, 2048, 4096]
 
     def test_certified_decimal_is_returned(self):
-        value, _ = _interval_decimal(lambda x, bits: Interval(F(1451, 10000), F(1452, 10000)), F(1, 2), 2)
+        def certified(x, bits):
+            return Interval(F(1451, 10000), F(1452, 10000), bits)
+
+        value, _ = _interval_decimal(certified, F(1, 2), 2)
         assert value == "0.15"
 
     @pytest.mark.parametrize(
@@ -339,6 +343,30 @@ def test_grids_above_the_cap_are_refused_before_they_are_built(argv, tmp_path, c
     err = capsys.readouterr().err
     assert err.startswith("error: grid points needs size") and err.endswith("above the cap 65536\n")
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "model, n, extra, refusal, cap",
+    [
+        ("l", "2", ("--precision-digits", "1000000000"), "--precision-digits", cli.PRECISION_DIGITS_CAP),
+        ("P", "2", ("--precision-digits", "100000000"), "--precision-digits", cli.PRECISION_DIGITS_CAP),
+        # the first grid point, x = 1/4: 4^2000004 is bounded by 3 * 2000004 bits
+        ("l", "1000000", (), "loop-model weight bits", measures.LOOP_WEIGHT_BITS_CAP),
+    ],
+)
+def test_figures_above_the_caps_are_one_error_line(
+    model, n, extra, refusal, cap, tmp_path, capsys, monkeypatch
+):
+    # uncapped, each was still running after 30 s; no grid point gets a row
+    rows = []
+    monkeypatch.setattr(cli, "decimal_string", lambda *args: rows.append(args))
+    started = time.perf_counter()
+    argv = ("figure", "--model", model, "--n", n, "--m", "2", "--grid-steps", "2", *extra)
+    assert run(*argv, "--out", str(tmp_path / "out")) == 1
+    assert time.perf_counter() - started < 5
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {refusal} needs size ") and err.endswith(f", above the cap {cap}\n")
+    assert err.count("\n") == 1 and rows == []
 
 
 @pytest.mark.parametrize(

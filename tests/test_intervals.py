@@ -17,53 +17,64 @@ from loopcurrents.theta import (
     single_current_conn_terms,
 )
 
+from oracles import ExactInterval
+
 frac = st.fractions(min_value=-3, max_value=3, max_denominator=16)
 
 
 class TestInterval:
+    """Small cases, where the dyadic results are exact at 64 bits."""
+
     def test_point_and_contains(self):
-        iv = Interval.point(Fraction(1, 3))
+        iv = Interval.point(Fraction(1, 3), 64)
         assert Fraction(1, 3) in iv
-        assert iv.width == 0
+        assert 0 < iv.width <= Fraction(1, 2**64)
+        assert Interval.point(Fraction(3, 8), 64).width == 0
+
+    def test_bits_are_required(self):
+        with pytest.raises(TypeError):
+            Interval(1, 2)
+        with pytest.raises(TypeError):
+            Interval.point(1)
 
     def test_inverted_rejected(self):
         with pytest.raises(ValueError):
-            Interval(Fraction(1), Fraction(0))
+            Interval(Fraction(1), Fraction(0), 64)
 
     def test_sub_uses_opposite_endpoints(self):
-        a = Interval(Fraction(1), Fraction(2))
-        b = Interval(Fraction(0), Fraction(1))
-        assert a - b == Interval(Fraction(0), Fraction(2))
+        a = Interval(Fraction(1), Fraction(2), 64)
+        b = Interval(Fraction(0), Fraction(1), 64)
+        assert a - b == Interval(Fraction(0), Fraction(2), 64)
 
     def test_mul_with_negatives(self):
-        a = Interval(Fraction(-2), Fraction(1))
-        b = Interval(Fraction(-1), Fraction(3))
-        assert a * b == Interval(Fraction(-6), Fraction(3))
+        a = Interval(Fraction(-2), Fraction(1), 64)
+        b = Interval(Fraction(-1), Fraction(3), 64)
+        assert a * b == Interval(Fraction(-6), Fraction(3), 64)
 
     def test_even_power_through_zero(self):
-        iv = Interval(Fraction(-2), Fraction(1))
-        assert iv**2 == Interval(Fraction(0), Fraction(4))
-        assert iv**3 == Interval(Fraction(-8), Fraction(1))
+        iv = Interval(Fraction(-2), Fraction(1), 64)
+        assert iv**2 == Interval(Fraction(0), Fraction(4), 64)
+        assert iv**3 == Interval(Fraction(-8), Fraction(1), 64)
 
     def test_division(self):
-        a = Interval(Fraction(1), Fraction(2))
-        b = Interval(Fraction(2), Fraction(4))
-        assert a / b == Interval(Fraction(1, 4), Fraction(1))
+        a = Interval(Fraction(1), Fraction(2), 64)
+        b = Interval(Fraction(2), Fraction(4), 64)
+        assert a / b == Interval(Fraction(1, 4), Fraction(1), 64)
         with pytest.raises(ZeroDivisionError):
-            a / Interval(Fraction(-1), Fraction(1))
+            a / Interval(Fraction(-1), Fraction(1), 64)
 
     def test_strictly_above(self):
-        assert Interval(Fraction(2), Fraction(3)).strictly_above(
-            Interval(Fraction(0), Fraction(1))
+        assert Interval(Fraction(2), Fraction(3), 64).strictly_above(
+            Interval(Fraction(0), Fraction(1), 64)
         )
-        assert not Interval(Fraction(1), Fraction(3)).strictly_above(
-            Interval(Fraction(0), Fraction(2))
+        assert not Interval(Fraction(1), Fraction(3), 64).strictly_above(
+            Interval(Fraction(0), Fraction(2), 64)
         )
 
     @settings(max_examples=80, deadline=None)
     @given(frac, frac)
     def test_arithmetic_encloses_exact_values(self, a, b):
-        ia, ib = Interval.point(a), Interval.point(b)
+        ia, ib = Interval.point(a, 64), Interval.point(b, 64)
         assert a + b in ia + ib
         assert a - b in ia - ib
         assert a * b in ia * ib
@@ -107,7 +118,7 @@ class TestRoundedInterval:
         st.integers(min_value=4, max_value=64),
     )
     def test_rounded_results_enclose_exact_mode(self, a, b, n, bits):
-        exact_a, exact_b = Interval(*a), Interval(*b)
+        exact_a, exact_b = ExactInterval(*a), ExactInterval(*b)
         rounded_a, rounded_b = Interval(*a, bits), Interval(*b, bits)
         results = [
             (rounded_a + rounded_b, exact_a + exact_b),
@@ -119,7 +130,7 @@ class TestRoundedInterval:
         if not b[0] <= 0 <= b[1]:
             results.append((rounded_a / rounded_b, exact_a / exact_b))
         for rounded, exact in results:
-            assert rounded.bits == bits and exact.bits is None
+            assert rounded.bits == bits
             assert rounded.lo <= exact.lo <= exact.hi <= rounded.hi
 
     def test_point_arithmetic_encloses_exact(self):
@@ -150,6 +161,9 @@ class TestRoundedInterval:
         a = Interval.point(Fraction(1, 3), 64)
         out = 1 / a
         assert out.lo <= 3 <= out.hi
+        # a negative divisor: the upper endpoint -2/5 is rounded up
+        out = Interval.point(1, 5) / Interval(Fraction(-5, 2), -2, 5)
+        assert out.lo <= Fraction(-1, 2) and Fraction(-2, 5) <= out.hi
 
 
 def _encloses(iv: Interval, value: Fraction) -> bool:
@@ -166,14 +180,14 @@ class TestRoundedOracle:
 
     @staticmethod
     def _oracle_holds(n, m, t, bits):
-        """The rounded enclosure contains the exact value, and the exact-mode
-        evaluation on the same square-root enclosure, which rounding only
-        ever widens."""
+        """The rounded enclosure contains the exact value, and the exact
+        interval evaluation on the same square-root enclosure, which
+        rounding only ever widens."""
         x = 2 * t / (1 + t * t)
         rounded = single_current_conn_interval(n, m, x, bits)
         root = sqrt_interval(1 - x * x, bits)
-        p = 1 - Interval(root.lo, root.hi)
-        exact_mode = single_current_conn_terms(n, m, Interval.point(x), p)
+        p = 1 - ExactInterval(root.lo, root.hi)
+        exact_mode = single_current_conn_terms(n, m, ExactInterval.point(x), p)
         return (
             _encloses(rounded, single_current_conn_exact(n, m, t))
             and rounded.lo <= exact_mode.lo
@@ -226,14 +240,15 @@ class TestRoundedOracle:
         st.integers(min_value=4, max_value=64),
     )
     def test_mixed_precisions_round_to_the_coarser(self, a, b, bits_a, bits_b):
-        exact_a, exact_b = Interval(*a), Interval(*b)
+        exact_a, exact_b = ExactInterval(*a), ExactInterval(*b)
         rounded_a, rounded_b = Interval(*a, bits_a), Interval(*b, bits_b)
         coarser = min(bits_a, bits_b)
+        # a scalar operand is promoted at the interval's own precision
         results = [
             (rounded_a + rounded_b, exact_a + exact_b, coarser),
             (rounded_a * rounded_b, exact_a * exact_b, coarser),
-            (rounded_a - exact_b, exact_a - exact_b, bits_a),
-            (exact_a * rounded_b, exact_a * exact_b, bits_b),
+            (rounded_a - b[0], exact_a - b[0], bits_a),
+            (a[1] * rounded_b, a[1] * exact_b, bits_b),
         ]
         if not b[0] <= 0 <= b[1]:
             results.append((rounded_a / rounded_b, exact_a / exact_b, coarser))
@@ -268,7 +283,7 @@ class TestCertifiedPairs:
     def test_finds_and_certifies_dip(self):
         def f(x, bits):
             v = (x - Fraction(1, 2)) ** 2
-            return Interval.point(v)
+            return Interval.point(v, bits)
 
         grid = [Fraction(k, 8) for k in range(1, 8)]
         found = certify_decreasing_pair(f, grid)
@@ -279,7 +294,7 @@ class TestCertifiedPairs:
 
     def test_monotone_yields_none(self):
         def f(x, bits):
-            return Interval.point(x)
+            return Interval.point(x, bits)
 
         assert certify_decreasing_pair(f, [Fraction(1, 4), Fraction(1, 2)]) is None
 
@@ -295,7 +310,7 @@ class TestCertifiedPairs:
     )
     def test_grid_is_validated_as_for_exact_pairs(self, grid):
         def f(x, bits):
-            return Interval.point(x)
+            return Interval.point(x, bits)
 
         with pytest.raises(ValueError):
             certify_decreasing_pair(f, grid)
@@ -310,7 +325,7 @@ class TestCertifiedPairs:
             # width shrinks with bits; values separate only once refined
             pad = Fraction(1, 2**bits)
             center = Fraction(1, 4) if x < Fraction(1, 2) else Fraction(1, 4) - Fraction(1, 2**40)
-            return Interval(center - pad, center + pad)
+            return Interval(center - pad, center + pad, bits)
 
         grid = [Fraction(1, 4), Fraction(3, 4)]
         found = certify_decreasing_pair(f, grid, start_bits=8)
@@ -323,5 +338,5 @@ class TestCertifiedPairs:
         grid = [Fraction(1, 4), Fraction(1, 2), Fraction(3, 4)]
         values = dict(zip(grid, map(Fraction, (2, 3, 1))))
         assert find_decreasing_pair(values.get, grid)[:2] == (Fraction(1, 4), Fraction(3, 4))
-        found = certify_decreasing_pair(lambda x, bits: Interval.point(values[x]), grid)
+        found = certify_decreasing_pair(lambda x, bits: Interval.point(values[x], bits), grid)
         assert found[:2] == (Fraction(1, 2), Fraction(3, 4))

@@ -25,6 +25,7 @@ from loopcurrents.graphs import (
     generalized_theta,
 )
 from loopcurrents.measures import (
+    LOOP_WEIGHT_BITS_CAP,
     MODELS,
     UNION_PAIR_CAP,
     Dist,
@@ -46,6 +47,7 @@ from loopcurrents.measures import (
 )
 from loopcurrents.overview import KNOWN_VERDICTS
 from loopcurrents.rationals import dyadic_grid
+from loopcurrents.theta import counter_core, theta_core
 
 from oracles import (
     bit_masses_per_law,
@@ -54,9 +56,11 @@ from oracles import (
     connect_sets,
     cyclic_edges,
     dist_from_json,
+    dist_from_weights,
     dist_to_json,
     double_current_lis_per_mask,
     prob_bruteforce,
+    probabilities,
     push_uniform_even_per_support,
 )
 
@@ -106,7 +110,7 @@ class TestLoopModel:
     def test_theta111_weights(self):
         d = loop_o1(THETA111, F(1, 2))
         assert d.z == F(7, 4)
-        probs = d.probabilities()
+        probs = probabilities(d)
         assert probs[0] == F(4, 7)
         two_edge = [m for m in probs if m.bit_count() == 2]
         assert len(two_edge) == 3
@@ -134,7 +138,7 @@ def mixed_dists(draw, g: Graph) -> Dist:
     weights = {
         m: F(draw(st.integers(1, 10**6)), draw(st.integers(1, 10**6))) for m in masks
     }
-    return Dist.from_weights(g, weights)
+    return dist_from_weights(g, weights)
 
 
 @st.composite
@@ -202,7 +206,7 @@ class TestUnion:
     def test_against_moebius_oracle(self):
         d1 = loop_o1(K4, F(1, 2))
         d2 = bernoulli(K4, F(1, 3))
-        got = union(d1, d2).probabilities()
+        got = probabilities(union(d1, d2))
         assert got == brute_union(d1, d2)
 
     def test_fast_bernoulli_union_matches_pair_iteration(self):
@@ -210,6 +214,18 @@ class TestUnion:
             d = loop_o1(g, F(2, 5))
             for p in (F(0), F(1, 3), F(1, 2), F(1)):
                 assert union_bernoulli(d, p).same_law(union(d, bernoulli(g, p)))
+
+    def test_bernoulli_union_at_p_zero_and_one(self):
+        # the general pass keeps the law at p = 0 and moves all its mass to
+        # the full configuration at p = 1, field by field
+        graphs = [g for _, g in verification_battery()[:8]] + [counter_core(18, 2), theta_core(2, 3, 2)]
+        for g in graphs:
+            for x in (F(1, 3), F(3, 4)):
+                law = point_laws(g, x)
+                for d in (law("loop"), law("double_loop")):
+                    assert union_bernoulli(d, F(0)) == d
+                    full = Dist.from_integers(g, {g.full_mask: d.z.numerator}, d.z.denominator, d.z)
+                    assert union_bernoulli(d, F(1)) == full
 
     @settings(max_examples=40, deadline=None)
     @given(data=st.data())
@@ -219,21 +235,20 @@ class TestUnion:
         d2 = data.draw(mixed_dists(g))
         p = data.draw(coprime_p)
         u = union(d1, d2)
-        assert u.probabilities() == brute_union(d1, d2)
+        assert probabilities(u) == brute_union(d1, d2)
         assert u.z == d1.z * d2.z
         ub = union_bernoulli(d1, p)
-        assert ub.probabilities() == brute_union(d1, bernoulli(g, p))
+        assert probabilities(ub) == brute_union(d1, bernoulli(g, p))
         assert ub.z == d1.z
         for d in (u, ub):
             assert all(type(w) is Fraction and w > 0 for w in d.weights.values())
         for d in (d1, u, ub):
             assert all(type(w) is int for w in d.nums.values())
-            assert {m: Fraction(w, d.z * d.den) for m, w in d.nums.items()} == d.probabilities()
 
     def test_integer_kernel_refuses_a_table_off_its_mass(self):
         # the numerators must sum to exactly z * den
         g = THETA111
-        assert Dist.from_integers(g, {0: 2, 0b111: 1}, 3, F(1)).probabilities() == {
+        assert probabilities(Dist.from_integers(g, {0: 2, 0b111: 1}, 3, F(1))) == {
             0: F(2, 3),
             0b111: F(1, 3),
         }
@@ -253,6 +268,16 @@ class TestUnion:
             double_loop(g, F(1, 2))
         assert info.value.what == "union support pairs"
         assert info.value.size == 1 << 26 > UNION_PAIR_CAP
+
+    def test_loop_weight_cap_refuses_before_building(self):
+        # counter(10^6, 2) at x = 1/2: the denominator 2^2000004, bounded by
+        # 2 * 2000004 bits, would take minutes to print in a figure
+        with pytest.raises(CapExceededError) as info:
+            loop_o1(counter_core(10**6, 2), F(1, 2))
+        assert info.value.what == "loop-model weight bits"
+        assert info.value.size == 2 * 2_000_004 > LOOP_WEIGHT_BITS_CAP
+        # the exact single current at (2000, 300) stays under it
+        assert loop_o1(counter_core(2000, 300), F(1012, 1013)).den == 1013**4600
 
     def test_bernoulli_lattice_cap_refuses_before_building(self):
         # one pass over 2^|E| masks per edge: 20 edges is the first size
@@ -347,7 +372,7 @@ def _union_chain(name: str, g: Graph, x: Fraction) -> Dist:
     """Each model's union coupling, written out with the Moebius oracle."""
 
     def u(d1, d2):
-        return Dist.from_weights(g, brute_union(d1, d2))
+        return dist_from_weights(g, brute_union(d1, d2))
 
     loop = loop_o1(g, x)
     chains = {
@@ -404,7 +429,7 @@ class TestCountingCharacterization:
     def test_single_edge_hand_expansion(self):
         x = F(1, 3)
         d = double_current_lis(ONE_EDGE, x)
-        assert d.probabilities() == {0: 1 - x * x, 1: x * x}
+        assert probabilities(d) == {0: 1 - x * x, 1: x * x}
 
     def test_x_zero(self):
         assert double_current_lis(K4, F(0)).same_law(point_mass(K4, 0))
@@ -421,7 +446,7 @@ class TestPushUniformEven:
 
     def test_triangle_splits_evenly(self):
         d = push_uniform_even(point_mass(TRIANGLE, 0b111))
-        assert d.probabilities() == {0: F(1, 2), 0b111: F(1, 2)}
+        assert probabilities(d) == {0: F(1, 2), 0b111: F(1, 2)}
 
     def test_recovers_loop_model_from_double_current(self):
         d = push_uniform_even(double_current(THETA111, F(1, 2)))
@@ -431,7 +456,7 @@ class TestPushUniformEven:
         # 22 parallel edges: each support element leaves out one edge and has
         # cycle dimension 20, but one pass over the lattice costs 22 * 2^22
         g = Graph(2, ((0, 1),) * 22)
-        d = Dist.from_weights(g, {g.full_mask ^ (1 << i): F(1) for i in range(22)})
+        d = dist_from_weights(g, {g.full_mask ^ (1 << i): F(1) for i in range(22)})
         monkeypatch.setattr(measures, "even_lattice", None)  # never reached
         with pytest.raises(CapExceededError) as info:
             push_uniform_even(d)
@@ -507,6 +532,16 @@ def events_on(g: Graph) -> list:
     return out
 
 
+def increasing_events(g: Graph, chosen) -> list:
+    """The up-set generated by ``chosen`` and the events of :func:`events_on`,
+    every one increasing (checked on the covering pairs) and flagged so, as
+    ``fkg_gaps`` requires."""
+    up = Event(g, lambda m: any(m & c == c for c in chosen), label="up-set")
+    out = [dataclasses.replace(ev, increasing=True) for ev in (up, *events_on(g))]
+    assert all(check_increasing(ev) == (True, None) for ev in out)
+    return out
+
+
 class TestBitMasses:
     """bit_masses and its thin callers against the per-configuration
     ``Fraction`` oracle, on random laws with mixed denominators."""
@@ -576,12 +611,12 @@ class TestBitMasses:
         g = data.draw(st.sampled_from(ORACLE_GRAPHS))
         d = data.draw(mixed_dists(g))
         chosen = data.draw(st.sets(st.integers(0, g.full_mask)))
-        battery = [Event(g, chosen.__contains__), *events_on(g)]
+        battery = increasing_events(g, chosen)
         for a in battery:
             for b in battery:
                 both = Event(g, lambda m: a.holds(m) and b.holds(m))
                 expected = prob_bruteforce(d, both) - prob_bruteforce(d, a) * prob_bruteforce(d, b)
-                assert fkg_gaps([d], [(a, b)], require_increasing=False)[0][0] == expected
+                assert fkg_gaps([d], [(a, b)])[0][0] == expected
 
     @settings(max_examples=40, deadline=None)
     @given(data=st.data())
@@ -589,7 +624,7 @@ class TestBitMasses:
         g = data.draw(st.sampled_from(ORACLE_GRAPHS))
         dists = data.draw(st.lists(mixed_dists(g), min_size=1, max_size=3))
         chosen = data.draw(st.sets(st.integers(0, g.full_mask)))
-        battery = [Event(g, chosen.__contains__), *events_on(g)]
+        battery = increasing_events(g, chosen)
         pairs = data.draw(st.lists(st.tuples(*[st.sampled_from(battery)] * 2), max_size=6))
         expected = [
             [
@@ -599,7 +634,7 @@ class TestBitMasses:
             ]
             for d in dists
         ]
-        assert fkg_gaps(dists, pairs, require_increasing=False) == expected
+        assert fkg_gaps(dists, pairs) == expected
 
     @settings(max_examples=25, deadline=None)
     @given(data=st.data())
@@ -633,7 +668,7 @@ class TestDistInvariants:
                 push_uniform_even(double_current(g, x)),
             ]
             for d in dists:
-                assert sum(d.probabilities().values()) == 1
+                assert sum(probabilities(d).values()) == 1
 
     @settings(max_examples=30, deadline=None)
     @given(data=st.data())
@@ -662,7 +697,7 @@ class TestDistInvariants:
 
     def test_weight_sum_checked_against_z(self):
         with pytest.raises(LoopCurrentsError):
-            Dist.from_weights(THETA111, {0: F(1, 2)}, F(1))
+            dist_from_weights(THETA111, {0: F(1, 2)}, F(1))
 
     def test_raw_constructor_checks_invariants(self):
         # the constructor itself checks, so == can rely on lowest terms
@@ -680,11 +715,11 @@ class TestDistInvariants:
 
     def test_negative_weight_rejected(self):
         with pytest.raises(LoopCurrentsError):
-            Dist.from_weights(THETA111, {0: F(-1)})
+            dist_from_weights(THETA111, {0: F(-1)})
 
     def test_out_of_range_mask_rejected(self):
         with pytest.raises(LoopCurrentsError):
-            Dist.from_weights(THETA111, {1 << 5: F(1)})
+            dist_from_weights(THETA111, {1 << 5: F(1)})
 
     def test_json_roundtrip(self):
         d = build("random_cluster", THETA111, F(1, 3))

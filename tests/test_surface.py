@@ -1,10 +1,11 @@
-"""Every public top-level name of the package is reached from the package.
+"""Every public top-level name of the package, and every public method
+and property of its public classes, is reached from the package.
 
-A function, class or constant that only tests read belongs in ``tests/``
-(the oracles), and one that nothing reads is deleted.  A name counts as
-reached when some module of ``src/loopcurrents`` loads it as a name or an
-attribute outside its own definition; the re-exports of ``__init__.py``
-do not count.
+A function, class, method or constant that only tests read belongs in
+``tests/`` (the oracles), and one that nothing reads is deleted.  A name
+counts as reached when some module of ``src/loopcurrents`` loads it as a
+name or an attribute outside its own definition; the re-exports of
+``__init__.py`` do not count.
 """
 
 import ast
@@ -17,13 +18,17 @@ PACKAGE = Path(loopcurrents.__file__).parent
 
 # Kept though no module reads them:
 # - graph_to_json writes the --graph file format that graph_from_json reads;
-# - double_loop and double_current are read by the benchmark's output
-#   checks (bench/checks.py).
-ALLOWED = {"graph_to_json", "double_loop", "double_current"}
+# - double_loop, double_current and Dist.weights are read by the
+#   benchmark's output checks (bench/checks.py).
+ALLOWED = {"graph_to_json", "double_loop", "double_current", "Dist.weights"}
 
 
 def _public_definitions(tree: ast.Module):
     for node in tree.body:
+        if isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+            for method in node.body:
+                if isinstance(method, ast.FunctionDef) and not method.name.startswith("_"):
+                    yield f"{node.name}.{method.name}", method.name, method
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             names = [node.name]
         elif isinstance(node, ast.Assign):
@@ -34,7 +39,7 @@ def _public_definitions(tree: ast.Module):
             continue
         for name in names:
             if not name.startswith("_"):
-                yield name, node
+                yield name, name, node
 
 
 def _loads(node: ast.AST) -> Counter:
@@ -55,9 +60,9 @@ def test_every_public_name_is_reached_from_the_package():
     }
     loads = sum((_loads(tree) for tree in trees.values()), Counter())
     unreached = [
-        f"{module}.{name}"
+        f"{module}.{qualname}"
         for module, tree in trees.items()
-        for name, definition in _public_definitions(tree)
-        if name not in ALLOWED and loads[name] == _loads(definition)[name]
+        for qualname, name, definition in _public_definitions(tree)
+        if qualname not in ALLOWED and loads[name] == _loads(definition)[name]
     ]
     assert unreached == []

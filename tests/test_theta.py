@@ -53,6 +53,7 @@ from loopcurrents.theta import (
 
 import oracles
 from oracles import (
+    ExactInterval,
     counter_even_table,
     cyclic_count_ratio,
     double_loop_fkg_difference,
@@ -86,8 +87,8 @@ def values(result) -> tuple:
 
 class TestGenericScalars:
     """One code path per closed form for every scalar type: an exact point
-    interval gives the exact value, a rounded one encloses it, and a sympy
-    symbol gives the function itself."""
+    interval (the oracles' ``ExactInterval``) gives the exact value, a
+    rounded one encloses it, and a sympy symbol gives the function itself."""
 
     @pytest.mark.parametrize("name", sorted(CLOSED_FORMS))
     def test_every_scalar_type_agrees(self, name):
@@ -95,7 +96,7 @@ class TestGenericScalars:
 
         form, x = CLOSED_FORMS[name], F(2, 7)
         exact = values(form(x))
-        assert values(form(Interval.point(x))) == tuple(map(Interval.point, exact))
+        assert values(form(ExactInterval.point(x))) == tuple(map(ExactInterval.point, exact))
         for iv, v in zip(values(form(Interval.point(x, 64))), exact, strict=True):
             assert iv.bits == 64 and v in iv
         symbol = sympy.Symbol("x")
