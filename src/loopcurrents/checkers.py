@@ -109,11 +109,15 @@ class DominationReport:
 def fkg_gaps(
     dists: Sequence[Dist],
     event_pairs: Sequence[tuple[Event, Event]],
-) -> list[list[Fraction]]:
-    """P(A and B) - P(A)P(B), exact, for each law of ``dists`` (rows) and
-    each pair (A, B) of ``event_pairs`` (columns).  Negative certifies an
-    FKG violation.  Every event must be flagged increasing (the FKG
-    inequality says nothing about other events); any other is refused.
+) -> list[tuple[list[int], int]]:
+    """P(A and B) - P(A)P(B), exact, for each law of ``dists`` and each
+    pair (A, B) of ``event_pairs``: one row ``(gaps, den)`` per law, the
+    gap of pair j being ``Fraction(gaps[j], den)``.  With the law's integer
+    masses c over their total S, the numerator is c_AB S - c_A c_B and
+    den is S^2, so the sign is read without building a ``Fraction``.
+    Negative certifies an FKG violation.  Every event must be flagged
+    increasing (the FKG inequality says nothing about other events); any
+    other is refused.
 
     One :func:`~loopcurrents.measures.bit_masses` pass over the family: one
     bit per distinct event, then one bit per pair, set when both hold.
@@ -131,8 +135,10 @@ def fkg_gaps(
         s = sum(1 << i for i, ev in enumerate(events) if ev.holds(mask))
         return s | sum(1 << k + j for j, (i, i2) in enumerate(pairs) if s >> i & s >> i2 & 1)
 
-    rows = bit_masses(dists, stat, k + len(pairs))
-    return [[row[k + j] - row[i] * row[i2] for j, (i, i2) in enumerate(pairs)] for row in rows]
+    return [
+        ([c[k + j] * total - c[i] * c[i2] for j, (i, i2) in enumerate(pairs)], total * total)
+        for c, total in bit_masses(dists, stat, k + len(pairs))
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -410,8 +416,8 @@ def _upset_witness(generators: Sequence[int], d_lo: Dist, d_hi: Dist) -> UpSetWi
     def inside(mask):
         return any(mask & g == g for g in minimal)
 
-    (mass_lo,), (mass_hi,) = bit_masses([d_lo, d_hi], inside, 1)
-    return UpSetWitness(minimal, mass_lo, mass_hi)
+    ((lo,), total_lo), ((hi,), total_hi) = bit_masses([d_lo, d_hi], inside, 1)
+    return UpSetWitness(minimal, Fraction(lo, total_lo), Fraction(hi, total_hi))
 
 
 # ---------------------------------------------------------------------------

@@ -288,14 +288,15 @@ def verify_lis_equivalence(name, g, x, law) -> list[str]:
 def verify_cor1(name, g, x, law) -> list[str]:
     # the open cyclic edges of every configuration, from the graph's one lattice
     _, cyclic = even_lattice(g)
-    left, right = bit_masses(
+    (left, lt), (right, rt) = bit_masses(
         [law("double_current"), law("random_cluster")], cyclic.__getitem__, g.edge_count
     )
-    (mid,) = bit_masses([law("loop")], lambda m: m, g.edge_count)
+    ((mid, mt),) = bit_masses([law("loop")], lambda m: m, g.edge_count)
+    # left/lt / 2 == mid/mt == right/rt / 2, cross-multiplied
     return [
         f"cor1: {name} x={x} edge={e}"
         for e in range(g.edge_count)
-        if not left[e] / 2 == mid[e] == right[e] / 2
+        if not (left[e] * mt == 2 * mid[e] * lt and right[e] * mt == 2 * mid[e] * rt)
     ]
 
 
@@ -305,12 +306,15 @@ def verify_edge_identities(name, g, x, law) -> list[str]:
     ps = (Fraction(1, 3), x)
     # the random cluster is the loop model united with Bernoulli(x)
     laws = [lo, law("double_loop"), union_bernoulli(lo, ps[0]), law("random_cluster")]
-    base, doubled, *unioned = bit_masses(laws, lambda m: m, g.edge_count)
+    (base, s), (doubled, sd), *unioned = bit_masses(laws, lambda m: m, g.edge_count)
+    # with b = base/s: united b + p(1 - b), doubled b(2 - b), cross-multiplied
     for e in range(g.edge_count):
-        for p, masses in zip(ps, unioned):
-            if masses[e] != base[e] + p * (1 - base[e]):
+        b = base[e]
+        for p, (masses, su) in zip(ps, unioned):
+            a, c = p.numerator, p.denominator
+            if masses[e] * s * c != su * (b * c + a * (s - b)):
                 failures.append(f"edge-identities: {name} x={x} e={e} p={p}")
-        if doubled[e] != base[e] * (2 - base[e]):
+        if doubled[e] * s * s != sd * b * (2 * s - b):
             failures.append(f"edge-identities double: {name} x={x} e={e}")
     return failures
 

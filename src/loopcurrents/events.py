@@ -6,8 +6,9 @@ The constructors set the flag where it holds by construction: connection
 directly as ``Event(g, fn)`` is not flagged, and ``checkers.fkg_gaps``
 refuses it.
 
-Masses of events come from ``measures.bit_masses`` (``measures.prob`` for
-one event under one law).
+Masses of events come from ``measures.bit_masses`` as integer counts over
+each law's total; ``measures.prob`` turns one event's mass under one law
+into a ``Fraction``.
 """
 
 from __future__ import annotations

@@ -371,4 +371,3 @@ def even_lattice(g: Graph) -> tuple[tuple[int, ...], tuple[int, ...]]:
     subset_sums(count)
     subset_sums(total)
     return tuple(count), tuple(2 * t // c for t, c in zip(total, count))
-

@@ -26,7 +26,9 @@ loop layer and opens with p^L in the Bernoulli layer, so every row is the
 law of the whole-path events of the subdivided graph.
 
 Event and edge masses over a family of laws all come from
-:func:`bit_masses`.
+:func:`bit_masses`, as integer counts over each law's numerator sum; a
+``Fraction`` is built only where a value is returned or written
+(:func:`prob`).
 """
 
 from __future__ import annotations
@@ -53,6 +55,7 @@ from .graphs import (
 )
 
 ZERO = Fraction(0)
+
 
 @dataclass(frozen=True)
 class Dist:
@@ -372,13 +375,20 @@ def push_uniform_even(d: Dist) -> Dist:
 # Probabilities
 
 
-def bit_masses(dists: Sequence[Dist], stat: Callable[[int], int], width: int) -> list[list[Fraction]]:
-    """P(bit i of stat(mask) is set) for each i < width, one row per law of
-    ``dists``.  stat runs once per distinct configuration across the family;
-    each law adds its integer numerators per stat value.  The laws' totals
-    per value are packed into one integer, law j in lane j, each packed
-    total goes to its value's set bits once, and each lane is read back by
-    shift and mask: a lane is as wide as the largest numerator sum, and the
+def bit_masses(
+    dists: Sequence[Dist], stat: Callable[[int], int], width: int
+) -> list[tuple[list[int], int]]:
+    """Integer masses of bit i of stat(mask), for each i < width: one row
+    ``(counts, total)`` per law of ``dists``, where P(bit i is set) is
+    counts[i] / total and total is the sum of the law's numerators.  No
+    ``Fraction`` is built: a caller compares masses by cross-multiplying,
+    and builds ``Fraction(count, total)`` only for a value it writes out.
+
+    stat runs once per distinct configuration across the family; each law
+    adds its integer numerators per stat value.  The laws' totals per value
+    are packed into one integer, law j in lane j, each packed total goes to
+    its value's set bits once, and each lane is read back by shift and
+    mask: a lane is as wide as the largest numerator sum, and the
     numerators are positive, so no carry crosses a lane.  An event is the
     one-bit stat ``holds``, the edge masses are the stat ``mask`` at width
     |E|; bits of stat at or above ``width`` are not counted."""
@@ -400,15 +410,14 @@ def bit_masses(dists: Sequence[Dist], stat: Callable[[int], int], width: int) ->
             totals[low.bit_length() - 1] += w
             s ^= low
     lane_mask = (1 << lane) - 1
-    return [
-        [Fraction(t >> j * lane & lane_mask, mass) for t in totals] for j, mass in enumerate(sums)
-    ]
+    return [([t >> j * lane & lane_mask for t in totals], total) for j, total in enumerate(sums)]
 
 
 def prob(d: Dist, event) -> Fraction:
     """Exact probability of an event (see events module) under d."""
     _require_same_graph(event.graph, d.graph, what="event and distribution")
-    return bit_masses([d], event.holds, 1)[0][0]
+    (((count,), total),) = bit_masses([d], event.holds, 1)
+    return Fraction(count, total)
 
 
 def _same_graph(*graphs: Graph) -> bool:

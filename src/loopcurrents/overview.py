@@ -20,6 +20,8 @@ The scans run graph by graph on one ``measures.point_laws`` per grid point
 and hold one row's laws at a time.  FKG reads them in one
 ``checkers.fkg_gaps`` call, and CON and SING share one ``bit_masses`` pass,
 whose connection bits every scanned row computes once per configuration.
+Both compare integer masses over each law's total by cross-multiplying, and
+build a ``Fraction`` only for a violation they write out.
 
 MON takes each step of a scanned row by one of three routes.  The first,
 ``loop-union``, rests on the rows being couplings: k independent loop laws
@@ -178,24 +180,35 @@ def certify_sing_single_current() -> dict:
 
 def _connection_masses(
     dists: list[Dist], g: Graph, side_pairs: Sequence[tuple[tuple, tuple]], memo: dict[int, int]
-) -> list[list[Fraction]]:
-    """pairs x grid matrix of P(some vertex of A connects to some of B),
-    from one :func:`~loopcurrents.measures.bit_masses` pass over the laws
-    with one bit per pair.  ``memo`` keeps the pair bits of each
-    configuration seen: a caller that passes one dict to every call on g
-    with the same pairs runs component labels once per configuration."""
+) -> tuple[list[list[int]], list[int]]:
+    """P(some vertex of A connects to some of B) for each pair (A, B) and
+    law, as integers: a pairs x laws matrix of counts, and each law's total,
+    the probability being count / total.  One
+    :func:`~loopcurrents.measures.bit_masses` pass over the laws with one
+    bit per pair.  ``memo`` keeps the pair bits of each configuration seen:
+    a caller that passes one dict to every call on g with the same pairs
+    runs component labels once per configuration."""
+    # pair i connects when some u of A and v of B share a component: each
+    # vertex pair {u, v} carries the bits of the pairs it would connect
+    joins: dict[tuple[int, int], int] = {}
+    for i, (side_a, side_b) in enumerate(side_pairs):
+        for u in side_a:
+            for v in side_b:
+                key = (min(u, v), max(u, v))
+                joins[key] = joins.get(key, 0) | 1 << i
 
     def stat(m):
         if m not in memo:
             lab = component_labels(g, m)
-            memo[m] = sum(
-                1 << i
-                for i, (side_a, side_b) in enumerate(side_pairs)
-                if {lab[u] for u in side_a} & {lab[v] for v in side_b}
-            )
+            bits = 0
+            for (u, v), joined in joins.items():
+                if lab[u] == lab[v]:
+                    bits |= joined
+            memo[m] = bits
         return memo[m]
 
-    return [list(row) for row in zip(*bit_masses(dists, stat, len(side_pairs)))]
+    rows = bit_masses(dists, stat, len(side_pairs))
+    return [list(col) for col in zip(*(counts for counts, _ in rows))], [t for _, t in rows]
 
 
 def _singleton_pairs(g: Graph) -> list[tuple[tuple, tuple]]:
@@ -231,21 +244,22 @@ def scan_connection(name: str, g: Graph, laws, grid, memo: dict[int, int]) -> di
     P(A <-> B) under the laws ``laws[x]`` non-decreasing along the grid,
     for each vertex-set pair (A, B) that :data:`CONNECTION_SCANS` watches?
     Both properties read one mass pass over the laws; ``memo`` is g's
-    connection bits (:func:`_connection_masses`)."""
+    connection bits (:func:`_connection_masses`).  A step is compared on
+    the integer masses, and its exact drop is built only when it falls."""
     watched = [
         (prop, pair, record)
         for prop, (pairs_of, record) in CONNECTION_SCANS.items()
         for pair in pairs_of(g)
     ]
     pairs = [pair for _, pair, _ in watched]
-    masses = _connection_masses([laws[x] for x in grid], g, pairs, memo)
+    counts, totals = _connection_masses([laws[x] for x in grid], g, pairs, memo)
     violations: dict[str, list[dict]] = {prop: [] for prop in CONNECTION_SCANS}
-    for (prop, (side_a, side_b), record), row in zip(watched, masses):
+    for (prop, (side_a, side_b), record), row in zip(watched, counts):
         for j in range(1, len(grid)):
-            if row[j] < row[j - 1]:
-                violations[prop].append(
-                    record(name, side_a, side_b, grid[j - 1], grid[j], row[j - 1] - row[j])
-                )
+            # row[j] / totals[j] < row[j-1] / totals[j-1], cross-multiplied
+            if row[j] * totals[j - 1] < row[j - 1] * totals[j]:
+                drop = Fraction(row[j - 1], totals[j - 1]) - Fraction(row[j], totals[j])
+                violations[prop].append(record(name, side_a, side_b, grid[j - 1], grid[j], drop))
     return violations
 
 
@@ -276,17 +290,18 @@ CONNECTION_SCANS = {"CON": (_subset_pairs, _con_record), "SING": (_singleton_pai
 def scan_fkg(name: str, g: Graph, laws, grid) -> list[dict]:
     """Pairwise gap scan of graph ``name`` over a small increasing-event
     battery, under the laws ``laws[x]`` at the grid points, by one
-    :func:`~loopcurrents.checkers.fkg_gaps` call."""
+    :func:`~loopcurrents.checkers.fkg_gaps` call: a gap's sign is read off
+    its integer numerator, and only a negative gap becomes a ``Fraction``."""
     pairs = list(combinations(_fkg_events(g), 2))
     return [
         {
             "graph": name,
             "events": [a.label, b.label],
             "x": format_rational(x),
-            "gap": format_rational(gap),
+            "gap": format_rational(Fraction(gap, den)),
         }
-        for x, row in zip(grid, fkg_gaps([laws[x] for x in grid], pairs))
-        for (a, b), gap in zip(pairs, row)
+        for x, (gaps, den) in zip(grid, fkg_gaps([laws[x] for x in grid], pairs))
+        for (a, b), gap in zip(pairs, gaps)
         if gap < 0
     ]
 

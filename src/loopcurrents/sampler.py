@@ -23,7 +23,7 @@ from functools import cache
 from itertools import islice
 from typing import TYPE_CHECKING, Iterator
 
-from .errors import LoopCurrentsError, ParametrizationError
+from .errors import CapExceededError, LoopCurrentsError, ParametrizationError
 from .graphs import Graph, cycle_space_basis
 from .measures import MODELS, loop_o1
 
@@ -66,6 +66,20 @@ def loop_law(g: Graph, x: Fraction) -> tuple[list[int], np.ndarray]:
 # not depend on how many samples are asked for.
 CHAIN_BLOCK = 4096
 
+# Most work one request may ask for, refused before the first draw: draws of
+# a coupled model, or the chain's (burn_in + samples * thin) * dim
+# proposals (its samples on a forest, where dim is 0).  At the cap, sample
+# on theta[2,3,2] took 19 s and 86 MB peak RSS for double_current, 26 s for
+# the pushforward, and 1.1-2.5 s for loop_mcmc (CPython 3.11, 2-vCPU Xeon);
+# a held mask of a larger graph takes up to 36 bytes, 150 MB at the cap.
+# The benchmark's largest request is the chain's 120,200 proposals.
+SAMPLE_WORK_CAP = 1 << 22
+
+
+def _check_work(what: str, size: int) -> None:
+    if size > SAMPLE_WORK_CAP:
+        raise CapExceededError(what, size, SAMPLE_WORK_CAP)
+
 
 def loop_chain(
     g: Graph, x: Fraction, seed: int, samples: int, thin: int = 1, burn_in: int = 0
@@ -81,9 +95,11 @@ def loop_chain(
         raise LoopCurrentsError(f"need burn-in >= 0 and thin >= 1, got {burn_in} and {thin}")
     if not 0 <= x < 1:
         raise ParametrizationError(f"x={x} outside [0,1)")
-    rng = make_rng(seed)
     elements = cycle_space_basis(g)
     dim = len(elements)
+    # a forest has no proposals: its chain only repeats the empty state
+    _check_work("chain proposals", (burn_in + samples * thin) * dim if dim else samples)
+    rng = make_rng(seed)
     if dim == 0:
         for _ in range(samples):
             yield 0
@@ -130,6 +146,7 @@ def sample_stream(model: str, g: Graph, x: Fraction, seed: int, count: int) -> l
     XOR of a cycle basis of the double current drawn (memoised per mask)."""
     if model not in COUPLED_MODELS:
         raise LoopCurrentsError(f"unknown model tag {model!r}; choose from {COUPLED_MODELS}")
+    _check_work("sample draws", count)
     x = Fraction(x)
     push = model == PUSHFORWARD
     copies, p = MODELS[PUSHFORWARD_BASE if push else model]

@@ -17,7 +17,8 @@ and :func:`theta_core` 3, at any n and m.
 The single current's connection probability keeps its hand-derived form,
 :func:`single_current_conn_terms`, which takes any scalar: the commands
 evaluate it on rounded intervals at (2000, 300), where p is irrational and
-the integer kernels do not apply.  :func:`closed_form_discrepancies`
+the integer kernels do not apply.  One evaluation computes each distinct
+power of p and x once.  :func:`closed_form_discrepancies`
 compares the core route and that form with enumeration on the subdivided
 graphs.
 """
@@ -26,6 +27,7 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
+from functools import cache
 from itertools import combinations
 
 from .checkers import fkg_gaps
@@ -56,41 +58,35 @@ def check_counter(n: int, m: int) -> None:
 # Partition functions
 
 
-def _power_sum(terms, x):
+def _power_sum(terms, power):
     """Sum of c * x^e over (exponent, coefficient) ``terms``, exponents
-    distinct and ascending.  Each power is the previous one times x^gap, so
-    a sparse high degree costs one fast power per gap; on rounded intervals
-    every step rounds, so this order fixes the enclosure endpoints."""
+    distinct and ascending, with x^e read as ``power(e)``.  Each power is
+    the previous one times x^gap, so a sparse high degree costs one fast
+    power per gap; on rounded intervals every step rounds, so this order
+    fixes the enclosure endpoints."""
     result = Fraction(0)
-    power = None
+    last = None
     prev_exp = 0
     for e, c in terms:
         if e == 0:
             result = result + c
             continue
-        power = x ** e if power is None else power * x ** (e - prev_exp)
+        last = power(e) if last is None else last * power(e - prev_exp)
         prev_exp = e
-        result = result + c * power
+        result = result + c * last
     return result
 
 
-def partition_function(lengths):
-    """Loop-model normalizer of a generalized theta graph, as a function of x.
-
-    Even subgraphs are exactly the unions of an even number of full paths,
-    so Z = sum over even-size path subsets S of x^(total length of S).
-    """
+def _partition_terms(lengths) -> list[tuple[int, Fraction]]:
+    """The (exponent, coefficient) terms of the loop-model normalizer of a
+    generalized theta graph.  Even subgraphs are exactly the unions of an
+    even number of full paths, so Z = sum over even-size path subsets S of
+    x^(total length of S)."""
     lengths = list(lengths)
     counts = Counter()
     for k in range(0, len(lengths) + 1, 2):
         counts.update(map(sum, combinations(lengths, k)))
-    terms = [(e, Fraction(c)) for e, c in sorted(counts.items())]
-    return lambda x: _power_sum(terms, x)
-
-
-def counter_partition(n: int, m: int):
-    """Z for the four-path family: 1 + x^2n + x^2m + 4x^(n+m) + x^(2n+2m)."""
-    return partition_function([n, n, m, m])
+    return [(e, Fraction(c)) for e, c in sorted(counts.items())]
 
 
 # ---------------------------------------------------------------------------
@@ -147,21 +143,23 @@ def single_current_conn_terms(n: int, m: int, x, p):
     """
     check_counter(n, m)
     h = m // 2
-    reach = 2 * p**h - p ** (2 * h)  # one midpoint reaches a hub
-    outer = 2 * p**n - p ** (2 * n)  # hubs joined by some outer path
+    # each distinct power once: the terms share p^h, p^2h, x^2m, ...
+    pw, xw = cache(p.__pow__), cache(x.__pow__)
+    reach = 2 * pw(h) - pw(2 * h)  # one midpoint reaches a hub
+    outer = 2 * pw(n) - pw(2 * n)  # hubs joined by some outer path
     empty_case = (
-        4 * p ** (3 * h) * (1 - p**h)
-        + p ** (4 * h)
-        + p ** (2 * h) * (1 - p**h) ** 2 * (2 + 2 * outer)
+        4 * pw(3 * h) * (1 - pw(h))
+        + pw(4 * h)
+        + pw(2 * h) * (1 - pw(h)) ** 2 * (2 + 2 * outer)
     )
     numerator = (
         empty_case
-        + x ** (2 * n) * reach**2
-        + x ** (2 * m)
-        + 4 * x ** (n + m) * reach
-        + x ** (2 * n + 2 * m)
+        + xw(2 * n) * reach**2
+        + xw(2 * m)
+        + 4 * xw(n + m) * reach
+        + xw(2 * n + 2 * m)
     )
-    z = counter_partition(n, m)(x)
+    z = _power_sum(_partition_terms([n, n, m, m]), xw)
     return numerator / z
 
 
@@ -199,7 +197,8 @@ def _theta_fkg_gap(model: str, n: int, m: int, x: Fraction) -> Fraction:
     and {1, 2}."""
     core = theta_core(n, m, n)
     loops = (all_open(core, [0, 1]), all_open(core, [1, 2]))
-    return fkg_gaps([build(model, core, x)], [loops])[0][0]
+    (((gap,), den),) = fkg_gaps([build(model, core, x)], [loops])
+    return Fraction(gap, den)
 
 
 def loop_fkg_gap(n: int, m: int, x: Fraction) -> Fraction:

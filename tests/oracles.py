@@ -55,12 +55,7 @@ from loopcurrents.graphs import (
 from loopcurrents.measures import MODELS, Dist, loop_o1, point_mass, pythagorean_x, single_current_p
 from loopcurrents.rationals import format_rational, parse_rational
 from loopcurrents.sampler import PUSHFORWARD, PUSHFORWARD_BASE, make_rng
-from loopcurrents.theta import (
-    check_counter,
-    counter_even_masks,
-    counter_partition,
-    partition_function,
-)
+from loopcurrents.theta import _partition_terms, _power_sum, check_counter, counter_even_masks
 
 
 def dist_from_weights(graph: Graph, weights: dict[int, Fraction], z: Fraction | None = None) -> Dist:
@@ -465,7 +460,7 @@ def fkg_report(
     lattice-condition verdict.  Negative gaps certify FKG violations; the
     lattice condition is only sufficient, so its failure alone proves
     nothing about FKG."""
-    (row,) = fkg_gaps([d], event_pairs)
+    (row,) = exact_rows(fkg_gaps([d], event_pairs))
     gaps = tuple((a.label, b.label, gap) for (a, b), gap in zip(event_pairs, row))
     if not check_lattice:
         return FkgReport(pair_gaps=gaps)
@@ -513,6 +508,28 @@ def prob_bruteforce(d: Dist, event: Event) -> Fraction:
     return total / d.z
 
 
+def connection_scan_bruteforce(name: str, g: Graph, laws, grid, watched) -> dict[str, list[dict]]:
+    """``overview.scan_connection`` by ``prob_bruteforce``: for each property
+    and vertex-set pair of ``watched`` (CON and SING to their pairs), the
+    connection probability as a ``Fraction`` under ``laws[x]`` at every grid
+    point, and one record per step where it falls, SING's with the drop."""
+    found: dict[str, list[dict]] = {}
+    for prop, pairs in watched.items():
+        records = found[prop] = []
+        for side_a, side_b in pairs:
+            values = [prob_bruteforce(laws[x], connect_sets(g, side_a, side_b)) for x in grid]
+            for x1, x2, v1, v2 in zip(grid, grid[1:], values, values[1:]):
+                if v2 >= v1:
+                    continue
+                step = {"graph": name, "x1": format_rational(x1), "x2": format_rational(x2)}
+                if prop == "SING":
+                    label = f"connect:{side_a[0]},{side_b[0]}"
+                    records.append({**step, "event": label, "drop": format_rational(v1 - v2)})
+                else:
+                    records.append({**step, "event": f"connect-sets:{side_a},{side_b}"})
+    return found
+
+
 def cyclic_count(g: Graph):
     """The number of open edges on a cycle of the open subgraph, per mask,
     read from the package's even-subgraph lattice."""
@@ -530,10 +547,10 @@ def histogram(d: Dist, value) -> dict[int, Fraction]:
     return {k: p for k, p in sorted(out.items()) if p}
 
 
-def bit_masses_per_law(dists, stat, width: int) -> list[list[Fraction]]:
+def bit_masses_per_law(dists, stat, width: int) -> list[tuple[list[int], int]]:
     """``measures.bit_masses`` one law at a time, without packing: each
     law's integer numerators summed per stat value, each sum added to the
-    total of every set bit below ``width``, one ``Fraction`` per bit."""
+    count of every set bit below ``width``, beside the law's numerator sum."""
     keep = (1 << width) - 1
     rows = []
     for d in dists:
@@ -541,14 +558,19 @@ def bit_masses_per_law(dists, stat, width: int) -> list[list[Fraction]]:
         for mask, w in d.nums.items():
             s = stat(mask) & keep
             by_value[s] = by_value.get(s, 0) + w
-        totals = [0] * width
+        counts = [0] * width
         for s, w in by_value.items():
             for i in range(width):
                 if s >> i & 1:
-                    totals[i] += w
-        mass = d.z * d.den
-        rows.append([Fraction(t * mass.denominator, mass.numerator) for t in totals])
+                    counts[i] += w
+        rows.append((counts, sum(d.nums.values())))
     return rows
+
+
+def exact_rows(rows) -> list[list[Fraction]]:
+    """The ``Fraction`` values of integer rows ``(values, den)``: the masses
+    of ``measures.bit_masses`` and the gaps of ``checkers.fkg_gaps``."""
+    return [[Fraction(v, den) for v in values] for values, den in rows]
 
 
 def empirical_counts(masks: Iterable[int]) -> dict[int, int]:
@@ -754,6 +776,18 @@ def dist_from_json(graph: Graph, text: str) -> Dist:
 # Hand-derived closed forms on the theta and counter families, each a plain
 # function of x over any scalar type (``Fraction``, an interval, a sympy
 # symbol): the references the core route of ``theta`` is compared with.
+
+
+def partition_function(lengths):
+    """Loop-model normalizer of a generalized theta graph, as a function of
+    x: the terms the single current's enclosure sums, by its power sum."""
+    terms = _partition_terms(lengths)
+    return lambda x: _power_sum(terms, x.__pow__)
+
+
+def counter_partition(n: int, m: int):
+    """Z for the four-path family: 1 + x^2n + x^2m + 4x^(n+m) + x^(2n+2m)."""
+    return partition_function([n, n, m, m])
 
 
 def theta_partition(n: int, m: int, l: int | None = None):

@@ -68,6 +68,7 @@ from oracles import (
     dist_from_weights,
     domination_bruteforce,
     double_loop_fkg_difference,
+    exact_rows,
     histogram,
     trailing_term,
 )
@@ -203,7 +204,7 @@ def test_criterion_06_double_loop_connection_dip():
 class TestCriterion07FkgCounterexamples:
     def test_criterion_07a_loop_model_gap_negative(self):
         g, first, second = theta_loop_events(2, 2)
-        gap = fkg_gaps([loop_o1(g, F(1, 10))], [(first, second)])[0][0]
+        gap = exact_rows(fkg_gaps([loop_o1(g, F(1, 10))], [(first, second)]))[0][0]
         check("C07a", gap < 0, f"loop-model gap at (2,2), x=1/10 is {gap}")
 
     def test_criterion_07b_single_current_gap_negative_at_x_4_5(self):
@@ -218,11 +219,11 @@ class TestCriterion07FkgCounterexamples:
         t = F(1, 2)
         x = pythagorean_x(t)  # x = 2t/(1+t^2) = 4/5 exactly
         g, first, second = theta_loop_events(2, 2)
-        refuted = fkg_gaps([build("single_current", g, x)], [(first, second)])[0][0]
+        refuted = exact_rows(fkg_gaps([build("single_current", g, x)], [(first, second)]))[0][0]
         assert refuted == single_current_fkg_gap(2, 2, t) == F(631104, 24750625)
         assert refuted > 0
         g, first, second = theta_loop_events(4, 2)
-        gap = fkg_gaps([build("single_current", g, x)], [(first, second)])[0][0]
+        gap = exact_rows(fkg_gaps([build("single_current", g, x)], [(first, second)]))[0][0]
         assert gap == single_current_fkg_gap(4, 2, t)
         check(
             "C07b",
@@ -234,7 +235,8 @@ class TestCriterion07FkgCounterexamples:
     def test_criterion_07c_single_current_gap_negative_at_small_t(self):
         g, first, second = theta_loop_events(2, 2)
         for t in (F(1, 10), F(1, 4)):
-            gap = fkg_gaps([build("single_current", g, pythagorean_x(t))], [(first, second)])[0][0]
+            law = build("single_current", g, pythagorean_x(t))
+            gap = exact_rows(fkg_gaps([law], [(first, second)]))[0][0]
             assert gap < 0, (t, gap)
         check("C07c", True, "single-current gap negative at t=1/10 and t=1/4, exact")
 
@@ -249,12 +251,12 @@ class TestCriterion07FkgCounterexamples:
         FKG at small x.  Its gap is exactly 0 at x = 1/2.
         """
         g, first, second = theta_loop_events(2, 2)
-        rows = fkg_gaps([double_loop(g, x) for x in STANDARD_X], [(first, second)])
+        rows = exact_rows(fkg_gaps([double_loop(g, x) for x in STANDARD_X], [(first, second)]))
         for x, (refuted,) in zip(STANDARD_X, rows):
             assert refuted * (1 + 3 * x**4) ** 4 == 2 * x**8 + 8 * x**12 + 5 * x**16, x
             assert refuted > 0, x
         g, first, second = theta_loop_events(3, 2)
-        rows = fkg_gaps([double_loop(g, x) for x in STANDARD_X], [(first, second)])
+        rows = exact_rows(fkg_gaps([double_loop(g, x) for x in STANDARD_X], [(first, second)]))
         gaps = {x: gap for x, (gap,) in zip(STANDARD_X, rows)}
         for x, gap in gaps.items():
             assert gap == double_loop_fkg_gap(3, 2, x), x
@@ -364,7 +366,7 @@ def test_criterion_10_checker_soundness():
             ]
             for i, a in enumerate(events):
                 for b in events[i:]:
-                    assert fkg_gaps([d], [(a, b)])[0][0] >= 0
+                    assert exact_rows(fkg_gaps([d], [(a, b)]))[0][0] >= 0
     check(
         "C10",
         dominating > 0 and failing > 0,

@@ -52,6 +52,7 @@ from oracles import (
     dist_from_weights,
     domination_bipartite,
     domination_bruteforce,
+    exact_rows,
     fkg_report,
     lattice_condition,
     probabilities,
@@ -82,12 +83,12 @@ class TestFkgPairGap:
                 d = bernoulli(g, p)
                 for i, a in enumerate(events):
                     for b in events[i:]:
-                        assert fkg_gaps([d], [(a, b)])[0][0] >= 0
+                        assert exact_rows(fkg_gaps([d], [(a, b)]))[0][0] >= 0
 
     def test_loop_model_counterexample_matches_closed_form(self):
         g, first, second = theta_loop_events(2, 2)
         x = F(1, 10)
-        gap = fkg_gaps([loop_o1(g, x)], [(first, second)])[0][0]
+        gap = exact_rows(fkg_gaps([loop_o1(g, x)], [(first, second)]))[0][0]
         assert gap == loop_fkg_gap(2, 2, x)
         assert gap < 0
 
@@ -96,7 +97,7 @@ class TestFkgPairGap:
         # negative at small t, positive at t = 1/2 (x = 4/5)
         for t, expected_negative in ((F(1, 10), True), (F(1, 4), True), (F(1, 2), False)):
             law = build("single_current", g, pythagorean_x(t))
-            gap = fkg_gaps([law], [(first, second)])[0][0]
+            gap = exact_rows(fkg_gaps([law], [(first, second)]))[0][0]
             assert gap == single_current_fkg_gap(2, 2, t)
             assert (gap < 0) == expected_negative
         assert single_current_fkg_gap(2, 2, F(1, 2)) == F(631104, 24750625)

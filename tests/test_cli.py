@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from loopcurrents import cli, graphs, measures, theta
+from loopcurrents import cli, graphs, measures, sampler, theta
 from loopcurrents.battery import scan_battery, verification_battery
 from loopcurrents.cli import _interval_decimal, main
 from loopcurrents.errors import CapExceededError, LoopCurrentsError
@@ -367,6 +367,27 @@ def test_figures_above_the_caps_are_one_error_line(
     err = capsys.readouterr().err
     assert err.startswith(f"error: {refusal} needs size ") and err.endswith(f", above the cap {cap}\n")
     assert err.count("\n") == 1 and rows == []
+
+
+@pytest.mark.parametrize(
+    "model, extra, refusal, size",
+    [
+        ("double_current", ("--samples", str(10**9)), "sample draws", 10**9),
+        # (burn-in 100 + 10 samples * 10^12 sweeps) * 2 basis cycles
+        ("loop_mcmc", ("--samples", "10", "--thin", str(10**12)), "chain proposals", 2 * 10**13 + 200),
+        ("loop_mcmc", ("--samples", str(10**9)), "chain proposals", 2 * 10**9 + 200),
+    ],
+)
+def test_samples_above_the_cap_are_one_error_line(model, extra, refusal, size, tmp_path, capsys):
+    # uncapped, these build a billion masks or run the chain for hours
+    out = tmp_path / "out"
+    started = time.perf_counter()
+    argv = ("sample", "--model", model, "--family", "theta", "--segments", "2,3,2", "--x", "1/2")
+    assert run(*argv, *extra, "--out", str(out)) == 1
+    assert time.perf_counter() - started < 5
+    err = capsys.readouterr().err
+    assert err == f"error: {refusal} needs size {size}, above the cap {sampler.SAMPLE_WORK_CAP}\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

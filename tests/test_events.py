@@ -167,4 +167,3 @@ class TestStatistics:
         g = generalized_theta([2, 3, 2])
         d = loop_o1(g, F(1, 2))
         assert histogram(d, cyclic_count(g)) == histogram(d, int.bit_count)
-

@@ -59,6 +59,7 @@ from oracles import (
     dist_from_weights,
     dist_to_json,
     double_current_lis_per_mask,
+    exact_rows,
     prob_bruteforce,
     probabilities,
     push_uniform_even_per_support,
@@ -553,11 +554,12 @@ class TestBitMasses:
         d = data.draw(mixed_dists(g))
         width = data.draw(st.integers(0, 6))
         table = {m: data.draw(stat_values) for m in d.weights}
-        (masses,) = bit_masses([d], table.__getitem__, width)
-        assert len(masses) == width
-        for i, mass in enumerate(masses):
-            assert type(mass) is Fraction
-            assert mass == prob_bruteforce(d, Event(g, lambda m, i=i: table[m] >> i & 1))
+        ((counts, total),) = bit_masses([d], table.__getitem__, width)
+        assert len(counts) == width
+        assert type(total) is int and total == sum(d.nums.values())
+        for i, count in enumerate(counts):
+            assert type(count) is int
+            assert F(count, total) == prob_bruteforce(d, Event(g, lambda m, i=i: table[m] >> i & 1))
 
     @settings(max_examples=40, deadline=None)
     @given(data=st.data())
@@ -616,7 +618,7 @@ class TestBitMasses:
             for b in battery:
                 both = Event(g, lambda m: a.holds(m) and b.holds(m))
                 expected = prob_bruteforce(d, both) - prob_bruteforce(d, a) * prob_bruteforce(d, b)
-                assert fkg_gaps([d], [(a, b)])[0][0] == expected
+                assert exact_rows(fkg_gaps([d], [(a, b)]))[0][0] == expected
 
     @settings(max_examples=40, deadline=None)
     @given(data=st.data())
@@ -634,7 +636,7 @@ class TestBitMasses:
             ]
             for d in dists
         ]
-        assert fkg_gaps(dists, pairs) == expected
+        assert exact_rows(fkg_gaps(dists, pairs)) == expected
 
     @settings(max_examples=25, deadline=None)
     @given(data=st.data())
@@ -643,7 +645,8 @@ class TestBitMasses:
         dists = data.draw(st.lists(mixed_dists(g), min_size=1, max_size=3))
         pairs = overview._subset_pairs(g) + overview._singleton_pairs(g)
         expected = [[prob_bruteforce(d, connect_sets(g, a, b)) for d in dists] for a, b in pairs]
-        assert overview._connection_masses(dists, g, pairs, {}) == expected
+        counts, totals = overview._connection_masses(dists, g, pairs, {})
+        assert [[F(c, t) for c, t in zip(row, totals)] for row in counts] == expected
 
     def test_graph_mismatch_is_refused_as_by_the_oracle(self):
         d = loop_o1(THETA111, F(1, 2))

@@ -20,8 +20,9 @@ from loopcurrents.graphs import (
 )
 from loopcurrents.measures import MODELS, build, point_laws, prob
 from loopcurrents.rationals import dyadic_grid, format_rational
+from loopcurrents.theta import counter_core
 
-from oracles import prob_bruteforce
+from oracles import connection_scan_bruteforce, prob_bruteforce
 
 
 def test_each_law_is_built_once_and_shared_by_the_scans(monkeypatch):
@@ -98,8 +99,39 @@ def test_connection_masses_are_exact_connection_probabilities():
     g = counter_family(2, 2)
     grid = dyadic_grid(3)
     laws = [build("double_current", g, x) for x in grid]
-    masses = overview._connection_masses(laws, g, overview._singleton_pairs(g), {})
-    assert masses == [[prob(d, connect(g)) for d in laws]]
+    (counts,), totals = overview._connection_masses(laws, g, overview._singleton_pairs(g), {})
+    assert totals == [sum(d.nums.values()) for d in laws]
+    assert [Fraction(c, t) for c, t in zip(counts, totals)] == [prob(d, connect(g)) for d in laws]
+
+
+def test_connection_scan_violations_match_the_fraction_oracle():
+    # the loop model's connection probability falls on counter(18, 2): the
+    # violation path of the scans, which the table's battery never reaches
+    g, grid = counter_core(18, 2), dyadic_grid(6)
+    laws = {x: build("loop", g, x) for x in grid}
+    found = overview.scan_connection("counter(18,2)", g, laws, grid, {})
+    watched = {"CON": overview._subset_pairs(g), "SING": overview._singleton_pairs(g)}
+    assert found == connection_scan_bruteforce("counter(18,2)", g, laws, grid, watched)
+    assert {prop: len(records) for prop, records in found.items()} == {"CON": 7, "SING": 7}
+
+
+def test_a_clean_scan_builds_no_fraction_from_masses(monkeypatch):
+    # a scanned row with no violation reads its verdicts off integer masses
+    g, grid = generalized_theta([1, 1, 1]), dyadic_grid(6)
+    laws = {x: build("random_cluster", g, x) for x in grid}
+    built = []
+
+    class CountingFraction(Fraction):
+        def __new__(cls, *args, **kwargs):
+            built.append(args)
+            return super().__new__(cls, *args, **kwargs)
+
+    for module in (overview, checkers, measures):
+        monkeypatch.setattr(module, "Fraction", CountingFraction)
+    assert overview.scan_fkg("theta[1,1,1]", g, laws, grid) == []
+    found = overview.scan_connection("theta[1,1,1]", g, laws, grid, {})
+    assert found == {"CON": [], "SING": []}
+    assert built == []
 
 
 def test_one_labels_pass_serves_both_connection_scans(monkeypatch):

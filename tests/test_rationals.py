@@ -15,9 +15,7 @@ from loopcurrents.rationals import (
     near_one_grid,
     parse_rational,
 )
-from loopcurrents.theta import counter_partition
-
-from oracles import same_function, trailing_term
+from oracles import counter_partition, same_function, trailing_term
 
 
 class TestPolynomial:
@@ -80,6 +78,12 @@ class TestGridsAndPairs:
         grid = near_one_grid(6, 10)
         assert grid == sorted(grid)
         assert grid[-1] == Fraction(63, 64)
+
+    def test_near_one_grid_refuses_an_empty_grid(self):
+        assert near_one_grid(6, 1) == [Fraction(63, 64)]
+        for count in (0, -3):
+            with pytest.raises(ParametrizationError, match=f"count {count} must be at least 1"):
+                near_one_grid(6, count)
 
     def test_monotone_function_yields_none(self):
         assert find_decreasing_pair(lambda x: x, dyadic_grid(4)) is None

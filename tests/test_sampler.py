@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import loopcurrents
+from loopcurrents import sampler
 from loopcurrents.errors import CapExceededError, LoopCurrentsError
 from loopcurrents.graphs import (
     CYCLE_DIMENSION_CAP,
@@ -132,6 +133,21 @@ class TestReproducibility:
             for seed, thin, burn_in in ((1, 1, -1), (1, 0, 0), (-1, 1, 0)):
                 with pytest.raises(LoopCurrentsError):
                     next(loop_chain(g, F(1, 2), seed, samples=1, thin=thin, burn_in=burn_in))
+
+    def test_work_above_the_cap_is_refused_before_the_first_draw(self, monkeypatch):
+        monkeypatch.setattr(sampler, "SAMPLE_WORK_CAP", 12)
+        g = generalized_theta([2, 3, 2])  # two basis cycles
+        assert len(sample_stream("loop", g, F(1, 2), 1, 12)) == 12
+        # (burn-in 2 + 2 samples * 2 sweeps) * 2 = 12 proposals
+        assert len(list(loop_chain(g, F(1, 2), 1, samples=2, thin=2, burn_in=2))) == 2
+        with pytest.raises(CapExceededError, match="^sample draws needs size 13,"):
+            sample_stream("loop", g, F(1, 2), 1, 13)
+        with pytest.raises(CapExceededError, match="^chain proposals needs size 14,"):
+            next(loop_chain(g, F(1, 2), 1, samples=2, thin=2, burn_in=3))
+        # a forest makes no proposals: its chain holds its samples
+        assert list(loop_chain(TREE, F(1, 2), 1, samples=12, thin=10**12)) == [0] * 12
+        with pytest.raises(CapExceededError, match="^chain proposals needs size 13,"):
+            next(loop_chain(TREE, F(1, 2), 1, samples=13))
 
 
 class TestChainExactness:

@@ -39,7 +39,6 @@ from loopcurrents.theta import (
     counter_core,
     counter_even_masks,
     counter_pair_connect_table,
-    counter_partition,
     double_loop_conn,
     loop_conn,
     single_current_conn_exact,
@@ -55,8 +54,10 @@ import oracles
 from oracles import (
     ExactInterval,
     counter_even_table,
+    counter_partition,
     cyclic_count_ratio,
     double_loop_fkg_difference,
+    exact_rows,
     same_function,
     trailing_term,
 )
@@ -212,6 +213,26 @@ class TestConnectionForms:
         # the pin itself is a valid enclosure: it meets a far sharper one
         sharp = single_current_conn_interval(2000, 300, x, 4096)
         assert F(lo, 2**k) <= sharp.hi and sharp.lo <= F(hi, 2**k)
+
+    def test_each_distinct_power_is_computed_once(self, monkeypatch):
+        # at (2000, 300): p^150, p^300, p^450, p^600, p^2000 and p^4000;
+        # x^600, x^2300, x^4000 and x^4600, and the gap x^1700 of the
+        # normalizer's power chain; and the squares of 1 - p^150 and of the
+        # reach term.  Computed term by term, p^150 and x^600 come 3 times,
+        # p^300 and x^1700 twice: 19 calls.
+        real = Interval.__pow__
+        calls = []
+
+        def counting(self, k):
+            calls.append(k)
+            return real(self, k)
+
+        monkeypatch.setattr(Interval, "__pow__", counting)
+        single_current_conn_interval(2000, 300, F(16367, 16384), 128)
+        assert len(calls) == 13
+        assert sorted(calls) == sorted(
+            [150, 300, 450, 600, 2000, 4000, 600, 2300, 4000, 4600, 1700, 2, 2]
+        )
 
     def test_interval_rejects_bad_x(self):
         with pytest.raises(ParametrizationError):
@@ -425,8 +446,8 @@ class TestCoreGraphs:
                 s = sum(1 << i for i, p in enumerate(paths) if c & p == p)
                 return 1 << s if c == sum(p for i, p in enumerate(paths) if s >> i & 1) else 0
 
-            (enumerated,) = bit_masses([law], cyclic_paths, 8)
-            (reduced,) = bit_masses([core_law], lambda m: 1 << core_cyclic[m], 8)
+            (enumerated,) = exact_rows(bit_masses([law], cyclic_paths, 8))
+            (reduced,) = exact_rows(bit_masses([core_law], lambda m: 1 << core_cyclic[m], 8))
             assert reduced == enumerated, name
 
     def test_the_length_weighted_size_law_matches_the_subdivided_graph(self):
