@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
-from typing import Container, Sequence
+from typing import Callable, Container, Sequence
 
 from .errors import CapExceededError, LoopCurrentsError
 from .events import Event
@@ -112,22 +112,32 @@ def fkg_gaps(
 ) -> list[tuple[list[int], int]]:
     """P(A and B) - P(A)P(B), exact, for each law of ``dists`` and each
     pair (A, B) of ``event_pairs``: one row ``(gaps, den)`` per law, the
-    gap of pair j being ``Fraction(gaps[j], den)``.  With the law's integer
-    masses c over their total S, the numerator is c_AB S - c_A c_B and
-    den is S^2, so the sign is read without building a ``Fraction``.
-    Negative certifies an FKG violation.  Every event must be flagged
-    increasing (the FKG inequality says nothing about other events); any
-    other is refused.
+    gap of pair j being ``Fraction(gaps[j], den)``.  Negative certifies an
+    FKG violation.  One :func:`~loopcurrents.measures.bit_masses` pass over
+    the family with the stat of :func:`fkg_stat`."""
+    stat, width, gaps = fkg_stat(event_pairs)
+    _require_same_graph(
+        *(ev.graph for pair in event_pairs for ev in pair),
+        *(d.graph for d in dists),
+        what="events and distributions",
+    )
+    return gaps(bit_masses(dists, stat, width))
 
-    One :func:`~loopcurrents.measures.bit_masses` pass over the family: one
-    bit per distinct event, then one bit per pair, set when both hold.
-    """
+
+def fkg_stat(
+    event_pairs: Sequence[tuple[Event, Event]],
+) -> tuple[Callable[[int], int], int, Callable[[Sequence[tuple[Sequence[int], int]]], list]]:
+    """``(stat, width, gaps)`` for the FKG gaps of ``event_pairs``: stat sets
+    bit i when distinct event i holds, then bit k + j when both events of
+    pair j hold, and ``gaps(rows)`` reads mass rows ``(counts, total)`` of
+    stat (bits at or above ``width`` are not read) as gap rows ``(gaps,
+    den)``.  With the masses c over their total S, the numerator is
+    c_AB S - c_A c_B over den = S^2, so the sign is read without building a
+    ``Fraction``.  Every event must be flagged increasing (the FKG
+    inequality says nothing about other events); any other is refused."""
     events = list({id(ev): ev for pair in event_pairs for ev in pair}.values())
     if not all(ev.increasing for ev in events):
         raise LoopCurrentsError("FKG gaps need events flagged increasing (connect, edge_open, all_open)")
-    _require_same_graph(
-        *(ev.graph for ev in events), *(d.graph for d in dists), what="events and distributions"
-    )
     pairs = [(events.index(a), events.index(b)) for a, b in event_pairs]
     k = len(events)
 
@@ -135,10 +145,13 @@ def fkg_gaps(
         s = sum(1 << i for i, ev in enumerate(events) if ev.holds(mask))
         return s | sum(1 << k + j for j, (i, i2) in enumerate(pairs) if s >> i & s >> i2 & 1)
 
-    return [
-        ([c[k + j] * total - c[i] * c[i2] for j, (i, i2) in enumerate(pairs)], total * total)
-        for c, total in bit_masses(dists, stat, k + len(pairs))
-    ]
+    def gaps(rows):
+        return [
+            ([c[k + j] * total - c[i] * c[i2] for j, (i, i2) in enumerate(pairs)], total * total)
+            for c, total in rows
+        ]
+
+    return stat, k + len(pairs), gaps
 
 
 # ---------------------------------------------------------------------------
@@ -432,7 +445,9 @@ def monotonicity_scan(
     Returns ``(j, witness)`` for every step where ``laws[j]`` fails to
     dominate ``laws[j - 1]``, with the min cut's up-set.  A step j in
     ``certified`` is one the caller has proved to dominate by another route
-    and is skipped.  A step whose laws meet the local Holley criterion
+    and is skipped before either of its laws is read, so ``laws`` may
+    build a law on first indexing and never build one that only certified
+    steps touch.  A step whose laws meet the local Holley criterion
     (:func:`_holley_local`: both laws strictly positive, the higher one a
     lattice law) dominates without a flow; every other step runs the
     covering network's max-flow, and no coupling is built.  An empty list
@@ -440,8 +455,10 @@ def monotonicity_scan(
     """
     failures = []
     for j in range(1, len(laws)):
+        if j in certified:
+            continue
         lo, hi = laws[j - 1], laws[j]
-        if j not in certified and not _holley_local(lo, hi):
+        if not _holley_local(lo, hi):
             witness = _CoveringFlow(lo, hi).witness
             if witness is not None:
                 failures.append((j, witness))

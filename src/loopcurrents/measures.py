@@ -28,7 +28,12 @@ law of the whole-path events of the subdivided graph.
 Event and edge masses over a family of laws all come from
 :func:`bit_masses`, as integer counts over each law's numerator sum; a
 ``Fraction`` is built only where a value is returned or written
-(:func:`prob`).
+(:func:`prob`).  Along a grid of x, :func:`polynomial_masses` gives the
+same masses for the rows whose p is a polynomial in x without building a
+law per point: each weight is an integer polynomial in x, packed into one
+integer by x -> 2^S, so the union and the Bernoulli pass
+(:func:`_open_edges`, shared with :func:`union_bernoulli`) run once per
+row.
 """
 
 from __future__ import annotations
@@ -37,6 +42,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from math import gcd, isqrt
+from operator import mul
 from typing import Callable, Sequence
 
 from .errors import (
@@ -70,21 +76,26 @@ class Dist:
     z: Fraction
 
     def __post_init__(self):
+        self._check(sum(self.nums.values()), gcd(self.den, *self.nums.values()))
+
+    def _check(self, total: int, common: int) -> None:
+        """Refuse fields that break the invariant, given the numerators' sum
+        ``total`` and ``common = gcd(den, *nums)``."""
         den, nums, z = self.den, self.nums, self.z
         if den <= 0:
             raise LoopCurrentsError(f"denominator {den} must be positive")
         full = self.graph.full_mask
-        for mask, w in nums.items():
-            if mask & ~full:
-                raise LoopCurrentsError(f"mask {hex(mask)} has bits outside the graph's edges")
-            if w <= 0:
-                raise LoopCurrentsError(f"non-positive weight {Fraction(w, den)} at {hex(mask)}")
+        if nums and (min(nums) < 0 or max(nums) > full):
+            mask = next(m for m in nums if m & ~full)
+            raise LoopCurrentsError(f"mask {hex(mask)} has bits outside the graph's edges")
+        if nums and min(nums.values()) <= 0:
+            mask, w = next((m, w) for m, w in nums.items() if w <= 0)
+            raise LoopCurrentsError(f"non-positive weight {Fraction(w, den)} at {hex(mask)}")
         if z <= 0:
             raise LoopCurrentsError(f"normalizer Z={z} must be positive")
-        total = sum(nums.values())
         if total != z * den:
             raise LoopCurrentsError(f"weights sum to {Fraction(total, den)}, expected Z={z}")
-        if gcd(den, *nums.values()) != 1:
+        if common != 1:
             raise LoopCurrentsError(f"weights over {den} are not in lowest terms")
 
     @classmethod
@@ -92,17 +103,24 @@ class Dist:
         cls, graph: Graph, nums: dict[int, int], den: int, z: Fraction | None = None
     ) -> "Dist":
         """The law with weights nums/den: drops zero weights and reduces by
-        the gcd; the constructor checks the rest.  If ``z`` is given, the
-        numerators must sum to exactly z * den, which verifies identities like
-        "these weights add up to Z^2" on construction."""
+        the gcd, then checks the rest as the constructor does, on the sum
+        and gcd computed here once.  If ``z`` is given, the numerators must
+        sum to exactly z * den, which verifies identities like "these
+        weights add up to Z^2" on construction."""
         clean = {mask: w for mask, w in nums.items() if w}
+        total = sum(clean.values())
         if z is None:
-            z = Fraction(sum(clean.values()), den) if den else ZERO
+            z = Fraction(total, den) if den else ZERO
         common = gcd(den, *clean.values())
         if common > 1:
             clean = {m: w // common for m, w in clean.items()}
             den //= common
-        return cls(graph, clean, den, Fraction(z))
+            total //= common
+        law = cls.__new__(cls)
+        for field, value in (("graph", graph), ("nums", clean), ("den", den), ("z", Fraction(z))):
+            object.__setattr__(law, field, value)
+        law._check(total, 1)
+        return law
 
     @property
     def weights(self) -> dict[int, Fraction]:
@@ -185,19 +203,26 @@ def loop_o1(graph: Graph, x: Fraction) -> Dist:
         raise ParametrizationError(f"x={x} outside [0,1)")
     if x == 0:
         return point_mass(graph, 0)
-    lengths = graph.lengths
     a, b = x.numerator, x.denominator
-    n = graph.edge_count if lengths is None else sum(lengths)
+    n = sum(_edge_lengths(graph))
     if n * b.bit_length() > LOOP_WEIGHT_BITS_CAP:
         raise CapExceededError("loop-model weight bits", n * b.bit_length(), LOOP_WEIGHT_BITS_CAP)
-    nums: dict[int, int] = {}
-    powers: dict[int, int] = {}
-    for g in even_subgraphs(graph):
-        k = g.bit_count() if lengths is None else sum(lengths[i] for i in edges_of_mask(g))
-        if k not in powers:
-            powers[k] = a**k * b ** (n - k)
-        nums[g] = powers[k]
-    return Dist.from_integers(graph, nums, b**n)
+    sizes = _even_sizes(graph)
+    powers = {k: a**k * b ** (n - k) for k in set(sizes.values())}
+    return Dist.from_integers(graph, {g: powers[k] for g, k in sizes.items()}, b**n)
+
+
+def _edge_lengths(graph: Graph) -> tuple[int, ...]:
+    """The length of each edge: ``graph.lengths`` on a core, else all 1."""
+    return graph.lengths or (1,) * graph.edge_count
+
+
+def _even_sizes(graph: Graph) -> dict[int, int]:
+    """|g|, the total length of g's edges, for every even subgraph g."""
+    lengths = graph.lengths
+    if lengths is None:
+        return {g: g.bit_count() for g in even_subgraphs(graph)}
+    return {g: sum(lengths[i] for i in edges_of_mask(g)) for g in even_subgraphs(graph)}
 
 
 # ---------------------------------------------------------------------------
@@ -217,17 +242,24 @@ def union(d1: Dist, d2: Dist) -> Dist:
     Z = Z1*Z2 over the denominator den1*den2.
     """
     _require_same_graph(d1.graph, d2.graph)
-    pairs = len(d1.nums) * len(d2.nums)
+    acc = _union_nums(d1.nums, d2.nums)
+    return Dist.from_integers(d1.graph, acc, d1.den * d2.den, d1.z * d2.z)
+
+
+def _union_nums(nums1: dict[int, int], nums2: dict[int, int]) -> dict[int, int]:
+    """The weight of m is the sum of w1 * w2 over the support pairs with
+    m1 | m2 = m, refused above :data:`UNION_PAIR_CAP` pairs."""
+    pairs = len(nums1) * len(nums2)
     if pairs > UNION_PAIR_CAP:
         raise CapExceededError("union support pairs", pairs, UNION_PAIR_CAP)
-    items2 = list(d2.nums.items())
+    items2 = list(nums2.items())
     acc: dict[int, int] = {}
     get = acc.get
-    for m1, w1 in d1.nums.items():
+    for m1, w1 in nums1.items():
         for m2, w2 in items2:
             m = m1 | m2
             acc[m] = get(m, 0) + w1 * w2
-    return Dist.from_integers(d1.graph, acc, d1.den * d2.den, d1.z * d2.z)
+    return acc
 
 
 def union_bernoulli(d: Dist, p: Fraction) -> Dist:
@@ -249,13 +281,23 @@ def union_bernoulli(d: Dist, p: Fraction) -> Dist:
     p = Fraction(p)
     if not 0 <= p <= 1:
         raise LoopCurrentsError(f"p={p} outside [0,1]")
-    lengths = d.graph.lengths or (1,) * d.graph.edge_count
-    size = lattice_size(d.graph, "Bernoulli union lattice")
-    table = [0] * size
+    lengths = _edge_lengths(d.graph)
+    table = [0] * lattice_size(d.graph, "Bernoulli union lattice")
     for mask, w in d.nums.items():
         table[mask] = w
-    for bit, length in enumerate(lengths):
-        c, e = p.numerator**length, p.denominator**length
+    _open_edges(table, [(p.numerator**length, p.denominator**length) for length in lengths])
+    den = d.den * p.denominator ** sum(lengths)
+    return Dist.from_integers(d.graph, dict(enumerate(table)), den, d.z)
+
+
+def _open_edges(table: list[int], opens: Sequence[tuple[int, int]]) -> None:
+    """The Bernoulli pass, in place on the 2^|E| lattice ``table``: edge i
+    opens with c/e for ``opens[i] = (c, e)``, mapping each pair (lo, hi) of
+    masks without and with it to ((e - c) * lo, e * hi + c * lo).  Only
+    ring operations run, so the pass serves any integer encoding of the
+    weights: numerators at a point, or polynomials packed into integers."""
+    size = len(table)
+    for bit, (c, e) in enumerate(opens):
         q = e - c
         step = 1 << bit
         for block in range(0, size, step << 1):
@@ -263,8 +305,6 @@ def union_bernoulli(d: Dist, p: Fraction) -> Dist:
                 low = table[lo]
                 table[lo + step] = e * table[lo + step] + c * low
                 table[lo] = q * low
-    den = d.den * p.denominator ** sum(lengths)
-    return Dist.from_integers(d.graph, dict(enumerate(table)), den, d.z)
 
 
 # Every model is k independent loop-model copies, unioned with Bernoulli(p(x))
@@ -292,13 +332,17 @@ def point_laws(graph: Graph, x: Fraction) -> Callable[[str], Dist]:
         return loop_o1(graph, x) if copies == 1 else union(loops(copies - 1), loops(1))
 
     def law(name: str) -> Dist:
-        if name not in MODELS:
-            raise LoopCurrentsError(f"unknown model {name!r}; choose from {tuple(MODELS)}")
-        copies, p = MODELS[name]
+        copies, p = _model(name)
         p_x = None if p is None else p(x)  # may raise: check before enumerating
         return loops(copies) if p_x is None else union_bernoulli(loops(copies), p_x)
 
     return law
+
+
+def _model(name: str) -> tuple[int, Callable[[Fraction], Fraction] | None]:
+    if name not in MODELS:
+        raise LoopCurrentsError(f"unknown model {name!r}; choose from {tuple(MODELS)}")
+    return MODELS[name]
 
 
 def build(name: str, graph: Graph, x: Fraction) -> Dist:
@@ -411,6 +455,172 @@ def bit_masses(
             s ^= low
     lane_mask = (1 << lane) - 1
     return [([t >> j * lane & lane_mask for t in totals], total) for j, total in enumerate(sums)]
+
+
+# ---------------------------------------------------------------------------
+# Masses of a row along a grid, as polynomials in x
+
+
+# Most bits of the packed lattice of :func:`polynomial_masses`, 2^|E| * S *
+# (D + 1) for a row of digit width S and degree D.  The table's largest row,
+# the double cluster on counter(2,2), packs 256 weights of 30 * 33 bits,
+# about 2^18; on counter_core(18, 2) it takes 2^19.6.  The cap admits the
+# random cluster on a 14-edge path (2.4 s for 63 points and 14 bits, CPython
+# 3.11, 2-vCPU Xeon) and refuses 15 edges.
+PACKED_LATTICE_BITS_CAP = 1 << 24
+
+# A registered p is read off p(2^_PROBE_BITS): its coefficients are small
+# integers, far below 2^63.
+_PROBE_BITS = 64
+
+
+def polynomial_masses(
+    graph: Graph,
+    names: Sequence[str],
+    stat: Callable[[int], int],
+    width: int,
+    xs: Sequence[Fraction],
+) -> dict[str, list[tuple[list[int], int]]]:
+    """For each model row in ``names``, :func:`bit_masses` of its laws at the
+    points ``xs``: one ``(counts, total)`` per x, P(bit i of stat is set)
+    being counts[i] / total.  The ratios are those of ``bit_masses([build(
+    name, graph, x) for x in xs], stat, width)``, though the integers may
+    differ from its by a positive factor per x.
+
+    A row is built once for all the points.  Its weight of mask m is an
+    integer polynomial W_m(x): the k-fold union of the loop weights x^|g|,
+    then the Bernoulli pass with (c, e) = (P^L, 1) on an edge of length L,
+    P = p(x).  The ring map x -> 2^S packs a polynomial f = sum f_j x^j
+    into the integer f(2^S), so :func:`_union_nums` and :func:`_open_edges`
+    run unchanged, and each bit's count (the sum of W_m over the masks with
+    the bit) and the total come out packed.  Their coefficients are read
+    back as S-bit signed digits, exact while every |f_j| < 2^(S-1).  The
+    absolute coefficient sum is subadditive and submultiplicative, so it
+    is at most (2^dim)^k prod_e (1 + 2 |P|^L_e) for every count: 2^dim even
+    subgraphs per copy, and an edge maps W to (1 - P^L) W and P^L W.  S is
+    one more than that bound's bit length.  Every count has degree at most
+    D = (k + deg P) n, n the total length, and at x = a/b the row reads the
+    integer b^D f(a/b) = sum f_j a^j b^(D-j).
+
+    stat runs once per configuration of any row's support.  Refused before
+    any pass: x outside [0, 1), an unknown row, a p that is not an integer
+    polynomial (the single current) or leaves [0, 1] at some x, and a row
+    above :data:`PACKED_LATTICE_BITS_CAP`."""
+    xs = [Fraction(x) for x in xs]
+    bad = [x for x in xs if not 0 <= x < 1]
+    if bad:
+        raise ParametrizationError(f"x={bad[0]} outside [0,1)")
+    size = lattice_size(graph, "polynomial mass lattice")
+    lengths = _edge_lengths(graph)
+    sizes = _even_sizes(graph)
+    n, dim = sum(lengths), len(sizes).bit_length() - 1
+    rows = []
+    for name in names:
+        copies, p = _model(name)
+        coeffs = _polynomial_p(name, p, xs)
+        bound = 1 << copies * dim
+        if coeffs:
+            norm = sum(map(abs, coeffs))
+            for length in lengths:
+                bound *= 1 + 2 * norm**length
+        digits = bound.bit_length() + 1
+        degree = (copies + max(len(coeffs) - 1, 0)) * n
+        bits = size * digits * (degree + 1)
+        if bits > PACKED_LATTICE_BITS_CAP:
+            raise CapExceededError("packed polynomial lattice bits", bits, PACKED_LATTICE_BITS_CAP)
+        rows.append((copies, p, digits, degree))
+
+    tables = []
+    for copies, p, digits, _ in rows:
+        loop = {g: 1 << digits * k for g, k in sizes.items()}
+        nums = loop
+        for _ in range(copies - 1):
+            nums = _union_nums(nums, loop)
+        table = [0] * size
+        for mask, w in nums.items():
+            table[mask] = w
+        if p is not None:
+            packed = p(1 << digits)
+            _open_edges(table, [(packed**length, 1) for length in lengths])
+        tables.append(table)
+
+    keep = (1 << width) - 1
+    members: list[list[int]] = [[] for _ in range(width)]  # the masks with bit i
+    for mask in range(size):
+        if any(table[mask] for table in tables):
+            s = stat(mask) & keep
+            while s:
+                low = s & -s
+                members[low.bit_length() - 1].append(mask)
+                s ^= low
+    out = {}
+    for name, table, (_, _, digits, degree) in zip(names, tables, rows):
+        get = table.__getitem__
+        packed = [sum(table), *(sum(map(get, masks)) for masks in members)]
+        out[name] = _at_points([_signed_digits(v, digits, degree + 1) for v in packed], degree, xs)
+    return out
+
+
+def _polynomial_p(name: str, p, xs: Sequence[Fraction]) -> list[int]:
+    """The coefficients of the row's p(x), lowest first, and [] for a row
+    without a Bernoulli layer, after checking 0 <= p(x) <= 1 at every x."""
+    if p is None:
+        return []
+    if p is single_current_p:
+        raise LoopCurrentsError(f"{name}: p(x) = 1 - sqrt(1 - x^2) is not a polynomial in x")
+    for x in xs:
+        if not 0 <= p(x) <= 1:
+            raise LoopCurrentsError(f"{name}: p={p(x)} outside [0,1] at x={x}")
+    probe = p(1 << _PROBE_BITS)
+    if type(probe) is not int:
+        raise LoopCurrentsError(f"{name}: p(x) is not an integer polynomial")
+    coeffs = _signed_digits(probe, _PROBE_BITS, probe.bit_length() // _PROBE_BITS + 1)
+    while coeffs and not coeffs[-1]:
+        coeffs.pop()
+    return coeffs
+
+
+def _signed_digits(value: int, digits: int, count: int) -> list[int]:
+    """The coefficients f_0, ..., f_(count-1) of the packed value f(2^digits),
+    each read as a signed digit in [-2^(digits-1), 2^(digits-1))."""
+    half, low = 1 << digits - 1, (1 << digits) - 1
+    out = []
+    for _ in range(count):
+        f = value & low
+        if f >= half:
+            f -= 1 << digits
+        out.append(f)
+        value = (value - f) >> digits
+    if value:
+        raise LoopCurrentsError(
+            f"internal error: a packed polynomial has more than {count} coefficients"
+        )
+    return out
+
+
+def _at_points(
+    polys: list[list[int]], degree: int, xs: list[Fraction]
+) -> list[tuple[list[int], int]]:
+    """``(counts, total)`` at each x = a/b, each polynomial f read as
+    b^degree f(a/b): the total from ``polys[0]``, the counts from the rest.
+    A count lies in [0, total], so the counts of one polynomial at all the
+    points fit side by side in lanes of the largest total's width, and one
+    product per coefficient fills every lane."""
+    points = [(x.numerator, x.denominator) for x in xs]
+    powers = [[a**j * b ** (degree - j) for j in range(degree + 1)] for a, b in points]
+    totals = [sum(map(mul, polys[0], w)) for w in powers]
+    lane = (max(totals, default=0).bit_length() + 7) // 8
+    columns = [
+        int.from_bytes(b"".join(w[j].to_bytes(lane, "little") for w in powers), "little")
+        for j in range(degree + 1)
+    ]
+    counts = []
+    for f in polys[1:]:
+        lanes = sum(map(mul, f, columns)).to_bytes(lane * len(points), "little")
+        counts.append(
+            [int.from_bytes(lanes[i : i + lane], "little") for i in range(0, len(lanes), lane)]
+        )
+    return [([values[i] for values in counts], total) for i, total in enumerate(totals)]
 
 
 def prob(d: Dist, event) -> Fraction:

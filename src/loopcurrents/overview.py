@@ -16,12 +16,13 @@ The expected verdict per cell is fixed (KNOWN_VERDICTS); the builder
 refuses to upgrade an open cell to a claim and treats a failed scan on a
 "holds" cell as an error worth surfacing loudly.
 
-The scans run graph by graph on one ``measures.point_laws`` per grid point
-and hold one row's laws at a time.  FKG reads them in one
-``checkers.fkg_gaps`` call, and CON and SING share one ``bit_masses`` pass,
-whose connection bits every scanned row computes once per configuration.
-Both compare integer masses over each law's total by cross-multiplying, and
-build a ``Fraction`` only for a violation they write out.
+The scans run graph by graph.  FKG, CON and SING read one
+:func:`scan_masses` per graph: ``measures.polynomial_masses`` builds each
+scanned row once, as integer polynomials in x, and evaluates its masses at
+every grid point, so no law is built per point, and the FKG events and the
+component labels run once per configuration for all the rows.  The scans
+compare integer masses by cross-multiplying, and build a ``Fraction`` only
+for a violation they write out.
 
 MON takes each step of a scanned row by one of three routes.  The first,
 ``loop-union``, rests on the rows being couplings: k independent loop laws
@@ -30,26 +31,28 @@ x1 and p(x1) <= p(x2), the row at x2 dominates the row at x1
 (:func:`loop_union_steps`), so one scan of a graph's loop laws, on supports
 of a few masks, serves all three rows.  Every other step goes to
 ``holley-local`` and then ``flow`` on the row's own laws
-(``checkers.monotonicity_scan``), so every violation and its up-set still
-comes from a min cut on the model's laws.  ``verify sumthm`` checks this
-very lemma, so it scans the union laws themselves and never uses the
-route.
+(``checkers.monotonicity_scan``), built only for such a step, so every
+violation and its up-set still comes from a min cut on the model's laws.
+``verify sumthm`` checks this very lemma, so it scans the union laws
+themselves and never uses the route.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from fractions import Fraction
+from functools import cache
 from itertools import combinations
-from typing import Container, Sequence
+from typing import Callable, Container
 
 from . import theta
 from .battery import scan_battery
-from .checkers import fkg_gaps, monotonicity_scan, stochastic_domination
+from .checkers import fkg_stat, monotonicity_scan, stochastic_domination
 from .errors import LoopCurrentsError
 from .events import Event, all_open, connect, edge_open
 from .graphs import Graph, component_labels, counter_family
 from .intervals import certify_decreasing_pair
-from .measures import MODELS, Dist, bit_masses, build, point_laws, pythagorean_x
+from .measures import MODELS, Dist, build, point_laws, polynomial_masses, pythagorean_x
 from .rationals import (
     decimal_string,
     dyadic_grid,
@@ -178,18 +181,11 @@ def certify_sing_single_current() -> dict:
 # Scan evidence for holds / open cells
 
 
-def _connection_masses(
-    dists: list[Dist], g: Graph, side_pairs: Sequence[tuple[tuple, tuple]], memo: dict[int, int]
-) -> tuple[list[list[int]], list[int]]:
-    """P(some vertex of A connects to some of B) for each pair (A, B) and
-    law, as integers: a pairs x laws matrix of counts, and each law's total,
-    the probability being count / total.  One
-    :func:`~loopcurrents.measures.bit_masses` pass over the laws with one
-    bit per pair.  ``memo`` keeps the pair bits of each configuration seen:
-    a caller that passes one dict to every call on g with the same pairs
-    runs component labels once per configuration."""
-    # pair i connects when some u of A and v of B share a component: each
-    # vertex pair {u, v} carries the bits of the pairs it would connect
+def _connection_stat(g: Graph, side_pairs: Sequence[tuple[tuple, tuple]]) -> Callable[[int], int]:
+    """The stat with bit i set when some vertex of A and some of B share a
+    component, for the i-th pair (A, B): one component labelling per
+    configuration."""
+    # each vertex pair {u, v} carries the bits of the pairs it would connect
     joins: dict[tuple[int, int], int] = {}
     for i, (side_a, side_b) in enumerate(side_pairs):
         for u in side_a:
@@ -198,17 +194,14 @@ def _connection_masses(
                 joins[key] = joins.get(key, 0) | 1 << i
 
     def stat(m):
-        if m not in memo:
-            lab = component_labels(g, m)
-            bits = 0
-            for (u, v), joined in joins.items():
-                if lab[u] == lab[v]:
-                    bits |= joined
-            memo[m] = bits
-        return memo[m]
+        lab = component_labels(g, m)
+        bits = 0
+        for (u, v), joined in joins.items():
+            if lab[u] == lab[v]:
+                bits |= joined
+        return bits
 
-    rows = bit_masses(dists, stat, len(side_pairs))
-    return [list(col) for col in zip(*(counts for counts, _ in rows))], [t for _, t in rows]
+    return stat
 
 
 def _singleton_pairs(g: Graph) -> list[tuple[tuple, tuple]]:
@@ -239,22 +232,48 @@ def _fkg_events(g: Graph) -> list[Event]:
     return events
 
 
-def scan_connection(name: str, g: Graph, laws, grid, memo: dict[int, int]) -> dict[str, list[dict]]:
-    """Point-evaluation scans of graph ``name`` for CON and SING: is
-    P(A <-> B) under the laws ``laws[x]`` non-decreasing along the grid,
-    for each vertex-set pair (A, B) that :data:`CONNECTION_SCANS` watches?
-    Both properties read one mass pass over the laws; ``memo`` is g's
-    connection bits (:func:`_connection_masses`).  A step is compared on
-    the integer masses, and its exact drop is built only when it falls."""
-    watched = [
+def _fkg_pairs(g: Graph) -> list[tuple[Event, Event]]:
+    return list(combinations(_fkg_events(g), 2))
+
+
+def _watched(g: Graph) -> list[tuple[str, tuple[tuple, tuple], Callable]]:
+    """(property, vertex-set pair, record builder) for every pair that
+    :data:`CONNECTION_SCANS` watches on g."""
+    return [
         (prop, pair, record)
         for prop, (pairs_of, record) in CONNECTION_SCANS.items()
         for pair in pairs_of(g)
     ]
-    pairs = [pair for _, pair, _ in watched]
-    counts, totals = _connection_masses([laws[x] for x in grid], g, pairs, memo)
+
+
+def scan_masses(g: Graph, models: Sequence[str], grid) -> dict[str, list[tuple[list[int], int]]]:
+    """The masses every grid scan of g reads, for each row of ``models``:
+    one ``(counts, total)`` per grid point, from one
+    :func:`~loopcurrents.measures.polynomial_masses` call, which builds
+    each row once as polynomials in x.  The bits are the FKG battery's
+    (``checkers.fkg_stat``), then one per watched connection pair
+    (:func:`_watched`), so the events and the component labels run once
+    per configuration of g for all the rows."""
+    fkg, fkg_width, _ = fkg_stat(_fkg_pairs(g))
+    watched = _watched(g)
+    connected = _connection_stat(g, [pair for _, pair, _ in watched])
+    return polynomial_masses(
+        g, models, lambda m: fkg(m) | connected(m) << fkg_width, fkg_width + len(watched), grid
+    )
+
+
+def scan_connection(name: str, g: Graph, masses, grid) -> dict[str, list[dict]]:
+    """Point-evaluation scans of graph ``name`` for CON and SING: is
+    P(A <-> B) non-decreasing along the grid, for each vertex-set pair
+    (A, B) that :data:`CONNECTION_SCANS` watches?  ``masses`` is a row's
+    :func:`scan_masses`, whose top bits are the watched pairs.  A step is
+    compared on the integer masses, and its exact drop is built only when
+    it falls."""
+    watched = _watched(g)
+    totals = [total for _, total in masses]
+    pair_bits = [counts[len(counts) - len(watched) :] for counts, _ in masses]
     violations: dict[str, list[dict]] = {prop: [] for prop in CONNECTION_SCANS}
-    for (prop, (side_a, side_b), record), row in zip(watched, counts):
+    for (prop, (side_a, side_b), record), row in zip(watched, zip(*pair_bits)):
         for j in range(1, len(grid)):
             # row[j] / totals[j] < row[j-1] / totals[j-1], cross-multiplied
             if row[j] * totals[j - 1] < row[j - 1] * totals[j]:
@@ -287,12 +306,13 @@ def _con_record(graph, side_a, side_b, x1, x2, drop) -> dict:
 CONNECTION_SCANS = {"CON": (_subset_pairs, _con_record), "SING": (_singleton_pairs, _sing_record)}
 
 
-def scan_fkg(name: str, g: Graph, laws, grid) -> list[dict]:
+def scan_fkg(name: str, g: Graph, masses, grid) -> list[dict]:
     """Pairwise gap scan of graph ``name`` over a small increasing-event
-    battery, under the laws ``laws[x]`` at the grid points, by one
-    :func:`~loopcurrents.checkers.fkg_gaps` call: a gap's sign is read off
-    its integer numerator, and only a negative gap becomes a ``Fraction``."""
-    pairs = list(combinations(_fkg_events(g), 2))
+    battery at the grid points, read off a row's :func:`scan_masses` by
+    ``checkers.fkg_stat``: a gap's sign is read off its integer numerator,
+    and only a negative gap becomes a ``Fraction``."""
+    pairs = _fkg_pairs(g)
+    _, _, gaps = fkg_stat(pairs)
     return [
         {
             "graph": name,
@@ -300,8 +320,8 @@ def scan_fkg(name: str, g: Graph, laws, grid) -> list[dict]:
             "x": format_rational(x),
             "gap": format_rational(Fraction(gap, den)),
         }
-        for x, (gaps, den) in zip(grid, fkg_gaps([laws[x] for x in grid], pairs))
-        for (a, b), gap in zip(pairs, gaps)
+        for x, (row, den) in zip(grid, gaps(masses))
+        for (a, b), gap in zip(pairs, row)
         if gap < 0
     ]
 
@@ -330,11 +350,12 @@ def loop_union_steps(model: str, grid, loop_steps: set[int]) -> set[int]:
     return {j for j in loop_steps if p(grid[j - 1]) <= p(grid[j])}
 
 
-def scan_mon(name: str, laws, grid, certified: Container[int] = ()) -> list[dict]:
+def scan_mon(name: str, laws: Sequence[Dist], grid, certified: Container[int] = ()) -> list[dict]:
     """Consecutive-pair stochastic domination scan of graph ``name`` under
-    the laws ``laws[x]`` (:func:`~loopcurrents.checkers.monotonicity_scan`):
-    the steps in ``certified`` hold by the ``loop-union`` route, and every
-    other step takes Holley's local criterion where it holds
+    the laws ``laws[j]`` at ``grid[j]``
+    (:func:`~loopcurrents.checkers.monotonicity_scan`): the steps in
+    ``certified`` hold by the ``loop-union`` route and read no law, and
+    every other step takes Holley's local criterion where it holds
     (``holley-local``), else an exact max-flow (``flow``)."""
     return [
         {
@@ -343,8 +364,23 @@ def scan_mon(name: str, laws, grid, certified: Container[int] = ()) -> list[dict
             "x2": format_rational(grid[j]),
             "witness": witness.to_json_dict(),
         }
-        for j, witness in monotonicity_scan([laws[x] for x in grid], certified)
+        for j, witness in monotonicity_scan(laws, certified)
     ]
+
+
+class _LazyLaws(Sequence):
+    """``law(j)`` for j < ``length``, each built when first indexed."""
+
+    def __init__(self, law: Callable[[int], Dist], length: int):
+        self._law, self._length = cache(law), length
+
+    def __len__(self) -> int:
+        return self._length
+
+    def __getitem__(self, j: int) -> Dist:
+        if not 0 <= j < self._length:
+            raise IndexError(j)
+        return self._law(j)
 
 
 # ---------------------------------------------------------------------------
@@ -361,10 +397,12 @@ def build_overview(
     ``grid_resolution`` controls the dyadic grid (2^r - 1 points) used both
     for counterexample localization and for scans.  Domination scans may use
     another grid via ``mon_grid_resolution``; the ``table`` command scans on
-    the one grid.  Each graph's loop laws are scanned once on the domination
-    grid, and a scanned row's MON step takes the
-    ``loop-union`` route where the loop step dominates, else Holley's local
-    criterion or an exact max flow on the row's laws (:func:`scan_mon`).
+    the one grid.  FKG, CON and SING read each graph's
+    :func:`scan_masses`.  Each graph's loop laws are scanned once on the
+    domination grid, and a scanned row's MON step takes the ``loop-union``
+    route where the loop step dominates, else Holley's local criterion or
+    an exact max flow on the row's laws, built only for such a step
+    (:func:`scan_mon`).
     """
     grid = dyadic_grid(grid_resolution)
     mon_grid = dyadic_grid(grid_resolution if mon_grid_resolution is None else mon_grid_resolution)
@@ -413,18 +451,17 @@ def build_overview(
 
     violations = {m: {prop: [] for prop in PROPERTIES} for m in MODELS if m not in refutations}
     for name, g in graphs:
-        point = {x: point_laws(g, x) for x in sorted({*grid, *mon_grid})}
-        loop_steps = loop_dominating_steps([point[x]("loop") for x in mon_grid])
-        memo: dict[int, int] = {}  # g's connection bits, shared by its scanned rows
+        point = [point_laws(g, x) for x in mon_grid]
+        loop_steps = loop_dominating_steps([law("loop") for law in point])
+        masses = scan_masses(g, list(violations), grid)
         for model, row in violations.items():
-            laws = {x: law(model) for x, law in point.items()}
             certified = loop_union_steps(model, mon_grid, loop_steps)
+            laws = _LazyLaws(lambda j, model=model: point[j](model), len(mon_grid))
             found = {
-                "FKG": scan_fkg(name, g, laws, grid),
+                "FKG": scan_fkg(name, g, masses[model], grid),
                 "MON": scan_mon(name, laws, mon_grid, certified),
-                **scan_connection(name, g, laws, grid, memo),
+                **scan_connection(name, g, masses[model], grid),
             }
-            del laws  # the next row's laws are built without these
             for prop, more in found.items():
                 row[prop] += more
     for model, row in violations.items():

@@ -2,6 +2,7 @@ import hashlib
 import json
 import random
 import time
+from collections.abc import Sequence
 from fractions import Fraction
 from functools import partial
 from math import prod
@@ -737,6 +738,24 @@ class TestScans:
         for j, witness in fails:
             assert j >= 1
             assert flow_against_oracle(laws[j - 1], laws[j], monkeypatch).witness == witness
+
+    def test_a_certified_step_reads_neither_law(self):
+        # steps 1 and 2 are certified: laws 0 and 1 are read by no other
+        # step, so a sequence that refuses them must never be asked for them
+        laws = [build("double_current", K4, x) for x in dyadic_grid(3)[:5]]
+
+        class Guarded(Sequence):
+            def __len__(self):
+                return len(laws)
+
+            def __getitem__(self, j):
+                if j in (0, 1):
+                    raise AssertionError(f"law {j} read for a certified step")
+                return laws[j]
+
+        assert monotonicity_scan(Guarded(), {1, 2}) == monotonicity_scan(laws) == []
+        with pytest.raises(AssertionError):
+            monotonicity_scan(Guarded(), {2})
 
     def test_union_preservation_verified_for_bernoulli(self):
         laws = [bernoulli(THETA111, x) for x in dyadic_grid(3)]

@@ -645,8 +645,8 @@ class TestBitMasses:
         dists = data.draw(st.lists(mixed_dists(g), min_size=1, max_size=3))
         pairs = overview._subset_pairs(g) + overview._singleton_pairs(g)
         expected = [[prob_bruteforce(d, connect_sets(g, a, b)) for d in dists] for a, b in pairs]
-        counts, totals = overview._connection_masses(dists, g, pairs, {})
-        assert [[F(c, t) for c, t in zip(row, totals)] for row in counts] == expected
+        rows = bit_masses(dists, overview._connection_stat(g, pairs), len(pairs))
+        assert [list(row) for row in zip(*exact_rows(rows))] == expected
 
     def test_graph_mismatch_is_refused_as_by_the_oracle(self):
         d = loop_o1(THETA111, F(1, 2))
@@ -728,3 +728,162 @@ class TestDistInvariants:
         d = build("random_cluster", THETA111, F(1, 3))
         back = dist_from_json(THETA111, dist_to_json(d))
         assert back.same_law(d) and back.z == d.z
+
+    @pytest.mark.parametrize(
+        "nums, den, z, message",
+        [
+            ({0: 1}, 0, F(1), "denominator 0 must be positive"),
+            ({0: 1, 1 << 3: 1}, 1, F(2), "mask 0x8 has bits outside"),
+            ({-1: 1}, 1, F(1), "mask -0x1 has bits outside"),
+            ({0: 2, 1: -1}, 1, F(1), "non-positive weight -1 at 0x1"),
+            ({0: 1, 1: 0}, 1, F(1), "non-positive weight 0 at 0x1"),
+            ({0: 1}, 1, F(0), "normalizer Z=0 must be positive"),
+            ({0: 1, 1: 2}, 1, F(2), "weights sum to 3, expected Z=2"),
+            ({0: 2, 1: 4}, 2, F(3), "weights over 2 are not in lowest terms"),
+        ],
+    )
+    def test_each_refusal_of_a_direct_law(self, nums, den, z, message):
+        with pytest.raises(LoopCurrentsError, match=message):
+            Dist(THETA111, nums, den, z)
+
+    @pytest.mark.parametrize(
+        "nums, den, z, message",
+        [
+            ({0: 1}, 0, None, "denominator 0 must be positive"),
+            ({0: 1, 1 << 3: 1}, 1, None, "mask 0x8 has bits outside"),
+            ({0: 3, 1: -1}, 1, None, "non-positive weight -1 at 0x1"),
+            ({0: 1}, 1, F(2), "weights sum to 1, expected Z=2"),
+            ({0: 2, 1: 4}, 2, F(2), "weights sum to 3, expected Z=2"),
+        ],
+    )
+    def test_each_refusal_of_integer_weights(self, nums, den, z, message):
+        with pytest.raises(LoopCurrentsError, match=message):
+            Dist.from_integers(THETA111, nums, den, z)
+
+    def test_integer_weights_are_summed_and_reduced_once(self, monkeypatch):
+        calls = Counter()
+
+        def counted(fn):
+            return lambda *a: calls.update([fn.__name__]) or fn(*a)
+
+        monkeypatch.setattr(measures, "gcd", counted(gcd))
+        monkeypatch.setattr(measures, "sum", counted(sum), raising=False)
+        law = Dist.from_integers(THETA111, {0: 6, 3: 4, 5: 0}, 10)
+        assert calls == {"gcd": 1, "sum": 1}
+        assert (law.nums, law.den, law.z) == ({0: 3, 3: 2}, 5, F(1))
+
+
+@st.composite
+def loopless_multigraphs(draw) -> Graph:
+    n = draw(st.integers(2, 5))
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda e: e[0] != e[1])
+    return Graph(n, tuple(draw(st.lists(pairs, min_size=1, max_size=8))))
+
+
+# The rows whose p(x) is a polynomial in x: every row but the single current.
+POLYNOMIAL_ROWS = [name for name in MODELS if name != "single_current"]
+open_unit = st.fractions(0, 1, max_denominator=1000).filter(lambda x: 0 < x < 1)
+
+
+def path(edges: int) -> Graph:
+    return Graph(edges + 1, tuple((i, i + 1) for i in range(edges)))
+
+
+class TestPolynomialMasses:
+    """The rows as polynomials in x against their laws built point by point."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_masses_match_the_point_laws(self, data):
+        cores = st.sampled_from([counter_core(18, 2), theta_core(2, 3, 2)])
+        g = data.draw(st.one_of(loopless_multigraphs(), cores))
+        xs = data.draw(st.lists(open_unit, min_size=1, max_size=3))
+        width = data.draw(st.integers(0, 6))
+        size = 1 << g.edge_count
+        values = data.draw(st.lists(stat_values, min_size=size, max_size=size))
+        masses = measures.polynomial_masses(g, POLYNOMIAL_ROWS, values.__getitem__, width, xs)
+        assert list(masses) == POLYNOMIAL_ROWS
+        for name, rows in masses.items():
+            laws = [build(name, g, x) for x in xs]
+            assert exact_rows(rows) == exact_rows(bit_masses(laws, values.__getitem__, width))
+
+    def test_the_stat_runs_once_per_configuration_of_any_support(self):
+        # the loop law's support is the even subgraphs; the Bernoulli rows
+        # open every configuration
+        seen = []
+
+        def stat(m):
+            seen.append(m)
+            return m
+
+        measures.polynomial_masses(K4, ["loop", "double_loop"], stat, 6, [F(1, 3)])
+        assert sorted(seen) == sorted(build("double_loop", K4, F(1, 3)).nums)
+        seen.clear()
+        measures.polynomial_masses(K4, POLYNOMIAL_ROWS, stat, 6, [F(1, 3)])
+        assert sorted(seen) == list(range(1 << K4.edge_count))
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_signed_digits_round_trip(self, data):
+        digits = data.draw(st.integers(2, 80))
+        half = 1 << digits - 1
+        coeffs = data.draw(st.lists(st.integers(-half, half - 1), min_size=1, max_size=12))
+        packed = sum(c << digits * j for j, c in enumerate(coeffs))
+        assert measures._signed_digits(packed, digits, len(coeffs)) == coeffs
+        if coeffs[-1]:
+            with pytest.raises(LoopCurrentsError, match="more than"):
+                measures._signed_digits(packed, digits, len(coeffs) - 1)
+
+    def test_the_digit_width_bound_holds_at_the_largest_accepted_lattice(self):
+        # the random cluster on a 14-edge path is the largest lattice the cap
+        # admits.  Its bound 3^14 is attained: the total coefficient sum of
+        # the mask weights x^k (1 - x)^(14 - k).  Counting the masks with an
+        # even or an odd number of open edges sums coefficients of one sign,
+        # up to C(14, 9) 2^8 = 512,512 in size; the decoded masses are exact
+        g, stat = path(14), lambda m: 1 << m.bit_count() % 2 | 4
+        xs = [F(3, 7), F(5, 9)]
+        masses = measures.polynomial_masses(g, ["random_cluster"], stat, 3, xs)["random_cluster"]
+        laws = [build("random_cluster", g, x) for x in xs]
+        assert exact_rows(masses) == exact_rows(bit_masses(laws, stat, 3))
+        with pytest.raises(CapExceededError) as info:
+            measures.polynomial_masses(path(15), ["random_cluster"], stat, 3, xs)
+        cap = measures.PACKED_LATTICE_BITS_CAP
+        assert (1 << 14) * ((3**14).bit_length() + 1) * (2 * 14 + 1) <= cap
+        assert info.value.size == (1 << 15) * ((3**15).bit_length() + 1) * (2 * 15 + 1) > cap
+
+    def test_the_cap_refuses_before_any_pass(self, monkeypatch):
+        def no_pass(*args):
+            raise AssertionError("a pass ran before the cap was checked")
+
+        for name in ("_union_nums", "_open_edges"):
+            monkeypatch.setattr(measures, name, no_pass)
+        # on K4 (dim 3) the double cluster packs 64 weights of S = 24 digits
+        # (2^6 7^6 has 23 bits) and degree 24; the random cluster before it
+        # fits, and no pass of its runs either
+        size = 64 * 24 * 25
+        monkeypatch.setattr(measures, "PACKED_LATTICE_BITS_CAP", size - 1)
+        with pytest.raises(CapExceededError) as info:
+            rows = ["random_cluster", "double_cluster"]
+            measures.polynomial_masses(K4, rows, no_pass, 1, [F(1, 2)])
+        assert info.value.size == size
+
+    @pytest.mark.parametrize(
+        "name, xs, error, message",
+        [
+            ("single_current", [F(4, 5)], LoopCurrentsError, "not a polynomial"),
+            ("double_sum", [F(1, 2)], LoopCurrentsError, "unknown model"),
+            ("loop", [F(1, 2), F(1)], ParametrizationError, "x=1 outside"),
+        ],
+    )
+    def test_refusals(self, monkeypatch, name, xs, error, message):
+        monkeypatch.setattr(measures, "_open_edges", None)  # refused before any pass
+        with pytest.raises(error, match=message):
+            measures.polynomial_masses(K4, [name], lambda m: 1, 1, xs)
+
+    def test_a_p_that_is_not_an_integer_polynomial_is_refused(self, monkeypatch):
+        monkeypatch.setitem(MODELS, "random_cluster", (1, lambda x: x / 2))
+        with pytest.raises(LoopCurrentsError, match="not an integer polynomial"):
+            measures.polynomial_masses(K4, ["random_cluster"], lambda m: 1, 1, [F(1, 2)])
+        monkeypatch.setitem(MODELS, "random_cluster", (1, lambda x: 2 * x))
+        with pytest.raises(LoopCurrentsError, match="outside"):
+            measures.polynomial_masses(K4, ["random_cluster"], lambda m: 1, 1, [F(3, 4)])

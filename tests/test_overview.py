@@ -2,6 +2,7 @@ import hashlib
 import json
 import weakref
 from collections import Counter
+from collections.abc import Sequence
 from fractions import Fraction
 from itertools import combinations
 
@@ -25,56 +26,68 @@ from loopcurrents.theta import counter_core
 from oracles import connection_scan_bruteforce, prob_bruteforce
 
 
-def test_each_law_is_built_once_and_shared_by_the_scans(monkeypatch):
+def test_the_scans_build_no_row_law_and_one_bernoulli_pass_per_row(monkeypatch):
+    # the scanned rows are read as polynomials in x: one Bernoulli pass per
+    # row and graph, where the laws took one per row and grid point
     built = Counter()
-
-    def counting_build(name, graph, x):
-        built[name, graph.edges, x] += 1
-        return build(name, graph, x)
+    passes = []
+    opened = []
 
     def counting_point_laws(graph, x):
         law = point_laws(graph, x)
-        return lambda name: built.update([(name, graph.edges, x)]) or law(name)
+        return lambda name: built.update([name]) or law(name)
 
-    monkeypatch.setattr(overview, "build", counting_build)
+    def counting_open_edges(table, opens):
+        passes.append(len(table))
+        return real_open_edges(table, opens)
+
+    def counting_union_bernoulli(d, p):
+        opened.append(d.graph)
+        return real_union_bernoulli(d, p)
+
+    real_open_edges, real_union_bernoulli = measures._open_edges, measures.union_bernoulli
     monkeypatch.setattr(overview, "point_laws", counting_point_laws)
+    monkeypatch.setattr(measures, "_open_edges", counting_open_edges)
+    monkeypatch.setattr(measures, "union_bernoulli", counting_union_bernoulli)
     theta111 = generalized_theta([1, 1, 1])
     report = overview.build_overview(6, 3, graphs=[("theta[1,1,1]", theta111)])
     assert report["consistent_with_expected"]
-    assert set(built.values()) == {1}
-    rows = report["models"]
-    scanned = [m for m in MODELS if rows[m]["MON"]["status"] != overview.CERTIFIED_FALSE]
-    # the MON grid is inside the scan grid, so each scanned model needs one
-    # law per scan grid point and the loop-union route one loop law per MON
-    # grid point; the two certified SING rows need two each
-    assert len(built) == len(scanned) * len(dyadic_grid(6)) + len(dyadic_grid(3)) + 4
+    # the loop-union route reads one loop law per MON grid point, and every
+    # MON step of the battery takes it, so no row law is built; the only
+    # laws opened at a point are the FKG witnesses' on theta cores
+    assert built == {"loop": len(dyadic_grid(3))}
+    assert opened and all(g.lengths is not None for g in opened)
+    assert len(passes) == len(UNION_ROWS) + len(opened)
 
 
-def test_the_scans_hold_one_rows_laws_at_a_time(monkeypatch):
-    # when a row's law is built, no law of another scanned row is alive; the
-    # loop laws, which point_laws keeps for every row, are not rows
+def test_a_rows_laws_are_built_only_for_the_steps_the_loop_union_route_leaves(monkeypatch):
+    # theta[1,1,3]'s loop law fails to dominate at steps 54-62, which read
+    # the laws at grid points 53 to 62; no other row law is built, and when
+    # one is, no law of another scanned row is alive
     built = []
 
     def watching_point_laws(graph, x):
         law = point_laws(graph, x)
 
         def watched(name):
-            alive = {row for row, ref in built if row != name and ref() is not None}
+            alive = {row for row, _, ref in built if row != name and ref() is not None}
             assert not alive, (name, alive)
             d = law(name)
             if name != "loop":
-                built.append((name, weakref.ref(d)))
+                built.append((name, (graph.edges, x), weakref.ref(d)))
             return d
 
         return watched
 
     monkeypatch.setattr(overview, "point_laws", watching_point_laws)
-    graphs = [("counter(2,2)", counter_family(2, 2)), ("theta[1,1,1]", generalized_theta([1, 1, 1]))]
-    assert overview.build_overview(6, 3, graphs=graphs)["consistent_with_expected"]
-    assert {row for row, _ in built} == set(UNION_ROWS)
+    grid = dyadic_grid(6)
+    graphs = [("counter(2,2)", counter_family(2, 2)), ("theta[1,1,3]", THETA113)]
+    assert overview.build_overview(6, graphs=graphs)["consistent_with_expected"]
+    expected = [(row, (THETA113.edges, x)) for row in UNION_ROWS for x in grid[53:]]
+    assert [(row, at) for row, at, _ in built] == expected
 
 
-def test_the_table_builds_one_loop_law_and_one_double_per_point(monkeypatch):
+def test_the_table_builds_one_loop_law_per_point_and_no_double(monkeypatch):
     calls = Counter()
     for kernel in ("loop_o1", "union"):
         real = getattr(measures, kernel)
@@ -88,20 +101,21 @@ def test_the_table_builds_one_loop_law_and_one_double_per_point(monkeypatch):
         monkeypatch.setattr(measures, kernel, counted)
     graphs = [("counter(2,2)", counter_family(2, 2)), ("theta[1,1,1]", generalized_theta([1, 1, 1]))]
     overview.build_overview(6, graphs=graphs)
-    # per graph and grid point, the three scanned rows share one loop law
-    # and its double; the loop and double-loop SING witnesses build two more
-    # loop laws each on the counter graph, and the double loop's two doubles
+    # per graph and grid point, the loop-union route reads one loop law, and
+    # the scanned rows build no double; the loop and double-loop SING
+    # witnesses build two more loop laws each on the counter graph, and
+    # the double loop's two doubles
     points = len(graphs) * len(dyadic_grid(6))
-    assert calls == {"loop_o1": points + 4, "union": points + 2}
+    assert calls == {"loop_o1": points + 4, "union": 2}
 
 
 def test_connection_masses_are_exact_connection_probabilities():
     g = counter_family(2, 2)
     grid = dyadic_grid(3)
-    laws = [build("double_current", g, x) for x in grid]
-    (counts,), totals = overview._connection_masses(laws, g, overview._singleton_pairs(g), {})
-    assert totals == [sum(d.nums.values()) for d in laws]
-    assert [Fraction(c, t) for c, t in zip(counts, totals)] == [prob(d, connect(g)) for d in laws]
+    masses = overview.scan_masses(g, ["double_current"], grid)["double_current"]
+    # the marks are the one singleton pair, the last bit of the scan masses
+    values = [Fraction(counts[-1], total) for counts, total in masses]
+    assert values == [prob(build("double_current", g, x), connect(g)) for x in grid]
 
 
 def test_connection_scan_violations_match_the_fraction_oracle():
@@ -109,7 +123,8 @@ def test_connection_scan_violations_match_the_fraction_oracle():
     # violation path of the scans, which the table's battery never reaches
     g, grid = counter_core(18, 2), dyadic_grid(6)
     laws = {x: build("loop", g, x) for x in grid}
-    found = overview.scan_connection("counter(18,2)", g, laws, grid, {})
+    masses = overview.scan_masses(g, ["loop"], grid)["loop"]
+    found = overview.scan_connection("counter(18,2)", g, masses, grid)
     watched = {"CON": overview._subset_pairs(g), "SING": overview._singleton_pairs(g)}
     assert found == connection_scan_bruteforce("counter(18,2)", g, laws, grid, watched)
     assert {prop: len(records) for prop, records in found.items()} == {"CON": 7, "SING": 7}
@@ -118,7 +133,7 @@ def test_connection_scan_violations_match_the_fraction_oracle():
 def test_a_clean_scan_builds_no_fraction_from_masses(monkeypatch):
     # a scanned row with no violation reads its verdicts off integer masses
     g, grid = generalized_theta([1, 1, 1]), dyadic_grid(6)
-    laws = {x: build("random_cluster", g, x) for x in grid}
+    masses = overview.scan_masses(g, ["random_cluster"], grid)["random_cluster"]
     built = []
 
     class CountingFraction(Fraction):
@@ -128,41 +143,53 @@ def test_a_clean_scan_builds_no_fraction_from_masses(monkeypatch):
 
     for module in (overview, checkers, measures):
         monkeypatch.setattr(module, "Fraction", CountingFraction)
-    assert overview.scan_fkg("theta[1,1,1]", g, laws, grid) == []
-    found = overview.scan_connection("theta[1,1,1]", g, laws, grid, {})
+    assert overview.scan_fkg("theta[1,1,1]", g, masses, grid) == []
+    found = overview.scan_connection("theta[1,1,1]", g, masses, grid)
     assert found == {"CON": [], "SING": []}
     assert built == []
 
 
 def test_one_labels_pass_serves_both_connection_scans(monkeypatch):
     labelled = Counter()
+    held = Counter()
+    graphs = [
+        ("counter(2,2)", counter_family(2, 2)),
+        ("theta[1,1,1]", generalized_theta([1, 1, 1])),
+    ]
+    battery = {g.edges for _, g in graphs}
 
     def counting_labels(g, mask):
         labelled[g.edges, mask] += 1
         return component_labels(g, mask)
 
+    def counting_holds(event, mask):
+        if event.graph.edges in battery and event.graph.lengths is None:
+            held[event.label, event.graph.edges, mask] += 1
+        return real_holds(event, mask)
+
+    real_holds = Event.holds
     monkeypatch.setattr(overview, "component_labels", counting_labels)
-    graphs = [
-        ("counter(2,2)", counter_family(2, 2)),
-        ("theta[1,1,1]", generalized_theta([1, 1, 1])),
-    ]
+    monkeypatch.setattr(Event, "holds", counting_holds)
     report = overview.build_overview(6, 3, graphs=graphs)
     rows = report["models"]
     scanned = [m for m in MODELS if rows[m]["CON"]["status"] != overview.CERTIFIED_FALSE]
     assert len(scanned) == 3
-    # CON and SING of the three scanned rows share one labels pass per
-    # configuration of each graph
-    support = {
-        (g.edges, m) for _, g in graphs for model in scanned for x in dyadic_grid(6)
-        for m in build(model, g, x).nums
-    }
+    # CON, SING and FKG of the three scanned rows share one stat pass per
+    # graph: one labelling, and one evaluation of each FKG event, per
+    # configuration; the scanned rows' supports are the whole lattice
+    support = {(g.edges, m) for _, g in graphs for m in range(1 << g.edge_count)}
     assert labelled == Counter(support)
+    events = {(g.edges, ev.label) for _, g in graphs for ev in overview._fkg_events(g)}
+    assert held == Counter(
+        (label, edges, m) for edges, label in events for e, m in support if e == edges
+    )
 
 
 def test_fkg_scan_returns_exactly_the_oracles_negative_gaps():
     grid = dyadic_grid(3)
     for name, g in (("counter(2,2)", counter_family(2, 2)), ("K4", complete_graph(4))):
         laws = {x: build("loop", g, x) for x in grid}
+        masses = overview.scan_masses(g, ["loop"], grid)["loop"]
         expected = []
         for x in grid:
             for a, b in combinations(overview._fkg_events(g), 2):
@@ -179,7 +206,7 @@ def test_fkg_scan_returns_exactly_the_oracles_negative_gaps():
                         }
                     )
         assert expected  # the loop model breaks FKG on both graphs
-        assert overview.scan_fkg(name, g, laws, grid) == expected
+        assert overview.scan_fkg(name, g, masses, grid) == expected
 
 
 def test_mon_scans_run_a_flow_only_where_the_local_route_declines(flow_networks):
@@ -188,7 +215,7 @@ def test_mon_scans_run_a_flow_only_where_the_local_route_declines(flow_networks)
     grid = dyadic_grid(4)
     for name, g in (("theta[1,1,1]", generalized_theta([1, 1, 1])), ("K4", complete_graph(4))):
         for model, flows in (("random_cluster", 0), ("double_cluster", 0), ("double_current", 1)):
-            laws = {x: build(model, g, x) for x in grid}
+            laws = [build(model, g, x) for x in grid]
             flow_networks.clear()
             assert overview.scan_mon(name, laws, grid) == []
             assert len(flow_networks) == flows * (len(grid) - 1)
@@ -197,7 +224,7 @@ def test_mon_scans_run_a_flow_only_where_the_local_route_declines(flow_networks)
 def test_a_double_current_mon_scan_builds_its_covering_arcs_once(flow_networks):
     g = counter_family(2, 2)
     grid = dyadic_grid(4)
-    laws = {x: build("double_current", g, x) for x in grid}
+    laws = [build("double_current", g, x) for x in grid]
     checkers._covering_arcs.cache_clear()
     assert overview.scan_mon("counter(2,2)", laws, grid) == []
     # every law has full support, so every flow runs on the 8-dimensional
@@ -205,6 +232,19 @@ def test_a_double_current_mon_scan_builds_its_covering_arcs_once(flow_networks):
     assert flow_networks == [2 + (1 << g.edge_count)] * (len(grid) - 1)
     info = checkers._covering_arcs.cache_info()
     assert (info.misses, info.hits) == (1, len(grid) - 2)
+
+
+class Unbuilt(Sequence):
+    """A law sequence whose every law is refused: a scan that reads one fails."""
+
+    def __init__(self, length):
+        self.length = length
+
+    def __len__(self):
+        return self.length
+
+    def __getitem__(self, j):
+        raise AssertionError(f"law {j} was read")
 
 
 # The rows whose MON cells are scanned, each k loop copies union Bernoulli(p).
@@ -260,9 +300,8 @@ def test_battery_mon_scans_touch_no_model_law(flow_networks, monkeypatch):
     monkeypatch.setattr(checkers, "_holley_local", counting_holley)
     for name, g, steps in battery:
         for model in UNION_ROWS:
-            laws = {x: build(model, g, x) for x in grid}
             certified = overview.loop_union_steps(model, grid, steps)
-            assert overview.scan_mon(name, laws, grid, certified) == []
+            assert overview.scan_mon(name, Unbuilt(len(grid)), grid, certified) == []
     assert flow_networks == [] and not holley
 
 
