@@ -16,6 +16,12 @@ The expected verdict per cell is fixed (KNOWN_VERDICTS); the builder
 refuses to upgrade an open cell to a claim and treats a failed scan on a
 "holds" cell as an error worth surfacing loudly.
 
+The single current's SING witness is a pinned pair near x = 1 on
+counter(2000, 300) (``SING_SINGLE_CURRENT_PAIR``), which every run
+re-certifies by disjoint enclosures and no run searches for: acceptance
+C05 re-derives it from the 256-point mesh it came from, and
+``figure --model P --window`` is the search a user runs.
+
 The scans run graph by graph.  FKG, CON and SING read one
 :func:`scan_masses` per graph: ``measures.polynomial_masses`` builds each
 scanned row once, as integer polynomials in x, and evaluates its masses at
@@ -53,13 +59,7 @@ from .events import Event, all_open, connect, edge_open
 from .graphs import Graph, component_labels, counter_family
 from .intervals import certify_decreasing_pair
 from .measures import MODELS, Dist, build, point_laws, polynomial_masses, pythagorean_x
-from .rationals import (
-    decimal_string,
-    dyadic_grid,
-    find_decreasing_pair,
-    format_rational,
-    near_one_grid,
-)
+from .rationals import decimal_string, dyadic_grid, find_decreasing_pair, format_rational
 
 REFUTED = "refuted"
 HOLDS = "holds"
@@ -91,10 +91,9 @@ FKG_DOUBLE_LOOP_PARAMS = (3, 2, Fraction(1, 10))
 SING_LOOP_PARAMS = (18, 2)
 SING_DOUBLE_LOOP_PARAMS = (38, 2)
 SING_SINGLE_CURRENT_PARAMS = (2000, 300)
-# The single current's dip sits in a narrow window near x = 1: its grid is
-# the 256 points 1 - k/2^14 below 1 (``rationals.near_one_grid``).
-SING_SINGLE_CURRENT_RESOLUTION = 14
-SING_SINGLE_CURRENT_COUNT = 256
+# The single current's dip sits in a narrow window near x = 1, between the
+# neighbouring points 1 - k/2^14 at k = 17 and 16.
+SING_SINGLE_CURRENT_PAIR = (Fraction(16367, 16384), Fraction(1023, 1024))
 
 
 # ---------------------------------------------------------------------------
@@ -151,18 +150,25 @@ def certify_sing(
 def certify_sing_single_current() -> dict:
     """Interval-certified decreasing pair for the single current at (2000, 300).
 
-    The grid is the dyadic mesh near x = 1 fixed above.  Certification means
-    the two value enclosures are disjoint.
+    Every run re-certifies the pinned pair ``SING_SINGLE_CURRENT_PAIR`` as a
+    two-point grid: the enclosures at both points are refined until they
+    are disjoint, which proves the drop, and a pair that does not certify
+    is refused.  No search runs here; acceptance C05 re-derives the pair by
+    searching the mesh near x = 1, and ``figure --model P --window`` is the
+    search a user runs.
     """
     n, m = SING_SINGLE_CURRENT_PARAMS
 
     def enclosure(x, bits):
         return theta.single_current_conn_interval(n, m, x, bits)
 
-    grid = near_one_grid(SING_SINGLE_CURRENT_RESOLUTION, SING_SINGLE_CURRENT_COUNT)
-    found = certify_decreasing_pair(enclosure, grid)
+    found = certify_decreasing_pair(enclosure, SING_SINGLE_CURRENT_PAIR)
     if found is None:
-        raise LoopCurrentsError(f"no certified pair for the single current at {(n, m)}")
+        x1, x2 = map(format_rational, SING_SINGLE_CURRENT_PAIR)
+        raise LoopCurrentsError(
+            f"the pinned pair x1={x1}, x2={x2} does not certify a drop "
+            f"of the single current at {(n, m)}"
+        )
     x1, x2, iv1, iv2 = found
     return {
         "family": f"counter({n},{m})",

@@ -85,17 +85,6 @@ def dyadic_window_grid(lo: Fraction, hi: Fraction, steps: int) -> list[Fraction]
     return [lo + k * step for k in range(1, steps + 1) if lo + k * step < 1]
 
 
-def near_one_grid(resolution: int, count: int) -> list[Fraction]:
-    """Points 1 - k/2^resolution for k = count..1, ascending toward 1; an
-    empty grid is refused."""
-    den = 1 << resolution
-    if count < 1:
-        raise ParametrizationError(f"count {count} must be at least 1")
-    if count >= den:
-        raise ParametrizationError("count must be below 2^resolution")
-    return [Fraction(den - k, den) for k in range(count, 0, -1)]
-
-
 def _validate_grid(grid: Sequence[Fraction]):
     for x in grid:
         if not 0 < x < 1:

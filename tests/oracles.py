@@ -12,19 +12,20 @@ the package reads off the even-subgraph lattice, live here as their
 references, and so does the histogram of a statistic.  The float
 goodness-of-fit statistics for the samplers, the coupled sampler's per-draw
 ``Generator.choice`` route and the chain's exact transition matrix live
-here too: no certifying route reads them.  So do the closed forms, tables
-and serializations that only tests read, the vertex-set connection event
-(the oracle of the table's connection masses), the covering-pair and
-all-pairs scans of an event's monotonicity, the all-pairs lattice condition
-(the oracle of the two-edge form the Holley route checks) with the FKG
-report around it, and a shortest-augmenting-path max-flow (Edmonds &
-Karp): the bipartite domination oracle runs it, and so do the flow tests on
-the package's own covering networks, so neither shares flow code with the
-package's Dinic.  The exact interval (``ExactInterval``, Fraction endpoints)
-is the reference the package's rounded intervals must enclose, and shares
-no code with them; the ``Dist`` helpers that only tests call (a law from
-``Fraction`` weights, its probabilities, membership in a witness's up-set)
-live here too.
+here too: no certifying route reads them.  So do the closed forms, tables,
+grids and serializations that only tests read (among them the mesh near
+x = 1 on which acceptance C05 searches the single current's dip), the
+vertex-set connection event (the oracle of the table's connection masses),
+the covering-pair and all-pairs scans of an event's monotonicity, the
+all-pairs lattice condition (the oracle of the two-edge form the Holley
+route checks) with the FKG report around it, and a shortest-augmenting-path
+max-flow (Edmonds & Karp): the bipartite domination oracle runs it, and so
+do the flow tests on the package's own covering networks, so neither
+shares flow code with the package's Dinic.  The exact interval
+(``ExactInterval``, Fraction endpoints) is the reference the package's
+rounded intervals must enclose, and shares no code with them; the ``Dist``
+helpers that only tests call (a law from ``Fraction`` weights, its
+probabilities, membership in a witness's up-set) live here too.
 """
 
 import json
@@ -39,6 +40,7 @@ from loopcurrents.errors import (
     GraphMismatchError,
     GraphStructureError,
     LoopCurrentsError,
+    ParametrizationError,
 )
 from loopcurrents.events import Event, _check_vertices
 from loopcurrents.graphs import (
@@ -760,6 +762,18 @@ def same_function(f, g) -> bool:
     cancels to zero."""
     sympy, x = _symbol_x()
     return sympy.cancel(f(x) - g(x)) == 0
+
+
+def near_one_grid(resolution: int, count: int) -> list[Fraction]:
+    """Points 1 - k/2^resolution for k = count..1, ascending toward 1; an
+    empty grid is refused.  Acceptance C05 searches the single current's
+    dip on it, and the table's pinned pair must be what that search finds."""
+    den = 1 << resolution
+    if count < 1:
+        raise ParametrizationError(f"count {count} must be at least 1")
+    if count >= den:
+        raise ParametrizationError("count must be below 2^resolution")
+    return [Fraction(den - k, den) for k in range(count, 0, -1)]
 
 
 def dist_to_json(d: Dist) -> str:

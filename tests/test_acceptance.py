@@ -13,10 +13,12 @@ from fractions import Fraction
 
 import pytest
 
+from loopcurrents import overview
 from loopcurrents.battery import verification_battery
 from loopcurrents.checkers import fkg_gaps, stochastic_domination
 from loopcurrents.events import connect
 from loopcurrents.graphs import complete_graph, counter_family, generalized_theta
+from loopcurrents.intervals import certify_decreasing_pair
 from loopcurrents.measures import (
     bernoulli,
     build,
@@ -38,15 +40,17 @@ from loopcurrents.overview import (
     OPEN_STATUS,
     REFUTED,
     SCAN_CLEAN,
+    SING_SINGLE_CURRENT_PARAMS,
     build_overview,
     certify_sing_single_current,
 )
-from loopcurrents.rationals import dyadic_grid, find_decreasing_pair
+from loopcurrents.rationals import dyadic_grid, find_decreasing_pair, format_rational
 from loopcurrents.theta import (
     counter_pair_connect_table,
     double_loop_conn,
     double_loop_fkg_gap,
     loop_conn,
+    single_current_conn_interval,
     single_current_fkg_gap,
     theta_loop_events,
     theta_pair_event_table,
@@ -70,6 +74,7 @@ from oracles import (
     double_loop_fkg_difference,
     exact_rows,
     histogram,
+    near_one_grid,
     trailing_term,
 )
 
@@ -171,16 +176,33 @@ def test_criterion_04_loop_connection_not_monotone_for_m2():
     )
 
 
-def test_criterion_05_single_current_connection_dip():
+def test_criterion_05_single_current_connection_dip(monkeypatch):
+    # the table re-certifies a pinned pair; the search over the 256 points
+    # 1 - k/2^14 below 1 re-derives it, so the constant cannot drift from it
+    certified = []
+
+    def recorded(f, grid):
+        certified.append(certify_decreasing_pair(f, grid))
+        return certified[-1]
+
+    monkeypatch.setattr(overview, "certify_decreasing_pair", recorded)
     started = time.monotonic()
     witness = certify_sing_single_current()
+    n, m = SING_SINGLE_CURRENT_PARAMS
+    searched = certify_decreasing_pair(
+        lambda x, bits: single_current_conn_interval(n, m, x, bits), near_one_grid(14, 256)
+    )
     elapsed = time.monotonic() - started
+    assert searched is not None, "no certified pair on the 256-point mesh"
+    x1, x2, iv1, _ = searched
     pair = witness["pair"]
     check(
         "C05",
-        elapsed < 300,
-        f"certified decreasing pair for the (2000,300) single current at "
-        f"x1={pair['x1']}, x2={pair['x2']} via disjoint enclosures, {elapsed:.1f}s",
+        certified == [searched]
+        and (pair["x1"], pair["x2"]) == (format_rational(x1), format_rational(x2)),
+        f"the table's pinned pair for the (2000,300) single current, x1={pair['x1']}, "
+        f"x2={pair['x2']}, is the one the 256-point search certifies via disjoint "
+        f"enclosures at {iv1.bits} bits, {elapsed:.1f}s",
     )
 
 

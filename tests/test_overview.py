@@ -6,11 +6,13 @@ from collections.abc import Sequence
 from fractions import Fraction
 from itertools import combinations
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from loopcurrents import checkers, measures, overview
+from loopcurrents import checkers, cli, measures, overview
 from loopcurrents.battery import scan_battery
+from loopcurrents.errors import LoopCurrentsError
 from loopcurrents.events import Event, connect
 from loopcurrents.graphs import (
     Graph,
@@ -256,6 +258,20 @@ UNION_ROWS = ("random_cluster", "double_current", "double_cluster")
 # step scanned on the rows' own laws.
 THETA113 = generalized_theta([1, 1, 3])
 THETA113_TABLE_DIGEST = "87f9783637c8e86262a264313414d994838b72ef8db952ddf7940b7cad7b1114"
+
+
+def test_a_pinned_pair_where_the_single_current_rises_is_refused(monkeypatch, tmp_path):
+    # the single current rises from 63/64 to 8065/8192, so no refinement
+    # certifies a drop there: the table refuses it and writes no cell
+    rising = (Fraction(63, 64), Fraction(8065, 8192))
+    monkeypatch.setattr(overview, "SING_SINGLE_CURRENT_PAIR", rising)
+    with pytest.raises(LoopCurrentsError, match="does not certify a drop"):
+        overview.certify_sing_single_current()
+    with pytest.raises(LoopCurrentsError, match="does not certify a drop"):
+        overview.build_overview(6, graphs=[("counter(2,2)", counter_family(2, 2))])
+    out = tmp_path / "table.json"
+    assert cli.main(["table", "--out", str(out)]) == 1
+    assert not out.exists()
 
 
 def loop_steps(g, grid) -> set[int]:

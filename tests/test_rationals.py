@@ -12,10 +12,9 @@ from loopcurrents.rationals import (
     dyadic_window_grid,
     find_decreasing_pair,
     format_rational,
-    near_one_grid,
     parse_rational,
 )
-from oracles import counter_partition, same_function, trailing_term
+from oracles import counter_partition, near_one_grid, same_function, trailing_term
 
 
 class TestPolynomial:
