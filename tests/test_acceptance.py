@@ -199,7 +199,8 @@ def test_criterion_05_single_current_connection_dip(monkeypatch):
     check(
         "C05",
         certified == [searched]
-        and (pair["x1"], pair["x2"]) == (format_rational(x1), format_rational(x2)),
+        and (pair["x1"], pair["x2"]) == (format_rational(x1), format_rational(x2))
+        and elapsed < 300,
         f"the table's pinned pair for the (2000,300) single current, x1={pair['x1']}, "
         f"x2={pair['x2']}, is the one the 256-point search certifies via disjoint "
         f"enclosures at {iv1.bits} bits, {elapsed:.1f}s",
