@@ -91,16 +91,6 @@ class DominationReport:
         ):
             raise LoopCurrentsError("report must carry exactly one of witness/coupling")
 
-    def to_json_dict(self) -> dict:
-        out: dict = {"verdict": "dominates" if self.dominates else "fails"}
-        if self.witness is not None:
-            out["witness"] = self.witness.to_json_dict()
-        if self.coupling is not None:
-            out["coupling"] = [
-                [hex(a), hex(b), format_rational(w)] for a, b, w in self.coupling
-            ]
-        return out
-
 
 # ---------------------------------------------------------------------------
 # FKG
@@ -438,16 +428,16 @@ def _upset_witness(generators: Sequence[int], d_lo: Dist, d_hi: Dist) -> UpSetWi
 
 
 def monotonicity_scan(
-    laws: Sequence[Dist], certified: Container[int] = ()
+    laws: Sequence[Dist | None], certified: Container[int] = ()
 ) -> list[tuple[int, UpSetWitness]]:
     """Check stochastic domination between consecutive laws of a family.
 
     Returns ``(j, witness)`` for every step where ``laws[j]`` fails to
     dominate ``laws[j - 1]``, with the min cut's up-set.  A step j in
     ``certified`` is one the caller has proved to dominate by another route
-    and is skipped before either of its laws is read, so ``laws`` may
-    build a law on first indexing and never build one that only certified
-    steps touch.  A step whose laws meet the local Holley criterion
+    and is skipped before either of its laws is read, so a law that only
+    certified steps touch need not be built: ``laws`` may hold None there.
+    A step whose laws meet the local Holley criterion
     (:func:`_holley_local`: both laws strictly positive, the higher one a
     lattice law) dominates without a flow; every other step runs the
     covering network's max-flow, and no coupling is built.  An empty list

@@ -133,10 +133,6 @@ class Interval:
         return self._hi * Fraction(2) ** self._exp
 
     @property
-    def width(self) -> Fraction:
-        return self.hi - self.lo
-
-    @property
     def midpoint(self) -> Fraction:
         return (self.lo + self.hi) / 2
 

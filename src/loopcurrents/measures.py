@@ -3,8 +3,9 @@
 A :class:`Dist` stores unnormalized weights, as integer numerators over one
 common denominator, together with the normalizer Z, so quantities like "Z
 times the probability of an event" stay representable as single exact
-rationals.  All constructors and combinators are exact; no floating point
-enters this module.
+rationals.  The numerators are kept as the kernels build them, not
+reduced, and ``==`` compares laws.  All constructors and combinators are
+exact; no floating point enters this module.
 
 The models follow the union-coupling definitions, each one row of the
 registry :data:`MODELS`: k independent loop-model copies, unioned with
@@ -41,7 +42,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from math import gcd, isqrt
+from math import isqrt
 from operator import mul
 from typing import Callable, Sequence
 
@@ -63,12 +64,13 @@ from .graphs import (
 ZERO = Fraction(0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Dist:
     """Exact distribution over edge masks: P(mask) = nums[mask] / (z * den),
-    with positive integer numerators in lowest terms, gcd(den, *nums) == 1,
-    summing to z * den.  The constructor checks this, so ``==`` can compare
-    the fields; :meth:`from_integers` brings any weights to that form."""
+    with positive integer numerators summing to z * den.  The numerators are
+    kept as built, with no common factor taken out, so one law has many
+    (nums, den) pairs: ``==`` is :meth:`same_law` with equal ``z``, and a
+    law is not hashable.  The constructor refuses fields that break this."""
 
     graph: Graph
     nums: dict[int, int]
@@ -76,11 +78,6 @@ class Dist:
     z: Fraction
 
     def __post_init__(self):
-        self._check(sum(self.nums.values()), gcd(self.den, *self.nums.values()))
-
-    def _check(self, total: int, common: int) -> None:
-        """Refuse fields that break the invariant, given the numerators' sum
-        ``total`` and ``common = gcd(den, *nums)``."""
         den, nums, z = self.den, self.nums, self.z
         if den <= 0:
             raise LoopCurrentsError(f"denominator {den} must be positive")
@@ -93,34 +90,27 @@ class Dist:
             raise LoopCurrentsError(f"non-positive weight {Fraction(w, den)} at {hex(mask)}")
         if z <= 0:
             raise LoopCurrentsError(f"normalizer Z={z} must be positive")
+        total = sum(nums.values())
         if total != z * den:
             raise LoopCurrentsError(f"weights sum to {Fraction(total, den)}, expected Z={z}")
-        if common != 1:
-            raise LoopCurrentsError(f"weights over {den} are not in lowest terms")
 
     @classmethod
     def from_integers(
         cls, graph: Graph, nums: dict[int, int], den: int, z: Fraction | None = None
     ) -> "Dist":
-        """The law with weights nums/den: drops zero weights and reduces by
-        the gcd, then checks the rest as the constructor does, on the sum
-        and gcd computed here once.  If ``z`` is given, the numerators must
-        sum to exactly z * den, which verifies identities like "these
-        weights add up to Z^2" on construction."""
+        """The law with weights nums/den, zero weights dropped.  Without
+        ``z`` the normalizer is their sum; with it, the numerators must sum
+        to exactly z * den, which verifies identities like "these weights
+        add up to Z^2" on construction."""
         clean = {mask: w for mask, w in nums.items() if w}
-        total = sum(clean.values())
         if z is None:
-            z = Fraction(total, den) if den else ZERO
-        common = gcd(den, *clean.values())
-        if common > 1:
-            clean = {m: w // common for m, w in clean.items()}
-            den //= common
-            total //= common
-        law = cls.__new__(cls)
-        for field, value in (("graph", graph), ("nums", clean), ("den", den), ("z", Fraction(z))):
-            object.__setattr__(law, field, value)
-        law._check(total, 1)
-        return law
+            z = Fraction(sum(clean.values()), den) if den else ZERO
+        return cls(graph, clean, den, Fraction(z))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Dist):
+            return NotImplemented
+        return self.z == other.z and self.same_law(other)
 
     @property
     def weights(self) -> dict[int, Fraction]:

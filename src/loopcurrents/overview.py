@@ -47,7 +47,6 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from fractions import Fraction
-from functools import cache
 from itertools import combinations
 from typing import Callable, Container
 
@@ -356,13 +355,16 @@ def loop_union_steps(model: str, grid, loop_steps: set[int]) -> set[int]:
     return {j for j in loop_steps if p(grid[j - 1]) <= p(grid[j])}
 
 
-def scan_mon(name: str, laws: Sequence[Dist], grid, certified: Container[int] = ()) -> list[dict]:
+def scan_mon(
+    name: str, laws: Sequence[Dist | None], grid, certified: Container[int] = ()
+) -> list[dict]:
     """Consecutive-pair stochastic domination scan of graph ``name`` under
     the laws ``laws[j]`` at ``grid[j]``
     (:func:`~loopcurrents.checkers.monotonicity_scan`): the steps in
-    ``certified`` hold by the ``loop-union`` route and read no law, and
-    every other step takes Holley's local criterion where it holds
-    (``holley-local``), else an exact max-flow (``flow``)."""
+    ``certified`` hold by the ``loop-union`` route and read no law (a law
+    only they touch may be None), and every other step takes Holley's
+    local criterion where it holds (``holley-local``), else an exact
+    max-flow (``flow``)."""
     return [
         {
             "graph": name,
@@ -372,21 +374,6 @@ def scan_mon(name: str, laws: Sequence[Dist], grid, certified: Container[int] = 
         }
         for j, witness in monotonicity_scan(laws, certified)
     ]
-
-
-class _LazyLaws(Sequence):
-    """``law(j)`` for j < ``length``, each built when first indexed."""
-
-    def __init__(self, law: Callable[[int], Dist], length: int):
-        self._law, self._length = cache(law), length
-
-    def __len__(self) -> int:
-        return self._length
-
-    def __getitem__(self, j: int) -> Dist:
-        if not 0 <= j < self._length:
-            raise IndexError(j)
-        return self._law(j)
 
 
 # ---------------------------------------------------------------------------
@@ -462,10 +449,16 @@ def build_overview(
         masses = scan_masses(g, list(violations), grid)
         for model, row in violations.items():
             certified = loop_union_steps(model, mon_grid, loop_steps)
-            laws = _LazyLaws(lambda j, model=model: point[j](model), len(mon_grid))
+            read = {i for j in range(1, len(mon_grid)) if j not in certified for i in (j - 1, j)}
             found = {
                 "FKG": scan_fkg(name, g, masses[model], grid),
-                "MON": scan_mon(name, laws, mon_grid, certified),
+                # built inside the call, so this row's laws die with it
+                "MON": scan_mon(
+                    name,
+                    [law(model) if j in read else None for j, law in enumerate(point)],
+                    mon_grid,
+                    certified,
+                ),
                 **scan_connection(name, g, masses[model], grid),
             }
             for prop, more in found.items():

@@ -4,8 +4,9 @@ and property of its public classes, is reached from the package.
 A function, class, method or constant that only tests read belongs in
 ``tests/`` (the oracles), and one that nothing reads is deleted.  A name
 counts as reached when some module of ``src/loopcurrents`` loads it as a
-name or an attribute outside its own definition; the re-exports of
-``__init__.py`` do not count.
+name or an attribute outside its own definition, and a method or property
+only when it is loaded as an attribute: a local variable of the same name
+does not reach it.  The re-exports of ``__init__.py`` do not count.
 """
 
 import ast
@@ -28,7 +29,7 @@ def _public_definitions(tree: ast.Module):
         if isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
             for method in node.body:
                 if isinstance(method, ast.FunctionDef) and not method.name.startswith("_"):
-                    yield f"{node.name}.{method.name}", method.name, method
+                    yield f"{node.name}.{method.name}", f".{method.name}", method
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             names = [node.name]
         elif isinstance(node, ast.Assign):
@@ -43,13 +44,16 @@ def _public_definitions(tree: ast.Module):
 
 
 def _loads(node: ast.AST) -> Counter:
-    """How often each name or attribute is loaded under ``node``."""
-    return Counter(
-        sub.id if isinstance(sub, ast.Name) else sub.attr
-        for sub in ast.walk(node)
-        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load)
-        or isinstance(sub, ast.Attribute)
-    )
+    """How often each name or attribute is loaded under ``node``: a name
+    under its own key and under ``.name`` when it is an attribute, the key
+    of a method."""
+    loads = Counter()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+            loads[sub.id] += 1
+        elif isinstance(sub, ast.Attribute):
+            loads.update([sub.attr, f".{sub.attr}"])
+    return loads
 
 
 def test_every_public_name_is_reached_from_the_package():

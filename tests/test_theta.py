@@ -166,7 +166,7 @@ class TestConnectionForms:
         iv = single_current_conn_interval(2, 2, F(4, 5), 128)
         exact = single_current_conn_exact(2, 2, F(1, 2))
         assert iv.lo <= exact <= iv.hi
-        assert iv.width < F(1, 2**90)
+        assert iv.hi - iv.lo < F(1, 2**90)
 
     def test_values_stay_in_unit_interval(self):
         lc = loop_conn(5, 2)
