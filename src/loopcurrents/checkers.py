@@ -14,11 +14,8 @@ Every maximum flow has the same value and the same minimal min cut, so
 the verdict and the up-set do not depend on the flow algorithm.
 
 Monotonicity scans need only the verdict, and :func:`monotonicity_scan`
-takes each step by the first of three routes that applies:
+takes each step by the first of two routes that applies:
 
-* ``loop-union``: the caller has proved the step dominates and names it in
-  ``certified``; the scan skips it.  The table certifies a union row's
-  step this way from the loop law's step (``overview.loop_union_steps``).
 * ``holley-local``: when both laws give every configuration positive
   weight, Holley's criterion in its local form (:func:`_holley_local`) is
   checked with exact integer products.  If mu_hi is a lattice law, its
@@ -35,7 +32,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
-from typing import Callable, Container, Sequence
+from typing import Callable, Sequence
 
 from .errors import CapExceededError, LoopCurrentsError
 from .events import Event
@@ -427,26 +424,19 @@ def _upset_witness(generators: Sequence[int], d_lo: Dist, d_hi: Dist) -> UpSetWi
 # Scans
 
 
-def monotonicity_scan(
-    laws: Sequence[Dist | None], certified: Container[int] = ()
-) -> list[tuple[int, UpSetWitness]]:
+def monotonicity_scan(laws: Sequence[Dist]) -> list[tuple[int, UpSetWitness]]:
     """Check stochastic domination between consecutive laws of a family.
 
     Returns ``(j, witness)`` for every step where ``laws[j]`` fails to
-    dominate ``laws[j - 1]``, with the min cut's up-set.  A step j in
-    ``certified`` is one the caller has proved to dominate by another route
-    and is skipped before either of its laws is read, so a law that only
-    certified steps touch need not be built: ``laws`` may hold None there.
-    A step whose laws meet the local Holley criterion
-    (:func:`_holley_local`: both laws strictly positive, the higher one a
-    lattice law) dominates without a flow; every other step runs the
-    covering network's max-flow, and no coupling is built.  An empty list
-    is scan evidence, never a monotonicity proof.
+    dominate ``laws[j - 1]``, with the min cut's up-set.  A step whose laws
+    meet the local Holley criterion (:func:`_holley_local`: both laws
+    strictly positive, the higher one a lattice law) dominates without a
+    flow; every other step runs the covering network's max-flow, and no
+    coupling is built.  An empty list is scan evidence, never a
+    monotonicity proof.
     """
     failures = []
     for j in range(1, len(laws)):
-        if j in certified:
-            continue
         lo, hi = laws[j - 1], laws[j]
         if not _holley_local(lo, hi):
             witness = _CoveringFlow(lo, hi).witness

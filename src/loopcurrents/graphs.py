@@ -97,24 +97,6 @@ class Graph:
             mask |= 1 << i
         return mask
 
-    def to_json_dict(self) -> dict:
-        if self.lengths is not None:
-            raise GraphStructureError("a core graph (with edge lengths) has no JSON form")
-        out: dict = {"vertices": self.vertex_count, "edges": [list(e) for e in self.edges]}
-        if self.marks is not None:
-            out["marks"] = {"a": self.marks.a, "b": self.marks.b}
-        return out
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "Graph":
-        if "lengths" in data:
-            raise GraphStructureError("graph JSON takes no edge lengths")
-        marks = None
-        if "marks" in data and data["marks"] is not None:
-            marks = Marks(_json_int(data["marks"]["a"], "marks"), _json_int(data["marks"]["b"], "marks"))
-        edges = tuple((_json_int(u, "edges"), _json_int(v, "edges")) for u, v in data["edges"])
-        return cls(_json_int(data["vertices"], "vertices"), edges, marks)
-
 
 def _json_int(value, field: str) -> int:
     if type(value) is not int:  # a JSON float, string or bool (an int subclass)
@@ -123,11 +105,23 @@ def _json_int(value, field: str) -> int:
 
 
 def graph_to_json(g: Graph) -> str:
-    return json.dumps(g.to_json_dict())
+    if g.lengths is not None:
+        raise GraphStructureError("a core graph (with edge lengths) has no JSON form")
+    out: dict = {"vertices": g.vertex_count, "edges": [list(e) for e in g.edges]}
+    if g.marks is not None:
+        out["marks"] = {"a": g.marks.a, "b": g.marks.b}
+    return json.dumps(out)
 
 
 def graph_from_json(text: str) -> Graph:
-    return Graph.from_json_dict(json.loads(text))
+    data = json.loads(text)
+    if "lengths" in data:
+        raise GraphStructureError("graph JSON takes no edge lengths")
+    marks = None
+    if "marks" in data and data["marks"] is not None:
+        marks = Marks(_json_int(data["marks"]["a"], "marks"), _json_int(data["marks"]["b"], "marks"))
+    edges = tuple((_json_int(u, "edges"), _json_int(v, "edges")) for u, v in data["edges"])
+    return Graph(_json_int(data["vertices"], "vertices"), edges, marks)
 
 
 def edges_of_mask(mask: int) -> Iterator[int]:

@@ -22,8 +22,8 @@ re-certifies by disjoint enclosures and no run searches for: acceptance
 C05 re-derives it from the 256-point mesh it came from, and
 ``figure --model P --window`` is the search a user runs.
 
-The scans run graph by graph.  FKG, CON and SING read one
-:func:`scan_masses` per graph: ``measures.polynomial_masses`` builds each
+The scans run graph by graph.  FKG, CON and SING come from one
+:func:`scan_graph` per graph: ``measures.polynomial_masses`` builds each
 scanned row once, as integer polynomials in x, and evaluates its masses at
 every grid point, so no law is built per point, and the FKG events and the
 component labels run once per configuration for all the rows.  The scans
@@ -31,22 +31,23 @@ compare integer masses by cross-multiplying, and build a ``Fraction`` only
 for a violation they write out.
 
 MON takes each step of a scanned row by one of three routes.  The first,
-``loop-union``, rests on the rows being couplings: k independent loop laws
-unioned with Bernoulli(p(x)).  If the loop law at x2 dominates the one at
-x1 and p(x1) <= p(x2), the row at x2 dominates the row at x1
-(:func:`loop_union_steps`), so one scan of a graph's loop laws, on supports
-of a few masks, serves all three rows.  Every other step goes to
-``holley-local`` and then ``flow`` on the row's own laws
-(``checkers.monotonicity_scan``), built only for such a step, so every
-violation and its up-set still comes from a min cut on the model's laws.
-``verify sumthm`` checks this very lemma, so it scans the union laws
-themselves and never uses the route.
+``loop-union``, is this module's alone: the rows are k independent loop
+laws unioned with Bernoulli(p(x)), so if the loop law at x2 dominates the
+one at x1 and p(x1) <= p(x2), the row at x2 dominates the row at x1
+(:func:`loop_union_steps`), and one scan of a graph's loop laws, on
+supports of a few masks, serves all three rows: :func:`scan_mon` reads no
+law of such a step.  Every other step goes to ``holley-local`` and then
+``flow`` on the row's own laws (``checkers.monotonicity_scan``), built only
+for such a step, so every violation and its up-set still comes from a min
+cut on the model's laws.  ``verify sumthm`` checks this very lemma, so it
+scans the union laws themselves and never uses the route.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
 from fractions import Fraction
+from functools import cache
 from itertools import combinations
 from typing import Callable, Container
 
@@ -251,42 +252,6 @@ def _watched(g: Graph) -> list[tuple[str, tuple[tuple, tuple], Callable]]:
     ]
 
 
-def scan_masses(g: Graph, models: Sequence[str], grid) -> dict[str, list[tuple[list[int], int]]]:
-    """The masses every grid scan of g reads, for each row of ``models``:
-    one ``(counts, total)`` per grid point, from one
-    :func:`~loopcurrents.measures.polynomial_masses` call, which builds
-    each row once as polynomials in x.  The bits are the FKG battery's
-    (``checkers.fkg_stat``), then one per watched connection pair
-    (:func:`_watched`), so the events and the component labels run once
-    per configuration of g for all the rows."""
-    fkg, fkg_width, _ = fkg_stat(_fkg_pairs(g))
-    watched = _watched(g)
-    connected = _connection_stat(g, [pair for _, pair, _ in watched])
-    return polynomial_masses(
-        g, models, lambda m: fkg(m) | connected(m) << fkg_width, fkg_width + len(watched), grid
-    )
-
-
-def scan_connection(name: str, g: Graph, masses, grid) -> dict[str, list[dict]]:
-    """Point-evaluation scans of graph ``name`` for CON and SING: is
-    P(A <-> B) non-decreasing along the grid, for each vertex-set pair
-    (A, B) that :data:`CONNECTION_SCANS` watches?  ``masses`` is a row's
-    :func:`scan_masses`, whose top bits are the watched pairs.  A step is
-    compared on the integer masses, and its exact drop is built only when
-    it falls."""
-    watched = _watched(g)
-    totals = [total for _, total in masses]
-    pair_bits = [counts[len(counts) - len(watched) :] for counts, _ in masses]
-    violations: dict[str, list[dict]] = {prop: [] for prop in CONNECTION_SCANS}
-    for (prop, (side_a, side_b), record), row in zip(watched, zip(*pair_bits)):
-        for j in range(1, len(grid)):
-            # row[j] / totals[j] < row[j-1] / totals[j-1], cross-multiplied
-            if row[j] * totals[j - 1] < row[j - 1] * totals[j]:
-                drop = Fraction(row[j - 1], totals[j - 1]) - Fraction(row[j], totals[j])
-                violations[prop].append(record(name, side_a, side_b, grid[j - 1], grid[j], drop))
-    return violations
-
-
 def _sing_record(graph, side_a, side_b, x1, x2, drop) -> dict:
     return {
         "graph": graph,
@@ -311,24 +276,47 @@ def _con_record(graph, side_a, side_b, x1, x2, drop) -> dict:
 CONNECTION_SCANS = {"CON": (_subset_pairs, _con_record), "SING": (_singleton_pairs, _sing_record)}
 
 
-def scan_fkg(name: str, g: Graph, masses, grid) -> list[dict]:
-    """Pairwise gap scan of graph ``name`` over a small increasing-event
-    battery at the grid points, read off a row's :func:`scan_masses` by
-    ``checkers.fkg_stat``: a gap's sign is read off its integer numerator,
-    and only a negative gap becomes a ``Fraction``."""
+def scan_graph(name: str, g: Graph, models: Sequence[str], grid) -> dict[str, dict[str, list]]:
+    """The FKG, CON and SING scans of graph ``name`` for each row of
+    ``models``, as ``{model: {"FKG": [...], "CON": [...], "SING": [...]}}``.
+    One ``polynomial_masses`` call reads a stat whose first ``width`` bits
+    are the FKG battery's (``checkers.fkg_stat``) and whose bit ``width +
+    i`` is watched pair i (:func:`_watched`), so the events and the
+    component labels run once per configuration for all the rows.  Signs
+    are read off the integer masses, and only a violation becomes a
+    ``Fraction``.  FKG records run by (x, pair), CON and SING by (watched
+    pair, step)."""
     pairs = _fkg_pairs(g)
-    _, _, gaps = fkg_stat(pairs)
-    return [
-        {
-            "graph": name,
-            "events": [a.label, b.label],
-            "x": format_rational(x),
-            "gap": format_rational(Fraction(gap, den)),
-        }
-        for x, (row, den) in zip(grid, gaps(masses))
-        for (a, b), gap in zip(pairs, row)
-        if gap < 0
-    ]
+    fkg, width, gaps = fkg_stat(pairs)
+    watched = _watched(g)
+    connected = _connection_stat(g, [pair for _, pair, _ in watched])
+    masses = polynomial_masses(
+        g, models, lambda m: fkg(m) | connected(m) << width, width + len(watched), grid
+    )
+    scans = {}
+    for model, rows in masses.items():
+        found = {prop: [] for prop in CONNECTION_SCANS}
+        found["FKG"] = [
+            {
+                "graph": name,
+                "events": [a.label, b.label],
+                "x": format_rational(x),
+                "gap": format_rational(Fraction(gap, den)),
+            }
+            for x, (row, den) in zip(grid, gaps(rows))
+            for (a, b), gap in zip(pairs, row)
+            if gap < 0
+        ]
+        totals = [total for _, total in rows]
+        for i, (prop, (side_a, side_b), record) in enumerate(watched):
+            hits = [counts[width + i] for counts, _ in rows]
+            for j in range(1, len(grid)):
+                # hits[j] / totals[j] < hits[j-1] / totals[j-1], cross-multiplied
+                if hits[j] * totals[j - 1] < hits[j - 1] * totals[j]:
+                    drop = Fraction(hits[j - 1], totals[j - 1]) - Fraction(hits[j], totals[j])
+                    found[prop].append(record(name, side_a, side_b, grid[j - 1], grid[j], drop))
+        scans[model] = found
+    return scans
 
 
 def loop_dominating_steps(loop_laws: Sequence[Dist]) -> set[int]:
@@ -356,15 +344,15 @@ def loop_union_steps(model: str, grid, loop_steps: set[int]) -> set[int]:
 
 
 def scan_mon(
-    name: str, laws: Sequence[Dist | None], grid, certified: Container[int] = ()
+    name: str, law: Callable[[int], Dist], grid, certified: Container[int] = ()
 ) -> list[dict]:
     """Consecutive-pair stochastic domination scan of graph ``name`` under
-    the laws ``laws[j]`` at ``grid[j]``
-    (:func:`~loopcurrents.checkers.monotonicity_scan`): the steps in
-    ``certified`` hold by the ``loop-union`` route and read no law (a law
-    only they touch may be None), and every other step takes Holley's
-    local criterion where it holds (``holley-local``), else an exact
-    max-flow (``flow``)."""
+    the laws ``law(j)`` at ``grid[j]``: a step in ``certified`` holds by the
+    ``loop-union`` route and reads no law, and every other step goes to
+    :func:`~loopcurrents.checkers.monotonicity_scan` (``holley-local``,
+    else ``flow``).  Each law is built once, only for such a step, and dies
+    with the call."""
+    law = cache(law)
     return [
         {
             "graph": name,
@@ -372,7 +360,9 @@ def scan_mon(
             "x2": format_rational(grid[j]),
             "witness": witness.to_json_dict(),
         }
-        for j, witness in monotonicity_scan(laws, certified)
+        for j in range(1, len(grid))
+        if j not in certified
+        for _, witness in monotonicity_scan([law(j - 1), law(j)])
     ]
 
 
@@ -390,8 +380,8 @@ def build_overview(
     ``grid_resolution`` controls the dyadic grid (2^r - 1 points) used both
     for counterexample localization and for scans.  Domination scans may use
     another grid via ``mon_grid_resolution``; the ``table`` command scans on
-    the one grid.  FKG, CON and SING read each graph's
-    :func:`scan_masses`.  Each graph's loop laws are scanned once on the
+    the one grid.  FKG, CON and SING come from each graph's
+    :func:`scan_graph`.  Each graph's loop laws are scanned once on the
     domination grid, and a scanned row's MON step takes the ``loop-union``
     route where the loop step dominates, else Holley's local criterion or
     an exact max flow on the row's laws, built only for such a step
@@ -446,21 +436,12 @@ def build_overview(
     for name, g in graphs:
         point = [point_laws(g, x) for x in mon_grid]
         loop_steps = loop_dominating_steps([law("loop") for law in point])
-        masses = scan_masses(g, list(violations), grid)
+        scans = scan_graph(name, g, list(violations), grid)
         for model, row in violations.items():
             certified = loop_union_steps(model, mon_grid, loop_steps)
-            read = {i for j in range(1, len(mon_grid)) if j not in certified for i in (j - 1, j)}
-            found = {
-                "FKG": scan_fkg(name, g, masses[model], grid),
-                # built inside the call, so this row's laws die with it
-                "MON": scan_mon(
-                    name,
-                    [law(model) if j in read else None for j, law in enumerate(point)],
-                    mon_grid,
-                    certified,
-                ),
-                **scan_connection(name, g, masses[model], grid),
-            }
+            # the row's laws are built inside the call, and die with it
+            mon = scan_mon(name, lambda j: point[j](model), mon_grid, certified)
+            found = dict(scans[model], MON=mon)
             for prop, more in found.items():
                 row[prop] += more
     for model, row in violations.items():

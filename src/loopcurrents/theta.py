@@ -14,13 +14,14 @@ polynomial (alias Potts model) for graphs and matroids"): each path of
 length L is one core edge of length L, so :func:`counter_core` has 6 edges
 and :func:`theta_core` 3, at any n and m.
 
-The single current's connection probability keeps its hand-derived form,
-:func:`single_current_conn_terms`, which takes any scalar: the commands
-evaluate it on rounded intervals at (2000, 300), where p is irrational and
-the integer kernels do not apply.  One evaluation computes each distinct
-power of p and x once.  :func:`closed_form_discrepancies`
-compares the core route and that form with enumeration on the subdivided
-graphs.
+The single current's connection probability is the core kernel too where
+p is rational (:func:`single_current_conn_exact`, at Pythagorean t), and
+keeps a hand-derived form, :func:`single_current_conn_terms`, for any
+scalar: the commands evaluate it on rounded intervals at (2000, 300), where
+p is irrational and the integer kernels do not apply.  One evaluation
+computes each distinct power of p and x once.
+:func:`closed_form_discrepancies` compares the core route and that form
+with enumeration on the subdivided graphs.
 """
 
 from __future__ import annotations
@@ -164,12 +165,12 @@ def single_current_conn_terms(n: int, m: int, x, p):
 
 
 def single_current_conn_exact(n: int, m: int, t: Fraction) -> Fraction:
-    """Evaluate the single-current connection probability at x = 2t/(1+t^2)."""
+    """Exact single-current probability of {a <-> b} on counter(n, m) at
+    x = 2t/(1+t^2): the kernels on :func:`counter_core`."""
     t = Fraction(t)
     if not 0 < t < 1:
         raise ParametrizationError(f"t={t} outside (0,1)")
-    x = pythagorean_x(t)
-    return single_current_conn_terms(n, m, x, single_current_p(x))
+    return _core_conn("single_current", n, m)(pythagorean_x(t))
 
 
 def single_current_conn_interval(n: int, m: int, x: Fraction, bits: int = START_BITS) -> Interval:
@@ -306,8 +307,8 @@ def closed_form_discrepancies(n: int, m: int, t: Fraction, x: Fraction) -> list[
     record("loop_conn", loop_conn(n, m)(x), prob(loop_o1(cg, x), ab))
     record("double_loop_conn", double_loop_conn(n, m)(x), prob(build("double_loop", cg, x), ab))
     single = prob(build("single_current", cg, xp), ab)
-    record("single_current_conn", _core_conn("single_current", n, m)(xp), single)
     record("single_current_conn", single_current_conn_exact(n, m, t), single)
+    record("single_current_conn", single_current_conn_terms(n, m, xp, single_current_p(xp)), single)
 
     # one n+m loop fully open, and both loops: every path
     tg, first, _ = theta_loop_events(n, m)

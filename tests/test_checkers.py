@@ -2,7 +2,6 @@ import hashlib
 import json
 import random
 import time
-from collections.abc import Sequence
 from fractions import Fraction
 from functools import partial
 from math import prod
@@ -741,21 +740,23 @@ class TestScans:
 
     def test_a_certified_step_reads_neither_law(self):
         # steps 1 and 2 are certified: laws 0 and 1 are read by no other
-        # step, so a sequence that refuses them must never be asked for them
-        laws = [build("double_current", K4, x) for x in dyadic_grid(3)[:5]]
+        # step, so a law callable that refuses them must never be asked for
+        # them, and the table's MON scan asks for every other law once
+        grid = dyadic_grid(3)[:5]
+        laws = [build("double_current", K4, x) for x in grid]
+        reads = []
 
-        class Guarded(Sequence):
-            def __len__(self):
-                return len(laws)
+        def guarded(j):
+            reads.append(j)
+            if j in (0, 1):
+                raise AssertionError(f"law {j} read for a certified step")
+            return laws[j]
 
-            def __getitem__(self, j):
-                if j in (0, 1):
-                    raise AssertionError(f"law {j} read for a certified step")
-                return laws[j]
-
-        assert monotonicity_scan(Guarded(), {1, 2}) == monotonicity_scan(laws) == []
+        certified = overview.scan_mon("K4", guarded, grid, {1, 2})
+        assert certified == overview.scan_mon("K4", laws.__getitem__, grid) == []
+        assert reads == [2, 3, 4]
         with pytest.raises(AssertionError):
-            monotonicity_scan(Guarded(), {2})
+            overview.scan_mon("K4", guarded, grid, {2})
 
     def test_union_preservation_verified_for_bernoulli(self):
         laws = [bernoulli(THETA111, x) for x in dyadic_grid(3)]

@@ -2,7 +2,6 @@ import hashlib
 import json
 import weakref
 from collections import Counter
-from collections.abc import Sequence
 from fractions import Fraction
 from itertools import combinations
 
@@ -111,11 +110,31 @@ def test_the_table_builds_one_loop_law_per_point_and_no_double(monkeypatch):
     assert calls == {"loop_o1": points + 4, "union": 2}
 
 
+def test_each_graph_builds_its_fkg_pairs_and_watched_pairs_once(monkeypatch):
+    # one scan pass per graph: the FKG event pairs and the watched
+    # connection pairs are built once and serve all three scanned rows
+    calls = Counter()
+    helpers = ("_fkg_pairs", "_watched")
+    for helper in helpers:
+
+        def counted(g, real=getattr(overview, helper), helper=helper):
+            calls[helper, g.edges] += 1
+            return real(g)
+
+        monkeypatch.setattr(overview, helper, counted)
+    graphs = [("counter(2,2)", counter_family(2, 2)), ("theta[1,1,1]", generalized_theta([1, 1, 1]))]
+    assert overview.build_overview(6, graphs=graphs)["consistent_with_expected"]
+    assert calls == Counter((helper, g.edges) for helper in helpers for _, g in graphs)
+
+
 def test_connection_masses_are_exact_connection_probabilities():
     g = counter_family(2, 2)
     grid = dyadic_grid(3)
-    masses = overview.scan_masses(g, ["double_current"], grid)["double_current"]
-    # the marks are the one singleton pair, the last bit of the scan masses
+    watched = overview._watched(g)
+    stat = overview._connection_stat(g, [pair for _, pair, _ in watched])
+    masses = measures.polynomial_masses(g, ["double_current"], stat, len(watched), grid)
+    masses = masses["double_current"]
+    # the marks are the one singleton pair, the last watched pair
     values = [Fraction(counts[-1], total) for counts, total in masses]
     assert values == [prob(build("double_current", g, x), connect(g)) for x in grid]
 
@@ -125,8 +144,8 @@ def test_connection_scan_violations_match_the_fraction_oracle():
     # violation path of the scans, which the table's battery never reaches
     g, grid = counter_core(18, 2), dyadic_grid(6)
     laws = {x: build("loop", g, x) for x in grid}
-    masses = overview.scan_masses(g, ["loop"], grid)["loop"]
-    found = overview.scan_connection("counter(18,2)", g, masses, grid)
+    found = overview.scan_graph("counter(18,2)", g, ["loop"], grid)["loop"]
+    found = {prop: found[prop] for prop in ("CON", "SING")}
     watched = {"CON": overview._subset_pairs(g), "SING": overview._singleton_pairs(g)}
     assert found == connection_scan_bruteforce("counter(18,2)", g, laws, grid, watched)
     assert {prop: len(records) for prop, records in found.items()} == {"CON": 7, "SING": 7}
@@ -135,7 +154,6 @@ def test_connection_scan_violations_match_the_fraction_oracle():
 def test_a_clean_scan_builds_no_fraction_from_masses(monkeypatch):
     # a scanned row with no violation reads its verdicts off integer masses
     g, grid = generalized_theta([1, 1, 1]), dyadic_grid(6)
-    masses = overview.scan_masses(g, ["random_cluster"], grid)["random_cluster"]
     built = []
 
     class CountingFraction(Fraction):
@@ -143,11 +161,17 @@ def test_a_clean_scan_builds_no_fraction_from_masses(monkeypatch):
             built.append(args)
             return super().__new__(cls, *args, **kwargs)
 
-    for module in (overview, checkers, measures):
-        monkeypatch.setattr(module, "Fraction", CountingFraction)
-    assert overview.scan_fkg("theta[1,1,1]", g, masses, grid) == []
-    found = overview.scan_connection("theta[1,1,1]", g, masses, grid)
-    assert found == {"CON": [], "SING": []}
+    def masses_then_count(*args):
+        # count every Fraction built once the masses are in hand
+        masses = real_masses(*args)
+        for module in (overview, checkers, measures):
+            monkeypatch.setattr(module, "Fraction", CountingFraction)
+        return masses
+
+    real_masses = overview.polynomial_masses
+    monkeypatch.setattr(overview, "polynomial_masses", masses_then_count)
+    found = overview.scan_graph("theta[1,1,1]", g, ["random_cluster"], grid)
+    assert found == {"random_cluster": {"FKG": [], "CON": [], "SING": []}}
     assert built == []
 
 
@@ -191,7 +215,6 @@ def test_fkg_scan_returns_exactly_the_oracles_negative_gaps():
     grid = dyadic_grid(3)
     for name, g in (("counter(2,2)", counter_family(2, 2)), ("K4", complete_graph(4))):
         laws = {x: build("loop", g, x) for x in grid}
-        masses = overview.scan_masses(g, ["loop"], grid)["loop"]
         expected = []
         for x in grid:
             for a, b in combinations(overview._fkg_events(g), 2):
@@ -208,7 +231,7 @@ def test_fkg_scan_returns_exactly_the_oracles_negative_gaps():
                         }
                     )
         assert expected  # the loop model breaks FKG on both graphs
-        assert overview.scan_fkg(name, g, masses, grid) == expected
+        assert overview.scan_graph(name, g, ["loop"], grid)["loop"]["FKG"] == expected
 
 
 def test_mon_scans_run_a_flow_only_where_the_local_route_declines(flow_networks):
@@ -219,7 +242,7 @@ def test_mon_scans_run_a_flow_only_where_the_local_route_declines(flow_networks)
         for model, flows in (("random_cluster", 0), ("double_cluster", 0), ("double_current", 1)):
             laws = [build(model, g, x) for x in grid]
             flow_networks.clear()
-            assert overview.scan_mon(name, laws, grid) == []
+            assert overview.scan_mon(name, laws.__getitem__, grid) == []
             assert len(flow_networks) == flows * (len(grid) - 1)
 
 
@@ -228,7 +251,7 @@ def test_a_double_current_mon_scan_builds_its_covering_arcs_once(flow_networks):
     grid = dyadic_grid(4)
     laws = [build("double_current", g, x) for x in grid]
     checkers._covering_arcs.cache_clear()
-    assert overview.scan_mon("counter(2,2)", laws, grid) == []
+    assert overview.scan_mon("counter(2,2)", laws.__getitem__, grid) == []
     # every law has full support, so every flow runs on the 8-dimensional
     # lattice: one network per flow, one set of arc lists for the scan
     assert flow_networks == [2 + (1 << g.edge_count)] * (len(grid) - 1)
@@ -236,17 +259,9 @@ def test_a_double_current_mon_scan_builds_its_covering_arcs_once(flow_networks):
     assert (info.misses, info.hits) == (1, len(grid) - 2)
 
 
-class Unbuilt(Sequence):
-    """A law sequence whose every law is refused: a scan that reads one fails."""
-
-    def __init__(self, length):
-        self.length = length
-
-    def __len__(self):
-        return self.length
-
-    def __getitem__(self, j):
-        raise AssertionError(f"law {j} was read")
+def unbuilt(j):
+    """A law callable that refuses every law: a scan that reads one fails."""
+    raise AssertionError(f"law {j} was read")
 
 
 # The rows whose MON cells are scanned, each k loop copies union Bernoulli(p).
@@ -295,7 +310,8 @@ def test_the_loop_union_route_changes_no_mon_scan():
             laws = [build(model, g, x) for x in grid]
             certified = overview.loop_union_steps(model, grid, steps)
             assert certified == steps
-            assert checkers.monotonicity_scan(laws, certified) == checkers.monotonicity_scan(laws)
+            scan = overview.scan_mon(name, laws.__getitem__, grid, certified)
+            assert scan == overview.scan_mon(name, laws.__getitem__, grid)
 
 
 def test_battery_mon_scans_touch_no_model_law(flow_networks, monkeypatch):
@@ -317,7 +333,7 @@ def test_battery_mon_scans_touch_no_model_law(flow_networks, monkeypatch):
     for name, g, steps in battery:
         for model in UNION_ROWS:
             certified = overview.loop_union_steps(model, grid, steps)
-            assert overview.scan_mon(name, Unbuilt(len(grid)), grid, certified) == []
+            assert overview.scan_mon(name, unbuilt, grid, certified) == []
     assert flow_networks == [] and not holley
 
 

