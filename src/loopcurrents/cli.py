@@ -205,13 +205,7 @@ def cmd_figure(args) -> int:
     else:  # "P"
         # the decimal refinement and the pair search start on the same rung
         # and ask for the same enclosures; compute each (x, bits) once
-        enclosures = {}
-
-        def enclosure(x, bits):
-            if (x, bits) not in enclosures:
-                enclosures[x, bits] = theta.single_current_conn_interval(n, m, x, bits)
-            return enclosures[x, bits]
-
+        enclosure = functools.cache(functools.partial(theta.single_current_conn_interval, n, m))
         for x in grid:
             v_str, _ = _interval_decimal(enclosure, x, digits)
             rows.append((x.numerator, x.denominator, decimal_string(x, digits), v_str, ""))

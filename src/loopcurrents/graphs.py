@@ -146,17 +146,13 @@ def segment_edge_ranges(lengths: Iterable[int]) -> list[range]:
     return ranges
 
 
-def generalized_theta(
-    segment_lengths: Iterable[int], marked_segments: tuple[int, int] | None = None
-) -> Graph:
+def generalized_theta(segment_lengths: Iterable[int]) -> Graph:
     """Two hub vertices joined by internally disjoint paths of the given lengths.
 
     Hubs are vertices 0 and 1.  Edges are laid out segment by segment, each
     segment running hub 0 -> internal vertices -> hub 1, so
-    :func:`segment_edge_ranges` recovers the edge indices of every path.
-
-    If ``marked_segments=(i, j)`` is given, those two segments must have even
-    length and the marks a, b are placed at their midpoints.
+    :func:`segment_edge_ranges` recovers the edge indices of every path and
+    the internal vertices are numbered from 2 in the same order.
     """
     lengths = list(segment_lengths)
     if len(lengths) < 2:
@@ -166,38 +162,35 @@ def generalized_theta(
 
     edges: list[tuple[int, int]] = []
     next_vertex = 2
-    midpoints: dict[int, int] = {}
-    for seg, length in enumerate(lengths):
+    for length in lengths:
         prev = 0
-        for step in range(length - 1):
+        for _ in range(length - 1):
             edges.append((prev, next_vertex))
-            if step + 1 == length // 2 and length % 2 == 0:
-                midpoints[seg] = next_vertex
             prev = next_vertex
             next_vertex += 1
         edges.append((prev, 1))
+    return Graph(next_vertex, tuple(edges))
 
-    marks = None
-    if marked_segments is not None:
-        i, j = marked_segments
-        for seg in (i, j):
-            if not 0 <= seg < len(lengths):
-                raise GraphStructureError(f"marked segment {seg} does not exist")
-            if lengths[seg] % 2 != 0:
-                raise GraphStructureError(
-                    f"marked segment {seg} has odd length {lengths[seg]}; midpoint marks need even length"
-                )
-        marks = Marks(midpoints[i], midpoints[j])
-    return Graph(next_vertex, tuple(edges), marks)
+
+def check_counter(n: int, m: int) -> None:
+    """Parameters (n, m) of the four-path family; m even so midpoints exist."""
+    if n < 1 or m < 1:
+        raise GraphStructureError("segment lengths must be positive")
+    if m % 2:
+        raise GraphStructureError(f"m={m} must be even to place midpoint marks")
 
 
 def counter_family(n: int, m: int) -> Graph:
     """The four-path family used for monotonicity counterexamples.
 
-    Paths of lengths (n, n, m, m); m must be even.  Marks a, b sit at the
-    midpoints of the two m-paths.  Segment order: n-up, n-down, m-up, m-down.
+    Paths of lengths (n, n, m, m); m must be even.  Segment order: n-up,
+    n-down, m-up, m-down.  The m-paths' inner vertices start at 2n and at
+    2n + m - 1, and the marks a, b sit at their midpoints.
     """
-    return generalized_theta([n, n, m, m], marked_segments=(2, 3))
+    check_counter(n, m)
+    g = generalized_theta([n, n, m, m])
+    h = m // 2
+    return Graph(g.vertex_count, g.edges, Marks(2 * n + h - 1, 2 * n + m + h - 2))
 
 
 def complete_graph(n: int) -> Graph:

@@ -366,7 +366,7 @@ def double_current_lis(graph: Graph, x: Fraction) -> Dist:
     """
     x = Fraction(x)
     if not 0 <= x < 1:
-        raise LoopCurrentsError(f"x={x} outside [0,1)")
+        raise ParametrizationError(f"x={x} outside [0,1)")
     size = lattice_size(graph, "double-current lattice")
     if x == 0:
         return point_mass(graph, 0)

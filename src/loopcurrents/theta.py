@@ -5,8 +5,10 @@ Two graph families drive every counterexample in this package:
 * the three-path theta graph with segment lengths (n, m, l), used for the
   FKG counterexamples through the events "all edges of one n+m loop open";
 * the four-path "counter" family with segment lengths (n, n, m, m), marks
-  a and b at the midpoints of the two m-paths, used for the monotonicity
-  counterexamples through the connection event {a <-> b}.
+  a and b at the midpoints of the two m-paths
+  (:func:`loopcurrents.graphs.counter_family`, which also holds the rule
+  on (n, m)), used for the monotonicity counterexamples through the
+  connection event {a <-> b}.
 
 Their values are kernel computations (:mod:`loopcurrents.measures`) on
 *core* graphs, by series reduction (Sokal 2005, "The multivariate Tutte
@@ -18,25 +20,25 @@ The single current's connection probability is the core kernel too where
 p is rational (:func:`single_current_conn_exact`, at Pythagorean t), and
 keeps a hand-derived form, :func:`single_current_conn_terms`, for any
 scalar: the commands evaluate it on rounded intervals at (2000, 300), where
-p is irrational and the integer kernels do not apply.  One evaluation
-computes each distinct power of p and x once.
+p is irrational and the integer kernels do not apply.  Its numerator and
+its five-term normalizer share the powers of x: one evaluation computes
+each distinct power of p and x once.
 :func:`closed_form_discrepancies` compares the core route and that form
 with enumeration on the subdivided graphs.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from fractions import Fraction
 from functools import cache
-from itertools import combinations
 
 from .checkers import fkg_gaps
-from .errors import GraphStructureError, ParametrizationError
+from .errors import ParametrizationError
 from .events import Event, all_open, connect
 from .graphs import (
     Graph,
     Marks,
+    check_counter,
     counter_family,
     even_lattice,
     generalized_theta,
@@ -45,49 +47,6 @@ from .graphs import (
 )
 from .intervals import START_BITS, Interval, sqrt_interval
 from .measures import build, loop_o1, prob, pythagorean_x, single_current_p
-
-
-def check_counter(n: int, m: int) -> None:
-    """Parameters (n, m) of the four-path family; m even so midpoints exist."""
-    if n < 1 or m < 1:
-        raise GraphStructureError("segment lengths must be positive")
-    if m % 2:
-        raise GraphStructureError(f"m={m} must be even to place midpoint marks")
-
-
-# ---------------------------------------------------------------------------
-# Partition functions
-
-
-def _power_sum(terms, power):
-    """Sum of c * x^e over (exponent, coefficient) ``terms``, exponents
-    distinct and ascending, with x^e read as ``power(e)``.  Each power is
-    the previous one times x^gap, so a sparse high degree costs one fast
-    power per gap; on rounded intervals every step rounds, so this order
-    fixes the enclosure endpoints."""
-    result = Fraction(0)
-    last = None
-    prev_exp = 0
-    for e, c in terms:
-        if e == 0:
-            result = result + c
-            continue
-        last = power(e) if last is None else last * power(e - prev_exp)
-        prev_exp = e
-        result = result + c * last
-    return result
-
-
-def _partition_terms(lengths) -> list[tuple[int, Fraction]]:
-    """The (exponent, coefficient) terms of the loop-model normalizer of a
-    generalized theta graph.  Even subgraphs are exactly the unions of an
-    even number of full paths, so Z = sum over even-size path subsets S of
-    x^(total length of S)."""
-    lengths = list(lengths)
-    counts = Counter()
-    for k in range(0, len(lengths) + 1, 2):
-        counts.update(map(sum, combinations(lengths, k)))
-    return [(e, Fraction(c)) for e, c in sorted(counts.items())]
 
 
 # ---------------------------------------------------------------------------
@@ -141,10 +100,14 @@ def single_current_conn_terms(n: int, m: int, x, p):
     * one n-path and one m-path open (4 ways): the marked midpoint of the
       closed m-path needs one of its half-segments;
     * both m-paths open, or everything open: connected outright.
+
+    The eight even subgraphs fall into those five cases, so the normalizer
+    sums their x-weights: Z = 1 + x^2n + x^2m + 4x^(n+m) + x^(2n+2m).
     """
     check_counter(n, m)
     h = m // 2
-    # each distinct power once: the terms share p^h, p^2h, x^2m, ...
+    # each distinct power once: the terms share p^h, p^2h, and the
+    # numerator and Z share x^2n, x^2m, x^(n+m) and x^(2n+2m)
     pw, xw = cache(p.__pow__), cache(x.__pow__)
     reach = 2 * pw(h) - pw(2 * h)  # one midpoint reaches a hub
     outer = 2 * pw(n) - pw(2 * n)  # hubs joined by some outer path
@@ -160,7 +123,7 @@ def single_current_conn_terms(n: int, m: int, x, p):
         + 4 * xw(n + m) * reach
         + xw(2 * n + 2 * m)
     )
-    z = _power_sum(_partition_terms([n, n, m, m]), xw)
+    z = 1 + xw(2 * n) + xw(2 * m) + 4 * xw(n + m) + xw(2 * n + 2 * m)
     return numerator / z
 
 

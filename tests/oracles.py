@@ -19,9 +19,12 @@ vertex-set connection event (the oracle of the table's connection masses),
 the covering-pair and all-pairs scans of an event's monotonicity, the
 all-pairs lattice condition (the oracle of the two-edge form the Holley
 route checks) with the FKG report around it, and a shortest-augmenting-path
-max-flow (Edmonds & Karp): the bipartite domination oracle runs it, and so
-do the flow tests on the package's own covering networks, so neither
-shares flow code with the package's Dinic.  The exact interval
+max-flow (Edmonds & Karp): the bipartite domination oracle runs it (and
+builds its up-set witness from the min cut itself), and so do the flow
+tests on the package's own covering networks, so neither shares flow code
+with the package's Dinic.  The oracles import no private name of the
+package but the vertex-set validation of ``events`` (``test_surface``
+checks this).  The exact interval
 (``ExactInterval``, Fraction endpoints) is the reference the package's
 rounded intervals must enclose, and shares no code with them; the ``Dist``
 helpers that only tests call (a law from ``Fraction`` weights, its
@@ -31,10 +34,11 @@ probabilities, membership in a witness's up-set) live here too.
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from math import lcm
 from typing import Iterable, Sequence
 
-from loopcurrents.checkers import DominationReport, UpSetWitness, _upset_witness, fkg_gaps
+from loopcurrents.checkers import DominationReport, UpSetWitness, fkg_gaps
 from loopcurrents.errors import (
     CapExceededError,
     GraphMismatchError,
@@ -45,6 +49,7 @@ from loopcurrents.errors import (
 from loopcurrents.events import Event, _check_vertices
 from loopcurrents.graphs import (
     Graph,
+    check_counter,
     component_labels,
     counter_family,
     cycle_space_basis,
@@ -57,7 +62,7 @@ from loopcurrents.graphs import (
 from loopcurrents.measures import MODELS, Dist, loop_o1, point_mass, pythagorean_x, single_current_p
 from loopcurrents.rationals import format_rational, parse_rational
 from loopcurrents.sampler import PUSHFORWARD, PUSHFORWARD_BASE, make_rng
-from loopcurrents.theta import _partition_terms, _power_sum, check_counter, counter_even_masks
+from loopcurrents.theta import counter_even_masks
 
 
 def dist_from_weights(graph: Graph, weights: dict[int, Fraction], z: Fraction | None = None) -> Dist:
@@ -350,7 +355,15 @@ def domination_bipartite(d_lo: Dist, d_hi: Dist) -> DominationReport:
         return DominationReport(True, coupling=coupling)
     source_side = net.min_cut_side(0)
     cut_lo = [m for m in lo_masks if a_index[m] in source_side]
-    return DominationReport(False, witness=_upset_witness(cut_lo, d_lo, d_hi))
+    # the up-set generated by the cut's low masks: its minimal elements are
+    # the cut masks that contain no other cut mask
+    minimal = tuple(a for a in cut_lo if not any(b != a and b & ~a == 0 for b in cut_lo))
+
+    def mass(d: Dist) -> Fraction:
+        inside = sum(w for mask, w in d.nums.items() if any(mask & g == g for g in minimal))
+        return Fraction(inside, sum(d.nums.values()))
+
+    return DominationReport(False, witness=UpSetWitness(minimal, mass(d_lo), mass(d_hi)))
 
 
 # ---------------------------------------------------------------------------
@@ -794,9 +807,11 @@ def dist_from_json(graph: Graph, text: str) -> Dist:
 
 def partition_function(lengths):
     """Loop-model normalizer of a generalized theta graph, as a function of
-    x: the terms the single current's enclosure sums, by its power sum."""
-    terms = _partition_terms(lengths)
-    return lambda x: _power_sum(terms, x.__pow__)
+    x.  The even subgraphs are the unions of an even number of full paths,
+    so Z sums x^(total length of S) over the even-size path subsets S."""
+    lengths = list(lengths)
+    exponents = [sum(s) for k in range(0, len(lengths) + 1, 2) for s in combinations(lengths, k)]
+    return lambda x: sum(x**e for e in exponents)
 
 
 def counter_partition(n: int, m: int):

@@ -44,7 +44,9 @@ README_FIGURE_DIGESTS = {
         "76f4abb2fdde557e2fde9b8f92f37ed0ad6809b04bdec59db3d562b2fd146754",
     ),
 }
-README_P_PAIR_DIGEST = "e2ceaa4c4aa6e9c9a854a93364eba6f9ec3cc4c8a06f935599a22fb31d16d558"
+# The single-current sidecar holds rounded enclosures: its digest also pins
+# the order in which the hand form rounds its sums.
+README_P_PAIR_DIGEST = "33613ea920db603088323a00befdf6c410e426867813ffd81a3b01fef257df7c"
 # sha256 of the `verify --out` JSON with the default battery, suites and x values.
 VERIFY_DIGEST = "aa62c0a80682c698d690a2e967fb10d7503a2b8db2ce0c218adc749042da3d78"
 # sha256 of `sample --family theta --segments 2,3,2 --samples 1000 --seed 7`
@@ -307,6 +309,18 @@ def test_malformed_numbers_are_typed_errors(argv, tmp_path, capsys, monkeypatch)
     assert run(*argv, "--out", str(tmp_path / "out")) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("sample", "--family", "counter", "--n", "2", "--m", "3", "--model", "loop", "--x", "1/2"),
+        ("figure", "--model", "l", "--n", "2", "--m", "3"),
+    ],
+)
+def test_every_command_gives_the_counter_rule(argv, tmp_path, capsys):
+    assert run(*argv, "--out", str(tmp_path / "out")) == 1
+    assert capsys.readouterr().err == "error: m=3 must be even to place midpoint marks\n"
 
 
 @pytest.mark.parametrize(

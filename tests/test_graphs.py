@@ -67,18 +67,19 @@ class TestConstruction:
         assert (g.vertex_count, g.edge_count) == (6, 7)
 
     def test_counter_marks_sit_on_inner_midpoints(self):
-        g = counter_family(2, 2)
-        assert (g.vertex_count, g.edge_count) == (6, 8)
-        assert g.marks is not None
-        ranges = segment_edge_ranges([2, 2, 2, 2])
-        # the mark is the shared endpoint of the two edges of its m-path
-        for mark, seg in ((g.marks.a, 2), (g.marks.b, 3)):
-            touching = [i for i in ranges[seg] if mark in g.edges[i]]
-            assert len(touching) == 2
+        for n, m in ((1, 2), (2, 2), (3, 4), (2, 6), (5, 8), (18, 2)):
+            g = counter_family(n, m)
+            assert (g.vertex_count, g.edge_count) == (2 * n + 2 * m - 2, 2 * n + 2 * m)
+            assert g.marks is not None
+            ranges = segment_edge_ranges([n, n, m, m])
+            # the mark is the vertex shared by the middle two edges of its m-path
+            for mark, seg in ((g.marks.a, 2), (g.marks.b, 3)):
+                before, after = (g.edges[ranges[seg][i]] for i in (m // 2 - 1, m // 2))
+                assert set(before) & set(after) == {mark}
 
     def test_marks_require_even_segment(self):
-        with pytest.raises(GraphStructureError):
-            generalized_theta([3, 2], marked_segments=(0, 1))
+        with pytest.raises(GraphStructureError, match="must be even"):
+            counter_family(3, 3)
 
     def test_needs_two_segments(self):
         with pytest.raises(GraphStructureError):

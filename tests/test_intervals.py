@@ -232,9 +232,9 @@ class TestRoundedOracle:
                 lo, hi, exp = lo >> shift, hi >> shift, exp + shift
             return lo, hi, exp
 
-        assert self._oracle_holds(6, 6, Fraction(4, 11), 128)
+        assert self._oracle_holds(6, 6, Fraction(1, 7), 128)
         monkeypatch.setattr(intervals, "_rounded", floored)
-        assert not self._oracle_holds(6, 6, Fraction(4, 11), 128)
+        assert not self._oracle_holds(6, 6, Fraction(1, 7), 128)
 
     @settings(max_examples=100, deadline=None)
     @given(

@@ -37,6 +37,7 @@ from loopcurrents.measures import (
     loop_o1,
     point_laws,
     point_mass,
+    polynomial_masses,
     prob,
     push_uniform_even,
     pythagorean_x,
@@ -46,6 +47,7 @@ from loopcurrents.measures import (
 )
 from loopcurrents.overview import KNOWN_VERDICTS
 from loopcurrents.rationals import dyadic_grid
+from loopcurrents.sampler import loop_chain
 from loopcurrents.theta import counter_core, theta_core
 
 from oracles import (
@@ -327,6 +329,24 @@ class TestCurrentParams:
         for x in (F(-3, 5), F(1)):
             with pytest.raises(ParametrizationError):
                 single_current_p(x)
+
+    @pytest.mark.parametrize("x", [F(1), F(-1, 2)])
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda g, x: loop_o1(g, x),
+            lambda g, x: build("loop", g, x),
+            lambda g, x: single_current_p(x),
+            lambda g, x: polynomial_masses(g, ["loop"], lambda mask: 0, 1, [x]),
+            lambda g, x: double_current_lis(g, x),
+            lambda g, x: next(loop_chain(g, x, seed=0, samples=1)),
+        ],
+        ids=["loop_o1", "build", "single_current_p", "polynomial_masses",
+             "double_current_lis", "loop_chain"],
+    )
+    def test_one_error_type_for_x_outside_the_unit_interval(self, call, x):
+        with pytest.raises(ParametrizationError, match="outside \\[0,1\\)"):
+            call(THETA232, x)
 
 
 class TestNamedConstructors:

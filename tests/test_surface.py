@@ -13,6 +13,10 @@ A parameter with a default that no call passes is an option no command
 sets.  A call counts when it names the function, as a name or as an
 attribute, and passes the parameter by keyword or by position (a ``*``
 or ``**`` argument passes every parameter it could reach).
+
+The oracles (``tests/oracles.py``) check the package by other routes, so
+they import none of its private names: a private helper they shared would
+be checked against itself.
 """
 
 import ast
@@ -39,6 +43,11 @@ UNSET_DEFAULTS = {
     "overview.build_overview(graphs)",
     "overview.build_overview(mon_grid_resolution)",
 }
+
+# Private names the oracles may import:
+# - events._check_vertices only validates the vertex sets an event is
+#   built on, and computes nothing the oracles check.
+ORACLE_PRIVATE_IMPORTS = {"loopcurrents.events._check_vertices"}
 
 
 def _public_definitions(tree: ast.Module):
@@ -128,3 +137,15 @@ def test_every_defaulted_parameter_is_set_by_some_call():
                 if not any(_passes(c, position, name, method) for c in calls.get(fn.name, [])):
                     unset.add(f"{module}.{fn.name}({name})")
     assert unset == UNSET_DEFAULTS
+
+
+def test_oracles_import_no_private_name_of_the_package():
+    tree = ast.parse((Path(__file__).parent / "oracles.py").read_text(encoding="utf-8"))
+    private = {
+        f"{node.module}.{alias.name}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("loopcurrents")
+        for alias in node.names
+        if alias.name.startswith("_")
+    }
+    assert private <= ORACLE_PRIVATE_IMPORTS
