@@ -41,7 +41,6 @@ from .measures import (
     bernoulli,
     build,
     double_current,
-    double_current_lis,
     double_loop,
     loop_o1,
     point_laws,

@@ -1,6 +1,13 @@
 """Command-line interface: figure data, the overview table, verification
 suites and sample dumps.
 
+``verify`` runs its four battery suites (``newcoupling``, ``cor1``,
+``edge-identities``, ``lis-equivalence``) once per graph, on the model rows
+as integer lattice tables at one evaluation point (a, b): with ``--x a/b``
+a check at that x, and by default (2^S, 1), where every comparison is one
+of integer polynomials packed by x -> 2^S, so each identity is proved for
+every x by the same code.
+
 Exit codes: 0 all checks pass (or nothing was found where nothing was
 expected), 2 a certified counterexample was found where one was requested
 (success for counterexample commands), 1 internal error, rejected
@@ -20,20 +27,31 @@ import sys
 import time
 from datetime import datetime, timezone
 from fractions import Fraction
+from math import gcd
 from pathlib import Path
 
 from . import __version__, theta
 from .battery import scan_battery, verification_battery
 from .checkers import monotonicity_scan
 from .errors import CapExceededError, GraphStructureError, LoopCurrentsError, ParametrizationError
-from .graphs import Graph, counter_family, even_lattice, generalized_theta, graph_from_json, lattice_size
+from .graphs import (
+    Graph,
+    counter_family,
+    cycle_space_basis,
+    even_lattice,
+    generalized_theta,
+    graph_from_json,
+    lattice_size,
+)
 from .intervals import MAX_BITS, START_BITS, certify_decreasing_pair
 from .measures import (
+    _open_edges,
     bernoulli,
-    bit_masses,
-    double_current_lis,
+    counting_weights,
+    edge_masses,
     point_laws,
-    push_uniform_even,
+    polynomial_laws,
+    push_even,
     pythagorean_x,
     union_bernoulli,
 )
@@ -263,68 +281,137 @@ def cmd_table(args) -> int:
 # verify
 
 
-# The x values every suite checks unless --x names one.
-DEFAULT_VERIFY_XS = (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4))
+# The model rows the battery suites read, as lattice tables of
+# measures.polynomial_laws at one evaluation point per graph.
+BATTERY_ROWS = ("loop", "double_loop", "random_cluster", "double_current")
+
+# Most bits of a graph's packed lattice in the default run, 2^|E| * S *
+# (D + 1) with D = 4|E|, the double current's degree.  With all four
+# suites the cap admits every graph of at most 12 edges and 13-edge graphs
+# of cycle dimension at most 8; the battery's largest takes 2^21.1.  Past
+# it the proof costs more than --x at three points (CPython 3.11, 2-vCPU
+# Xeon): 0.34 s against 0.29 s on 13 edges of dimension 9 (2^25.03), and
+# 1.1 s against 0.88 s on 14 edges of dimension 10 (2^26.3).  At 12 edges
+# of dimension 10 (2^23.8) the 4^dim support pairs of the double loop's
+# union lead both, 0.88 s against 0.61 s.
+PACKED_PROOF_BITS_CAP = 1 << 25
 
 
-def verify_newcoupling(name, g, x, law) -> list[str]:
-    if push_uniform_even(law("double_current")).same_law(law("loop")):
+def verify_newcoupling(where, g, x, point, rows) -> list[str]:
+    current = rows("double_current")
+    pushed, _ = push_even(g, {w: v for w, v in enumerate(current) if v})
+    loop = rows("loop")
+    if _same_law(list(pushed.values()), [loop[h] for h in pushed]):
         return []
-    return [f"newcoupling: {name} x={x}"]
+    return [f"newcoupling: {where}"]
 
 
-def verify_lis_equivalence(name, g, x, law) -> list[str]:
-    if double_current_lis(g, x).same_law(law("double_current")):
+def verify_lis_equivalence(where, g, x, point, rows) -> list[str]:
+    if _same_law(counting_weights(g, *point), rows("double_current")):
         return []
-    return [f"lis-equivalence: {name} x={x}"]
+    return [f"lis-equivalence: {where}"]
 
 
-def verify_cor1(name, g, x, law) -> list[str]:
+def verify_cor1(where, g, x, point, rows) -> list[str]:
     # the open cyclic edges of every configuration, from the graph's one lattice
     _, cyclic = even_lattice(g)
-    (left, lt), (right, rt) = bit_masses(
-        [law("double_current"), law("random_cluster")], cyclic.__getitem__, g.edge_count
-    )
-    ((mid, mt),) = bit_masses([law("loop")], lambda m: m, g.edge_count)
+
+    def cyclic_masses(row):
+        law = [0] * len(cyclic)  # the law of the set of open cyclic edges
+        for w, edges in zip(rows(row), cyclic):
+            law[edges] += w
+        return edge_masses(law)
+
+    (left, lt), (right, rt) = map(cyclic_masses, ("double_current", "random_cluster"))
+    mid, mt = edge_masses(rows("loop"))
     # left/lt / 2 == mid/mt == right/rt / 2, cross-multiplied
     return [
-        f"cor1: {name} x={x} edge={e}"
+        f"cor1: {where} edge={e}"
         for e in range(g.edge_count)
         if not (left[e] * mt == 2 * mid[e] * lt and right[e] * mt == 2 * mid[e] * rt)
     ]
 
 
-def verify_edge_identities(name, g, x, law) -> list[str]:
+def verify_edge_identities(where, g, x, point, rows) -> list[str]:
     failures = []
-    lo = law("loop")
-    ps = (Fraction(1, 3), x)
-    # the random cluster is the loop model united with Bernoulli(x)
-    laws = [lo, law("double_loop"), union_bernoulli(lo, ps[0]), law("random_cluster")]
-    (base, s), (doubled, sd), *unioned = bit_masses(laws, lambda m: m, g.edge_count)
+    loop = rows("loop")
+    third = list(loop)
+    _open_edges(third, [(1, 3)] * g.edge_count)  # the loop model united with Bernoulli(1/3)
+    # the random cluster is the loop model united with Bernoulli(x), x = a/b
+    tables = [loop, rows("double_loop"), third, rows("random_cluster")]
+    (base, s), (doubled, sd), *unioned = map(edge_masses, tables)
+    ps = (((1, 3), "1/3"), (point, "x" if x is None else x))
     # with b = base/s: united b + p(1 - b), doubled b(2 - b), cross-multiplied
     for e in range(g.edge_count):
         b = base[e]
-        for p, (masses, su) in zip(ps, unioned):
-            a, c = p.numerator, p.denominator
+        for ((a, c), p), (masses, su) in zip(ps, unioned):
             if masses[e] * s * c != su * (b * c + a * (s - b)):
-                failures.append(f"edge-identities: {name} x={x} e={e} p={p}")
+                failures.append(f"edge-identities: {where} e={e} p={p}")
         if doubled[e] * s * s != sd * b * (2 * s - b):
-            failures.append(f"edge-identities double: {name} x={x} e={e}")
+            failures.append(f"edge-identities double: {where} e={e}")
     return failures
 
 
-def verify_battery(theorems, battery, xs) -> dict[str, list[str]]:
+def _same_law(left: list[int], right: list[int]) -> bool:
+    """Whether two weight lists give one law entry by entry: the same
+    support, and left[i] / sum(left) == right[i] / sum(right),
+    cross-multiplied by the totals over their common factor."""
+    lt, rt = sum(left), sum(right)
+    common = gcd(lt, rt)
+    lt, rt = lt // common, rt // common
+    return all(bool(u) == bool(v) and u * rt == v * lt for u, v in zip(left, right))
+
+
+def _proof_digits(theorems, name: str, g: Graph, shapes) -> int:
+    """S for the default run on g: one more than the bit length of a bound
+    on the absolute coefficient sum of either side of every comparison
+    the suites make, products included.  Two such sides that agree at
+    x = 2^S agree as polynomials, and a nonzero side is nonzero there.
+    A row's bound covers the sum of any of its weights, and a product's is
+    at most the product of its factors'.  Refused above
+    :data:`PACKED_PROOF_BITS_CAP`."""
+    loop, double, cluster, current = (shapes[row][0] for row in BATTERY_ROWS)
+    n, dim = g.edge_count, len(cycle_space_basis(g))
+    sides = {
+        # a pushed weight, and their total, are at most 2^dim of the current's
+        "newcoupling": (current << dim) * loop,
+        "cor1": 2 * loop * max(current, cluster),
+        # Bernoulli(1/3) triples the loop's bound per edge, and 2s - b,
+        # 3b + (s - b) and b + x(s - b) are within 3 times the loop's
+        "edge-identities": 3 * loop * max(3**n * loop, cluster, double * loop),
+        # a counting weight is |even(w)|^2 2^(n - |w|) at most: 4^dim 3^n in all
+        "lis-equivalence": (current * 3**n) << 2 * dim,
+    }
+    digits = max((sides[t] for t in theorems), default=0).bit_length() + 1
+    degree = max(3 * n, *(d for _, d in shapes.values()))  # counting weights: 3n
+    bits = (1 << n) * digits * (degree + 1)
+    if bits > PACKED_PROOF_BITS_CAP:
+        what = f"proving the identities on {name} for every x (verify --x checks one point)"
+        raise CapExceededError(what, bits, PACKED_PROOF_BITS_CAP)
+    return digits
+
+
+def verify_battery(theorems, battery, x) -> dict[str, list[str]]:
     """The failure lines of the named battery suites, each in its (graph,
-    x, edge) order.  The suites run (graph, x)-major: at each point they
-    read the model rows of one ``point_laws(g, x)``, cached since several
-    suites read a row, so the loop law, the double loop and each row are
-    built once, and the laws are dropped before the next x."""
-    failures: dict[str, list[str]] = {name: [] for name in theorems}
+    edge) order.  Every suite reads a graph's rows as lattice tables at one
+    evaluation point: (a, b) for x = a/b, or, with x None, (2^S, 1), where
+    each comparison is one of integer polynomials packed by x -> 2^S
+    (:func:`_proof_digits`), so each identity holds for every x.  Every
+    graph's rows are checked, and its packed size capped, before any pass;
+    a row that several suites read is built once."""
+    xs = () if x is None else (x,)
+    cases = []
     for name, g in battery:
-        for x in xs:
-            law = functools.cache(point_laws(g, x))
-            for suite in theorems:
-                failures[suite] += VERIFY_SUITES[suite](name, g, x, law)
+        shapes, at = polynomial_laws(g, BATTERY_ROWS, xs)
+        if x is None:
+            cases.append((name, g, at, (1 << _proof_digits(theorems, name, g, shapes), 1)))
+        else:
+            cases.append((f"{name} x={x}", g, at, (x.numerator, x.denominator)))
+    failures: dict[str, list[str]] = {name: [] for name in theorems}
+    for where, g, at, point in cases:
+        rows = at(*point)
+        for suite in theorems:
+            failures[suite] += VERIFY_SUITES[suite](where, g, x, point, rows)
     return failures
 
 
@@ -392,7 +479,8 @@ def verify_appendix_tables() -> list[str]:
 
 
 # Each suite returns one line per failure.  All but FIXED_SUITES check one
-# battery graph at one x, on the laws verify_battery shares between them;
+# battery graph, at one x or for every x, on the tables verify_battery
+# shares between them;
 # those two check fixed instances (the scan battery on a dyadic grid, the
 # theta and counter tables), so they read neither --graph nor --x.
 VERIFY_SUITES = {
@@ -415,10 +503,10 @@ def cmd_verify(args) -> int:
     battery = verification_battery([("cli-graph", read_graph(args.graph))] if args.graph else [])
     for _, g in battery:  # every battery suite sweeps each graph's subset lattice
         lattice_size(g, "verify graph lattice")
-    xs = [parse_rational(args.x)] if args.x else DEFAULT_VERIFY_XS
+    x = parse_rational(args.x) if args.x else None
     if user_input and args.theorem == "all":
         print(f"verify: {', '.join(FIXED_SUITES)} read neither --graph nor --x", file=sys.stderr)
-    found = verify_battery([t for t in theorems if t not in FIXED_SUITES], battery, xs)
+    found = verify_battery([t for t in theorems if t not in FIXED_SUITES], battery, x)
     failures: list[str] = []
     results = {}
     for name in theorems:
@@ -496,7 +584,9 @@ def build_parser() -> argparse.ArgumentParser:
     fig.set_defaults(func=cmd_figure)
 
     tab = sub.add_parser("table", help="model-by-property certification table")
-    tab.add_argument("--grid-steps", type=int, default=6, help="dyadic resolution (2^s - 1 points)")
+    tab.add_argument(
+        "--grid-steps", type=int, default=6, help="dyadic resolution (2^s - 1 points), at least 5"
+    )
     tab.add_argument("--out", required=True)
     tab.set_defaults(func=cmd_table)
 
@@ -507,7 +597,9 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["all"] + list(VERIFY_SUITES),
     )
     ver.add_argument("--graph", help="add a graph JSON file to the battery")
-    ver.add_argument("--x", help="check a single x=num/den instead of the default set")
+    ver.add_argument(
+        "--x", help="check the identities at one x=num/den; by default they are proved for every x"
+    )
     ver.add_argument("--out", help="write a JSON report")
     ver.set_defaults(func=cmd_verify)
 

@@ -50,9 +50,10 @@ class Graph:
     ``lengths[i]`` edges, whose inner vertices are left out.  ``None`` means
     every length is 1.  The law-building kernels ``measures.loop_o1`` and
     ``measures.union_bernoulli``, and so every registered model, read the
-    lengths; the events, the samplers and ``double_current_lis`` count each
-    core edge as one edge.  The graph JSON format has no lengths, so a core
-    is neither written nor read.
+    lengths, and so does ``measures.polynomial_laws``; the events, the
+    samplers and ``measures.counting_weights`` count each core edge as one
+    edge.  The graph JSON format has no lengths, so a core is neither
+    written nor read.
     """
 
     vertex_count: int
@@ -341,8 +342,8 @@ def subset_sums(table: list[int]) -> None:
 def even_lattice(g: Graph) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """For every configuration w of g: ``count[w]``, the number of even
     subgraphs of w, and ``cyclic[w]``, the edges of w on a cycle of (V, w).
-    The last graph's tables are kept, as read-only tuples: the laws and
-    suites that ``verify`` runs on one graph at each x all read them.
+    The last graph's tables are kept, as read-only tuples: the suites that
+    ``verify`` runs on one graph all read them.
 
     count is the subset-sum of the even subgraphs' indicator and total the
     subset-sum of the even subgraphs as integers.  The even subgraphs of w

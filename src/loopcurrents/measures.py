@@ -29,12 +29,18 @@ law of the whole-path events of the subdivided graph.
 Event and edge masses over a family of laws all come from
 :func:`bit_masses`, as integer counts over each law's numerator sum; a
 ``Fraction`` is built only where a value is returned or written
-(:func:`prob`).  Along a grid of x, :func:`polynomial_masses` gives the
-same masses for the rows whose p is a polynomial in x without building a
-law per point: each weight is an integer polynomial in x, packed into one
-integer by x -> 2^S, so the union and the Bernoulli pass
-(:func:`_open_edges`, shared with :func:`union_bernoulli`) run once per
-row.
+(:func:`prob`).
+
+The rows whose p is a polynomial in x also come as integer polynomials
+from :func:`polynomial_laws`, the one packed-row builder: its lattice
+tables, read at an evaluation point (a, b), are the weights at x = a/b,
+or at (2^S, 1) each weight packed into one integer by x -> 2^S.  The
+union and the Bernoulli pass (:func:`_open_edges`, shared with
+:func:`union_bernoulli`) run only ring operations, so they serve both,
+and so do the counting formula (:func:`counting_weights`) and the
+uniform-even push (:func:`push_even`).  :func:`polynomial_masses` reads
+the packed rows to give the masses along a grid of x without building a
+law per point; ``verify`` compares the tables themselves.
 """
 
 from __future__ import annotations
@@ -43,7 +49,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from math import isqrt
-from operator import mul
+from operator import add, mul
 from typing import Callable, Sequence
 
 from .errors import (
@@ -350,59 +356,59 @@ def double_current(graph: Graph, x: Fraction) -> Dist:
     return build("double_current", graph, x)
 
 
-def double_current_lis(graph: Graph, x: Fraction) -> Dist:
-    """Double random current built from its even-subgraph counting formula.
-
-    For each configuration w:
+def counting_weights(graph: Graph, a: int, b: int) -> list[int]:
+    """The double random current from its even-subgraph counting formula,
+    at the evaluation point (a, b).  For each configuration w:
 
         P(w) = |even(w)| / Z^2 * sum_{g even, g subset of w}
                x^|g| * x^(2|w \\ g|) * (1-x^2)^(|E|-|w|)
 
-    With x = a/b and q = b^2 - a^2, the sum over g is the subset-sum S[w] of
-    a^(|E|-|g|) b^|g| over the even g, so the weight of w is the integer
-    |even(w)| a^(2|w|) S[w] q^(|E|-|w|) over a^|E| b^(2|E|), and the weights
-    must add up to Z^2.  This is an independent route to the same measure
-    as the ``double_current`` row; the two are compared exactly in tests.
-    """
-    x = Fraction(x)
-    if not 0 <= x < 1:
-        raise ParametrizationError(f"x={x} outside [0,1)")
+    With q = b^2 - a^2, the sum over g is the subset-sum S[w] of
+    a^(|E|-|g|) b^|g| over the even g, and entry w is the integer
+    |even(w)| a^(2|w|) S[w] q^(|E|-|w|).  Only ring operations run, so at
+    x = a/b the entries are a^|E| b^(2|E|) Z^2 P(w), and at (2^S, 1) the
+    polynomials x^|E| Z(x)^2 P(w) packed, q signed.  At a = 0 (x = 0) the
+    empty configuration alone carries weight.  This is an independent
+    route to the ``double_current`` row; ``verify lis-equivalence``
+    compares the two."""
     size = lattice_size(graph, "double-current lattice")
-    if x == 0:
-        return point_mass(graph, 0)
-    a, b, n = x.numerator, x.denominator, graph.edge_count
+    if not a:
+        return [1] + [0] * (size - 1)
+    n = graph.edge_count
     count, _ = even_lattice(graph)
     sums = [0] * size
-    z = 0
     for g in even_subgraphs(graph):
         k = g.bit_count()
         sums[g] = a ** (n - k) * b**k
-        z += a**k * b ** (n - k)
     subset_sums(sums)
     scale = [a ** (2 * k) * (b * b - a * a) ** (n - k) for k in range(n + 1)]
-    nums = {w: count[w] * scale[w.bit_count()] * sums[w] for w in range(size)}
-    return Dist.from_integers(graph, nums, a**n * b ** (2 * n), Fraction(z, b**n) ** 2)
+    return [count[w] * scale[w.bit_count()] * sums[w] for w in range(size)]
 
 
 def push_uniform_even(d: Dist) -> Dist:
-    """Pick a configuration from d, then a uniform even subgraph of it.
+    """Pick a configuration from d, then a uniform even subgraph of it:
+    :func:`push_even` of its numerators, over den * 2^top."""
+    nums, top = push_even(d.graph, d.nums)
+    return Dist.from_integers(d.graph, nums, d.den << top, d.z)
 
-    P_out(h) = sum over w containing h of P(w) / |even(w)|, read at the even
-    h, on numerators over den * 2^top, with top the largest cycle-space
-    dimension in the support.  The supersets of h are the complements of
-    the subsets of its complement, so the sum is a subset-sum.
-    """
-    size = lattice_size(d.graph, "uniform-even push lattice")
-    count, _ = even_lattice(d.graph)
-    dims = {w: count[w].bit_length() - 1 for w in d.nums}
+
+def push_even(graph: Graph, nums: dict[int, int]) -> tuple[dict[int, int], int]:
+    """The lattice step of the uniform-even push: the weight of each even h,
+    the sum over w containing h of nums[w] 2^(top - dim w), and top, the
+    largest cycle-space dimension dim w in the support of ``nums``.  The
+    supersets of h are the complements of the subsets of its complement,
+    so the sum is a subset-sum.  Only shifts and sums run, so the weights
+    may be any integer encoding: numerators, or packed polynomials."""
+    size = lattice_size(graph, "uniform-even push lattice")
+    count, _ = even_lattice(graph)
+    dims = {w: count[w].bit_length() - 1 for w in nums}
     top = max(dims.values())
-    full = d.graph.full_mask
+    full = graph.full_mask
     acc = [0] * size
-    for w, num in d.nums.items():
+    for w, num in nums.items():
         acc[full ^ w] = num << (top - dims[w])
     subset_sums(acc)
-    nums = {h: acc[full ^ h] for h in even_subgraphs(d.graph)}
-    return Dist.from_integers(d.graph, nums, d.den << top, d.z)
+    return {h: acc[full ^ h] for h in even_subgraphs(graph)}, top
 
 
 # ---------------------------------------------------------------------------
@@ -464,6 +470,90 @@ PACKED_LATTICE_BITS_CAP = 1 << 24
 _PROBE_BITS = 64
 
 
+def polynomial_laws(
+    graph: Graph, names: Sequence[str], xs: Sequence[Fraction]
+) -> tuple[dict[str, tuple[int, int]], Callable[[int, int], Callable[[str], list[int]]]]:
+    """The model rows ``names`` as integer polynomials in x: ``(shapes,
+    at)``, with nothing enumerated until a row is read.
+
+    A row's weight of mask m is an integer polynomial W_m(x) of degree at
+    most D = (k + deg P) n, n the total length: the k-fold union of the
+    loop weights x^|g|, then the Bernoulli pass with (c, e) = (P^L, 1) on an
+    edge of length L, P = p(x).  ``at(a, b)`` gives ``row(name)``, the
+    2^|E| lattice of b^D W_m(a/b), the weights homogenized at the
+    evaluation point (a, b), from the union (:func:`_union_nums`) and the
+    Bernoulli pass (:func:`_open_edges`), which run only ring operations.
+    At x = a/b these are the weights of ``build(name, graph, x)`` up to a
+    positive factor; at (2^S, 1) they are the polynomials packed by
+    x -> 2^S.  Each row, and each k-fold union, is built once per point.
+
+    ``shapes[name]`` is ``(bound, D)``, where bound is at least the sum over
+    all masks of W_m's absolute coefficient sum, so it bounds that of any
+    sum of the W_m.  That sum is subadditive and submultiplicative, so it
+    is at most (2^dim)^k prod_e (1 + 2 |P|^L_e): 2^dim even subgraphs per
+    copy, and an edge maps W to (1 - P^L) W and P^L W.
+
+    Refused before anything is enumerated: an x of ``xs`` outside [0, 1),
+    an unknown row, and a p that is not an integer polynomial (the single
+    current) or leaves [0, 1] at an x of ``xs``."""
+    bad = [x for x in xs if not 0 <= x < 1]
+    if bad:
+        raise ParametrizationError(f"x={bad[0]} outside [0,1)")
+    size = lattice_size(graph, "polynomial mass lattice")
+    lengths = _edge_lengths(graph)
+    sizes = _even_sizes(graph)
+    n, dim = sum(lengths), len(sizes).bit_length() - 1
+    rows, shapes = {}, {}
+    for name in names:
+        copies, p = _model(name)
+        coeffs = _polynomial_p(name, p, xs)
+        bound = 1 << copies * dim
+        if coeffs:
+            norm = sum(map(abs, coeffs))
+            for length in lengths:
+                bound *= 1 + 2 * norm**length
+        rows[name] = copies, coeffs
+        shapes[name] = bound, (copies + max(len(coeffs) - 1, 0)) * n
+
+    def at(a: int, b: int) -> Callable[[str], list[int]]:
+        @cache
+        def loops(copies: int) -> dict[int, int]:
+            if copies > 1:
+                return _union_nums(loops(copies - 1), loops(1))
+            powers = {k: a**k * b ** (n - k) for k in set(sizes.values())}
+            return {g: powers[k] for g, k in sizes.items()}
+
+        @cache
+        def row(name: str) -> list[int]:
+            copies, coeffs = rows[name]
+            table = [0] * size
+            for mask, w in loops(copies).items():
+                table[mask] = w
+            if coeffs:
+                top = len(coeffs) - 1
+                c = sum(f * a**j * b ** (top - j) for j, f in enumerate(coeffs))
+                _open_edges(table, [(c**length, b ** (top * length)) for length in lengths])
+            return table
+
+        return row
+
+    return shapes, at
+
+
+def edge_masses(table: list[int]) -> tuple[list[int], int]:
+    """The edge masses of a 2^|E| lattice table, entry m the weight of mask
+    m in any integer encoding: ``(counts, total)``, counts[e] the sum of
+    the entries at the masks with edge e.  The masks with the top edge are
+    the upper half of the table; adding that half onto the lower one drops
+    the edge, n halvings in all."""
+    counts = []
+    while len(table) > 1:
+        half = len(table) >> 1
+        counts.append(sum(table[half:]))
+        table = list(map(add, table[:half], table[half:]))
+    return counts[::-1], table[0]
+
+
 def polynomial_masses(
     graph: Graph,
     names: Sequence[str],
@@ -477,62 +567,28 @@ def polynomial_masses(
     name, graph, x) for x in xs], stat, width)``, though the integers may
     differ from its by a positive factor per x.
 
-    A row is built once for all the points.  Its weight of mask m is an
-    integer polynomial W_m(x): the k-fold union of the loop weights x^|g|,
-    then the Bernoulli pass with (c, e) = (P^L, 1) on an edge of length L,
-    P = p(x).  The ring map x -> 2^S packs a polynomial f = sum f_j x^j
-    into the integer f(2^S), so :func:`_union_nums` and :func:`_open_edges`
-    run unchanged, and each bit's count (the sum of W_m over the masks with
-    the bit) and the total come out packed.  Their coefficients are read
-    back as S-bit signed digits, exact while every |f_j| < 2^(S-1).  The
-    absolute coefficient sum is subadditive and submultiplicative, so it
-    is at most (2^dim)^k prod_e (1 + 2 |P|^L_e) for every count: 2^dim even
-    subgraphs per copy, and an edge maps W to (1 - P^L) W and P^L W.  S is
-    one more than that bound's bit length.  Every count has degree at most
-    D = (k + deg P) n, n the total length, and at x = a/b the row reads the
-    integer b^D f(a/b) = sum f_j a^j b^(D-j).
+    A row is built once for all the points, as its :func:`polynomial_laws`
+    packed by x -> 2^S, and each bit's count (the sum of W_m over the masks
+    with the bit) and the total come out packed.  Their coefficients are
+    read back as S-bit signed digits, exact while every |f_j| < 2^(S-1): S
+    is one more than the bit length of the row's bound.  At x = a/b the row
+    reads the integer b^D f(a/b) = sum f_j a^j b^(D-j).
 
     stat runs once per configuration of any row's support.  Refused before
-    any pass: x outside [0, 1), an unknown row, a p that is not an integer
-    polynomial (the single current) or leaves [0, 1] at some x, and a row
-    above :data:`PACKED_LATTICE_BITS_CAP`."""
+    any pass: what :func:`polynomial_laws` refuses, and a row above
+    :data:`PACKED_LATTICE_BITS_CAP`."""
     xs = [Fraction(x) for x in xs]
-    bad = [x for x in xs if not 0 <= x < 1]
-    if bad:
-        raise ParametrizationError(f"x={bad[0]} outside [0,1)")
-    size = lattice_size(graph, "polynomial mass lattice")
-    lengths = _edge_lengths(graph)
-    sizes = _even_sizes(graph)
-    n, dim = sum(lengths), len(sizes).bit_length() - 1
+    shapes, at = polynomial_laws(graph, names, xs)
+    size = 1 << graph.edge_count
     rows = []
     for name in names:
-        copies, p = _model(name)
-        coeffs = _polynomial_p(name, p, xs)
-        bound = 1 << copies * dim
-        if coeffs:
-            norm = sum(map(abs, coeffs))
-            for length in lengths:
-                bound *= 1 + 2 * norm**length
+        bound, degree = shapes[name]
         digits = bound.bit_length() + 1
-        degree = (copies + max(len(coeffs) - 1, 0)) * n
         bits = size * digits * (degree + 1)
         if bits > PACKED_LATTICE_BITS_CAP:
             raise CapExceededError("packed polynomial lattice bits", bits, PACKED_LATTICE_BITS_CAP)
-        rows.append((copies, p, digits, degree))
-
-    tables = []
-    for copies, p, digits, _ in rows:
-        loop = {g: 1 << digits * k for g, k in sizes.items()}
-        nums = loop
-        for _ in range(copies - 1):
-            nums = _union_nums(nums, loop)
-        table = [0] * size
-        for mask, w in nums.items():
-            table[mask] = w
-        if p is not None:
-            packed = p(1 << digits)
-            _open_edges(table, [(packed**length, 1) for length in lengths])
-        tables.append(table)
+        rows.append((digits, degree))
+    tables = [at(1 << digits, 1)(name) for name, (digits, _) in zip(names, rows)]
 
     keep = (1 << width) - 1
     members: list[list[int]] = [[] for _ in range(width)]  # the masks with bit i
@@ -544,7 +600,7 @@ def polynomial_masses(
                 members[low.bit_length() - 1].append(mask)
                 s ^= low
     out = {}
-    for name, table, (_, _, digits, degree) in zip(names, tables, rows):
+    for name, table, (digits, degree) in zip(names, tables, rows):
         get = table.__getitem__
         packed = [sum(table), *(sum(map(get, masks)) for masks in members)]
         out[name] = _at_points([_signed_digits(v, digits, degree + 1) for v in packed], degree, xs)

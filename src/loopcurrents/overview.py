@@ -54,7 +54,7 @@ from typing import Callable, Container
 from . import theta
 from .battery import scan_battery
 from .checkers import fkg_stat, monotonicity_scan, stochastic_domination
-from .errors import LoopCurrentsError
+from .errors import LoopCurrentsError, ParametrizationError
 from .events import Event, all_open, connect, edge_open
 from .graphs import Graph, component_labels, counter_family
 from .intervals import certify_decreasing_pair
@@ -90,6 +90,10 @@ FKG_SINGLE_CURRENT_PARAMS = (2, 2, Fraction(1, 4))  # t, not x
 FKG_DOUBLE_LOOP_PARAMS = (3, 2, Fraction(1, 10))
 SING_LOOP_PARAMS = (18, 2)
 SING_DOUBLE_LOOP_PARAMS = (38, 2)
+# The least grid resolution whose grid holds a decreasing pair of both
+# closed forms: loop_conn(18, 2) has none at resolutions 1 to 3, and
+# double_loop_conn(38, 2) none at 4.
+MIN_GRID_RESOLUTION = 5
 SING_SINGLE_CURRENT_PARAMS = (2000, 300)
 # The single current's dip sits in a narrow window near x = 1, between the
 # neighbouring points 1 - k/2^14 at k = 17 and 16.
@@ -378,15 +382,21 @@ def build_overview(
     """Build the full model-by-property table with certificates and scans.
 
     ``grid_resolution`` controls the dyadic grid (2^r - 1 points) used both
-    for counterexample localization and for scans.  Domination scans may use
-    another grid via ``mon_grid_resolution``; the ``table`` command scans on
-    the one grid.  FKG, CON and SING come from each graph's
+    for counterexample localization and for scans; below
+    :data:`MIN_GRID_RESOLUTION` it is refused before any work.  Domination
+    scans may use another grid via ``mon_grid_resolution``; the ``table``
+    command scans on the one grid.  FKG, CON and SING come from each graph's
     :func:`scan_graph`.  Each graph's loop laws are scanned once on the
     domination grid, and a scanned row's MON step takes the ``loop-union``
     route where the loop step dominates, else Holley's local criterion or
     an exact max flow on the row's laws, built only for such a step
     (:func:`scan_mon`).
     """
+    if grid_resolution < MIN_GRID_RESOLUTION:
+        raise ParametrizationError(
+            f"grid resolution {grid_resolution}: the SING witnesses need at least "
+            f"{MIN_GRID_RESOLUTION}"
+        )
     grid = dyadic_grid(grid_resolution)
     mon_grid = dyadic_grid(grid_resolution if mon_grid_resolution is None else mon_grid_resolution)
     graphs = scan_battery() if graphs is None else graphs

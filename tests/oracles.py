@@ -59,7 +59,15 @@ from loopcurrents.graphs import (
     lattice_size,
     span_masks,
 )
-from loopcurrents.measures import MODELS, Dist, loop_o1, point_mass, pythagorean_x, single_current_p
+from loopcurrents.measures import (
+    MODELS,
+    Dist,
+    counting_weights,
+    loop_o1,
+    point_mass,
+    pythagorean_x,
+    single_current_p,
+)
 from loopcurrents.rationals import format_rational, parse_rational
 from loopcurrents.sampler import PUSHFORWARD, PUSHFORWARD_BASE, make_rng
 from loopcurrents.theta import counter_even_masks
@@ -155,8 +163,22 @@ def cyclic_edges(g: Graph, mask: int) -> int:
     return cyclic
 
 
+def double_current_lis(graph: Graph, x: Fraction) -> Dist:
+    """The double current's counting formula as a law: the package's
+    ``measures.counting_weights`` at x = a/b, over a^|E| b^(2|E|), so they
+    add up to Z^2.  :func:`double_current_lis_per_mask` is its reference."""
+    x = Fraction(x)
+    if not 0 <= x < 1:
+        raise ParametrizationError(f"x={x} outside [0,1)")
+    a, b, n = x.numerator, x.denominator, graph.edge_count
+    weights = counting_weights(graph, a, b)
+    if x == 0:
+        return point_mass(graph, 0)
+    return Dist.from_integers(graph, dict(enumerate(weights)), a**n * b ** (2 * n))
+
+
 def double_current_lis_per_mask(graph: Graph, x: Fraction) -> Dist:
-    """``measures.double_current_lis`` one configuration at a time: for each
+    """:func:`double_current_lis` one configuration at a time: for each
     w, |even(w)| = 2^dim(w) from a cycle basis of w and the inner sum over
     the even g inside w in ``Fraction``s."""
     x = Fraction(x)

@@ -23,7 +23,6 @@ from loopcurrents.measures import (
     bernoulli,
     build,
     double_current,
-    double_current_lis,
     double_loop,
     loop_o1,
     prob,
@@ -71,6 +70,7 @@ from oracles import (
     cyclic_edges,
     dist_from_weights,
     domination_bruteforce,
+    double_current_lis,
     double_loop_fkg_difference,
     exact_rows,
     histogram,

@@ -20,10 +20,10 @@ from loopcurrents.graphs import (
     graph_to_json,
 )
 from loopcurrents.intervals import Interval
-from loopcurrents.measures import MODELS, build, point_laws, union_bernoulli
+from loopcurrents.measures import MODELS, bit_masses, point_laws, push_uniform_even
 from loopcurrents.rationals import dyadic_grid
 
-from oracles import cyclic_edges
+from oracles import cyclic_edges, double_current_lis, probabilities
 
 F = Fraction
 
@@ -464,10 +464,47 @@ class TestVerify:
         def refuse(*args):
             raise AssertionError("built a law past the cap")
 
-        monkeypatch.setattr(cli, "point_laws", refuse)
+        monkeypatch.setattr(cli, "polynomial_laws", refuse)
         assert run("verify", "--graph", str(path)) == 1
         err = capsys.readouterr().err
         assert err == "error: verify graph lattice needs size 20971520, above the cap 16777216\n"
+
+    def test_the_packed_cap_refuses_before_any_pass(self, monkeypatch, capsys):
+        def no_pass(*args):
+            raise AssertionError("a pass ran before the cap was checked")
+
+        for name in ("_union_nums", "_open_edges"):
+            monkeypatch.setattr(measures, name, no_pass)
+        # the battery's largest packed lattice: 2^|E| S (4|E| + 1) bits
+        bits = {
+            name: (1 << g.edge_count) * proof_digits(name, g) * (4 * g.edge_count + 1)
+            for name, g in BATTERY
+        }
+        largest = max(bits, key=bits.get)
+        monkeypatch.setattr(cli, "PACKED_PROOF_BITS_CAP", bits[largest] - 1)
+        assert run("verify") == 1
+        assert capsys.readouterr().err == (
+            f"error: proving the identities on {largest} for every x (verify --x checks one "
+            f"point) needs size {bits[largest]}, above the cap {bits[largest] - 1}\n"
+        )
+
+    def test_the_one_point_check_reads_no_packed_cap(self, monkeypatch):
+        monkeypatch.setattr(cli, "PACKED_PROOF_BITS_CAP", 0)
+        assert run("verify", "--x", "3/7") == 0
+
+    @pytest.mark.parametrize(
+        "edges, dim, admitted", [(12, 11, True), (13, 8, True), (13, 9, False), (14, 0, False)]
+    )
+    def test_the_packed_cap_admits_the_graphs_the_readme_names(self, edges, dim, admitted):
+        # every graph of at most 12 edges, and 13-edge graphs of cycle
+        # dimension at most 8: S grows with |E| and the dimension alone
+        vertices = edges - dim + 1
+        g = Graph(vertices, tuple((i, i + 1) for i in range(vertices - 1)) + ((0, 1),) * dim)
+        if admitted:
+            proof_digits("g", g)
+        else:
+            with pytest.raises(CapExceededError, match="verify --x checks one point"):
+                proof_digits("g", g)
 
     def test_single_theorem_at_one_x(self, capsys):
         assert run("verify", "--theorem", "newcoupling", "--x", "1/2") == 0
@@ -511,21 +548,32 @@ class TestVerify:
 
 
 BATTERY = verification_battery()
-# the battery suites' arguments at one x: the battery and the x list
-ONE_X = (BATTERY, [F(1, 2)])
+# The x values at which the battery suites checked their identities before
+# they proved them for every x: the points of the point checks.
+DEFAULT_VERIFY_XS = (F(1, 4), F(1, 2), F(3, 4))
+# the battery suites' arguments at one x, and for every x
+ONE_X = (BATTERY, F(1, 2))
+EVERY_X = (BATTERY, None)
 
 
 BATTERY_SUITES = [name for name in cli.VERIFY_SUITES if name not in cli.FIXED_SUITES]
 
 
-def suite(name, battery, xs) -> list[str]:
-    """The failure lines of one battery suite, run alone."""
-    return cli.verify_battery([name], battery, xs)[name]
+def suite(name, battery, x) -> list[str]:
+    """The failure lines of one battery suite, run alone at x, or for every
+    x when x is None."""
+    return cli.verify_battery([name], battery, x)[name]
+
+
+def proof_digits(name, g, theorems=BATTERY_SUITES) -> int:
+    """The digit width S of the default run on g."""
+    shapes, _ = measures.polynomial_laws(g, cli.BATTERY_ROWS, ())
+    return cli._proof_digits(theorems, name, g, shapes)
 
 
 def cyclic_edge_lines(fmt: str) -> list[str]:
-    """``fmt`` for every (battery graph, edge on a cycle of that graph) at x = 1/2,
-    in the suites' order: the edges whose loop-model marginal lies in (0, 1)."""
+    """``fmt`` for every (battery graph, edge on a cycle of that graph), in
+    the suites' order: the edges whose loop-model marginal lies in (0, 1)."""
     return [
         fmt.format(name=name, e=e)
         for name, g in BATTERY
@@ -575,48 +623,73 @@ def counting_rows(monkeypatch) -> Counter:
 
 
 class TestBatchedSuites:
-    """The per-edge mass vectors still catch a wrong law, in the suites'
-    exact failure formats, and read each configuration's bridges once."""
+    """The battery suites still catch a wrong law, at one x and for every x,
+    in their exact failure formats, build each row once per graph and read
+    each configuration's bridges once."""
 
     def test_cor1_catches_a_wrong_double_current(self, monkeypatch):
-        assert suite("cor1", *ONE_X) == []
+        assert suite("cor1", *ONE_X) == suite("cor1", *EVERY_X) == []
         monkeypatch.setitem(MODELS, "double_current", MODELS["double_cluster"])
         assert suite("cor1", *ONE_X) == cyclic_edge_lines("cor1: {name} x=1/2 edge={e}")
+        assert suite("cor1", *EVERY_X) == cyclic_edge_lines("cor1: {name} edge={e}")
 
     def test_cor1_catches_a_wrong_random_cluster(self, monkeypatch):
         monkeypatch.setitem(MODELS, "random_cluster", MODELS["loop"])
         assert suite("cor1", *ONE_X) == cyclic_edge_lines("cor1: {name} x=1/2 edge={e}")
+        assert suite("cor1", *EVERY_X) == cyclic_edge_lines("cor1: {name} edge={e}")
 
     def test_edge_identities_catch_a_wrong_double_loop(self, monkeypatch):
-        assert suite("edge-identities", *ONE_X) == []
+        assert suite("edge-identities", *ONE_X) == suite("edge-identities", *EVERY_X) == []
         monkeypatch.setitem(MODELS, "double_loop", MODELS["loop"])
         assert suite("edge-identities", *ONE_X) == cyclic_edge_lines(
             "edge-identities double: {name} x=1/2 e={e}"
         )
+        assert suite("edge-identities", *EVERY_X) == cyclic_edge_lines(
+            "edge-identities double: {name} e={e}"
+        )
 
     def test_edge_identities_catch_a_wrong_bernoulli_union(self, monkeypatch):
-        # p = 1/3 is a union the suite makes; p = x is the shared random cluster
-        monkeypatch.setattr(cli, "union_bernoulli", lambda d, p: union_bernoulli(d, p / 2))
-        monkeypatch.setitem(MODELS, "random_cluster", (1, lambda x: x / 2))
-        # p = 1/3, then p = x = 1/2, for every edge
-        assert suite("edge-identities", *ONE_X) == [
-            f"edge-identities: {name} x=1/2 e={e} p={p}"
-            for name, g in BATTERY
-            for e in range(g.edge_count)
-            for p in ("1/3", "1/2")
-        ]
+        # p = 1/3 is a union the suite makes, here at p/2; p = x is the
+        # shared random cluster, here at p = x^2
+        real = measures._open_edges
+        monkeypatch.setattr(
+            cli, "_open_edges", lambda table, opens: real(table, [(c, 2 * e) for c, e in opens])
+        )
+        monkeypatch.setitem(MODELS, "random_cluster", (1, lambda x: x * x))
+        # p = 1/3, then p = x, for every edge
+        for (battery, x), where, p in ((ONE_X, " x=1/2", "1/2"), (EVERY_X, "", "x")):
+            assert suite("edge-identities", battery, x) == [
+                f"edge-identities: {name}{where} e={e} p={q}"
+                for name, g in BATTERY
+                for e in range(g.edge_count)
+                for q in ("1/3", p)
+            ]
 
     def test_newcoupling_catches_a_wrong_double_current(self, monkeypatch):
         monkeypatch.setitem(MODELS, "double_current", MODELS["double_cluster"])
-        assert suite("newcoupling", BATTERY, cli.DEFAULT_VERIFY_XS) == [
-            f"newcoupling: {name} x={x}" for name, _ in BATTERY for x in ("1/4", "1/2", "3/4")
-        ]
+        assert suite("newcoupling", *EVERY_X) == [f"newcoupling: {name}" for name, _ in BATTERY]
+        for x in DEFAULT_VERIFY_XS:
+            assert suite("newcoupling", BATTERY, x) == [
+                f"newcoupling: {name} x={x}" for name, _ in BATTERY
+            ]
 
     def test_lis_equivalence_catches_a_wrong_double_current(self, monkeypatch):
         monkeypatch.setitem(MODELS, "double_current", MODELS["double_cluster"])
-        assert suite("lis-equivalence", BATTERY, cli.DEFAULT_VERIFY_XS) == [
-            f"lis-equivalence: {name} x={x}" for name, _ in BATTERY for x in ("1/4", "1/2", "3/4")
+        assert suite("lis-equivalence", *EVERY_X) == [
+            f"lis-equivalence: {name}" for name, _ in BATTERY
         ]
+        for x in DEFAULT_VERIFY_XS:
+            assert suite("lis-equivalence", BATTERY, x) == [
+                f"lis-equivalence: {name} x={x}" for name, _ in BATTERY
+            ]
+
+    def test_proofs_catch_a_double_current_at_a_cubic_p(self, monkeypatch):
+        # p = x^2 + x^3 agrees with the double current's x^2 at no x in (0, 1)
+        monkeypatch.setitem(MODELS, "double_current", (2, lambda x: x * x + x**3))
+        found = cli.verify_battery(["cor1", "newcoupling"], *EVERY_X)
+        assert found["cor1"] == cyclic_edge_lines("cor1: {name} edge={e}")
+        assert len(found["cor1"]) == 161
+        assert found["newcoupling"] == [f"newcoupling: {name}" for name, _ in BATTERY]
 
     def test_sumthm_catches_a_non_monotone_union(self, monkeypatch):
         assert cli.verify_sumthm() == []
@@ -648,9 +721,9 @@ class TestBatchedSuites:
 
     def test_cor1_builds_one_even_lattice_per_battery_graph(self):
         even_lattice.cache_clear()
-        # the lattice of each graph serves all of its x values, and the
-        # laws of the other battery suites read it too
-        found = cli.verify_battery(BATTERY_SUITES, BATTERY, cli.DEFAULT_VERIFY_XS)
+        # the lattice of each graph serves cor1's cyclic edges, and the push
+        # and the counting formula read it too
+        found = cli.verify_battery(BATTERY_SUITES, *EVERY_X)
         assert found == dict.fromkeys(BATTERY_SUITES, [])
         info = even_lattice.cache_info()
         assert info.misses == len(BATTERY) and info.hits > 0
@@ -672,21 +745,20 @@ class TestBatchedSuites:
 
     def test_one_verify_builds_each_law_once(self, monkeypatch):
         rows = counting_rows(monkeypatch)
-        calls = record_calls(monkeypatch, "point_laws", "double_current_lis", "bernoulli")
+        calls = record_calls(
+            monkeypatch, "point_laws", "polynomial_laws", "counting_weights", "bernoulli"
+        )
         assert run("verify") == 0
         built = Counter((name, *args) for name, log in calls.items() for args, _ in log)
         built.update(("row", *key) for key in rows.elements())
         expected = Counter()
-        # the battery suites read their rows from one cached point_laws per
-        # (graph, x), so each row they read is built once
-        for _, g in BATTERY:
-            for x in cli.DEFAULT_VERIFY_XS:
-                expected["point_laws", g, x] += 1
-                expected["double_current_lis", g, x] += 1
-                for row in ("double_current", "loop", "random_cluster", "double_loop"):
-                    expected["row", g, x, row] += 1
-        # sumthm scans its own grid, so it builds its random-cluster laws
-        # again where that grid meets the battery's x values
+        # the battery suites build no point law: each graph's rows come from
+        # one polynomial_laws, read at one packed point, where the counting
+        # formula runs once
+        for name, g in BATTERY:
+            expected["polynomial_laws", g, cli.BATTERY_ROWS, ()] += 1
+            expected["counting_weights", g, 1 << proof_digits(name, g), 1] += 1
+        # sumthm scans its own grid
         for _, g in scan_battery():
             for x in dyadic_grid(4):
                 expected["point_laws", g, x] += 1
@@ -697,44 +769,177 @@ class TestBatchedSuites:
 
     def test_battery_builds_one_loop_law_and_one_double_per_point(self, monkeypatch):
         battery = [("theta[1,2,2]", graphs.generalized_theta([1, 2, 2])), ("K4", complete_graph(4))]
-        xs = cli.DEFAULT_VERIFY_XS
-        loops, doubles = Counter(), Counter()
-        real_loop_o1, real_union = measures.loop_o1, measures.union
+        unions, passes = [], []
+        real_union, real_pass = measures._union_nums, measures._open_edges
 
-        def loop_o1(g, x):
-            loops[g, x] += 1
-            return real_loop_o1(g, x)
+        def union(nums1, nums2):
+            unions.append(len(nums1))
+            return real_union(nums1, nums2)
 
-        def union(d1, d2):
-            doubles[d1.graph] += 1
-            return real_union(d1, d2)
+        def open_edges(table, opens):
+            passes.append(len(table))
+            return real_pass(table, opens)
 
-        monkeypatch.setattr(measures, "loop_o1", loop_o1)
-        monkeypatch.setattr(measures, "union", union)
-        assert cli.verify_battery(BATTERY_SUITES, battery, xs) == dict.fromkeys(BATTERY_SUITES, [])
-        assert loops == {(g, x): 1 for _, g in battery for x in xs}
-        assert doubles == {g: len(xs) for _, g in battery}
+        def refuse(*args):
+            raise AssertionError("the battery suites built a point law")
+
+        monkeypatch.setattr(measures, "_union_nums", union)
+        monkeypatch.setattr(measures, "_open_edges", open_edges)
+        for name in ("loop_o1", "union", "union_bernoulli"):
+            monkeypatch.setattr(measures, name, refuse)
+        for x in (*DEFAULT_VERIFY_XS, None):
+            unions.clear()
+            passes.clear()
+            found = cli.verify_battery(BATTERY_SUITES, battery, x)
+            assert found == dict.fromkeys(BATTERY_SUITES, [])
+            # per graph, one union of two loop copies, which the double loop
+            # and the double current share, and one Bernoulli pass for each
+            # of the random cluster and the double current
+            sizes = [1 << g.edge_count for _, g in battery]
+            assert unions == [len(list(graphs.even_subgraphs(g))) for _, g in battery]
+            assert passes == [size for size in sizes for _ in range(2)]
 
     def test_failing_run_prints_suites_and_lines_in_order(self, monkeypatch, capsys):
         # a wrong pushforward fails newcoupling and a wrong counting formula
         # fails lis-equivalence; the suites between them pass
-        monkeypatch.setattr(cli, "push_uniform_even", lambda d: d)
-        monkeypatch.setattr(cli, "double_current_lis", lambda g, x: build("double_cluster", g, x))
+        monkeypatch.setattr(cli, "push_even", lambda g, nums: (nums, 0))
+
+        def double_cluster(g, a, b):
+            _, at = measures.polynomial_laws(g, ["double_cluster"], ())
+            return at(a, b)("double_cluster")
+
+        monkeypatch.setattr(cli, "counting_weights", double_cluster)
         assert run("verify") == 1
-        lines = [f"{name} x={x}" for name, _ in BATTERY for x in ("1/4", "1/2", "3/4")]
+        names = [name for name, _ in BATTERY]
         assert capsys.readouterr().out == "\n".join(
             [
                 "verify newcoupling: FAIL",
-                *(f"  newcoupling: {line}" for line in lines),
+                *(f"  newcoupling: {name}" for name in names),
                 "verify cor1: PASS",
                 "verify edge-identities: PASS",
                 "verify sumthm: PASS",
                 "verify lis-equivalence: FAIL",
-                *(f"  lis-equivalence: {line}" for line in lines),
+                *(f"  lis-equivalence: {name}" for name in names),
                 "verify appendix-tables: PASS",
                 "",
             ]
         )
+
+
+# Battery graphs for the decoded-polynomial oracles: a theta, the counter,
+# K4, and a random multigraph of 10 edges and cycle dimension 5.
+ORACLE_GRAPHS = [
+    (name, g) for name, g in BATTERY if name in ("theta[2,3,2]", "counter(2,2)", "K4", "random-00")
+]
+# Non-dyadic points: no packed digit is a power of their denominators.
+ORACLE_XS = (F(3, 7), F(5, 11))
+
+
+def decoded(value: int, digits: int, degree: int) -> list[int]:
+    """The coefficients of the packed polynomial ``value`` of the given
+    degree, read as signed digits of width ``digits``."""
+    return measures._signed_digits(value, digits, degree + 1)
+
+
+def at_x(coeffs: list[int], x: Fraction) -> Fraction:
+    return sum(c * x**j for j, c in enumerate(coeffs))
+
+
+def law_of(weights: dict[int, Fraction]) -> dict[int, Fraction]:
+    """The probabilities of the nonzero ``weights``."""
+    total = sum(weights.values())
+    return {m: w / total for m, w in weights.items() if w}
+
+
+def cyclic_law(table: list[int], cyclic) -> list[int]:
+    """cor1's table of the set of open cyclic edges: entry s sums the
+    entries at the masks whose cyclic edges are s."""
+    law = [0] * len(table)
+    for w, edges in zip(table, cyclic):
+        law[edges] += w
+    return law
+
+
+def comparison_sides(name: str, g: Graph, digits: int) -> list[tuple[int, int]]:
+    """Both sides of every comparison the four battery suites make on g,
+    packed at x = 2^digits, as they compute them: pairs (left, right)."""
+    _, at = measures.polynomial_laws(g, cli.BATTERY_ROWS, ())
+    rows = at(1 << digits, 1)
+    x = 1 << digits
+    sides = []
+    current, loop = rows("double_current"), rows("loop")
+    pushed, _ = measures.push_even(g, {w: v for w, v in enumerate(current) if v})
+    pt, lt, ct = sum(pushed.values()), sum(loop), sum(current)
+    sides += [(v * lt, loop[h] * pt) for h, v in pushed.items()]
+    counting = measures.counting_weights(g, x, 1)
+    wt = sum(counting)
+    sides += [(u * ct, v * wt) for u, v in zip(counting, current)]
+    mid, mt = measures.edge_masses(loop)
+    _, cyclic = even_lattice(g)
+    for row in ("double_current", "random_cluster"):
+        left, total = measures.edge_masses(cyclic_law(rows(row), cyclic))
+        sides += [(u * mt, 2 * m * total) for u, m in zip(left, mid)]
+    third = list(loop)
+    measures._open_edges(third, [(1, 3)] * g.edge_count)
+    (doubled, sd), (thirds, st), (united, su) = map(
+        measures.edge_masses, (rows("double_loop"), third, rows("random_cluster"))
+    )
+    for e, b in enumerate(mid):
+        sides.append((thirds[e] * mt * 3, st * (3 * b + (mt - b))))
+        sides.append((united[e] * mt, su * (b + x * (mt - b))))
+        sides.append((doubled[e] * mt * mt, sd * b * (2 * mt - b)))
+    return sides
+
+
+class TestProvedForm:
+    """The default run's packed values, decoded: each is the polynomial
+    whose values at non-dyadic rationals are those of the point laws, and
+    the digit width leaves every comparison room."""
+
+    @pytest.mark.parametrize("name, g", ORACLE_GRAPHS, ids=[name for name, _ in ORACLE_GRAPHS])
+    def test_decoded_values_are_the_point_laws(self, name, g):
+        digits = proof_digits(name, g)
+        shapes, at = measures.polynomial_laws(g, cli.BATTERY_ROWS, ())
+        rows = at(1 << digits, 1)
+        n = g.edge_count
+        _, cyclic = even_lattice(g)
+        pushed, _ = measures.push_even(
+            g, {w: v for w, v in enumerate(rows("double_current")) if v}
+        )
+        counting = measures.counting_weights(g, 1 << digits, 1)
+        for x in ORACLE_XS:
+            law = point_laws(g, x)
+
+            def value(packed, row):
+                return at_x(decoded(packed, digits, shapes[row][1]), x)
+
+            for row in cli.BATTERY_ROWS:
+                weights = {m: value(v, row) for m, v in enumerate(rows(row))}
+                assert law_of(weights) == probabilities(law(row)), (row, x)
+                # the suites' edge masses, and cor1's masses of cyclic edges
+                tables = (rows(row), lambda m: m), (cyclic_law(rows(row), cyclic), cyclic.__getitem__)
+                for table, stat in tables:
+                    counts, total = measures.edge_masses(table)
+                    ((bits, bit_total),) = bit_masses([law(row)], stat, n)
+                    assert [value(c, row) / value(total, row) for c in counts] == [
+                        F(c, bit_total) for c in bits
+                    ]
+            pushforward = {h: value(v, "double_current") for h, v in pushed.items()}
+            expected = probabilities(push_uniform_even(law("double_current")))
+            assert law_of(pushforward) == expected
+            weights = {w: at_x(decoded(v, digits, 3 * n), x) for w, v in enumerate(counting)}
+            assert law_of(weights) == probabilities(double_current_lis(g, x))
+
+    @pytest.mark.parametrize("name, g", ORACLE_GRAPHS, ids=[name for name, _ in ORACLE_GRAPHS])
+    def test_every_comparison_decodes_alike_at_twice_the_digits(self, name, g):
+        digits = proof_digits(name, g)
+        degree = 7 * g.edge_count + 1  # the counting weights times the current's total
+        narrow, wide = (comparison_sides(name, g, d) for d in (digits, 2 * digits))
+        assert len(narrow) == len(wide)
+        for (left, right), (wide_left, wide_right) in zip(narrow, wide):
+            assert decoded(left, digits, degree) == decoded(wide_left, 2 * digits, degree)
+            assert decoded(right, digits, degree) == decoded(wide_right, 2 * digits, degree)
+            assert (left == right) == (wide_left == wide_right)
 
 
 class TestSample:

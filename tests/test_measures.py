@@ -32,7 +32,6 @@ from loopcurrents.measures import (
     bit_masses,
     build,
     double_current,
-    double_current_lis,
     double_loop,
     loop_o1,
     point_laws,
@@ -59,6 +58,7 @@ from oracles import (
     dist_from_json,
     dist_from_weights,
     dist_to_json,
+    double_current_lis,
     double_current_lis_per_mask,
     exact_rows,
     prob_bruteforce,

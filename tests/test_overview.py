@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from loopcurrents import checkers, cli, measures, overview
+from loopcurrents import checkers, cli, measures, overview, theta
 from loopcurrents.battery import scan_battery
 from loopcurrents.errors import LoopCurrentsError
 from loopcurrents.events import Event, connect
@@ -21,7 +21,7 @@ from loopcurrents.graphs import (
     generalized_theta,
 )
 from loopcurrents.measures import MODELS, build, point_laws, prob
-from loopcurrents.rationals import dyadic_grid, format_rational
+from loopcurrents.rationals import dyadic_grid, find_decreasing_pair, format_rational
 from loopcurrents.theta import counter_core
 
 from oracles import connection_scan_bruteforce, prob_bruteforce
@@ -287,6 +287,35 @@ def test_a_pinned_pair_where_the_single_current_rises_is_refused(monkeypatch, tm
     out = tmp_path / "table.json"
     assert cli.main(["table", "--out", str(out)]) == 1
     assert not out.exists()
+
+
+@pytest.mark.parametrize("steps", [1, 2, 3, 4])
+def test_a_grid_below_the_sing_witnesses_is_refused_before_any_work(
+    monkeypatch, tmp_path, capsys, steps
+):
+    def refuse(*args):
+        raise AssertionError("the table ran before its resolution was checked")
+
+    for name in ("dyadic_grid", "certify_fkg", "certify_sing_single_current", "scan_graph"):
+        monkeypatch.setattr(overview, name, refuse)
+    out = tmp_path / "table.json"
+    assert cli.main(["table", "--grid-steps", str(steps), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: grid resolution {steps}: the SING witnesses need at least 5\n"
+    )
+    assert not out.exists()
+
+
+def test_resolution_5_is_the_least_with_both_sing_pairs():
+    # the loop's pair at (18, 2) first appears at resolution 4, the double
+    # loop's at (38, 2) at 5
+    for conn, family, least in (
+        (theta.loop_conn, overview.SING_LOOP_PARAMS, 4),
+        (theta.double_loop_conn, overview.SING_DOUBLE_LOOP_PARAMS, 5),
+    ):
+        found = [find_decreasing_pair(conn(*family), dyadic_grid(r)) for r in range(1, 6)]
+        assert [pair is not None for pair in found] == [r >= least for r in range(1, 6)]
+    assert overview.MIN_GRID_RESOLUTION == 5
 
 
 def loop_steps(g, grid) -> set[int]:

@@ -29,9 +29,9 @@ PACKAGE = Path(loopcurrents.__file__).parent
 
 # Kept though no module reads them:
 # - graph_to_json writes the --graph file format that graph_from_json reads;
-# - double_loop, double_current and Dist.weights are read by the
-#   benchmark's output checks (bench/checks.py).
-ALLOWED = {"graph_to_json", "double_loop", "double_current", "Dist.weights"}
+# - double_loop, double_current, push_uniform_even and Dist.weights are read
+#   by the benchmark's output checks (bench/checks.py).
+ALLOWED = {"graph_to_json", "double_loop", "double_current", "push_uniform_even", "Dist.weights"}
 
 # Defaulted parameters kept though no call in the package passes them:
 # - cli.main(argv): the console entry point calls main() with none;
