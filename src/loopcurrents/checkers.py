@@ -17,11 +17,9 @@ Monotonicity scans need only the verdict, and :func:`monotonicity_scan`
 takes each step by the first of two routes that applies:
 
 * ``holley-local``: when both laws give every configuration positive
-  weight, Holley's criterion in its local form (:func:`_holley_local`) is
-  checked with exact integer products.  If mu_hi is a lattice law, its
-  single-edge conditional probabilities increase with the rest of the
-  configuration, so the heat-bath coupling of the two laws is monotone and
-  mu_lo <= mu_hi.  The criterion is only sufficient.
+  weight and mu_hi is a lattice law, Holley's criterion in its local form
+  (:func:`_holley_steps`) proves mu_lo <= mu_hi with exact integer products,
+  once per distinct weight pattern of the family.
 * ``flow``: the covering network's max-flow, the only route that can fail
   a step; every refutation and witness comes from its min cut.
 """
@@ -371,43 +369,51 @@ def stochastic_domination(d_lo: Dist, d_hi: Dist) -> DominationReport:
     return DominationReport(True, coupling=flow.coupling())
 
 
-def _holley_local(d_lo: Dist, d_hi: Dist) -> bool:
-    """Holley's criterion in its local form, on strictly positive laws.
-
-    True when both laws give every mask positive weight and, for every
-    mask m and edges e != f outside it, with lo and hi the laws' integer
-    weights,
-
-    * d_hi meets the lattice condition on two-edge differences,
-      hi(m|e|f) hi(m) >= hi(m|e) hi(m|f);
-    * hi(m|e) lo(m) >= lo(m|e) hi(m): given the other edges, e is at least
-      as likely open under d_hi as under d_lo.
+def _holley_steps(laws: Sequence[Dist]) -> list[bool]:
+    """Holley's criterion in its local form at each step of a family: entry
+    j - 1 is True when lo = laws[j - 1] and hi = laws[j] give every mask
+    positive weight and, for every mask m and edges e != f outside it, their
+    integer weights meet hi(m|e|f) hi(m) >= hi(m|e) hi(m|f) (the lattice
+    condition on two-edge differences) and hi(m|e) lo(m) >= lo(m|e) hi(m)
+    (given the other edges, e is at least as likely open under hi as lo).
 
     For strictly positive laws the first implies the full lattice condition,
-    so the conditional probability that d_hi opens e increases with the
-    rest of the configuration; with the second, for xi <= omega it is at
-    least the probability that d_lo opens e given xi.  The heat-bath chain
-    that resamples one edge of both configurations with the same uniform
-    then keeps xi <= omega; each marginal chain is irreducible with
-    stationary law d_lo or d_hi, so its limit couples d_lo below d_hi
-    (Holley 1974).  The condition is only sufficient: False proves nothing.
+    so the conditional probability that hi opens e increases with the rest
+    of the configuration; with the second, for xi <= omega it is at least
+    the probability that lo opens e given xi.  The heat-bath chain that
+    resamples one edge of both configurations with the same uniform then
+    keeps xi <= omega; each marginal chain is irreducible with stationary
+    law lo or hi, so its limit couples lo below hi (Holley 1974).  The
+    condition is only sufficient: False proves nothing.
+
+    The weights enter through classes of masks equal in every full-support
+    law, each named by its first mask, so one pass finds the distinct class
+    tuples of the triples (m, e, f) and a step multiplies out one triple per
+    tuple.  A family with no full-support step reads no weight.
     """
-    _require_same_graph(d_lo.graph, d_hi.graph)
-    n = d_lo.graph.edge_count
-    size = 1 << n
-    if len(d_lo.nums) < size or len(d_hi.nums) < size:
-        return False
-    lo = [d_lo.nums[m] for m in range(size)]
-    hi = [d_hi.nums[m] for m in range(size)]
-    bits = [1 << i for i in range(n)]
+    _require_same_graph(*(d.graph for d in laws))
+    full = [len(d.nums) == 1 << d.graph.edge_count for d in laws]
+    steps = [a and b for a, b in zip(full, full[1:])]
+    if not any(steps):
+        return steps
+    masks = range(1 << laws[0].graph.edge_count)
+    first: dict[tuple[int, ...], int] = {}
+    keys = zip(*(map(d.nums.__getitem__, masks) for d, ok in zip(laws, full) if ok))
+    cls = [first.setdefault(key, m) for m, key in zip(masks, keys)]
+    nums = [d.nums for d in laws]
+    bits = [1 << i for i in range(laws[0].graph.edge_count)]
+    quads, pairs = set(), set()
     for i, e in enumerate(bits):
+        pairs.update((cls[m | e], cls[m]) for m in masks if not m & e)
         for f in bits[i + 1 :]:
             ef = e | f
-            if any(hi[m | ef] * hi[m] < hi[m | e] * hi[m | f] for m in range(size) if not m & ef):
-                return False
-    return all(
-        hi[m | e] * lo[m] >= lo[m | e] * hi[m] for e in bits for m in range(size) if not m & e
-    )
+            quads.update((cls[m | ef], cls[m], cls[m | e], cls[m | f]) for m in masks if not m & ef)
+    return [
+        ok
+        and all(hi[a] * hi[b] >= hi[c] * hi[d] for a, b, c, d in quads)
+        and all(hi[a] * lo[b] >= lo[a] * hi[b] for a, b in pairs)
+        for ok, lo, hi in zip(steps, nums, nums[1:])
+    ]
 
 
 def _upset_witness(generators: Sequence[int], d_lo: Dist, d_hi: Dist) -> UpSetWitness:
@@ -429,17 +435,12 @@ def monotonicity_scan(laws: Sequence[Dist]) -> list[tuple[int, UpSetWitness]]:
 
     Returns ``(j, witness)`` for every step where ``laws[j]`` fails to
     dominate ``laws[j - 1]``, with the min cut's up-set.  A step whose laws
-    meet the local Holley criterion (:func:`_holley_local`: both laws
-    strictly positive, the higher one a lattice law) dominates without a
-    flow; every other step runs the covering network's max-flow, and no
-    coupling is built.  An empty list is scan evidence, never a
-    monotonicity proof.
+    meet the local Holley criterion (:func:`_holley_steps`, called once for
+    the family: both laws strictly positive, the higher one a lattice law)
+    dominates without a flow; every other step runs the covering network's
+    max-flow, and no coupling is built.  An empty list is scan evidence,
+    never a monotonicity proof.
     """
-    failures = []
-    for j in range(1, len(laws)):
-        lo, hi = laws[j - 1], laws[j]
-        if not _holley_local(lo, hi):
-            witness = _CoveringFlow(lo, hi).witness
-            if witness is not None:
-                failures.append((j, witness))
-    return failures
+    declined = [j for j, holds in enumerate(_holley_steps(laws), 1) if not holds]
+    witnesses = [(j, _CoveringFlow(laws[j - 1], laws[j]).witness) for j in declined]
+    return [(j, witness) for j, witness in witnesses if witness is not None]

@@ -679,11 +679,7 @@ def prob(d: Dist, event) -> Fraction:
 def _same_graph(*graphs: Graph) -> bool:
     """The one "same graph" test of the package: equal edge lists, vertex
     counts and edge lengths."""
-    first = graphs[0]
-    return all(
-        (g.edges, g.vertex_count, g.lengths) == (first.edges, first.vertex_count, first.lengths)
-        for g in graphs[1:]
-    )
+    return len({(g.edges, g.vertex_count, g.lengths) for g in graphs}) <= 1
 
 
 def _require_same_graph(*graphs: Graph, what: str = "distributions") -> None:

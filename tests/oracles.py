@@ -18,7 +18,8 @@ x = 1 on which acceptance C05 searches the single current's dip), the
 vertex-set connection event (the oracle of the table's connection masses),
 the covering-pair and all-pairs scans of an event's monotonicity, the
 all-pairs lattice condition (the oracle of the two-edge form the Holley
-route checks) with the FKG report around it, and a shortest-augmenting-path
+route checks) with the FKG report around it, the Holley route's criterion
+checked mask by mask on one step, and a shortest-augmenting-path
 max-flow (Edmonds & Karp): the bipartite domination oracle runs it (and
 builds its up-set witness from the min cut itself), and so do the flow
 tests on the package's own covering networks, so neither shares flow code
@@ -450,8 +451,9 @@ def check_increasing_all_pairs(ev: Event, cap: int = 16):
 
 # ---------------------------------------------------------------------------
 # The lattice condition over all support pairs, the oracle of the two-edge
-# form that ``checkers._holley_local`` checks, and the FKG report that
-# bundles it with ``checkers.fkg_gaps``
+# form that the Holley route checks, the Holley route's per-mask pair check,
+# and the FKG report that bundles the lattice condition with
+# ``checkers.fkg_gaps``
 
 
 @dataclass(frozen=True)
@@ -531,6 +533,34 @@ def lattice_condition(d: Dist) -> FkgReport:
                 )
                 return FkgReport(lattice_holds=False, lattice_violation=violation)
     return FkgReport(lattice_holds=True)
+
+
+def holley_local_bruteforce(d_lo: Dist, d_hi: Dist) -> bool:
+    """Holley's local criterion on one step, mask by mask: True when both
+    laws give every mask positive weight and, for every mask m and edges
+    e != f outside it, with lo and hi the laws' integer weights,
+    hi(m|e|f) hi(m) >= hi(m|e) hi(m|f) and hi(m|e) lo(m) >= lo(m|e) hi(m).
+    The reference of the family route ``checkers._holley_steps``: every
+    mask, one step, no weight classes."""
+    graphs = [(d.graph.edges, d.graph.vertex_count, d.graph.lengths) for d in (d_lo, d_hi)]
+    if graphs[0] != graphs[1]:
+        raise GraphMismatchError("distributions live on different graphs")
+    n = d_lo.graph.edge_count
+    size = 1 << n
+    if len(d_lo.nums) < size or len(d_hi.nums) < size:
+        return False
+    lo = [d_lo.nums[m] for m in range(size)]
+    hi = [d_hi.nums[m] for m in range(size)]
+    for e, f in combinations([1 << i for i in range(n)], 2):
+        ef = e | f
+        if any(hi[m | ef] * hi[m] < hi[m | e] * hi[m | f] for m in range(size) if not m & ef):
+            return False
+    return all(
+        hi[m | e] * lo[m] >= lo[m | e] * hi[m]
+        for e in (1 << i for i in range(n))
+        for m in range(size)
+        if not m & e
+    )
 
 
 def prob_bruteforce(d: Dist, event: Event) -> Fraction:

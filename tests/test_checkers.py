@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from loopcurrents import checkers, overview
+from loopcurrents.battery import scan_battery
 from loopcurrents.checkers import (
     COVERING_NETWORK_CAP,
     DominationReport,
@@ -34,9 +35,11 @@ from loopcurrents.measures import (
     double_current,
     double_loop,
     loop_o1,
+    point_laws,
     point_mass,
     pythagorean_x,
     union,
+    union_bernoulli,
 )
 from loopcurrents.rationals import dyadic_grid
 from loopcurrents.theta import (
@@ -54,6 +57,7 @@ from oracles import (
     domination_bruteforce,
     exact_rows,
     fkg_report,
+    holley_local_bruteforce,
     lattice_condition,
     probabilities,
     upset_contains,
@@ -161,7 +165,7 @@ class TestGraphMismatch:
         # (edges and vertex count) for the union, the Holley route and the flow
         a = bernoulli(Graph(2, ((0, 1),)), F(1, 3))
         b = bernoulli(Graph(3, ((0, 1),)), F(1, 2))
-        for route in (union, checkers._holley_local, stochastic_domination):
+        for route in (union, holley_pair, stochastic_domination):
             with pytest.raises(GraphMismatchError):
                 route(a, b)
         with pytest.raises(GraphMismatchError):
@@ -591,6 +595,12 @@ def scan_pair(lo: Dist, hi: Dist):
     return monotonicity_scan([lo, hi])
 
 
+def holley_pair(lo: Dist, hi: Dist) -> bool:
+    """The Holley route's verdict on the one step lo -> hi."""
+    (holds,) = checkers._holley_steps([lo, hi])
+    return holds
+
+
 FOUR_EDGES = generalized_theta([1, 1, 2])
 FULL_SUPPORT_GRAPHS = [FOUR_EDGES, THETA111, Graph(3, ((0, 1), (1, 2))), Graph(2, ((0, 1),))]
 # on 2-edge laws: the local Holley condition holds, hi fails the lattice
@@ -646,7 +656,8 @@ class TestHolleyLocalRoute:
         report = stochastic_domination(lo, hi)
         expected = [] if report.dominates else [(1, report.witness)]
         assert scan_pair(lo, hi) == expected
-        if checkers._holley_local(lo, hi):
+        assert holley_pair(lo, hi) == holley_local_bruteforce(lo, hi)
+        if holley_pair(lo, hi):
             assert report.dominates
             # the brute force takes seconds on 16 masks
             oracle = domination_bruteforce if n <= 3 else domination_bipartite
@@ -659,7 +670,7 @@ class TestHolleyLocalRoute:
         ps = [F(1, 2) if i in reversed_edges else F(1, 4) for i in range(4)]
         lo = product_law(FOUR_EDGES, ps)
         hi = product_law(FOUR_EDGES, [F(3, 4) - p for p in ps])
-        assert not checkers._holley_local(lo, hi)
+        assert not holley_pair(lo, hi)
         expected = stochastic_domination(lo, hi)
         assert not expected.dominates and not domination_bruteforce(lo, hi).dominates
         flow_networks.clear()
@@ -670,7 +681,7 @@ class TestHolleyLocalRoute:
     def test_each_non_lattice_pair_is_refuted_by_the_flow(self, e, f, flow_networks):
         lo = pair_law(FOUR_EDGES, e, f, NOT_LATTICE_LO)
         hi = pair_law(FOUR_EDGES, e, f, NOT_LATTICE_HI)
-        assert not checkers._holley_local(lo, hi)
+        assert not holley_pair(lo, hi)
         expected = stochastic_domination(lo, hi)
         assert expected.witness.gap == F(5, 13) - F(2, 7)
         flow_networks.clear()
@@ -682,7 +693,7 @@ class TestHolleyLocalRoute:
         hi = pair_law(FOUR_EDGES, e, f, REPELLING)
         lo = product_law(FOUR_EDGES, [F(1, 4)] * 4)
         for d_lo in (hi, lo):
-            assert not checkers._holley_local(d_lo, hi)
+            assert not holley_pair(d_lo, hi)
             flow_networks.clear()
             assert scan_pair(d_lo, hi) == []
             assert len(flow_networks) == 1
@@ -691,18 +702,18 @@ class TestHolleyLocalRoute:
     def test_only_hi_needs_the_lattice_condition(self, flow_networks):
         lo = pair_law(FOUR_EDGES, 0, 3, REPELLING)
         hi = product_law(FOUR_EDGES, [F(3, 4)] * 4)
-        assert checkers._holley_local(lo, hi)
+        assert holley_pair(lo, hi)
         assert scan_pair(lo, hi) == []
         assert flow_networks == []
 
     def test_a_zero_weight_mask_takes_the_flow(self, flow_networks):
         g = THETA111
         lo, hi = build("random_cluster", g, F(1, 4)), build("random_cluster", g, F(1, 2))
-        assert checkers._holley_local(lo, hi)
+        assert holley_pair(lo, hi)
         for lo_cut, hi_cut in ((g.full_mask, None), (None, 0)):
             d_lo = dist_from_weights(g, {m: w for m, w in lo.weights.items() if m != lo_cut})
             d_hi = dist_from_weights(g, {m: w for m, w in hi.weights.items() if m != hi_cut})
-            assert not checkers._holley_local(d_lo, d_hi)
+            assert not holley_pair(d_lo, d_hi)
             flow_networks.clear()
             assert scan_pair(d_lo, d_hi) == []
             assert len(flow_networks) == 1
@@ -718,6 +729,117 @@ class TestHolleyLocalRoute:
         g = generalized_theta([3, 3, 3, 3])
         assert monotonicity_scan([build("random_cluster", g, x) for x in dyadic_grid(2)]) == []
         assert flow_networks == []
+
+
+@st.composite
+def holley_families(draw) -> list[Dist]:
+    """2 to 6 laws on one full-support graph, each after the first tilted
+    from, equal to, or drawn independently of the one before; sometimes an
+    inner law loses one mask."""
+    g = draw(st.sampled_from(FULL_SUPPORT_GRAPHS))
+    n = g.edge_count
+    weights = [draw(st.one_of(lattice_weights(n), positive_weights(n)))]
+    for _ in range(draw(st.integers(1, 5))):
+        last = weights[-1]
+        weights.append(
+            draw(
+                st.one_of(
+                    st.just(last), tilted(last, n), lattice_weights(n), positive_weights(n)
+                )
+            )
+        )
+    laws = [law_of(g, w.__getitem__) for w in weights]
+    if len(laws) > 2 and draw(st.booleans()):
+        j = draw(st.integers(1, len(laws) - 2))
+        cut = draw(st.integers(0, g.full_mask))
+        laws[j] = dist_from_weights(g, {m: w for m, w in laws[j].weights.items() if m != cut})
+    return laws
+
+
+def holley_bruteforce_steps(laws: list[Dist]) -> list[bool]:
+    return [holley_local_bruteforce(lo, hi) for lo, hi in zip(laws, laws[1:])]
+
+
+class UnreadWeights(dict):
+    """Numerators that fail the test when a weight is looked up."""
+
+    def __getitem__(self, mask):
+        raise AssertionError(f"weight of {hex(mask)} read")
+
+    get = __getitem__
+
+
+class TestHolleySteps:
+    """The family form of the Holley route: one pass per family over the
+    distinct weight patterns, the mask-by-mask pair check at every step."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(laws=holley_families())
+    def test_every_step_agrees_with_the_mask_by_mask_check(self, laws):
+        assert checkers._holley_steps(laws) == holley_bruteforce_steps(laws)
+
+    def test_a_law_missing_a_mask_sends_only_its_own_steps_to_the_flow(self, flow_networks):
+        g = THETA111
+        laws = [build("random_cluster", g, x) for x in dyadic_grid(3)[:5]]
+        for cut in (0, g.full_mask):
+            family = list(laws)
+            family[2] = dist_from_weights(g, {m: w for m, w in laws[2].weights.items() if m != cut})
+            steps = checkers._holley_steps(family)
+            assert steps == [True, False, False, True] == holley_bruteforce_steps(family)
+            expected = [
+                (j, report.witness)
+                for j in (2, 3)
+                if not (report := stochastic_domination(family[j - 1], family[j])).dominates
+            ]
+            flow_networks.clear()
+            assert monotonicity_scan(family) == expected
+            assert len(flow_networks) == 2
+
+    def test_repeated_identical_laws(self):
+        rc = build("random_cluster", K4, F(1, 3))
+        repelling = pair_law(FOUR_EDGES, 0, 3, REPELLING)
+        for law, holds in ((rc, True), (bernoulli(K4, F(2, 3)), True), (repelling, False)):
+            for count in (2, 3, 5):
+                family = [law] * count
+                steps = checkers._holley_steps(family)
+                assert steps == holley_bruteforce_steps(family) == [holds] * (count - 1)
+
+    def test_the_sum_theorem_families_agree_with_the_mask_by_mask_check(self):
+        # the four 15-law families of verify sumthm on each battery graph:
+        # every step holds, so the sum theorem's scans need no flow
+        grid = dyadic_grid(4)
+        for _, g in scan_battery():
+            percolation = [bernoulli(g, x) for x in grid]
+            point = [point_laws(g, x) for x in grid]
+            for laws in (
+                percolation,
+                [union_bernoulli(d, x) for d, x in zip(percolation, grid)],
+                [law("random_cluster") for law in point],
+                [law("double_cluster") for law in point],
+            ):
+                steps = checkers._holley_steps(laws)
+                assert steps == holley_bruteforce_steps(laws) and all(steps)
+
+    def test_a_family_without_a_full_support_step_reads_no_weight(self):
+        g = THETA111
+        unread = [
+            Dist(g, UnreadWeights(d.nums), d.den, d.z)
+            for d in (build("random_cluster", g, F(1, 4)), loop_o1(g, F(1, 3)))
+        ]
+        for family in ([unread[1]] * 3, [unread[0], unread[1], unread[0]], unread[:1]):
+            assert checkers._holley_steps(family) == [False] * (len(family) - 1)
+        with pytest.raises(AssertionError, match="read"):
+            checkers._holley_steps(unread[:1] * 2)
+
+    def test_a_graph_mismatch_is_refused_before_any_flow(self, flow_networks):
+        g = Graph(2, ((0, 1),))
+        family = [point_mass(g, 0), point_mass(g, 1), bernoulli(Graph(3, ((0, 1),)), F(1, 2))]
+        with pytest.raises(GraphMismatchError):
+            checkers._holley_steps(family)
+        with pytest.raises(GraphMismatchError):
+            monotonicity_scan(family)
+        assert flow_networks == []
+        assert monotonicity_scan(family[:2]) == [] and len(flow_networks) == 1
 
 
 class TestScans:

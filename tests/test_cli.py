@@ -704,6 +704,12 @@ class TestBatchedSuites:
             f"sumthm random-cluster: {name}: inconclusive" for name, _ in scan_battery()
         ]
 
+    def test_sumthm_builds_no_flow_network(self, flow_networks):
+        # every step of the sum theorem's families passes Holley's local
+        # criterion, so a flow here means the family route declined a step
+        assert cli.verify_sumthm() == []
+        assert flow_networks == []
+
     def test_sumthm_builds_each_law_once(self, monkeypatch):
         built = counting_rows(monkeypatch)
         calls = record_calls(monkeypatch, "bernoulli", "point_laws", "union_bernoulli")

@@ -347,10 +347,11 @@ def test_battery_mon_scans_touch_no_model_law(flow_networks, monkeypatch):
     # every step of the four battery graphs takes the loop-union route: the
     # loop scan's flows are the only ones, and no Holley check runs
     holley = Counter()
+    holley_steps = checkers._holley_steps
 
-    def counting_holley(lo, hi):
-        holley[lo.graph.edges] += 1
-        return checkers._holley_local(lo, hi)
+    def counting_holley(laws):
+        holley[laws[0].graph.edges] += len(laws) - 1
+        return holley_steps(laws)
 
     grid = dyadic_grid(6)
     battery = [(name, g, loop_steps(g, grid)) for name, g in scan_battery()]
@@ -358,12 +359,17 @@ def test_battery_mon_scans_touch_no_model_law(flow_networks, monkeypatch):
     assert len(flow_networks) == 4 * (len(grid) - 1)
     assert max(flow_networks) <= 2 + (1 << 6)
     flow_networks.clear()
-    monkeypatch.setattr(checkers, "_holley_local", counting_holley)
+    monkeypatch.setattr(checkers, "_holley_steps", counting_holley)
     for name, g, steps in battery:
         for model in UNION_ROWS:
             certified = overview.loop_union_steps(model, grid, steps)
             assert overview.scan_mon(name, unbuilt, grid, certified) == []
     assert flow_networks == [] and not holley
+    # the patched routine is the one the scans call: an uncertified step of
+    # the same scan is counted
+    name, g, _ = battery[0]
+    assert overview.scan_mon(name, lambda j: build("random_cluster", g, grid[j]), grid[:2]) == []
+    assert holley == {g.edges: 1} and flow_networks == []
 
 
 @st.composite
