@@ -43,7 +43,6 @@ from .measures import (
     double_current,
     double_loop,
     loop_o1,
-    point_laws,
     point_mass,
     prob,
     push_uniform_even,

@@ -47,9 +47,9 @@ from .intervals import MAX_BITS, START_BITS, certify_decreasing_pair
 from .measures import (
     _open_edges,
     bernoulli,
+    build,
     counting_weights,
     edge_masses,
-    point_laws,
     polynomial_laws,
     push_even,
     pythagorean_x,
@@ -108,10 +108,29 @@ def add_graph_args(parser: argparse.ArgumentParser):
     parser.add_argument("--m", type=int, help="inner path length for the counter family")
 
 
+# Most vertices plus edges of a graph built from command-line input,
+# checked before it is built.  The cycle basis costs about the size squared:
+# sample --model loop_mcmc --segments 65000,1,1 takes 0.9 s, 320000,1,1 took
+# 11 s; verify --theorem cor1 on a graph file of 10^7 vertices and 3 edges
+# took 2.5 s and 174 MB (CPython 3.11, 2-vCPU Xeon).
+GRAPH_SIZE_CAP = 1 << 17
+
+
+def _require_graph_size(vertices: int, edges: int) -> None:
+    if vertices + edges > GRAPH_SIZE_CAP:
+        raise CapExceededError("graph vertices plus edges", vertices + edges, GRAPH_SIZE_CAP)
+
+
 def read_graph(path: str) -> Graph:
-    """The graph in a JSON file; an unreadable or malformed file is a typed error."""
+    """The graph in a JSON file, size-checked before it is built; a bad file is a typed error."""
     try:
-        return graph_from_json(Path(path).read_text(encoding="utf-8"))
+        text = Path(path).read_text(encoding="utf-8")
+        data = json.loads(text)
+        vertices = data["vertices"]  # graph_from_json refuses one that is not an int
+        _require_graph_size(vertices if type(vertices) is int else 0, len(data["edges"]))
+        return graph_from_json(text)
+    except CapExceededError:
+        raise
     except KeyError as exc:
         raise GraphStructureError(f"graph file {path} has no key {exc}") from exc
     except (OSError, ValueError, TypeError) as exc:
@@ -128,12 +147,15 @@ def graph_from_args(args) -> Graph:
             lengths = [int(s) for s in args.segments.split(",")]
         except ValueError as exc:
             raise GraphStructureError(f"--segments {args.segments!r}: {exc}") from exc
-        return generalized_theta(lengths)
-    if args.family == "counter":
+    elif args.family == "counter":
         if args.n is None or args.m is None:
             raise LoopCurrentsError("--family counter needs --n and --m")
-        return counter_family(args.n, args.m)
-    raise LoopCurrentsError("select a graph with --graph or --family")
+        lengths = [args.n, args.n, args.m, args.m]
+    else:
+        raise LoopCurrentsError("select a graph with --graph or --family")
+    # a theta graph: the two hubs and each segment's inner vertices
+    _require_graph_size(2 + sum(lengths) - len(lengths), sum(lengths))
+    return generalized_theta(lengths) if args.family == "theta" else counter_family(args.n, args.m)
 
 
 # ---------------------------------------------------------------------------
@@ -296,6 +318,14 @@ BATTERY_ROWS = ("loop", "double_loop", "random_cluster", "double_current")
 # union lead both, 0.88 s against 0.61 s.
 PACKED_PROOF_BITS_CAP = 1 << 25
 
+# Most work of a graph's tables in a --x run at x = a/b: 2^|E| weights of
+# at most S + D w bits meet factors of about w bits, w the bit length of
+# max(a, b), counted in 30-bit int digits.  It admits every graph of the
+# lattice pass cap at x = 1/2 (at most 2^27.2; 19 edges take 7-8 s and 180
+# MB) and the battery at 1/10^100 (2^27.3, 0.5 s); the battery took 3.5 s at
+# 1/10^300 (2^30.4) and 15 s at 1/10^1000 (CPython 3.11, 2-vCPU Xeon).
+POINT_CHECK_WORK_CAP = 1 << 28
+
 
 def verify_newcoupling(where, g, x, point, rows) -> list[str]:
     current = rows("double_current")
@@ -362,14 +392,15 @@ def _same_law(left: list[int], right: list[int]) -> bool:
     return all(bool(u) == bool(v) and u * rt == v * lt for u, v in zip(left, right))
 
 
-def _proof_digits(theorems, name: str, g: Graph, shapes) -> int:
-    """S for the default run on g: one more than the bit length of a bound
-    on the absolute coefficient sum of either side of every comparison
-    the suites make, products included.  Two such sides that agree at
-    x = 2^S agree as polynomials, and a nonzero side is nonzero there.
-    A row's bound covers the sum of any of its weights, and a product's is
-    at most the product of its factors'.  Refused above
-    :data:`PACKED_PROOF_BITS_CAP`."""
+def _evaluation_point(theorems, name: str, g: Graph, shapes, x) -> tuple[int, int]:
+    """The point (a, b) at which the suites read g's tables: x = a/b, or
+    with x None (2^S, 1), S one more than the bit length of a bound on the
+    absolute coefficient sum of either side of every comparison the suites
+    make, products included.  Two such sides that agree at x = 2^S agree
+    as polynomials, and a nonzero side is nonzero there.  A row's bound
+    covers the sum of any of its weights, and a product's is at most the
+    product of its factors'.  Refused above :data:`PACKED_PROOF_BITS_CAP`,
+    or at x above :data:`POINT_CHECK_WORK_CAP`."""
     loop, double, cluster, current = (shapes[row][0] for row in BATTERY_ROWS)
     n, dim = g.edge_count, len(cycle_space_basis(g))
     sides = {
@@ -384,29 +415,33 @@ def _proof_digits(theorems, name: str, g: Graph, shapes) -> int:
     }
     digits = max((sides[t] for t in theorems), default=0).bit_length() + 1
     degree = max(3 * n, *(d for _, d in shapes.values()))  # counting weights: 3n
-    bits = (1 << n) * digits * (degree + 1)
-    if bits > PACKED_PROOF_BITS_CAP:
+    if x is None:
+        point, cap = (1 << digits, 1), PACKED_PROOF_BITS_CAP
+        size = (1 << n) * digits * (degree + 1)
         what = f"proving the identities on {name} for every x (verify --x checks one point)"
-        raise CapExceededError(what, bits, PACKED_PROOF_BITS_CAP)
-    return digits
+    else:  # a weight at x = a/b is the integer b^D W(a/b), at most S + D w bits
+        point, cap = (x.numerator, x.denominator), POINT_CHECK_WORK_CAP
+        width = max(point).bit_length()
+        size = (1 << n) * (digits + degree * width) * -(-width // 30)
+        what = f"checking the identities on {name} at an x of {width} bits"
+    if size > cap:
+        raise CapExceededError(what, size, cap)
+    return point
 
 
 def verify_battery(theorems, battery, x) -> dict[str, list[str]]:
     """The failure lines of the named battery suites, each in its (graph,
-    edge) order.  Every suite reads a graph's rows as lattice tables at one
-    evaluation point: (a, b) for x = a/b, or, with x None, (2^S, 1), where
-    each comparison is one of integer polynomials packed by x -> 2^S
-    (:func:`_proof_digits`), so each identity holds for every x.  Every
-    graph's rows are checked, and its packed size capped, before any pass;
-    a row that several suites read is built once."""
+    edge) order.  Every suite reads a graph's rows as lattice tables at its
+    :func:`_evaluation_point`; at (2^S, 1) each comparison is one of integer
+    polynomials packed by x -> 2^S, so each identity holds for every x.
+    Every graph's rows are checked, and its tables' size capped, before
+    any pass; a row that several suites read is built once."""
     xs = () if x is None else (x,)
     cases = []
     for name, g in battery:
         shapes, at = polynomial_laws(g, BATTERY_ROWS, xs)
-        if x is None:
-            cases.append((name, g, at, (1 << _proof_digits(theorems, name, g, shapes), 1)))
-        else:
-            cases.append((f"{name} x={x}", g, at, (x.numerator, x.denominator)))
+        where = name if x is None else f"{name} x={x}"
+        cases.append((where, g, at, _evaluation_point(theorems, name, g, shapes, x)))
     failures: dict[str, list[str]] = {name: [] for name in theorems}
     for where, g, at, point in cases:
         rows = at(*point)
@@ -426,13 +461,12 @@ def verify_sumthm() -> list[str]:
     grid = dyadic_grid(4)
     for name, g in scan_battery():
         percolation = [bernoulli(g, x) for x in grid]
-        point = [point_laws(g, x) for x in grid]
         cases = (
             ("bernoulli", percolation, [union_bernoulli(d, x) for d, x in zip(percolation, grid)]),
             (
                 "random-cluster",
-                [law("random_cluster") for law in point],
-                [law("double_cluster") for law in point],
+                [build("random_cluster", g, x) for x in grid],
+                [build("double_cluster", g, x) for x in grid],
             ),
         )
         for label, laws, unions in cases:
@@ -480,9 +514,9 @@ def verify_appendix_tables() -> list[str]:
 
 # Each suite returns one line per failure.  All but FIXED_SUITES check one
 # battery graph, at one x or for every x, on the tables verify_battery
-# shares between them;
-# those two check fixed instances (the scan battery on a dyadic grid, the
-# theta and counter tables), so they read neither --graph nor --x.
+# shares between them; those two check fixed instances (the scan battery
+# on a dyadic grid, the theta and counter tables), so they read neither
+# --graph nor --x.
 VERIFY_SUITES = {
     "newcoupling": verify_newcoupling,
     "cor1": verify_cor1,
@@ -532,12 +566,7 @@ SAMPLER_SETTINGS = ("burn_in", "thin")
 def cmd_sample(args) -> int:
     started = time.time()
     g = graph_from_args(args)
-    if args.t:
-        x = pythagorean_x(parse_rational(args.t))
-    elif args.x:
-        x = parse_rational(args.x)
-    else:
-        raise LoopCurrentsError("sample needs --x or --t")
+    x = parse_rational(args.x) if args.t is None else pythagorean_x(parse_rational(args.t))
     if args.samples < 0:
         raise ParametrizationError(f"--samples {args.samples} must be non-negative")
 
@@ -610,8 +639,9 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
         choices=["loop_mcmc", *COUPLED_MODELS],
     )
-    smp.add_argument("--x", help="x as num/den")
-    smp.add_argument("--t", help="Pythagorean t as num/den (sets x = 2t/(1+t^2))")
+    point = smp.add_mutually_exclusive_group(required=True)
+    point.add_argument("--x", help="x as num/den")
+    point.add_argument("--t", help="Pythagorean t as num/den (sets x = 2t/(1+t^2))")
     smp.add_argument("--samples", type=int, default=1000)
     smp.add_argument("--burn-in", type=int, default=100)
     smp.add_argument("--thin", type=int, default=1)

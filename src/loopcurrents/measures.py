@@ -9,9 +9,8 @@ exact; no floating point enters this module.
 
 The models follow the union-coupling definitions, each one row of the
 registry :data:`MODELS`: k independent loop-model copies, unioned with
-Bernoulli(p(x)) percolation.  :func:`point_laws` builds the rows at one
-(graph, x) on one shared loop law and its k-fold unions, and keeps no row;
-:func:`build` takes one row of them.  The rows:
+Bernoulli(p(x)) percolation, and :func:`build` makes one row's law.  The
+rows:
 
 * loop model: weight x^|g| on every even subgraph g;
 * random cluster (q=2): loop union Bernoulli(x);
@@ -259,21 +258,11 @@ def _union_nums(nums1: dict[int, int], nums2: dict[int, int]) -> dict[int, int]:
 
 
 def union_bernoulli(d: Dist, p: Fraction) -> Dist:
-    """Union of d with independent Bernoulli(p) percolation.
-
-    Same measure as ``union(d, bernoulli(graph, p))`` (asserted by tests) but
-    computed edge by edge over the 2^|E| lattice, which keeps the doubled
-    models usable inside exhaustive verification batteries.  An edge of
-    length L opens with p^L: on a core, its path is open when all its
-    edges are.  With p^L = c^L/e^L and the weights of d as integers over
-    their denominator, opening each edge independently maps the pair
-    (lo, hi) of masks without and with that edge to
-
-        (lo, hi) -> ((e^L - c^L) * lo, e^L * hi + c^L * lo),
-
-    so the whole pass stays in integers, over the denominator den * e^n,
-    n the total length of the graph.
-    """
+    """Union of d with independent Bernoulli(p) percolation: the law of
+    ``union(d, bernoulli(graph, p))``, computed edge by edge over the 2^|E|
+    lattice (:func:`_open_edges`) in integers over den * e^n, for p = c/e
+    and n the total length.  An edge of length L opens with p^L: on a core,
+    its path is open when all its edges are."""
     p = Fraction(p)
     if not 0 <= p <= 1:
         raise LoopCurrentsError(f"p={p} outside [0,1]")
@@ -316,25 +305,6 @@ MODELS: dict[str, tuple[int, Callable[[Fraction], Fraction] | None]] = {
 }
 
 
-def point_laws(graph: Graph, x: Fraction) -> Callable[[str], Dist]:
-    """``law(name)``: the exact law of the registered model ``name`` at edge
-    weight ``x``, built on each call (a caller that rereads rows caches it)
-    on one loop law and its k-fold unions, each built once on first use.
-    The name and p(x) are checked before anything is enumerated."""
-    x = Fraction(x)
-
-    @cache
-    def loops(copies: int) -> Dist:
-        return loop_o1(graph, x) if copies == 1 else union(loops(copies - 1), loops(1))
-
-    def law(name: str) -> Dist:
-        copies, p = _model(name)
-        p_x = None if p is None else p(x)  # may raise: check before enumerating
-        return loops(copies) if p_x is None else union_bernoulli(loops(copies), p_x)
-
-    return law
-
-
 def _model(name: str) -> tuple[int, Callable[[Fraction], Fraction] | None]:
     if name not in MODELS:
         raise LoopCurrentsError(f"unknown model {name!r}; choose from {tuple(MODELS)}")
@@ -342,8 +312,16 @@ def _model(name: str) -> tuple[int, Callable[[Fraction], Fraction] | None]:
 
 
 def build(name: str, graph: Graph, x: Fraction) -> Dist:
-    """Exact law of the registered model ``name`` at edge weight ``x``."""
-    return point_laws(graph, x)(name)
+    """Exact law of the registered model ``name`` at edge weight ``x``: the
+    loop law, unioned with a copy of itself per further copy, then with
+    Bernoulli(p(x)); the name and p(x) are checked before any enumeration."""
+    x = Fraction(x)
+    copies, p = _model(name)
+    p_x = None if p is None else p(x)  # may raise: check before enumerating
+    loop = law = loop_o1(graph, x)
+    for _ in range(copies - 1):
+        law = union(law, loop)
+    return law if p_x is None else union_bernoulli(law, p_x)
 
 
 def double_loop(graph: Graph, x: Fraction) -> Dist:
@@ -425,32 +403,25 @@ def bit_masses(
     and builds ``Fraction(count, total)`` only for a value it writes out.
 
     stat runs once per distinct configuration across the family; each law
-    adds its integer numerators per stat value.  The laws' totals per value
-    are packed into one integer, law j in lane j, each packed total goes to
-    its value's set bits once, and each lane is read back by shift and
-    mask: a lane is as wide as the largest numerator sum, and the
-    numerators are positive, so no carry crosses a lane.  An event is the
-    one-bit stat ``holds``, the edge masses are the stat ``mask`` at width
-    |E|; bits of stat at or above ``width`` are not counted."""
+    sums its integer numerators per stat value, and each sum goes to its
+    value's set bits.  An event is the one-bit stat ``holds``, the edge
+    masses are the stat ``mask`` at width |E|; bits of stat at or above
+    ``width`` are not counted."""
     keep = (1 << width) - 1
     stats = {m: stat(m) & keep for m in dict.fromkeys(m for d in dists for m in d.nums)}
-    sums = [sum(d.nums.values()) for d in dists]
-    lane = max(sums, default=0).bit_length()
-    packed: dict[int, int] = {}
-    for j, d in enumerate(dists):
+    rows = []
+    for d in dists:
         by_value: dict[int, int] = {}
         for mask, w in d.nums.items():
             by_value[stats[mask]] = by_value.get(stats[mask], 0) + w
+        counts = [0] * width
         for s, w in by_value.items():
-            packed[s] = packed.get(s, 0) + (w << j * lane)
-    totals = [0] * width
-    for s, w in packed.items():
-        while s:
-            low = s & -s
-            totals[low.bit_length() - 1] += w
-            s ^= low
-    lane_mask = (1 << lane) - 1
-    return [([t >> j * lane & lane_mask for t in totals], total) for j, total in enumerate(sums)]
+            while s:
+                low = s & -s
+                counts[low.bit_length() - 1] += w
+                s ^= low
+        rows.append((counts, sum(d.nums.values())))
+    return rows
 
 
 # ---------------------------------------------------------------------------

@@ -58,7 +58,7 @@ from .errors import LoopCurrentsError, ParametrizationError
 from .events import Event, all_open, connect, edge_open
 from .graphs import Graph, component_labels, counter_family
 from .intervals import certify_decreasing_pair
-from .measures import MODELS, Dist, build, point_laws, polynomial_masses, pythagorean_x
+from .measures import MODELS, Dist, build, polynomial_masses, pythagorean_x
 from .rationals import decimal_string, dyadic_grid, find_decreasing_pair, format_rational
 
 REFUTED = "refuted"
@@ -444,13 +444,12 @@ def build_overview(
 
     violations = {m: {prop: [] for prop in PROPERTIES} for m in MODELS if m not in refutations}
     for name, g in graphs:
-        point = [point_laws(g, x) for x in mon_grid]
-        loop_steps = loop_dominating_steps([law("loop") for law in point])
+        loop_steps = loop_dominating_steps([build("loop", g, x) for x in mon_grid])
         scans = scan_graph(name, g, list(violations), grid)
         for model, row in violations.items():
             certified = loop_union_steps(model, mon_grid, loop_steps)
             # the row's laws are built inside the call, and die with it
-            mon = scan_mon(name, lambda j: point[j](model), mon_grid, certified)
+            mon = scan_mon(name, lambda j: build(model, g, mon_grid[j]), mon_grid, certified)
             found = dict(scans[model], MON=mon)
             for prop, more in found.items():
                 row[prop] += more

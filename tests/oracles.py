@@ -615,9 +615,9 @@ def histogram(d: Dist, value) -> dict[int, Fraction]:
 
 
 def bit_masses_per_law(dists, stat, width: int) -> list[tuple[list[int], int]]:
-    """``measures.bit_masses`` one law at a time, without packing: each
-    law's integer numerators summed per stat value, each sum added to the
-    count of every set bit below ``width``, beside the law's numerator sum."""
+    """``measures.bit_masses`` one law at a time, bit by bit: each law's
+    integer numerators summed per stat value, each sum added to the count
+    of every set bit below ``width``, beside the law's numerator sum."""
     keep = (1 << width) - 1
     rows = []
     for d in dists:

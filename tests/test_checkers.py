@@ -35,7 +35,6 @@ from loopcurrents.measures import (
     double_current,
     double_loop,
     loop_o1,
-    point_laws,
     point_mass,
     pythagorean_x,
     union,
@@ -810,12 +809,11 @@ class TestHolleySteps:
         grid = dyadic_grid(4)
         for _, g in scan_battery():
             percolation = [bernoulli(g, x) for x in grid]
-            point = [point_laws(g, x) for x in grid]
             for laws in (
                 percolation,
                 [union_bernoulli(d, x) for d, x in zip(percolation, grid)],
-                [law("random_cluster") for law in point],
-                [law("double_cluster") for law in point],
+                [build("random_cluster", g, x) for x in grid],
+                [build("double_cluster", g, x) for x in grid],
             ):
                 steps = checkers._holley_steps(laws)
                 assert steps == holley_bruteforce_steps(laws) and all(steps)

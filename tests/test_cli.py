@@ -20,7 +20,7 @@ from loopcurrents.graphs import (
     graph_to_json,
 )
 from loopcurrents.intervals import Interval
-from loopcurrents.measures import MODELS, bit_masses, point_laws, push_uniform_even
+from loopcurrents.measures import MODELS, bit_masses, build, push_uniform_even
 from loopcurrents.rationals import dyadic_grid
 
 from oracles import cyclic_edges, double_current_lis, probabilities
@@ -405,6 +405,55 @@ def test_samples_above_the_cap_are_one_error_line(model, extra, refusal, size, t
 
 
 @pytest.mark.parametrize(
+    "graph_args, size",
+    [
+        # theta[2,3,2]: 7 edges, 2 hubs and 4 inner vertices
+        (("--family", "theta", "--segments", "2,3,2"), 13),
+        # counter(2, 2): 8 edges, 2 hubs and 4 inner vertices
+        (("--family", "counter", "--n", "2", "--m", "2"), 14),
+        (("--graph", "k4.json"), 10),
+    ],
+)
+def test_a_graph_above_the_size_cap_is_refused_before_it_is_built(
+    graph_args, size, tmp_path, capsys, monkeypatch
+):
+    # uncapped, --segments 320000,1,1 took 11 s and a file of 10^7 vertices 2.5 s
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "k4.json").write_text(graph_to_json(complete_graph(4)))
+    argv = ("sample", "--model", "loop_mcmc", *graph_args, "--x", "1/2", "--samples", "3")
+    monkeypatch.setattr(cli, "GRAPH_SIZE_CAP", size)
+    assert run(*argv, "--out", "at_cap.txt") == 0
+
+    def refuse(*args):
+        raise AssertionError("a graph was built past the cap")
+
+    for builder in ("generalized_theta", "counter_family", "graph_from_json"):
+        monkeypatch.setattr(cli, builder, refuse)
+    monkeypatch.setattr(cli, "GRAPH_SIZE_CAP", size - 1)
+    assert run(*argv, "--out", "above.txt") == 1
+    err = capsys.readouterr().err
+    assert err == f"error: graph vertices plus edges needs size {size}, above the cap {size - 1}\n"
+    assert not (tmp_path / "above.txt").exists()
+
+
+def test_huge_graph_inputs_are_refused_at_once(tmp_path, capsys):
+    # uncapped, verify took 2.5 s and 174 MB on a file of 10^7 vertices, and
+    # a segment of 10^12 edges would be built edge by edge
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"vertices": 10**7, "edges": [[0, 1], [1, 2], [0, 2]]}))
+    sample = ("sample", "--model", "loop_mcmc", "--x", "1/2", "--out", str(tmp_path / "out"))
+    started = time.perf_counter()
+    for argv in (
+        ("verify", "--theorem", "cor1", "--graph", str(path)),
+        (*sample, "--graph", str(path)),
+        (*sample, "--family", "theta", "--segments", f"{10**12},1,1"),
+    ):
+        assert run(*argv) == 1
+        assert capsys.readouterr().err.startswith("error: graph vertices plus edges needs size")
+    assert time.perf_counter() - started < 5
+
+
+@pytest.mark.parametrize(
     "refuse",
     [
         lambda tmp_path: dyadic_grid(10**8),
@@ -488,9 +537,41 @@ class TestVerify:
             f"point) needs size {bits[largest]}, above the cap {bits[largest] - 1}\n"
         )
 
-    def test_the_one_point_check_reads_no_packed_cap(self, monkeypatch):
+    def test_the_one_point_check_reads_its_own_cap(self, monkeypatch, capsys):
+        # the packed cap is the default run's; at one x, 2^|E| (S + D w) bits
+        # times w in 30-bit digits, w = 3 for 3/7
         monkeypatch.setattr(cli, "PACKED_PROOF_BITS_CAP", 0)
+        work = {name: point_work(g, F(3, 7)) for name, g in BATTERY}
+        largest = max(work, key=work.get)
+        monkeypatch.setattr(cli, "POINT_CHECK_WORK_CAP", work[largest])
         assert run("verify", "--x", "3/7") == 0
+        monkeypatch.setattr(cli, "POINT_CHECK_WORK_CAP", work[largest] - 1)
+        assert run("verify", "--x", "3/7") == 1
+        assert capsys.readouterr().err.endswith(
+            f"error: checking the identities on {largest} at an x of 3 bits needs size "
+            f"{work[largest]}, above the cap {work[largest] - 1}\n"
+        )
+
+    def test_a_wide_x_is_refused_before_any_pass(self, monkeypatch, capsys):
+        # x = 1/10^1000 took 15 s on the battery; its second graph is refused
+        def no_pass(*args):
+            raise AssertionError("a pass ran before the cap was checked")
+
+        for name in ("_union_nums", "_open_edges"):
+            monkeypatch.setattr(measures, name, no_pass)
+        assert run("verify", "--theorem", "lis-equivalence", "--x", f"1/{10**1000}") == 1
+        assert capsys.readouterr().err.startswith(
+            "error: checking the identities on theta[2,3,2] at an x of 3322 bits needs size"
+        )
+
+    @pytest.mark.parametrize("dim", [0, 12, 19])
+    def test_the_point_cap_admits_every_lattice_graph_at_one_half(self, dim):
+        # the lattice pass cap admits 19 edges; at x = 1/2 any dimension fits
+        vertices = 20 - dim
+        edges = tuple((i, i + 1) for i in range(vertices - 1))
+        g = Graph(vertices, edges + ((0, 1) if vertices > 1 else (0, 0),) * dim)
+        assert g.edge_count == 19
+        assert point_work(g, F(1, 2)) <= cli.POINT_CHECK_WORK_CAP
 
     @pytest.mark.parametrize(
         "edges, dim, admitted", [(12, 11, True), (13, 8, True), (13, 9, False), (14, 0, False)]
@@ -568,7 +649,18 @@ def suite(name, battery, x) -> list[str]:
 def proof_digits(name, g, theorems=BATTERY_SUITES) -> int:
     """The digit width S of the default run on g."""
     shapes, _ = measures.polynomial_laws(g, cli.BATTERY_ROWS, ())
-    return cli._proof_digits(theorems, name, g, shapes)
+    a, _ = cli._evaluation_point(theorems, name, g, shapes, None)
+    return a.bit_length() - 1
+
+
+def point_work(g, x, theorems=BATTERY_SUITES) -> int:
+    """The work the cap of a --x run counts on g, read off its refusal."""
+    shapes, _ = measures.polynomial_laws(g, cli.BATTERY_ROWS, (x,))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "POINT_CHECK_WORK_CAP", -1)
+        with pytest.raises(CapExceededError) as refused:
+            cli._evaluation_point(theorems, "g", g, shapes, x)
+    return refused.value.size
 
 
 def cyclic_edge_lines(fmt: str) -> list[str]:
@@ -601,25 +693,34 @@ def record_calls(monkeypatch, *names) -> dict[str, list]:
 
 
 def at_one_minus_x(model):
-    """``point_laws`` with the row ``model`` read at 1 - x and the others at x."""
-
-    def laws(g, x):
-        return lambda name: point_laws(g, 1 - x if name == model else x)(name)
-
-    return laws
+    """``build`` with the row ``model`` built at 1 - x and the others at x."""
+    return lambda name, g, x: build(name, g, 1 - x if name == model else x)
 
 
 def counting_rows(monkeypatch) -> Counter:
-    """Count, per (graph, x, row), the rows that ``cli.point_laws`` builds."""
+    """Count, per (graph, x, row), the rows that ``cli.build`` builds."""
     rows = Counter()
-    real = cli.point_laws
+    real = cli.build
 
-    def counting_point_laws(g, x):
-        law = real(g, x)
-        return lambda name: rows.update([(g, x, name)]) or law(name)
+    def counting_build(name, g, x):
+        rows.update([(g, x, name)])
+        return real(name, g, x)
 
-    monkeypatch.setattr(cli, "point_laws", counting_point_laws)
+    monkeypatch.setattr(cli, "build", counting_build)
     return rows
+
+
+def counting_loop_laws(monkeypatch) -> Counter:
+    """Count, per (graph, x), the loop laws that ``measures.loop_o1`` builds."""
+    loops = Counter()
+    real = measures.loop_o1
+
+    def counting_loop_o1(g, x):
+        loops.update([(g, x)])
+        return real(g, x)
+
+    monkeypatch.setattr(measures, "loop_o1", counting_loop_o1)
+    return loops
 
 
 class TestBatchedSuites:
@@ -693,13 +794,13 @@ class TestBatchedSuites:
 
     def test_sumthm_catches_a_non_monotone_union(self, monkeypatch):
         assert cli.verify_sumthm() == []
-        monkeypatch.setattr(cli, "point_laws", at_one_minus_x("double_cluster"))
+        monkeypatch.setattr(cli, "build", at_one_minus_x("double_cluster"))
         assert cli.verify_sumthm() == [
             f"sumthm random-cluster: {name}: violated" for name, _ in scan_battery()
         ]
 
     def test_sumthm_is_inconclusive_on_a_non_monotone_input(self, monkeypatch):
-        monkeypatch.setattr(cli, "point_laws", at_one_minus_x("random_cluster"))
+        monkeypatch.setattr(cli, "build", at_one_minus_x("random_cluster"))
         assert cli.verify_sumthm() == [
             f"sumthm random-cluster: {name}: inconclusive" for name, _ in scan_battery()
         ]
@@ -712,16 +813,17 @@ class TestBatchedSuites:
 
     def test_sumthm_builds_each_law_once(self, monkeypatch):
         built = counting_rows(monkeypatch)
-        calls = record_calls(monkeypatch, "bernoulli", "point_laws", "union_bernoulli")
+        calls = record_calls(monkeypatch, "bernoulli", "union_bernoulli")
+        loops = counting_loop_laws(monkeypatch)
         assert cli.verify_sumthm() == []
-        # one law per grid point and battery graph, the random cluster and
-        # its double from one point_laws, and the Bernoulli union reads the
-        # scan's own laws at their own x
-        points = len(dyadic_grid(4)) * len(scan_battery())
-        assert len(calls["point_laws"]) == points
-        rows = Counter(row for (_, _, row) in built.elements())
-        assert rows == dict.fromkeys(("random_cluster", "double_cluster"), points)
-        assert len(calls["bernoulli"]) == len(calls["union_bernoulli"]) == points
+        # one law per grid point and battery graph: the random cluster and
+        # its double each stand on a loop law of their own, and the
+        # Bernoulli union reads the scan's own laws at their own x
+        points = [(g, x) for _, g in scan_battery() for x in dyadic_grid(4)]
+        rows = ("random_cluster", "double_cluster")
+        assert built == Counter((g, x, row) for g, x in points for row in rows)
+        assert loops == Counter(points * 2)
+        assert len(calls["bernoulli"]) == len(calls["union_bernoulli"]) == len(points)
         for ((d, p), _), ((_, x), law) in zip(calls["union_bernoulli"], calls["bernoulli"]):
             assert d is law and p == x
 
@@ -751,15 +853,13 @@ class TestBatchedSuites:
 
     def test_one_verify_builds_each_law_once(self, monkeypatch):
         rows = counting_rows(monkeypatch)
-        calls = record_calls(
-            monkeypatch, "point_laws", "polynomial_laws", "counting_weights", "bernoulli"
-        )
+        calls = record_calls(monkeypatch, "polynomial_laws", "counting_weights", "bernoulli")
         assert run("verify") == 0
         built = Counter((name, *args) for name, log in calls.items() for args, _ in log)
         built.update(("row", *key) for key in rows.elements())
         expected = Counter()
-        # the battery suites build no point law: each graph's rows come from
-        # one polynomial_laws, read at one packed point, where the counting
+        # the battery suites build no law: each graph's rows come from one
+        # polynomial_laws, read at one packed point, where the counting
         # formula runs once
         for name, g in BATTERY:
             expected["polynomial_laws", g, cli.BATTERY_ROWS, ()] += 1
@@ -767,7 +867,6 @@ class TestBatchedSuites:
         # sumthm scans its own grid
         for _, g in scan_battery():
             for x in dyadic_grid(4):
-                expected["point_laws", g, x] += 1
                 expected["bernoulli", g, x] += 1
                 for row in ("random_cluster", "double_cluster"):
                     expected["row", g, x, row] += 1
@@ -914,7 +1013,8 @@ class TestProvedForm:
         )
         counting = measures.counting_weights(g, 1 << digits, 1)
         for x in ORACLE_XS:
-            law = point_laws(g, x)
+            def law(row, x=x):
+                return build(row, g, x)
 
             def value(packed, row):
                 return at_x(decoded(packed, digits, shapes[row][1]), x)
@@ -1031,6 +1131,16 @@ class TestSample:
             assert code == 0
             dumps.append(out.read_text())
         assert dumps[0] == dumps[1]
+
+    def test_x_and_t_together_are_refused(self, tmp_path, capsys):
+        # --t 1/3 alone draws at x = 3/5, which a manifest with x: 1/2 would hide
+        out = tmp_path / "both.txt"
+        code = run(*SAMPLE_THETA, "--t", "1/3", "--model", "loop", "--out", str(out))
+        assert code == 1
+        assert "argument --t: not allowed with argument --x" in capsys.readouterr().err
+        assert run(*SAMPLE_THETA[:5], "--model", "loop", "--out", str(out)) == 1
+        assert "one of the arguments --x --t is required" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_graph_is_an_error(self, tmp_path):
         code = run(

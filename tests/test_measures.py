@@ -1,5 +1,4 @@
 import dataclasses
-from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -34,7 +33,6 @@ from loopcurrents.measures import (
     double_current,
     double_loop,
     loop_o1,
-    point_laws,
     point_mass,
     polynomial_masses,
     prob,
@@ -223,8 +221,7 @@ class TestUnion:
         graphs = [g for _, g in verification_battery()[:8]] + [counter_core(18, 2), theta_core(2, 3, 2)]
         for g in graphs:
             for x in (F(1, 3), F(3, 4)):
-                law = point_laws(g, x)
-                for d in (law("loop"), law("double_loop")):
+                for d in (build("loop", g, x), build("double_loop", g, x)):
                     assert union_bernoulli(d, F(0)) == d
                     full = Dist.from_integers(g, {g.full_mask: d.z.numerator}, d.z.denominator, d.z)
                     assert union_bernoulli(d, F(1)) == full
@@ -412,25 +409,8 @@ class TestRegistry:
         for t in (F(0), F(1, 4), F(1, 3), F(1, 2)):
             x = pythagorean_x(t)
             for g in (THETA232, K4, LOOPY):
-                law = point_laws(g, x)
                 for name in MODELS:
-                    chain = _union_chain(name, g, x)
-                    assert build(name, g, x).same_law(chain), (name, t)
-                    assert law(name).same_law(chain), (name, t)
-
-    def test_point_laws_build_the_loop_law_and_its_union_once(self, monkeypatch):
-        calls = Counter()
-        for kernel in ("loop_o1", "union", "union_bernoulli"):
-            real = getattr(measures, kernel)
-            counted = lambda *a, real=real, kernel=kernel: calls.update([kernel]) or real(*a)
-            monkeypatch.setattr(measures, kernel, counted)
-        law = point_laws(K4, F(4, 5))
-        for name in MODELS:
-            assert law(name).same_law(law(name)), name
-        # every row stands on the one loop law and its one double, which are
-        # kept; the four Bernoulli rows are built again on each call
-        assert calls == {"loop_o1": 1, "union": 1, "union_bernoulli": 4 * 2}
-        assert law("loop") is law("loop") and law("double_loop") is law("double_loop")
+                    assert build(name, g, x).same_law(_union_chain(name, g, x)), (name, t)
 
     def test_named_constructors_are_registry_rows(self):
         x = F(4, 5)
@@ -600,8 +580,8 @@ class TestBitMasses:
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
     def test_packed_lanes_match_the_per_law_loop(self, data):
-        # numerator sums 2^k - 1 and 2^k side by side: the lane is exactly
-        # full for one law or one bit wider than it; bit 0 holds everywhere
+        # a family's masses are its laws' one at a time, on numerator sums
+        # 2^k - 1 and 2^k side by side; bit 0 holds everywhere
         g = data.draw(st.sampled_from(ORACLE_GRAPHS))
         ks = data.draw(st.lists(st.integers(2, 160), max_size=3))
         dists = [data.draw(law_summing_to(g, (1 << k) - low)) for k in ks for low in (1, 0)]

@@ -20,7 +20,7 @@ from loopcurrents.graphs import (
     counter_family,
     generalized_theta,
 )
-from loopcurrents.measures import MODELS, build, point_laws, prob
+from loopcurrents.measures import MODELS, build, prob
 from loopcurrents.rationals import dyadic_grid, find_decreasing_pair, format_rational
 from loopcurrents.theta import counter_core
 
@@ -34,9 +34,10 @@ def test_the_scans_build_no_row_law_and_one_bernoulli_pass_per_row(monkeypatch):
     passes = []
     opened = []
 
-    def counting_point_laws(graph, x):
-        law = point_laws(graph, x)
-        return lambda name: built.update([name]) or law(name)
+    def counting_build(name, graph, x):
+        if graph == theta111:  # not the SING witnesses' counter graphs
+            built.update([name])
+        return build(name, graph, x)
 
     def counting_open_edges(table, opens):
         passes.append(len(table))
@@ -47,10 +48,10 @@ def test_the_scans_build_no_row_law_and_one_bernoulli_pass_per_row(monkeypatch):
         return real_union_bernoulli(d, p)
 
     real_open_edges, real_union_bernoulli = measures._open_edges, measures.union_bernoulli
-    monkeypatch.setattr(overview, "point_laws", counting_point_laws)
+    theta111 = generalized_theta([1, 1, 1])
+    monkeypatch.setattr(overview, "build", counting_build)
     monkeypatch.setattr(measures, "_open_edges", counting_open_edges)
     monkeypatch.setattr(measures, "union_bernoulli", counting_union_bernoulli)
-    theta111 = generalized_theta([1, 1, 1])
     report = overview.build_overview(6, 3, graphs=[("theta[1,1,1]", theta111)])
     assert report["consistent_with_expected"]
     # the loop-union route reads one loop law per MON grid point, and every
@@ -67,22 +68,18 @@ def test_a_rows_laws_are_built_only_for_the_steps_the_loop_union_route_leaves(mo
     # one is, no law of another scanned row is alive
     built = []
 
-    def watching_point_laws(graph, x):
-        law = point_laws(graph, x)
-
-        def watched(name):
-            alive = {row for row, _, ref in built if row != name and ref() is not None}
-            assert not alive, (name, alive)
-            d = law(name)
-            if name != "loop":
-                built.append((name, (graph.edges, x), weakref.ref(d)))
-            return d
-
-        return watched
-
-    monkeypatch.setattr(overview, "point_laws", watching_point_laws)
-    grid = dyadic_grid(6)
     graphs = [("counter(2,2)", counter_family(2, 2)), ("theta[1,1,3]", THETA113)]
+
+    def watching_build(name, graph, x):
+        alive = {row for row, _, ref in built if row != name and ref() is not None}
+        assert not alive, (name, alive)
+        d = build(name, graph, x)
+        if name != "loop" and any(graph == g for _, g in graphs):
+            built.append((name, (graph.edges, x), weakref.ref(d)))
+        return d
+
+    monkeypatch.setattr(overview, "build", watching_build)
+    grid = dyadic_grid(6)
     assert overview.build_overview(6, graphs=graphs)["consistent_with_expected"]
     expected = [(row, (THETA113.edges, x)) for row in UNION_ROWS for x in grid[53:]]
     assert [(row, at) for row, at, _ in built] == expected

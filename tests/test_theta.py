@@ -23,7 +23,6 @@ from loopcurrents.measures import (
     double_current,
     double_loop,
     loop_o1,
-    point_laws,
     prob,
     pythagorean_x,
     single_current_p,
@@ -410,8 +409,8 @@ UNIT_FRACTIONS = st.fractions(min_value=F(1, 16), max_value=F(15, 16), max_denom
 def _laws(graph, x, t):
     """The six model rows on ``graph``: the single current at the
     Pythagorean x of t, every other row at x."""
-    at_x, at_t = point_laws(graph, x), point_laws(graph, pythagorean_x(t))
-    return [(at_t if name == "single_current" else at_x)(name) for name in MODELS]
+    sc_x = pythagorean_x(t)
+    return [build(name, graph, sc_x if name == "single_current" else x) for name in MODELS]
 
 
 class TestCoreGraphs:
