@@ -109,10 +109,11 @@ def add_graph_args(parser: argparse.ArgumentParser):
 
 
 # Most vertices plus edges of a graph built from command-line input,
-# checked before it is built.  The cycle basis costs about the size squared:
-# sample --model loop_mcmc --segments 65000,1,1 takes 0.9 s, 320000,1,1 took
-# 11 s; verify --theorem cor1 on a graph file of 10^7 vertices and 3 edges
-# took 2.5 s and 174 MB (CPython 3.11, 2-vCPU Xeon).
+# checked before it is built.  The cycle basis is linear in the graph:
+# sample --model loop_mcmc --segments 65000,1,1 --samples 10 takes 0.2-0.4 s
+# and, past the cap, 320000,1,1 takes 0.7-0.8 s and 186 MB; verify --theorem
+# cor1 on a graph file of 10^7 vertices and 3 edges takes 1.7-2.5 s and
+# 174 MB (CPython 3.11, 2-vCPU Xeon).
 GRAPH_SIZE_CAP = 1 << 17
 
 

@@ -254,20 +254,27 @@ def cycle_space_basis(g: Graph, mask: int | None = None) -> tuple[int, ...]:
     an even mask, that edge plus the forest path between its endpoints.
     They are independent under symmetric difference and span the cycle
     space, so XOR-combinations enumerate every even subgraph exactly once.
-    Their number, the dimension, is |mask| - |V| + #components.
+    Their number, the dimension, is |mask| - |V| + #components.  The forest
+    is rooted at the vertices in index order and the elements follow the
+    non-forest edges ascending.  The work is linear in the graph plus the
+    cycles' total length: the open edges are read off the mask's binary
+    digits, and each cycle's bits are set in one byte array.
     """
+    edges = g.edges
     if mask is None:
-        mask = g.full_mask
+        open_edges = range(len(edges))
+    else:
+        open_edges = [i for i, bit in enumerate(bin(mask)[:1:-1]) if bit == "1"]
     # BFS forest over the open edges; parent_edge[v] = edge index into v.
     adj: dict[int, list[tuple[int, int]]] = {}
-    for i in edges_of_mask(mask):
-        u, v = g.edges[i]
+    for i in open_edges:
+        u, v = edges[i]
         adj.setdefault(u, []).append((v, i))
         adj.setdefault(v, []).append((u, i))
 
     parent_edge = [-1] * g.vertex_count
     depth = [-1] * g.vertex_count
-    tree_mask = 0
+    tree = bytearray(len(edges))
     for root in range(g.vertex_count):
         if depth[root] >= 0:
             continue
@@ -281,22 +288,26 @@ def cycle_space_basis(g: Graph, mask: int | None = None) -> tuple[int, ...]:
                 if depth[v] < 0:
                     depth[v] = depth[u] + 1
                     parent_edge[v] = i
-                    tree_mask |= 1 << i
+                    tree[i] = 1
                     queue.append(v)
 
     elements = []
-    for i in edges_of_mask(mask & ~tree_mask):
-        u, v = g.edges[i]
-        cycle = 1 << i
-        # climb to the common ancestor
+    width = (len(edges) + 7) >> 3
+    for i in open_edges:
+        if tree[i]:
+            continue
+        u, v = edges[i]
+        bits = bytearray(width)
+        bits[i >> 3] = 1 << (i & 7)
+        # climb to the common ancestor; a forest path repeats no edge
         while u != v:
             if depth[u] < depth[v]:
                 u, v = v, u
             e = parent_edge[u]
-            cycle ^= 1 << e
-            a, b = g.edges[e]
+            bits[e >> 3] |= 1 << (e & 7)
+            a, b = edges[e]
             u = b if a == u else a
-        elements.append(cycle)
+        elements.append(int.from_bytes(bits, "little"))
     return tuple(elements)
 
 

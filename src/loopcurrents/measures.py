@@ -39,7 +39,8 @@ union and the Bernoulli pass (:func:`_open_edges`, shared with
 and so do the counting formula (:func:`counting_weights`) and the
 uniform-even push (:func:`push_even`).  :func:`polynomial_masses` reads
 the packed rows to give the masses along a grid of x without building a
-law per point; ``verify`` compares the tables themselves.
+law per point, decoding and evaluating each distinct mass polynomial of a
+row once; ``verify`` compares the tables themselves.
 """
 
 from __future__ import annotations
@@ -47,6 +48,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
+from itertools import accumulate, repeat
 from math import isqrt
 from operator import add, mul
 from typing import Callable, Sequence
@@ -432,7 +434,7 @@ def bit_masses(
 # (D + 1) for a row of digit width S and degree D.  The table's largest row,
 # the double cluster on counter(2,2), packs 256 weights of 30 * 33 bits,
 # about 2^18; on counter_core(18, 2) it takes 2^19.6.  The cap admits the
-# random cluster on a 14-edge path (2.4 s for 63 points and 14 bits, CPython
+# random cluster on a 14-edge path (0.08 s for 63 points and 14 bits, CPython
 # 3.11, 2-vCPU Xeon) and refuses 15 edges.
 PACKED_LATTICE_BITS_CAP = 1 << 24
 
@@ -540,14 +542,18 @@ def polynomial_masses(
 
     A row is built once for all the points, as its :func:`polynomial_laws`
     packed by x -> 2^S, and each bit's count (the sum of W_m over the masks
-    with the bit) and the total come out packed.  Their coefficients are
-    read back as S-bit signed digits, exact while every |f_j| < 2^(S-1): S
-    is one more than the bit length of the row's bound.  At x = a/b the row
-    reads the integer b^D f(a/b) = sum f_j a^j b^(D-j).
+    with the bit) and the total come out packed.  As in :func:`bit_masses`,
+    stat runs once per configuration of any row's support, the masks are
+    grouped by stat value, a row sums its packed weights once per group, and
+    each bit's count is the sum over the groups with the bit.  Each distinct
+    packed value of a row is read back once, as S-bit signed digits, exact
+    while every |f_j| < 2^(S-1): S is one more than the bit length of the
+    row's bound.  The rows of one degree D are evaluated in one
+    :func:`_at_points` call: at x = a/b a polynomial reads the integer
+    b^D f(a/b) = sum f_j a^j b^(D-j).
 
-    stat runs once per configuration of any row's support.  Refused before
-    any pass: what :func:`polynomial_laws` refuses, and a row above
-    :data:`PACKED_LATTICE_BITS_CAP`."""
+    Refused before any pass: what :func:`polynomial_laws` refuses, and a
+    row above :data:`PACKED_LATTICE_BITS_CAP`."""
     xs = [Fraction(x) for x in xs]
     shapes, at = polynomial_laws(graph, names, xs)
     size = 1 << graph.edge_count
@@ -562,20 +568,35 @@ def polynomial_masses(
     tables = [at(1 << digits, 1)(name) for name, (digits, _) in zip(names, rows)]
 
     keep = (1 << width) - 1
-    members: list[list[int]] = [[] for _ in range(width)]  # the masks with bit i
+    groups: dict[int, list[int]] = {}  # stat value -> the masks with it
     for mask in range(size):
         if any(table[mask] for table in tables):
-            s = stat(mask) & keep
-            while s:
-                low = s & -s
-                members[low.bit_length() - 1].append(mask)
-                s ^= low
-    out = {}
+            groups.setdefault(stat(mask) & keep, []).append(mask)
+    by_degree: dict[int, list[tuple[str, list[int], int]]] = {}
     for name, table, (digits, degree) in zip(names, tables, rows):
         get = table.__getitem__
-        packed = [sum(table), *(sum(map(get, masks)) for masks in members)]
-        out[name] = _at_points([_signed_digits(v, digits, degree + 1) for v in packed], degree, xs)
-    return out
+        packed = [0] * (width + 1)  # the total, then the count of each bit
+        for s, masks in groups.items():
+            w = sum(map(get, masks))
+            packed[0] += w
+            while s:
+                low = s & -s
+                packed[low.bit_length()] += w
+                s ^= low
+        by_degree.setdefault(degree, []).append((name, packed, digits))
+    out = {}
+    for degree, members in by_degree.items():
+        polys, layouts = [], []
+        for _, packed, digits in members:
+            index = dict.fromkeys(packed)  # each distinct value -> its polynomial
+            for value in index:
+                index[value] = len(polys)
+                polys.append(_signed_digits(value, digits, degree + 1))
+            layouts.append([index[value] for value in packed])
+        values = _at_points(polys, [layout[0] for layout in layouts], degree, xs)
+        for (name, _, _), (total, *counts) in zip(members, layouts):
+            out[name] = [([at_x[k] for k in counts], at_x[total]) for at_x in values]
+    return {name: out[name] for name in names}
 
 
 def _polynomial_p(name: str, p, xs: Sequence[Fraction]) -> list[int]:
@@ -616,28 +637,31 @@ def _signed_digits(value: int, digits: int, count: int) -> list[int]:
 
 
 def _at_points(
-    polys: list[list[int]], degree: int, xs: list[Fraction]
-) -> list[tuple[list[int], int]]:
-    """``(counts, total)`` at each x = a/b, each polynomial f read as
-    b^degree f(a/b): the total from ``polys[0]``, the counts from the rest.
-    A count lies in [0, total], so the counts of one polynomial at all the
+    polys: list[list[int]], totals: list[int], degree: int, xs: list[Fraction]
+) -> list[list[int]]:
+    """Each polynomial f of ``polys`` read at each x = a/b as the integer
+    b^degree f(a/b): one list per x, in the order of ``polys``.  The
+    polynomials at the positions ``totals`` are row totals, and every other
+    lies in [0, its row's total] at every x, so all the values at all the
     points fit side by side in lanes of the largest total's width, and one
-    product per coefficient fills every lane."""
-    points = [(x.numerator, x.denominator) for x in xs]
-    powers = [[a**j * b ** (degree - j) for j in range(degree + 1)] for a, b in points]
-    totals = [sum(map(mul, polys[0], w)) for w in powers]
-    lane = (max(totals, default=0).bit_length() + 7) // 8
+    product per coefficient fills every lane.  The power columns
+    a^j b^(degree-j) are built once, by running products."""
+    powers = []
+    for x in xs:
+        lows = accumulate(repeat(x.numerator, degree), mul, initial=1)
+        highs = list(accumulate(repeat(x.denominator, degree), mul, initial=1))
+        powers.append(list(map(mul, lows, reversed(highs))))
+    top = max((sum(map(mul, polys[t], w)) for t in totals for w in powers), default=0)
+    lane = (top.bit_length() + 7) // 8
     columns = [
         int.from_bytes(b"".join(w[j].to_bytes(lane, "little") for w in powers), "little")
         for j in range(degree + 1)
     ]
-    counts = []
-    for f in polys[1:]:
-        lanes = sum(map(mul, f, columns)).to_bytes(lane * len(points), "little")
-        counts.append(
-            [int.from_bytes(lanes[i : i + lane], "little") for i in range(0, len(lanes), lane)]
-        )
-    return [([values[i] for values in counts], total) for i, total in enumerate(totals)]
+    lanes = [sum(map(mul, f, columns)).to_bytes(lane * len(xs), "little") for f in polys]
+    return [
+        [int.from_bytes(v[i * lane : (i + 1) * lane], "little") for v in lanes]
+        for i in range(len(xs))
+    ]
 
 
 def prob(d: Dist, event) -> Fraction:

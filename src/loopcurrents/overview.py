@@ -28,7 +28,9 @@ scanned row once, as integer polynomials in x, and evaluates its masses at
 every grid point, so no law is built per point, and the FKG events and the
 component labels run once per configuration for all the rows.  The scans
 compare integer masses by cross-multiplying, and build a ``Fraction`` only
-for a violation they write out.
+for a violation they write out.  The watched pairs of a symmetric graph
+share connection series: a row's falling steps are found once per
+distinct series, and every pair still writes its own records.
 
 MON takes each step of a scanned row by one of three routes.  The first,
 ``loop-union``, is this module's alone: the rows are k independent loop
@@ -288,8 +290,9 @@ def scan_graph(name: str, g: Graph, models: Sequence[str], grid) -> dict[str, di
     i`` is watched pair i (:func:`_watched`), so the events and the
     component labels run once per configuration for all the rows.  Signs
     are read off the integer masses, and only a violation becomes a
-    ``Fraction``.  FKG records run by (x, pair), CON and SING by (watched
-    pair, step)."""
+    ``Fraction``.  A row's masses are transposed once into one series per
+    watched pair, and the falling steps are found once per distinct series.
+    FKG records run by (x, pair), CON and SING by (watched pair, step)."""
     pairs = _fkg_pairs(g)
     fkg, width, gaps = fkg_stat(pairs)
     watched = _watched(g)
@@ -312,13 +315,19 @@ def scan_graph(name: str, g: Graph, models: Sequence[str], grid) -> dict[str, di
             if gap < 0
         ]
         totals = [total for _, total in rows]
-        for i, (prop, (side_a, side_b), record) in enumerate(watched):
-            hits = [counts[width + i] for counts, _ in rows]
-            for j in range(1, len(grid)):
-                # hits[j] / totals[j] < hits[j-1] / totals[j-1], cross-multiplied
-                if hits[j] * totals[j - 1] < hits[j - 1] * totals[j]:
-                    drop = Fraction(hits[j - 1], totals[j - 1]) - Fraction(hits[j], totals[j])
-                    found[prop].append(record(name, side_a, side_b, grid[j - 1], grid[j], drop))
+        series = list(zip(*(counts for counts, _ in rows)))[width:]  # each pair's hits
+        falls: dict[tuple[int, ...], list[tuple[int, Fraction]]] = {}  # a series' falls
+        for (prop, (side_a, side_b), record), hits in zip(watched, series):
+            if hits not in falls:
+                falls[hits] = [
+                    (j, Fraction(hits[j - 1], totals[j - 1]) - Fraction(hits[j], totals[j]))
+                    for j in range(1, len(grid))
+                    # hits[j] / totals[j] < hits[j-1] / totals[j-1], cross-multiplied
+                    if hits[j] * totals[j - 1] < hits[j - 1] * totals[j]
+                ]
+            found[prop] += [
+                record(name, side_a, side_b, grid[j - 1], grid[j], drop) for j, drop in falls[hits]
+            ]
         scans[model] = found
     return scans
 

@@ -19,7 +19,9 @@ vertex-set connection event (the oracle of the table's connection masses),
 the covering-pair and all-pairs scans of an event's monotonicity, the
 all-pairs lattice condition (the oracle of the two-edge form the Holley
 route checks) with the FKG report around it, the Holley route's criterion
-checked mask by mask on one step, and a shortest-augmenting-path
+checked mask by mask on one step, the cycle basis climbed by one
+graph-wide XOR per path edge (the reference for the package's linear
+one), and a shortest-augmenting-path
 max-flow (Edmonds & Karp): the bipartite domination oracle runs it (and
 builds its up-set witness from the min cut itself), and so do the flow
 tests on the package's own covering networks, so neither shares flow code
@@ -148,6 +150,53 @@ def brute_cyclic_edges(g: Graph, omega: int) -> int:
     for sub in brute_even_subsets_of(g, omega):
         out |= sub
     return out
+
+
+def cycle_space_basis_by_xor(g: Graph, mask: int | None = None) -> tuple[int, ...]:
+    """The package's cycle basis as it was first written: the same BFS
+    forest, roots by vertex index and non-forest edges ascending, but the
+    forest collected by ``tree_mask |= 1 << i`` and each fundamental cycle
+    climbed with one graph-wide XOR per path edge.  Its cost grows with the
+    square of a long path's length; ``graphs.cycle_space_basis`` must give
+    the same elements in the same order."""
+    if mask is None:
+        mask = g.full_mask
+    adj: dict[int, list[tuple[int, int]]] = {}
+    for i in edges_of_mask(mask):
+        u, v = g.edges[i]
+        adj.setdefault(u, []).append((v, i))
+        adj.setdefault(v, []).append((u, i))
+    parent_edge = [-1] * g.vertex_count
+    depth = [-1] * g.vertex_count
+    tree_mask = 0
+    for root in range(g.vertex_count):
+        if depth[root] >= 0:
+            continue
+        depth[root] = 0
+        if root not in adj:
+            continue
+        queue = [root]
+        while queue:
+            u = queue.pop()
+            for v, i in adj.get(u, ()):
+                if depth[v] < 0:
+                    depth[v] = depth[u] + 1
+                    parent_edge[v] = i
+                    tree_mask |= 1 << i
+                    queue.append(v)
+    elements = []
+    for i in edges_of_mask(mask & ~tree_mask):
+        u, v = g.edges[i]
+        cycle = 1 << i
+        while u != v:
+            if depth[u] < depth[v]:
+                u, v = v, u
+            e = parent_edge[u]
+            cycle ^= 1 << e
+            a, b = g.edges[e]
+            u = b if a == u else a
+        elements.append(cycle)
+    return tuple(elements)
 
 
 def cyclic_edges(g: Graph, mask: int) -> int:

@@ -24,7 +24,14 @@ from loopcurrents.graphs import (
     segment_edge_ranges,
 )
 
-from oracles import bfs_connected, brute_cyclic_edges, brute_even_subgraphs, cyclic_edges, degrees
+from oracles import (
+    bfs_connected,
+    brute_cyclic_edges,
+    brute_even_subgraphs,
+    cycle_space_basis_by_xor,
+    cyclic_edges,
+    degrees,
+)
 
 
 def seg_mask(lengths, *segments):
@@ -276,6 +283,26 @@ def both_cyclic(g: Graph, omega: int) -> int:
     per_mask = cyclic_edges(g, omega)
     assert even_lattice(g)[1][omega] == per_mask, (g, omega)
     return per_mask
+
+
+class TestCycleBasisOrder:
+    """The linear cycle basis gives the elements, in the order, of the
+    graph-wide XOR climb it replaced: the sample streams depend on it."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(g=multigraphs(), data=st.data())
+    def test_same_elements_as_the_xor_climb(self, g, data):
+        mask = data.draw(st.integers(0, g.full_mask))
+        assert cycle_space_basis(g) == cycle_space_basis_by_xor(g)
+        assert cycle_space_basis(g, mask) == cycle_space_basis_by_xor(g, mask)
+
+    def test_a_long_theta(self):
+        g = generalized_theta([3000, 1, 2])
+        basis = cycle_space_basis(g)
+        assert basis == cycle_space_basis_by_xor(g)
+        assert [c.bit_count() for c in basis] == [3001, 3]
+        drop = g.full_mask ^ 1 << 1500
+        assert cycle_space_basis(g, drop) == cycle_space_basis_by_xor(g, drop)
 
 
 class TestCyclicEdges:

@@ -815,6 +815,32 @@ class TestPolynomialMasses:
             laws = [build(name, g, x) for x in xs]
             assert exact_rows(rows) == exact_rows(bit_masses(laws, values.__getitem__, width))
 
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_repeated_bit_columns_and_rows_of_one_degree(self, data):
+        # as on the table's symmetric graphs, many bits copy one column, and
+        # column 3 always holds, so a bit copying it counts the total; the
+        # double current and double cluster share a degree, and so do the
+        # random cluster and the double loop, in any row order
+        g = data.draw(st.one_of(loopless_multigraphs(), st.just(counter_core(18, 2))))
+        xs = data.draw(st.lists(open_unit, min_size=1, max_size=3))
+        size = 1 << g.edge_count
+        base = data.draw(st.lists(st.integers(0, 7), min_size=size, max_size=size))
+        columns = data.draw(st.lists(st.integers(0, 3), min_size=1, max_size=8))
+        names = data.draw(
+            st.permutations(["double_current", "double_cluster", "random_cluster", "double_loop"])
+        )
+
+        def stat(m):
+            value = base[m] | 8
+            return sum(1 << i for i, c in enumerate(columns) if value >> c & 1)
+
+        masses = measures.polynomial_masses(g, names, stat, len(columns), xs)
+        assert list(masses) == names
+        for name, rows in masses.items():
+            laws = [build(name, g, x) for x in xs]
+            assert exact_rows(rows) == exact_rows(bit_masses(laws, stat, len(columns)))
+
     def test_the_stat_runs_once_per_configuration_of_any_support(self):
         # the loop law's support is the even subgraphs; the Bernoulli rows
         # open every configuration

@@ -148,6 +148,63 @@ def test_connection_scan_violations_match_the_fraction_oracle():
     assert {prop: len(records) for prop, records in found.items()} == {"CON": 7, "SING": 7}
 
 
+def test_pairs_sharing_a_falling_series_keep_their_own_records(monkeypatch):
+    # on counter(18, 2) the loop's CON pair (2),(3) and SING pair 2,3 are one
+    # series with 7 falls: its falling steps are found once, each fall's
+    # drop built from two Fractions (and each negative FKG gap from one),
+    # and each pair writes its own records
+    built = []
+
+    class CountingFraction(Fraction):
+        def __new__(cls, *args, **kwargs):
+            built.append(args)
+            return super().__new__(cls, *args, **kwargs)
+
+    monkeypatch.setattr(overview, "Fraction", CountingFraction)
+    g, grid = counter_core(18, 2), dyadic_grid(6)
+    found = overview.scan_graph("counter(18,2)", g, ["loop"], grid)["loop"]
+    assert len(built) == len(found["FKG"]) + 2 * 7
+    con, sing = found["CON"], found["SING"]
+    assert {r["event"] for r in con} == {"connect-sets:(2,),(3,)"}
+    assert {r["event"] for r in sing} == {"connect:2,3"}
+    assert [(r["x1"], r["x2"]) for r in con] == [(r["x1"], r["x2"]) for r in sing]
+    assert len(con) == 7
+    assert all("drop" in r for r in sing) and not any("drop" in r for r in con)
+
+
+def test_each_distinct_mass_polynomial_is_decoded_and_evaluated_once(monkeypatch):
+    # the table's battery is symmetric: of the 663 packed bit sums of its
+    # three scanned rows, 147 are distinct within their row; each is decoded
+    # once, and the two rows of degree 4|E| share one evaluation call
+    evaluated, decoded = [], []
+    real_at, real_digits, real_masses = (
+        measures._at_points,
+        measures._signed_digits,
+        overview.polynomial_masses,
+    )
+
+    def counting_at(polys, totals, degree, xs):
+        evaluated.append(len(polys))
+        return real_at(polys, totals, degree, xs)
+
+    def counting_digits(value, digits, count):
+        decoded[-1].append((value, digits))
+        return real_digits(value, digits, count)
+
+    def one_call(*args):
+        decoded.append([])
+        return real_masses(*args)
+
+    monkeypatch.setattr(measures, "_at_points", counting_at)
+    monkeypatch.setattr(measures, "_signed_digits", counting_digits)
+    monkeypatch.setattr(overview, "polynomial_masses", one_call)
+    overview.build_overview(6)
+    assert (sum(evaluated), len(evaluated)) == (147, 8)
+    assert len(decoded) == len(scan_battery())
+    for values in decoded:
+        assert len(values) == len(set(values))
+
+
 def test_a_clean_scan_builds_no_fraction_from_masses(monkeypatch):
     # a scanned row with no violation reads its verdicts off integer masses
     g, grid = generalized_theta([1, 1, 1]), dyadic_grid(6)
