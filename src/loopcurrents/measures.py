@@ -433,10 +433,12 @@ def bit_masses(
 # Most bits of the packed lattice of :func:`polynomial_masses`, 2^|E| * S *
 # (D + 1) for a row of digit width S and degree D.  The table's largest row,
 # the double cluster on counter(2,2), packs 256 weights of 30 * 33 bits,
-# about 2^18; on counter_core(18, 2) it takes 2^19.6.  The cap admits the
-# random cluster on a 14-edge path (0.08 s for 63 points and 14 bits, CPython
-# 3.11, 2-vCPU Xeon) and refuses 15 edges.
-PACKED_LATTICE_BITS_CAP = 1 << 24
+# about 2^18; on counter_core(18, 2) it takes 2^19.6.  The budget is about
+# half a second and 100 MB: the random cluster on a path, the row with the
+# most work per bit, took 0.47 s and an 83 MB peak on 17 edges (2^26.9 bits,
+# its edge masses at 63 points, CPython 3.11, 2-vCPU Xeon), which the cap
+# admits, and 1.1 s and 155 MB on 18 edges (2^28.1), which it refuses.
+PACKED_LATTICE_BITS_CAP = 1 << 27
 
 # A registered p is read off p(2^_PROBE_BITS): its coefficients are small
 # integers, far below 2^63.
@@ -545,12 +547,13 @@ def polynomial_masses(
     with the bit) and the total come out packed.  As in :func:`bit_masses`,
     stat runs once per configuration of any row's support, the masks are
     grouped by stat value, a row sums its packed weights once per group, and
-    each bit's count is the sum over the groups with the bit.  Each distinct
-    packed value of a row is read back once, as S-bit signed digits, exact
-    while every |f_j| < 2^(S-1): S is one more than the bit length of the
-    row's bound.  The rows of one degree D are evaluated in one
-    :func:`_at_points` call: at x = a/b a polynomial reads the integer
-    b^D f(a/b) = sum f_j a^j b^(D-j).
+    each bit's count is the sum over the groups with the bit, which are
+    listed once for all the rows.  Each distinct packed value of a row is
+    read back once, as S-bit signed digits, exact while every
+    |f_j| < 2^(S-1): S is one more than the bit length of the row's bound.
+    The rows of one degree D are evaluated in one :func:`_at_points` call:
+    at x = a/b a polynomial reads the integer b^D f(a/b) = sum f_j a^j
+    b^(D-j).
 
     Refused before any pass: what :func:`polynomial_laws` refuses, and a
     row above :data:`PACKED_LATTICE_BITS_CAP`."""
@@ -572,17 +575,19 @@ def polynomial_masses(
     for mask in range(size):
         if any(table[mask] for table in tables):
             groups.setdefault(stat(mask) & keep, []).append(mask)
+    with_bit: list[list[int]] = [[] for _ in range(width)]  # bit -> the groups with it
+    for k, s in enumerate(groups):
+        bits = bin(s)[:1:-1]  # bit i at position i, read without shifting a wide s
+        i = bits.find("1")
+        while i >= 0:
+            with_bit[i].append(k)
+            i = bits.find("1", i + 1)
     by_degree: dict[int, list[tuple[str, list[int], int]]] = {}
     for name, table, (digits, degree) in zip(names, tables, rows):
         get = table.__getitem__
-        packed = [0] * (width + 1)  # the total, then the count of each bit
-        for s, masks in groups.items():
-            w = sum(map(get, masks))
-            packed[0] += w
-            while s:
-                low = s & -s
-                packed[low.bit_length()] += w
-                s ^= low
+        weights = [sum(map(get, masks)) for masks in groups.values()]
+        # the total, then the count of each bit
+        packed = [sum(weights), *(sum(map(weights.__getitem__, ks)) for ks in with_bit)]
         by_degree.setdefault(degree, []).append((name, packed, digits))
     out = {}
     for degree, members in by_degree.items():

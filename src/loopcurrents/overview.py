@@ -36,18 +36,21 @@ MON takes each step of a scanned row by one of three routes.  The first,
 ``loop-union``, is this module's alone: the rows are k independent loop
 laws unioned with Bernoulli(p(x)), so if the loop law at x2 dominates the
 one at x1 and p(x1) <= p(x2), the row at x2 dominates the row at x1
-(:func:`loop_union_steps`), and one scan of a graph's loop laws, on
-supports of a few masks, serves all three rows: :func:`scan_mon` reads no
-law of such a step.  Every other step goes to ``holley-local`` and then
-``flow`` on the row's own laws (``checkers.monotonicity_scan``), built only
-for such a step, so every violation and its up-set still comes from a min
-cut on the model's laws.  ``verify sumthm`` checks this very lemma, so it
-scans the union laws themselves and never uses the route.
+(:func:`loop_union_steps`).  The loop steps of a graph are read once, for
+all three rows, off the masses of the up-sets of the loop law's support
+(:func:`loop_dominating_steps`), so no loop law is built and no flow runs,
+and :func:`scan_mon` reads no law of such a step.  Every other step goes
+to ``holley-local`` and then ``flow`` on the row's own laws
+(``checkers.monotonicity_scan``), built only for such a step, so every
+violation and its up-set still comes from a min cut on the model's laws.
+``verify sumthm`` checks this very lemma, so it scans the union laws
+themselves and never uses the route.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections import Counter
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from functools import cache
 from itertools import combinations
@@ -56,9 +59,9 @@ from typing import Callable, Container
 from . import theta
 from .battery import scan_battery
 from .checkers import fkg_stat, monotonicity_scan, stochastic_domination
-from .errors import LoopCurrentsError, ParametrizationError
+from .errors import CapExceededError, LoopCurrentsError, ParametrizationError
 from .events import Event, all_open, connect, edge_open
-from .graphs import Graph, component_labels, counter_family
+from .graphs import Graph, component_labels, counter_family, even_subgraphs
 from .intervals import certify_decreasing_pair
 from .measures import MODELS, Dist, build, polynomial_masses, pythagorean_x
 from .rationals import decimal_string, dyadic_grid, find_decreasing_pair, format_rational
@@ -332,16 +335,72 @@ def scan_graph(name: str, g: Graph, models: Sequence[str], grid) -> dict[str, di
     return scans
 
 
-def loop_dominating_steps(loop_laws: Sequence[Dist]) -> set[int]:
-    """Steps j at which the loop law ``loop_laws[j]`` dominates
-    ``loop_laws[j - 1]``.  Loop laws are not strictly positive, so every
-    step runs the flow (:func:`~loopcurrents.checkers.monotonicity_scan`),
-    on the few masks of the loop laws' support."""
-    failing = {j for j, _ in monotonicity_scan(loop_laws)}
-    return set(range(1, len(loop_laws))) - failing
+# Most nontrivial up-sets of a loop law's support that
+# :func:`loop_dominating_steps` reads, one mass bit each.  The battery has
+# 7, 7, 127 and 64.  Cycle dimension 4 has at most 2^15 - 1, when its 15
+# nonempty even subgraphs are pairwise incomparable, as on K3,3 (0.15-0.18 s
+# and a 40 MB peak on a 63-point grid, CPython 3.11, 2-vCPU Xeon), and the cap
+# admits it; six parallel edges (dimension 5) have 89,126, which took
+# 0.6-1.4 s and 86 MB, and it refuses them while they are counted.
+LOOP_UPSET_CAP = 1 << 15
 
 
-def loop_union_steps(model: str, grid, loop_steps: set[int]) -> set[int]:
+def _upset_stat(g: Graph) -> tuple[Callable[[int], int], int]:
+    """``(stat, width)`` for the nontrivial up-sets of g's loop support, the
+    even subgraphs under inclusion: bit i of stat(h) is set when the even
+    subgraph h lies in up-set i, for the ``width`` up-sets other than the
+    empty one and the whole support, which holds the empty subgraph.
+
+    They are enumerated over the nonempty subgraphs in ascending size, so
+    each one's supersets come after it: every up-set so far either leaves
+    the next subgraph out or, if it does not hold it yet, gains it and all
+    its supersets, and each up-set comes out once.  They are counted as
+    they grow, and refused above :data:`LOOP_UPSET_CAP`, first by a lower
+    bound on their number, before any is built."""
+    support = sorted((h for h in even_subgraphs(g) if h), key=int.bit_count)
+    # each subgraph's supersets are one up-set, and subgraphs of one size are
+    # pairwise incomparable, so every nonempty set of them spans its own
+    widest = max(Counter(map(int.bit_count, support)).values(), default=0)
+    least = max(len(support), (1 << min(widest, 64)) - 1)
+    if least > LOOP_UPSET_CAP:
+        raise CapExceededError("loop support up-sets", f"at least {least}", LOOP_UPSET_CAP)
+    upsets = [0]  # as bit sets over the positions of support, the empty one first
+    for i, h in enumerate(support):
+        above = sum(1 << k for k, h2 in enumerate(support) if h2 & h == h)
+        upsets += [u | above for u in upsets if not u >> i & 1]
+        if len(upsets) - 1 > LOOP_UPSET_CAP:
+            raise CapExceededError(
+                "loop support up-sets", f"at least {len(upsets) - 1}", LOOP_UPSET_CAP
+            )
+    upsets = upsets[1:]
+    member = {0: 0}
+    for k, h in enumerate(support):  # bit i of member[h] is bit k of upsets[i]
+        member[h] = int("".join("01"[u >> k & 1] for u in reversed(upsets)), 2)
+    return member.__getitem__, len(upsets)
+
+
+def loop_dominating_steps(g: Graph, grid: Sequence[Fraction]) -> set[int]:
+    """Steps j at which g's loop law at ``grid[j]`` dominates the one at
+    ``grid[j - 1]``.  By Strassen's theorem on a finite poset, it does iff
+    no up-set of the laws' support, the even subgraphs under inclusion,
+    loses mass from one to the other; the empty up-set and the whole
+    support weigh 0 and 1 at every x.  So one ``polynomial_masses`` call
+    reads every other up-set as one bit (:func:`_upset_stat`), and the
+    steps of each distinct series of masses are compared once, by
+    cross-multiplying: no loop law is built and no flow runs."""
+    stat, width = _upset_stat(g)
+    masses = polynomial_masses(g, ["loop"], stat, width, grid)["loop"]
+    totals = [total for _, total in masses]
+    falls = set()
+    for series in set(zip(*(counts for counts, _ in masses))):  # each distinct up-set's masses
+        # series[j] / totals[j] < series[j-1] / totals[j-1], cross-multiplied
+        falls.update(
+            j for j in range(1, len(grid)) if series[j] * totals[j - 1] < series[j - 1] * totals[j]
+        )
+    return set(range(1, len(grid))) - falls
+
+
+def loop_union_steps(model: str, grid, loop_steps: Iterable[int]) -> set[int]:
     """The ``loop-union`` route: the steps j of ``grid`` at which the law of
     ``model`` at grid[j] dominates the one at grid[j - 1] because the loop
     law does (j in ``loop_steps``) and p(grid[j - 1]) <= p(grid[j]) for the
@@ -351,9 +410,11 @@ def loop_union_steps(model: str, grid, loop_steps: set[int]) -> set[int]:
     Bernoulli(p(x)).  Couple each loop copy monotonically from x1 to x2 and
     each Bernoulli edge monotonically, all independently; union is
     increasing in each part, so the coupling keeps the row at x1 below the
-    row at x2.  The route only certifies, never refutes."""
+    row at x2.  The route only certifies, never refutes.  p is evaluated
+    once per grid point."""
     _, p = MODELS[model]
-    return {j for j in loop_steps if p(grid[j - 1]) <= p(grid[j])}
+    ps = list(map(p, grid))
+    return {j for j in loop_steps if ps[j - 1] <= ps[j]}
 
 
 def scan_mon(
@@ -395,11 +456,11 @@ def build_overview(
     :data:`MIN_GRID_RESOLUTION` it is refused before any work.  Domination
     scans may use another grid via ``mon_grid_resolution``; the ``table``
     command scans on the one grid.  FKG, CON and SING come from each graph's
-    :func:`scan_graph`.  Each graph's loop laws are scanned once on the
-    domination grid, and a scanned row's MON step takes the ``loop-union``
-    route where the loop step dominates, else Holley's local criterion or
-    an exact max flow on the row's laws, built only for such a step
-    (:func:`scan_mon`).
+    :func:`scan_graph`.  Each graph's loop steps are read once on the
+    domination grid from up-set masses (:func:`loop_dominating_steps`), and
+    a scanned row's MON step takes the ``loop-union`` route where the loop
+    step dominates, else Holley's local criterion or an exact max flow on
+    the row's laws, built only for such a step (:func:`scan_mon`).
     """
     if grid_resolution < MIN_GRID_RESOLUTION:
         raise ParametrizationError(
@@ -452,11 +513,14 @@ def build_overview(
             put(model, prop, CERTIFIED_FALSE, {"witness": witness})
 
     violations = {m: {prop: [] for prop in PROPERTIES} for m in MODELS if m not in refutations}
+    # p does not depend on the graph: each row's steps where it does not fall
+    # are found once, and each graph's loop steps are intersected with them
+    p_steps = {m: loop_union_steps(m, mon_grid, range(1, len(mon_grid))) for m in violations}
     for name, g in graphs:
-        loop_steps = loop_dominating_steps([build("loop", g, x) for x in mon_grid])
+        loop_steps = loop_dominating_steps(g, mon_grid)
         scans = scan_graph(name, g, list(violations), grid)
         for model, row in violations.items():
-            certified = loop_union_steps(model, mon_grid, loop_steps)
+            certified = loop_steps & p_steps[model]
             # the row's laws are built inside the call, and die with it
             mon = scan_mon(name, lambda j: build(model, g, mon_grid[j]), mon_grid, certified)
             found = dict(scans[model], MON=mon)

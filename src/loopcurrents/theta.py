@@ -29,6 +29,7 @@ with enumeration on the subdivided graphs.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from fractions import Fraction
 from functools import cache
 
@@ -70,8 +71,11 @@ def theta_core(n: int, m: int, l: int) -> Graph:
 
 
 def _core_conn(model: str, n: int, m: int):
+    """x -> the probability of {a <-> b} under ``model`` on counter_core(n,
+    m); the connection test runs once per core mask for all the x."""
     core = counter_core(n, m)
     ab = connect(core)
+    ab = replace(ab, predicate=cache(ab.predicate))
     return lambda x: prob(build(model, core, x), ab)
 
 

@@ -41,7 +41,7 @@ from itertools import combinations
 from math import lcm
 from typing import Iterable, Sequence
 
-from loopcurrents.checkers import DominationReport, UpSetWitness, fkg_gaps
+from loopcurrents.checkers import DominationReport, UpSetWitness, fkg_gaps, monotonicity_scan
 from loopcurrents.errors import (
     CapExceededError,
     GraphMismatchError,
@@ -65,6 +65,7 @@ from loopcurrents.graphs import (
 from loopcurrents.measures import (
     MODELS,
     Dist,
+    build,
     counting_weights,
     loop_o1,
     point_mass,
@@ -293,6 +294,15 @@ def brute_union(d1: Dist, d2: Dist) -> dict[int, Fraction]:
         if total:
             result[w] = total
     return result
+
+
+def loop_dominating_steps_by_flow(g: Graph, grid) -> set[int]:
+    """``overview.loop_dominating_steps`` by the covering network: g's loop
+    law built at every grid point, and each step that Holley's local
+    criterion does not settle decided by a max-flow
+    (``checkers.monotonicity_scan``)."""
+    failing = {j for j, _ in monotonicity_scan([build("loop", g, x) for x in grid])}
+    return set(range(1, len(grid))) - failing
 
 
 def domination_bruteforce(d_lo: Dist, d_hi: Dist, cap: int = 16) -> DominationReport:

@@ -869,21 +869,22 @@ class TestPolynomialMasses:
                 measures._signed_digits(packed, digits, len(coeffs) - 1)
 
     def test_the_digit_width_bound_holds_at_the_largest_accepted_lattice(self):
-        # the random cluster on a 14-edge path is the largest lattice the cap
-        # admits.  Its bound 3^14 is attained: the total coefficient sum of
-        # the mask weights x^k (1 - x)^(14 - k).  Counting the masks with an
+        # the random cluster on a 17-edge path is the largest lattice the cap
+        # admits.  Its bound 3^17 is attained: the total coefficient sum of
+        # the mask weights x^k (1 - x)^(17 - k).  Counting the masks with an
         # even or an odd number of open edges sums coefficients of one sign,
-        # up to C(14, 9) 2^8 = 512,512 in size; the decoded masses are exact
-        g, stat = path(14), lambda m: 1 << m.bit_count() % 2 | 4
+        # up to C(17, 12) 2^11 = 12,673,024 in size; the decoded masses are
+        # exact
+        g, stat = path(17), lambda m: 1 << m.bit_count() % 2 | 4
         xs = [F(3, 7), F(5, 9)]
         masses = measures.polynomial_masses(g, ["random_cluster"], stat, 3, xs)["random_cluster"]
         laws = [build("random_cluster", g, x) for x in xs]
         assert exact_rows(masses) == exact_rows(bit_masses(laws, stat, 3))
         with pytest.raises(CapExceededError) as info:
-            measures.polynomial_masses(path(15), ["random_cluster"], stat, 3, xs)
+            measures.polynomial_masses(path(18), ["random_cluster"], stat, 3, xs)
         cap = measures.PACKED_LATTICE_BITS_CAP
-        assert (1 << 14) * ((3**14).bit_length() + 1) * (2 * 14 + 1) <= cap
-        assert info.value.size == (1 << 15) * ((3**15).bit_length() + 1) * (2 * 15 + 1) > cap
+        assert (1 << 17) * ((3**17).bit_length() + 1) * (2 * 17 + 1) <= cap
+        assert info.value.size == (1 << 18) * ((3**18).bit_length() + 1) * (2 * 18 + 1) > cap
 
     def test_the_cap_refuses_before_any_pass(self, monkeypatch):
         def no_pass(*args):

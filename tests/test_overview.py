@@ -11,20 +11,21 @@ from hypothesis import strategies as st
 
 from loopcurrents import checkers, cli, measures, overview, theta
 from loopcurrents.battery import scan_battery
-from loopcurrents.errors import LoopCurrentsError
+from loopcurrents.errors import CapExceededError, LoopCurrentsError
 from loopcurrents.events import Event, connect
 from loopcurrents.graphs import (
     Graph,
     component_labels,
     complete_graph,
     counter_family,
+    cycle_space_basis,
     generalized_theta,
 )
 from loopcurrents.measures import MODELS, build, prob
 from loopcurrents.rationals import dyadic_grid, find_decreasing_pair, format_rational
 from loopcurrents.theta import counter_core
 
-from oracles import connection_scan_bruteforce, prob_bruteforce
+from oracles import connection_scan_bruteforce, loop_dominating_steps_by_flow, prob_bruteforce
 
 
 def test_the_scans_build_no_row_law_and_one_bernoulli_pass_per_row(monkeypatch):
@@ -54,10 +55,11 @@ def test_the_scans_build_no_row_law_and_one_bernoulli_pass_per_row(monkeypatch):
     monkeypatch.setattr(measures, "union_bernoulli", counting_union_bernoulli)
     report = overview.build_overview(6, 3, graphs=[("theta[1,1,1]", theta111)])
     assert report["consistent_with_expected"]
-    # the loop-union route reads one loop law per MON grid point, and every
-    # MON step of the battery takes it, so no row law is built; the only
-    # laws opened at a point are the FKG witnesses' on theta cores
-    assert built == {"loop": len(dyadic_grid(3))}
+    # the loop-union route reads the loop law's up-set masses as
+    # polynomials, and every MON step of the battery takes it, so no law is
+    # built; the only laws opened at a point are the FKG witnesses' on
+    # theta cores
+    assert not built
     assert opened and all(g.lengths is not None for g in opened)
     assert len(passes) == len(UNION_ROWS) + len(opened)
 
@@ -85,7 +87,7 @@ def test_a_rows_laws_are_built_only_for_the_steps_the_loop_union_route_leaves(mo
     assert [(row, at) for row, at, _ in built] == expected
 
 
-def test_the_table_builds_one_loop_law_per_point_and_no_double(monkeypatch):
+def test_the_table_builds_no_loop_law_per_point_and_no_double(monkeypatch):
     calls = Counter()
     for kernel in ("loop_o1", "union"):
         real = getattr(measures, kernel)
@@ -99,12 +101,11 @@ def test_the_table_builds_one_loop_law_per_point_and_no_double(monkeypatch):
         monkeypatch.setattr(measures, kernel, counted)
     graphs = [("counter(2,2)", counter_family(2, 2)), ("theta[1,1,1]", generalized_theta([1, 1, 1]))]
     overview.build_overview(6, graphs=graphs)
-    # per graph and grid point, the loop-union route reads one loop law, and
-    # the scanned rows build no double; the loop and double-loop SING
-    # witnesses build two more loop laws each on the counter graph, and
-    # the double loop's two doubles
-    points = len(graphs) * len(dyadic_grid(6))
-    assert calls == {"loop_o1": points + 4, "union": 2}
+    # the loop-union route reads up-set masses, so no loop law is built at
+    # a grid point, and the scanned rows build no double; the loop and
+    # double-loop SING witnesses build two loop laws each on the counter
+    # graph, and the double loop's two doubles
+    assert calls == {"loop_o1": 4, "union": 2}
 
 
 def test_each_graph_builds_its_fkg_pairs_and_watched_pairs_once(monkeypatch):
@@ -199,8 +200,10 @@ def test_each_distinct_mass_polynomial_is_decoded_and_evaluated_once(monkeypatch
     monkeypatch.setattr(measures, "_signed_digits", counting_digits)
     monkeypatch.setattr(overview, "polynomial_masses", one_call)
     overview.build_overview(6)
-    assert (sum(evaluated), len(evaluated)) == (147, 8)
-    assert len(decoded) == len(scan_battery())
+    # per graph, the loop scan's up-set masses add one call and one degree:
+    # 38 distinct polynomials over the four graphs
+    assert (sum(evaluated), len(evaluated)) == (147 + 38, 8 + 4)
+    assert len(decoded) == 2 * len(scan_battery())
     for values in decoded:
         assert len(values) == len(set(values))
 
@@ -372,13 +375,9 @@ def test_resolution_5_is_the_least_with_both_sing_pairs():
     assert overview.MIN_GRID_RESOLUTION == 5
 
 
-def loop_steps(g, grid) -> set[int]:
-    """The dominating steps of g's loop laws on ``grid``."""
-    return overview.loop_dominating_steps([build("loop", g, x) for x in grid])
-
-
 def test_fallback_steps_leave_the_table_unchanged():
-    assert loop_steps(THETA113, dyadic_grid(6)) == set(range(1, 54))
+    steps = overview.loop_dominating_steps(THETA113, dyadic_grid(6))
+    assert steps == set(range(1, 54))
     report = overview.build_overview(6, graphs=[("theta[1,1,3]", THETA113)])
     text = json.dumps(report, indent=2)
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == THETA113_TABLE_DIGEST
@@ -387,7 +386,7 @@ def test_fallback_steps_leave_the_table_unchanged():
 def test_the_loop_union_route_changes_no_mon_scan():
     grid = dyadic_grid(6)
     for name, g in [*scan_battery(), ("theta[1,1,3]", THETA113)]:
-        steps = loop_steps(g, grid)
+        steps = overview.loop_dominating_steps(g, grid)
         assert steps == set(range(1, 54 if g is THETA113 else len(grid)))
         for model in UNION_ROWS:
             laws = [build(model, g, x) for x in grid]
@@ -398,8 +397,8 @@ def test_the_loop_union_route_changes_no_mon_scan():
 
 
 def test_battery_mon_scans_touch_no_model_law(flow_networks, monkeypatch):
-    # every step of the four battery graphs takes the loop-union route: the
-    # loop scan's flows are the only ones, and no Holley check runs
+    # every step of the four battery graphs takes the loop-union route, the
+    # loop scan reads up-set masses, and no flow or Holley check runs
     holley = Counter()
     holley_steps = checkers._holley_steps
 
@@ -408,11 +407,8 @@ def test_battery_mon_scans_touch_no_model_law(flow_networks, monkeypatch):
         return holley_steps(laws)
 
     grid = dyadic_grid(6)
-    battery = [(name, g, loop_steps(g, grid)) for name, g in scan_battery()]
-    # the table's only flows run on at most 6 lattice coordinates
-    assert len(flow_networks) == 4 * (len(grid) - 1)
-    assert max(flow_networks) <= 2 + (1 << 6)
-    flow_networks.clear()
+    battery = [(name, g, overview.loop_dominating_steps(g, grid)) for name, g in scan_battery()]
+    assert flow_networks == []
     monkeypatch.setattr(checkers, "_holley_steps", counting_holley)
     for name, g, steps in battery:
         for model in UNION_ROWS:
@@ -441,10 +437,62 @@ open_unit = st.fractions(0, 1, max_denominator=12).filter(lambda x: 0 < x < 1)
 def test_the_loop_union_lemma_against_the_flow(g, xs):
     x1, x2 = sorted(xs)
     up, down = [x1, x2], [x2, x1]
-    loop_up = loop_steps(g, up)
-    loop_down = loop_steps(g, down)
+    loop_up = loop_dominating_steps_by_flow(g, up)
+    loop_down = loop_dominating_steps_by_flow(g, down)
     for model in UNION_ROWS:
         if overview.loop_union_steps(model, up, loop_up):
             assert checkers.stochastic_domination(build(model, g, x1), build(model, g, x2)).dominates
         # control: p falls along a decreasing grid, so the route certifies nothing
         assert overview.loop_union_steps(model, down, loop_down) == set()
+
+
+# Loopless multigraphs of cycle dimension at most 4: fewer than 2^15
+# nontrivial up-sets in their loop support, under the cap.
+under_the_cap = loopless_multigraphs().filter(lambda g: len(cycle_space_basis(g)) <= 4)
+unit = st.fractions(0, 1, max_denominator=12).filter(lambda x: x < 1)
+
+
+@settings(max_examples=40, deadline=None)
+@given(g=under_the_cap, xs=st.lists(unit, min_size=2, max_size=2, unique=True))
+def test_the_upset_route_agrees_with_the_flow(g, xs):
+    for grid in (xs, xs[::-1], dyadic_grid(5)):
+        assert overview.loop_dominating_steps(g, grid) == loop_dominating_steps_by_flow(g, grid)
+
+
+def test_every_loop_step_of_a_forest_dominates():
+    # a forest's only even subgraph is the empty one: no up-set is read
+    forest = Graph(5, ((0, 1), (1, 2), (1, 3)))
+    for grid in (dyadic_grid(4), dyadic_grid(4)[::-1]):
+        assert overview.loop_dominating_steps(forest, grid) == set(range(1, len(grid)))
+
+
+def test_the_upset_counts_of_the_battery_and_the_cap(monkeypatch):
+    widths = [overview._upset_stat(g)[1] for _, g in scan_battery()]
+    assert widths == [7, 7, 127, 64]
+    # K3,3's 15 nonempty even subgraphs are pairwise incomparable: the most
+    # up-sets of cycle dimension 4, which the cap admits
+    k33 = Graph(6, tuple((u, v) for u in range(3) for v in range(3, 6)))
+    assert overview._upset_stat(k33)[1] == (1 << 15) - 1 <= overview.LOOP_UPSET_CAP
+
+    def no_pass(*args):
+        raise AssertionError("a mass pass ran before the cap was checked")
+
+    # K4's seven cycles are pairwise incomparable, so every nonempty set of
+    # them spans a nontrivial up-set: 127, one above the patched cap
+    monkeypatch.setattr(overview, "polynomial_masses", no_pass)
+    monkeypatch.setattr(overview, "LOOP_UPSET_CAP", 126)
+    with pytest.raises(CapExceededError) as info:
+        overview.loop_dominating_steps(complete_graph(4), dyadic_grid(6))
+    assert (info.value.what, info.value.size, info.value.cap) == (
+        "loop support up-sets",
+        "at least 127",
+        126,
+    )
+    # seven parallel edges have 35 pairwise incomparable even subgraphs of
+    # four edges, so at least 2^35 - 1 up-sets: the bound refuses them
+    # before any up-set is enumerated
+    monkeypatch.undo()
+    monkeypatch.setattr(overview, "polynomial_masses", no_pass)
+    with pytest.raises(CapExceededError) as info:
+        overview.loop_dominating_steps(Graph(2, ((0, 1),) * 7), dyadic_grid(6))
+    assert info.value.size == f"at least {(1 << 35) - 1}"

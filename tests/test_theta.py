@@ -141,6 +141,26 @@ class TestConnectionForms:
             for x in (F(1, 3), F(1, 2), F(7, 8)):
                 assert form(x) == prob(loop_o1(g, x), connect(g))
 
+    def test_the_connection_test_runs_once_per_core_mask(self, monkeypatch):
+        tested = []
+
+        def counting_connect(g):
+            ab = connect(g)
+
+            def predicate(mask):
+                tested.append(mask)
+                return ab.holds(mask)
+
+            return dataclasses.replace(ab, predicate=predicate)
+
+        monkeypatch.setattr(theta, "connect", counting_connect)
+        for form in (loop_conn(18, 2), double_loop_conn(38, 2)):
+            tested.clear()
+            for x in dyadic_grid(4):
+                form(x)
+            # every grid point reads the core's masks, at most 2^6 of them
+            assert tested and len(tested) == len(set(tested)) <= 1 << 6
+
     def test_loop_conn_vanishes_at_zero(self):
         assert loop_conn(3, 2)(F(0)) == 0
         assert double_loop_conn(3, 2)(F(0)) == 0
