@@ -106,7 +106,7 @@ def fkg_gaps(
         *(d.graph for d in dists),
         what="events and distributions",
     )
-    return gaps(bit_masses(dists, stat, width))
+    return gaps(bit_masses([d.nums for d in dists], stat, width))
 
 
 def fkg_stat(
@@ -422,7 +422,7 @@ def _upset_witness(generators: Sequence[int], d_lo: Dist, d_hi: Dist) -> UpSetWi
     def inside(mask):
         return any(mask & g == g for g in minimal)
 
-    ((lo,), total_lo), ((hi,), total_hi) = bit_masses([d_lo, d_hi], inside, 1)
+    ((lo,), total_lo), ((hi,), total_hi) = bit_masses([d_lo.nums, d_hi.nums], inside, 1)
     return UpSetWitness(minimal, Fraction(lo, total_lo), Fraction(hi, total_hi))
 
 

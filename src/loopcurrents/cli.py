@@ -27,7 +27,6 @@ import sys
 import time
 from datetime import datetime, timezone
 from fractions import Fraction
-from math import gcd
 from pathlib import Path
 
 from . import __version__, theta
@@ -46,6 +45,7 @@ from .graphs import (
 from .intervals import MAX_BITS, START_BITS, certify_decreasing_pair
 from .measures import (
     _open_edges,
+    _same_law,
     bernoulli,
     build,
     counting_weights,
@@ -381,16 +381,6 @@ def verify_edge_identities(where, g, x, point, rows) -> list[str]:
         if doubled[e] * s * s != sd * b * (2 * s - b):
             failures.append(f"edge-identities double: {where} e={e}")
     return failures
-
-
-def _same_law(left: list[int], right: list[int]) -> bool:
-    """Whether two weight lists give one law entry by entry: the same
-    support, and left[i] / sum(left) == right[i] / sum(right),
-    cross-multiplied by the totals over their common factor."""
-    lt, rt = sum(left), sum(right)
-    common = gcd(lt, rt)
-    lt, rt = lt // common, rt // common
-    return all(bool(u) == bool(v) and u * rt == v * lt for u, v in zip(left, right))
 
 
 def _evaluation_point(theorems, name: str, g: Graph, shapes, x) -> tuple[int, int]:

@@ -6,9 +6,10 @@ The constructors set the flag where it holds by construction: connection
 directly as ``Event(g, fn)`` is not flagged, and ``checkers.fkg_gaps``
 refuses it.
 
-Masses of events come from ``measures.bit_masses`` as integer counts over
-each law's total; ``measures.prob`` turns one event's mass under one law
-into a ``Fraction``.
+Masses of events, each a one-bit statistic, come from
+``measures.bit_masses`` as integer counts over the total of each law's
+weight map; ``measures.prob`` turns one event's mass under one law into a
+``Fraction``.
 """
 
 from __future__ import annotations

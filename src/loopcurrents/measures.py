@@ -26,9 +26,10 @@ loop layer and opens with p^L in the Bernoulli layer, so every row is the
 law of the whole-path events of the subdivided graph.
 
 Event and edge masses over a family of laws all come from
-:func:`bit_masses`, as integer counts over each law's numerator sum; a
-``Fraction`` is built only where a value is returned or written
-(:func:`prob`).
+:func:`bit_masses`, the one grouped mass pass, as integer counts over the
+total of each law's weight map (its numerators, or a packed table's
+entries); a ``Fraction`` is built only where a value is returned or
+written (:func:`prob`).  :func:`_same_law` is the one law-equality test.
 
 The rows whose p is a polynomial in x also come as integer polynomials
 from :func:`polynomial_laws`, the one packed-row builder: its lattice
@@ -37,10 +38,11 @@ or at (2^S, 1) each weight packed into one integer by x -> 2^S.  The
 union and the Bernoulli pass (:func:`_open_edges`, shared with
 :func:`union_bernoulli`) run only ring operations, so they serve both,
 and so do the counting formula (:func:`counting_weights`) and the
-uniform-even push (:func:`push_even`).  :func:`polynomial_masses` reads
-the packed rows to give the masses along a grid of x without building a
-law per point, decoding and evaluating each distinct mass polynomial of a
-row once; ``verify`` compares the tables themselves.
+uniform-even push (:func:`push_even`).  :func:`polynomial_masses` passes
+the packed rows through :func:`bit_masses` to give the masses along a
+grid of x without building a law per point, decoding and evaluating each
+distinct mass polynomial of a row once; ``verify`` compares the tables
+themselves.
 """
 
 from __future__ import annotations
@@ -48,8 +50,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from itertools import accumulate, repeat
-from math import isqrt
+from itertools import accumulate, chain, repeat
+from math import gcd, isqrt
 from operator import add, mul
 from typing import Callable, Sequence
 
@@ -125,16 +127,11 @@ class Dist:
         return {m: Fraction(w, self.den) for m, w in self.nums.items()}
 
     def same_law(self, other: "Dist") -> bool:
-        """Exact equality as probability measures (Z conventions may differ)."""
-        if not _same_graph(self.graph, other.graph):
+        """Exact equality as probability measures (Z conventions may differ):
+        the same graph, the same support and :func:`_same_law`."""
+        if not _same_graph(self.graph, other.graph) or self.nums.keys() != other.nums.keys():
             return False
-        if self.nums.keys() != other.nums.keys():
-            return False
-        # nums / mass == other.nums / other_mass, cross-multiplied in integers
-        mass, other_mass = self.z * self.den, other.z * other.den
-        scale = other_mass.numerator * mass.denominator
-        other_scale = mass.numerator * other_mass.denominator
-        return all(w * scale == other.nums[m] * other_scale for m, w in self.nums.items())
+        return _same_law(list(self.nums.values()), [other.nums[m] for m in self.nums])
 
 
 def point_mass(graph: Graph, mask: int) -> Dist:
@@ -396,34 +393,49 @@ def push_even(graph: Graph, nums: dict[int, int]) -> tuple[dict[int, int], int]:
 
 
 def bit_masses(
-    dists: Sequence[Dist], stat: Callable[[int], int], width: int
+    weights: Sequence[dict[int, int]], stat: Callable[[int], int], width: int
 ) -> list[tuple[list[int], int]]:
     """Integer masses of bit i of stat(mask), for each i < width: one row
-    ``(counts, total)`` per law of ``dists``, where P(bit i is set) is
-    counts[i] / total and total is the sum of the law's numerators.  No
-    ``Fraction`` is built: a caller compares masses by cross-multiplying,
-    and builds ``Fraction(count, total)`` only for a value it writes out.
+    ``(counts, total)`` per weight map of ``weights``, where P(bit i is set)
+    is counts[i] / total and total is the sum of the map's weights.  A map
+    holds one law's integer weights by mask in any encoding: a
+    :class:`Dist`'s ``nums``, or the nonzero entries of a packed lattice
+    table.  No ``Fraction`` is built: a caller compares masses by
+    cross-multiplying, and builds ``Fraction(count, total)`` only for a
+    value it writes out.
 
-    stat runs once per distinct configuration across the family; each law
-    sums its integer numerators per stat value, and each sum goes to its
-    value's set bits.  An event is the one-bit stat ``holds``, the edge
-    masses are the stat ``mask`` at width |E|; bits of stat at or above
-    ``width`` are not counted."""
+    stat runs once per mask of any map, and the masks are grouped by stat
+    value; each bit's groups are listed once for all the maps, a map sums
+    its weights once per group, and each bit's count is the sum over its
+    groups.  An event is the one-bit stat ``holds``, the edge masses are
+    the stat ``mask`` at width |E|; bits of stat at or above ``width`` are
+    not counted."""
     keep = (1 << width) - 1
-    stats = {m: stat(m) & keep for m in dict.fromkeys(m for d in dists for m in d.nums)}
+    groups: dict[int, list[int]] = {}  # stat value -> the masks with it
+    for mask in dict.fromkeys(chain.from_iterable(weights)):
+        groups.setdefault(stat(mask) & keep, []).append(mask)
+    with_bit: list[list[int]] = [[] for _ in range(width)]  # bit -> the groups with it
+    for k, s in enumerate(groups):
+        bits = bin(s)[:1:-1]  # bit i at position i, read without shifting a wide s
+        i = bits.find("1")
+        while i >= 0:
+            with_bit[i].append(k)
+            i = bits.find("1", i + 1)
     rows = []
-    for d in dists:
-        by_value: dict[int, int] = {}
-        for mask, w in d.nums.items():
-            by_value[stats[mask]] = by_value.get(stats[mask], 0) + w
-        counts = [0] * width
-        for s, w in by_value.items():
-            while s:
-                low = s & -s
-                counts[low.bit_length() - 1] += w
-                s ^= low
-        rows.append((counts, sum(d.nums.values())))
+    for w in weights:
+        sums = [sum(map(w.get, masks, repeat(0))) for masks in groups.values()]
+        rows.append(([sum(map(sums.__getitem__, ks)) for ks in with_bit], sum(sums)))
     return rows
+
+
+def _same_law(left: Sequence[int], right: Sequence[int]) -> bool:
+    """Whether two weight lists give one law entry by entry: the same
+    support, and left[i] / sum(left) == right[i] / sum(right),
+    cross-multiplied by the totals over their common factor."""
+    lt, rt = sum(left), sum(right)
+    common = gcd(lt, rt)
+    lt, rt = lt // common, rt // common
+    return all(bool(u) == bool(v) and u * rt == v * lt for u, v in zip(left, right))
 
 
 # ---------------------------------------------------------------------------
@@ -543,13 +555,10 @@ def polynomial_masses(
     differ from its by a positive factor per x.
 
     A row is built once for all the points, as its :func:`polynomial_laws`
-    packed by x -> 2^S, and each bit's count (the sum of W_m over the masks
-    with the bit) and the total come out packed.  As in :func:`bit_masses`,
-    stat runs once per configuration of any row's support, the masks are
-    grouped by stat value, a row sums its packed weights once per group, and
-    each bit's count is the sum over the groups with the bit, which are
-    listed once for all the rows.  Each distinct packed value of a row is
-    read back once, as S-bit signed digits, exact while every
+    packed by x -> 2^S, and one :func:`bit_masses` pass over the rows'
+    nonzero packed entries gives each bit's count (the sum of W_m over the
+    masks with the bit) and the total, packed.  Each distinct packed value
+    of a row is read back once, as S-bit signed digits, exact while every
     |f_j| < 2^(S-1): S is one more than the bit length of the row's bound.
     The rows of one degree D are evaluated in one :func:`_at_points` call:
     at x = a/b a polynomial reads the integer b^D f(a/b) = sum f_j a^j
@@ -569,26 +578,11 @@ def polynomial_masses(
             raise CapExceededError("packed polynomial lattice bits", bits, PACKED_LATTICE_BITS_CAP)
         rows.append((digits, degree))
     tables = [at(1 << digits, 1)(name) for name, (digits, _) in zip(names, rows)]
-
-    keep = (1 << width) - 1
-    groups: dict[int, list[int]] = {}  # stat value -> the masks with it
-    for mask in range(size):
-        if any(table[mask] for table in tables):
-            groups.setdefault(stat(mask) & keep, []).append(mask)
-    with_bit: list[list[int]] = [[] for _ in range(width)]  # bit -> the groups with it
-    for k, s in enumerate(groups):
-        bits = bin(s)[:1:-1]  # bit i at position i, read without shifting a wide s
-        i = bits.find("1")
-        while i >= 0:
-            with_bit[i].append(k)
-            i = bits.find("1", i + 1)
+    masses = bit_masses([{m: w for m, w in enumerate(t) if w} for t in tables], stat, width)
     by_degree: dict[int, list[tuple[str, list[int], int]]] = {}
-    for name, table, (digits, degree) in zip(names, tables, rows):
-        get = table.__getitem__
-        weights = [sum(map(get, masks)) for masks in groups.values()]
+    for name, (counts, total), (digits, degree) in zip(names, masses, rows):
         # the total, then the count of each bit
-        packed = [sum(weights), *(sum(map(weights.__getitem__, ks)) for ks in with_bit)]
-        by_degree.setdefault(degree, []).append((name, packed, digits))
+        by_degree.setdefault(degree, []).append((name, [total, *counts], digits))
     out = {}
     for degree, members in by_degree.items():
         polys, layouts = [], []
@@ -672,7 +666,7 @@ def _at_points(
 def prob(d: Dist, event) -> Fraction:
     """Exact probability of an event (see events module) under d."""
     _require_same_graph(event.graph, d.graph, what="event and distribution")
-    (((count,), total),) = bit_masses([d], event.holds, 1)
+    (((count,), total),) = bit_masses([d.nums], event.holds, 1)
     return Fraction(count, total)
 
 

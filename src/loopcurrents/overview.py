@@ -28,16 +28,19 @@ scanned row once, as integer polynomials in x, and evaluates its masses at
 every grid point, so no law is built per point, and the FKG events and the
 component labels run once per configuration for all the rows.  The scans
 compare integer masses by cross-multiplying, and build a ``Fraction`` only
-for a violation they write out.  The watched pairs of a symmetric graph
-share connection series: a row's falling steps are found once per
-distinct series, and every pair still writes its own records.
+for a violation they write out.  Every falling step, of a watched pair's
+connection mass or of a loop up-set's mass, comes from
+:func:`falling_steps`, which compares each distinct series once: the
+watched pairs of a symmetric graph share series, and every pair still
+writes its own records.
 
 MON takes each step of a scanned row by one of three routes.  The first,
 ``loop-union``, is this module's alone: the rows are k independent loop
 laws unioned with Bernoulli(p(x)), so if the loop law at x2 dominates the
 one at x1 and p(x1) <= p(x2), the row at x2 dominates the row at x1
-(:func:`loop_union_steps`).  The loop steps of a graph are read once, for
-all three rows, off the masses of the up-sets of the loop law's support
+(:func:`loop_union_steps` finds the steps where p does not fall, once per
+row).  The loop steps of a graph are read once, for all three rows, off
+the masses of the up-sets of the loop law's support
 (:func:`loop_dominating_steps`), so no loop law is built and no flow runs,
 and :func:`scan_mon` reads no law of such a step.  Every other step goes
 to ``holley-local`` and then ``flow`` on the row's own laws
@@ -50,7 +53,7 @@ themselves and never uses the route.
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 from fractions import Fraction
 from functools import cache
 from itertools import combinations
@@ -293,9 +296,9 @@ def scan_graph(name: str, g: Graph, models: Sequence[str], grid) -> dict[str, di
     i`` is watched pair i (:func:`_watched`), so the events and the
     component labels run once per configuration for all the rows.  Signs
     are read off the integer masses, and only a violation becomes a
-    ``Fraction``.  A row's masses are transposed once into one series per
-    watched pair, and the falling steps are found once per distinct series.
-    FKG records run by (x, pair), CON and SING by (watched pair, step)."""
+    ``Fraction``.  Each watched pair's falling steps come from
+    :func:`falling_steps`.  FKG records run by (x, pair), CON and SING by
+    (watched pair, step)."""
     pairs = _fkg_pairs(g)
     fkg, width, gaps = fkg_stat(pairs)
     watched = _watched(g)
@@ -317,22 +320,35 @@ def scan_graph(name: str, g: Graph, models: Sequence[str], grid) -> dict[str, di
             for (a, b), gap in zip(pairs, row)
             if gap < 0
         ]
-        totals = [total for _, total in rows]
-        series = list(zip(*(counts for counts, _ in rows)))[width:]  # each pair's hits
-        falls: dict[tuple[int, ...], list[tuple[int, Fraction]]] = {}  # a series' falls
-        for (prop, (side_a, side_b), record), hits in zip(watched, series):
-            if hits not in falls:
-                falls[hits] = [
-                    (j, Fraction(hits[j - 1], totals[j - 1]) - Fraction(hits[j], totals[j]))
-                    for j in range(1, len(grid))
-                    # hits[j] / totals[j] < hits[j-1] / totals[j-1], cross-multiplied
-                    if hits[j] * totals[j - 1] < hits[j - 1] * totals[j]
-                ]
+        connections = [(counts[width:], total) for counts, total in rows]
+        for (prop, (side_a, side_b), record), falls in zip(watched, falling_steps(connections)):
             found[prop] += [
-                record(name, side_a, side_b, grid[j - 1], grid[j], drop) for j, drop in falls[hits]
+                record(name, side_a, side_b, grid[j - 1], grid[j], drop) for j, drop in falls
             ]
         scans[model] = found
     return scans
+
+
+def falling_steps(rows: Sequence[tuple[Sequence[int], int]]) -> list[list[tuple[int, Fraction]]]:
+    """For each bit i of the mass rows ``(counts, total)`` along a grid, one
+    per point, the steps ``(j, drop)`` at which its mass counts[i] / total
+    falls from point j - 1 to point j, by ``drop``.  The rows are transposed
+    once into one series per bit, each distinct series is compared once, by
+    cross-multiplying, and a ``Fraction`` is built only for a drop; bits
+    with the same series share one list."""
+    totals = [total for _, total in rows]
+    falls: dict[tuple[int, ...], list[tuple[int, Fraction]]] = {}  # a series' falls
+    out = []
+    for series in zip(*(counts for counts, _ in rows)):
+        if series not in falls:
+            falls[series] = [
+                (j, Fraction(series[j - 1], totals[j - 1]) - Fraction(series[j], totals[j]))
+                for j in range(1, len(series))
+                # series[j] / totals[j] < series[j-1] / totals[j-1], cross-multiplied
+                if series[j] * totals[j - 1] < series[j - 1] * totals[j]
+            ]
+        out.append(falls[series])
+    return out
 
 
 # Most nontrivial up-sets of a loop law's support that
@@ -385,26 +401,20 @@ def loop_dominating_steps(g: Graph, grid: Sequence[Fraction]) -> set[int]:
     no up-set of the laws' support, the even subgraphs under inclusion,
     loses mass from one to the other; the empty up-set and the whole
     support weigh 0 and 1 at every x.  So one ``polynomial_masses`` call
-    reads every other up-set as one bit (:func:`_upset_stat`), and the
-    steps of each distinct series of masses are compared once, by
-    cross-multiplying: no loop law is built and no flow runs."""
+    reads every other up-set as one bit (:func:`_upset_stat`), and a step
+    is kept when no up-set's mass falls (:func:`falling_steps`): no loop
+    law is built and no flow runs."""
     stat, width = _upset_stat(g)
     masses = polynomial_masses(g, ["loop"], stat, width, grid)["loop"]
-    totals = [total for _, total in masses]
-    falls = set()
-    for series in set(zip(*(counts for counts, _ in masses))):  # each distinct up-set's masses
-        # series[j] / totals[j] < series[j-1] / totals[j-1], cross-multiplied
-        falls.update(
-            j for j in range(1, len(grid)) if series[j] * totals[j - 1] < series[j - 1] * totals[j]
-        )
-    return set(range(1, len(grid))) - falls
+    return set(range(1, len(grid))) - {j for falls in falling_steps(masses) for j, _ in falls}
 
 
-def loop_union_steps(model: str, grid, loop_steps: Iterable[int]) -> set[int]:
-    """The ``loop-union`` route: the steps j of ``grid`` at which the law of
-    ``model`` at grid[j] dominates the one at grid[j - 1] because the loop
-    law does (j in ``loop_steps``) and p(grid[j - 1]) <= p(grid[j]) for the
-    row's Bernoulli parameter p, checked exactly.
+def loop_union_steps(model: str, grid) -> set[int]:
+    """The steps j of ``grid`` at which the row ``model``'s Bernoulli
+    parameter p does not fall, p(grid[j - 1]) <= p(grid[j]), checked
+    exactly.  The ``loop-union`` route certifies those of them at which the
+    loop law dominates: there the law of ``model`` at grid[j] dominates the
+    one at grid[j - 1].
 
     The lemma: the row is k independent loop laws unioned with
     Bernoulli(p(x)).  Couple each loop copy monotonically from x1 to x2 and
@@ -414,7 +424,7 @@ def loop_union_steps(model: str, grid, loop_steps: Iterable[int]) -> set[int]:
     once per grid point."""
     _, p = MODELS[model]
     ps = list(map(p, grid))
-    return {j for j in loop_steps if ps[j - 1] <= ps[j]}
+    return {j for j in range(1, len(grid)) if ps[j - 1] <= ps[j]}
 
 
 def scan_mon(
@@ -515,7 +525,7 @@ def build_overview(
     violations = {m: {prop: [] for prop in PROPERTIES} for m in MODELS if m not in refutations}
     # p does not depend on the graph: each row's steps where it does not fall
     # are found once, and each graph's loop steps are intersected with them
-    p_steps = {m: loop_union_steps(m, mon_grid, range(1, len(mon_grid))) for m in violations}
+    p_steps = {m: loop_union_steps(m, mon_grid) for m in violations}
     for name, g in graphs:
         loop_steps = loop_dominating_steps(g, mon_grid)
         scans = scan_graph(name, g, list(violations), grid)

@@ -673,15 +673,15 @@ def histogram(d: Dist, value) -> dict[int, Fraction]:
     return {k: p for k, p in sorted(out.items()) if p}
 
 
-def bit_masses_per_law(dists, stat, width: int) -> list[tuple[list[int], int]]:
-    """``measures.bit_masses`` one law at a time, bit by bit: each law's
-    integer numerators summed per stat value, each sum added to the count
-    of every set bit below ``width``, beside the law's numerator sum."""
+def bit_masses_per_law(weights, stat, width: int) -> list[tuple[list[int], int]]:
+    """``measures.bit_masses`` one weight map at a time, bit by bit: each
+    map's integer weights summed per stat value, each sum added to the count
+    of every set bit below ``width``, beside the map's weight sum."""
     keep = (1 << width) - 1
     rows = []
-    for d in dists:
+    for nums in weights:
         by_value: dict[int, int] = {}
-        for mask, w in d.nums.items():
+        for mask, w in nums.items():
             s = stat(mask) & keep
             by_value[s] = by_value.get(s, 0) + w
         counts = [0] * width
@@ -689,7 +689,7 @@ def bit_masses_per_law(dists, stat, width: int) -> list[tuple[list[int], int]]:
             for i in range(width):
                 if s >> i & 1:
                     counts[i] += w
-        rows.append((counts, sum(d.nums.values())))
+        rows.append((counts, sum(nums.values())))
     return rows
 
 

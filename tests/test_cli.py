@@ -1026,7 +1026,7 @@ class TestProvedForm:
                 tables = (rows(row), lambda m: m), (cyclic_law(rows(row), cyclic), cyclic.__getitem__)
                 for table, stat in tables:
                     counts, total = measures.edge_masses(table)
-                    ((bits, bit_total),) = bit_masses([law(row)], stat, n)
+                    ((bits, bit_total),) = bit_masses([law(row).nums], stat, n)
                     assert [value(c, row) / value(total, row) for c in counts] == [
                         F(c, bit_total) for c in bits
                     ]

@@ -553,7 +553,7 @@ class TestBitMasses:
         d = data.draw(mixed_dists(g))
         width = data.draw(st.integers(0, 6))
         table = {m: data.draw(stat_values) for m in d.weights}
-        ((counts, total),) = bit_masses([d], table.__getitem__, width)
+        ((counts, total),) = bit_masses([d.nums], table.__getitem__, width)
         assert len(counts) == width
         assert type(total) is int and total == sum(d.nums.values())
         for i, count in enumerate(counts):
@@ -573,26 +573,26 @@ class TestBitMasses:
             seen.append(m)
             return table[m]
 
-        rows = bit_masses(dists, stat, width)
+        rows = bit_masses([d.nums for d in dists], stat, width)
         assert sorted(seen) == sorted(table)
-        assert rows == [bit_masses([d], table.__getitem__, width)[0] for d in dists]
+        assert rows == [bit_masses([d.nums], table.__getitem__, width)[0] for d in dists]
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
-    def test_packed_lanes_match_the_per_law_loop(self, data):
+    def test_a_family_on_large_numerator_sums_matches_the_per_law_oracle(self, data):
         # a family's masses are its laws' one at a time, on numerator sums
-        # 2^k - 1 and 2^k side by side; bit 0 holds everywhere
+        # 2^k - 1 and 2^k in one family; bit 0 holds everywhere
         g = data.draw(st.sampled_from(ORACLE_GRAPHS))
         ks = data.draw(st.lists(st.integers(2, 160), max_size=3))
         dists = [data.draw(law_summing_to(g, (1 << k) - low)) for k in ks for low in (1, 0)]
         dists += data.draw(st.lists(mixed_dists(g), max_size=2))
-        dists = data.draw(st.permutations(dists))
+        weights = [d.nums for d in data.draw(st.permutations(dists))]
         width = data.draw(st.integers(0, 8))
-        table = {m: data.draw(st.integers(0, 1 << width + 3)) | 1 for d in dists for m in d.nums}
+        table = {m: data.draw(st.integers(0, 1 << width + 3)) | 1 for w in weights for m in w}
         stat = table.__getitem__
-        assert bit_masses(dists, stat, width) == bit_masses_per_law(dists, stat, width)
-        for d in dists:
-            assert bit_masses([d], stat, width) == bit_masses_per_law([d], stat, width)
+        assert bit_masses(weights, stat, width) == bit_masses_per_law(weights, stat, width)
+        for w in weights:
+            assert bit_masses([w], stat, width) == bit_masses_per_law([w], stat, width)
 
     def test_an_empty_family_has_no_rows(self):
         assert bit_masses([], lambda m: 1, 3) == [] == bit_masses_per_law([], lambda m: 1, 3)
@@ -644,7 +644,8 @@ class TestBitMasses:
         dists = data.draw(st.lists(mixed_dists(g), min_size=1, max_size=3))
         pairs = overview._subset_pairs(g) + overview._singleton_pairs(g)
         expected = [[prob_bruteforce(d, connect_sets(g, a, b)) for d in dists] for a, b in pairs]
-        rows = bit_masses(dists, overview._connection_stat(g, pairs), len(pairs))
+        stat = overview._connection_stat(g, pairs)
+        rows = bit_masses([d.nums for d in dists], stat, len(pairs))
         assert [list(row) for row in zip(*exact_rows(rows))] == expected
 
     def test_graph_mismatch_is_refused_as_by_the_oracle(self):
@@ -812,7 +813,7 @@ class TestPolynomialMasses:
         masses = measures.polynomial_masses(g, POLYNOMIAL_ROWS, values.__getitem__, width, xs)
         assert list(masses) == POLYNOMIAL_ROWS
         for name, rows in masses.items():
-            laws = [build(name, g, x) for x in xs]
+            laws = [build(name, g, x).nums for x in xs]
             assert exact_rows(rows) == exact_rows(bit_masses(laws, values.__getitem__, width))
 
     @settings(max_examples=40, deadline=None)
@@ -838,7 +839,7 @@ class TestPolynomialMasses:
         masses = measures.polynomial_masses(g, names, stat, len(columns), xs)
         assert list(masses) == names
         for name, rows in masses.items():
-            laws = [build(name, g, x) for x in xs]
+            laws = [build(name, g, x).nums for x in xs]
             assert exact_rows(rows) == exact_rows(bit_masses(laws, stat, len(columns)))
 
     def test_the_stat_runs_once_per_configuration_of_any_support(self):
@@ -878,7 +879,7 @@ class TestPolynomialMasses:
         g, stat = path(17), lambda m: 1 << m.bit_count() % 2 | 4
         xs = [F(3, 7), F(5, 9)]
         masses = measures.polynomial_masses(g, ["random_cluster"], stat, 3, xs)["random_cluster"]
-        laws = [build("random_cluster", g, x) for x in xs]
+        laws = [build("random_cluster", g, x).nums for x in xs]
         assert exact_rows(masses) == exact_rows(bit_masses(laws, stat, 3))
         with pytest.raises(CapExceededError) as info:
             measures.polynomial_masses(path(18), ["random_cluster"], stat, 3, xs)

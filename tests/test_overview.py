@@ -173,6 +173,26 @@ def test_pairs_sharing_a_falling_series_keep_their_own_records(monkeypatch):
     assert all("drop" in r for r in sing) and not any("drop" in r for r in con)
 
 
+def test_falling_steps_compare_ratios_not_counts(monkeypatch):
+    # totals 4, 10, 3.  Bit 0 counts 2, 4, 2: its count rises while its mass
+    # falls, 1/2 -> 2/5, then rises to 2/3.  Bit 1 counts 1, 3, 2: its count
+    # falls at step 2 while its mass rises, 3/10 -> 2/3.  Bit 2 repeats bit
+    # 0's series, compared once: one drop, two Fractions
+    built = []
+
+    class CountingFraction(Fraction):
+        def __new__(cls, *args, **kwargs):
+            built.append(args)
+            return super().__new__(cls, *args, **kwargs)
+
+    monkeypatch.setattr(overview, "Fraction", CountingFraction)
+    rows = [([2, 1, 2], 4), ([4, 3, 4], 10), ([2, 2, 2], 3)]
+    steps = overview.falling_steps(rows)
+    assert steps == [[(1, Fraction(1, 10))], [], [(1, Fraction(1, 10))]]
+    assert steps[0] is steps[2]
+    assert built == [(2, 4), (4, 10)]
+
+
 def test_each_distinct_mass_polynomial_is_decoded_and_evaluated_once(monkeypatch):
     # the table's battery is symmetric: of the 663 packed bit sums of its
     # three scanned rows, 147 are distinct within their row; each is decoded
@@ -390,7 +410,7 @@ def test_the_loop_union_route_changes_no_mon_scan():
         assert steps == set(range(1, 54 if g is THETA113 else len(grid)))
         for model in UNION_ROWS:
             laws = [build(model, g, x) for x in grid]
-            certified = overview.loop_union_steps(model, grid, steps)
+            certified = overview.loop_union_steps(model, grid) & steps
             assert certified == steps
             scan = overview.scan_mon(name, laws.__getitem__, grid, certified)
             assert scan == overview.scan_mon(name, laws.__getitem__, grid)
@@ -412,7 +432,7 @@ def test_battery_mon_scans_touch_no_model_law(flow_networks, monkeypatch):
     monkeypatch.setattr(checkers, "_holley_steps", counting_holley)
     for name, g, steps in battery:
         for model in UNION_ROWS:
-            certified = overview.loop_union_steps(model, grid, steps)
+            certified = overview.loop_union_steps(model, grid) & steps
             assert overview.scan_mon(name, unbuilt, grid, certified) == []
     assert flow_networks == [] and not holley
     # the patched routine is the one the scans call: an uncertified step of
@@ -440,10 +460,10 @@ def test_the_loop_union_lemma_against_the_flow(g, xs):
     loop_up = loop_dominating_steps_by_flow(g, up)
     loop_down = loop_dominating_steps_by_flow(g, down)
     for model in UNION_ROWS:
-        if overview.loop_union_steps(model, up, loop_up):
+        if overview.loop_union_steps(model, up) & loop_up:
             assert checkers.stochastic_domination(build(model, g, x1), build(model, g, x2)).dominates
         # control: p falls along a decreasing grid, so the route certifies nothing
-        assert overview.loop_union_steps(model, down, loop_down) == set()
+        assert overview.loop_union_steps(model, down) & loop_down == set()
 
 
 # Loopless multigraphs of cycle dimension at most 4: fewer than 2^15

@@ -1,6 +1,7 @@
-"""Every public top-level name of the package, and every public method
-and property of its public classes, is reached from the package, and
-every defaulted parameter of its functions is set by some call in it.
+"""Every top-level name of the package, public or private, and every
+public method and property of its public classes, is reached from the
+package, and every defaulted parameter of its functions is set by some
+call in it.
 
 A function, class, method or constant that only tests read belongs in
 ``tests/`` (the oracles), and one that nothing reads is deleted.  A name
@@ -50,7 +51,10 @@ UNSET_DEFAULTS = {
 ORACLE_PRIVATE_IMPORTS = {"loopcurrents.events._check_vertices"}
 
 
-def _public_definitions(tree: ast.Module):
+def _definitions(tree: ast.Module):
+    """(qualified name, load key, node) of each top-level function, class
+    and constant, private ones included, and of each public method and
+    property of a public class."""
     for node in tree.body:
         if isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
             for method in node.body:
@@ -65,8 +69,7 @@ def _public_definitions(tree: ast.Module):
         else:
             continue
         for name in names:
-            if not name.startswith("_"):
-                yield name, name, node
+            yield name, name, node
 
 
 def _loads(node: ast.AST) -> Counter:
@@ -82,20 +85,32 @@ def _loads(node: ast.AST) -> Counter:
     return loads
 
 
-def test_every_public_name_is_reached_from_the_package():
+def _unreached(private: bool) -> list[str]:
+    """The private or the public definitions that no module loads outside
+    their own definition, less :data:`ALLOWED`."""
     trees = {
         path.stem: ast.parse(path.read_text(encoding="utf-8"))
         for path in sorted(PACKAGE.glob("*.py"))
         if path.name != "__init__.py"
     }
     loads = sum((_loads(tree) for tree in trees.values()), Counter())
-    unreached = [
+    return [
         f"{module}.{qualname}"
         for module, tree in trees.items()
-        for qualname, name, definition in _public_definitions(tree)
-        if qualname not in ALLOWED and loads[name] == _loads(definition)[name]
+        for qualname, name, definition in _definitions(tree)
+        if qualname.startswith("_") == private
+        and qualname not in ALLOWED
+        and loads[name] == _loads(definition)[name]
     ]
-    assert unreached == []
+
+
+def test_every_public_name_is_reached_from_the_package():
+    assert _unreached(private=False) == []
+
+
+def test_every_private_top_level_name_is_reached_from_the_package():
+    # a helper that a consolidation leaves behind is loaded by nothing
+    assert _unreached(private=True) == []
 
 
 def _defaulted(fn: ast.FunctionDef):

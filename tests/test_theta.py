@@ -464,8 +464,8 @@ class TestCoreGraphs:
                 s = sum(1 << i for i, p in enumerate(paths) if c & p == p)
                 return 1 << s if c == sum(p for i, p in enumerate(paths) if s >> i & 1) else 0
 
-            (enumerated,) = exact_rows(bit_masses([law], cyclic_paths, 8))
-            (reduced,) = exact_rows(bit_masses([core_law], lambda m: 1 << core_cyclic[m], 8))
+            (enumerated,) = exact_rows(bit_masses([law.nums], cyclic_paths, 8))
+            (reduced,) = exact_rows(bit_masses([core_law.nums], lambda m: 1 << core_cyclic[m], 8))
             assert reduced == enumerated, name
 
     def test_the_length_weighted_size_law_matches_the_subdivided_graph(self):
