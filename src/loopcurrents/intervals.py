@@ -107,9 +107,6 @@ class Interval:
         lo, hi = _floor_div(a_lo, lo_den, s), -_floor_div(-a_hi, hi_den, s)
         return _result(lo, hi, a._exp - b._exp - s, bits)
 
-    def __rtruediv__(self, other) -> "Interval":
-        return Interval.point(other, self.bits) / self
-
     def __pow__(self, n: int) -> "Interval":
         if n < 0:
             raise ValueError("negative interval power")

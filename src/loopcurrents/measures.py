@@ -39,10 +39,10 @@ union and the Bernoulli pass (:func:`_open_edges`, shared with
 :func:`union_bernoulli`) run only ring operations, so they serve both,
 and so do the counting formula (:func:`counting_weights`) and the
 uniform-even push (:func:`push_even`).  :func:`polynomial_masses` passes
-the packed rows through :func:`bit_masses` to give the masses along a
-grid of x without building a law per point, decoding and evaluating each
-distinct mass polynomial of a row once; ``verify`` compares the tables
-themselves.
+the rows, packed at one point per call, through :func:`bit_masses` to
+give the masses along a grid of x without building a law per point,
+decoding and evaluating each distinct mass polynomial of a call once;
+``verify`` compares the tables themselves.
 """
 
 from __future__ import annotations
@@ -443,13 +443,14 @@ def _same_law(left: Sequence[int], right: Sequence[int]) -> bool:
 
 
 # Most bits of the packed lattice of :func:`polynomial_masses`, 2^|E| * S *
-# (D + 1) for a row of digit width S and degree D.  The table's largest row,
-# the double cluster on counter(2,2), packs 256 weights of 30 * 33 bits,
-# about 2^18; on counter_core(18, 2) it takes 2^19.6.  The budget is about
-# half a second and 100 MB: the random cluster on a path, the row with the
-# most work per bit, took 0.47 s and an 83 MB peak on 17 edges (2^26.9 bits,
-# its edge masses at 63 points, CPython 3.11, 2-vCPU Xeon), which the cap
-# admits, and 1.1 s and 155 MB on 18 edges (2^28.1), which it refuses.
+# (D + 1) for the digit width S and degree D of the call's largest row.  The
+# table's largest row, the double cluster on counter(2,2), packs 256 weights
+# of 30 * 33 bits, about 2^18; on counter_core(18, 2) it takes 2^19.6.  The
+# budget is about half a second and 100 MB: the random cluster on a path,
+# the row with the most work per bit, took 0.47 s and an 83 MB peak on 17
+# edges (2^26.9 bits, its edge masses at 63 points, CPython 3.11, 2-vCPU
+# Xeon), which the cap admits, and 1.1 s and 155 MB on 18 edges (2^28.1),
+# which it refuses.
 PACKED_LATTICE_BITS_CAP = 1 << 27
 
 # A registered p is read off p(2^_PROBE_BITS): its coefficients are small
@@ -472,7 +473,8 @@ def polynomial_laws(
     Bernoulli pass (:func:`_open_edges`), which run only ring operations.
     At x = a/b these are the weights of ``build(name, graph, x)`` up to a
     positive factor; at (2^S, 1) they are the polynomials packed by
-    x -> 2^S.  Each row, and each k-fold union, is built once per point.
+    x -> 2^S.  Each row, and each k-fold union, is built once per point:
+    the rows read at one point share their unions.
 
     ``shapes[name]`` is ``(bound, D)``, where bound is at least the sum over
     all masks of W_m's absolute coefficient sum, so it bounds that of any
@@ -554,48 +556,48 @@ def polynomial_masses(
     name, graph, x) for x in xs], stat, width)``, though the integers may
     differ from its by a positive factor per x.
 
-    A row is built once for all the points, as its :func:`polynomial_laws`
-    packed by x -> 2^S, and one :func:`bit_masses` pass over the rows'
-    nonzero packed entries gives each bit's count (the sum of W_m over the
-    masks with the bit) and the total, packed.  Each distinct packed value
-    of a row is read back once, as S-bit signed digits, exact while every
-    |f_j| < 2^(S-1): S is one more than the bit length of the row's bound.
-    The rows of one degree D are evaluated in one :func:`_at_points` call:
-    at x = a/b a polynomial reads the integer b^D f(a/b) = sum f_j a^j
-    b^(D-j).
+    Every row is built once for all the points, at the one
+    :func:`polynomial_laws` point (2^S, 1) of the call, packed by x -> 2^S,
+    and one :func:`bit_masses` pass over the rows' nonzero packed entries
+    gives each bit's count (the sum of W_m over the masks with the bit) and
+    the total, packed.  Each distinct packed value of the call is read back
+    once, as D + 1 S-bit signed digits, exact while every |f_j| < 2^(S-1):
+    S is one more than the bit length of the largest row bound, and D is
+    the largest row degree.  So rows share a polynomial they have in
+    common, as the double current and the double cluster share their
+    total, the double loop's.  All the rows are evaluated in one
+    :func:`_at_points` call at degree D: at x = a/b a polynomial reads the
+    integer b^D f(a/b) = sum f_j a^j b^(D-j), so a row of degree d < D
+    reads b^(D-d) times its own homogenized masses, counts and total alike,
+    and its ratios do not change.
 
     Refused before any pass: what :func:`polynomial_laws` refuses, and a
-    row above :data:`PACKED_LATTICE_BITS_CAP`."""
+    call whose lattice, 2^|E| weights of S (D + 1) bits, is above
+    :data:`PACKED_LATTICE_BITS_CAP`.  In the registry the row of the largest
+    bound also has the largest degree, so that is the largest row's own
+    lattice."""
     xs = [Fraction(x) for x in xs]
     shapes, at = polynomial_laws(graph, names, xs)
-    size = 1 << graph.edge_count
-    rows = []
-    for name in names:
-        bound, degree = shapes[name]
-        digits = bound.bit_length() + 1
-        bits = size * digits * (degree + 1)
-        if bits > PACKED_LATTICE_BITS_CAP:
-            raise CapExceededError("packed polynomial lattice bits", bits, PACKED_LATTICE_BITS_CAP)
-        rows.append((digits, degree))
-    tables = [at(1 << digits, 1)(name) for name, (digits, _) in zip(names, rows)]
-    masses = bit_masses([{m: w for m, w in enumerate(t) if w} for t in tables], stat, width)
-    by_degree: dict[int, list[tuple[str, list[int], int]]] = {}
-    for name, (counts, total), (digits, degree) in zip(names, masses, rows):
-        # the total, then the count of each bit
-        by_degree.setdefault(degree, []).append((name, [total, *counts], digits))
-    out = {}
-    for degree, members in by_degree.items():
-        polys, layouts = [], []
-        for _, packed, digits in members:
-            index = dict.fromkeys(packed)  # each distinct value -> its polynomial
-            for value in index:
-                index[value] = len(polys)
-                polys.append(_signed_digits(value, digits, degree + 1))
-            layouts.append([index[value] for value in packed])
-        values = _at_points(polys, [layout[0] for layout in layouts], degree, xs)
-        for (name, _, _), (total, *counts) in zip(members, layouts):
-            out[name] = [([at_x[k] for k in counts], at_x[total]) for at_x in values]
-    return {name: out[name] for name in names}
+    if not names:
+        return {}
+    bound, degree = map(max, zip(*shapes.values()))
+    digits = bound.bit_length() + 1
+    bits = (1 << graph.edge_count) * digits * (degree + 1)
+    if bits > PACKED_LATTICE_BITS_CAP:
+        raise CapExceededError("packed polynomial lattice bits", bits, PACKED_LATTICE_BITS_CAP)
+    row = at(1 << digits, 1)
+    tables = [{m: w for m, w in enumerate(row(name)) if w} for name in names]
+    index: dict[int, int] = {}  # each distinct packed value -> its polynomial
+    layouts = [
+        [index.setdefault(value, len(index)) for value in (total, *counts)]
+        for counts, total in bit_masses(tables, stat, width)
+    ]
+    polys = [_signed_digits(value, digits, degree + 1) for value in index]
+    values = _at_points(polys, [layout[0] for layout in layouts], degree, xs)
+    return {
+        name: [([at_x[k] for k in counts], at_x[total]) for at_x in values]
+        for name, (total, *counts) in zip(names, layouts)
+    }
 
 
 def _polynomial_p(name: str, p, xs: Sequence[Fraction]) -> list[int]:
@@ -638,8 +640,10 @@ def _signed_digits(value: int, digits: int, count: int) -> list[int]:
 def _at_points(
     polys: list[list[int]], totals: list[int], degree: int, xs: list[Fraction]
 ) -> list[list[int]]:
-    """Each polynomial f of ``polys`` read at each x = a/b as the integer
-    b^degree f(a/b): one list per x, in the order of ``polys``.  The
+    """Each polynomial f of ``polys``, of degree at most ``degree``, read at
+    each x = a/b as the integer b^degree f(a/b): one list per x, in the
+    order of ``polys``.  :func:`polynomial_masses` passes every row of a
+    call, each with ``degree + 1`` coefficients, in one call.  The
     polynomials at the positions ``totals`` are row totals, and every other
     lies in [0, its row's total] at every x, so all the values at all the
     points fit side by side in lanes of the largest total's width, and one

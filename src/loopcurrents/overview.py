@@ -254,38 +254,13 @@ def _fkg_pairs(g: Graph) -> list[tuple[Event, Event]]:
     return list(combinations(_fkg_events(g), 2))
 
 
-def _watched(g: Graph) -> list[tuple[str, tuple[tuple, tuple], Callable]]:
-    """(property, vertex-set pair, record builder) for every pair that
-    :data:`CONNECTION_SCANS` watches on g."""
-    return [
-        (prop, pair, record)
-        for prop, (pairs_of, record) in CONNECTION_SCANS.items()
-        for pair in pairs_of(g)
+def _watched(g: Graph) -> list[tuple[str, tuple[tuple, tuple], str]]:
+    """(property, vertex-set pair, event label) for every pair the
+    connection scans watch on g: CON's vertex-set pairs, then SING's
+    single vertices."""
+    return [("CON", (a, b), f"connect-sets:{a},{b}") for a, b in _subset_pairs(g)] + [
+        ("SING", (a, b), f"connect:{a[0]},{b[0]}") for a, b in _singleton_pairs(g)
     ]
-
-
-def _sing_record(graph, side_a, side_b, x1, x2, drop) -> dict:
-    return {
-        "graph": graph,
-        "event": f"connect:{side_a[0]},{side_b[0]}",
-        "x1": format_rational(x1),
-        "x2": format_rational(x2),
-        "drop": format_rational(drop),
-    }
-
-
-def _con_record(graph, side_a, side_b, x1, x2, drop) -> dict:
-    return {
-        "graph": graph,
-        "event": f"connect-sets:{side_a},{side_b}",
-        "x1": format_rational(x1),
-        "x2": format_rational(x2),
-    }
-
-
-# The vertex-set pairs each connection property watches, and the record
-# builder of one decrease.
-CONNECTION_SCANS = {"CON": (_subset_pairs, _con_record), "SING": (_singleton_pairs, _sing_record)}
 
 
 def scan_graph(name: str, g: Graph, models: Sequence[str], grid) -> dict[str, dict[str, list]]:
@@ -298,7 +273,8 @@ def scan_graph(name: str, g: Graph, models: Sequence[str], grid) -> dict[str, di
     are read off the integer masses, and only a violation becomes a
     ``Fraction``.  Each watched pair's falling steps come from
     :func:`falling_steps`.  FKG records run by (x, pair), CON and SING by
-    (watched pair, step)."""
+    (watched pair, step), each with the keys graph, event, x1 and x2, and
+    SING's with the drop too."""
     pairs = _fkg_pairs(g)
     fkg, width, gaps = fkg_stat(pairs)
     watched = _watched(g)
@@ -308,7 +284,7 @@ def scan_graph(name: str, g: Graph, models: Sequence[str], grid) -> dict[str, di
     )
     scans = {}
     for model, rows in masses.items():
-        found = {prop: [] for prop in CONNECTION_SCANS}
+        found = {"CON": [], "SING": []}
         found["FKG"] = [
             {
                 "graph": name,
@@ -321,10 +297,13 @@ def scan_graph(name: str, g: Graph, models: Sequence[str], grid) -> dict[str, di
             if gap < 0
         ]
         connections = [(counts[width:], total) for counts, total in rows]
-        for (prop, (side_a, side_b), record), falls in zip(watched, falling_steps(connections)):
-            found[prop] += [
-                record(name, side_a, side_b, grid[j - 1], grid[j], drop) for j, drop in falls
-            ]
+        for (prop, _, event), falls in zip(watched, falling_steps(connections)):
+            for j, drop in falls:
+                x1, x2 = map(format_rational, grid[j - 1 : j + 1])
+                record = {"graph": name, "event": event, "x1": x1, "x2": x2}
+                if prop == "SING":
+                    record["drop"] = format_rational(drop)
+                found[prop].append(record)
         scans[model] = found
     return scans
 

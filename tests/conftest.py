@@ -1,5 +1,7 @@
 """Shared pytest wiring: re-emit the acceptance PASS/FAIL lines at the end,
-and count the flow networks the checkers build."""
+fail a test that hangs, and count the flow networks the checkers build."""
+
+import signal
 
 import pytest
 
@@ -13,6 +15,22 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.section("acceptance criteria")
         for line in ACCEPTANCE_LINES:
             terminalreporter.write_line(line)
+
+
+@pytest.fixture(autouse=True)
+def hang_guard():
+    """Fail a test still running after 60 s, so a loop that never ends fails
+    its test instead of hanging the suite; the slowest test takes a few
+    seconds."""
+
+    def expire(signum, frame):
+        pytest.fail("the test ran past 60 s", pytrace=False)
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(60)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
 
 
 @pytest.fixture

@@ -492,6 +492,20 @@ class TestStochasticDomination:
         assert (info.value.what, info.value.size) == ("domination lattice", 18 << 18)
         assert 18 << 18 <= LATTICE_PASS_CAP and 18 << 18 > COVERING_NETWORK_CAP
 
+    def test_the_memory_cap_admits_a_network_of_exactly_its_size(self, monkeypatch):
+        # four single edges make four lattice coordinates, a network of
+        # 4 * 2^4: a cap of exactly that admits it, one below refuses it
+        g = Graph(5, tuple((i, i + 1) for i in range(4)))
+        lo = dist_from_weights(g, {1: F(1), 4: F(1)})
+        hi = dist_from_weights(g, {2: F(1), 8: F(1)})
+        assert len(checkers._lattice_coordinates(g.full_mask, [*lo.nums, *hi.nums])) == 4
+        monkeypatch.setattr(checkers, "COVERING_NETWORK_CAP", 4 << 4)
+        assert not stochastic_domination(lo, hi).dominates
+        monkeypatch.setattr(checkers, "COVERING_NETWORK_CAP", (4 << 4) - 1)
+        with pytest.raises(CapExceededError) as info:
+            stochastic_domination(lo, hi)
+        assert (info.value.what, info.value.size) == ("domination lattice", 4 << 4)
+
     def test_bruteforce_witness_is_an_antichain_with_its_masses(self):
         rng = random.Random(99)
         g = complete_graph(4)

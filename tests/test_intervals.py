@@ -159,7 +159,7 @@ class TestRoundedInterval:
 
     def test_division(self):
         a = Interval.point(Fraction(1, 3), 64)
-        out = 1 / a
+        out = Interval.point(1, 64) / a
         assert out.lo <= 3 <= out.hi
         # a negative divisor: the upper endpoint -2/5 is rounded up
         out = Interval.point(1, 5) / Interval(Fraction(-5, 2), -2, 5)

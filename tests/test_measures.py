@@ -903,6 +903,31 @@ class TestPolynomialMasses:
             measures.polynomial_masses(K4, rows, no_pass, 1, [F(1, 2)])
         assert info.value.size == size
 
+    def test_the_cap_admits_a_call_at_exactly_its_bits(self, monkeypatch):
+        # the same call as above, at a cap of exactly its 64 * 24 * 25 bits
+        rows, stat = ["random_cluster", "double_cluster"], lambda m: m & 1
+        monkeypatch.setattr(measures, "PACKED_LATTICE_BITS_CAP", 64 * 24 * 25)
+        masses = measures.polynomial_masses(K4, rows, stat, 1, [F(1, 2)])
+        for name in rows:
+            law = build(name, K4, F(1, 2)).nums
+            assert exact_rows(masses[name]) == exact_rows(bit_masses([law], stat, 1))
+
+    def test_rows_of_one_call_share_one_packing_point(self, monkeypatch):
+        # the double current and the double cluster are read at the call's
+        # one point, so the double loop's union is built once for both
+        unions = []
+        real = measures._union_nums
+
+        def counting_union(*args):
+            unions.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(measures, "_union_nums", counting_union)
+        rows = ["double_current", "double_cluster"]
+        measures.polynomial_masses(K4, rows, lambda m: 1, 1, [F(1, 3), F(1, 2)])
+        assert len(unions) == 1
+        assert measures.polynomial_masses(K4, [], lambda m: 1, 1, [F(1, 2)]) == {}
+
     @pytest.mark.parametrize(
         "name, xs, error, message",
         [

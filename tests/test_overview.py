@@ -193,10 +193,34 @@ def test_falling_steps_compare_ratios_not_counts(monkeypatch):
     assert built == [(2, 4), (4, 10)]
 
 
+def test_a_path_scan_writes_no_record_at_a_zero_gap_or_a_flat_mass():
+    # on the 2-edge path the random cluster is Bernoulli(x): its two edge
+    # events have FKG gap exactly 0 at every x, and the loop law is the
+    # empty subgraph, so its connection masses are 0 at every point; a
+    # zero gap and a flat step are no violation
+    g, grid = Graph(3, ((0, 1), (1, 2))), dyadic_grid(4)
+    rows = ["loop", "random_cluster", "double_current"]
+    fkg, width, gaps = checkers.fkg_stat(overview._fkg_pairs(g))
+    masses = measures.polynomial_masses(g, ["random_cluster"], fkg, width, grid)
+    assert all(row[0] == 0 for row, _ in gaps(masses["random_cluster"]))
+    found = overview.scan_graph("path", g, rows, grid)
+    assert found == {row: {"FKG": [], "CON": [], "SING": []} for row in rows}
+
+
+def test_a_zero_fkg_gap_is_not_a_witness():
+    def zero_gap(n, m, x):
+        return Fraction(0)
+
+    with pytest.raises(LoopCurrentsError, match="expected a negative gap"):
+        overview.certify_fkg(zero_gap, overview.FKG_LOOP_PARAMS)
+
+
 def test_each_distinct_mass_polynomial_is_decoded_and_evaluated_once(monkeypatch):
     # the table's battery is symmetric: of the 663 packed bit sums of its
-    # three scanned rows, 147 are distinct within their row; each is decoded
-    # once, and the two rows of degree 4|E| share one evaluation call
+    # three scanned rows, 147 are distinct within their row, and 143 within
+    # their call, as the double current and the double cluster share their
+    # total; each is decoded once, and each polynomial_masses call evaluates
+    # all its rows at once
     evaluated, decoded = [], []
     real_at, real_digits, real_masses = (
         measures._at_points,
@@ -220,9 +244,9 @@ def test_each_distinct_mass_polynomial_is_decoded_and_evaluated_once(monkeypatch
     monkeypatch.setattr(measures, "_signed_digits", counting_digits)
     monkeypatch.setattr(overview, "polynomial_masses", one_call)
     overview.build_overview(6)
-    # per graph, the loop scan's up-set masses add one call and one degree:
-    # 38 distinct polynomials over the four graphs
-    assert (sum(evaluated), len(evaluated)) == (147 + 38, 8 + 4)
+    # per graph, one call for the scanned rows and one for the loop's up-set
+    # masses, which add 38 distinct polynomials over the four graphs
+    assert (sum(evaluated), len(evaluated)) == (143 + 38, 8)
     assert len(decoded) == 2 * len(scan_battery())
     for values in decoded:
         assert len(values) == len(set(values))
@@ -498,7 +522,14 @@ def test_the_upset_counts_of_the_battery_and_the_cap(monkeypatch):
         raise AssertionError("a mass pass ran before the cap was checked")
 
     # K4's seven cycles are pairwise incomparable, so every nonempty set of
-    # them spans a nontrivial up-set: 127, one above the patched cap
+    # them spans a nontrivial up-set: 127, admitted by a cap of exactly 127
+    # and refused one below it
+    monkeypatch.setattr(overview, "LOOP_UPSET_CAP", 127)
+    assert overview._upset_stat(complete_graph(4))[1] == 127
+    # three parallel edges have three incomparable even subgraphs, and the
+    # lower bound 2^3 - 1 is their exact count: a cap of 7 admits it
+    monkeypatch.setattr(overview, "LOOP_UPSET_CAP", 7)
+    assert overview._upset_stat(Graph(2, ((0, 1),) * 3))[1] == 7
     monkeypatch.setattr(overview, "polynomial_masses", no_pass)
     monkeypatch.setattr(overview, "LOOP_UPSET_CAP", 126)
     with pytest.raises(CapExceededError) as info:

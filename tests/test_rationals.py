@@ -65,6 +65,17 @@ class TestGridsAndPairs:
         grid = dyadic_window_grid(Fraction(1, 2), Fraction(3, 4), 4)
         assert grid[0] > Fraction(1, 2) and grid[-1] == Fraction(3, 4)
 
+    def test_window_grid_boundaries(self):
+        # lo = 0 is a window's lowest end, and one step below 1 is one point
+        quarters = [Fraction(1, 4), Fraction(1, 2)]
+        assert dyadic_window_grid(Fraction(0), Fraction(1, 2), 2) == quarters
+        assert dyadic_window_grid(Fraction(1, 2), Fraction(3, 4), 1) == [Fraction(3, 4)]
+        assert dyadic_window_grid(Fraction(1, 2), Fraction(1), 2) == [Fraction(3, 4)]
+        with pytest.raises(ParametrizationError, match="no grid point below 1"):
+            dyadic_window_grid(Fraction(1, 2), Fraction(1), 1)
+        with pytest.raises(ParametrizationError, match="must satisfy"):
+            dyadic_window_grid(Fraction(1, 2), Fraction(1, 2), 2)
+
     def test_grids_are_capped_before_they_are_built(self, monkeypatch):
         monkeypatch.setattr(rationals, "GRID_CAP", 7)
         assert len(dyadic_grid(3)) == len(dyadic_window_grid(Fraction(1, 2), Fraction(1), 8)) == 7
@@ -86,6 +97,13 @@ class TestGridsAndPairs:
 
     def test_monotone_function_yields_none(self):
         assert find_decreasing_pair(lambda x: x, dyadic_grid(4)) is None
+
+    def test_a_plateau_is_not_a_drop(self):
+        # values 1, 1, 1/2: the second point ties the running maximum, and
+        # the first point is the earliest above the third
+        values = dict(zip(dyadic_grid(2), (1, 1, Fraction(1, 2))))
+        pair = find_decreasing_pair(values.__getitem__, dyadic_grid(2))
+        assert pair == (Fraction(1, 4), Fraction(3, 4), 1, Fraction(1, 2))
 
     def test_parabola_pair(self):
         pair = find_decreasing_pair(
