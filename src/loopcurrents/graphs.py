@@ -48,9 +48,9 @@ class Graph:
 
     With ``lengths`` set, the graph is a *core*: edge i stands for a path of
     ``lengths[i]`` edges, whose inner vertices are left out.  ``None`` means
-    every length is 1.  The law-building kernels ``measures.loop_o1`` and
-    ``measures.union_bernoulli``, and so every registered model, read the
-    lengths, and so does ``measures.polynomial_laws``; the events, the
+    every length is 1.  The row-building kernels ``measures._loop_nums`` and
+    ``measures._opened``, and so every registered model and
+    ``measures.polynomial_laws``, read the lengths; the events, the
     samplers and ``measures.counting_weights`` count each core edge as one
     edge.  The graph JSON format has no lengths, so a core is neither
     written nor read.
@@ -203,25 +203,6 @@ def complete_graph(n: int) -> Graph:
 # Connectivity
 
 
-class _DSU:
-    __slots__ = ("parent",)
-
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-
-    def find(self, v: int) -> int:
-        parent = self.parent
-        root = v
-        while parent[root] != root:
-            root = parent[root]
-        while parent[v] != root:
-            parent[v], v = root, parent[v]
-        return root
-
-    def union(self, u: int, v: int) -> None:
-        self.parent[self.find(u)] = self.find(v)
-
-
 def is_connected(g: Graph, mask: int, u: int, v: int) -> bool:
     """True iff u and v lie in the same component of the spanning subgraph (V, mask)."""
     if not (0 <= u < g.vertex_count and 0 <= v < g.vertex_count):
@@ -231,16 +212,23 @@ def is_connected(g: Graph, mask: int, u: int, v: int) -> bool:
 
 
 def component_labels(g: Graph, mask: int) -> tuple[int, ...]:
-    """Per-vertex component representative of (V, mask).
+    """Per-vertex component representative of (V, mask), from one
+    union-find walk with path halving over the open edges.
 
     Two vertices are connected iff their labels agree, so one pass answers
     every connection query on the same configuration.
     """
-    dsu = _DSU(g.vertex_count)
+    parent = list(range(g.vertex_count))
+
+    def root(v: int) -> int:
+        while parent[v] != v:
+            parent[v] = v = parent[parent[v]]
+        return v
+
     for i in edges_of_mask(mask):
         u, v = g.edges[i]
-        dsu.union(u, v)
-    return tuple(dsu.find(v) for v in range(g.vertex_count))
+        parent[root(u)] = root(v)
+    return tuple(map(root, range(g.vertex_count)))
 
 
 # ---------------------------------------------------------------------------

@@ -33,16 +33,16 @@ written (:func:`prob`).  :func:`_same_law` is the one law-equality test.
 
 The rows whose p is a polynomial in x also come as integer polynomials
 from :func:`polynomial_laws`, the one packed-row builder: its lattice
-tables, read at an evaluation point (a, b), are the weights at x = a/b,
-or at (2^S, 1) each weight packed into one integer by x -> 2^S.  The
-union and the Bernoulli pass (:func:`_open_edges`, shared with
-:func:`union_bernoulli`) run only ring operations, so they serve both,
-and so do the counting formula (:func:`counting_weights`) and the
-uniform-even push (:func:`push_even`).  :func:`polynomial_masses` passes
-the rows, packed at one point per call, through :func:`bit_masses` to
-give the masses along a grid of x without building a law per point,
-decoding and evaluating each distinct mass polynomial of a call once;
-``verify`` compares the tables themselves.
+tables, read at an evaluation point (a, b), are the numerators at
+x = a/b, or at (2^S, 1) each weight packed into one integer by x -> 2^S.
+Each row-building step has one kernel, which it and :func:`build` share:
+the loop weights (:func:`_loop_nums`), the union (:func:`_union_nums`)
+and the Bernoulli layer (:func:`_opened`).  They run only ring
+operations, so they serve both encodings, and so do the counting formula
+(:func:`counting_weights`) and the uniform-even push (:func:`push_even`).
+:func:`polynomial_masses` passes the rows, packed at one point per call,
+through :func:`bit_masses` to give the masses along a grid of x without
+building a law per point; ``verify`` compares the tables themselves.
 """
 
 from __future__ import annotations
@@ -63,6 +63,7 @@ from .errors import (
 )
 from .graphs import (
     Graph,
+    cycle_space_basis,
     edges_of_mask,
     even_lattice,
     even_subgraphs,
@@ -188,10 +189,8 @@ def bernoulli(graph: Graph, p: Fraction) -> Dist:
 
 
 def loop_o1(graph: Graph, x: Fraction) -> Dist:
-    """Loop model: weight x^|g| on every even subgraph g, Z = sum of weights,
-    where |g| is the total length of g's edges (its edge count unless the
-    graph is a core).  With x = a/b and total length n of the graph, the
-    weights are a^|g| b^(n-|g|) over b^n."""
+    """Loop model: weight x^|g| on every even subgraph g, Z = sum of
+    weights, as :func:`_loop_nums` at x = a/b over b^n."""
     x = Fraction(x)
     if not 0 <= x < 1:
         raise ParametrizationError(f"x={x} outside [0,1)")
@@ -201,9 +200,7 @@ def loop_o1(graph: Graph, x: Fraction) -> Dist:
     n = sum(_edge_lengths(graph))
     if n * b.bit_length() > LOOP_WEIGHT_BITS_CAP:
         raise CapExceededError("loop-model weight bits", n * b.bit_length(), LOOP_WEIGHT_BITS_CAP)
-    sizes = _even_sizes(graph)
-    powers = {k: a**k * b ** (n - k) for k in set(sizes.values())}
-    return Dist.from_integers(graph, {g: powers[k] for g, k in sizes.items()}, b**n)
+    return Dist.from_integers(graph, _loop_nums(graph, a, b), b**n)
 
 
 def _edge_lengths(graph: Graph) -> tuple[int, ...]:
@@ -211,12 +208,18 @@ def _edge_lengths(graph: Graph) -> tuple[int, ...]:
     return graph.lengths or (1,) * graph.edge_count
 
 
-def _even_sizes(graph: Graph) -> dict[int, int]:
-    """|g|, the total length of g's edges, for every even subgraph g."""
+def _loop_nums(graph: Graph, a: int, b: int) -> dict[int, int]:
+    """The loop weights at the evaluation point (a, b): a^|g| b^(n-|g|) on
+    every even subgraph g, |g| the total length of g's edges (its edge
+    count off a core) and n the graph's, so x^|g| times b^n at x = a/b."""
     lengths = graph.lengths
     if lengths is None:
-        return {g: g.bit_count() for g in even_subgraphs(graph)}
-    return {g: sum(lengths[i] for i in edges_of_mask(g)) for g in even_subgraphs(graph)}
+        sizes = {g: g.bit_count() for g in even_subgraphs(graph)}
+    else:
+        sizes = {g: sum(lengths[i] for i in edges_of_mask(g)) for g in even_subgraphs(graph)}
+    n = sum(_edge_lengths(graph))
+    powers = {k: a**k * b ** (n - k) for k in set(sizes.values())}
+    return {g: powers[k] for g, k in sizes.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -258,20 +261,26 @@ def _union_nums(nums1: dict[int, int], nums2: dict[int, int]) -> dict[int, int]:
 
 def union_bernoulli(d: Dist, p: Fraction) -> Dist:
     """Union of d with independent Bernoulli(p) percolation: the law of
-    ``union(d, bernoulli(graph, p))``, computed edge by edge over the 2^|E|
-    lattice (:func:`_open_edges`) in integers over den * e^n, for p = c/e
-    and n the total length.  An edge of length L opens with p^L: on a core,
-    its path is open when all its edges are."""
+    ``union(d, bernoulli(graph, p))``, :func:`_opened` over den * e^n for
+    p = c/e and n the total length."""
     p = Fraction(p)
     if not 0 <= p <= 1:
         raise LoopCurrentsError(f"p={p} outside [0,1]")
-    lengths = _edge_lengths(d.graph)
-    table = [0] * lattice_size(d.graph, "Bernoulli union lattice")
-    for mask, w in d.nums.items():
+    den = d.den * p.denominator ** sum(_edge_lengths(d.graph))
+    return Dist.from_integers(d.graph, dict(enumerate(_opened(d.graph, d.nums, p))), den, d.z)
+
+
+def _opened(graph: Graph, nums: dict[int, int], p: Fraction | None) -> list[int]:
+    """The weight map ``nums`` as a 2^|E| lattice table, united with
+    Bernoulli(p) when p = c/e is given: :func:`_open_edges` opens an edge of
+    length L with (c^L, e^L), so on a core a path is open when all its edges
+    are, and each entry gains the factor e^n, n the total length."""
+    table = [0] * lattice_size(graph, "Bernoulli union lattice")
+    for mask, w in nums.items():
         table[mask] = w
-    _open_edges(table, [(p.numerator**length, p.denominator**length) for length in lengths])
-    den = d.den * p.denominator ** sum(lengths)
-    return Dist.from_integers(d.graph, dict(enumerate(table)), den, d.z)
+    if p is not None:
+        _open_edges(table, [(p.numerator**L, p.denominator**L) for L in _edge_lengths(graph)])
+    return table
 
 
 def _open_edges(table: list[int], opens: Sequence[tuple[int, int]]) -> None:
@@ -465,22 +474,21 @@ def polynomial_laws(
     at)``, with nothing enumerated until a row is read.
 
     A row's weight of mask m is an integer polynomial W_m(x) of degree at
-    most D = (k + deg P) n, n the total length: the k-fold union of the
-    loop weights x^|g|, then the Bernoulli pass with (c, e) = (P^L, 1) on an
-    edge of length L, P = p(x).  ``at(a, b)`` gives ``row(name)``, the
-    2^|E| lattice of b^D W_m(a/b), the weights homogenized at the
-    evaluation point (a, b), from the union (:func:`_union_nums`) and the
-    Bernoulli pass (:func:`_open_edges`), which run only ring operations.
-    At x = a/b these are the weights of ``build(name, graph, x)`` up to a
-    positive factor; at (2^S, 1) they are the polynomials packed by
-    x -> 2^S.  Each row, and each k-fold union, is built once per point:
-    the rows read at one point share their unions.
+    most D = (k + deg p) n, n the total length.  ``at(a, b)`` gives
+    ``row(name)``, the row's 2^|E| lattice table at the evaluation point
+    (a, b): :func:`_opened` of the k-fold union (:func:`_union_nums`) of
+    :func:`_loop_nums`, with the registered p at Fraction(a, b).  At x = a/b
+    in lowest terms it is ``build(name, graph, x)``'s numerators entry by
+    entry; at (2^S, 1) the polynomials W_m packed by x -> 2^S.  Each row,
+    and each k-fold union, is built once per point: the rows read at one
+    point share their unions.
 
     ``shapes[name]`` is ``(bound, D)``, where bound is at least the sum over
     all masks of W_m's absolute coefficient sum, so it bounds that of any
     sum of the W_m.  That sum is subadditive and submultiplicative, so it
-    is at most (2^dim)^k prod_e (1 + 2 |P|^L_e): 2^dim even subgraphs per
-    copy, and an edge maps W to (1 - P^L) W and P^L W.
+    is at most (2^dim)^k prod_e (1 + 2 |p|^L_e): 2^dim even subgraphs per
+    copy, and an edge maps W to (1 - p^L) W and p^L W, |p| the absolute
+    coefficient sum of p.
 
     Refused before anything is enumerated: an x of ``xs`` outside [0, 1),
     an unknown row, and a p that is not an integer polynomial (the single
@@ -488,20 +496,18 @@ def polynomial_laws(
     bad = [x for x in xs if not 0 <= x < 1]
     if bad:
         raise ParametrizationError(f"x={bad[0]} outside [0,1)")
-    size = lattice_size(graph, "polynomial mass lattice")
+    lattice_size(graph, "polynomial mass lattice")
     lengths = _edge_lengths(graph)
-    sizes = _even_sizes(graph)
-    n, dim = sum(lengths), len(sizes).bit_length() - 1
+    n, dim = sum(lengths), len(cycle_space_basis(graph))
     rows, shapes = {}, {}
     for name in names:
-        copies, p = _model(name)
+        copies, p = rows[name] = _model(name)
         coeffs = _polynomial_p(name, p, xs)
         bound = 1 << copies * dim
         if coeffs:
             norm = sum(map(abs, coeffs))
             for length in lengths:
                 bound *= 1 + 2 * norm**length
-        rows[name] = copies, coeffs
         shapes[name] = bound, (copies + max(len(coeffs) - 1, 0)) * n
 
     def at(a: int, b: int) -> Callable[[str], list[int]]:
@@ -509,20 +515,12 @@ def polynomial_laws(
         def loops(copies: int) -> dict[int, int]:
             if copies > 1:
                 return _union_nums(loops(copies - 1), loops(1))
-            powers = {k: a**k * b ** (n - k) for k in set(sizes.values())}
-            return {g: powers[k] for g, k in sizes.items()}
+            return _loop_nums(graph, a, b)
 
         @cache
         def row(name: str) -> list[int]:
-            copies, coeffs = rows[name]
-            table = [0] * size
-            for mask, w in loops(copies).items():
-                table[mask] = w
-            if coeffs:
-                top = len(coeffs) - 1
-                c = sum(f * a**j * b ** (top - j) for j, f in enumerate(coeffs))
-                _open_edges(table, [(c**length, b ** (top * length)) for length in lengths])
-            return table
+            copies, p = rows[name]
+            return _opened(graph, loops(copies), None if p is None else p(Fraction(a, b)))
 
         return row
 

@@ -948,3 +948,22 @@ class TestPolynomialMasses:
         monkeypatch.setitem(MODELS, "random_cluster", (1, lambda x: 2 * x))
         with pytest.raises(LoopCurrentsError, match="outside"):
             measures.polynomial_masses(K4, ["random_cluster"], lambda m: 1, 1, [F(3, 4)])
+
+    @pytest.mark.parametrize("g", [K4, counter_core(4, 2), theta_core(2, 3, 2)])
+    @pytest.mark.parametrize("x", [F(1, 3), F(2, 5), F(3, 4)])
+    def test_a_rows_table_at_x_holds_builds_numerators(self, g, x):
+        # both builders run the same kernels, so at x = a/b in lowest terms
+        # a row's table holds build's numerators, not only the same law
+        _, at = measures.polynomial_laws(g, POLYNOMIAL_ROWS, [x])
+        row = at(x.numerator, x.denominator)
+        for name in POLYNOMIAL_ROWS:
+            nums = build(name, g, x).nums
+            assert row(name) == [nums.get(m, 0) for m in range(1 << g.edge_count)]
+
+    def test_a_p_is_read_through_the_registry(self, monkeypatch):
+        # p = 2x^2 has leading coefficient 2: at x = 1/2 it opens an edge
+        # with 1/2, as build's, not with its coefficients homogenized, 2/4
+        monkeypatch.setitem(MODELS, "random_cluster", (1, lambda x: 2 * x * x))
+        _, at = measures.polynomial_laws(K4, ["random_cluster"], [F(1, 2)])
+        nums = build("random_cluster", K4, F(1, 2)).nums
+        assert at(1, 2)("random_cluster") == [nums.get(m, 0) for m in range(64)]

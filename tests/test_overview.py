@@ -419,6 +419,15 @@ def test_resolution_5_is_the_least_with_both_sing_pairs():
     assert overview.MIN_GRID_RESOLUTION == 5
 
 
+def test_the_table_takes_resolution_5():
+    # the least resolution admitted: both SING witnesses' pairs are on its
+    # grid, so every refuted cell is certified from the witnesses alone
+    report = overview.build_overview(5, graphs=[])
+    assert report["consistent_with_expected"]
+    for model in ("loop", "double_loop"):
+        assert report["models"][model]["SING"]["status"] == "CERTIFIED-FALSE"
+
+
 def test_fallback_steps_leave_the_table_unchanged():
     steps = overview.loop_dominating_steps(THETA113, dyadic_grid(6))
     assert steps == set(range(1, 54))
