@@ -33,7 +33,7 @@ def random_multigraph(rng: random.Random) -> Graph:
     return Graph(vertices, tuple(edges))
 
 
-def verification_battery(extra: list[tuple[str, Graph]] | None = None) -> list[tuple[str, Graph]]:
+def verification_battery() -> list[tuple[str, Graph]]:
     """Named graphs for the exact identity suites: small families plus
     complete graphs plus seeded random multigraphs with at most 10 edges."""
     battery: list[tuple[str, Graph]] = [
@@ -46,8 +46,6 @@ def verification_battery(extra: list[tuple[str, Graph]] | None = None) -> list[t
     rng = random.Random(RANDOM_BATTERY_SEED)
     for i in range(RANDOM_BATTERY_SIZE):
         battery.append((f"random-{i:02d}", random_multigraph(rng)))
-    if extra:
-        battery.extend(extra)
     return battery
 
 

@@ -525,7 +525,7 @@ def cmd_verify(args) -> int:
     user_input = args.graph or args.x
     if user_input and args.theorem in FIXED_SUITES:
         raise LoopCurrentsError(f"verify --theorem {args.theorem} reads neither --graph nor --x")
-    battery = verification_battery([("cli-graph", read_graph(args.graph))] if args.graph else [])
+    battery = verification_battery() + ([("cli-graph", read_graph(args.graph))] if args.graph else [])
     for _, g in battery:  # every battery suite sweeps each graph's subset lattice
         lattice_size(g, "verify graph lattice")
     x = parse_rational(args.x) if args.x else None

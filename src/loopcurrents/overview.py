@@ -16,6 +16,8 @@ The expected verdict per cell is fixed (KNOWN_VERDICTS); the builder
 refuses to upgrade an open cell to a claim and treats a failed scan on a
 "holds" cell as an error worth surfacing loudly.
 
+The loop and double-loop SING pairs' falling event {a <-> b} is increasing,
+so its up-set is their MON witness, and no flow runs (:func:`certify_sing`).
 The single current's SING witness is a pinned pair near x = 1 on
 counter(2000, 300) (``SING_SINGLE_CURRENT_PAIR``), which every run
 re-certifies by disjoint enclosures and no run searches for: acceptance
@@ -61,7 +63,7 @@ from typing import Callable, Container
 
 from . import theta
 from .battery import scan_battery
-from .checkers import fkg_stat, monotonicity_scan, stochastic_domination
+from .checkers import _upset_witness, fkg_stat, monotonicity_scan
 from .errors import CapExceededError, LoopCurrentsError, ParametrizationError
 from .events import Event, all_open, connect, edge_open
 from .graphs import Graph, component_labels, counter_family, even_subgraphs
@@ -133,21 +135,21 @@ def certify_fkg(gap_fn, params: tuple[int, int, Fraction], param: str = "x") -> 
     }
 
 
-def certify_sing(
-    model: str, conn, family: tuple[int, int], grid: Sequence[Fraction]
-) -> tuple[dict, dict]:
-    """Decreasing pair of the closed-form connection probability ``conn``
-    on counter(n, m), plus the domination failure between the model's two
-    laws at that pair (min-cut up-set witness)."""
+def certify_sing(model: str, family: tuple[int, int], grid: Sequence[Fraction]) -> tuple[dict, dict]:
+    """Decreasing pair of ``model``'s P(a <-> b) on counter(n, m), read on
+    its core, and the MON witness: the up-set U of the lower law's connected
+    masks lies inside {a <-> b} and holds all its mass, value1, so the higher
+    law gives U at most value2, and no flow runs (Strassen 1965)."""
     n, m = family
-    pair = find_decreasing_pair(conn(n, m), grid)
+    pair = find_decreasing_pair(theta._core_conn(model, n, m), grid)
     if pair is None:
-        raise LoopCurrentsError(f"no decreasing pair for {conn.__name__}{(n, m)} on the grid")
+        raise LoopCurrentsError(f"no decreasing pair of the {model} on counter({n},{m}) on the grid")
     x1, x2, v1, v2 = pair
     g = counter_family(n, m)
-    report = stochastic_domination(build(model, g, x1), build(model, g, x2))
-    if report.dominates:
-        raise LoopCurrentsError("domination unexpectedly holds at a decreasing pair")
+    lo, hi = build(model, g, x1), build(model, g, x2)
+    witness = _upset_witness([mask for mask in lo.nums if connect(g).holds(mask)], lo, hi)
+    if witness.gap <= 0:
+        raise LoopCurrentsError("internal error: a falling connection event gave no up-set gap")
     pair = {
         "x1": format_rational(x1),
         "x2": format_rational(x2),
@@ -156,7 +158,7 @@ def certify_sing(
         "exact": True,
     }
     sing = {"family": f"counter({n},{m})", "pair": pair}
-    return sing, dict(sing, upset_witness=report.witness.to_json_dict())
+    return sing, dict(sing, upset_witness=witness.to_json_dict())
 
 
 def certify_sing_single_current() -> dict:
@@ -479,7 +481,7 @@ def build_overview(
     refutations = {
         "loop": (
             certify_fkg(theta.loop_fkg_gap, FKG_LOOP_PARAMS),
-            *certify_sing("loop", theta.loop_conn, SING_LOOP_PARAMS, grid),
+            *certify_sing("loop", SING_LOOP_PARAMS, grid),
         ),
         "single_current": (
             certify_fkg(theta.single_current_fkg_gap, FKG_SINGLE_CURRENT_PARAMS, param="t"),
@@ -492,7 +494,7 @@ def build_overview(
         ),
         "double_loop": (
             certify_fkg(theta.double_loop_fkg_gap, FKG_DOUBLE_LOOP_PARAMS),
-            *certify_sing("double_loop", theta.double_loop_conn, SING_DOUBLE_LOOP_PARAMS, grid),
+            *certify_sing("double_loop", SING_DOUBLE_LOOP_PARAMS, grid),
         ),
     }
 

@@ -42,6 +42,9 @@ EQUIVALENT = {
     ("overview", "return {j for j in range(1, len(grid)) if ps[j - 1] <= ps[j]}", "<="): (
         "every registered p rises strictly on (0, 1), so no two grid values are equal"
     ),
+    ("overview", "if witness.gap <= 0:", "<="): (
+        "the up-set of a falling increasing event has gap at least value1 - value2 > 0"
+    ),
     ("checkers", "if level[t] >= 0:", ">="): "t's BFS level is never 0",
     ("checkers", "if level[t] < 0:", "<"): "t's BFS level is never 0",
     ("checkers", "if self.witness.gap <= 0:", "<="): (

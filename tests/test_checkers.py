@@ -40,7 +40,7 @@ from loopcurrents.measures import (
     union,
     union_bernoulli,
 )
-from loopcurrents.rationals import dyadic_grid
+from loopcurrents.rationals import dyadic_grid, parse_rational
 from loopcurrents.theta import (
     double_loop_fkg_gap,
     loop_conn,
@@ -562,26 +562,38 @@ class TestFlowAgainstDinic:
         assert hashlib.sha256(text.encode("utf-8")).hexdigest() == TWELVE_COORDINATE_WITNESS
 
     def test_every_network_the_table_builds(self, monkeypatch):
-        pairs = []
+        # none: the battery's loop steps are read off up-set masses, and the
+        # SING rows' MON witnesses are the up-sets of their connection events
+        built = []
 
         class RecordedFlow(checkers._CoveringFlow):
             def __init__(self, d_lo, d_hi):
-                pairs.append((d_lo, d_hi))
+                built.append(d_lo.graph)
                 super().__init__(d_lo, d_hi)
 
-        with monkeypatch.context() as patch:
-            patch.setattr(checkers, "_CoveringFlow", RecordedFlow)
-            overview.build_overview(6)
-        # the loop and double-loop SING pairs on counter(18,2) and
-        # counter(38,2); the battery's loop steps are read off up-set
-        # masses, with no flow
-        assert len(pairs) == 2
-        assert [lo.graph.edges for lo, _ in pairs] == [
-            counter_family(n, m).edges
-            for n, m in (overview.SING_LOOP_PARAMS, overview.SING_DOUBLE_LOOP_PARAMS)
-        ]
-        reports = [flow_against_oracle(lo, hi, monkeypatch) for lo, hi in pairs]
-        assert not any(r.dominates for r in reports)
+        monkeypatch.setattr(checkers, "_CoveringFlow", RecordedFlow)
+        overview.build_overview(6)
+        assert built == []
+
+    @pytest.mark.parametrize("resolution", range(5, 10))
+    def test_the_sing_witnesses_are_the_min_cut_upsets(self, monkeypatch, resolution):
+        # the loop and double-loop MON witnesses on counter(18,2) and
+        # counter(38,2) are the up-sets the covering network's min cut gives,
+        # and their masses are the SING pair's values
+        report = overview.build_overview(resolution, graphs=[])
+        for model, (n, m) in (
+            ("loop", overview.SING_LOOP_PARAMS),
+            ("double_loop", overview.SING_DOUBLE_LOOP_PARAMS),
+        ):
+            witness = report["models"][model]["MON"]["witness"]
+            pair = witness["pair"]
+            g = counter_family(n, m)
+            lo, hi = (build(model, g, parse_rational(pair[x])) for x in ("x1", "x2"))
+            flow = flow_against_oracle(lo, hi, monkeypatch)
+            assert not flow.dominates
+            assert witness["upset_witness"] == flow.witness.to_json_dict()
+            masses = witness["upset_witness"]["mass_lo"], witness["upset_witness"]["mass_hi"]
+            assert masses == (pair["value1"], pair["value2"])
 
 
 def law_of(g: Graph, weight) -> Dist:

@@ -11,6 +11,7 @@ from loopcurrents.graphs import (
     LATTICE_PASS_CAP,
     Graph,
     Marks,
+    check_counter,
     complete_graph,
     component_labels,
     counter_family,
@@ -21,6 +22,7 @@ from loopcurrents.graphs import (
     graph_from_json,
     graph_to_json,
     is_connected,
+    lattice_size,
     segment_edge_ranges,
 )
 
@@ -104,6 +106,24 @@ class TestConstruction:
         with pytest.raises(GraphStructureError, match="vertex count -3 is negative"):
             Graph(-3, ())
 
+    def test_each_index_check_stops_exactly_at_its_bound(self):
+        # one past the last vertex or edge is refused, the last one is not
+        assert Graph(2, ((1, 0),), Marks(1, 0)).edge_mask([0]) == 1
+        with pytest.raises(GraphStructureError, match="endpoint outside 0..1"):
+            Graph(2, ((2, 0),))
+        with pytest.raises(GraphStructureError, match="mark a=2 is not a vertex"):
+            Graph(2, ((0, 1),), Marks(2, 0))
+        with pytest.raises(GraphStructureError, match="edge index 1 out of range"):
+            Graph(2, ((0, 1),)).edge_mask([1])
+
+    def test_the_empty_graph_is_a_graph(self):
+        g = Graph(0, ())
+        assert (g.edge_count, g.full_mask) == (0, 0)
+
+    def test_the_least_odd_m_is_refused_as_odd(self):
+        with pytest.raises(GraphStructureError, match="m=1 must be even"):
+            check_counter(2, 1)
+
     @pytest.mark.parametrize(
         "lengths", [(2,), (2, 3, 1), (2, 0), (2, -1), (2, 1.0), (2, True), [2, 3]]
     )
@@ -159,6 +179,13 @@ class TestConnectivity:
         g = complete_graph(3)
         with pytest.raises(GraphStructureError):
             is_connected(g, 0, 0, 5)
+
+    def test_one_past_the_last_vertex_is_refused_on_either_side(self):
+        g = complete_graph(3)
+        assert is_connected(g, g.full_mask, 2, 2)
+        for u, v in ((3, 0), (0, 3)):
+            with pytest.raises(GraphStructureError, match="out of range"):
+                is_connected(g, g.full_mask, u, v)
 
     def test_against_bfs_oracle(self):
         rng = random.Random(7)
@@ -233,6 +260,16 @@ class TestCycleSpace:
         with pytest.raises(CapExceededError) as info:
             list(even_subgraphs(g))
         assert info.value.cap == CYCLE_DIMENSION_CAP
+
+    def test_the_cap_admits_exactly_its_dimension(self):
+        # 21 parallel edges span dimension 20, the cap: the masks are
+        # drawn lazily, so none is; one more edge is refused at the call
+        at_cap = Graph(2, ((0, 1),) * 21)
+        assert len(cycle_space_basis(at_cap)) == CYCLE_DIMENSION_CAP == 20
+        assert next(even_subgraphs(at_cap)) == 0
+        with pytest.raises(CapExceededError) as info:
+            even_subgraphs(Graph(2, ((0, 1),) * 22))
+        assert info.value.size == 21
 
     def test_even_count_formula_on_subconfigurations(self):
         rng = random.Random(11)
@@ -369,6 +406,14 @@ class TestEvenLattice:
             even_lattice(Graph(21, tuple((i, i + 1) for i in range(20))))
         assert (info.value.what, info.value.size) == ("even-subgraph lattice", 20 << 20)
         assert 19 << 19 <= LATTICE_PASS_CAP < 20 << 20
+
+    def test_the_lattice_cap_admits_exactly_its_cost(self, monkeypatch):
+        # 3 edges cost 3 * 2^3 = 24 element operations, 4 edges 64
+        monkeypatch.setattr(graphs, "LATTICE_PASS_CAP", 24)
+        assert lattice_size(Graph(4, ((0, 1), (1, 2), (2, 3))), "pass") == 8
+        with pytest.raises(CapExceededError) as info:
+            lattice_size(Graph(5, ((0, 1), (1, 2), (2, 3), (3, 4))), "pass")
+        assert (info.value.size, info.value.cap) == (64, 24)
 
     def test_cached_tables_are_read_only(self):
         for table in even_lattice(complete_graph(4)):
