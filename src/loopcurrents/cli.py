@@ -14,6 +14,9 @@ expected), 2 a certified counterexample was found where one was requested
 arguments or failed verification.  Every command writes a JSON run
 manifest next to its output with parameters and SHA-256 digests, so
 reports are reproducible.
+
+A module that not every command runs is imported inside the functions
+that use it, so each command runs only the modules it needs.
 """
 
 from __future__ import annotations
@@ -29,9 +32,7 @@ from datetime import datetime, timezone
 from fractions import Fraction
 from pathlib import Path
 
-from . import __version__, theta
-from .battery import scan_battery, verification_battery
-from .checkers import monotonicity_scan
+from . import __version__
 from .errors import CapExceededError, GraphStructureError, LoopCurrentsError, ParametrizationError
 from .graphs import (
     Graph,
@@ -42,20 +43,6 @@ from .graphs import (
     graph_from_json,
     lattice_size,
 )
-from .intervals import MAX_BITS, START_BITS, certify_decreasing_pair
-from .measures import (
-    _open_edges,
-    _same_law,
-    bernoulli,
-    build,
-    counting_weights,
-    edge_masses,
-    polynomial_laws,
-    push_even,
-    pythagorean_x,
-    union_bernoulli,
-)
-from .overview import build_overview
 from .rationals import (
     decimal_string,
     dyadic_grid,
@@ -65,7 +52,6 @@ from .rationals import (
     format_rational,
     parse_rational,
 )
-from .sampler import COUPLED_MODELS, loop_chain, sample_stream, write_sample_dump
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -174,6 +160,8 @@ def _decimal_bits(digits: int) -> int:
     """First rung of the START_BITS doubling ladder with 2^-bits < 10^-digits:
     on a coarser rung an inexact enclosure, a unit in its last bit wide, is
     about as wide as a decimal cell, so its endpoints mostly round apart."""
+    from .intervals import MAX_BITS, START_BITS
+
     bits, cell = START_BITS, 10**digits
     while 1 << bits <= cell and bits < MAX_BITS:
         bits *= 2
@@ -184,6 +172,8 @@ def _interval_decimal(fn, x: Fraction, digits: int):
     """Decimal string of an interval-valued function, refined until the
     rounding of both endpoints agrees (then it is the correctly rounded
     value).  Raises if they still disagree at ``MAX_BITS``."""
+    from .intervals import MAX_BITS
+
     bits = _decimal_bits(digits)
     while True:
         iv = fn(x, bits)
@@ -200,6 +190,8 @@ def _interval_decimal(fn, x: Fraction, digits: int):
 
 
 def cmd_figure(args) -> int:
+    from . import theta
+
     started = time.time()
     n, m = args.n, args.m  # the closed forms check them
     if args.window:
@@ -244,6 +236,8 @@ def cmd_figure(args) -> int:
                 "method": "exact-rational",
             }
     else:  # "P"
+        from .intervals import certify_decreasing_pair
+
         # the decimal refinement and the pair search start on the same rung
         # and ask for the same enclosures; compute each (x, bits) once
         enclosure = functools.cache(functools.partial(theta.single_current_conn_interval, n, m))
@@ -289,6 +283,8 @@ def cmd_figure(args) -> int:
 
 
 def cmd_table(args) -> int:
+    from .overview import build_overview
+
     started = time.time()
     report = build_overview(grid_resolution=args.grid_steps)
     out = Path(args.out)
@@ -329,6 +325,8 @@ POINT_CHECK_WORK_CAP = 1 << 28
 
 
 def verify_newcoupling(where, g, x, point, rows) -> list[str]:
+    from .measures import _same_law, push_even
+
     current = rows("double_current")
     pushed, _ = push_even(g, {w: v for w, v in enumerate(current) if v})
     loop = rows("loop")
@@ -338,12 +336,16 @@ def verify_newcoupling(where, g, x, point, rows) -> list[str]:
 
 
 def verify_lis_equivalence(where, g, x, point, rows) -> list[str]:
+    from .measures import _same_law, counting_weights
+
     if _same_law(counting_weights(g, *point), rows("double_current")):
         return []
     return [f"lis-equivalence: {where}"]
 
 
 def verify_cor1(where, g, x, point, rows) -> list[str]:
+    from .measures import edge_masses
+
     # the open cyclic edges of every configuration, from the graph's one lattice
     _, cyclic = even_lattice(g)
 
@@ -364,6 +366,8 @@ def verify_cor1(where, g, x, point, rows) -> list[str]:
 
 
 def verify_edge_identities(where, g, x, point, rows) -> list[str]:
+    from .measures import _open_edges, edge_masses
+
     failures = []
     loop = rows("loop")
     third = list(loop)
@@ -427,6 +431,8 @@ def verify_battery(theorems, battery, x) -> dict[str, list[str]]:
     polynomials packed by x -> 2^S, so each identity holds for every x.
     Every graph's rows are checked, and its tables' size capped, before
     any pass; a row that several suites read is built once."""
+    from .measures import polynomial_laws
+
     xs = () if x is None else (x,)
     cases = []
     for name, g in battery:
@@ -448,6 +454,10 @@ def verify_sumthm() -> list[str]:
     with an independent Bernoulli(x) is ``union_bernoulli(d, x)``, one pass
     over the 2^|E| lattice in place of the 4^|E| support pairs of
     ``union(d, d)``."""
+    from .battery import scan_battery
+    from .checkers import monotonicity_scan
+    from .measures import bernoulli, build, union_bernoulli
+
     failures = []
     grid = dyadic_grid(4)
     for name, g in scan_battery():
@@ -471,6 +481,8 @@ def verify_sumthm() -> list[str]:
 def verify_appendix_tables() -> list[str]:
     """Regenerate the even-subgraph pair tables and cross-check them against
     the independent containment rules, plus the closed-form oracle checks."""
+    from . import theta
+
     failures = []
     for n, m in ((2, 2), (3, 2)):
         masks = theta.theta_even_masks(n, m)
@@ -520,6 +532,8 @@ FIXED_SUITES = ("sumthm", "appendix-tables")
 
 
 def cmd_verify(args) -> int:
+    from .battery import verification_battery
+
     started = time.time()
     theorems = list(VERIFY_SUITES) if args.theorem == "all" else [args.theorem]
     user_input = args.graph or args.x
@@ -554,7 +568,21 @@ def cmd_verify(args) -> int:
 SAMPLER_SETTINGS = ("burn_in", "thin")
 
 
+class _SampleModels:
+    """The names ``sample --model`` takes: the chain's and the sampler's
+    coupled models, read from :mod:`.sampler` only when argparse checks a
+    value or prints help, so parsing another command runs no sampler."""
+
+    def __iter__(self):
+        from .sampler import COUPLED_MODELS
+
+        return iter(("loop_mcmc", *COUPLED_MODELS))
+
+
 def cmd_sample(args) -> int:
+    from .measures import pythagorean_x
+    from .sampler import loop_chain, sample_stream, write_sample_dump
+
     started = time.time()
     g = graph_from_args(args)
     x = parse_rational(args.x) if args.t is None else pythagorean_x(parse_rational(args.t))
@@ -625,10 +653,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     smp = sub.add_parser("sample", help="dump Monte Carlo samples (cross-check tool)")
     add_graph_args(smp)
+    # a metavar, so that adding the option does not list the choices
     smp.add_argument(
-        "--model",
-        required=True,
-        choices=["loop_mcmc", *COUPLED_MODELS],
+        "--model", required=True, choices=_SampleModels(), metavar="MODEL", help="one of %(choices)s"
     )
     point = smp.add_mutually_exclusive_group(required=True)
     point.add_argument("--x", help="x as num/den")

@@ -25,17 +25,18 @@ its five-term normalizer share the powers of x: one evaluation computes
 each distinct power of p and x once.
 :func:`closed_form_discrepancies` compares the core route and that form
 with enumeration on the subdivided graphs.
+
+The kernels, events and checkers are imported inside the functions that
+use them, so ``figure --model P``, which evaluates only that form, runs
+none of those modules.
 """
 
 from __future__ import annotations
 
-from dataclasses import replace
 from fractions import Fraction
 from functools import cache
 
-from .checkers import fkg_gaps
 from .errors import ParametrizationError
-from .events import Event, all_open, connect
 from .graphs import (
     Graph,
     Marks,
@@ -47,7 +48,6 @@ from .graphs import (
     segment_edge_ranges,
 )
 from .intervals import START_BITS, Interval, sqrt_interval
-from .measures import build, loop_o1, prob, pythagorean_x, single_current_p
 
 
 # ---------------------------------------------------------------------------
@@ -73,6 +73,11 @@ def theta_core(n: int, m: int, l: int) -> Graph:
 def _core_conn(model: str, n: int, m: int):
     """x -> the probability of {a <-> b} under ``model`` on counter_core(n,
     m); the connection test runs once per core mask for all the x."""
+    from dataclasses import replace
+
+    from .events import connect
+    from .measures import build, prob
+
     core = counter_core(n, m)
     ab = connect(core)
     ab = replace(ab, predicate=cache(ab.predicate))
@@ -134,6 +139,8 @@ def single_current_conn_terms(n: int, m: int, x, p):
 def single_current_conn_exact(n: int, m: int, t: Fraction) -> Fraction:
     """Exact single-current probability of {a <-> b} on counter(n, m) at
     x = 2t/(1+t^2): the kernels on :func:`counter_core`."""
+    from .measures import pythagorean_x
+
     t = Fraction(t)
     if not 0 < t < 1:
         raise ParametrizationError(f"t={t} outside (0,1)")
@@ -163,6 +170,10 @@ def _theta_fkg_gap(model: str, n: int, m: int, x: Fraction) -> Fraction:
     """P(X1 and X2) - P(X1)P(X2) under ``model`` on theta(n, m, n) at x,
     where X1 and X2 say that one n+m loop is fully open: core edges {0, 1}
     and {1, 2}."""
+    from .checkers import fkg_gaps
+    from .events import all_open
+    from .measures import build
+
     core = theta_core(n, m, n)
     loops = (all_open(core, [0, 1]), all_open(core, [1, 2]))
     (((gap,), den),) = fkg_gaps([build(model, core, x)], [loops])
@@ -181,6 +192,8 @@ def double_loop_fkg_gap(n: int, m: int, x: Fraction) -> Fraction:
 
 def single_current_fkg_gap(n: int, m: int, t: Fraction) -> Fraction:
     """Exact single-current FKG gap of the two loop events at Pythagorean t."""
+    from .measures import pythagorean_x
+
     return _theta_fkg_gap("single_current", n, m, pythagorean_x(t))
 
 
@@ -212,6 +225,8 @@ def theta_loop_events(n: int, m: int):
     The first loop uses segments 0 and 1, the second segments 1 and 2;
     they share the middle segment.
     """
+    from .events import all_open
+
     g = generalized_theta([n, m, n])
     first, second = _path_subset_masks([n, m, n], _THETA_PATH_SUBSETS[1:3])
     return g, all_open(g, first), all_open(g, second)
@@ -262,6 +277,9 @@ def closed_form_discrepancies(n: int, m: int, t: Fraction, x: Fraction) -> list[
     Runs at enumeration scale (small n, m).  Returns one record per
     mismatch; an empty list certifies agreement at the sampled parameters.
     """
+    from .events import Event, all_open, connect
+    from .measures import build, loop_o1, prob, pythagorean_x, single_current_p
+
     out = []
     x, xp = Fraction(x), pythagorean_x(t)
 

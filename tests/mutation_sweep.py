@@ -56,6 +56,35 @@ EQUIVALENT = {
     ("graphs", "if depth[u] < depth[v]:", "<"): (
         "at equal depths both ends climb, so either may go first"
     ),
+    ("intervals", "if a._lo >= 0 and b._lo >= 0:", ">="): (
+        "at a lower endpoint 0 the four products' min and max are the same two"
+    ),
+    ("intervals", "if b_lo < 0:  # a/b = (-a)/(-b)", "<"): (
+        "a divisor with b_lo == 0 was refused just above"
+    ),
+    ("intervals", "lo_den = b_hi if a_lo >= 0 else b_lo", ">="): (
+        "a numerator 0 has quotient 0 over either denominator"
+    ),
+    ("intervals", "hi_den = b_lo if a_hi >= 0 else b_hi", ">="): (
+        "a numerator 0 has quotient 0 over either denominator"
+    ),
+    ("intervals", "if lo < 0 and n % 2 == 0:", "<"): (
+        "at lo == 0 both branches give [0, hi^n]"
+    ),
+    ("intervals", "lo, hi = (0 if hi >= 0 else min(mags)), max(mags)", ">="): (
+        "at hi == 0 min(mags) is 0 too"
+    ),
+    ("intervals", "if shift > 0:", ">"): "a shift by 0 changes nothing",
+    ("intervals", "if d > 0:", ">"): "d == 0 returned just above",
+    ("intervals", "return (num << s) // den if s >= 0 else num // (den << -s)", ">="): (
+        "at s == 0 both branches divide num by den"
+    ),
+    ("intervals", "q, r = divmod(num << s, den) if s >= 0 else divmod(num, den << -s)", ">="): (
+        "at s == 0 both branches divide num by den"
+    ),
+    ("intervals", "if v <= 0:", "<="): (
+        "0^n is 0 (1 at n = 0) on both paths; the branch only keeps the exponent from doubling"
+    ),
 }
 
 

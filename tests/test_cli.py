@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from loopcurrents import cli, graphs, measures, sampler, theta
+from loopcurrents import cli, graphs, measures, overview, sampler, theta
 from loopcurrents.battery import scan_battery, verification_battery
 from loopcurrents.cli import _interval_decimal, main
 from loopcurrents.errors import CapExceededError, LoopCurrentsError
@@ -335,7 +335,7 @@ def test_every_command_gives_the_counter_rule(argv, tmp_path, capsys):
 def test_an_unwritable_out_is_one_error_line(argv, tmp_path, capsys, monkeypatch):
     # the table's scans are not what this checks: an empty report stands in
     report = {"consistent_with_expected": True}
-    monkeypatch.setattr(cli, "build_overview", lambda grid_resolution: report)
+    monkeypatch.setattr(overview, "build_overview", lambda grid_resolution: report)
     assert run(*argv, "--out", str(tmp_path / "missing" / "out")) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
@@ -499,6 +499,25 @@ def test_help_and_version_exit_zero(flag, capsys):
     assert capsys.readouterr().out
 
 
+SAMPLE_MODELS = ("loop_mcmc", *sampler.COUPLED_MODELS)
+
+
+def test_an_unknown_sample_model_lists_the_models(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert run(*SAMPLE_THETA, "--model", "loop_o1", "--out", str(out)) == 1
+    choices = ", ".join(map(repr, SAMPLE_MODELS))
+    assert capsys.readouterr().err.endswith(
+        f"error: argument --model: invalid choice: 'loop_o1' (choose from {choices})\n"
+    )
+    assert not out.exists()
+
+
+def test_sample_help_lists_the_models(capsys):
+    assert run("sample", "--help") == 0
+    # argparse wraps the help text at spaces, after a comma
+    assert " ".join(capsys.readouterr().out.split()).count(", ".join(SAMPLE_MODELS)) == 1
+
+
 class TestVerify:
     def test_default_report_is_pinned(self, tmp_path):
         out = tmp_path / "verify.json"
@@ -513,7 +532,7 @@ class TestVerify:
         def refuse(*args):
             raise AssertionError("built a law past the cap")
 
-        monkeypatch.setattr(cli, "polynomial_laws", refuse)
+        monkeypatch.setattr(measures, "polynomial_laws", refuse)
         assert run("verify", "--graph", str(path)) == 1
         err = capsys.readouterr().err
         assert err == "error: verify graph lattice needs size 20971520, above the cap 16777216\n"
@@ -674,9 +693,22 @@ def cyclic_edge_lines(fmt: str) -> list[str]:
     ]
 
 
+def route_calls(monkeypatch, caller, name, replacement):
+    """Send the calls that module ``caller`` makes to ``measures.<name>`` to
+    ``replacement``; every other caller, the kernels' calls of one another
+    included, keeps the real function."""
+    real = getattr(measures, name)
+
+    def route(*args):
+        fn = replacement if sys._getframe(1).f_globals["__name__"] == caller.__name__ else real
+        return fn(*args)
+
+    monkeypatch.setattr(measures, name, route)
+
+
 def record_calls(monkeypatch, *names) -> dict[str, list]:
-    """Wrap each ``cli.<name>`` so that its calls are logged as (args,
-    result), one list per name."""
+    """Log the calls that ``cli`` makes to each ``measures.<name>`` as
+    (args, result), one list per name."""
     calls = {name: [] for name in names}
 
     def logging(name, fn):
@@ -688,7 +720,7 @@ def record_calls(monkeypatch, *names) -> dict[str, list]:
         return wrapper
 
     for name in names:
-        monkeypatch.setattr(cli, name, logging(name, getattr(cli, name)))
+        route_calls(monkeypatch, cli, name, logging(name, getattr(measures, name)))
     return calls
 
 
@@ -698,15 +730,15 @@ def at_one_minus_x(model):
 
 
 def counting_rows(monkeypatch) -> Counter:
-    """Count, per (graph, x, row), the rows that ``cli.build`` builds."""
+    """Count, per (graph, x, row), the rows that ``cli`` builds."""
     rows = Counter()
-    real = cli.build
+    real = measures.build
 
     def counting_build(name, g, x):
         rows.update([(g, x, name)])
         return real(name, g, x)
 
-    monkeypatch.setattr(cli, "build", counting_build)
+    route_calls(monkeypatch, cli, "build", counting_build)
     return rows
 
 
@@ -753,9 +785,11 @@ class TestBatchedSuites:
         # p = 1/3 is a union the suite makes, here at p/2; p = x is the
         # shared random cluster, here at p = x^2
         real = measures._open_edges
-        monkeypatch.setattr(
-            cli, "_open_edges", lambda table, opens: real(table, [(c, 2 * e) for c, e in opens])
-        )
+
+        def halved(table, opens):
+            real(table, [(c, 2 * e) for c, e in opens])
+
+        route_calls(monkeypatch, cli, "_open_edges", halved)
         monkeypatch.setitem(MODELS, "random_cluster", (1, lambda x: x * x))
         # p = 1/3, then p = x, for every edge
         for (battery, x), where, p in ((ONE_X, " x=1/2", "1/2"), (EVERY_X, "", "x")):
@@ -794,13 +828,13 @@ class TestBatchedSuites:
 
     def test_sumthm_catches_a_non_monotone_union(self, monkeypatch):
         assert cli.verify_sumthm() == []
-        monkeypatch.setattr(cli, "build", at_one_minus_x("double_cluster"))
+        route_calls(monkeypatch, cli, "build", at_one_minus_x("double_cluster"))
         assert cli.verify_sumthm() == [
             f"sumthm random-cluster: {name}: violated" for name, _ in scan_battery()
         ]
 
     def test_sumthm_is_inconclusive_on_a_non_monotone_input(self, monkeypatch):
-        monkeypatch.setattr(cli, "build", at_one_minus_x("random_cluster"))
+        route_calls(monkeypatch, cli, "build", at_one_minus_x("random_cluster"))
         assert cli.verify_sumthm() == [
             f"sumthm random-cluster: {name}: inconclusive" for name, _ in scan_battery()
         ]
@@ -889,7 +923,8 @@ class TestBatchedSuites:
             raise AssertionError("the battery suites built a point law")
 
         monkeypatch.setattr(measures, "_union_nums", union)
-        monkeypatch.setattr(measures, "_open_edges", open_edges)
+        # the kernels' passes; edge-identities' own Bernoulli(1/3) pass is not a row
+        route_calls(monkeypatch, measures, "_open_edges", open_edges)
         for name in ("loop_o1", "union", "union_bernoulli"):
             monkeypatch.setattr(measures, name, refuse)
         for x in (*DEFAULT_VERIFY_XS, None):
@@ -907,13 +942,13 @@ class TestBatchedSuites:
     def test_failing_run_prints_suites_and_lines_in_order(self, monkeypatch, capsys):
         # a wrong pushforward fails newcoupling and a wrong counting formula
         # fails lis-equivalence; the suites between them pass
-        monkeypatch.setattr(cli, "push_even", lambda g, nums: (nums, 0))
+        route_calls(monkeypatch, cli, "push_even", lambda g, nums: (nums, 0))
 
         def double_cluster(g, a, b):
             _, at = measures.polynomial_laws(g, ["double_cluster"], ())
             return at(a, b)("double_cluster")
 
-        monkeypatch.setattr(cli, "counting_weights", double_cluster)
+        route_calls(monkeypatch, cli, "counting_weights", double_cluster)
         assert run("verify") == 1
         names = [name for name, _ in BATTERY]
         assert capsys.readouterr().out == "\n".join(

@@ -70,6 +70,10 @@ class TestInterval:
         assert not Interval(Fraction(1), Fraction(3), 64).strictly_above(
             Interval(Fraction(0), Fraction(2), 64)
         )
+        # enclosures that touch prove no strict inequality
+        assert not Interval(Fraction(1), Fraction(2), 64).strictly_above(
+            Interval(Fraction(0), Fraction(1), 64)
+        )
 
     @settings(max_examples=80, deadline=None)
     @given(frac, frac)
@@ -275,8 +279,10 @@ class TestRoundedOracle:
         assert _encloses(iv * 3, 1) and _width(iv * 3) <= Fraction(1, 2**62)
 
     def test_division_by_an_enclosure_touching_zero(self):
-        with pytest.raises(ZeroDivisionError):
-            Interval.point(1, 64) / Interval(Fraction(0), Fraction(1), 64)
+        # refused by its own check from either side, before any integer division
+        for divisor in (Interval(Fraction(0), Fraction(1), 64), Interval(Fraction(-1), 0, 64)):
+            with pytest.raises(ZeroDivisionError, match="^division by an interval containing 0$"):
+                Interval.point(1, 64) / divisor
         # a tiny positive divisor keeps its sign and its significant bits
         quotient = Interval.point(1, 64) / Interval.point(Fraction(1, 2**80), 64)
         assert quotient == Interval.point(2**80, 64)
@@ -335,6 +341,39 @@ class TestCertifiedPairs:
         found = certify_decreasing_pair(f, grid, start_bits=8)
         assert found is not None
         assert 8 < max(calls) < intervals.MAX_BITS
+
+    def test_a_plateau_pairs_its_first_point(self):
+        # the running maximum moves only to a strictly larger midpoint
+        grid = [Fraction(1, 4), Fraction(1, 2), Fraction(3, 4)]
+        values = dict(zip(grid, map(Fraction, (3, 3, 1))))
+        found = certify_decreasing_pair(lambda x, bits: Interval.point(values[x], bits), grid)
+        assert found[:2] == (Fraction(1, 4), Fraction(3, 4))
+
+    def test_equal_coarse_midpoints_are_not_refined(self):
+        # a candidate is a strictly lower midpoint: this tie is skipped,
+        # though one refinement would separate the values 3 and 1
+        calls = []
+
+        def f(x, bits):
+            calls.append(bits)
+            if bits == 8:
+                return Interval(Fraction(0), Fraction(4), bits)
+            return Interval.point(3 if x < Fraction(1, 2) else 1, bits)
+
+        assert certify_decreasing_pair(f, [Fraction(1, 4), Fraction(3, 4)], start_bits=8) is None
+        assert calls == [8, 8]
+
+    def test_refinement_stops_at_max_bits(self):
+        # midpoints 1 and 1/2 make a candidate, but the enclosures overlap at
+        # every precision: the search asks for MAX_BITS last and gives up
+        calls = []
+
+        def f(x, bits):
+            calls.append(bits)
+            return Interval(Fraction(0), Fraction(2) if x < Fraction(1, 2) else Fraction(1), bits)
+
+        assert certify_decreasing_pair(f, [Fraction(1, 4), Fraction(3, 4)], start_bits=8) is None
+        assert max(calls) == intervals.MAX_BITS
 
     def test_pair_rules_differ_from_the_exact_search(self):
         # the exact search pairs x2 with the earliest point above it, the

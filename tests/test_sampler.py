@@ -1,13 +1,8 @@
 import math
-import os
-import subprocess
-import sys
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
-import loopcurrents
 from loopcurrents import sampler
 from loopcurrents.errors import CapExceededError, LoopCurrentsError
 from loopcurrents.graphs import (
@@ -117,15 +112,6 @@ class TestReproducibility:
         for model in COUPLED_MODELS:
             long = sample_stream(model, g, F(4, 5), 9, 300)
             assert sample_stream(model, g, F(4, 5), 9, 200) == long[:200], model
-
-    def test_importing_the_cli_loads_no_numpy(self):
-        src = str(Path(loopcurrents.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=src)
-        probe = "import sys, loopcurrents.cli; print('numpy' in sys.modules)"
-        out = subprocess.run(
-            [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
-        )
-        assert out.stdout.strip() == "False"
 
     def test_config_validation(self):
         # a negative burn-in or seed, or a thin of 0, on a cycle and on a tree

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from loopcurrents import theta
+from loopcurrents import events, theta
 from loopcurrents.errors import GraphMismatchError, GraphStructureError, ParametrizationError
 from loopcurrents.events import all_open, connect
 from loopcurrents.graphs import (
@@ -153,7 +153,7 @@ class TestConnectionForms:
 
             return dataclasses.replace(ab, predicate=predicate)
 
-        monkeypatch.setattr(theta, "connect", counting_connect)
+        monkeypatch.setattr(events, "connect", counting_connect)
         for form in (loop_conn(18, 2), double_loop_conn(38, 2)):
             tested.clear()
             for x in dyadic_grid(4):
