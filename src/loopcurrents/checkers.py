@@ -26,14 +26,14 @@ takes each step by the first of two routes that applies:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .errors import CapExceededError, LoopCurrentsError
 from .events import Event
+from .graphs import _refuse_assignment
 from .measures import Dist, _require_same_graph, bit_masses
 from .rationals import format_rational
 
@@ -49,8 +49,7 @@ COVERING_NETWORK_CAP = 1 << 20
 # Reports
 
 
-@dataclass(frozen=True)
-class UpSetWitness:
+class UpSetWitness(NamedTuple):
     """An increasing set with more mass below than above.
 
     The up-set is the upward closure of ``minimal_elements`` in the subset
@@ -74,17 +73,19 @@ class UpSetWitness:
         }
 
 
-@dataclass(frozen=True)
 class DominationReport:
-    dominates: bool
-    witness: UpSetWitness | None = None
-    coupling: tuple[tuple[int, int, Fraction], ...] | None = None
+    """A verdict with its certificate: a coupling (tuples ``(lo_mask,
+    hi_mask, mass)``) if ``dominates``, an up-set witness if not."""
 
-    def __post_init__(self):
-        if self.dominates == (self.witness is not None) or self.dominates != (
-            self.coupling is not None
-        ):
+    __slots__ = ("dominates", "witness", "coupling")
+
+    def __init__(self, dominates: bool, witness: UpSetWitness | None = None, coupling=None):
+        if dominates == (witness is not None) or dominates != (coupling is not None):
             raise LoopCurrentsError("report must carry exactly one of witness/coupling")
+        for name, value in zip(DominationReport.__slots__, (dominates, witness, coupling)):
+            object.__setattr__(self, name, value)
+
+    __setattr__ = _refuse_assignment
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,6 @@ that use it, so each command runs only the modules it needs.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import hashlib
 import json
@@ -190,6 +189,8 @@ def _interval_decimal(fn, x: Fraction, digits: int):
 
 
 def cmd_figure(args) -> int:
+    import csv
+
     from . import theta
 
     started = time.time()

@@ -14,15 +14,13 @@ weight map; ``measures.prob`` turns one event's mass under one law into a
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .errors import GraphStructureError
 from .graphs import Graph, is_connected
 
 
-@dataclass(frozen=True)
-class Event:
+class Event(NamedTuple):
     graph: Graph
     predicate: Callable[[int], object]
     increasing: bool = False

@@ -21,9 +21,8 @@ threads and used as dict keys.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .errors import CapExceededError, GraphStructureError
 
@@ -34,15 +33,18 @@ CYCLE_DIMENSION_CAP = 20
 LATTICE_PASS_CAP = 1 << 24
 
 
-@dataclass(frozen=True)
-class Marks:
+class Marks(NamedTuple):
     """The two distinguished vertices used by connection events."""
 
     a: int
     b: int
 
 
-@dataclass(frozen=True)
+def _refuse_assignment(self, name: str, value) -> None:
+    """``__setattr__`` of the package's immutable ``__slots__`` classes."""
+    raise AttributeError(f"cannot assign to field {name!r}")
+
+
 class Graph:
     """A finite multigraph. Parallel edges and self-loops are allowed.
 
@@ -53,34 +55,50 @@ class Graph:
     ``measures.polynomial_laws``, read the lengths; the events, the
     samplers and ``measures.counting_weights`` count each core edge as one
     edge.  The graph JSON format has no lengths, so a core is neither
-    written nor read.
+    written nor read.  A graph is immutable, and compares and hashes by
+    its four fields.
     """
 
-    vertex_count: int
-    edges: tuple[tuple[int, int], ...]
-    marks: Marks | None = None
-    lengths: tuple[int, ...] | None = None
+    __slots__ = ("vertex_count", "edges", "marks", "lengths")
 
-    def __post_init__(self):
-        if self.vertex_count < 0:
-            raise GraphStructureError(f"vertex count {self.vertex_count} is negative")
-        for idx, (u, v) in enumerate(self.edges):
-            if not (0 <= u < self.vertex_count and 0 <= v < self.vertex_count):
+    def __init__(self, vertex_count: int, edges: tuple, marks: Marks | None = None, lengths=None):
+        if vertex_count < 0:
+            raise GraphStructureError(f"vertex count {vertex_count} is negative")
+        for idx, (u, v) in enumerate(edges):
+            if not (0 <= u < vertex_count and 0 <= v < vertex_count):
                 raise GraphStructureError(
-                    f"edge {idx}=({u},{v}) has an endpoint outside 0..{self.vertex_count - 1}"
+                    f"edge {idx}=({u},{v}) has an endpoint outside 0..{vertex_count - 1}"
                 )
-        if self.marks is not None:
-            for name, vtx in (("a", self.marks.a), ("b", self.marks.b)):
-                if not 0 <= vtx < self.vertex_count:
+        if marks is not None:
+            for name, vtx in (("a", marks.a), ("b", marks.b)):
+                if not 0 <= vtx < vertex_count:
                     raise GraphStructureError(f"mark {name}={vtx} is not a vertex")
-        if self.lengths is not None and (
-            not isinstance(self.lengths, tuple)
-            or len(self.lengths) != len(self.edges)
-            or not all(type(L) is int and L > 0 for L in self.lengths)
+        if lengths is not None and (
+            not isinstance(lengths, tuple)
+            or len(lengths) != len(edges)
+            or not all(type(L) is int and L > 0 for L in lengths)
         ):
             raise GraphStructureError(
-                f"lengths {self.lengths!r} do not give one positive integer per edge"
+                f"lengths {lengths!r} do not give one positive integer per edge"
             )
+        for name, value in zip(Graph.__slots__, (vertex_count, edges, marks, lengths)):
+            object.__setattr__(self, name, value)
+
+    __setattr__ = _refuse_assignment
+
+    def _key(self) -> tuple:
+        return self.vertex_count, self.edges, self.marks, self.lengths
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return f"Graph{self._key()!r}"
 
     @property
     def edge_count(self) -> int:

@@ -61,9 +61,12 @@ class Interval:
     def _align(self, other) -> tuple["Interval", int]:
         """The other operand, a scalar promoted at this precision, and the
         coarser precision, at which the result rounds."""
-        if not isinstance(other, Interval):
-            return Interval.point(other, self.bits), self.bits
-        return other, min(self.bits, other.bits)
+        if isinstance(other, Interval):
+            return other, min(self.bits, other.bits)
+        if isinstance(other, int) and other.bit_length() <= self.bits + 1:
+            # Interval.point's result, rounded at most once, with no Fraction
+            return _result(other, other, 0, self.bits), self.bits
+        return Interval.point(other, self.bits), self.bits
 
     # arithmetic -------------------------------------------------------------
     def __add__(self, other) -> "Interval":
@@ -123,11 +126,11 @@ class Interval:
     # queries ----------------------------------------------------------------
     @property
     def lo(self) -> Fraction:
-        return self._lo * Fraction(2) ** self._exp
+        return _dyadic(self._lo, self._exp)
 
     @property
     def hi(self) -> Fraction:
-        return self._hi * Fraction(2) ** self._exp
+        return _dyadic(self._hi, self._exp)
 
     @property
     def midpoint(self) -> Fraction:
@@ -166,6 +169,11 @@ def _rounded(lo: int, lo_exp: int, hi: int, hi_exp: int, bits: int) -> tuple[int
             shift = min(shift, hi.bit_length() - 1)
         lo, hi, exp = lo >> shift, -(-hi >> shift), exp + shift
     return lo, hi, exp
+
+
+def _dyadic(m: int, exp: int) -> Fraction:
+    """m * 2^exp, built with no power of a Fraction."""
+    return Fraction(m << exp) if exp >= 0 else Fraction(m, 1 << -exp)
 
 
 def _result(lo: int, hi: int, exp: int, bits: int) -> Interval:

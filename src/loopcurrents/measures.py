@@ -47,7 +47,6 @@ building a law per point; ``verify`` compares the tables themselves.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import accumulate, chain, repeat
@@ -63,6 +62,7 @@ from .errors import (
 )
 from .graphs import (
     Graph,
+    _refuse_assignment,
     cycle_space_basis,
     edges_of_mask,
     even_lattice,
@@ -74,24 +74,20 @@ from .graphs import (
 ZERO = Fraction(0)
 
 
-@dataclass(frozen=True, eq=False)
 class Dist:
     """Exact distribution over edge masks: P(mask) = nums[mask] / (z * den),
     with positive integer numerators summing to z * den.  The numerators are
     kept as built, with no common factor taken out, so one law has many
     (nums, den) pairs: ``==`` is :meth:`same_law` with equal ``z``, and a
-    law is not hashable.  The constructor refuses fields that break this."""
+    law is not hashable.  The constructor refuses fields that break this,
+    and no field can be set afterwards."""
 
-    graph: Graph
-    nums: dict[int, int]
-    den: int
-    z: Fraction
+    __slots__ = ("graph", "nums", "den", "z", "__weakref__")
 
-    def __post_init__(self):
-        den, nums, z = self.den, self.nums, self.z
+    def __init__(self, graph: Graph, nums: dict[int, int], den: int, z: Fraction):
         if den <= 0:
             raise LoopCurrentsError(f"denominator {den} must be positive")
-        full = self.graph.full_mask
+        full = graph.full_mask
         if nums and (min(nums) < 0 or max(nums) > full):
             mask = next(m for m in nums if m & ~full)
             raise LoopCurrentsError(f"mask {hex(mask)} has bits outside the graph's edges")
@@ -103,6 +99,13 @@ class Dist:
         total = sum(nums.values())
         if total != z * den:
             raise LoopCurrentsError(f"weights sum to {Fraction(total, den)}, expected Z={z}")
+        for name, value in zip(Dist.__slots__, (graph, nums, den, z)):
+            object.__setattr__(self, name, value)
+
+    __setattr__ = _refuse_assignment
+
+    def __repr__(self) -> str:
+        return f"Dist({self.graph!r}, {self.nums!r}, {self.den!r}, {self.z!r})"
 
     @classmethod
     def from_integers(

@@ -73,14 +73,12 @@ def theta_core(n: int, m: int, l: int) -> Graph:
 def _core_conn(model: str, n: int, m: int):
     """x -> the probability of {a <-> b} under ``model`` on counter_core(n,
     m); the connection test runs once per core mask for all the x."""
-    from dataclasses import replace
-
     from .events import connect
     from .measures import build, prob
 
     core = counter_core(n, m)
     ab = connect(core)
-    ab = replace(ab, predicate=cache(ab.predicate))
+    ab = ab._replace(predicate=cache(ab.predicate))
     return lambda x: prob(build(model, core, x), ab)
 
 

@@ -85,6 +85,12 @@ EQUIVALENT = {
     ("intervals", "if v <= 0:", "<="): (
         "0^n is 0 (1 at n = 0) on both paths; the branch only keeps the exponent from doubling"
     ),
+    ("intervals", "if isinstance(other, int) and other.bit_length() <= self.bits + 1:", "<="): (
+        "at bits + 1 bits Interval.point scales k by 2^0 and rounds it once, as _result does"
+    ),
+    ("intervals", "return Fraction(m << exp) if exp >= 0 else Fraction(m, 1 << -exp)", ">="): (
+        "at exp == 0 both branches give Fraction(m)"
+    ),
 }
 
 

@@ -369,6 +369,9 @@ class TestStochasticDomination:
             DominationReport(True)
         with pytest.raises(LoopCurrentsError):
             DominationReport(False)
+        report = DominationReport(True, coupling=())
+        with pytest.raises(AttributeError, match="cannot assign to field 'witness'"):
+            report.witness = None
 
     def test_graph_mismatch_rejected(self):
         from loopcurrents.errors import GraphMismatchError

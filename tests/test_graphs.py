@@ -116,6 +116,15 @@ class TestConstruction:
         with pytest.raises(GraphStructureError, match="edge index 1 out of range"):
             Graph(2, ((0, 1),)).edge_mask([1])
 
+    def test_a_graph_is_an_immutable_value(self):
+        g = Graph(3, ((0, 1), (1, 2)), Marks(0, 2), (2, 1))
+        same = Graph(3, ((0, 1), (1, 2)), Marks(0, 2), (2, 1))
+        assert g == same and hash(g) == hash(same) and g is not same
+        assert g != Graph(3, ((0, 1), (1, 2)), Marks(0, 2)) != Graph(3, ((0, 1), (1, 2)))
+        for name in ("vertex_count", "edges", "marks", "lengths", "other"):
+            with pytest.raises(AttributeError, match=f"cannot assign to field '{name}'"):
+                setattr(g, name, None)
+
     def test_the_empty_graph_is_a_graph(self):
         g = Graph(0, ())
         assert (g.edge_count, g.full_mask) == (0, 0)

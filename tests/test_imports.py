@@ -78,7 +78,7 @@ EXPORTS = {
 
 # Prints, after what the command prints, a line of the exit code of
 # ``cli.main`` on the arguments (0 with none), the package modules that ran
-# and numpy if it was imported.
+# and those of numpy, dataclasses, inspect and csv that were imported.
 PROBE = """
 import sys, types
 from loopcurrents import cli
@@ -88,7 +88,7 @@ ran = {
     for name, module in sys.modules.items()
     if name.startswith("loopcurrents.") and type(module) is types.ModuleType
 }
-print(code, *sorted(ran | ({"numpy"} & sys.modules.keys())))
+print(code, *sorted(ran | ({"numpy", "dataclasses", "inspect", "csv"} & sys.modules.keys())))
 """
 
 
@@ -185,3 +185,9 @@ def test_a_command_runs_only_the_modules_it_uses(argv, not_run, tmp_path):
     code, *ran = python("-c", PROBE, *argv, cwd=tmp_path).stdout.splitlines()[-1].split()
     assert code == "0"
     assert not_run.isdisjoint(ran)
+    # the package's value classes are no dataclasses, whose import runs
+    # inspect; numpy imports inspect itself, and only figure writes CSV
+    command = argv[0] if argv else None
+    assert "dataclasses" not in ran
+    assert ("inspect" in ran) == (command == "sample")
+    assert ("csv" in ran) == (command == "figure")

@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from loopcurrents import intervals
@@ -263,6 +263,26 @@ class TestRoundedOracle:
         for got, exact, bits in results:
             assert got.bits == bits
             assert got.lo <= exact.lo <= exact.hi <= got.hi
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(frac, min_size=2, max_size=2).map(sorted),
+        st.integers(0, 140).flatmap(lambda n: st.integers(-(2**n), 2**n)),
+        st.integers(min_value=4, max_value=64),
+    )
+    # 125 = 0b1111101: Interval.point(125, 4) rounds the ceiling 32 * 2^2
+    # once more, to [112, 128], one bit coarser than 125 rounded once
+    @example([Fraction(1), Fraction(2)], 125, 4)
+    def test_an_int_operand_acts_as_its_point_interval(self, a, k, bits):
+        # a short int operand is promoted with no Fraction built; negative
+        # ones and ones longer than ``bits`` give the results of Interval.point
+        iv, point = Interval(*a, bits), Interval.point(k, bits)
+        pairs = [(iv + k, iv + point), (k + iv, point + iv), (iv - k, iv - point)]
+        pairs += [(k - iv, point - iv), (iv * k, iv * point), (k * iv, point * iv)]
+        if k:
+            pairs.append((iv / k, iv / point))
+        for got, promoted in pairs:
+            assert (got.lo, got.hi, got.bits) == (promoted.lo, promoted.hi, promoted.bits)
 
     def test_tiny_power_keeps_its_significant_bits(self):
         tiny = Interval.point(Fraction(1, 2), 64) ** 4000

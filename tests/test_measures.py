@@ -1,4 +1,3 @@
-import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -537,7 +536,7 @@ def increasing_events(g: Graph, chosen) -> list:
     every one increasing (checked on the covering pairs) and flagged so, as
     ``fkg_gaps`` requires."""
     up = Event(g, lambda m: any(m & c == c for c in chosen), label="up-set")
-    out = [dataclasses.replace(ev, increasing=True) for ev in (up, *events_on(g))]
+    out = [ev._replace(increasing=True) for ev in (up, *events_on(g))]
     assert all(check_increasing(ev) == (True, None) for ev in out)
     return out
 
@@ -712,7 +711,12 @@ class TestDistInvariants:
         assert law == Dist(THETA111, {0: 2, 3: 4}, 2, F(3))
         # a copy with new fields is checked as well
         with pytest.raises(LoopCurrentsError):
-            dataclasses.replace(law, nums={0: 2, 3: 4})
+            Dist(law.graph, {0: 2, 3: 4}, law.den, law.z)
+        # and the fields of a checked law cannot be set afterwards
+        with pytest.raises(AttributeError, match="cannot assign to field 'den'"):
+            law.den = 2
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(law)
 
     def test_negative_weight_rejected(self):
         with pytest.raises(LoopCurrentsError):

@@ -13,7 +13,8 @@ does not reach it.  The re-exports of ``__init__.py`` do not count.
 A parameter with a default that no call passes is an option no command
 sets.  A call counts when it names the function, as a name or as an
 attribute, and passes the parameter by keyword or by position (a ``*``
-or ``**`` argument passes every parameter it could reach).
+or ``**`` argument passes every parameter it could reach).  A call that
+names a class counts as a call of its ``__init__`` and its ``__new__``.
 
 The oracles (``tests/oracles.py``) check the package by other routes, so
 they import none of its private names: a private helper they shared would
@@ -152,6 +153,15 @@ def test_every_defaulted_parameter_is_set_by_some_call():
                 func = node.func
                 name = getattr(func, "id", None) or getattr(func, "attr", None)
                 calls.setdefault(name, []).append(node)
+    # C(...) calls C.__init__ and C.__new__
+    constructed = {
+        fn: cls.name
+        for tree in trees.values()
+        for cls in ast.walk(tree)
+        if isinstance(cls, ast.ClassDef)
+        for fn in cls.body
+        if isinstance(fn, ast.FunctionDef) and fn.name in ("__init__", "__new__")
+    }
     unset = set()
     for module, tree in trees.items():
         for fn in ast.walk(tree):
@@ -159,8 +169,11 @@ def test_every_defaulted_parameter_is_set_by_some_call():
                 continue
             args = [*fn.args.posonlyargs, *fn.args.args]
             method = bool(args) and args[0].arg in ("self", "cls")
+            callers = calls.get(fn.name, [])
+            if fn in constructed:
+                callers = callers + calls.get(constructed[fn], [])
             for position, name in _defaulted(fn):
-                if not any(_passes(c, position, name, method) for c in calls.get(fn.name, [])):
+                if not any(_passes(c, position, name, method) for c in callers):
                     unset.add(f"{module}.{fn.name}({name})")
     assert unset == UNSET_DEFAULTS
 

@@ -1,4 +1,3 @@
-import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -9,6 +8,7 @@ from loopcurrents import events, theta
 from loopcurrents.errors import GraphMismatchError, GraphStructureError, ParametrizationError
 from loopcurrents.events import all_open, connect
 from loopcurrents.graphs import (
+    Graph,
     check_counter,
     counter_family,
     even_lattice,
@@ -151,7 +151,7 @@ class TestConnectionForms:
                 tested.append(mask)
                 return ab.holds(mask)
 
-            return dataclasses.replace(ab, predicate=predicate)
+            return ab._replace(predicate=predicate)
 
         monkeypatch.setattr(events, "connect", counting_connect)
         for form in (loop_conn(18, 2), double_loop_conn(38, 2)):
@@ -413,7 +413,7 @@ class TestDiscrepancyReporting:
 
         def wrong(n, m):
             core = real(n, m)
-            return dataclasses.replace(core, lengths=(n + 1, *core.lengths[1:]))
+            return Graph(core.vertex_count, core.edges, core.marks, (n + 1, *core.lengths[1:]))
 
         monkeypatch.setattr(theta, "counter_core", wrong)
         forms = {rec["form"] for rec in closed_form_discrepancies(3, 2, F(1, 3), F(2, 5))}
@@ -483,7 +483,7 @@ class TestCoreGraphs:
 
     def test_lengths_of_one_give_the_plain_laws(self):
         g = generalized_theta([2, 3, 1])
-        ones = dataclasses.replace(g, lengths=(1,) * g.edge_count)
+        ones = Graph(g.vertex_count, g.edges, g.marks, (1,) * g.edge_count)
         laws, same = _laws(g, F(1, 3), F(1, 2)), _laws(ones, F(1, 3), F(1, 2))
         for name, law, one in zip(MODELS, laws, same):
             assert (one.nums, one.den, one.z) == (law.nums, law.den, law.z), name
