@@ -36,20 +36,19 @@ connection mass or of a loop up-set's mass, comes from
 watched pairs of a symmetric graph share series, and every pair still
 writes its own records.
 
-MON takes each step of a scanned row by one of three routes.  The first,
-``loop-union``, is this module's alone: the rows are k independent loop
-laws unioned with Bernoulli(p(x)), so if the loop law at x2 dominates the
-one at x1 and p(x1) <= p(x2), the row at x2 dominates the row at x1
-(:func:`loop_union_steps` finds the steps where p does not fall, once per
-row).  The loop steps of a graph are read once, for all three rows, off
-the masses of the up-sets of the loop law's support
-(:func:`loop_dominating_steps`), so no loop law is built and no flow runs,
-and :func:`scan_mon` reads no law of such a step.  Every other step goes
-to ``holley-local`` and then ``flow`` on the row's own laws
-(``checkers.monotonicity_scan``), built only for such a step, so every
-violation and its up-set still comes from a min cut on the model's laws.
-``verify sumthm`` checks this very lemma, so it scans the union laws
-themselves and never uses the route.
+MON takes each step of a scanned row by one of three routes, all in one
+:func:`scan_mon` call over the graphs.  The first, ``loop-union``, is this
+module's alone: the rows are k independent loop laws unioned with
+Bernoulli(p(x)), so if the loop law at x2 dominates the one at x1 and
+p(x1) <= p(x2), the row at x2 dominates the row at x1.  The steps where p
+does not fall are read once per row; a graph's loop steps are read once,
+off the masses of the up-sets of the loop law's support
+(:func:`loop_dominating_steps`), so no law is built and no flow runs for
+such a step.  Every other step goes to ``holley-local`` and then ``flow``
+on the row's own laws (``checkers.monotonicity_scan``), built only for
+such a step, so every violation and its up-set still comes from a min cut
+on the model's laws.  ``verify sumthm`` checks this very lemma, so it
+scans the union laws themselves and never uses the route.
 """
 
 from __future__ import annotations
@@ -57,9 +56,9 @@ from __future__ import annotations
 from collections import Counter
 from collections.abc import Sequence
 from fractions import Fraction
-from functools import cache
+from functools import cache, partial
 from itertools import combinations
-from typing import Callable, Container
+from typing import Callable
 
 from . import theta
 from .battery import scan_battery
@@ -68,7 +67,7 @@ from .errors import CapExceededError, LoopCurrentsError, ParametrizationError
 from .events import Event, all_open, connect, edge_open
 from .graphs import Graph, component_labels, counter_family, even_subgraphs
 from .intervals import certify_decreasing_pair
-from .measures import MODELS, Dist, build, polynomial_masses, pythagorean_x
+from .measures import MODELS, build, polynomial_masses, pythagorean_x
 from .rationals import decimal_string, dyadic_grid, find_decreasing_pair, format_rational
 
 REFUTED = "refuted"
@@ -104,6 +103,14 @@ SING_DOUBLE_LOOP_PARAMS = (38, 2)
 # closed forms: loop_conn(18, 2) has none at resolutions 1 to 3, and
 # double_loop_conn(38, 2) none at 4.
 MIN_GRID_RESOLUTION = 5
+# The finest grid resolution the table takes, for its scans and for its
+# domination scans: each step up doubles the points and about doubles the
+# run.  In-process `table --grid-steps r` runs (CPython 3.11, 2-vCPU AMD
+# EPYC) took 0.15 s and a 25 MB peak at r = 9, 0.7 s and 46 MB at 11, 1.5 s
+# and 74 MB at 12, 3.4 s and 129 MB at 13 and 7.8 s and 254 MB at 14, where
+# the other caps are sized to about 1 s and 100-150 MB; rationals.GRID_CAP
+# alone would admit 16.
+MAX_GRID_RESOLUTION = 12
 SING_SINGLE_CURRENT_PARAMS = (2000, 300)
 # The single current's dip sits in a narrow window near x = 1, between the
 # neighbouring points 1 - k/2^14 at k = 17 and 16.
@@ -390,45 +397,44 @@ def loop_dominating_steps(g: Graph, grid: Sequence[Fraction]) -> set[int]:
     return set(range(1, len(grid))) - {j for falls in falling_steps(masses) for j, _ in falls}
 
 
-def loop_union_steps(model: str, grid) -> set[int]:
-    """The steps j of ``grid`` at which the row ``model``'s Bernoulli
-    parameter p does not fall, p(grid[j - 1]) <= p(grid[j]), checked
-    exactly.  The ``loop-union`` route certifies those of them at which the
-    loop law dominates: there the law of ``model`` at grid[j] dominates the
-    one at grid[j - 1].
+def scan_mon(graphs, rows: Sequence[str], grid) -> dict[str, list[dict]]:
+    """Consecutive-pair stochastic domination scans of each row of ``rows``
+    on each ``(name, graph)`` of ``graphs`` along ``grid``, as ``{row:
+    records}`` in graph order, then step order.
 
-    The lemma: the row is k independent loop laws unioned with
+    A step j takes the ``loop-union`` route when the graph's loop law at
+    grid[j] dominates the one at grid[j - 1] (:func:`loop_dominating_steps`,
+    read once per graph) and the row's Bernoulli parameter does not fall,
+    p(grid[j - 1]) <= p(grid[j]), checked exactly once per row for all
+    graphs.  The lemma: the row is k independent loop laws unioned with
     Bernoulli(p(x)).  Couple each loop copy monotonically from x1 to x2 and
     each Bernoulli edge monotonically, all independently; union is
     increasing in each part, so the coupling keeps the row at x1 below the
-    row at x2.  The route only certifies, never refutes.  p is evaluated
-    once per grid point."""
-    _, p = MODELS[model]
-    ps = list(map(p, grid))
-    return {j for j in range(1, len(grid)) if ps[j - 1] <= ps[j]}
-
-
-def scan_mon(
-    name: str, law: Callable[[int], Dist], grid, certified: Container[int] = ()
-) -> list[dict]:
-    """Consecutive-pair stochastic domination scan of graph ``name`` under
-    the laws ``law(j)`` at ``grid[j]``: a step in ``certified`` holds by the
-    ``loop-union`` route and reads no law, and every other step goes to
-    :func:`~loopcurrents.checkers.monotonicity_scan` (``holley-local``,
-    else ``flow``).  Each law is built once, only for such a step, and dies
-    with the call."""
-    law = cache(law)
-    return [
-        {
-            "graph": name,
-            "x1": format_rational(grid[j - 1]),
-            "x2": format_rational(grid[j]),
-            "witness": witness.to_json_dict(),
-        }
-        for j in range(1, len(grid))
-        if j not in certified
-        for _, witness in monotonicity_scan([law(j - 1), law(j)])
-    ]
+    row at x2.  The route only certifies, never refutes, and reads no law.
+    Every other step goes to :func:`~loopcurrents.checkers.monotonicity_scan`
+    (``holley-local``, else ``flow``) on the row's two laws there, each
+    built once per (graph, row) and dropped before the next row's."""
+    steps = range(1, len(grid))
+    ps = {row: list(map(MODELS[row][1], grid)) for row in rows}
+    rising = {row: {j for j in steps if p[j - 1] <= p[j]} for row, p in ps.items()}
+    scans: dict[str, list[dict]] = {row: [] for row in rows}
+    for name, g in graphs:
+        loop_steps = loop_dominating_steps(g, grid)
+        for row in rows:
+            certified = loop_steps & rising[row]
+            law = cache(partial(build, row, g))
+            scans[row] += [
+                {
+                    "graph": name,
+                    "x1": format_rational(grid[j - 1]),
+                    "x2": format_rational(grid[j]),
+                    "witness": witness.to_json_dict(),
+                }
+                for j in steps
+                if j not in certified
+                for _, witness in monotonicity_scan([law(grid[j - 1]), law(grid[j])])
+            ]
+    return scans
 
 
 # ---------------------------------------------------------------------------
@@ -446,20 +452,22 @@ def build_overview(
     for counterexample localization and for scans; below
     :data:`MIN_GRID_RESOLUTION` it is refused before any work.  Domination
     scans may use another grid via ``mon_grid_resolution``; the ``table``
-    command scans on the one grid.  FKG, CON and SING come from each graph's
-    :func:`scan_graph`.  Each graph's loop steps are read once on the
-    domination grid from up-set masses (:func:`loop_dominating_steps`), and
-    a scanned row's MON step takes the ``loop-union`` route where the loop
-    step dominates, else Holley's local criterion or an exact max flow on
-    the row's laws, built only for such a step (:func:`scan_mon`).
+    command scans on the one grid; either above :data:`MAX_GRID_RESOLUTION`
+    is refused once the grids are built, before any witness or scan.  FKG,
+    CON and SING come from one :func:`scan_graph` per graph, MON from one
+    :func:`scan_mon` over all of them, and the table is consistent with
+    the expected verdicts when no cell is SCAN-FAILED.
     """
     if grid_resolution < MIN_GRID_RESOLUTION:
         raise ParametrizationError(
             f"grid resolution {grid_resolution}: the SING witnesses need at least "
             f"{MIN_GRID_RESOLUTION}"
         )
-    grid = dyadic_grid(grid_resolution)
-    mon_grid = dyadic_grid(grid_resolution if mon_grid_resolution is None else mon_grid_resolution)
+    mon_resolution = grid_resolution if mon_grid_resolution is None else mon_grid_resolution
+    grid, mon_grid = dyadic_grid(grid_resolution), dyadic_grid(mon_resolution)
+    finest = max(grid_resolution, mon_resolution)
+    if finest > MAX_GRID_RESOLUTION:
+        raise CapExceededError("table grid resolution", finest, MAX_GRID_RESOLUTION)
     graphs = scan_battery() if graphs is None else graphs
     scan_meta = {
         "battery": [name for name, _ in graphs],
@@ -469,12 +477,8 @@ def build_overview(
 
     cells: dict[str, dict[str, dict]] = {m: {} for m in MODELS}
 
-    def put(model, prop, status, payload):
-        cells[model][prop] = {
-            "expected": KNOWN_VERDICTS[model][prop],
-            "status": status,
-            **payload,
-        }
+    def put(model, prop, status, key, value):
+        cells[model][prop] = {"expected": KNOWN_VERDICTS[model][prop], "status": status, key: value}
 
     # --- refuted cells: FKG, SING and MON witnesses; CON follows from SING --
     sc_sing = certify_sing_single_current()
@@ -501,36 +505,22 @@ def build_overview(
     for model, (fkg, sing, mon) in refutations.items():
         con = dict(sing, note="singleton sets; follows from the SING witness")
         for prop, witness in (("FKG", fkg), ("SING", sing), ("MON", mon), ("CON", con)):
-            put(model, prop, CERTIFIED_FALSE, {"witness": witness})
+            put(model, prop, CERTIFIED_FALSE, "witness", witness)
 
-    violations = {m: {prop: [] for prop in PROPERTIES} for m in MODELS if m not in refutations}
-    # p does not depend on the graph: each row's steps where it does not fall
-    # are found once, and each graph's loop steps are intersected with them
-    p_steps = {m: loop_union_steps(m, mon_grid) for m in violations}
-    for name, g in graphs:
-        loop_steps = loop_dominating_steps(g, mon_grid)
-        scans = scan_graph(name, g, list(violations), grid)
-        for model, row in violations.items():
-            certified = loop_steps & p_steps[model]
-            # the row's laws are built inside the call, and die with it
-            mon = scan_mon(name, lambda j: build(model, g, mon_grid[j]), mon_grid, certified)
-            found = dict(scans[model], MON=mon)
-            for prop, more in found.items():
-                row[prop] += more
-    for model, row in violations.items():
-        for prop, found in row.items():
+    scanned = [m for m in MODELS if m not in refutations]
+    scans = [scan_graph(name, g, scanned, grid) for name, g in graphs]
+    mon = scan_mon(graphs, scanned, mon_grid)
+    consistent = True
+    for model in scanned:
+        for prop in PROPERTIES:
+            found = mon[model] if prop == "MON" else [r for s in scans for r in s[model][prop]]
             status = OPEN_STATUS
             if KNOWN_VERDICTS[model][prop] == HOLDS:
-                status = SCAN_CLEAN if not found else SCAN_FAILED
-            put(model, prop, status, {"scan": dict(scan_meta, violations=found)})
-
-    ok = all(
-        cell["status"] in (CERTIFIED_FALSE, SCAN_CLEAN, OPEN_STATUS)
-        for row in cells.values()
-        for cell in row.values()
-    )
+                status = SCAN_FAILED if found else SCAN_CLEAN
+                consistent = consistent and not found
+            put(model, prop, status, "scan", dict(scan_meta, violations=found))
     return {
         "properties": list(PROPERTIES),
         "models": cells,
-        "consistent_with_expected": ok,
+        "consistent_with_expected": consistent,
     }

@@ -39,9 +39,6 @@ EQUIVALENT = {
     ("overview", "if a < b and not set(a) & set(b):", "<"): (
         "a == b is never a disjoint pair of nonempty sets"
     ),
-    ("overview", "return {j for j in range(1, len(grid)) if ps[j - 1] <= ps[j]}", "<="): (
-        "every registered p rises strictly on (0, 1), so no two grid values are equal"
-    ),
     ("overview", "if witness.gap <= 0:", "<="): (
         "the up-set of a falling increasing event has gap at least value1 - value2 > 0"
     ),

@@ -887,25 +887,30 @@ class TestScans:
             assert j >= 1
             assert flow_against_oracle(laws[j - 1], laws[j], monkeypatch).witness == witness
 
-    def test_a_certified_step_reads_neither_law(self):
+    def test_a_certified_step_reads_neither_law(self, monkeypatch):
         # steps 1 and 2 are certified: laws 0 and 1 are read by no other
-        # step, so a law callable that refuses them must never be asked for
-        # them, and the table's MON scan asks for every other law once
+        # step, so a build that refuses them must never be asked for them,
+        # and the table's MON scan asks for every other law once
         grid = dyadic_grid(3)[:5]
-        laws = [build("double_current", K4, x) for x in grid]
         reads = []
 
-        def guarded(j):
-            reads.append(j)
-            if j in (0, 1):
-                raise AssertionError(f"law {j} read for a certified step")
-            return laws[j]
+        def guarded(name, graph, x):
+            reads.append(x)
+            if x in grid[:2]:
+                raise AssertionError(f"law at {x} read for a certified step")
+            return build(name, graph, x)
 
-        certified = overview.scan_mon("K4", guarded, grid, {1, 2})
-        assert certified == overview.scan_mon("K4", laws.__getitem__, grid) == []
-        assert reads == [2, 3, 4]
+        def scan(loop_steps):
+            monkeypatch.setattr(overview, "loop_dominating_steps", lambda g, grid: loop_steps)
+            return overview.scan_mon([("K4", K4)], ["double_current"], grid)
+
+        monkeypatch.setattr(overview, "build", guarded)
+        assert scan({1, 2}) == {"double_current": []}
+        assert reads == grid[2:]
         with pytest.raises(AssertionError):
-            overview.scan_mon("K4", guarded, grid, {2})
+            scan({2})
+        monkeypatch.setattr(overview, "build", build)
+        assert scan(set()) == {"double_current": []}
 
     def test_union_preservation_verified_for_bernoulli(self):
         laws = [bernoulli(THETA111, x) for x in dyadic_grid(3)]

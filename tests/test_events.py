@@ -60,6 +60,14 @@ class TestEvaluate:
         with pytest.raises(GraphStructureError):
             connect(complete_graph(3))
 
+    def test_indices_one_past_the_end_are_refused(self):
+        # events are lazy: an index past the end would only fail when read
+        n, m = COUNTER22.vertex_count, COUNTER22.edge_count
+        with pytest.raises(GraphStructureError, match=f"vertex {n} out of range"):
+            connect(COUNTER22, 0, n)
+        with pytest.raises(GraphStructureError, match=f"edge {m} out of range"):
+            edge_open(COUNTER22, m)
+
     def test_connect_refuses_one_vertex(self):
         # one vertex given must not fall back to the marks
         for args in ((0,), (None, 0)):

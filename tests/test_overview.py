@@ -335,34 +335,44 @@ def test_fkg_scan_returns_exactly_the_oracles_negative_gaps():
         assert overview.scan_graph(name, g, ["loop"], grid)["loop"]["FKG"] == expected
 
 
-def test_mon_scans_run_a_flow_only_where_the_local_route_declines(flow_networks):
+def no_loop_steps(g, grid):
+    """A stand-in for ``loop_dominating_steps`` that certifies no loop step,
+    so every step of a MON scan takes the fallback routes."""
+    return set()
+
+
+def unbuilt(name, graph, x):
+    """A stand-in for ``build`` that refuses every law: a scan that reads
+    one fails."""
+    raise AssertionError(f"the {name} law at {x} was read")
+
+
+def test_mon_scans_run_a_flow_only_where_the_local_route_declines(flow_networks, monkeypatch):
     # random-cluster and double-cluster laws have full support and are
-    # lattice laws; double-current laws fail the lattice condition
+    # lattice laws; double-current laws fail the lattice condition.  No
+    # loop step is certified, so every step takes the fallback routes
+    monkeypatch.setattr(overview, "loop_dominating_steps", no_loop_steps)
     grid = dyadic_grid(4)
     for name, g in (("theta[1,1,1]", generalized_theta([1, 1, 1])), ("K4", complete_graph(4))):
         for model, flows in (("random_cluster", 0), ("double_cluster", 0), ("double_current", 1)):
-            laws = [build(model, g, x) for x in grid]
             flow_networks.clear()
-            assert overview.scan_mon(name, laws.__getitem__, grid) == []
+            assert overview.scan_mon([(name, g)], [model], grid) == {model: []}
             assert len(flow_networks) == flows * (len(grid) - 1)
 
 
-def test_a_double_current_mon_scan_builds_its_covering_arcs_once(flow_networks):
+def test_a_double_current_mon_scan_builds_its_covering_arcs_once(flow_networks, monkeypatch):
+    monkeypatch.setattr(overview, "loop_dominating_steps", no_loop_steps)
     g = counter_family(2, 2)
     grid = dyadic_grid(4)
-    laws = [build("double_current", g, x) for x in grid]
     checkers._covering_arcs.cache_clear()
-    assert overview.scan_mon("counter(2,2)", laws.__getitem__, grid) == []
+    assert overview.scan_mon([("counter(2,2)", g)], ["double_current"], grid) == {
+        "double_current": []
+    }
     # every law has full support, so every flow runs on the 8-dimensional
     # lattice: one network per flow, one set of arc lists for the scan
     assert flow_networks == [2 + (1 << g.edge_count)] * (len(grid) - 1)
     info = checkers._covering_arcs.cache_info()
     assert (info.misses, info.hits) == (1, len(grid) - 2)
-
-
-def unbuilt(j):
-    """A law callable that refuses every law: a scan that reads one fails."""
-    raise AssertionError(f"law {j} was read")
 
 
 # The rows whose MON cells are scanned, each k loop copies union Bernoulli(p).
@@ -407,6 +417,29 @@ def test_a_grid_below_the_sing_witnesses_is_refused_before_any_work(
     assert not out.exists()
 
 
+def test_a_grid_above_the_cap_is_refused_before_any_witness_or_scan(
+    monkeypatch, tmp_path, capsys
+):
+    def refuse(*args):
+        raise AssertionError("the table ran before its grid cap was checked")
+
+    names = ("certify_fkg", "certify_sing", "certify_sing_single_current", "scan_graph", "scan_mon")
+    for name in names:
+        monkeypatch.setattr(overview, name, refuse)
+    out = tmp_path / "table.json"
+    assert cli.main(["table", "--grid-steps", "13", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "error: table grid resolution needs size 13, above the cap 12\n"
+    )
+    assert not out.exists()
+    with pytest.raises(CapExceededError, match="needs size 13"):
+        overview.build_overview(6, 13)
+    monkeypatch.undo()
+    # the cap itself is admitted: a 4095-point domination grid, no graph
+    report = overview.build_overview(5, overview.MAX_GRID_RESOLUTION, graphs=[])
+    assert report["models"]["random_cluster"]["MON"]["scan"]["mon_grid_points"] == 4095
+
+
 def test_resolution_5_is_the_least_with_both_sing_pairs():
     # the loop's pair at (18, 2) first appears at resolution 4, the double
     # loop's at (38, 2) at 5
@@ -436,17 +469,35 @@ def test_fallback_steps_leave_the_table_unchanged():
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == THETA113_TABLE_DIGEST
 
 
-def test_the_loop_union_route_changes_no_mon_scan():
+def test_the_loop_union_route_changes_no_mon_scan(monkeypatch):
     grid = dyadic_grid(6)
-    for name, g in [*scan_battery(), ("theta[1,1,3]", THETA113)]:
+    graphs = [*scan_battery(), ("theta[1,1,3]", THETA113)]
+    for _, g in graphs:
         steps = overview.loop_dominating_steps(g, grid)
         assert steps == set(range(1, 54 if g is THETA113 else len(grid)))
-        for model in UNION_ROWS:
-            laws = [build(model, g, x) for x in grid]
-            certified = overview.loop_union_steps(model, grid) & steps
-            assert certified == steps
-            scan = overview.scan_mon(name, laws.__getitem__, grid, certified)
-            assert scan == overview.scan_mon(name, laws.__getitem__, grid)
+    reads = []
+
+    def reading_build(name, graph, x):
+        reads.append((name, graph, x))
+        return build(name, graph, x)
+
+    monkeypatch.setattr(overview, "build", reading_build)
+    routed = overview.scan_mon(graphs, UNION_ROWS, grid)
+    # p rises at every step of every row, so the route certifies every loop
+    # step, and only the laws of theta[1,1,3]'s top steps are read
+    assert reads == [(model, THETA113, x) for model in UNION_ROWS for x in grid[53:]]
+    monkeypatch.setattr(overview, "loop_dominating_steps", no_loop_steps)
+    assert routed == overview.scan_mon(graphs, UNION_ROWS, grid)
+
+
+def test_a_flat_p_is_certified_where_the_loop_law_dominates(monkeypatch):
+    # p(x1) <= p(x2) holds with equality at every step of a flat p, so the
+    # route certifies every loop step of K4 and reads no law
+    copies, _ = MODELS["random_cluster"]
+    monkeypatch.setitem(MODELS, "random_cluster", (copies, lambda x: Fraction(1, 2)))
+    monkeypatch.setattr(overview, "build", unbuilt)
+    scan = overview.scan_mon([("K4", complete_graph(4))], ["random_cluster"], dyadic_grid(3))
+    assert scan == {"random_cluster": []}
 
 
 def test_battery_mon_scans_touch_no_model_law(flow_networks, monkeypatch):
@@ -460,19 +511,17 @@ def test_battery_mon_scans_touch_no_model_law(flow_networks, monkeypatch):
         return holley_steps(laws)
 
     grid = dyadic_grid(6)
-    battery = [(name, g, overview.loop_dominating_steps(g, grid)) for name, g in scan_battery()]
-    assert flow_networks == []
+    battery = scan_battery()
     monkeypatch.setattr(checkers, "_holley_steps", counting_holley)
-    for name, g, steps in battery:
-        for model in UNION_ROWS:
-            certified = overview.loop_union_steps(model, grid) & steps
-            assert overview.scan_mon(name, unbuilt, grid, certified) == []
+    monkeypatch.setattr(overview, "build", unbuilt)
+    assert overview.scan_mon(battery, UNION_ROWS, grid) == {model: [] for model in UNION_ROWS}
     assert flow_networks == [] and not holley
     # the patched routine is the one the scans call: an uncertified step of
     # the same scan is counted
-    name, g, _ = battery[0]
-    assert overview.scan_mon(name, lambda j: build("random_cluster", g, grid[j]), grid[:2]) == []
-    assert holley == {g.edges: 1} and flow_networks == []
+    monkeypatch.setattr(overview, "build", build)
+    monkeypatch.setattr(overview, "loop_dominating_steps", no_loop_steps)
+    assert overview.scan_mon(battery[:1], ["random_cluster"], grid[:2]) == {"random_cluster": []}
+    assert holley == {battery[0][1].edges: 1} and flow_networks == []
 
 
 @st.composite
@@ -490,13 +539,20 @@ open_unit = st.fractions(0, 1, max_denominator=12).filter(lambda x: 0 < x < 1)
 def test_the_loop_union_lemma_against_the_flow(g, xs):
     x1, x2 = sorted(xs)
     up, down = [x1, x2], [x2, x1]
-    loop_up = loop_dominating_steps_by_flow(g, up)
-    loop_down = loop_dominating_steps_by_flow(g, down)
-    for model in UNION_ROWS:
-        if overview.loop_union_steps(model, up) & loop_up:
-            assert checkers.stochastic_domination(build(model, g, x1), build(model, g, x2)).dominates
-        # control: p falls along a decreasing grid, so the route certifies nothing
-        assert overview.loop_union_steps(model, down) & loop_down == set()
+    with pytest.MonkeyPatch.context() as patch:
+        # the route on the flow's loop steps, with every law read refused
+        patch.setattr(overview, "loop_dominating_steps", loop_dominating_steps_by_flow)
+        patch.setattr(overview, "build", unbuilt)
+        for model in UNION_ROWS:
+            _, p = MODELS[model]
+            if p(x1) <= p(x2) and loop_dominating_steps_by_flow(g, up):
+                assert overview.scan_mon([("g", g)], [model], up) == {model: []}
+                laws = build(model, g, x1), build(model, g, x2)
+                assert checkers.stochastic_domination(*laws).dominates
+            # control: p falls along a decreasing grid, so the route
+            # certifies nothing and the scan reads the laws
+            with pytest.raises(AssertionError, match="was read"):
+                overview.scan_mon([("g", g)], [model], down)
 
 
 # Loopless multigraphs of cycle dimension at most 4: fewer than 2^15

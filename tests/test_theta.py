@@ -253,8 +253,17 @@ class TestConnectionForms:
         assert sorted(calls) == sorted([150, 300, 450, 600, 2000, 4000, 600, 2300, 4000, 4600, 2, 2])
 
     def test_interval_rejects_bad_x(self):
-        with pytest.raises(ParametrizationError):
-            single_current_conn_interval(2, 2, F(0))
+        # both ends of (0, 1) are refused: at x = 1 the enclosure would be [1, 1]
+        for x in (F(0), F(1)):
+            with pytest.raises(ParametrizationError, match=rf"x={x} outside \(0,1\)"):
+                single_current_conn_interval(2, 2, x)
+
+    def test_exact_rejects_t_at_either_end(self):
+        # t = 0 would give x = 0 and the value 0; t = 1 is refused here, not
+        # only by pythagorean_x's half-open check
+        for t in (F(0), F(1)):
+            with pytest.raises(ParametrizationError, match=rf"t={t} outside \(0,1\)"):
+                single_current_conn_exact(2, 2, t)
 
     def test_spec_rejects_odd_m(self):
         with pytest.raises(GraphStructureError, match="m=3 must be even"):
