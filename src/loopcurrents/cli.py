@@ -167,7 +167,7 @@ def _decimal_bits(digits: int) -> int:
     return bits
 
 
-def _interval_decimal(fn, x: Fraction, digits: int):
+def _interval_decimal(fn, x: Fraction, digits: int) -> str:
     """Decimal string of an interval-valued function, refined until the
     rounding of both endpoints agrees (then it is the correctly rounded
     value).  Raises if they still disagree at ``MAX_BITS``."""
@@ -179,7 +179,7 @@ def _interval_decimal(fn, x: Fraction, digits: int):
         lo_s = decimal_string(iv.lo, digits)
         hi_s = decimal_string(iv.hi, digits)
         if lo_s == hi_s:
-            return lo_s, iv
+            return lo_s
         if bits >= MAX_BITS:
             raise LoopCurrentsError(
                 f"value at x={x} not certified to {digits} digits at {MAX_BITS} bits: "
@@ -197,8 +197,8 @@ def cmd_figure(args) -> int:
     n, m = args.n, args.m  # the closed forms check them
     if args.window:
         lo, colon, hi = args.window.partition(":")
-        if not colon or args.grid_steps < 0:
-            raise ParametrizationError("--window needs the form lo:hi and --grid-steps >= 0")
+        if not colon:
+            raise ParametrizationError("--window needs the form lo:hi")
         grid = dyadic_window_grid(parse_rational(lo), parse_rational(hi), dyadic_steps(args.grid_steps))
     else:
         grid = dyadic_grid(args.grid_steps)
@@ -243,7 +243,7 @@ def cmd_figure(args) -> int:
         # and ask for the same enclosures; compute each (x, bits) once
         enclosure = functools.cache(functools.partial(theta.single_current_conn_interval, n, m))
         for x in grid:
-            v_str, _ = _interval_decimal(enclosure, x, digits)
+            v_str = _interval_decimal(enclosure, x, digits)
             rows.append((x.numerator, x.denominator, decimal_string(x, digits), v_str, ""))
         found = certify_decreasing_pair(enclosure, grid, start_bits=_decimal_bits(digits))
         if found is not None:

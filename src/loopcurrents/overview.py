@@ -103,14 +103,6 @@ SING_DOUBLE_LOOP_PARAMS = (38, 2)
 # closed forms: loop_conn(18, 2) has none at resolutions 1 to 3, and
 # double_loop_conn(38, 2) none at 4.
 MIN_GRID_RESOLUTION = 5
-# The finest grid resolution the table takes, for its scans and for its
-# domination scans: each step up doubles the points and about doubles the
-# run.  In-process `table --grid-steps r` runs (CPython 3.11, 2-vCPU AMD
-# EPYC) took 0.15 s and a 25 MB peak at r = 9, 0.7 s and 46 MB at 11, 1.5 s
-# and 74 MB at 12, 3.4 s and 129 MB at 13 and 7.8 s and 254 MB at 14, where
-# the other caps are sized to about 1 s and 100-150 MB; rationals.GRID_CAP
-# alone would admit 16.
-MAX_GRID_RESOLUTION = 12
 SING_SINGLE_CURRENT_PARAMS = (2000, 300)
 # The single current's dip sits in a narrow window near x = 1, between the
 # neighbouring points 1 - k/2^14 at k = 17 and 16.
@@ -231,44 +223,26 @@ def _connection_stat(g: Graph, side_pairs: Sequence[tuple[tuple, tuple]]) -> Cal
     return stat
 
 
-def _singleton_pairs(g: Graph) -> list[tuple[tuple, tuple]]:
-    """Single vertices: the marks if the graph has them, else every pair."""
-    if g.marks is not None:
-        return [((g.marks.a,), (g.marks.b,))]
-    n = g.vertex_count
-    return [((u,), (v,)) for u in range(n) for v in range(u + 1, n)]
-
-
-def _subset_pairs(g: Graph) -> list[tuple[tuple, tuple]]:
-    verts = range(g.vertex_count)
-    subsets = [c for k in (1, 2) for c in combinations(verts, k)]
-    pairs = []
-    for a in subsets:
-        for b in subsets:
-            if a < b and not set(a) & set(b):
-                pairs.append((a, b))
-    return pairs
-
-
-def _fkg_events(g: Graph) -> list[Event]:
-    events = [edge_open(g, 0), edge_open(g, g.edge_count - 1), all_open(g, [0, 1])]
-    if g.marks is not None:
-        events.append(connect(g))
-    else:
-        events.append(connect(g, 0, 1))
-    return events
-
-
 def _fkg_pairs(g: Graph) -> list[tuple[Event, Event]]:
-    return list(combinations(_fkg_events(g), 2))
+    """Every pair of the FKG scan's four increasing events on g: the first
+    and the last edge open, edges 0 and 1 both open, and the marks (else
+    vertices 0 and 1) connected."""
+    ends = () if g.marks is not None else (0, 1)
+    events = [edge_open(g, 0), edge_open(g, g.edge_count - 1), all_open(g, [0, 1])]
+    return list(combinations([*events, connect(g, *ends)], 2))
 
 
 def _watched(g: Graph) -> list[tuple[str, tuple[tuple, tuple], str]]:
     """(property, vertex-set pair, event label) for every pair the
-    connection scans watch on g: CON's vertex-set pairs, then SING's
-    single vertices."""
-    return [("CON", (a, b), f"connect-sets:{a},{b}") for a, b in _subset_pairs(g)] + [
-        ("SING", (a, b), f"connect:{a[0]},{b[0]}") for a, b in _singleton_pairs(g)
+    connection scans watch on g: CON's disjoint pairs of vertex sets of
+    one or two vertices, then SING's single vertices, the marks if the
+    graph has them, else every pair."""
+    verts = range(g.vertex_count)
+    sets = [c for k in (1, 2) for c in combinations(verts, k)]
+    singles = [tuple(g.marks)] if g.marks is not None else combinations(verts, 2)
+    disjoint = [(a, b) for a in sets for b in sets if a < b and not set(a) & set(b)]
+    return [("CON", (a, b), f"connect-sets:{a},{b}") for a, b in disjoint] + [
+        ("SING", ((u,), (v,)), f"connect:{u},{v}") for u, v in singles
     ]
 
 
@@ -452,11 +426,12 @@ def build_overview(
     for counterexample localization and for scans; below
     :data:`MIN_GRID_RESOLUTION` it is refused before any work.  Domination
     scans may use another grid via ``mon_grid_resolution``; the ``table``
-    command scans on the one grid; either above :data:`MAX_GRID_RESOLUTION`
-    is refused once the grids are built, before any witness or scan.  FKG,
-    CON and SING come from one :func:`scan_graph` per graph, MON from one
-    :func:`scan_mon` over all of them, and the table is consistent with
-    the expected verdicts when no cell is SCAN-FAILED.
+    command scans on the one grid.  A grid above ``rationals.GRID_CAP``
+    points is refused before any of its points is built, so before any
+    witness or scan.  FKG, CON and SING come from one :func:`scan_graph`
+    per graph, MON from one :func:`scan_mon` over all of them, and the
+    table is consistent with the expected verdicts when no cell is
+    SCAN-FAILED.
     """
     if grid_resolution < MIN_GRID_RESOLUTION:
         raise ParametrizationError(
@@ -465,9 +440,6 @@ def build_overview(
         )
     mon_resolution = grid_resolution if mon_grid_resolution is None else mon_grid_resolution
     grid, mon_grid = dyadic_grid(grid_resolution), dyadic_grid(mon_resolution)
-    finest = max(grid_resolution, mon_resolution)
-    if finest > MAX_GRID_RESOLUTION:
-        raise CapExceededError("table grid resolution", finest, MAX_GRID_RESOLUTION)
     graphs = scan_battery() if graphs is None else graphs
     scan_meta = {
         "battery": [name for name, _ in graphs],

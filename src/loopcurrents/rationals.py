@@ -46,14 +46,21 @@ def decimal_string(value: Fraction, digits: int = 40) -> str:
 # Grids and decreasing-pair certificates
 
 
-# Most points a grid may have.  The grids the commands are run with have at
-# most 255; one of 2^20 points alone takes seconds to build.
-GRID_CAP = 1 << 16
+# Most points a grid of any command may have: 4,095 of dyadic_grid(12), or
+# a 12-step --window grid.  The work grows with the points, about doubling
+# per step of resolution.  In-process runs at resolution 12 (CPython 3.11,
+# 2-vCPU AMD EPYC): `table` 1.5 s and a 74 MB peak (3.4 s and 129 MB at
+# 13), `figure --model l2 --n 38 --m 2` 0.48-0.52 s and 31 MB, and `figure
+# --model P --n 2000 --m 300 --window 255/256:1` 0.54-0.81 s and 23 MB,
+# where the other caps are sized to about 1 s and 100-150 MB.
+GRID_CAP = 1 << 12
 
 
 def dyadic_steps(resolution: int) -> int:
     """2^resolution steps (resolution >= 0), refused by exponent when the
     grid would be far above the cap, before a shift builds a huge integer."""
+    if resolution < 0:
+        raise ParametrizationError(f"resolution {resolution} must be >= 0")
     if resolution > GRID_CAP.bit_length() + 1:
         raise CapExceededError("grid points", f"above 2^{resolution - 1}", GRID_CAP)
     return 1 << resolution

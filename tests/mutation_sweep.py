@@ -36,9 +36,11 @@ EQUIVALENT = {
     ("rationals", "if best is None or v > best:", ">"): (
         "at v == best both keep the same running maximum"
     ),
-    ("overview", "if a < b and not set(a) & set(b):", "<"): (
-        "a == b is never a disjoint pair of nonempty sets"
-    ),
+    (
+        "overview",
+        "disjoint = [(a, b) for a in sets for b in sets if a < b and not set(a) & set(b)]",
+        "<",
+    ): "a == b is never a disjoint pair of nonempty sets",
     ("overview", "if witness.gap <= 0:", "<="): (
         "the up-set of a falling increasing event has gap at least value1 - value2 > 0"
     ),

@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from loopcurrents import cli, graphs, measures, overview, sampler, theta
+from loopcurrents import cli, graphs, measures, overview, rationals, sampler, theta
 from loopcurrents.battery import scan_battery, verification_battery
 from loopcurrents.cli import _interval_decimal, main
 from loopcurrents.errors import CapExceededError, LoopCurrentsError
@@ -198,8 +198,7 @@ class TestFigure:
         def certified(x, bits):
             return Interval(F(1451, 10000), F(1452, 10000), bits)
 
-        value, _ = _interval_decimal(certified, F(1, 2), 2)
-        assert value == "0.15"
+        assert _interval_decimal(certified, F(1, 2), 2) == "0.15"
 
     @pytest.mark.parametrize(
         "x, expected",
@@ -211,12 +210,14 @@ class TestFigure:
     def test_tiny_values_keep_their_digits(self, x, expected):
         # far below 1 (x^600 = 2^-4200 at x = 1/128) the enclosures keep
         # their significant bits, so 40 digits are fixed on the first rung
+        bits_seen = []
+
         def enclosure(x, bits):
+            bits_seen.append(bits)
             return theta.single_current_conn_interval(2000, 300, x, bits)
 
-        value, iv = _interval_decimal(enclosure, x, 40)
-        assert value == expected
-        assert iv.bits == 256
+        assert _interval_decimal(enclosure, x, 40) == expected
+        assert bits_seen == [256]
 
     def test_odd_m_rejected(self, tmp_path):
         code = run(
@@ -355,8 +356,28 @@ def test_grids_above_the_cap_are_refused_before_they_are_built(argv, tmp_path, c
     out = tmp_path / "out"
     assert run(*argv, "--out", str(out)) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: grid points needs size") and err.endswith("above the cap 65536\n")
+    assert err.startswith("error: grid points needs size")
+    assert err.endswith(f"above the cap {rationals.GRID_CAP}\n")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("window, points", [((), 8191), (("--window", "1/2:3/4"), 8192)])
+def test_a_figure_grid_above_the_cap_is_refused_before_any_evaluation(
+    window, points, tmp_path, capsys, monkeypatch
+):
+    # 13 steps are above the cap's 4,096 points, with or without a window
+    def refuse(*args):
+        raise AssertionError("a closed form ran before the grid cap was checked")
+
+    monkeypatch.setattr(theta, "loop_conn", refuse)
+    monkeypatch.setattr(theta, "single_current_conn_interval", refuse)
+    for model in ("l", "P"):
+        out = tmp_path / f"{model}.csv"
+        argv = ("figure", "--model", model, "--n", "18", "--m", "2", *window)
+        assert run(*argv, "--grid-steps", "13", "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: grid points needs size {points}, above the cap 4096\n"
+        assert not out.exists() and not out.with_suffix(".csv.pair.json").exists()
 
 
 @pytest.mark.parametrize(

@@ -641,7 +641,7 @@ class TestBitMasses:
     def test_connection_masses_match_the_oracle(self, data):
         g = data.draw(st.sampled_from(ORACLE_GRAPHS))
         dists = data.draw(st.lists(mixed_dists(g), min_size=1, max_size=3))
-        pairs = overview._subset_pairs(g) + overview._singleton_pairs(g)
+        pairs = [pair for _, pair, _ in overview._watched(g)]
         expected = [[prob_bruteforce(d, connect_sets(g, a, b)) for d in dists] for a, b in pairs]
         stat = overview._connection_stat(g, pairs)
         rows = bit_masses([d.nums for d in dists], stat, len(pairs))

@@ -3,13 +3,12 @@ import json
 import weakref
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from loopcurrents import checkers, cli, measures, overview, theta
+from loopcurrents import checkers, cli, measures, overview, rationals, theta
 from loopcurrents.battery import scan_battery
 from loopcurrents.errors import CapExceededError, LoopCurrentsError
 from loopcurrents.events import Event, connect
@@ -144,7 +143,9 @@ def test_connection_scan_violations_match_the_fraction_oracle():
     laws = {x: build("loop", g, x) for x in grid}
     found = overview.scan_graph("counter(18,2)", g, ["loop"], grid)["loop"]
     found = {prop: found[prop] for prop in ("CON", "SING")}
-    watched = {"CON": overview._subset_pairs(g), "SING": overview._singleton_pairs(g)}
+    watched = {"CON": [], "SING": []}
+    for prop, pair, _ in overview._watched(g):
+        watched[prop].append(pair)
     assert found == connection_scan_bruteforce("counter(18,2)", g, laws, grid, watched)
     assert {prop: len(records) for prop, records in found.items()} == {"CON": 7, "SING": 7}
 
@@ -306,7 +307,9 @@ def test_one_labels_pass_serves_both_connection_scans(monkeypatch):
     # configuration; the scanned rows' supports are the whole lattice
     support = {(g.edges, m) for _, g in graphs for m in range(1 << g.edge_count)}
     assert labelled == Counter(support)
-    events = {(g.edges, ev.label) for _, g in graphs for ev in overview._fkg_events(g)}
+    events = {
+        (g.edges, ev.label) for _, g in graphs for pair in overview._fkg_pairs(g) for ev in pair
+    }
     assert held == Counter(
         (label, edges, m) for edges, label in events for e, m in support if e == edges
     )
@@ -318,7 +321,7 @@ def test_fkg_scan_returns_exactly_the_oracles_negative_gaps():
         laws = {x: build("loop", g, x) for x in grid}
         expected = []
         for x in grid:
-            for a, b in combinations(overview._fkg_events(g), 2):
+            for a, b in overview._fkg_pairs(g):
                 both = Event(g, lambda m: a.holds(m) and b.holds(m))
                 d = laws[x]
                 gap = prob_bruteforce(d, both) - prob_bruteforce(d, a) * prob_bruteforce(d, b)
@@ -429,14 +432,14 @@ def test_a_grid_above_the_cap_is_refused_before_any_witness_or_scan(
     out = tmp_path / "table.json"
     assert cli.main(["table", "--grid-steps", "13", "--out", str(out)]) == 1
     assert capsys.readouterr().err == (
-        "error: table grid resolution needs size 13, above the cap 12\n"
+        f"error: grid points needs size 8191, above the cap {rationals.GRID_CAP}\n"
     )
     assert not out.exists()
-    with pytest.raises(CapExceededError, match="needs size 13"):
+    with pytest.raises(CapExceededError, match="needs size 8191"):
         overview.build_overview(6, 13)
     monkeypatch.undo()
-    # the cap itself is admitted: a 4095-point domination grid, no graph
-    report = overview.build_overview(5, overview.MAX_GRID_RESOLUTION, graphs=[])
+    # resolution 12 is admitted: a 4095-point domination grid, no graph
+    report = overview.build_overview(5, 12, graphs=[])
     assert report["models"]["random_cluster"]["MON"]["scan"]["mon_grid_points"] == 4095
 
 

@@ -9,6 +9,7 @@ from loopcurrents.errors import CapExceededError, ParametrizationError
 from loopcurrents.rationals import (
     decimal_string,
     dyadic_grid,
+    dyadic_steps,
     dyadic_window_grid,
     find_decreasing_pair,
     format_rational,
@@ -83,6 +84,20 @@ class TestGridsAndPairs:
             dyadic_grid(4)
         with pytest.raises(CapExceededError, match="grid points needs size 8"):
             dyadic_window_grid(Fraction(1, 2), Fraction(3, 4), 8)
+
+    def test_twelve_steps_are_admitted_by_every_grid(self):
+        # 4,095 points of (0, 1), and a 12-step window below 1 takes all
+        # 4,096 of the cap; 13 steps are refused
+        assert len(dyadic_grid(12)) == 4095
+        window = dyadic_window_grid(Fraction(1, 2), Fraction(3, 4), dyadic_steps(12))
+        assert len(window) == rationals.GRID_CAP == 4096 and window[-1] == Fraction(3, 4)
+        with pytest.raises(CapExceededError, match="grid points needs size 8191"):
+            dyadic_grid(13)
+
+    def test_a_negative_resolution_is_a_typed_error(self):
+        assert dyadic_steps(0) == 1
+        with pytest.raises(ParametrizationError, match="resolution -1 must be >= 0"):
+            dyadic_steps(-1)
 
     def test_near_one_grid_increasing(self):
         grid = near_one_grid(6, 10)
