@@ -68,7 +68,7 @@ from .events import Event, all_open, connect, edge_open
 from .graphs import Graph, component_labels, counter_family, even_subgraphs
 from .intervals import certify_decreasing_pair
 from .measures import MODELS, build, polynomial_masses, pythagorean_x
-from .rationals import decimal_string, dyadic_grid, find_decreasing_pair, format_rational
+from .rationals import dyadic_grid, find_decreasing_pair, format_rational
 
 REFUTED = "refuted"
 HOLDS = "holds"
@@ -188,8 +188,8 @@ def certify_sing_single_current() -> dict:
         "pair": {
             "x1": format_rational(x1),
             "x2": format_rational(x2),
-            "value1_enclosure": [decimal_string(iv1.lo, 25), decimal_string(iv1.hi, 25)],
-            "value2_enclosure": [decimal_string(iv2.lo, 25), decimal_string(iv2.hi, 25)],
+            "value1_enclosure": [format_rational(iv1.lo), format_rational(iv1.hi)],
+            "value2_enclosure": [format_rational(iv2.lo), format_rational(iv2.hi)],
             "exact": False,
             "certified": "enclosures disjoint",
         },

@@ -386,7 +386,17 @@ UNION_ROWS = ("random_cluster", "double_current", "double_cluster")
 # routes.  sha256 of its build_overview(6) JSON as computed with every MON
 # step scanned on the rows' own laws.
 THETA113 = generalized_theta([1, 1, 3])
-THETA113_TABLE_DIGEST = "87f9783637c8e86262a264313414d994838b72ef8db952ddf7940b7cad7b1114"
+THETA113_TABLE_DIGEST = "76c0782530010ed6417da2a2f2cf76366669975d436dcd19d13d7cb0180ae8fa"
+
+
+def test_the_single_current_enclosures_contain_the_value():
+    # each reported enclosure holds the 4096-bit one at its point
+    pair = overview.certify_sing_single_current()["pair"]
+    n, m = overview.SING_SINGLE_CURRENT_PARAMS
+    for x, key in (("x1", "value1_enclosure"), ("x2", "value2_enclosure")):
+        lo, hi = map(Fraction, pair[key])
+        iv = theta.single_current_conn_interval(n, m, Fraction(pair[x]), 4096)
+        assert lo <= iv.lo and iv.hi <= hi
 
 
 def test_a_pinned_pair_where_the_single_current_rises_is_refused(monkeypatch, tmp_path):
