@@ -350,34 +350,26 @@ def test_an_unwritable_out_is_one_error_line(argv, tmp_path, capsys, monkeypatch
         ("table", "--grid-steps", "30"),
         # a size too long to print in decimal is named by its bit length
         (*FIGURE_L, "--grid-steps", "20000"),
+        # 13 steps are the first above the cap's 4,096 points, with or
+        # without a window, on every figure model
+        *(
+            ("figure", "--model", model, "--n", "18", "--m", "2", *window, "--grid-steps", "13")
+            for model in ("l", "P")
+            for window in ((), ("--window", "1/2:3/4"))
+        ),
     ],
 )
-def test_grids_above_the_cap_are_refused_before_they_are_built(argv, tmp_path, capsys):
-    out = tmp_path / "out"
-    assert run(*argv, "--out", str(out)) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: grid points needs size")
-    assert err.endswith(f"above the cap {rationals.GRID_CAP}\n")
-    assert not out.exists()
-
-
-@pytest.mark.parametrize("window, points", [((), 8191), (("--window", "1/2:3/4"), 8192)])
-def test_a_figure_grid_above_the_cap_is_refused_before_any_evaluation(
-    window, points, tmp_path, capsys, monkeypatch
-):
-    # 13 steps are above the cap's 4,096 points, with or without a window
+def test_grids_above_the_cap_are_refused_before_they_are_built(argv, tmp_path, capsys, monkeypatch):
     def refuse(*args):
         raise AssertionError("a closed form ran before the grid cap was checked")
 
     monkeypatch.setattr(theta, "loop_conn", refuse)
     monkeypatch.setattr(theta, "single_current_conn_interval", refuse)
-    for model in ("l", "P"):
-        out = tmp_path / f"{model}.csv"
-        argv = ("figure", "--model", model, "--n", "18", "--m", "2", *window)
-        assert run(*argv, "--grid-steps", "13", "--out", str(out)) == 1
-        err = capsys.readouterr().err
-        assert err == f"error: grid points needs size {points}, above the cap 4096\n"
-        assert not out.exists() and not out.with_suffix(".csv.pair.json").exists()
+    assert run(*argv, "--out", str(tmp_path / "out")) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: grid points needs size")
+    assert err.endswith(f"above the cap {rationals.GRID_CAP}\n")
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize(
