@@ -227,9 +227,9 @@ def _fkg_pairs(g: Graph) -> list[tuple[Event, Event]]:
     """Every pair of the FKG scan's four increasing events on g: the first
     and the last edge open, edges 0 and 1 both open, and the marks (else
     vertices 0 and 1) connected."""
-    ends = () if g.marks is not None else (0, 1)
     events = [edge_open(g, 0), edge_open(g, g.edge_count - 1), all_open(g, [0, 1])]
-    return list(combinations([*events, connect(g, *ends)], 2))
+    events.append(connect(g) if g.marks is not None else connect(g, 0, 1))
+    return list(combinations(events, 2))
 
 
 def _watched(g: Graph) -> list[tuple[str, tuple[tuple, tuple], str]]:
